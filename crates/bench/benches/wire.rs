@@ -11,8 +11,8 @@
 //! the `wire/planar_*_256` group runs the same paths over column-planar
 //! frames. The `wire/stage_*` group isolates the fused path's
 //! constituent stages — checksum mix, payload decode (bulk varint or
-//! planar widen/zigzag/unfold), batched health scan, SampleSet→column
-//! extraction — mirroring the `stage_*_ns_per_machine` fields of
+//! the planar unzigzag/unfold/widen walk), batched health scan,
+//! SampleSet→column extraction — mirroring the `stage_*_ns_per_machine` fields of
 //! `BENCH_wire.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -21,13 +21,11 @@ use tdp_bench::fleet::synthetic_set;
 use tdp_bench::ExperimentConfig;
 use tdp_counters::SampleSet;
 use tdp_fleet::{fold_event_lanes, FleetEstimator, SampleBatch, ROW_EVENTS};
-use tdp_parallel::WorkerPool;
 use tdp_wire::frame::{FrameType, PayloadChecksum};
 use tdp_wire::planar::decode_planes;
 use tdp_wire::varint::read_uvarints;
 use tdp_wire::{
-    ingest_serial, stream_window, CursorItem, DegradePolicy, FrameCursor, FrameDecoder, FrameKind,
-    StreamConfig, WireEncoder,
+    ingest_serial, CursorItem, DegradePolicy, FrameCursor, FrameDecoder, FrameKind, WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -46,8 +44,8 @@ fn encode_window(kind: FrameKind, sets: &[SampleSet]) -> Vec<u8> {
     enc.finish()
 }
 
-/// Registers the encode/decode/fused/streamed path benches for one
-/// frame format under the given name prefix.
+/// Registers the encode/decode/fused path benches for one frame format
+/// under the given name prefix.
 fn bench_paths(c: &mut Criterion, prefix: &str, kind: FrameKind, sets: &[SampleSet]) {
     let buf = encode_window(kind, sets);
     let model = SystemPowerModel::paper();
@@ -74,21 +72,11 @@ fn bench_paths(c: &mut Criterion, prefix: &str, kind: FrameKind, sets: &[SampleS
         })
     });
 
-    let mut fused = FleetEstimator::with_capacity(model.clone(), MACHINES);
+    let mut fused = FleetEstimator::with_capacity(model, MACHINES);
     c.bench_function(&format!("wire/{prefix}fused_decode_estimate_256"), |b| {
         b.iter(|| {
             ingest_serial(&buf, MACHINES, &mut fused);
             black_box(fused.estimate().fleet_total())
-        })
-    });
-
-    let pool = WorkerPool::global();
-    let cfg = StreamConfig::default();
-    let mut streamed = FleetEstimator::with_capacity(model, MACHINES);
-    c.bench_function(&format!("wire/{prefix}streamed_decode_estimate_256"), |b| {
-        b.iter(|| {
-            stream_window(pool, &cfg, &buf, MACHINES, &mut streamed);
-            black_box(streamed.estimate().fleet_total())
         })
     });
 }
@@ -160,13 +148,11 @@ fn bench_wire_stages(c: &mut Criterion) {
                     let payload = cursor.payload(start, &header);
                     let mut ck = PayloadChecksum::new(&header);
                     decode_planes(
-                        d,
                         payload,
                         header.n_events as usize,
                         header.cpu_count as usize,
                         false,
                         &mut lanes,
-                        &mut scratch,
                         &mut ck,
                     )
                     .expect("clean planar payload");

@@ -10,11 +10,8 @@
 //! * **decode** — walking the window with [`FrameCursor`] +
 //!   [`FrameDecoder`]: checksum, varint/delta reconstruction and rate
 //!   derivation, rows discarded (the codec cost in isolation);
-//! * **fused** — [`tdp_wire::ingest_serial`]: decode straight into the
-//!   [`FleetEstimator`]'s batch plus the column evaluation;
-//! * **streamed** — [`tdp_wire::stream_window`]: sharded decoders
-//!   feeding the batch through bounded SPSC rings (equals fused on a
-//!   single-worker pool);
+//! * **fused** — [`tdp_wire::ingest_serial_with`]: decode straight
+//!   into the [`FleetEstimator`]'s batch plus the column evaluation;
 //! * **in-memory** — `FleetEstimator::process_window` on the already
 //!   decoded [`SampleSet`]s, measured in the same run as the baseline
 //!   the fused path is compared against.
@@ -33,8 +30,9 @@
 //!
 //! With `--faults SEED` the benchmark becomes the **chaos harness**
 //! ([`run_chaos`]): a seeded [`FaultPlan`] batters the same stream and
-//! the graceful-degradation contract is checked instead of throughput;
-//! the verdict lands in `CHAOS.json`.
+//! the graceful-degradation contract is checked instead of throughput
+//! — including batched ingest against the per-row
+//! [`ingest_reference_with`]; the verdict lands in `CHAOS.json`.
 
 use crate::fleet::refill_sets;
 use crate::pipeline::{peak_rss_kb, StageRate};
@@ -52,9 +50,9 @@ use tdp_wire::frame::{FrameType, PayloadChecksum};
 use tdp_wire::planar::decode_planes;
 use tdp_wire::varint::read_uvarints;
 use tdp_wire::{
-    ingest_serial_with, stream_window_with, CursorItem, DegradePolicy, FaultKind, FaultPlan,
-    FaultedWindow, FrameCursor, FrameDecoder, FrameKind, IngestState, PipelineHealth, StreamConfig,
-    StreamReport, WireEncoder,
+    ingest_reference_with, ingest_serial_with, CursorItem, DegradePolicy, FaultKind, FaultPlan,
+    FaultedWindow, FrameCursor, FrameDecoder, FrameKind, IngestState, PipelineHealth, StreamReport,
+    WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -69,12 +67,9 @@ pub struct WireReport {
     pub frame_format: &'static str,
     /// Windows measured per path.
     pub windows: u64,
-    /// Worker-pool concurrency available to the streamed path.
+    /// Worker-pool concurrency on the host (the pool the `--anomaly`
+    /// phase's pooled detector runs on; every wire path is serial).
     pub workers: usize,
-    /// Decoder shards the streamed path actually used. The serial
-    /// fused fallback reports `1`: one decoder ran, fused with the
-    /// consumer (mirrors [`StreamReport::decoders`]).
-    pub decoders: usize,
     /// Encoded bytes per steady-state window in the selected format
     /// (sample frames only — layouts are announced once, in the
     /// untimed warm-up window).
@@ -96,8 +91,6 @@ pub struct WireReport {
     pub decode: StageRate,
     /// Fused serial decode→estimate; units are machine-windows.
     pub fused: StageRate,
-    /// Pool-sharded streaming decode→estimate; units are machine-windows.
-    pub streamed: StageRate,
     /// In-memory `process_window` baseline; units are machine-windows.
     pub in_memory: StageRate,
     /// Headline: frames decoded per second (decode-only path).
@@ -111,8 +104,6 @@ pub struct WireReport {
     /// Fused ns per machine-estimate over varint frames, timed in the
     /// same rotation as the selected format (matched-noise A/B).
     pub varint_fused_ns_per_machine: f64,
-    /// Nanoseconds per machine-estimate, streamed wire path.
-    pub streamed_ns_per_machine: f64,
     /// Nanoseconds per machine-estimate, in-memory baseline.
     pub in_memory_ns_per_machine: f64,
     /// Fused wire cost relative to the in-memory baseline
@@ -147,12 +138,8 @@ pub struct WireReport {
     /// in-memory `SampleSet` → column path, ~120 ns at N=1024; the
     /// fused fold is what a planar wire window actually pays.)
     pub stage_extraction_ns_per_machine: f64,
-    /// Corrupt frames the streamed path saw (must be 0 on clean input).
+    /// Corrupt frames the fused path saw (must be 0 on clean input).
     pub corrupt_frames: u64,
-    /// Rows shed under backpressure (0 in the default lossless mode).
-    pub dropped_rows: u64,
-    /// Full-ring events decoder shards waited on.
-    pub backpressure_events: u64,
     /// Peak resident set (VmHWM), kilobytes; 0 when unavailable.
     pub peak_rss_kb: u64,
     /// Kernel dispatch flavour the run used (`scalar` / `wide` — see
@@ -267,8 +254,8 @@ fn decode_only(dec: &mut FrameDecoder, buf: &[u8]) -> u64 {
 /// Times one isolated payload-decode pass over an encoded window:
 /// frame walk + bulk LEB128 decode for varint sample frames, or the
 /// fused unzigzag/unfold/widen walk into f64 lanes for planar sample
-/// frames (each planar frame pays its in-walk checksum absorbs too —
-/// the single-pass read `decode_planes` performs on the real path).
+/// frames (each planar frame pays its checksum absorb too — the
+/// single-pass read `decode_planes` performs on the real path).
 /// Returns seconds.
 fn payload_decode_pass(
     d: tdp_simd::Dispatch,
@@ -292,13 +279,11 @@ fn payload_decode_pass(
                 FrameType::PlanarSample => {
                     let mut ck = PayloadChecksum::new(&header);
                     decode_planes(
-                        d,
                         payload,
                         header.n_events as usize,
                         header.cpu_count as usize,
                         false,
                         lanes,
-                        scratch,
                         &mut ck,
                     )
                     .expect("clean planar payload");
@@ -644,19 +629,15 @@ pub fn run(
         FrameKind::Varint => FrameKind::Planar,
     };
     let model = SystemPowerModel::paper();
-    let pool = WorkerPool::global();
-    let stream_cfg = StreamConfig::default();
 
     let mut fused = FleetEstimator::with_capacity(model.clone(), n_machines);
     let mut alt_fused = FleetEstimator::with_capacity(model.clone(), n_machines);
-    let mut streamed = FleetEstimator::with_capacity(model.clone(), n_machines);
     let mut in_memory = FleetEstimator::with_capacity(model.clone(), n_machines);
     let mut enc = WireEncoder::with_kind(kind);
     let mut alt_enc = WireEncoder::with_kind(alt_kind);
     let mut decode_state = FrameDecoder::new();
     let mut fused_state = IngestState::new();
     let mut alt_fused_state = IngestState::new();
-    let mut stream_state = IngestState::new();
 
     let mut sets: Vec<SampleSet> = Vec::with_capacity(n_machines);
     // Per-window wall times, reduced to a median after the run:
@@ -664,8 +645,7 @@ pub fn run(
     // subset of windows by multiples of their true cost, so a sum (or
     // mean) measures the scheduler, not the codec. The median window is
     // the steady-state cost.
-    let (mut enc_s, mut dec_s, mut fused_s, mut alt_fused_s, mut str_s, mut mem_s) = (
-        Vec::<f64>::new(),
+    let (mut enc_s, mut dec_s, mut fused_s, mut alt_fused_s, mut mem_s) = (
         Vec::<f64>::new(),
         Vec::<f64>::new(),
         Vec::<f64>::new(),
@@ -679,8 +659,7 @@ pub fn run(
     let mut stage_fold_lanes: Vec<f64> = Vec::new();
     let mut stage_mask: Vec<u8> = Vec::new();
     let mut stage_s: [Vec<f64>; 5] = Default::default();
-    let mut stream_totals = StreamReport::default();
-    let mut decoders_used = 0usize;
+    let mut fused_totals = StreamReport::default();
     let (mut bytes_per_window, mut alt_bytes_per_window, mut frames_per_window) =
         (0u64, 0u64, 0u64);
 
@@ -708,15 +687,10 @@ pub fn run(
             alt_bytes_per_window = alt_buf.len() as u64;
 
             // Rotate path order so cache-position bias averages out.
-            let (
-                mut dec_elapsed,
-                mut fused_elapsed,
-                mut alt_elapsed,
-                mut str_elapsed,
-                mut mem_elapsed,
-            ) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-            for step in 0..5 {
-                match (step + w as usize) % 5 {
+            let (mut dec_elapsed, mut fused_elapsed, mut alt_elapsed, mut mem_elapsed) =
+                (0.0f64, 0.0, 0.0, 0.0);
+            for step in 0..4 {
+                match (step + w as usize) % 4 {
                     0 => {
                         let start = Instant::now();
                         frames_per_window = decode_only(&mut decode_state, &buf);
@@ -731,8 +705,11 @@ pub fn run(
                         assert_eq!(rep.corrupt_frames, 0, "clean stream");
                         assert_eq!(rep.unknown_layout_frames, 0, "layouts persist");
                         black_box(est.fleet_total());
+                        if !warmup {
+                            fused_totals.absorb(&rep);
+                        }
                     }
-                    4 => {
+                    2 => {
                         let start = Instant::now();
                         let rep = ingest_serial_with(
                             &mut alt_fused_state,
@@ -744,24 +721,6 @@ pub fn run(
                         alt_elapsed = start.elapsed().as_secs_f64();
                         assert_eq!(rep.corrupt_frames, 0, "clean stream");
                         assert_eq!(rep.unknown_layout_frames, 0, "layouts persist");
-                        black_box(est.fleet_total());
-                    }
-                    2 => {
-                        let start = Instant::now();
-                        let rep = stream_window_with(
-                            &mut stream_state,
-                            pool,
-                            &stream_cfg,
-                            &buf,
-                            n_machines,
-                            &mut streamed,
-                        );
-                        let est = streamed.estimate();
-                        str_elapsed = start.elapsed().as_secs_f64();
-                        decoders_used = rep.decoders;
-                        if !warmup {
-                            stream_totals.absorb(&rep);
-                        }
                         black_box(est.fleet_total());
                     }
                     _ => {
@@ -780,7 +739,6 @@ pub fn run(
                 for (name, wire_est) in [
                     ("fused", fused.estimates()),
                     ("alt-format fused", alt_fused.estimates()),
-                    ("streamed", streamed.estimates()),
                 ] {
                     for (a, b) in wire_est.total().iter().zip(mem.total()) {
                         assert_eq!(
@@ -795,7 +753,6 @@ pub fn run(
                 dec_s.push(dec_elapsed);
                 fused_s.push(fused_elapsed);
                 alt_fused_s.push(alt_elapsed);
-                str_s.push(str_elapsed);
                 mem_s.push(mem_elapsed);
                 // The stage passes are diagnostic, not headline: run
                 // them on a quarter of the windows so their five extra
@@ -827,12 +784,11 @@ pub fn run(
         }
     }
 
-    let (enc_secs, dec_secs, fused_secs, alt_fused_secs, str_secs, mem_secs) = (
+    let (enc_secs, dec_secs, fused_secs, alt_fused_secs, mem_secs) = (
         robust_total(&mut enc_s),
         robust_total(&mut dec_s),
         robust_total(&mut fused_s),
         robust_total(&mut alt_fused_s),
-        robust_total(&mut str_s),
         robust_total(&mut mem_s),
     );
     // Stage passes run on a sampled subset of windows, so their median
@@ -844,7 +800,6 @@ pub fn run(
     let encode_rate = StageRate::new(frame_units, enc_secs);
     let decode_rate = StageRate::new(frame_units, dec_secs);
     let fused_rate = StageRate::new(machine_units, fused_secs);
-    let streamed_rate = StageRate::new(machine_units, str_secs);
     let in_memory_rate = StageRate::new(machine_units, mem_secs);
     // Map selected/alt back onto planar/varint for the A/B fields.
     let (planar_window_bytes, varint_window_bytes, planar_fused_secs, varint_fused_secs) =
@@ -867,8 +822,7 @@ pub fn run(
         n_machines,
         frame_format: kind.label(),
         windows,
-        workers: pool.workers(),
-        decoders: decoders_used,
+        workers: WorkerPool::global().workers(),
         bytes_per_window,
         frames_per_window,
         bytes_per_frame: bytes_per_window as f64 / frames_per_window.max(1) as f64,
@@ -879,7 +833,6 @@ pub fn run(
         fused_ns_per_machine: fused_secs * 1e9 / machine_units as f64,
         planar_fused_ns_per_machine: planar_fused_secs * 1e9 / machine_units as f64,
         varint_fused_ns_per_machine: varint_fused_secs * 1e9 / machine_units as f64,
-        streamed_ns_per_machine: str_secs * 1e9 / machine_units as f64,
         in_memory_ns_per_machine: mem_secs * 1e9 / machine_units as f64,
         fused_vs_in_memory: fused_secs / mem_secs,
         stage_checksum_ns_per_machine: per_machine(stage_med[0]),
@@ -891,11 +844,8 @@ pub fn run(
         encode: encode_rate,
         decode: decode_rate,
         fused: fused_rate,
-        streamed: streamed_rate,
         in_memory: in_memory_rate,
-        corrupt_frames: stream_totals.corrupt_frames,
-        dropped_rows: stream_totals.dropped_rows,
-        backpressure_events: stream_totals.backpressure_events,
+        corrupt_frames: fused_totals.corrupt_frames,
         peak_rss_kb: peak_rss_kb(),
         simd: tdp_simd::Dispatch::active().label(),
         anomaly: anomaly.then(|| anomaly_bench(cfg, n_machines, kind)),
@@ -971,9 +921,10 @@ pub struct ChaosReport {
     /// Machines outside the fault horizon estimated bit-identically
     /// to a fault-free run, every window.
     pub clean_subset_bit_identical: bool,
-    /// Serial and pool-sharded ingest degraded identically
-    /// (same health block, same estimate bits, every window).
-    pub serial_sharded_identical: bool,
+    /// Batched serial ingest and the per-row reference
+    /// ([`ingest_reference_with`]) degraded identically (same health
+    /// block, same rows written, same estimate bits, every window).
+    pub serial_reference_identical: bool,
     /// Peak resident set (VmHWM), kilobytes; 0 when unavailable.
     pub peak_rss_kb: u64,
     /// Detector-under-fire results (`--anomaly`): the anomaly
@@ -1030,8 +981,8 @@ fn estimate_bits(est: &mut FleetEstimator, n: usize) -> Vec<[u64; 4]> {
 }
 
 /// Runs the fault-injection harness: the same synthetic fleet stream
-/// is ingested clean and through a seeded [`FaultPlan`], serial and
-/// pool-sharded, and the report records whether degradation stayed
+/// is ingested clean and through a seeded [`FaultPlan`], batched and
+/// per-row reference, and the report records whether degradation stayed
 /// inside its contract. Never panics on a contract violation — the
 /// verdict booleans go `false` so a CI assertion on `CHAOS.json`
 /// fails with the evidence on disk.
@@ -1048,15 +999,14 @@ pub fn run_chaos(
     let windows: u64 = 24;
     let model = SystemPowerModel::paper();
     let pool = WorkerPool::global();
-    let stream_cfg = StreamConfig::default();
     let plan = FaultPlan::new(fault_seed);
 
     let mut clean_est = FleetEstimator::with_capacity(model.clone(), n_machines);
     let mut serial_est = FleetEstimator::with_capacity(model.clone(), n_machines);
-    let mut sharded_est = FleetEstimator::with_capacity(model, n_machines);
+    let mut reference_est = FleetEstimator::with_capacity(model, n_machines);
     let mut clean_state = IngestState::new();
     let mut serial_state = IngestState::new();
-    let mut sharded_state = IngestState::new();
+    let mut reference_state = IngestState::new();
     let mut enc = WireEncoder::with_kind(kind);
 
     let horizon = serial_state.policy().max_stale_windows as usize + 1;
@@ -1115,25 +1065,20 @@ pub fn run_chaos(
             rep.anomaly_warmed |= serial_det.warmed();
         }
 
-        let sharded_rep = stream_window_with(
-            &mut sharded_state,
-            pool,
-            &stream_cfg,
+        let reference_rep = ingest_reference_with(
+            &mut reference_state,
             fault_bytes,
             n_machines,
-            &mut sharded_est,
+            &mut reference_est,
         );
-        sharded_est.estimate();
-        let sharded_bits = estimate_bits(&mut sharded_est, n_machines);
+        let reference_bits = estimate_bits(&mut reference_est, n_machines);
 
-        // Sharding is an implementation detail: identical degradation
-        // decisions, identical estimates (backpressure counters are
-        // timing-dependent, so compare the health block, not the raw
-        // report).
+        // Batching is an implementation detail: identical degradation
+        // decisions, identical estimates.
         paths_identical &= PipelineHealth::from_report(&serial_rep)
-            == PipelineHealth::from_report(&sharded_rep)
-            && serial_rep.rows_written == sharded_rep.rows_written
-            && serial_bits == sharded_bits;
+            == PipelineHealth::from_report(&reference_rep)
+            && serial_rep.rows_written == reference_rep.rows_written
+            && serial_bits == reference_bits;
 
         if let Some(f) = &faulted {
             faults_injected += f.injected.len() as u64;
@@ -1185,7 +1130,7 @@ pub fn run_chaos(
         clamped_predictions: clamped,
         all_faults_accounted: accounted,
         clean_subset_bit_identical: clean_identical,
-        serial_sharded_identical: paths_identical,
+        serial_reference_identical: paths_identical,
         peak_rss_kb: peak_rss_kb(),
         anomaly: detectors.map(|(_, _, rep)| rep),
     }
@@ -1237,7 +1182,6 @@ mod tests {
         assert!(r.decode_frames_per_sec > 0.0);
         assert!(r.fused_vs_in_memory > 0.0);
         assert_eq!(r.corrupt_frames, 0);
-        assert_eq!(r.dropped_rows, 0, "lossless default sheds nothing");
         assert!(
             r.bytes_per_frame > 44.0,
             "frames carry payload past the header"
@@ -1312,7 +1256,7 @@ mod tests {
         assert!(r.machines_affected >= 1);
         assert!(r.all_faults_accounted, "unaccounted fault: {r:?}");
         assert!(r.clean_subset_bit_identical, "clean subset diverged: {r:?}");
-        assert!(r.serial_sharded_identical, "paths diverged: {r:?}");
+        assert!(r.serial_reference_identical, "paths diverged: {r:?}");
         assert!(r.rows_written > 0);
 
         // The harness replays deterministically, seed in → verdict out.
@@ -1327,7 +1271,7 @@ mod tests {
         let varint = run_chaos(&cfg, 12, 1234, FrameKind::Varint, false);
         assert_eq!(varint.frame_format, "varint");
         assert!(varint.all_faults_accounted, "unaccounted fault: {varint:?}");
-        assert!(varint.clean_subset_bit_identical && varint.serial_sharded_identical);
+        assert!(varint.clean_subset_bit_identical && varint.serial_reference_identical);
     }
 
     #[test]

@@ -363,174 +363,6 @@ wide_kernel! {
     pub fn sum[sum_impl / sum_avx2](x: &[f64]) -> f64;
 }
 
-// --- Integer kernels for the column-planar wire decode ---------------
-//
-// These operate on integers only, so the bit-identity contract is
-// trivial: both flavours run the same two's-complement arithmetic and
-// there is no rounding to diverge. They exist as kernels (rather than
-// plain loops in `tdp-wire`) so the AVX2 flavour can vectorize the
-// widen/xor/shift bodies, and so the forced scalar/wide CI matrix
-// covers them like every other hot-path kernel.
-
-#[inline(always)]
-fn widen_u8_impl(src: &[u8], dst: &mut [u64]) {
-    assert_eq!(src.len(), dst.len(), "widen_u8_to_u64 length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = s as u64;
-    }
-}
-
-wide_kernel! {
-    /// `dst[i] = src[i] as u64` — zero-extends a plane of 1-byte lanes.
-    /// Integer, elementwise: bit-identical across dispatch modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length.
-    pub fn widen_u8_to_u64[widen_u8_impl / widen_u8_avx2](src: &[u8], dst: &mut [u64]);
-}
-
-#[inline(always)]
-fn widen_u16_impl(src: &[u8], dst: &mut [u64]) {
-    assert_eq!(src.len(), dst.len() * 2, "widen_u16_to_u64 length mismatch");
-    for (d, c) in dst.iter_mut().zip(src.chunks_exact(2)) {
-        *d = u16::from_le_bytes([c[0], c[1]]) as u64;
-    }
-}
-
-wide_kernel! {
-    /// `dst[i] = u16::from_le(src[2i..2i+2]) as u64` — zero-extends a
-    /// plane of 2-byte little-endian lanes. Integer, elementwise:
-    /// bit-identical across dispatch modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `src.len() == 2 · dst.len()`.
-    pub fn widen_u16_to_u64[widen_u16_impl / widen_u16_avx2](src: &[u8], dst: &mut [u64]);
-}
-
-#[inline(always)]
-fn widen_u32_impl(src: &[u8], dst: &mut [u64]) {
-    assert_eq!(src.len(), dst.len() * 4, "widen_u32_to_u64 length mismatch");
-    for (d, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
-        *d = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as u64;
-    }
-}
-
-wide_kernel! {
-    /// `dst[i] = u32::from_le(src[4i..4i+4]) as u64` — zero-extends a
-    /// plane of 4-byte little-endian lanes. Integer, elementwise:
-    /// bit-identical across dispatch modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `src.len() == 4 · dst.len()`.
-    pub fn widen_u32_to_u64[widen_u32_impl / widen_u32_avx2](src: &[u8], dst: &mut [u64]);
-}
-
-#[inline(always)]
-fn zigzag_decode_impl(vals: &mut [u64]) {
-    for v in vals.iter_mut() {
-        *v = (*v >> 1) ^ 0u64.wrapping_sub(*v & 1);
-    }
-}
-
-wide_kernel! {
-    /// In-place zigzag decode: `v ← (v >> 1) ⊕ −(v & 1)`, leaving the
-    /// u64 **bit pattern** of the signed delta so a later
-    /// `wrapping_add` reproduces `base + unzigzag(v)` exactly. Integer,
-    /// elementwise (shift/and/xor only): bit-identical across dispatch
-    /// modes.
-    pub fn zigzag_decode_batch[zigzag_decode_impl / zigzag_decode_avx2](vals: &mut [u64]);
-}
-
-#[inline(always)]
-fn delta_unfold_impl(bases: &[u64], deltas: &mut [u64]) {
-    if deltas.is_empty() {
-        return;
-    }
-    assert!(
-        !bases.is_empty() && deltas.len().is_multiple_of(bases.len()),
-        "delta_unfold length mismatch"
-    );
-    let stride = deltas.len() / bases.len();
-    for (chunk, &base) in deltas.chunks_exact_mut(stride).zip(bases) {
-        let mut acc = base;
-        for v in chunk.iter_mut() {
-            acc = acc.wrapping_add(*v);
-            *v = acc;
-        }
-    }
-}
-
-wide_kernel! {
-    /// Per-plane wrapping prefix sum: for each base `b = bases[e]` and
-    /// its `stride = deltas.len() / bases.len()` consecutive deltas,
-    /// rewrites `deltas[e·stride + i] ← b + Σ_{j≤i} deltas[e·stride + j]`
-    /// (all adds wrapping). With zigzag-decoded deltas this reproduces
-    /// the varint path's `prev.wrapping_add(unzigzag(d) as u64)` chain
-    /// exactly. `deltas` empty is a no-op (single-CPU frames). Integer:
-    /// bit-identical across dispatch modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is non-empty and its length is not a positive
-    /// multiple of `bases.len()`.
-    pub fn delta_unfold[delta_unfold_impl / delta_unfold_avx2](bases: &[u64], deltas: &mut [u64]);
-}
-
-#[inline(always)]
-fn unfold_planes_f64_impl(bases: &[u64], zz: &[u64], out: &mut [f64]) {
-    assert!(
-        zz.is_empty() || (!bases.is_empty() && zz.len().is_multiple_of(bases.len())),
-        "unfold_planes_to_f64 plane length mismatch"
-    );
-    assert_eq!(
-        out.len(),
-        bases.len() + zz.len(),
-        "unfold_planes_to_f64 output length mismatch"
-    );
-    let stride = if bases.is_empty() {
-        0
-    } else {
-        zz.len() / bases.len()
-    };
-    for (e, &base) in bases.iter().enumerate() {
-        let dst = &mut out[e * (stride + 1)..(e + 1) * (stride + 1)];
-        dst[0] = base as f64;
-        let mut acc = base;
-        for (slot, &z) in dst[1..].iter_mut().zip(&zz[e * stride..]) {
-            acc = acc.wrapping_add((z >> 1) ^ 0u64.wrapping_sub(z & 1));
-            *slot = acc as f64;
-        }
-    }
-}
-
-wide_kernel! {
-    /// Fused unzigzag + per-plane wrapping prefix sum + u64→f64 widen,
-    /// writing event-major lanes with the base first: for each base
-    /// `b = bases[e]` and its `stride = zz.len() / bases.len()` raw
-    /// zigzag deltas, `out[e·(stride+1)] = b as f64` and
-    /// `out[e·(stride+1) + 1 + i] = (b + Σ_{j≤i} unzigzag(zz[e·stride + j]))
-    /// as f64` (all adds wrapping) — the varint path's
-    /// `prev.wrapping_add(unzigzag(d) as u64)` chain followed by the
-    /// same `count as f64` conversion the column fold performs, in one
-    /// pass. Integer arithmetic plus one deterministic IEEE conversion
-    /// per lane: bit-identical across dispatch modes.
-    ///
-    /// `zz` empty folds bases only (single-CPU frames).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `zz` is non-empty and not a multiple of `bases.len()`,
-    /// or if `out.len() != bases.len() + zz.len()`.
-    pub fn unfold_planes_to_f64[unfold_planes_f64_impl / unfold_planes_f64_avx2](
-        bases: &[u64],
-        zz: &[u64],
-        out: &mut [f64],
-    );
-}
-
 /// Events per machine row in the canonical trickle-down layout
 /// [`fold_identity_rates`] consumes: cycles, halted, uops, L3 misses,
 /// bus transactions, DMA, total interrupts, timer interrupts, disk
@@ -808,127 +640,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         axpy(Dispatch::Wide, &mut [0.0; 3], 1.0, &[0.0; 4]);
-    }
-
-    #[test]
-    fn widen_kernels_zero_extend_le_lanes() {
-        let src: Vec<u8> = (0..160u32)
-            .map(|i| (i.wrapping_mul(97) & 0xff) as u8)
-            .collect();
-        for d in BOTH {
-            for n in [0usize, 1, 3, 8, 16, 33] {
-                let mut out = vec![0u64; n];
-                widen_u8_to_u64(d, &src[..n], &mut out);
-                for (i, &v) in out.iter().enumerate() {
-                    assert_eq!(v, src[i] as u64, "{d:?} u8 n={n} i={i}");
-                }
-                let mut out = vec![0u64; n];
-                widen_u16_to_u64(d, &src[..2 * n], &mut out);
-                for (i, &v) in out.iter().enumerate() {
-                    let e = u16::from_le_bytes([src[2 * i], src[2 * i + 1]]) as u64;
-                    assert_eq!(v, e, "{d:?} u16 n={n} i={i}");
-                }
-                let mut out = vec![0u64; n];
-                widen_u32_to_u64(d, &src[..4 * n], &mut out);
-                for (i, &v) in out.iter().enumerate() {
-                    let e = u32::from_le_bytes([
-                        src[4 * i],
-                        src[4 * i + 1],
-                        src[4 * i + 2],
-                        src[4 * i + 3],
-                    ]) as u64;
-                    assert_eq!(v, e, "{d:?} u32 n={n} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn zigzag_batch_matches_the_signed_identity() {
-        // zigzag(x) = (x << 1) ^ (x >> 63); the batch decode must invert
-        // it bit for bit, leaving the two's-complement pattern.
-        let signed: Vec<i64> = vec![0, 1, -1, 63, -64, 127, -128, 128, i64::MAX, i64::MIN];
-        let encoded: Vec<u64> = signed
-            .iter()
-            .map(|&x| ((x << 1) ^ (x >> 63)) as u64)
-            .collect();
-        for d in BOTH {
-            let mut vals = encoded.clone();
-            zigzag_decode_batch(d, &mut vals);
-            for (i, (&got, &want)) in vals.iter().zip(&signed).enumerate() {
-                assert_eq!(got, want as u64, "{d:?} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn delta_unfold_runs_wrapping_prefix_sums_per_plane() {
-        let bases = [100u64, u64::MAX, 7];
-        // Stride 2: plane deltas as u64 bit patterns of signed steps.
-        let deltas_raw: [i64; 6] = [5, -3, 2, 2, -10, 1];
-        let deltas: Vec<u64> = deltas_raw.iter().map(|&v| v as u64).collect();
-        for d in BOTH {
-            let mut work = deltas.clone();
-            delta_unfold(d, &bases, &mut work);
-            assert_eq!(work, [105, 102, 1, 3, u64::MAX - 2, u64::MAX - 1]);
-            // Empty deltas (single-CPU frames): a no-op for any bases.
-            let mut empty: Vec<u64> = Vec::new();
-            delta_unfold(d, &bases, &mut empty);
-            assert!(empty.is_empty());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "delta_unfold length mismatch")]
-    fn delta_unfold_rejects_ragged_planes() {
-        delta_unfold(Dispatch::Scalar, &[1, 2], &mut [0u64; 3]);
-    }
-
-    #[test]
-    fn unfold_planes_to_f64_matches_the_three_pass_reference() {
-        let zig = |x: i64| ((x << 1) ^ (x >> 63)) as u64;
-        let bases = [100u64, u64::MAX, 7, 1u64 << 55];
-        // Stride 3, including wrap-around and a delta of i64::MIN (the
-        // zigzag value u64::MAX, the width-pricing corner case).
-        let steps: [i64; 12] = [5, -3, 2, 2, -10, 1, i64::MIN, 1, -1, 0, 1 << 53, -(1 << 53)];
-        let zz: Vec<u64> = steps.iter().map(|&v| zig(v)).collect();
-        // Reference: the separate zigzag + unfold kernels, then a plain
-        // `as f64` conversion, re-laid out event-major.
-        let mut ref_deltas = zz.clone();
-        zigzag_decode_batch(Dispatch::Scalar, &mut ref_deltas);
-        delta_unfold(Dispatch::Scalar, &bases, &mut ref_deltas);
-        for d in BOTH {
-            let mut out = vec![0.0f64; bases.len() + zz.len()];
-            unfold_planes_to_f64(d, &bases, &zz, &mut out);
-            for (e, &b) in bases.iter().enumerate() {
-                assert_eq!(out[e * 4].to_bits(), (b as f64).to_bits(), "{d:?} base {e}");
-                for i in 0..3 {
-                    let want = ref_deltas[e * 3 + i] as f64;
-                    assert_eq!(
-                        out[e * 4 + 1 + i].to_bits(),
-                        want.to_bits(),
-                        "{d:?} e={e} i={i}"
-                    );
-                }
-            }
-            // Empty planes (single-CPU frames): bases only.
-            let mut out = vec![0.0f64; bases.len()];
-            unfold_planes_to_f64(d, &bases, &[], &mut out);
-            for (e, &b) in bases.iter().enumerate() {
-                assert_eq!(out[e].to_bits(), (b as f64).to_bits(), "{d:?} solo {e}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unfold_planes_to_f64 plane length mismatch")]
-    fn unfold_planes_to_f64_rejects_ragged_planes() {
-        unfold_planes_to_f64(Dispatch::Scalar, &[1, 2], &[0u64; 3], &mut [0.0; 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unfold_planes_to_f64 output length mismatch")]
-    fn unfold_planes_to_f64_rejects_short_output() {
-        unfold_planes_to_f64(Dispatch::Scalar, &[1, 2], &[0u64; 4], &mut [0.0; 5]);
     }
 }

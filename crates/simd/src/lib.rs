@@ -22,15 +22,6 @@
 //! construction — vector lanes evaluate the same `a·x + b` per element
 //! that the scalar loop does, in the same order.
 //!
-//! The integer kernels for the column-planar wire decode
-//! ([`widen_u8_to_u64`], [`widen_u16_to_u64`], [`widen_u32_to_u64`],
-//! [`zigzag_decode_batch`], [`delta_unfold`]) are bit-identical across
-//! dispatch trivially: two's-complement shifts, xors, and wrapping adds
-//! have no rounding to diverge. [`unfold_planes_to_f64`] appends one
-//! `u64 → f64` conversion per lane to that integer chain; the
-//! conversion is a single IEEE-754 rounding fully determined by its
-//! input, so it too is bit-identical across dispatch.
-//!
 //! The reductions ([`dot`], [`sum`]) cannot be both fast and
 //! sequentially associated: they use a fixed four-accumulator
 //! association, *written out explicitly in the shared body*, so Scalar
@@ -56,9 +47,8 @@
 pub mod kernels;
 
 pub use kernels::{
-    add_assign, axpy, clamp_predictions, delta_unfold, dot, fill, fold_identity_rates,
-    mask_in_range, mask_nonneg_le_scaled, quadratic, quadratic_acc, sum, unfold_planes_to_f64,
-    widen_u16_to_u64, widen_u32_to_u64, widen_u8_to_u64, zigzag_decode_batch, ROW_FOLD_EVENTS,
+    add_assign, axpy, clamp_predictions, dot, fill, fold_identity_rates, mask_in_range,
+    mask_nonneg_le_scaled, quadratic, quadratic_acc, sum, ROW_FOLD_EVENTS,
 };
 
 use std::sync::OnceLock;

@@ -24,8 +24,7 @@
 
 use proptest::prelude::*;
 use tdp_simd::{
-    add_assign, axpy, clamp_predictions, delta_unfold, dot, fill, quadratic, quadratic_acc, sum,
-    wide_available, widen_u16_to_u64, widen_u32_to_u64, widen_u8_to_u64, zigzag_decode_batch,
+    add_assign, axpy, clamp_predictions, dot, fill, quadratic, quadratic_acc, sum, wide_available,
     Dispatch,
 };
 
@@ -119,74 +118,6 @@ proptest! {
             (sum_scalar - sum_seq).abs() <= bound(sum_seq),
             "sum drifted past the documented reassociation bound"
         );
-    }
-
-    /// The integer kernels behind the column-planar wire decode —
-    /// widen, zigzag, delta unfold — are pure bit manipulation, so the
-    /// claim is the strong one: exact equality across dispatch
-    /// flavours, and against a straight-line reference, for arbitrary
-    /// byte streams and plane shapes.
-    #[test]
-    fn planar_integer_kernels_bit_identical(
-        bytes in proptest::collection::vec(any::<u8>(), 0..256),
-        words in proptest::collection::vec(any::<u64>(), 1..64),
-        planes in 1usize..6,
-    ) {
-        // Widen: every lane width, both flavours, vs a scalar rebuild.
-        for (width, chop) in [(1usize, 0usize), (2, bytes.len() % 2), (4, bytes.len() % 4)] {
-            let src = &bytes[..bytes.len() - chop];
-            let lanes = src.len() / width;
-            let expect: Vec<u64> = src
-                .chunks_exact(width)
-                .map(|c| {
-                    let mut le = [0u8; 8];
-                    le[..width].copy_from_slice(c);
-                    u64::from_le_bytes(le)
-                })
-                .collect();
-            for d in BOTH {
-                let mut dst = vec![0u64; lanes];
-                match width {
-                    1 => widen_u8_to_u64(d, src, &mut dst),
-                    2 => widen_u16_to_u64(d, &src[..lanes * 2], &mut dst),
-                    _ => widen_u32_to_u64(d, &src[..lanes * 4], &mut dst),
-                }
-                prop_assert_eq!(&dst, &expect, "widen u{} diverged", width * 8);
-            }
-        }
-
-        // Zigzag: both flavours equal the signed identity.
-        let zz_expect: Vec<u64> = words
-            .iter()
-            .map(|&v| ((v >> 1) as i64 ^ -((v & 1) as i64)) as u64)
-            .collect();
-        for d in BOTH {
-            let mut vals = words.clone();
-            zigzag_decode_batch(d, &mut vals);
-            prop_assert_eq!(&vals, &zz_expect, "zigzag diverged");
-        }
-
-        // Delta unfold: wrapping prefix sums per plane, both flavours.
-        // (`stride` can be 0 when there are more planes than words —
-        // that is the legal empty-deltas no-op, skipped here.)
-        let stride = words.len() / planes;
-        if stride > 0 {
-            let bases: Vec<u64> = (0..planes).map(|p| words[p].rotate_left(17)).collect();
-            let deltas = &words[..stride * planes];
-            let mut expect = deltas.to_vec();
-            for (p, chunk) in expect.chunks_mut(stride).enumerate() {
-                let mut acc = bases[p];
-                for v in chunk {
-                    acc = acc.wrapping_add(*v);
-                    *v = acc;
-                }
-            }
-            for d in BOTH {
-                let mut vals = deltas.to_vec();
-                delta_unfold(d, &bases, &mut vals);
-                prop_assert_eq!(&vals, &expect, "delta unfold diverged");
-            }
-        }
     }
 }
 

@@ -169,8 +169,7 @@ pub struct FrameDecoder {
     /// (grown lazily, capped at [`MAX_DIR_MEMO`]).
     dir_memo: Vec<Option<DirEntry>>,
     /// Scratch for a varint frame's reconstructed counts, row-major
-    /// (`cpu_count × n_events`); the delta chain unfolds in place. The
-    /// planar bulk path stages raw zigzag lanes here.
+    /// (`cpu_count × n_events`); the delta chain unfolds in place.
     cur: Vec<u64>,
     /// A planar frame's decoded f64 event lanes, event-major
     /// (`lanes[e · cpus + c]`), ready for the column fold.
@@ -309,8 +308,8 @@ impl FrameDecoder {
     /// Decodes a sample frame up to (but not including) the row
     /// reduction: checksum verification fused into the varint walk,
     /// delta chain unfolded in the decoder's scratch. The caller folds
-    /// the counts with [`fold_row`](Self::fold_row) (sharded ingest,
-    /// which ships rows through rings) or
+    /// the counts with [`fold_row`](Self::fold_row) (a row array, as
+    /// [`decode_frame`](Self::decode_frame) returns) or
     /// [`fold_into`](Self::fold_into) (serial fused ingest, straight
     /// into the batch's columns) — the fold must happen before the next
     /// decode reuses the scratch.
@@ -350,7 +349,7 @@ impl FrameDecoder {
             // The varint path's delta chain unfolds row over row in
             // place — integer-exact, so dispatch flavour cannot change
             // a single reconstructed count. (The planar path already
-            // unfolded its planes in bulk during the scan.)
+            // unfolded its planes during the scan.)
             for cpu in 1..cpus {
                 let (done, rest) = self.cur.split_at_mut(cpu * n);
                 let prev = &done[(cpu - 1) * n..];
@@ -366,28 +365,6 @@ impl FrameDecoder {
             cpus,
             planar,
         })
-    }
-
-    /// Dev-only profiling hook: sample decode without the row fold.
-    #[doc(hidden)]
-    pub fn profile_pending_only(
-        &mut self,
-        header: &FrameHeader,
-        payload: &[u8],
-    ) -> Result<u64, DecodeError> {
-        self.decode_sample_pending(header, payload)
-            .map(|p| p.window_seq)
-    }
-
-    /// Dev-only profiling hook: sample decode + fold, no `Decoded` enum.
-    #[doc(hidden)]
-    pub fn profile_row(
-        &mut self,
-        header: &FrameHeader,
-        payload: &[u8],
-    ) -> Result<[f64; COLUMNS], DecodeError> {
-        let p = self.decode_sample_pending(header, payload)?;
-        Ok(self.fold_row(&p))
     }
 
     /// The structural half of a planar sample decode: layout lookup,
@@ -421,13 +398,11 @@ impl FrameDecoder {
             }
         };
         crate::planar::decode_planes(
-            Dispatch::active(),
             payload,
             header.n_events as usize,
             header.cpu_count as usize,
             memo_hit,
             &mut self.lanes,
-            &mut self.cur,
             ck,
         )
         .ok_or(DecodeError::Malformed)?;
@@ -620,7 +595,7 @@ pub(crate) struct PendingSample {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CursorItem {
     /// A well-framed frame (header parsed; checksum **not** yet
-    /// verified — skip-scanning shards only verify frames they own).
+    /// verified — the decoder verifies it).
     Frame {
         /// Byte offset of the frame's header in the stream.
         start: usize,
@@ -637,9 +612,9 @@ pub enum CursorItem {
 }
 
 /// Splits a byte stream into frames, resynchronising on the magic
-/// number after corruption. Every decoder shard runs an identical
-/// cursor over the identical buffer, so all shards agree on frame
-/// boundaries and ownership even around corrupt regions.
+/// number after corruption. Framing is a pure function of the buffer,
+/// so every walk over the same bytes agrees on frame boundaries, even
+/// around corrupt regions.
 #[derive(Debug, Clone)]
 pub struct FrameCursor<'a> {
     buf: &'a [u8],

@@ -1,5 +1,5 @@
-//! **tdp-wire** — zero-copy telemetry wire codec and lock-free
-//! streaming ingest for fleet power estimation.
+//! **tdp-wire** — zero-copy telemetry wire codec and fused ingest
+//! for fleet power estimation.
 //!
 //! A fleet controller doesn't read PMUs itself: machines ship their
 //! counter windows over the network, and the estimator's real input is
@@ -10,9 +10,9 @@
 //!   negotiated sample encodings — LEB128 varints with cross-CPU zigzag
 //!   deltas (fleet siblings count nearly alike, so payloads stay
 //!   small), and the default column-[`planar`] fixed-width planes whose
-//!   decode is branch-free bulk kernels instead of a serial varint
-//!   walk — and a mix-based 64-bit checksum that provably catches
-//!   every single-bit corruption.
+//!   decode is one bounds-checked walk per plane instead of a serial
+//!   varint chain — and a mix-based 64-bit checksum that provably
+//!   catches every single-bit corruption.
 //! * [`WireEncoder`] — the producer side: self-describing streams that
 //!   interleave a layout frame whenever a machine's PMU programming
 //!   changes, emitting either sample encoding ([`FrameKind`], planar by
@@ -22,11 +22,10 @@
 //!   the same [`RowAccumulator`] arithmetic in-memory ingestion uses,
 //!   memoising event layouts by hash ([`LayoutTable`]). No intermediate
 //!   sample structs, no steady-state allocation.
-//! * [`stream_window`] — the pipeline: decoder shards on the existing
-//!   [`tdp_parallel::WorkerPool`] (machines sharded by id), bounded
-//!   lock-free SPSC [`ring`]s, explicit backpressure, and a streamed
-//!   result that is bit-identical to serial ingestion for any decoder
-//!   count.
+//! * [`ingest_serial_with`] — the ingest path: one serial walk that
+//!   decodes accepted frames straight into the batch columns and runs
+//!   the health ladder batched, pinned bit-for-bit against the per-row
+//!   [`ingest_reference_with`].
 //! * [`health`](PipelineHealth) — graceful degradation under a hostile
 //!   stream: per-machine [`HealthState`] ledgers, sequence
 //!   reset/duplicate detection, [`DegradePolicy`] sanity quarantine,
@@ -66,7 +65,7 @@
 //! assert_eq!(est.estimate().len(), 3);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod frame;
@@ -77,8 +76,6 @@ mod encode;
 pub mod faults;
 mod health;
 pub mod planar;
-#[allow(unsafe_code)]
-pub mod ring;
 mod stream;
 
 pub use decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder, LayoutTable};
@@ -90,6 +87,5 @@ pub use faults::{FaultKind, FaultPlan, FaultedWindow, InjectedFault};
 pub use frame::FrameKind;
 pub use health::{DegradePolicy, HealthState, PipelineHealth};
 pub use stream::{
-    ingest_serial, ingest_serial_with, stream_window, stream_window_with, IngestState,
-    StreamConfig, StreamReport,
+    ingest_reference_with, ingest_serial, ingest_serial_with, IngestState, StreamReport,
 };

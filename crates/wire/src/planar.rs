@@ -22,21 +22,22 @@
 //! little-endian at its width. A **delta plane** holds the event's
 //! `cpu_count − 1` zigzag CPU-over-CPU deltas — the same values the
 //! varint payload stores row-major — contiguous and fixed-width, so
-//! decode is one fused pass over the payload: small frames take a
-//! scalar walk that reads each plane as a single bounds-checked slice
-//! and unzigzags + prefix-sums + widens in the lane loop; large frames
-//! widen each run of equal-width planes in bulk ([`widen_u8_to_u64`]
-//! and friends) and finish with one [`unfold_planes_to_f64`] kernel
-//! pass. Either way the decode **emits f64 lanes directly** —
-//! event-major, CPU 0's base first — so the downstream column fold
-//! consumes them without per-count conversion, and the payload
-//! checksum is absorbed while the bytes are cache-hot — per width run
-//! on bulk frames, one trailing absorb over the still-resident lines
-//! on small ones — so the payload is effectively read once for decode
-//! and verification together. Each plane's width
-//! is the smallest that fits the plane's largest zigzag delta (bases
+//! decode is one fused walk over the payload: each plane is read as a
+//! single bounds-checked slice at its constant lane width, and the lane
+//! loop unzigzags, prefix-sums and widens in one step. The walk **emits
+//! f64 lanes directly** — event-major, CPU 0's base first — so the
+//! downstream column fold consumes them without per-count conversion,
+//! and the payload checksum is absorbed in one trailing pass over the
+//! lines the walk just touched, so the payload is effectively read once
+//! for decode and verification together. Each plane's width is the
+//! smallest that fits the plane's largest zigzag delta (bases
 //! likewise), so the encoding is canonical: one window has exactly one
 //! planar payload.
+//!
+//! Frame width does not change the walk. A 32-CPU frame carries about
+//! 280 delta lanes against a 4-CPU frame's 27, and the same per-plane
+//! loop serves both (DESIGN.md §4i records why no separate wide-frame
+//! path is kept).
 //!
 //! Because the deltas and the delta chain are identical to the varint
 //! encoding's — and `count as f64` is the same IEEE rounding wherever
@@ -47,9 +48,6 @@
 use crate::frame::PayloadChecksum;
 use crate::varint::zigzag;
 use tdp_counters::SampleSet;
-use tdp_simd::{
-    unfold_planes_to_f64, widen_u16_to_u64, widen_u32_to_u64, widen_u8_to_u64, Dispatch,
-};
 
 /// The smallest width code (`0..=3`, meaning `1 << code` bytes) whose
 /// lane holds `v`.
@@ -114,15 +112,12 @@ pub(crate) fn encode_payload(buf: &mut Vec<u8>, set: &SampleSet) {
 /// any structural defect — bad directory nibble or a payload length
 /// that disagrees with the directory's declared widths.
 ///
-/// `ck` absorbs the payload while its bytes are cache-hot: bulk frames
-/// absorb *inside* the walk, one watermark per width run — the
-/// single-pass read the varint leg's `read_uvarints_wide_ck` performs
-/// at window granularity — while small frames (a cache line or two)
-/// absorb once after the walk, over lines the walk just touched.
-/// [`PayloadChecksum::absorb_to`] is position-pure and monotone, so
-/// the cadence cannot change the checksum; the caller finishes it over
-/// whatever remains and gives its verdict precedence, exactly as for
-/// varint sample frames.
+/// `ck` absorbs the payload once the walk has accepted it, over the
+/// lines the walk just touched. [`PayloadChecksum::absorb_to`] is
+/// position-pure and monotone, so where it runs cannot change the
+/// checksum; the caller finishes it over whatever remains (all of the
+/// payload, when the walk rejects) and gives its verdict precedence,
+/// exactly as for varint sample frames.
 ///
 /// `dir_valid` skips the directory nibble validation and the price
 /// floor when the caller has already proven this exact `(geometry,
@@ -132,20 +127,15 @@ pub(crate) fn encode_payload(buf: &mut Vec<u8>, set: &SampleSet) {
 /// geometry, so the skipped checks could only repeat their earlier
 /// verdict. Every per-lane/per-plane bounds check still runs.
 ///
-/// `scratch` stages bases and raw zigzag lanes for the bulk path only;
-/// small frames never touch it. Scratch growth is bounded by the
-/// input: every base and delta lane is at least one byte, so neither
-/// buffer ever exceeds `payload.len()` entries — a corrupt header
-/// cannot request an absurd allocation.
-#[allow(clippy::too_many_arguments)]
+/// Growth of `out` is bounded by the input: every base and delta lane
+/// is at least one byte, so `out` never exceeds `payload.len()`
+/// entries — a corrupt header cannot request an absurd allocation.
 pub fn decode_planes(
-    d: Dispatch,
     payload: &[u8],
     n_events: usize,
     cpus: usize,
     dir_valid: bool,
     out: &mut Vec<f64>,
-    scratch: &mut Vec<u64>,
     ck: &mut PayloadChecksum,
 ) -> Option<()> {
     let n = n_events;
@@ -161,14 +151,14 @@ pub fn decode_planes(
         if payload[..n].iter().fold(0u8, |a, &b| a | b) & 0xcc != 0 {
             return None;
         }
-        // Price floor *before* sizing scratch: every base and delta
+        // Price floor *before* sizing `out`: every base and delta
         // lane is at least one byte, so a structurally valid payload
         // carries no fewer than `n` directory bytes plus one byte per
         // lane. A header whose cpu_count prices past the payload (a
         // corrupt cpu_count can claim 65535 CPUs against a 100-byte
-        // payload) is rejected here, so neither `out` nor `scratch`
-        // ever exceeds `payload.len()` entries and a corrupt header
-        // cannot request an absurd allocation.
+        // payload) is rejected here, so `out` never exceeds
+        // `payload.len()` entries and a corrupt header cannot request
+        // an absurd allocation.
         if payload.len() < n + lanes {
             return None;
         }
@@ -185,27 +175,14 @@ pub fn decode_planes(
     // checks its bounds, and the final `pos == payload.len()` check
     // rejects a payload with trailing bytes — together equivalent to
     // pre-pricing the directory, without the extra pass.
-    let pos = if stride * n >= WIDE_LANES {
-        decode_bulk(d, payload, n, stride, out, scratch, ck)?
-    } else {
-        decode_fused(payload, n, cpus, out)?
-    };
+    let pos = decode_fused(payload, n, cpus, out)?;
     if pos != payload.len() {
         return None;
     }
-    // Final watermark: for small frames this is the whole absorb (the
-    // payload is still in L1 from the walk); for bulk frames it only
-    // covers whatever the per-run absorbs left short of the end.
+    // The whole absorb, while the payload is still in L1 from the walk.
     ck.absorb_to(payload, pos);
     Some(())
 }
-
-/// Delta-lane count above which the bulk SIMD passes (one widen call
-/// per width run + batch zigzag + batch unfold) beat the fused scalar
-/// walk. Below it, per-call dispatch overhead dominates the handful of
-/// lanes; measured crossover on AVX2 is well above typical 4–16 CPU
-/// frames.
-const WIDE_LANES: usize = 128;
 
 /// One little-endian lane of constant width `W` at `pos`. The constant
 /// width turns the read into a single fixed-size load — no variable
@@ -237,11 +214,6 @@ fn read_coded_lane(payload: &[u8], pos: &mut usize, code: u8) -> Option<u64> {
 /// (`(z >> 1) ⊕ −(z & 1)` leaves the signed delta's bit pattern), the
 /// wrapping prefix add — the varint path's
 /// `prev.wrapping_add(unzigzag(c) as u64)` exactly — and the `as f64`
-/// Unfolds one event's delta plane at constant lane width: one bounds
-/// check for the whole plane, then per lane unzigzag
-/// (`(z >> 1) ⊕ −(z & 1)` leaves the signed delta's bit pattern), the
-/// wrapping prefix add — the varint path's
-/// `prev.wrapping_add(unzigzag(c) as u64)` exactly — and the `as f64`
 /// widen the column fold would otherwise perform per count.
 #[inline(always)]
 fn unfold_plane<const W: usize>(
@@ -263,20 +235,17 @@ fn unfold_plane<const W: usize>(
     Some(())
 }
 
-/// The small-frame decode: a two-cursor walk — `bpos` over the bases
+/// The planar decode: a two-cursor walk — `bpos` over the bases
 /// region, `ppos` over the planes region — that emits each event's
 /// full f64 lane (base first, then the unfolded deltas) in one visit.
 /// Integer-exact before the final widen, so bit-identical to the
-/// bulk-kernel path by construction.
+/// varint path's delta chain by construction.
 ///
-/// No in-walk checksum absorbs here: a small frame's whole payload is
-/// a cache line or two, so the caller's trailing [`absorb_to`] pass
-/// runs over lines the walk just touched — the same single read of
-/// the payload — while per-plane absorb calls would pay watermark
-/// bookkeeping nine times for at most a handful of 16-byte chunks
-/// (measured ≈ +18 ns/frame on 4-CPU fleets). The bulk path absorbs
-/// per width run instead, where a second pass would genuinely re-read
-/// memory.
+/// No in-walk checksum absorbs here: the caller's trailing
+/// [`absorb_to`] pass runs over lines the walk just touched — the same
+/// single read of the payload — while per-plane absorb calls would pay
+/// watermark bookkeeping nine times for at most a handful of 16-byte
+/// chunks (measured ≈ +18 ns/frame on 4-CPU fleets).
 ///
 /// With no CPUs there are no lanes to emit; the walk still parses (and
 /// prices) the bases region so trailing garbage is rejected exactly as
@@ -310,68 +279,6 @@ fn decode_fused(payload: &[u8], n: usize, cpus: usize, out: &mut [f64]) -> Optio
         }?;
     }
     Some(if cpus == 0 { bpos } else { ppos })
-}
-
-/// The wide-frame decode: one widen kernel call per run of equal-width
-/// planes staging raw zigzag lanes in `scratch`, then a single
-/// [`unfold_planes_to_f64`] pass — unzigzag, wrapping prefix sum, and
-/// the f64 widen in one branch-free kernel whose SIMD width pays once
-/// planes carry enough lanes. The checksum absorbs after the bases and
-/// after each width run, while those bytes are still warm.
-fn decode_bulk(
-    d: Dispatch,
-    payload: &[u8],
-    n: usize,
-    stride: usize,
-    out: &mut [f64],
-    scratch: &mut Vec<u64>,
-    ck: &mut PayloadChecksum,
-) -> Option<usize> {
-    let total = n + n * stride;
-    if scratch.len() != total {
-        scratch.clear();
-        scratch.resize(total, 0);
-    }
-    let mut pos = n;
-    for e in 0..n {
-        scratch[e] = read_coded_lane(payload, &mut pos, payload[e] & 0x0f)?;
-    }
-    ck.absorb_to(payload, pos);
-    let (bases, deltas) = scratch.split_at_mut(n);
-    let mut e = 0usize;
-    while e < n {
-        let code = payload[e] >> 4;
-        let mut run_end = e + 1;
-        while run_end < n && payload[run_end] >> 4 == code {
-            run_end += 1;
-        }
-        let lanes = (run_end - e) * stride;
-        let w = 1usize << code;
-        let src = payload.get(pos..pos + lanes * w)?;
-        let dst = &mut deltas[e * stride..run_end * stride];
-        match code {
-            0 => widen_u8_to_u64(d, src, dst),
-            1 => widen_u16_to_u64(d, src, dst),
-            2 => widen_u32_to_u64(d, src, dst),
-            _ => {
-                let (words, _) = src.as_chunks::<8>();
-                for (v, c) in dst.iter_mut().zip(words) {
-                    *v = u64::from_le_bytes(*c);
-                }
-            }
-        }
-        pos += lanes * w;
-        ck.absorb_to(payload, pos);
-        e = run_end;
-    }
-    // One fused kernel pass finishes every lane: undo the zigzag
-    // (leaving signed-delta bit patterns), run each plane's wrapping
-    // prefix sum from its base, and widen to f64 — the exact
-    // arithmetic of the varint path's per-count
-    // `prev.wrapping_add(unzigzag(c) as u64)` followed by the column
-    // fold's `count as f64`.
-    unfold_planes_to_f64(d, bases, deltas, out);
-    Some(pos)
 }
 
 #[cfg(test)]
@@ -421,37 +328,16 @@ mod tests {
     fn decode(payload: &[u8], n: usize, cpus: usize) -> Option<Vec<f64>> {
         let h = header_for(payload.len(), cpus as u16, n as u16);
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
         let mut ck = PayloadChecksum::new(&h);
-        decode_planes(
-            Dispatch::active(),
-            payload,
-            n,
-            cpus,
-            false,
-            &mut out,
-            &mut scratch,
-            &mut ck,
-        )?;
+        decode_planes(payload, n, cpus, false, &mut out, &mut ck)?;
         // The in-walk absorb cadence must agree with the one-shot
         // checksum.
         assert_eq!(ck.finish(payload), h.expected_checksum(payload));
         // A pre-validated directory (the identity-directory fast path)
         // must land on the same lanes and the same checksum.
         let mut out2 = Vec::new();
-        let mut scratch2 = Vec::new();
         let mut ck2 = PayloadChecksum::new(&h);
-        decode_planes(
-            Dispatch::active(),
-            payload,
-            n,
-            cpus,
-            true,
-            &mut out2,
-            &mut scratch2,
-            &mut ck2,
-        )
-        .expect("dir_valid re-decode");
+        decode_planes(payload, n, cpus, true, &mut out2, &mut ck2).expect("dir_valid re-decode");
         assert_eq!(ck2.finish(payload), ck.finish(payload));
         assert_eq!(
             out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -516,22 +402,22 @@ mod tests {
         // A CPU-over-CPU step of exactly i64::MIN zigzags to u64::MAX —
         // the one value where a sign-magnitude width heuristic would
         // underprice the lane. It must take width code 3 and come back
-        // bit-exact through the fused scalar path...
+        // bit-exact through the planar walk...
         let base = 3u64;
         let stepped = base.wrapping_add(i64::MIN as u64);
         let set = set_of(&[vec![base, 1, 2], vec![stepped, 1, 2]]);
         let mut payload = Vec::new();
         encode_payload(&mut payload, &set);
         assert_eq!(payload[0] >> 4, 3, "i64::MIN delta must price 8 bytes");
-        let out = decode(&payload, 3, 2).expect("fused path");
+        let out = decode(&payload, 3, 2).expect("two-CPU frame");
         assert_eq!(
             out[1].to_bits(),
             (stepped as f64).to_bits(),
-            "fused roundtrip"
+            "two-CPU roundtrip"
         );
-        // ...and through the bulk kernel path (≥ WIDE_LANES delta
-        // lanes: 3 events × 64 deltas = 192), alternating the extreme
-        // step so every lane in event 0's plane is ±i64::MIN.
+        // ...and on a wide frame (3 events × 64 deltas = 192 delta
+        // lanes), alternating the extreme step so every lane in event
+        // 0's plane is ±i64::MIN.
         let cpus = 65usize;
         let rows: Vec<Vec<u64>> = (0..cpus)
             .map(|cpu| {
@@ -543,9 +429,7 @@ mod tests {
         let mut payload = Vec::new();
         encode_payload(&mut payload, &wide);
         assert_eq!(payload[0] >> 4, 3);
-        let stride = cpus - 1;
-        assert!(3 * stride >= WIDE_LANES, "must exercise decode_bulk");
-        let out = decode(&payload, 3, cpus).expect("bulk path");
+        let out = decode(&payload, 3, cpus).expect("wide frame");
         for cpu in 0..cpus {
             for e in 0..3 {
                 assert_eq!(
@@ -560,27 +444,15 @@ mod tests {
     #[test]
     fn corrupt_cpu_count_is_rejected_before_allocating() {
         // A flipped header can claim 65535 CPUs against a tiny payload;
-        // the price floor must reject it before sizing scratch.
+        // the price floor must reject it before sizing the lane buffer.
         let set = set_of(&[vec![10, 20, 30], vec![11, 19, 31]]);
         let mut payload = Vec::new();
         encode_payload(&mut payload, &set);
         let h = header_for(payload.len(), u16::MAX, 3);
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
         let mut ck = PayloadChecksum::new(&h);
-        assert!(decode_planes(
-            Dispatch::active(),
-            &payload,
-            3,
-            65535,
-            false,
-            &mut out,
-            &mut scratch,
-            &mut ck
-        )
-        .is_none());
+        assert!(decode_planes(&payload, 3, 65535, false, &mut out, &mut ck).is_none());
         assert_eq!(out.capacity(), 0, "no lane-buffer growth on rejection");
-        assert_eq!(scratch.capacity(), 0, "no scratch growth on rejection");
     }
 
     #[test]

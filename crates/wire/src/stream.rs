@@ -1,85 +1,41 @@
-//! Streaming wire ingest: sharded decoders → SPSC rings → one consumer
-//! writing fleet sample rows.
+//! Wire ingest: one window of frames → fleet sample rows, through the
+//! graceful-degradation ladder.
 //!
-//! # Topology
+//! [`ingest_serial_with`] is the ingest path: one serial pass that
+//! decodes accepted frames straight into the estimator's batch columns
+//! and runs the health ladder batched (one sanity mask per window, a
+//! bulk ledger commit when the window is clean).
 //!
-//! With `D` decoder shards on a [`WorkerPool`], `D + 1` tasks run under
-//! one `par_map`: shard `k` walks the *whole* stream with a
-//! [`FrameCursor`] but fully decodes only frames whose
-//! `machine_id % D == k` (header-skipping the rest is a length add, so
-//! the redundant scans cost little), batching decoded rows into chunks
-//! it pushes onto its own bounded [`ring`]; the single consumer task
-//! drains all `D` rings round-robin and writes each row at its
-//! machine's fixed index with [`SampleBatch::set_row`]. The consumer
-//! task is listed first and `D ≤ workers − 1`, so the pool always has a
-//! participant for it — a blocking producer can never wait on a
-//! consumer that nobody will run. (Corollary: do not call
-//! [`stream_window`] from inside a `par_map` closure, where the pool
-//! degrades to a serial loop.)
+//! # Per-row reference
 //!
-//! # Backpressure
-//!
-//! Rings are bounded. A producer that finds its ring full observes the
-//! occupancy and, by default, yields until the consumer catches up —
-//! lossless and deterministic. With
-//! [`drop_when_full`](StreamConfig::drop_when_full) it sheds the chunk
-//! instead, bounding decoder latency at the price of dropped rows;
-//! both pressure events are counted in the [`StreamReport`].
+//! [`ingest_reference_with`] runs the same ladder one row at a time:
+//! every frame is decoded to a row array by [`FrameDecoder::decode_frame`],
+//! screened with [`DegradePolicy::row_is_sane`], committed to the
+//! ledger, and written with [`SampleBatch::set_row`](tdp_fleet::SampleBatch::set_row).
+//! It shares no batching with the hot path — no staged columns, no
+//! batched mask, no bulk commit — so it is the independent oracle the
+//! batched ladder is pinned against: same health counters, same rows
+//! written, same estimate bits, same per-machine [`HealthState`]s, on
+//! clean and seeded-[`FaultPlan`](crate::FaultPlan) streams alike.
 //!
 //! # Determinism
 //!
-//! In lossless mode the streamed result is **bit-identical** for any
-//! decoder count, including the serial fused path: a machine's row is
-//! produced by [`FrameDecoder`]'s arithmetic (itself bit-identical to
-//! in-memory ingestion) from the last frame for that machine in stream
-//! order, every machine is owned by exactly one shard, and rows land at
-//! fixed indices — so neither sharding nor ring interleaving can
-//! reorder any machine's writes.
+//! A machine's row comes from [`FrameDecoder`]'s arithmetic (itself
+//! bit-identical to in-memory ingestion) over the last acceptable frame
+//! for that machine in stream order, and rows land at fixed indices, so
+//! both paths are deterministic functions of the bytes and the carried
+//! [`IngestState`].
 
 use crate::decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder};
 use crate::frame::FrameType;
 use crate::health::{DegradePolicy, HealthLedger, HealthState, Hold, SeqNote};
-use crate::ring::{ring, Consumer, Producer};
-use tdp_fleet::{FleetEstimator, SampleBatch, COLUMNS};
-use tdp_parallel::WorkerPool;
+use tdp_fleet::{FleetEstimator, COLUMNS};
 use tdp_simd::Dispatch;
 
-/// Tuning for [`stream_window`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Decoder shards; `0` means auto (`workers − 1`). Clamped to
-    /// `workers − 1` so the consumer always has a participant; on a
-    /// single-worker pool the serial fused path runs instead.
-    pub decoders: usize,
-    /// Chunks each ring holds before its producer feels backpressure.
-    pub ring_capacity: usize,
-    /// Rows per chunk (amortises ring traffic).
-    pub chunk_rows: usize,
-    /// `false` (default): block (yield) on a full ring — lossless,
-    /// deterministic. `true`: drop the chunk — bounded latency, lossy,
-    /// and dependent on scheduling timing.
-    pub drop_when_full: bool,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self {
-            decoders: 0,
-            ring_capacity: 8,
-            chunk_rows: 32,
-            drop_when_full: false,
-        }
-    }
-}
-
-/// What happened during one streamed window.
+/// What happened during one ingested window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamReport {
-    /// Decoder shards actually used — the real decode parallelism in
-    /// both modes. The serial fused path reports `1`: one decoder ran,
-    /// fused with the consumer.
-    pub decoders: usize,
-    /// Sample frames whose decode was attempted (owned frames only).
+    /// Sample frames whose decode was attempted.
     pub sample_frames: u64,
     /// Layout frames accepted.
     pub layout_frames: u64,
@@ -120,17 +76,11 @@ pub struct StreamReport {
     /// exceeding [`DegradePolicy::max_stale_windows`] (counted once
     /// per outage, not once per silent window).
     pub machines_stale: u64,
-    /// Rows shed under backpressure (only with
-    /// [`StreamConfig::drop_when_full`]).
-    pub dropped_rows: u64,
-    /// Full-ring events a producer waited (or dropped) on.
-    pub backpressure_events: u64,
 }
 
 impl StreamReport {
-    /// Adds `o`'s event counters into `self` (all fields except
-    /// [`decoders`](Self::decoders), which describes a topology, not a
-    /// count) — for aggregating per-shard or per-window reports.
+    /// Adds `o`'s counters into `self` — for aggregating per-window
+    /// reports over a run.
     pub fn absorb(&mut self, o: &StreamReport) {
         self.sample_frames += o.sample_frames;
         self.layout_frames += o.layout_frames;
@@ -146,8 +96,6 @@ impl StreamReport {
         self.rows_held += o.rows_held;
         self.rows_reconstructed += o.rows_reconstructed;
         self.machines_stale += o.machines_stale;
-        self.dropped_rows += o.dropped_rows;
-        self.backpressure_events += o.backpressure_events;
     }
 
     /// The window's [`PipelineHealth`](crate::PipelineHealth) block —
@@ -157,60 +105,36 @@ impl StreamReport {
     }
 }
 
-/// One decoded machine row in flight from a decoder shard to the
-/// consumer.
-#[derive(Debug, Clone, Copy)]
-struct WireRow {
-    machine: u64,
-    row: [f64; COLUMNS],
-}
-
-/// One decoder shard's cross-window state: its [`FrameDecoder`]
-/// (layout memo) plus the health ledger for every machine it owns.
-///
-/// The [`HealthLedger`] is dense, indexed by machine id — ids are
-/// `< machines` by the time the degradation ladder runs, so the
-/// hot-path lookup is one bounds-checked index instead of a tree walk.
-/// A machine the shard has never decoded is exactly one whose ledger
-/// `seen` flag is unset (every write path notes the sequence first).
-///
-/// The remaining vectors are the serial fused path's per-window
-/// scratch, retained across windows so the steady state allocates
-/// nothing: which machines staged a fresh row into the batch columns
-/// this epoch, each staged row's reset flag, and the batched sanity
-/// mask. The sharded path leaves them empty.
-#[derive(Debug, Default)]
-struct ShardState {
-    dec: FrameDecoder,
-    ledger: HealthLedger,
-    pending: Vec<u32>,
-    staged_epoch: Vec<u64>,
-    staged_reset: Vec<bool>,
-    sane_mask: Vec<u8>,
-}
-
-/// Ingest state that survives across windows: one [`FrameDecoder`] per
-/// shard — so a steady-state stream (layouts announced once, then
-/// sample frames only — see [`WireEncoder`](crate::WireEncoder)) pays
-/// for layout registration exactly once — plus per-machine health
+/// Ingest state that survives across windows: the [`FrameDecoder`] —
+/// so a steady-state stream (layouts announced once, then sample
+/// frames only — see [`WireEncoder`](crate::WireEncoder)) pays for
+/// layout registration exactly once — plus per-machine health
 /// ([`HealthState`]) driving the graceful-degradation ladder: duplicate
 /// and reset detection on window sequences, quarantine of rows that
 /// fail the [`DegradePolicy`] sanity bounds, bounded last-good-row
 /// holds for silent machines, and staleness cut-off.
 ///
-/// Every shard walks the whole stream and registers every layout
-/// frame, so shards that existed when a layout was announced all know
-/// it. Keep the decoder count stable across a stream: a shard added
-/// later (a grown pool) starts with an empty layout table and health
-/// ledger, so it reports
-/// [`unknown_layout_frames`](StreamReport::unknown_layout_frames) for
-/// its machines until layouts are re-announced, and re-learns their
-/// health from scratch.
+/// The health ledger is dense, indexed by machine id — ids are
+/// `< machines` by the time the ladder runs, so the hot-path lookup is
+/// one bounds-checked index. A machine never decoded is exactly one
+/// whose ledger `seen` flag is unset (every write path notes the
+/// sequence first).
+///
+/// The remaining vectors are [`ingest_serial_with`]'s per-window
+/// scratch, retained across windows so the steady state allocates
+/// nothing: which machines staged a fresh row into the batch columns
+/// this epoch, each staged row's reset flag, and the batched sanity
+/// mask. [`ingest_reference_with`] leaves them untouched.
 #[derive(Debug, Default)]
 pub struct IngestState {
-    shards: Vec<ShardState>,
+    dec: FrameDecoder,
+    ledger: HealthLedger,
     policy: DegradePolicy,
     epoch: u64,
+    pending: Vec<u32>,
+    staged_epoch: Vec<u64>,
+    staged_reset: Vec<bool>,
+    sane_mask: Vec<u8>,
 }
 
 impl IngestState {
@@ -239,251 +163,33 @@ impl IngestState {
     }
 
     /// The last known [`HealthState`] of `machine`, or `None` if no
-    /// shard has ever decoded a row for it.
+    /// row has ever been decoded for it.
     pub fn machine_health(&self, machine: u64) -> Option<HealthState> {
         let idx = machine as usize;
-        self.shards
-            .iter()
-            .find(|s| s.ledger.seen(idx))
-            .map(|s| s.ledger.state(idx))
+        self.ledger.seen(idx).then(|| self.ledger.state(idx))
     }
 
-    /// Drops every shard decoder's identity-directory memo for
-    /// `machine` — the eviction hook for a machine leaving the fleet.
-    /// Purely an optimisation-state reset: the machine's next planar
-    /// frame takes the full validation path once and re-memoises, with
+    /// Drops the decoder's identity-directory memo for `machine` — the
+    /// eviction hook for a machine leaving the fleet. Purely an
+    /// optimisation-state reset: the machine's next planar frame takes
+    /// the full validation path once and re-memoises, with
     /// byte-identical decode results either way.
     pub fn evict_machine_dir(&mut self, machine: u64) {
-        for s in &mut self.shards {
-            s.dec.evict_dir_memo(machine);
-        }
+        self.dec.evict_dir_memo(machine);
     }
 
-    /// Opens the next ingest window: bumps the epoch and makes sure
-    /// `d` shards exist. Returns the new epoch.
-    fn begin(&mut self, d: usize) -> u64 {
+    /// Opens the next ingest window for `machines` machines: bumps the
+    /// epoch and sizes the ledger. Returns the new epoch.
+    fn begin(&mut self, machines: usize) -> u64 {
         self.epoch += 1;
-        if self.shards.len() < d {
-            self.shards.resize_with(d, ShardState::default);
-        }
+        self.ledger.ensure(machines);
         self.epoch
     }
 }
 
-/// Everything a shard needs to know about the window it is decoding
-/// (`Copy`, so each parallel task takes its own).
-#[derive(Clone, Copy)]
-struct ShardCtx {
-    policy: DegradePolicy,
-    epoch: u64,
-    shard: u64,
-    nshards: u64,
-    machines: usize,
-}
-
-/// Walks the whole stream as shard `ctx.shard` of `ctx.nshards`,
-/// decoding owned frames and emitting accepted rows, then runs the
-/// hold/staleness pass over owned machines that produced nothing this
-/// window. Every shard runs this same function over the same buffer, so
-/// all shards agree on framing and ownership; counters for
-/// unattributable events (resyncs) are taken by shard 0 alone so
-/// fleet-wide sums are exact.
-fn run_shard(
-    state: &mut ShardState,
-    ctx: ShardCtx,
-    buf: &[u8],
-    mut emit: impl FnMut(WireRow),
-) -> StreamReport {
-    let mut stats = StreamReport::default();
-    let mut cursor = FrameCursor::new(buf);
-    while let Some(item) = cursor.next() {
-        let (start, header) = match item {
-            CursorItem::Resync { skipped } => {
-                if ctx.shard == 0 {
-                    stats.resyncs += 1;
-                    stats.resync_bytes += skipped as u64;
-                }
-                continue;
-            }
-            CursorItem::Frame { start, header } => (start, header),
-        };
-        let mine = header.machine_id % ctx.nshards == ctx.shard;
-        match header.frame_type {
-            FrameType::Layout => {
-                // Every shard registers every layout (any shard may own
-                // samples encoded against it); only the owner counts —
-                // and only the owner's ledger learns the machine's
-                // negotiated decimation, since only it runs the hold
-                // pass for that machine.
-                match state
-                    .dec
-                    .decode_frame(&header, cursor.payload(start, &header))
-                {
-                    Ok(d) => {
-                        if mine {
-                            stats.layout_frames += 1;
-                            let idx = header.machine_id as usize;
-                            if let Decoded::Layout { decimation } = d {
-                                if idx < ctx.machines {
-                                    state.ledger.ensure(idx + 1);
-                                    state.ledger.set_decimation(idx, decimation);
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        if mine {
-                            stats.corrupt_frames += 1;
-                        }
-                    }
-                }
-            }
-            FrameType::Sample | FrameType::PlanarSample => {
-                if !mine {
-                    continue;
-                }
-                stats.sample_frames += 1;
-                match state
-                    .dec
-                    .decode_frame(&header, cursor.payload(start, &header))
-                {
-                    Ok(Decoded::Row {
-                        machine_id,
-                        window_seq,
-                        row,
-                    }) => {
-                        if (machine_id as usize) < ctx.machines {
-                            state.accept_row(
-                                machine_id, &ctx, window_seq, &row, &mut stats, &mut emit,
-                            );
-                        } else {
-                            stats.out_of_range_frames += 1;
-                        }
-                    }
-                    Ok(Decoded::Layout { .. }) => {}
-                    Err(DecodeError::UnknownLayout) => stats.unknown_layout_frames += 1,
-                    Err(_) => stats.corrupt_frames += 1,
-                }
-            }
-        }
-    }
-    hold_pass(state, &ctx, &mut stats, &mut emit);
-    stats
-}
-
-impl ShardState {
-    /// Screens one decoded in-range row through the degradation
-    /// ladder: duplicate skip, reset re-baseline, sanity quarantine,
-    /// then emission with the machine's ledger updated.
-    fn accept_row(
-        &mut self,
-        machine: u64,
-        ctx: &ShardCtx,
-        window_seq: u64,
-        row: &[f64; COLUMNS],
-        stats: &mut StreamReport,
-        emit: &mut impl FnMut(WireRow),
-    ) {
-        let idx = machine as usize;
-        self.ledger.ensure(idx + 1);
-        let reset = match self.ledger.note_seq(idx, window_seq) {
-            SeqNote::Duplicate => {
-                // Same window delivered again (duplicated frame or
-                // replayed chunk): the first delivery already decided
-                // this window.
-                stats.duplicate_windows += 1;
-                return;
-            }
-            SeqNote::Reset => {
-                // The producer's sequence went backwards: reboot or
-                // counter reset. Counters are read-and-clear, so the
-                // row is still a valid per-window delta — accept it,
-                // re-baseline the sequence, and flag the machine.
-                stats.resets_detected += 1;
-                true
-            }
-            SeqNote::Fresh => false,
-        };
-        if !ctx.policy.row_is_sane(row) {
-            // The bytes arrived as sent (checksummed) but describe an
-            // impossible machine: never let it touch the estimator.
-            stats.rows_quarantined += 1;
-            self.ledger.quarantine(idx);
-            return;
-        }
-        emit(WireRow { machine, row: *row });
-        self.ledger.commit_row(idx, ctx.epoch, row, reset);
-    }
-}
-
-/// After the cursor walk: every owned machine that contributed nothing
-/// this window is either carried at its last good row (bounded by
-/// [`DegradePolicy::max_stale_windows`]) or declared stale.
-fn hold_pass(
-    state: &mut ShardState,
-    ctx: &ShardCtx,
-    stats: &mut StreamReport,
-    emit: &mut impl FnMut(WireRow),
-) {
-    for idx in 0..state.ledger.len() {
-        let machine = idx as u64;
-        if !state.ledger.seen(idx) // dense ledger slot never decoded into
-            || machine % ctx.nshards != ctx.shard
-            || idx >= ctx.machines
-            || state.ledger.emitted_this(idx, ctx.epoch)
-        {
-            continue;
-        }
-        match state
-            .ledger
-            .hold(idx, ctx.epoch, ctx.policy.max_stale_windows)
-        {
-            Hold::Reconstructed(row) => {
-                emit(WireRow { machine, row });
-                stats.rows_reconstructed += 1;
-            }
-            Hold::Held(row) => {
-                emit(WireRow { machine, row });
-                stats.rows_held += 1;
-            }
-            Hold::NewlyStale => stats.machines_stale += 1,
-            Hold::AlreadyStale => {}
-        }
-    }
-}
-
-/// Ships `chunk` to the consumer, observing ring occupancy for
-/// backpressure. Returns `(dropped_rows, pressure_events)`.
-fn ship(
-    producer: &mut Producer<Vec<WireRow>>,
-    chunk: Vec<WireRow>,
-    drop_when_full: bool,
-) -> (u64, u64) {
-    let rows = chunk.len() as u64;
-    match producer.push(chunk) {
-        Ok(()) => (0, 0),
-        Err(back) if drop_when_full => {
-            drop(back);
-            (rows, 1)
-        }
-        Err(back) => {
-            let mut c = back;
-            loop {
-                std::thread::yield_now();
-                match producer.push(c) {
-                    Ok(()) => return (0, 1),
-                    Err(b) => c = b,
-                }
-            }
-        }
-    }
-}
-
 /// Serial fused ingest: decode frames and write rows straight into the
-/// estimator's batch — no threads, no rings, no allocation in the
-/// steady state. This is the single-worker fallback of
-/// [`stream_window`] and the best-latency path when the stream is
-/// already in memory. Uses a fresh decoder, so `buf` must be
+/// estimator's batch — no intermediate rows, no allocation in the
+/// steady state. Uses a fresh decoder, so `buf` must be
 /// self-describing; use [`ingest_serial_with`] to carry layouts across
 /// windows.
 pub fn ingest_serial(buf: &[u8], machines: usize, est: &mut FleetEstimator) -> StreamReport {
@@ -497,32 +203,32 @@ pub fn ingest_serial(buf: &[u8], machines: usize, est: &mut FleetEstimator) -> S
 /// This is the fused hot path, and it is *batched*: the cursor walk
 /// delta-unfolds each accepted frame straight into the batch columns
 /// (no intermediate row copy — checksum verification already overlaps
-/// the varint walk inside the decoder), sequence bookkeeping runs per
+/// the payload walk inside the decoder), sequence bookkeeping runs per
 /// frame, and the sanity screen runs once at the end as thirteen
 /// AND-accumulating column passes — [`DegradePolicy`]'s batched mask,
-/// bit-identical to the per-row ladder that the sharded path still
-/// runs as the semantic reference. A perfectly clean window — every
-/// machine exactly one fresh sane row, no resets — commits the whole
-/// health ledger with column memcpys; any degradation falls back to
-/// per-machine resolution with identical transitions and counters
-/// (pinned serial-vs-sharded by the chaos property suite).
+/// bit-identical to the per-row ladder of [`ingest_reference_with`]. A
+/// perfectly clean window — every machine exactly one fresh sane row,
+/// no resets — commits the whole health ledger with column memcpys;
+/// any degradation falls back to per-machine resolution with identical
+/// transitions and counters (pinned batched-vs-reference by the chaos
+/// property suite).
 pub fn ingest_serial_with(
     state: &mut IngestState,
     buf: &[u8],
     machines: usize,
     est: &mut FleetEstimator,
 ) -> StreamReport {
-    let epoch = state.begin(1);
+    let epoch = state.begin(machines);
     let policy = state.policy;
-    let ShardState {
+    let IngestState {
         dec,
         ledger,
         pending,
         staged_epoch,
         staged_reset,
         sane_mask,
-    } = &mut state.shards[0];
-    ledger.ensure(machines);
+        ..
+    } = state;
     if staged_epoch.len() < machines {
         // Stale epochs from earlier (possibly smaller) windows are
         // harmless: the epoch strictly increases, so they never match.
@@ -536,10 +242,7 @@ pub fn ingest_serial_with(
     batch.resize_rows(machines);
     let mut cols = batch.columns_mut();
 
-    let mut stats = StreamReport {
-        decoders: 1,
-        ..StreamReport::default()
-    };
+    let mut stats = StreamReport::default();
     let mut resolved_early = false;
     let mut any_reset = false;
 
@@ -603,7 +306,7 @@ pub fn ingest_serial_with(
                 if staged_epoch[idx] == epoch {
                     // A second fresh frame for an already-staged
                     // machine: resolve the staged row now, per row —
-                    // exactly what the unbatched ladder did on its
+                    // exactly what the per-row ladder does on its
                     // delivery — before the new frame overwrites its
                     // column slot.
                     resolved_early = true;
@@ -656,7 +359,7 @@ pub fn ingest_serial_with(
                     ledger.restore_into(idx, &mut cols);
                 } else {
                     // Never emitted this window: the slot must read as
-                    // the zeros `resize_rows` left (the unbatched path
+                    // the zeros `resize_rows` left (the per-row ladder
                     // never wrote it), pending a possible hold below.
                     for c in cols.iter_mut() {
                         c[idx] = 0.0;
@@ -666,186 +369,141 @@ pub fn ingest_serial_with(
         }
         // Phase 4: hold / staleness for machines that contributed
         // nothing this window (a clean window has none).
-        for idx in 0..machines {
-            if !ledger.seen(idx) || ledger.emitted_this(idx, epoch) {
-                continue;
+        hold_pass(ledger, epoch, &policy, machines, &mut stats, |idx, row| {
+            for (c, v) in cols.iter_mut().zip(row) {
+                c[idx] = v;
             }
-            match ledger.hold(idx, epoch, policy.max_stale_windows) {
-                Hold::Reconstructed(row) => {
-                    for (c, v) in cols.iter_mut().zip(row) {
-                        c[idx] = v;
-                    }
-                    stats.rows_reconstructed += 1;
-                    stats.rows_written += 1;
-                }
-                Hold::Held(row) => {
-                    for (c, v) in cols.iter_mut().zip(row) {
-                        c[idx] = v;
-                    }
-                    stats.rows_held += 1;
-                    stats.rows_written += 1;
-                }
-                Hold::NewlyStale => stats.machines_stale += 1,
-                Hold::AlreadyStale => {}
-            }
-        }
+        });
     }
     stats
 }
 
-/// Streams one window of wire bytes into `est`'s batch across the
-/// pool: `D` decoder shards feeding one consumer through bounded SPSC
-/// rings (see the [module docs](self) for topology, backpressure and
-/// determinism). Call [`FleetEstimator::estimate`] afterwards. Uses
-/// fresh decoders, so `buf` must be self-describing; use
-/// [`stream_window_with`] to carry layouts across windows.
-pub fn stream_window(
-    pool: &WorkerPool,
-    cfg: &StreamConfig,
-    buf: &[u8],
-    machines: usize,
-    est: &mut FleetEstimator,
-) -> StreamReport {
-    stream_window_with(&mut IngestState::new(), pool, cfg, buf, machines, est)
-}
-
-/// [`stream_window`] with persistent per-shard decoder state (see
-/// [`IngestState`] for the layout-visibility contract when the shard
-/// count changes between windows).
-pub fn stream_window_with(
+/// The unbatched health ladder, one row at a time — the reference
+/// [`ingest_serial_with`] is pinned against. Each sample frame is
+/// decoded to a row array, screened through duplicate skip, reset
+/// re-baseline and [`DegradePolicy::row_is_sane`] quarantine, committed
+/// to the ledger and written with `SampleBatch::set_row`; silent
+/// machines then take the hold / staleness pass. It shares no batching
+/// with the hot path (no staged columns, no batched mask, no bulk
+/// commit), so on any stream the two must agree on the whole
+/// [`StreamReport`], the batch bits and every machine's
+/// [`HealthState`]. Call [`FleetEstimator::estimate`] afterwards.
+///
+/// Give it its own [`IngestState`]: the ledger and decoder it carries
+/// are the reference's history, not the hot path's.
+pub fn ingest_reference_with(
     state: &mut IngestState,
-    pool: &WorkerPool,
-    cfg: &StreamConfig,
     buf: &[u8],
     machines: usize,
     est: &mut FleetEstimator,
 ) -> StreamReport {
-    let requested = if cfg.decoders == 0 {
-        usize::MAX
-    } else {
-        cfg.decoders
-    };
-    let d = requested.min(pool.workers().saturating_sub(1));
-    if d == 0 {
-        return ingest_serial_with(state, buf, machines, est);
-    }
-
-    let epoch = state.begin(d);
+    let epoch = state.begin(machines);
     let policy = state.policy;
+    let IngestState { dec, ledger, .. } = state;
     est.begin_window();
     let batch = est.batch_mut();
     batch.resize_rows(machines);
 
-    enum Task<'a> {
-        Consume {
-            consumers: Vec<Consumer<Vec<WireRow>>>,
-            batch: &'a mut SampleBatch,
-        },
-        Decode {
-            ctx: ShardCtx,
-            producer: Producer<Vec<WireRow>>,
-            shard_state: &'a mut ShardState,
-        },
-    }
-
-    enum TaskOut {
-        Rows(u64),
-        Stats(StreamReport),
-    }
-
-    let mut consumers = Vec::with_capacity(d);
-    let mut tasks: Vec<Task> = Vec::with_capacity(d + 1);
-    let mut producers = Vec::with_capacity(d);
-    for _ in 0..d {
-        let (tx, rx) = ring(cfg.ring_capacity);
-        producers.push(tx);
-        consumers.push(rx);
-    }
-    // Consumer first: the submitting thread claims tasks in order, so
-    // the drain side is running before any producer can fill a ring.
-    tasks.push(Task::Consume { consumers, batch });
-    for ((shard, producer), shard_state) in producers
-        .into_iter()
-        .enumerate()
-        .zip(state.shards[..d].iter_mut())
-    {
-        tasks.push(Task::Decode {
-            ctx: ShardCtx {
-                policy,
-                epoch,
-                shard: shard as u64,
-                nshards: d as u64,
-                machines,
-            },
-            producer,
-            shard_state,
-        });
-    }
-
-    let chunk_rows = cfg.chunk_rows.max(1);
-    let drop_when_full = cfg.drop_when_full;
-    let outs = pool.par_map(tasks, |task| match task {
-        Task::Consume {
-            mut consumers,
-            batch,
-        } => {
-            let mut rows = 0u64;
-            while !consumers.is_empty() {
-                let mut progressed = false;
-                consumers.retain_mut(|c| {
-                    while let Some(chunk) = c.pop() {
-                        progressed = true;
-                        for r in chunk {
-                            batch.set_row(r.machine as usize, r.row);
-                            rows += 1;
-                        }
+    let mut stats = StreamReport::default();
+    let mut cursor = FrameCursor::new(buf);
+    while let Some(item) = cursor.next() {
+        let (start, header) = match item {
+            CursorItem::Resync { skipped } => {
+                stats.resyncs += 1;
+                stats.resync_bytes += skipped as u64;
+                continue;
+            }
+            CursorItem::Frame { start, header } => (start, header),
+        };
+        if header.frame_type != FrameType::Layout {
+            stats.sample_frames += 1;
+        }
+        match dec.decode_frame(&header, cursor.payload(start, &header)) {
+            Ok(Decoded::Layout { decimation }) => {
+                stats.layout_frames += 1;
+                let idx = header.machine_id as usize;
+                if idx < machines {
+                    ledger.set_decimation(idx, decimation);
+                }
+            }
+            Ok(Decoded::Row {
+                machine_id,
+                window_seq,
+                row,
+            }) => {
+                let idx = machine_id as usize;
+                if idx >= machines {
+                    stats.out_of_range_frames += 1;
+                    continue;
+                }
+                let reset = match ledger.note_seq(idx, window_seq) {
+                    SeqNote::Duplicate => {
+                        // Same window delivered again (duplicated frame
+                        // or replayed chunk): the first delivery
+                        // already decided this window.
+                        stats.duplicate_windows += 1;
+                        continue;
                     }
-                    !c.is_drained()
-                });
-                if !progressed && !consumers.is_empty() {
-                    std::thread::yield_now();
+                    SeqNote::Reset => {
+                        // The producer's sequence went backwards: reboot
+                        // or counter reset. Counters are read-and-clear,
+                        // so the row is still a valid per-window delta —
+                        // accept it, re-baseline, and flag the machine.
+                        stats.resets_detected += 1;
+                        true
+                    }
+                    SeqNote::Fresh => false,
+                };
+                if !policy.row_is_sane(&row) {
+                    // The bytes arrived as sent (checksummed) but
+                    // describe an impossible machine: never let it
+                    // touch the estimator.
+                    stats.rows_quarantined += 1;
+                    ledger.quarantine(idx);
+                    continue;
                 }
+                batch.set_row(idx, row);
+                stats.rows_written += 1;
+                ledger.commit_row(idx, epoch, &row, reset);
             }
-            TaskOut::Rows(rows)
-        }
-        Task::Decode {
-            ctx,
-            mut producer,
-            shard_state,
-        } => {
-            let mut chunk: Vec<WireRow> = Vec::with_capacity(chunk_rows);
-            let mut dropped = 0u64;
-            let mut pressure = 0u64;
-            let mut stats = run_shard(shard_state, ctx, buf, |r| {
-                chunk.push(r);
-                if chunk.len() == chunk_rows {
-                    let full = std::mem::replace(&mut chunk, Vec::with_capacity(chunk_rows));
-                    let (dr, pr) = ship(&mut producer, full, drop_when_full);
-                    dropped += dr;
-                    pressure += pr;
-                }
-            });
-            if !chunk.is_empty() {
-                let (dr, pr) = ship(&mut producer, chunk, drop_when_full);
-                dropped += dr;
-                pressure += pr;
-            }
-            producer.close();
-            stats.dropped_rows = dropped;
-            stats.backpressure_events = pressure;
-            TaskOut::Stats(stats)
-        }
-    });
-
-    let mut report = StreamReport {
-        decoders: d,
-        ..StreamReport::default()
-    };
-    for out in &outs {
-        match out {
-            TaskOut::Rows(r) => report.rows_written += r,
-            TaskOut::Stats(s) => report.absorb(s),
+            Err(DecodeError::UnknownLayout) => stats.unknown_layout_frames += 1,
+            Err(_) => stats.corrupt_frames += 1,
         }
     }
-    report
+    hold_pass(ledger, epoch, &policy, machines, &mut stats, |idx, row| {
+        batch.set_row(idx, row)
+    });
+    stats
+}
+
+/// After the frame walk: every seen machine that contributed nothing
+/// this window is either carried at its last good row (`write`, bounded
+/// by [`DegradePolicy::max_stale_windows`]) or declared stale.
+fn hold_pass(
+    ledger: &mut HealthLedger,
+    epoch: u64,
+    policy: &DegradePolicy,
+    machines: usize,
+    stats: &mut StreamReport,
+    mut write: impl FnMut(usize, [f64; COLUMNS]),
+) {
+    for idx in 0..machines {
+        if !ledger.seen(idx) || ledger.emitted_this(idx, epoch) {
+            continue;
+        }
+        match ledger.hold(idx, epoch, policy.max_stale_windows) {
+            Hold::Reconstructed(row) => {
+                write(idx, row);
+                stats.rows_reconstructed += 1;
+                stats.rows_written += 1;
+            }
+            Hold::Held(row) => {
+                write(idx, row);
+                stats.rows_held += 1;
+                stats.rows_written += 1;
+            }
+            Hold::NewlyStale => stats.machines_stale += 1,
+            Hold::AlreadyStale => {}
+        }
+    }
 }

@@ -2,16 +2,16 @@
 //! while persistent ingest degrades gracefully — every injected fault
 //! lands in a pipeline-health counter, machines untouched by recent
 //! faults estimate **bit-identically** to a fault-free run, and the
-//! whole scenario replays deterministically (serial and sharded alike).
+//! whole scenario replays deterministically (batched and per-row
+//! reference alike).
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
-use tdp_parallel::WorkerPool;
 use tdp_wire::{
-    ingest_serial, ingest_serial_with, stream_window_with, FaultKind, FaultPlan, FaultedWindow,
-    HealthState, IngestState, PipelineHealth, StreamConfig, StreamReport, WireEncoder,
+    ingest_reference_with, ingest_serial, ingest_serial_with, FaultKind, FaultPlan, FaultedWindow,
+    HealthState, IngestState, StreamReport, WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -138,22 +138,16 @@ fn assert_faults_accounted(w: u64, f: &FaultedWindow, rep: &StreamReport) {
 #[test]
 fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
     let plan = FaultPlan::new(SEED);
-    let pool = WorkerPool::new(4);
-    let cfg = StreamConfig {
-        ring_capacity: 4,
-        chunk_rows: 5,
-        ..StreamConfig::default()
-    };
     let policy_span = IngestState::new().policy().max_stale_windows;
 
     let mut clean_enc = WireEncoder::new();
     let mut fault_enc = WireEncoder::new();
     let mut clean_state = IngestState::new();
     let mut serial_state = IngestState::new();
-    let mut stream_state = IngestState::new();
+    let mut ref_state = IngestState::new();
     let mut clean_est = FleetEstimator::new(SystemPowerModel::paper());
     let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut stream_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
 
     // Machines hit by a fault within the staleness span may hold or
     // re-learn state; everything outside that trailing set must match
@@ -187,22 +181,13 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
         let clean_bits = estimate_bits(&mut clean_est);
 
         let serial_rep = ingest_serial_with(&mut serial_state, &buf, MACHINES, &mut serial_est);
-        let stream_rep = stream_window_with(
-            &mut stream_state,
-            &pool,
-            &cfg,
-            &buf,
-            MACHINES,
-            &mut stream_est,
-        );
+        let ref_rep = ingest_reference_with(&mut ref_state, &buf, MACHINES, &mut ref_est);
 
         assert_faults_accounted(w, &injected, &serial_rep);
         assert_eq!(
-            PipelineHealth::from_report(&serial_rep),
-            PipelineHealth::from_report(&stream_rep),
-            "window {w}: serial and sharded ingest must degrade identically"
+            serial_rep, ref_rep,
+            "window {w}: batched and per-row reference ingest must degrade identically"
         );
-        assert_eq!(serial_rep.rows_written, stream_rep.rows_written);
 
         // Every machine is either contributing a row or known-stale —
         // nothing simply vanishes.
@@ -215,7 +200,7 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
             "window {w}: rows + stale machines must cover the fleet"
         );
 
-        // Clean-subset bit-identity, serial and sharded: machines with
+        // Clean-subset bit-identity, batched and reference: machines with
         // no fault in the last `max_stale_windows + 1` windows have
         // been fed exclusively intact fresh frames, so their estimates
         // carry no trace of the chaos elsewhere in the fleet.
@@ -234,7 +219,7 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
             dirty.len()
         );
         let serial_bits = estimate_bits(&mut serial_est);
-        let stream_bits = estimate_bits(&mut stream_est);
+        let ref_bits = estimate_bits(&mut ref_est);
         for m in 0..MACHINES as u64 {
             if dirty.contains(&m) {
                 continue;
@@ -244,8 +229,8 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
                 "window {w}: clean machine {m} diverged under serial faulted ingest"
             );
             assert_eq!(
-                stream_bits[m as usize], clean_bits[m as usize],
-                "window {w}: clean machine {m} diverged under sharded faulted ingest"
+                ref_bits[m as usize], clean_bits[m as usize],
+                "window {w}: clean machine {m} diverged under reference faulted ingest"
             );
         }
     }
@@ -257,26 +242,20 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
 
 proptest! {
     /// The serial fused path screens health in *batches* — an SoA
-    /// [`HealthLedger`] plus one vectorised column sanity scan per
-    /// window — while the sharded path walks the per-row ladder, which
+    /// health ledger plus one vectorised column sanity scan per window
+    /// — while `ingest_reference_with` walks the per-row ladder, which
     /// is the semantic reference. Across arbitrary seeded fault plans
-    /// the two must be indistinguishable: same health-counter block,
-    /// same rows delivered, same per-machine ladder states, and
-    /// bit-identical estimates, every window.
+    /// the two must be indistinguishable: same report (health-counter
+    /// block, rows delivered, reconstructions), same per-machine ladder
+    /// states, and bit-identical estimates, every window.
     #[test]
-    fn batched_serial_health_matches_per_row_sharded_reference(seed in any::<u64>()) {
+    fn batched_serial_health_matches_per_row_reference(seed in any::<u64>()) {
         let plan = FaultPlan::new(seed);
-        let pool = WorkerPool::new(3);
-        let cfg = StreamConfig {
-            ring_capacity: 4,
-            chunk_rows: 3,
-            ..StreamConfig::default()
-        };
         let mut enc = WireEncoder::new();
         let mut serial_state = IngestState::new();
-        let mut sharded_state = IngestState::new();
+        let mut ref_state = IngestState::new();
         let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-        let mut sharded_est = FleetEstimator::new(SystemPowerModel::paper());
+        let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
         for w in 0..4u64 {
             let clean = encode_window(&mut enc, w);
             // Window 0 carries the layouts intact; every later window
@@ -288,26 +267,12 @@ proptest! {
             };
             let serial_rep =
                 ingest_serial_with(&mut serial_state, &buf, MACHINES, &mut serial_est);
-            let sharded_rep = stream_window_with(
-                &mut sharded_state,
-                &pool,
-                &cfg,
-                &buf,
-                MACHINES,
-                &mut sharded_est,
-            );
-            prop_assert_eq!(
-                PipelineHealth::from_report(&serial_rep),
-                PipelineHealth::from_report(&sharded_rep),
-                "seed {} window {}: health blocks diverged",
-                seed,
-                w
-            );
-            prop_assert_eq!(serial_rep.rows_written, sharded_rep.rows_written);
+            let ref_rep = ingest_reference_with(&mut ref_state, &buf, MACHINES, &mut ref_est);
+            prop_assert_eq!(serial_rep, ref_rep, "seed {} window {}: reports diverged", seed, w);
             for m in 0..MACHINES as u64 {
                 prop_assert_eq!(
                     serial_state.machine_health(m),
-                    sharded_state.machine_health(m),
+                    ref_state.machine_health(m),
                     "seed {} window {} machine {}: ladder states diverged",
                     seed,
                     w,
@@ -316,7 +281,7 @@ proptest! {
             }
             prop_assert_eq!(
                 estimate_bits(&mut serial_est),
-                estimate_bits(&mut sharded_est),
+                estimate_bits(&mut ref_est),
                 "seed {} window {}: estimate bits diverged",
                 seed,
                 w

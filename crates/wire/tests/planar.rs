@@ -1,18 +1,17 @@
 //! Format-equivalence guarantees of the column-planar sample frames:
 //! whatever the layout, CPU count or value range, ingesting a planar
 //! stream produces **bit-identical** fleet rows and estimates to
-//! ingesting the same windows as varint frames — serial and sharded —
-//! and a battered planar stream degrades under exactly the same
+//! ingesting the same windows as varint frames — batched and per-row
+//! reference — and a battered planar stream degrades under exactly the same
 //! clean-subset contract as the legacy format.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
-use tdp_parallel::WorkerPool;
 use tdp_wire::{
-    ingest_serial_with, stream_window_with, FaultKind, FaultPlan, FrameKind, IngestState,
-    StreamConfig, WireEncoder,
+    ingest_reference_with, ingest_serial_with, FaultKind, FaultPlan, FrameKind, IngestState,
+    WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -101,23 +100,10 @@ fn serial_bits(wire: &[u8], machines: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
     (batch_bits(&est), total_bits(&mut est))
 }
 
-/// Ingests `wire` through the sharded pool path and returns the bits.
-fn sharded_bits(wire: &[u8], machines: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let pool = WorkerPool::new(3);
-    let cfg = StreamConfig {
-        ring_capacity: 4,
-        chunk_rows: 3,
-        ..StreamConfig::default()
-    };
+/// Ingests `wire` through the per-row reference and returns the bits.
+fn reference_bits(wire: &[u8], machines: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let rep = stream_window_with(
-        &mut IngestState::new(),
-        &pool,
-        &cfg,
-        wire,
-        machines,
-        &mut est,
-    );
+    let rep = ingest_reference_with(&mut IngestState::new(), wire, machines, &mut est);
     assert_eq!(rep.corrupt_frames + rep.resyncs, 0, "clean stream");
     (batch_bits(&est), total_bits(&mut est))
 }
@@ -163,22 +149,28 @@ proptest! {
     /// value mix — including values straddling every plane-width
     /// boundary, which induce CPU-over-CPU deltas of every zigzag
     /// width — the planar and varint encodings of the same windows
-    /// ingest to bit-identical fleet rows and estimates.
+    /// ingest to bit-identical fleet rows and estimates. Besides 1–7
+    /// CPUs, about one case in five is a 32- or 65-CPU frame with at
+    /// least 128 delta lanes, the shape of a large server.
     #[test]
     fn planar_and_varint_ingest_bit_identically(
         machines in 1usize..6,
-        cpus in 1usize..8,
-        n_events in 1usize..10,
+        shape in (0usize..9, 1usize..10).prop_map(|(c, n)| match c {
+            7 => (32, n.max(5)),
+            8 => (65, n.max(2)),
+            c => (c + 1, n),
+        }),
         layout_seed in any::<u64>(),
-        values in prop::collection::vec(boundary_value(), 6 * 8 * 10),
+        values in prop::collection::vec(boundary_value(), 6 * 65 * 10),
     ) {
+        let (cpus, n_events) = shape;
         let layout = random_layout(n_events, layout_seed);
         let sets: Vec<SampleSet> = (0..machines)
             .map(|m| {
                 let counts: Vec<Vec<u64>> = (0..cpus)
                     .map(|cpu| {
                         (0..n_events)
-                            .map(|e| values[(m * 8 + cpu) * 10 + e])
+                            .map(|e| values[(m * 65 + cpu) * 10 + e])
                             .collect()
                     })
                     .collect();
@@ -194,9 +186,9 @@ proptest! {
             "serial ingest diverged between formats"
         );
         prop_assert_eq!(
-            sharded_bits(&planar, machines),
+            reference_bits(&planar, machines),
             serial_bits(&varint, machines),
-            "sharded planar ingest diverged from serial varint ingest"
+            "reference planar ingest diverged from serial varint ingest"
         );
     }
 }
@@ -268,7 +260,7 @@ fn width_boundary_deltas_roundtrip_bit_identically() {
         serial_bits(&varint, 1),
         "boundary deltas must decode identically in both formats"
     );
-    assert_eq!(sharded_bits(&planar, 1), serial_bits(&varint, 1));
+    assert_eq!(reference_bits(&planar, 1), serial_bits(&varint, 1));
 }
 
 /// A realistic in-range machine-window (the chaos leg needs rows that

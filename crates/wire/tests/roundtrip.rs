@@ -1,15 +1,12 @@
-//! End-to-end guarantees of the wire codec and streaming pipeline:
-//! wire ingestion is bit-identical to in-memory ingestion, streamed
-//! results are bit-identical for any decoder count, and every
-//! single-bit corruption of a frame is detected, never silently
-//! ingested.
+//! End-to-end guarantees of the wire codec and ingest: wire ingestion
+//! — batched and per-row reference alike — is bit-identical to
+//! in-memory ingestion, and every single-bit corruption of a frame is
+//! detected, never silently ingested.
 
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
-use tdp_parallel::WorkerPool;
 use tdp_wire::{
-    ingest_serial, ingest_serial_with, stream_window, stream_window_with, HealthState, IngestState,
-    StreamConfig, WireEncoder,
+    ingest_reference_with, ingest_serial, ingest_serial_with, HealthState, IngestState, WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -128,52 +125,12 @@ fn wire_ingestion_is_bit_identical_to_in_memory() {
     assert_eq!(batch_bits(&est), ref_cols, "columns must match bit for bit");
     let totals: Vec<u64> = est.estimate().total().iter().map(|v| v.to_bits()).collect();
     assert_eq!(totals, ref_totals, "estimates must match bit for bit");
-}
 
-#[test]
-fn streamed_result_is_bit_identical_across_decoder_counts() {
-    let sets = fleet_window(101);
-    let wire = encode_window(&sets);
-    let (ref_cols, ref_totals) = reference_bits(&sets);
-
-    // Pool sizes 1 (serial fused), 2 (one decoder), 3 (two decoders)
-    // and a wider pool; lossless mode must agree bit for bit with the
-    // in-memory reference in every configuration, and with a tiny ring
-    // that forces real backpressure.
-    for (workers, ring_capacity) in [(1, 8), (2, 2), (3, 8), (4, 2), (8, 4)] {
-        let pool = WorkerPool::new(workers);
-        let cfg = StreamConfig {
-            ring_capacity,
-            chunk_rows: 7,
-            ..StreamConfig::default()
-        };
-        let mut est = FleetEstimator::new(SystemPowerModel::paper());
-        let report = stream_window(&pool, &cfg, &wire, sets.len(), &mut est);
-        assert_eq!(report.rows_written, 101, "workers {workers}");
-        assert_eq!(report.dropped_rows, 0, "lossless mode never drops");
-        // A single-worker pool still decodes with one (fused) decoder.
-        assert_eq!(report.decoders, workers.saturating_sub(1).clamp(1, 101));
-        assert_eq!(batch_bits(&est), ref_cols, "workers {workers}");
-        let totals: Vec<u64> = est.estimate().total().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(totals, ref_totals, "workers {workers}");
-    }
-}
-
-#[test]
-fn explicit_decoder_request_is_honoured_and_clamped() {
-    let sets = fleet_window(9);
-    let wire = encode_window(&sets);
-    let pool = WorkerPool::new(4);
-    for (requested, expect) in [(1, 1), (2, 2), (3, 3), (7, 3)] {
-        let cfg = StreamConfig {
-            decoders: requested,
-            ..StreamConfig::default()
-        };
-        let mut est = FleetEstimator::new(SystemPowerModel::paper());
-        let report = stream_window(&pool, &cfg, &wire, sets.len(), &mut est);
-        assert_eq!(report.decoders, expect, "requested {requested}");
-        assert_eq!(report.rows_written, 9);
-    }
+    // The per-row reference lands on the same bits and counters.
+    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
+    let ref_report = ingest_reference_with(&mut IngestState::new(), &wire, 37, &mut ref_est);
+    assert_eq!(ref_report, report, "reference counters");
+    assert_eq!(batch_bits(&ref_est), ref_cols, "reference columns");
 }
 
 #[test]
@@ -300,48 +257,6 @@ fn sample_frame_without_its_layout_is_counted_not_guessed() {
 }
 
 #[test]
-fn single_worker_pool_takes_the_serial_fused_path_deterministically() {
-    // With one worker there is no room for a decoder shard plus a
-    // consumer, so `stream_window` must fall back to the serial fused
-    // path (reported as one decoder: the fused one) — and that fallback must be
-    // indistinguishable, bit for bit and counter for counter, from
-    // calling `ingest_serial_with` directly, across repeated windows.
-    let machines = 13usize;
-    let pool = WorkerPool::new(1);
-    let cfg = StreamConfig {
-        decoders: 4, // an explicit request cannot outvote the pool size
-        ..StreamConfig::default()
-    };
-    let mut pooled_state = IngestState::new();
-    let mut serial_state = IngestState::new();
-    let mut pooled_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-    for seq in 0..3u64 {
-        let sets: Vec<SampleSet> = (0..machines)
-            .map(|m| synthetic_set(m as u64, seq, &LAYOUT))
-            .collect();
-        let buf = encode_window(&sets);
-
-        let pooled = stream_window_with(
-            &mut pooled_state,
-            &pool,
-            &cfg,
-            &buf,
-            machines,
-            &mut pooled_est,
-        );
-        assert_eq!(pooled.decoders, 1, "window {seq}: must report serial path");
-        let serial = ingest_serial_with(&mut serial_state, &buf, machines, &mut serial_est);
-        assert_eq!(pooled, serial, "window {seq}: reports must be identical");
-        assert_eq!(
-            batch_bits(&pooled_est),
-            batch_bits(&serial_est),
-            "window {seq}: batches must be identical"
-        );
-    }
-}
-
-#[test]
 fn counter_reset_is_rebaselined_not_poisoned() {
     // A machine reboots mid-stream: its window sequence rewinds to
     // zero. Counters are read-and-clear, so the post-reboot row is a
@@ -386,43 +301,17 @@ fn counter_reset_is_rebaselined_not_poisoned() {
 }
 
 #[test]
-fn drop_mode_accounts_for_every_row() {
-    let sets = fleet_window(257);
-    let wire = encode_window(&sets);
-    let pool = WorkerPool::new(3);
-    let cfg = StreamConfig {
-        ring_capacity: 2,
-        chunk_rows: 4,
-        drop_when_full: true,
-        ..StreamConfig::default()
-    };
-    let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let report = stream_window(&pool, &cfg, &wire, sets.len(), &mut est);
-    // Shedding is timing-dependent, but accounting never is: every
-    // decoded row is either written or counted as dropped.
-    assert_eq!(report.rows_written + report.dropped_rows, 257);
-    assert_eq!(report.sample_frames, 257);
-}
-
-#[test]
 fn persistent_state_decodes_steady_state_streams() {
     // A long-lived producer announces layouts once; every later window
     // is sample frames only. Persistent `IngestState` must decode every
     // such window fully and bit-identically to in-memory ingestion; a
     // cold decoder on the same bytes must count the frames unknown.
     let machines = 23usize;
-    let pool = WorkerPool::global();
-    let cfg = StreamConfig {
-        decoders: 3,
-        ring_capacity: 4,
-        chunk_rows: 5,
-        drop_when_full: false,
-    };
     let mut enc = WireEncoder::new();
     let mut serial_state = IngestState::new();
-    let mut stream_state = IngestState::new();
+    let mut ref_state = IngestState::new();
     let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut stream_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
     for seq in 0..4u64 {
         let sets: Vec<SampleSet> = (0..machines)
             .map(|m| synthetic_set(m as u64, seq, &LAYOUT))
@@ -439,20 +328,13 @@ fn persistent_state_decodes_steady_state_streams() {
             assert_eq!(rep.layout_frames, 0, "steady state re-announces nothing");
         }
 
-        let rep = stream_window_with(
-            &mut stream_state,
-            pool,
-            &cfg,
-            &buf,
-            machines,
-            &mut stream_est,
-        );
+        let rep = ingest_reference_with(&mut ref_state, &buf, machines, &mut ref_est);
         assert_eq!(rep.rows_written, machines as u64);
         assert_eq!(rep.unknown_layout_frames, 0);
 
         let (ref_cols, ref_totals) = reference_bits(&sets);
         assert_eq!(batch_bits(&serial_est), ref_cols, "window {seq}: serial");
-        assert_eq!(batch_bits(&stream_est), ref_cols, "window {seq}: streamed");
+        assert_eq!(batch_bits(&ref_est), ref_cols, "window {seq}: reference");
         let totals: Vec<u64> = serial_est
             .estimate()
             .total()
@@ -492,20 +374,15 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
     // Eight machines granted decimation 4 after their first window:
     // phase-staggered, two transmit per window, the other six are
     // reconstructed at their last transmitted row — bit-exactly, with
-    // no health downgrade, identically under serial and sharded ingest.
+    // no health downgrade, identically under batched and per-row
+    // reference ingest.
     const MACHINES: usize = 8;
     const DEC: u16 = 4;
-    let pool = WorkerPool::new(4);
-    let cfg = StreamConfig {
-        ring_capacity: 4,
-        chunk_rows: 3,
-        ..StreamConfig::default()
-    };
     let mut enc = WireEncoder::new();
     let mut serial_state = IngestState::new();
-    let mut sharded_state = IngestState::new();
+    let mut ref_state = IngestState::new();
     let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut sharded_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
     let mut last_sent = [0u64; MACHINES];
     for w in 0..12u64 {
         if w == 1 {
@@ -532,24 +409,11 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
         );
         let buf = enc.take_bytes();
         let serial = ingest_serial_with(&mut serial_state, &buf, MACHINES, &mut serial_est);
-        let sharded = stream_window_with(
-            &mut sharded_state,
-            &pool,
-            &cfg,
-            &buf,
-            MACHINES,
-            &mut sharded_est,
-        );
+        let per_row = ingest_reference_with(&mut ref_state, &buf, MACHINES, &mut ref_est);
         assert_eq!(serial.rows_written, MACHINES as u64, "window {w}");
         assert_eq!(serial.sample_frames, senders, "window {w}");
-        assert_eq!(serial.rows_written, sharded.rows_written, "window {w}");
-        assert_eq!(serial.rows_reconstructed, sharded.rows_reconstructed);
-        assert_eq!(serial.rows_held, sharded.rows_held);
-        assert_eq!(
-            batch_bits(&serial_est),
-            batch_bits(&sharded_est),
-            "window {w}"
-        );
+        assert_eq!(serial, per_row, "window {w}");
+        assert_eq!(batch_bits(&serial_est), batch_bits(&ref_est), "window {w}");
 
         // Bit-exact reference: every machine's row is the in-memory
         // extraction of its last *transmitted* window.

@@ -6,20 +6,38 @@
 //! `Machine::read_counters_into` must run without heap allocation —
 //! and a whole fleet estimation window
 //! (`tdp_fleet::FleetEstimator`) must allocate nothing at all.
+//!
+//! The count is per thread and armed only around each test's measured
+//! stretch, so tests running in parallel (libtest's default) never see
+//! each other's allocations. Every measured path is single-threaded.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig, TickActivity};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count while armed; `None` when not
+    /// measuring. Const-initialised and drop-free, so touching it from
+    /// inside the allocator never allocates.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_allocation() {
+    // `try_with`: the slot may already be gone during thread teardown.
+    let _ = ALLOCATIONS.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -28,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,8 +54,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` with this thread's counter armed and returns how many
+/// allocations (and reallocations) it made on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCATIONS
+        .with(|c| c.replace(None))
+        .expect("counter armed above")
 }
 
 /// A machine running four busy compute threads, ticked past warm-up so
@@ -60,11 +84,11 @@ fn warmed_machine() -> (Machine, TickActivity) {
 fn steady_state_tick_into_does_not_allocate() {
     let (mut machine, mut activity) = warmed_machine();
     const TICKS: u64 = 10_000;
-    let before = allocations();
-    for _ in 0..TICKS {
-        machine.tick_into(&mut activity);
-    }
-    let delta = allocations() - before;
+    let delta = allocations_in(|| {
+        for _ in 0..TICKS {
+            machine.tick_into(&mut activity);
+        }
+    });
     // The contract is zero steady-state allocations; a tiny budget
     // absorbs one-off buffer growth if a scratch vector crosses a
     // capacity threshold mid-measurement.
@@ -87,14 +111,14 @@ fn steady_state_counter_reads_do_not_allocate() {
         }
         machine.read_counters_into(&mut set);
     }
-    let before = allocations();
-    for _ in 0..50 {
-        for _ in 0..100 {
-            machine.tick_into(&mut activity);
+    let delta = allocations_in(|| {
+        for _ in 0..50 {
+            for _ in 0..100 {
+                machine.tick_into(&mut activity);
+            }
+            machine.read_counters_into(&mut set);
         }
-        machine.read_counters_into(&mut set);
-    }
-    let delta = allocations() - before;
+    });
     assert!(
         delta <= 8,
         "50 sampling windows allocated {delta} times — \
@@ -127,15 +151,15 @@ fn steady_state_fleet_window_does_not_allocate() {
         fleet.estimate();
     }
 
-    let before = allocations();
-    for _ in 0..50 {
-        fleet.begin_window();
-        for _ in 0..MACHINES {
-            fleet.push_sample_set(&set);
+    let delta = allocations_in(|| {
+        for _ in 0..50 {
+            fleet.begin_window();
+            for _ in 0..MACHINES {
+                fleet.push_sample_set(&set);
+            }
+            std::hint::black_box(fleet.estimate().fleet_total());
         }
-        std::hint::black_box(fleet.estimate().fleet_total());
-    }
-    let delta = allocations() - before;
+    });
     assert_eq!(
         delta, 0,
         "50 fleet windows allocated {delta} times — the steady-state \
@@ -188,13 +212,18 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
         est.estimate();
     }
 
-    let before = allocations();
-    for buf in &bufs[PRIME..] {
-        let rep = tdp_wire::ingest_serial_with(&mut state, buf, MACHINES, &mut est);
-        assert_eq!(rep.rows_written, MACHINES as u64, "clean windows commit");
-        std::hint::black_box(est.estimate().fleet_total());
-    }
-    let delta = allocations() - before;
+    let mut rows = 0u64;
+    let delta = allocations_in(|| {
+        for buf in &bufs[PRIME..] {
+            rows += tdp_wire::ingest_serial_with(&mut state, buf, MACHINES, &mut est).rows_written;
+            std::hint::black_box(est.estimate().fleet_total());
+        }
+    });
+    assert_eq!(
+        rows,
+        (WINDOWS * MACHINES) as u64,
+        "clean windows commit every row"
+    );
     assert_eq!(
         delta, 0,
         "{WINDOWS} fused planar windows allocated {delta} times — the \
@@ -205,12 +234,15 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
 #[test]
 fn allocating_tick_wrapper_still_works() {
     // The compatibility wrapper allocates per call by design; assert it
-    // produces the same activity as the in-place path on a twin machine.
+    // produces the same activity as the in-place path on a twin machine,
+    // and that the counter sees the wrapper's own allocations.
     let (mut a, mut buf) = warmed_machine();
     let (mut b, _) = warmed_machine();
     for _ in 0..100 {
         a.tick_into(&mut buf);
-        let owned = b.tick();
-        assert_eq!(buf, owned);
+        let mut owned = None;
+        let delta = allocations_in(|| owned = Some(b.tick()));
+        assert!(delta > 0, "the allocating wrapper must be counted");
+        assert_eq!(Some(&buf), owned.as_ref());
     }
 }
