@@ -1,6 +1,6 @@
 //! Criterion benches for the fleet-scale batched estimation path.
 //!
-//! Companion to `repro --fleet N` (which measures the full three-way
+//! Companion to `repro --fleet N` (which measures the naive-vs-batched
 //! comparison and writes `BENCH_fleet.json`): these isolate the
 //! per-window costs at a fixed fleet size so regressions show up as
 //! per-iteration deltas.
@@ -9,7 +9,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
-use tdp_parallel::WorkerPool;
 use trickledown::{SystemPowerEstimator, SystemPowerModel};
 
 const MACHINES: usize = 256;
@@ -72,15 +71,9 @@ fn bench_fleet_window(c: &mut Criterion) {
         })
     });
 
-    let mut serial = FleetEstimator::with_capacity(model.clone(), MACHINES);
+    let mut serial = FleetEstimator::with_capacity(model, MACHINES);
     c.bench_function("fleet/batched_serial_256", |b| {
         b.iter(|| black_box(serial.process_window(&sets).fleet_total()))
-    });
-
-    let pool = WorkerPool::global();
-    let mut pooled = FleetEstimator::with_capacity(model.clone(), MACHINES);
-    c.bench_function("fleet/batched_pooled_256", |b| {
-        b.iter(|| black_box(pooled.process_window_pooled(pool, &sets).fleet_total()))
     });
 }
 

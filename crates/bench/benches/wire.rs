@@ -151,7 +151,6 @@ fn bench_wire_stages(c: &mut Criterion) {
                         payload,
                         header.n_events as usize,
                         header.cpu_count as usize,
-                        false,
                         &mut lanes,
                         &mut ck,
                     )

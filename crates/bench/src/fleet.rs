@@ -1,19 +1,16 @@
 //! Fleet-scale estimation benchmark (`repro --fleet N`).
 //!
-//! Measures three ways of estimating power for N machines per window on
+//! Measures two ways of estimating power for N machines per window on
 //! *identical* synthetic counter data:
 //!
 //! * **naive** — one scalar [`trickledown::SystemPowerEstimator`] per
 //!   machine, a `push_sample_set` loop (the obvious pre-`tdp-fleet`
 //!   approach);
-//! * **batched** — [`tdp_fleet::FleetEstimator`]'s serial SoA path;
-//! * **pooled** — the same, sharded across the persistent
-//!   [`tdp_parallel::WorkerPool`] (bit-identical to batched by
-//!   contract, asserted here on the first window).
+//! * **batched** — [`tdp_fleet::FleetEstimator`]'s SoA path.
 //!
 //! Results land in `BENCH_fleet.json`: machines×windows per second for
-//! each path, ns per machine-estimate, the speedups over naive, and
-//! peak RSS.
+//! each path, ns per machine-estimate, the batched speedup over naive,
+//! and peak RSS.
 
 use crate::pipeline::{peak_rss_kb, StageRate};
 use crate::ExperimentConfig;
@@ -39,24 +36,20 @@ pub struct FleetReport {
     pub n_machines: usize,
     /// Windows processed per path.
     pub windows: u64,
-    /// Worker-pool concurrency used by the pooled path.
+    /// Workers in the host's global pool
+    /// ([`tdp_parallel::WorkerPool::global`]); both timed paths run on
+    /// one thread.
     pub workers: usize,
     /// Naive path: units are machine-windows.
     pub naive: StageRate,
-    /// Batched serial path.
+    /// Batched path.
     pub batched: StageRate,
-    /// Batched path sharded over the persistent pool.
-    pub pooled: StageRate,
     /// Nanoseconds per machine-estimate, naive path.
     pub naive_ns_per_estimate: f64,
-    /// Nanoseconds per machine-estimate, batched serial path.
+    /// Nanoseconds per machine-estimate, batched path.
     pub batched_ns_per_estimate: f64,
-    /// Nanoseconds per machine-estimate, pooled path.
-    pub pooled_ns_per_estimate: f64,
-    /// Batched-serial speedup over naive (machines×windows/sec ratio).
+    /// Batched speedup over naive (machines×windows/sec ratio).
     pub speedup_batched: f64,
-    /// Pooled speedup over naive — the headline number.
-    pub speedup_pooled: f64,
     /// Peak resident set (VmHWM), kilobytes; 0 when unavailable.
     pub peak_rss_kb: u64,
     /// Kernel dispatch flavour the run used (`scalar` / `wide` — see
@@ -150,7 +143,7 @@ pub(crate) fn refill_sets(sets: &mut Vec<SampleSet>, n_machines: usize, window: 
     }
 }
 
-/// Runs all three paths over the same windows and assembles the report.
+/// Runs both paths over the same windows and assembles the report.
 pub fn run(cfg: &ExperimentConfig, n_machines: usize) -> FleetReport {
     let n_machines = n_machines.max(1);
     // Enough windows that per-window timing noise (scheduler
@@ -158,16 +151,14 @@ pub fn run(cfg: &ExperimentConfig, n_machines: usize) -> FleetReport {
     // fleets still finish promptly.
     let windows: u64 = (1_048_576 / n_machines as u64).clamp(16, 1024);
     let model = SystemPowerModel::paper();
-    let pool = WorkerPool::global();
 
     let mut naive: Vec<SystemPowerEstimator> = (0..n_machines)
         .map(|_| SystemPowerEstimator::with_capacity(model.clone(), NAIVE_HISTORY))
         .collect();
-    let mut serial = FleetEstimator::with_capacity(model.clone(), n_machines);
-    let mut pooled = FleetEstimator::with_capacity(model.clone(), n_machines);
+    let mut batched = FleetEstimator::with_capacity(model.clone(), n_machines);
 
     let mut sets: Vec<SampleSet> = Vec::with_capacity(n_machines);
-    let (mut naive_secs, mut batched_secs, mut pooled_secs) = (0.0f64, 0.0, 0.0);
+    let (mut naive_secs, mut batched_secs) = (0.0f64, 0.0);
 
     // Warm-up window: fault in buffers and reach the allocation-free
     // steady state before timing starts (seeded off the seed so the
@@ -178,13 +169,13 @@ pub fn run(cfg: &ExperimentConfig, n_machines: usize) -> FleetReport {
             let window = if warmup { u64::MAX } else { w ^ cfg.seed };
             refill_sets(&mut sets, n_machines, window);
 
-            // Rotate the order the three paths run in so cache-warmth
+            // Alternate the order the two paths run in so cache-warmth
             // position bias (whoever runs right after `sets` is
             // regenerated sees it hottest) averages out over windows.
             let mut naive_total = 0.0;
-            let (mut naive_elapsed, mut batched_elapsed, mut pooled_elapsed) = (0.0f64, 0.0, 0.0);
-            for step in 0..3 {
-                match (step + w as usize) % 3 {
+            let (mut naive_elapsed, mut batched_elapsed) = (0.0f64, 0.0);
+            for step in 0..2 {
+                match (step + w as usize) % 2 {
                     0 => {
                         let start = Instant::now();
                         naive_total = 0.0;
@@ -194,31 +185,19 @@ pub fn run(cfg: &ExperimentConfig, n_machines: usize) -> FleetReport {
                         naive_elapsed = start.elapsed().as_secs_f64();
                         std::hint::black_box(naive_total);
                     }
-                    1 => {
-                        let start = Instant::now();
-                        let serial_est = serial.process_window(&sets);
-                        batched_elapsed = start.elapsed().as_secs_f64();
-                        std::hint::black_box(serial_est.fleet_total());
-                    }
                     _ => {
                         let start = Instant::now();
-                        let pooled_est = pooled.process_window_pooled(pool, &sets);
-                        pooled_elapsed = start.elapsed().as_secs_f64();
-                        std::hint::black_box(pooled_est.fleet_total());
+                        let est = batched.process_window(&sets);
+                        batched_elapsed = start.elapsed().as_secs_f64();
+                        std::hint::black_box(est.fleet_total());
                     }
                 }
             }
 
             if warmup {
-                // Determinism spot-check on untimed data: pooled must be
-                // bit-identical to serial, and both within float noise of
-                // the scalar estimators.
-                let serial_est = serial.estimates();
-                let pooled_est = pooled.estimates();
-                assert_eq!(serial_est.total(), pooled_est.total());
-                assert_eq!(serial_est.cpu(), pooled_est.cpu());
-                assert_eq!(serial_est.disk(), pooled_est.disk());
-                let batched_fleet_total = serial_est.fleet_total();
+                // Spot-check on untimed data: batched must be within
+                // float noise of the scalar estimators.
+                let batched_fleet_total = batched.estimates().fleet_total();
                 assert!(
                     (naive_total - batched_fleet_total).abs()
                         < 1e-6 * batched_fleet_total.abs().max(1.0),
@@ -227,7 +206,6 @@ pub fn run(cfg: &ExperimentConfig, n_machines: usize) -> FleetReport {
             } else {
                 naive_secs += naive_elapsed;
                 batched_secs += batched_elapsed;
-                pooled_secs += pooled_elapsed;
             }
         }
     }
@@ -235,19 +213,15 @@ pub fn run(cfg: &ExperimentConfig, n_machines: usize) -> FleetReport {
     let units = windows * n_machines as u64;
     let naive_rate = StageRate::new(units, naive_secs);
     let batched_rate = StageRate::new(units, batched_secs);
-    let pooled_rate = StageRate::new(units, pooled_secs);
     FleetReport {
         n_machines,
         windows,
-        workers: pool.workers(),
+        workers: WorkerPool::global().workers(),
         naive_ns_per_estimate: naive_secs * 1e9 / units as f64,
         batched_ns_per_estimate: batched_secs * 1e9 / units as f64,
-        pooled_ns_per_estimate: pooled_secs * 1e9 / units as f64,
         speedup_batched: batched_rate.per_sec / naive_rate.per_sec,
-        speedup_pooled: pooled_rate.per_sec / naive_rate.per_sec,
         naive: naive_rate,
         batched: batched_rate,
-        pooled: pooled_rate,
         peak_rss_kb: peak_rss_kb(),
         simd: tdp_simd::Dispatch::active().label(),
     }
@@ -315,7 +289,6 @@ mod tests {
         assert_eq!(r.n_machines, 8);
         assert_eq!(r.naive.units, r.windows * 8);
         assert!(r.naive.per_sec > 0.0);
-        assert!(r.speedup_batched > 0.0);
-        assert!((r.speedup_pooled - r.pooled.per_sec / r.naive.per_sec).abs() < 1e-12);
+        assert!((r.speedup_batched - r.batched.per_sec / r.naive.per_sec).abs() < 1e-12);
     }
 }

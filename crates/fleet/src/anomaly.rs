@@ -42,21 +42,10 @@
 //! roughly `N×` while anomalous machines keep full resolution: trace
 //! the problem, not the process.
 //!
-//! # Bit-identity contract
-//!
-//! The baseline refresh is serial in both entry points; the
-//! per-machine judgement is a pure function of `(machine state,
-//! baseline)`. [`AnomalyDetector::update_pooled`] shards only that
-//! elementwise phase, so serial and pooled updates leave **bit-identical**
-//! detector state for any worker count — pinned by
-//! [`AnomalyDetector::digest`] in the chaos suite, the same contract
-//! every other sharded stage of the pipeline honours.
-//!
 //! [`tdp-wire`]: ../tdp_wire/index.html
 //! [`WireEncoder::set_decimation`]: ../tdp_wire/struct.WireEncoder.html#method.set_decimation
 
 use crate::FleetEstimates;
-use tdp_parallel::WorkerPool;
 
 /// Subsystems the detector watches: CPU, memory, disk, I/O. Chipset is
 /// a per-machine constant and total is the sum of the others — neither
@@ -137,8 +126,7 @@ pub struct AnomalySummary {
 /// Streaming per-machine anomaly detector; see the [module docs](self).
 ///
 /// State is structure-of-arrays: one dense vector per per-machine
-/// field, indexed by machine id, exactly like the wire health ledger —
-/// the pooled update shards contiguous index ranges of them.
+/// field, indexed by machine id, exactly like the wire health ledger.
 #[derive(Debug, Clone)]
 pub struct AnomalyDetector {
     cfg: AnomalyConfig,
@@ -184,8 +172,7 @@ fn median_in(vals: &mut [f64]) -> f64 {
 }
 
 /// The pure per-machine judgement: worst-subsystem z against the
-/// baseline, then the verdict transition. Both update entry points call
-/// exactly this, which is what makes them bit-identical.
+/// baseline, then the verdict transition.
 #[inline]
 fn judge(
     cfg: &AnomalyConfig,
@@ -284,29 +271,6 @@ impl AnomalyDetector {
         s
     }
 
-    /// A mixing digest of the full detector state (window count, ring,
-    /// every machine's z/verdict/hold) — two states are bit-identical
-    /// iff their digests match, which is how the chaos suite pins the
-    /// serial == pooled contract.
-    pub fn digest(&self) -> u64 {
-        const K: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mix = |h: u64, w: u64| (h.rotate_left(25) ^ w).wrapping_mul(K);
-        let mut h = mix(0x7464_705f_616e_6f6d, self.windows);
-        h = mix(h, self.ring_len as u64);
-        h = mix(h, self.ring_head as u64);
-        for s in 0..SUBSYSTEMS {
-            for &d in &self.ring_denom[s] {
-                h = mix(h, d.to_bits());
-            }
-        }
-        for ((&z, &v), &hold) in self.z.iter().zip(&self.verdict).zip(&self.hold) {
-            h = mix(h, z.to_bits());
-            h = mix(h, v as u64);
-            h = mix(h, hold as u64);
-        }
-        h
-    }
-
     /// Grows the per-machine state to `n` machines (never shrinks; new
     /// machines start Normal with no history).
     fn ensure(&mut self, n: usize) {
@@ -317,7 +281,7 @@ impl AnomalyDetector {
         }
     }
 
-    /// The serial phase both entry points share: this window's
+    /// The fleet-wide phase of an update: this window's
     /// cross-sectional median per subsystem (the operative center —
     /// fleet-wide swings cancel against it) and MAD scale, the scale
     /// pushed into the ring, and the operative scale (ring median)
@@ -356,7 +320,7 @@ impl AnomalyDetector {
     }
 
     /// Observes one window of fleet estimates and re-judges every
-    /// machine, serially. Allocation-free in the steady state.
+    /// machine. Allocation-free in the steady state.
     pub fn update(&mut self, est: &FleetEstimates) {
         let n = est.len();
         self.ensure(n);
@@ -370,41 +334,6 @@ impl AnomalyDetector {
             self.z[m] = z;
             self.verdict[m] = v;
             self.hold[m] = hold;
-        }
-    }
-
-    /// [`update`](Self::update) with the per-machine judgement sharded
-    /// across `pool`. The baseline refresh stays serial and the
-    /// judgement is a pure per-machine function, so the resulting state
-    /// is bit-identical to the serial update for any worker count.
-    pub fn update_pooled(&mut self, est: &FleetEstimates, pool: &WorkerPool) {
-        let n = est.len();
-        self.ensure(n);
-        let cols = [est.cpu(), est.memory(), est.disk(), est.io()];
-        let base = self.refresh_baseline(&cols);
-        let warmed = self.warmed();
-        // Contiguous index ranges, judged in parallel from immutable
-        // state, written back in order — elementwise, so sharding
-        // cannot reorder or change any machine's arithmetic.
-        const CHUNK: usize = 256;
-        let cfg = self.cfg;
-        let prev_hold = &self.hold;
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(CHUNK)
-            .map(|s| (s, (s + CHUNK).min(n)))
-            .collect();
-        let judged: Vec<Vec<(f64, Verdict, u32)>> = pool.par_map(ranges, |(lo, hi)| {
-            (lo..hi)
-                .map(|m| {
-                    let x = [cols[0][m], cols[1][m], cols[2][m], cols[3][m]];
-                    judge(&cfg, &base, x, prev_hold[m], warmed)
-                })
-                .collect()
-        });
-        for (i, (z, v, hold)) in judged.into_iter().flatten().enumerate() {
-            self.z[i] = z;
-            self.verdict[i] = v;
-            self.hold[i] = hold;
         }
     }
 }
@@ -528,23 +457,5 @@ mod tests {
         for m in 0..16 {
             assert_eq!(det.decimation(m), 1);
         }
-    }
-
-    #[test]
-    fn pooled_update_is_bit_identical_to_serial() {
-        let pool = tdp_parallel::WorkerPool::new(4);
-        let mut est = FleetEstimator::new(SystemPowerModel::paper());
-        let mut serial = AnomalyDetector::default();
-        let mut pooled = AnomalyDetector::default();
-        for w in 0..14 {
-            // A spike appears (and disappears) mid-run to exercise
-            // every verdict transition under both drivers.
-            let spike = (9..11).contains(&w).then_some(5);
-            let e = estimates_for(&mut est, 700, w, spike);
-            serial.update(&e);
-            pooled.update_pooled(&e, &pool);
-            assert_eq!(serial.digest(), pooled.digest(), "window {w}");
-        }
-        assert!(serial.summary().max_z > 0.0);
     }
 }

@@ -151,9 +151,8 @@ impl SampleBatch {
 
     /// Overwrites row `machine` with a pre-aggregated column row — the
     /// indexed counterpart of [`push_row`](Self::push_row) for writers
-    /// that place machines at fixed positions (the streaming wire
-    /// ingest keys rows by machine id so decoder sharding cannot change
-    /// results).
+    /// that place machines at fixed positions (wire ingest keys rows by
+    /// machine id).
     ///
     /// # Panics
     ///
@@ -177,7 +176,8 @@ impl SampleBatch {
     }
 
     /// Resizes every column to `machines` rows for the indexed write
-    /// paths ([`set_row`](Self::set_row) and the pooled shard writer).
+    /// paths ([`set_row`](Self::set_row) and
+    /// [`FleetEstimator::process_window`](crate::FleetEstimator::process_window)).
     /// Rows grown beyond the current length are zeroed; rows already
     /// present keep their values (call [`clear`](Self::clear) first for
     /// an all-zero window).
@@ -187,7 +187,8 @@ impl SampleBatch {
         }
     }
 
-    /// All columns as mutable slices, for the sharded write path.
+    /// All columns as mutable slices, for the indexed bulk extraction
+    /// of [`FleetEstimator::process_window`](crate::FleetEstimator::process_window).
     pub(crate) fn col_slices_mut(&mut self) -> [&mut [f64]; COLUMNS] {
         let mut it = self.cols.iter_mut();
         std::array::from_fn(|_| it.next().expect("13 columns").as_mut_slice())

@@ -4,7 +4,6 @@
 use crate::batch::{col, extract_sets_into, LayoutCache, SampleBatch, COLUMNS};
 use crate::kernels::{add_assign, axpy, clamp_predictions, fill, quadratic, quadratic_acc};
 use tdp_counters::{SampleSet, Subsystem};
-use tdp_parallel::WorkerPool;
 use tdp_powermeter::SubsystemPower;
 use trickledown::{MemoryInput, SystemPowerModel, SystemSample};
 
@@ -87,9 +86,8 @@ impl FleetEstimates {
     /// Total estimated watts across the whole fleet.
     ///
     /// Reduced with [`crate::kernels::sum`]'s fixed four-accumulator
-    /// association: identical across dispatch modes (and across serial
-    /// vs sharded evaluation, since the reduction always runs over the
-    /// whole assembled column), a few ulp from a sequential sum.
+    /// association: identical across dispatch modes, a few ulp from a
+    /// sequential sum.
     pub fn fleet_total(&self) -> f64 {
         crate::kernels::sum(&self.cols[OUT_TOTAL])
     }
@@ -118,8 +116,7 @@ impl FleetEstimates {
 /// Evaluates the model over whole columns, returning how many
 /// subsystem predictions had to be clamped to their valid range (a
 /// pipeline-health signal: non-zero means some machine reported rates
-/// outside what the models were calibrated for). Elementwise — the
-/// basis of the serial == sharded determinism guarantee.
+/// outside what the models were calibrated for).
 fn evaluate(
     model: &SystemPowerModel,
     cols: &[&[f64]; COLUMNS],
@@ -212,12 +209,7 @@ fn evaluate(
 /// Per window the cycle is: [`begin_window`](Self::begin_window), one
 /// [`push_sample_set`](Self::push_sample_set) per machine, then
 /// [`estimate`](Self::estimate) — or hand the whole window's sets to
-/// [`process_window`](Self::process_window) /
-/// [`process_window_pooled`](Self::process_window_pooled). The pooled
-/// path shards machines across a persistent
-/// [`WorkerPool`] and is bit-identical to the serial path for any
-/// worker count (every kernel is elementwise; see
-/// [`kernels`](crate::kernels)).
+/// [`process_window`](Self::process_window).
 ///
 /// # Example
 ///
@@ -289,9 +281,9 @@ impl FleetEstimator {
     }
 
     /// Mutable access to the current window's batch, for external
-    /// ingestion paths (the `tdp-wire` streaming pipeline sizes the
-    /// batch with [`SampleBatch::resize_rows`] and writes rows at fixed
-    /// machine indices with [`SampleBatch::set_row`]).
+    /// ingestion paths (`tdp-wire` ingest sizes the batch with
+    /// [`SampleBatch::resize_rows`] and writes rows at fixed machine
+    /// indices).
     pub fn batch_mut(&mut self) -> &mut SampleBatch {
         &mut self.batch
     }
@@ -329,98 +321,18 @@ impl FleetEstimator {
         &self.estimates
     }
 
-    /// One whole window, serially: clear, ingest every set, evaluate.
-    ///
-    /// Runs the same fused ingest-and-evaluate routine the pooled path
-    /// gives each shard (indexed column writes instead of per-column
-    /// pushes), over the whole fleet as one range.
+    /// One whole window: ingest every set (indexed column writes
+    /// instead of per-column pushes), then evaluate.
     pub fn process_window(&mut self, sets: &[SampleSet]) -> &FleetEstimates {
-        let n = sets.len();
-        self.batch.resize_rows(n);
-        self.estimates.resize_rows(n);
-        self.estimates.clamped = ingest_evaluate(
-            &self.model,
-            &mut self.batch.col_slices_mut(),
-            &mut self.estimates.col_slices_mut(),
+        self.batch.resize_rows(sets.len());
+        // Layout cache per call: all-inline, so no allocation.
+        extract_sets_into(
             sets,
+            &mut LayoutCache::default(),
+            &mut self.batch.col_slices_mut(),
         );
-        self.windows += 1;
-        &self.estimates
+        self.estimate()
     }
-
-    /// One whole window sharded across `pool`: each shard ingests and
-    /// evaluates a contiguous machine range, fused, so column data is
-    /// still cache-hot when the kernels consume it. Results are
-    /// bit-identical to [`process_window`](Self::process_window)
-    /// regardless of worker count.
-    pub fn process_window_pooled(
-        &mut self,
-        pool: &WorkerPool,
-        sets: &[SampleSet],
-    ) -> &FleetEstimates {
-        let n = sets.len();
-        self.batch.resize_rows(n);
-        self.estimates.resize_rows(n);
-
-        // Shard size: a few shards per worker for load balance, but
-        // wide enough that the column kernels still vectorise well.
-        // A single worker has nothing to balance, so it gets the whole
-        // fleet as one shard.
-        let workers = pool.workers().max(1);
-        let shard = if workers == 1 {
-            n.max(1)
-        } else {
-            n.div_ceil(workers * 4).max(16)
-        };
-
-        let mut col_rem = self.batch.col_slices_mut();
-        let mut out_rem = self.estimates.col_slices_mut();
-        let mut shards = Vec::with_capacity(n.div_ceil(shard));
-        let mut start = 0;
-        while start < n {
-            let take = shard.min(n - start);
-            let cols: [&mut [f64]; COLUMNS] = std::array::from_fn(|k| {
-                let rest = std::mem::take(&mut col_rem[k]);
-                let (head, tail) = rest.split_at_mut(take);
-                col_rem[k] = tail;
-                head
-            });
-            let outs: [&mut [f64]; OUT_COLUMNS] = std::array::from_fn(|k| {
-                let rest = std::mem::take(&mut out_rem[k]);
-                let (head, tail) = rest.split_at_mut(take);
-                out_rem[k] = tail;
-                head
-            });
-            shards.push((cols, outs, &sets[start..start + take]));
-            start += take;
-        }
-
-        let model = &self.model;
-        let per_shard = pool.par_map(shards, |(mut cols, mut outs, sets)| {
-            ingest_evaluate(model, &mut cols, &mut outs, sets)
-        });
-        self.estimates.clamped = per_shard.iter().sum();
-
-        self.windows += 1;
-        &self.estimates
-    }
-}
-
-/// Ingests `sets` into the column slices (indexed writes) and evaluates
-/// the model over them — the per-shard body of the pooled path, and the
-/// whole-fleet body of the serial one. Both call exactly this, which is
-/// what makes them bit-identical by construction.
-fn ingest_evaluate(
-    model: &SystemPowerModel,
-    cols: &mut [&mut [f64]; COLUMNS],
-    outs: &mut [&mut [f64]; OUT_COLUMNS],
-    sets: &[SampleSet],
-) -> u64 {
-    // Layout cache per call: all-inline, so no allocation.
-    let mut layout = LayoutCache::default();
-    extract_sets_into(sets, &mut layout, cols);
-    let shared: [&[f64]; COLUMNS] = cols.each_ref().map(|s| &**s);
-    evaluate(model, &shared, outs)
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //! pins:
 //!
 //! * every kernel is elementwise — `out[i]` depends only on position
-//!   `i` of the inputs — so sharded (parallel) evaluation is
-//!   bit-identical to serial;
+//!   `i` of the inputs — so a machine's estimate never depends on its
+//!   neighbours or on the fleet size;
 //! * the quadratic kernels evaluate `trickledown::quad_poly` /
 //!   `trickledown::clamp_watts`'s exact expressions, so batched and
 //!   scalar predictions agree bit for bit on identical aggregates (the

@@ -1,12 +1,10 @@
 //! Deterministic pooled parallel map on a persistent worker pool.
 //!
-//! The capture, calibration and fleet-estimation pipelines fan out over
-//! independent work items (one simulated workload trace each, one
-//! candidate-input subset each, or one shard of fleet machines each).
-//! The previous design spawned a fresh set of scoped threads per call
-//! and drained a `Mutex<VecDeque>` of items; at fleet rates (thousands
-//! of small shards per second) both the spawn cost and the queue lock
-//! dominate. This crate now keeps one persistent, parked worker pool
+//! The capture and calibration pipelines fan out over independent work
+//! items (one simulated workload trace each, or one candidate-input
+//! subset each). The previous design spawned a fresh set of scoped
+//! threads per call and drained a `Mutex<VecDeque>` of items; for many
+//! small items both the spawn cost and the queue lock dominate. This crate now keeps one persistent, parked worker pool
 //! per process and hands out work by **atomic chunk claiming**: items
 //! are pre-split into indexed chunks and workers claim the next chunk
 //! with a single `AtomicUsize::fetch_add` — no queue, no lock on the
@@ -18,9 +16,7 @@
 //! `items.map(f).collect()` regardless of worker count, chunk size,
 //! scheduling, or host core count. This is what lets `tdp-bench`
 //! guarantee that parallel trace capture equals a serial capture byte
-//! for byte, and lets `tdp-fleet` guarantee that a pool-sharded batch
-//! evaluation equals the serial column sweep bit for bit (the
-//! golden-trace determinism tests pin both, at 1, 2 and max workers).
+//! for byte (the golden-trace determinism tests pin it).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

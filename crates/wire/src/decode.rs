@@ -124,50 +124,10 @@ impl LayoutTable {
     }
 }
 
-/// Highest machine id the identity-directory memo will track. Ids at or
-/// past the cap simply skip memoisation (every frame takes the full
-/// validation path), so the cap bounds decoder memory without bounding
-/// the fleet.
-const MAX_DIR_MEMO: usize = 4096;
-
-/// One machine's memoised planar frame shape: the header geometry and
-/// width-directory bytes of its last **checksum-verified** planar
-/// frame, plus the layout entry that frame resolved to.
-///
-/// Steady-state planar streams repeat the same `(layout, cpu_count,
-/// width directory)` window after window — counter magnitudes drift
-/// slowly, so minimal widths rarely change — and when the next frame's
-/// header fields and directory bytes are byte-identical to a frame
-/// already validated, re-running the layout lookup, the geometry
-/// check, and the directory validation could only repeat their earlier
-/// verdict. The memo skips them; every per-plane bounds check and the
-/// full payload checksum still run per frame.
-#[derive(Debug, Clone, Copy)]
-struct DirEntry {
-    /// Value of [`FrameDecoder::layout_epoch`] when memoised; any
-    /// layout (re-)registration bumps the epoch and strands every memo,
-    /// so a remapped `layout_hash` can never be consumed through a
-    /// stale entry.
-    epoch: u64,
-    layout_hash: u64,
-    payload_len: u32,
-    n_events: u16,
-    cpus: u16,
-    /// The frame's width-directory bytes (first `n_events` meaningful).
-    dir: [u8; MAX_WIRE_EVENTS],
-    /// The resolved layout of the memoised frame.
-    entry: LayoutEntry,
-}
-
 /// Streaming frame decoder; see the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
     layouts: LayoutTable,
-    /// Bumped on every layout registration; see [`DirEntry::epoch`].
-    layout_epoch: u64,
-    /// Per-machine identity-directory memo, indexed by machine id
-    /// (grown lazily, capped at [`MAX_DIR_MEMO`]).
-    dir_memo: Vec<Option<DirEntry>>,
     /// Scratch for a varint frame's reconstructed counts, row-major
     /// (`cpu_count × n_events`); the delta chain unfolds in place.
     cur: Vec<u64>,
@@ -287,22 +247,7 @@ impl FrameDecoder {
         entry.identity = entry.n_events as usize == ROW_EVENTS.len()
             && entry.pos.iter().enumerate().all(|(k, &p)| p as usize == k);
         self.layouts.register(entry);
-        // A registration can remap an existing hash, so every
-        // identity-directory memo taken under the old table is stale:
-        // bumping the epoch strands them all (each machine revalidates
-        // once and re-memoises). The short-circuit return above keeps
-        // no-op re-announcements from paying this.
-        self.layout_epoch += 1;
         Ok(Decoded::Layout { decimation })
-    }
-
-    /// Drops the identity-directory memo for one machine — the hook for
-    /// stream-level eviction (a machine leaving the fleet, or an
-    /// operator reset); its next planar frame revalidates from scratch.
-    pub fn evict_dir_memo(&mut self, machine_id: u64) {
-        if let Some(slot) = self.dir_memo.get_mut(machine_id as usize) {
-            *slot = None;
-        }
     }
 
     /// Decodes a sample frame up to (but not including) the row
@@ -331,18 +276,11 @@ impl FrameDecoder {
             self.scan_planar(header, payload, &mut ck)
         } else {
             self.scan_sample(header, payload, &mut ck)
-                .map(|e| (e, true))
         };
         if header.checksum != ck.finish(payload) {
             return Err(DecodeError::Checksum);
         }
-        let (entry, memo_hit) = scanned?;
-        if planar && !memo_hit {
-            // Memoise only now — after the structural walk accepted the
-            // frame *and* the checksum proved it intact — so a corrupt
-            // or malformed frame can never seed the fast path.
-            self.store_dir_memo(header, payload, entry);
-        }
+        let entry = scanned?;
         let n = header.n_events as usize;
         let cpus = header.cpu_count as usize;
         if !planar {
@@ -367,93 +305,44 @@ impl FrameDecoder {
         })
     }
 
+    /// The layout a sample frame's header names, checked against the
+    /// header's event count.
+    fn resolve_layout(&mut self, header: &FrameHeader) -> Result<LayoutEntry, DecodeError> {
+        if header.n_events as usize > MAX_WIRE_EVENTS {
+            return Err(DecodeError::Malformed);
+        }
+        let entry = *self
+            .layouts
+            .lookup(header.layout_hash)
+            .ok_or(DecodeError::UnknownLayout)?;
+        if entry.n_events != header.n_events {
+            return Err(DecodeError::Malformed);
+        }
+        Ok(entry)
+    }
+
     /// The structural half of a planar sample decode: layout lookup,
     /// geometry checks, and the fused single-pass decode into the f64
     /// lane buffer (event-major — see [`crate::planar`]). Same contract
     /// as [`scan_sample`](Self::scan_sample): whatever this returns,
     /// the caller finishes the checksum and gives its verdict
-    /// precedence. The returned flag reports whether the
-    /// identity-directory memo supplied the layout (`true` = hit,
-    /// nothing to memoise).
+    /// precedence.
     fn scan_planar(
         &mut self,
         header: &FrameHeader,
         payload: &[u8],
         ck: &mut PayloadChecksum,
-    ) -> Result<(LayoutEntry, bool), DecodeError> {
-        let (entry, memo_hit) = match self.lookup_dir_memo(header, payload) {
-            Some(entry) => (entry, true),
-            None => {
-                if header.n_events as usize > MAX_WIRE_EVENTS {
-                    return Err(DecodeError::Malformed);
-                }
-                let entry = *self
-                    .layouts
-                    .lookup(header.layout_hash)
-                    .ok_or(DecodeError::UnknownLayout)?;
-                if entry.n_events != header.n_events {
-                    return Err(DecodeError::Malformed);
-                }
-                (entry, false)
-            }
-        };
+    ) -> Result<LayoutEntry, DecodeError> {
+        let entry = self.resolve_layout(header)?;
         crate::planar::decode_planes(
             payload,
             header.n_events as usize,
             header.cpu_count as usize,
-            memo_hit,
             &mut self.lanes,
             ck,
         )
         .ok_or(DecodeError::Malformed)?;
-        Ok((entry, memo_hit))
-    }
-
-    /// The identity-directory fast path: returns the memoised layout
-    /// entry iff this frame's geometry fields and width-directory bytes
-    /// are byte-identical to the machine's last checksum-verified
-    /// planar frame *and* no layout registration intervened. Directory
-    /// validation and the price floor are pure functions of exactly
-    /// those inputs, so a hit licenses `decode_planes` to skip them
-    /// (`dir_valid`); the per-plane bounds checks and the full payload
-    /// checksum still run.
-    #[inline]
-    fn lookup_dir_memo(&self, header: &FrameHeader, payload: &[u8]) -> Option<LayoutEntry> {
-        let m = self.dir_memo.get(header.machine_id as usize)?.as_ref()?;
-        let n = m.n_events as usize;
-        (m.epoch == self.layout_epoch
-            && m.layout_hash == header.layout_hash
-            && m.payload_len == header.payload_len
-            && m.n_events == header.n_events
-            && m.cpus == header.cpu_count
-            && payload.get(..n) == Some(&m.dir[..n]))
-        .then_some(m.entry)
-    }
-
-    /// Memoises a just-verified planar frame's shape for
-    /// [`lookup_dir_memo`](Self::lookup_dir_memo). Machine ids past
-    /// [`MAX_DIR_MEMO`] are not tracked; the slab grows lazily to the
-    /// highest tracked id.
-    fn store_dir_memo(&mut self, header: &FrameHeader, payload: &[u8], entry: LayoutEntry) {
-        let id = header.machine_id as usize;
-        let n = header.n_events as usize;
-        if id >= MAX_DIR_MEMO || payload.len() < n {
-            return;
-        }
-        if self.dir_memo.len() <= id {
-            self.dir_memo.resize(id + 1, None);
-        }
-        let mut dir = [0u8; MAX_WIRE_EVENTS];
-        dir[..n].copy_from_slice(&payload[..n]);
-        self.dir_memo[id] = Some(DirEntry {
-            epoch: self.layout_epoch,
-            layout_hash: header.layout_hash,
-            payload_len: header.payload_len,
-            n_events: header.n_events,
-            cpus: header.cpu_count,
-            dir,
-            entry,
-        });
+        Ok(entry)
     }
 
     /// The structural half of a sample decode: layout lookup, geometry
@@ -466,16 +355,7 @@ impl FrameDecoder {
         payload: &[u8],
         ck: &mut PayloadChecksum,
     ) -> Result<LayoutEntry, DecodeError> {
-        if header.n_events as usize > MAX_WIRE_EVENTS {
-            return Err(DecodeError::Malformed);
-        }
-        let entry = *self
-            .layouts
-            .lookup(header.layout_hash)
-            .ok_or(DecodeError::UnknownLayout)?;
-        if entry.n_events != header.n_events {
-            return Err(DecodeError::Malformed);
-        }
+        let entry = self.resolve_layout(header)?;
         let n = header.n_events as usize;
         let cpus = header.cpu_count as usize;
         let total = n * cpus;

@@ -125,8 +125,9 @@ pub enum FrameKind {
     /// delta-unfold instead of a serial varint walk.
     #[default]
     Planar,
-    /// Row-major LEB128 varints ([`FrameType::Sample`]); retained for
-    /// compatibility and as the A/B baseline.
+    /// Row-major LEB128 varints ([`FrameType::Sample`]); the smaller
+    /// frame on real 18-event counter windows (217.8 vs 251.0 B on a
+    /// 4-CPU server, 888.8 vs 1655.9 B on a 32-CPU one).
     Varint,
 }
 

@@ -119,14 +119,6 @@ pub(crate) fn encode_payload(buf: &mut Vec<u8>, set: &SampleSet) {
 /// payload, when the walk rejects) and gives its verdict precedence,
 /// exactly as for varint sample frames.
 ///
-/// `dir_valid` skips the directory nibble validation and the price
-/// floor when the caller has already proven this exact `(geometry,
-/// directory)` pair valid — the layout-epoch identity-directory memo
-/// (`FrameDecoder`) sets it only when the frame's directory bytes are
-/// byte-identical to a previously accepted frame's with identical
-/// geometry, so the skipped checks could only repeat their earlier
-/// verdict. Every per-lane/per-plane bounds check still runs.
-///
 /// Growth of `out` is bounded by the input: every base and delta lane
 /// is at least one byte, so `out` never exceeds `payload.len()`
 /// entries — a corrupt header cannot request an absurd allocation.
@@ -134,7 +126,6 @@ pub fn decode_planes(
     payload: &[u8],
     n_events: usize,
     cpus: usize,
-    dir_valid: bool,
     out: &mut Vec<f64>,
     ck: &mut PayloadChecksum,
 ) -> Option<()> {
@@ -144,24 +135,21 @@ pub fn decode_planes(
     }
     let stride = cpus.saturating_sub(1);
     let lanes = n + n * stride;
-    if !dir_valid {
-        // Nibble validation in one OR-reduce: a width code is legal iff
-        // it fits two bits, so a directory is legal iff no byte sets
-        // bits 2–3 or 6–7.
-        if payload[..n].iter().fold(0u8, |a, &b| a | b) & 0xcc != 0 {
-            return None;
-        }
-        // Price floor *before* sizing `out`: every base and delta
-        // lane is at least one byte, so a structurally valid payload
-        // carries no fewer than `n` directory bytes plus one byte per
-        // lane. A header whose cpu_count prices past the payload (a
-        // corrupt cpu_count can claim 65535 CPUs against a 100-byte
-        // payload) is rejected here, so `out` never exceeds
-        // `payload.len()` entries and a corrupt header cannot request
-        // an absurd allocation.
-        if payload.len() < n + lanes {
-            return None;
-        }
+    // Nibble validation in one OR-reduce: a width code is legal iff it
+    // fits two bits, so a directory is legal iff no byte sets bits 2–3
+    // or 6–7.
+    if payload[..n].iter().fold(0u8, |a, &b| a | b) & 0xcc != 0 {
+        return None;
+    }
+    // Price floor *before* sizing `out`: every base and delta lane is at
+    // least one byte, so a structurally valid payload carries no fewer
+    // than `n` directory bytes plus one byte per lane. A header whose
+    // cpu_count prices past the payload (a corrupt cpu_count can claim
+    // 65535 CPUs against a 100-byte payload) is rejected here, so `out`
+    // never exceeds `payload.len()` entries and a corrupt header cannot
+    // request an absurd allocation.
+    if payload.len() < n + lanes {
+        return None;
     }
     // The decode passes overwrite every entry, so resize only on a
     // geometry change (no steady-state memset) — same policy as the
@@ -329,20 +317,10 @@ mod tests {
         let h = header_for(payload.len(), cpus as u16, n as u16);
         let mut out = Vec::new();
         let mut ck = PayloadChecksum::new(&h);
-        decode_planes(payload, n, cpus, false, &mut out, &mut ck)?;
+        decode_planes(payload, n, cpus, &mut out, &mut ck)?;
         // The in-walk absorb cadence must agree with the one-shot
         // checksum.
         assert_eq!(ck.finish(payload), h.expected_checksum(payload));
-        // A pre-validated directory (the identity-directory fast path)
-        // must land on the same lanes and the same checksum.
-        let mut out2 = Vec::new();
-        let mut ck2 = PayloadChecksum::new(&h);
-        decode_planes(payload, n, cpus, true, &mut out2, &mut ck2).expect("dir_valid re-decode");
-        assert_eq!(ck2.finish(payload), ck.finish(payload));
-        assert_eq!(
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            out2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
         Some(out)
     }
 
@@ -451,7 +429,7 @@ mod tests {
         let h = header_for(payload.len(), u16::MAX, 3);
         let mut out = Vec::new();
         let mut ck = PayloadChecksum::new(&h);
-        assert!(decode_planes(&payload, 3, 65535, false, &mut out, &mut ck).is_none());
+        assert!(decode_planes(&payload, 3, 65535, &mut out, &mut ck).is_none());
         assert_eq!(out.capacity(), 0, "no lane-buffer growth on rejection");
     }
 

@@ -169,15 +169,6 @@ impl IngestState {
         self.ledger.seen(idx).then(|| self.ledger.state(idx))
     }
 
-    /// Drops the decoder's identity-directory memo for `machine` — the
-    /// eviction hook for a machine leaving the fleet. Purely an
-    /// optimisation-state reset: the machine's next planar frame takes
-    /// the full validation path once and re-memoises, with
-    /// byte-identical decode results either way.
-    pub fn evict_machine_dir(&mut self, machine: u64) {
-        self.dec.evict_dir_memo(machine);
-    }
-
     /// Opens the next ingest window for `machines` machines: bumps the
     /// epoch and sizes the ledger. Returns the new epoch.
     fn begin(&mut self, machines: usize) -> u64 {

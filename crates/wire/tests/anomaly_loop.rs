@@ -3,13 +3,11 @@
 //! decimation grants back into the encoder — so healthy machines
 //! transmit one window in N while anomalous ones snap back to full
 //! rate. These tests drive the whole loop end to end over a simulated
-//! fleet: no false positives on a fault-free run, spikes flagged
-//! within the machine's own decimation, and the pooled detector
-//! bit-identical to serial on wire-derived estimates.
+//! fleet: no false positives on a fault-free run, and spikes flagged
+//! within the machine's own decimation.
 
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::{AnomalyDetector, FleetEstimator, Verdict};
-use tdp_parallel::WorkerPool;
 use tdp_wire::{ingest_serial_with, IngestState, WireEncoder};
 use trickledown::SystemPowerModel;
 
@@ -212,39 +210,4 @@ fn spike_on_a_decimated_machine_is_flagged_within_its_decimation() {
     }
     assert_eq!(det.verdict(SPIKED), Verdict::Normal);
     assert_eq!(det.decimation(SPIKED), det.config().healthy_decimation);
-}
-
-#[test]
-fn pooled_detector_matches_serial_through_the_wire_loop() {
-    // The bit-identity contract on real wire-derived estimates (held
-    // rows, decimation, a mid-run spike): serial and pooled judgement
-    // leave identical detector state every window.
-    let pool = WorkerPool::new(4);
-    let mut enc = WireEncoder::new();
-    let mut state = IngestState::new();
-    let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut serial = AnomalyDetector::default();
-    let mut pooled = AnomalyDetector::default();
-    for w in 0..16u64 {
-        let spike = (10..12).contains(&w).then_some(5usize);
-        let mut senders = 0;
-        for m in 0..MACHINES as u64 {
-            if enc.should_send(m, w) {
-                enc.push_sample_set(m, &synthetic_set(m, w, spike == Some(m as usize)))
-                    .unwrap();
-                senders += 1;
-            }
-        }
-        assert!(senders > 0);
-        let buf = enc.take_bytes();
-        ingest_serial_with(&mut state, &buf, MACHINES, &mut est);
-        let e = est.estimate().clone();
-        serial.update(&e);
-        pooled.update_pooled(&e, &pool);
-        assert_eq!(serial.digest(), pooled.digest(), "window {w}");
-        for m in 0..MACHINES as u64 {
-            enc.set_decimation(m, serial.decimation(m as usize));
-        }
-    }
-    assert!(serial.windows() == 16 && serial.summary().max_z > 0.0);
 }

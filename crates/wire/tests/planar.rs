@@ -263,20 +263,24 @@ fn width_boundary_deltas_roundtrip_bit_identically() {
     assert_eq!(reference_bits(&planar, 1), serial_bits(&varint, 1));
 }
 
+/// The nine trickle-down input events, in [`tdp_fleet::ROW_EVENTS`]
+/// order.
+const NINE_EVENTS: [PerfEvent; 9] = [
+    PerfEvent::Cycles,
+    PerfEvent::HaltedCycles,
+    PerfEvent::FetchedUops,
+    PerfEvent::L3LoadMisses,
+    PerfEvent::BusTransactionsAll,
+    PerfEvent::DmaOtherBusTransactions,
+    PerfEvent::InterruptsTotal,
+    PerfEvent::TimerInterrupts,
+    PerfEvent::DiskInterrupts,
+];
+
 /// A realistic in-range machine-window (the chaos leg needs rows that
 /// pass the sanity policy, so degradation comes only from the plan).
 fn sane_set(machine: u64, seq: u64) -> SampleSet {
-    let layout = [
-        PerfEvent::Cycles,
-        PerfEvent::HaltedCycles,
-        PerfEvent::FetchedUops,
-        PerfEvent::L3LoadMisses,
-        PerfEvent::BusTransactionsAll,
-        PerfEvent::DmaOtherBusTransactions,
-        PerfEvent::InterruptsTotal,
-        PerfEvent::TimerInterrupts,
-        PerfEvent::DiskInterrupts,
-    ];
+    let layout = NINE_EVENTS;
     let mut rng = machine
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(seq)
@@ -398,4 +402,132 @@ fn faulted_planar_stream_upholds_the_clean_subset_invariant() {
         flips_seen + framing_seen > 0,
         "the plan must actually have exercised checksum and resync paths"
     );
+}
+
+/// A sane machine-window whose counter magnitudes are scaled by
+/// `magnitude`: rates (count / cycles) stay in the sanity envelope
+/// while the planar plane widths step through entirely different
+/// width-directory bytes.
+fn scaled_set(machine: u64, seq: u64, magnitude: u64) -> SampleSet {
+    let mut rng = machine
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(seq)
+        .wrapping_add(magnitude.wrapping_mul(0x6a09_e667_f3bc_c909))
+        | 1;
+    let counts: Vec<Vec<u64>> = (0..4)
+        .map(|_| {
+            NINE_EVENTS
+                .iter()
+                .map(|&e| {
+                    let r = xorshift(&mut rng);
+                    let scale: u64 = match e {
+                        PerfEvent::Cycles => 2_000_000,
+                        PerfEvent::HaltedCycles => 900_000,
+                        PerfEvent::FetchedUops => 2_500_000,
+                        PerfEvent::L3LoadMisses => 4_000,
+                        PerfEvent::BusTransactionsAll => 25_000,
+                        PerfEvent::DmaOtherBusTransactions => 1_500,
+                        PerfEvent::InterruptsTotal => 600,
+                        PerfEvent::TimerInterrupts => 200,
+                        _ => 90,
+                    };
+                    let scale = scale.saturating_mul(magnitude);
+                    scale / 2 + r % scale.max(1)
+                })
+                .collect()
+        })
+        .collect();
+    set_from_counts(seq, &NINE_EVENTS, &counts)
+}
+
+/// The decimation × planar chaos regression: adaptive sampling
+/// (phase-staggered skipped windows), a mid-run width-directory
+/// change, and a window-sequence reset all land in one stream — and
+/// the fused planar ingest must remain bit-identical to the varint reference leg, row
+/// for row, window for window, including the held/reconstructed rows
+/// of decimated machines.
+#[test]
+fn decimated_planar_stream_with_width_change_and_seq_reset_matches_varint() {
+    const MACHINES: usize = 8;
+    const WINDOWS: u64 = 24;
+    /// Window where machine 3's counter magnitudes jump three decades
+    /// (every plane width changes).
+    const WIDTH_JUMP_AT: u64 = 10;
+    /// Window where machine 5's producer reboots (window_seq restarts
+    /// from 0 — the ledger re-baselines it as a reset).
+    const RESET_AT: u64 = 15;
+
+    let mut planar_enc = WireEncoder::with_kind(FrameKind::Planar);
+    let mut varint_enc = WireEncoder::with_kind(FrameKind::Varint);
+    // Mixed negotiated decimations: every-window, every-2nd, every-4th.
+    for m in 0..MACHINES as u64 {
+        let dec = [1u16, 1, 2, 2, 4, 4, 4, 1][m as usize];
+        planar_enc.set_decimation(m, dec);
+        varint_enc.set_decimation(m, dec);
+    }
+
+    let mut planar_state = IngestState::new();
+    let mut varint_state = IngestState::new();
+    let mut planar_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut varint_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut resets_seen = 0u64;
+
+    for w in 0..WINDOWS {
+        for m in 0..MACHINES as u64 {
+            let seq = if m == 5 && w >= RESET_AT {
+                w - RESET_AT
+            } else {
+                w
+            };
+            if !planar_enc.should_send(m, seq) {
+                continue;
+            }
+            let magnitude = if m == 3 && w >= WIDTH_JUMP_AT {
+                1_000_000
+            } else {
+                1_000
+            };
+            let set = scaled_set(m, seq, magnitude);
+            planar_enc.push_sample_set(m, &set).unwrap();
+            varint_enc.push_sample_set(m, &set).unwrap();
+        }
+        let planar_buf = planar_enc.take_bytes();
+        let varint_buf = varint_enc.take_bytes();
+
+        let planar_rep =
+            ingest_serial_with(&mut planar_state, &planar_buf, MACHINES, &mut planar_est);
+        let varint_rep =
+            ingest_serial_with(&mut varint_state, &varint_buf, MACHINES, &mut varint_est);
+
+        assert_eq!(
+            planar_rep.rows_written, varint_rep.rows_written,
+            "window {w}: legs committed different row counts"
+        );
+        assert_eq!(
+            planar_rep.resets_detected, varint_rep.resets_detected,
+            "window {w}: legs disagree on sequence resets"
+        );
+        assert_eq!(
+            batch_bits(&planar_est),
+            batch_bits(&varint_est),
+            "window {w}: planar batch diverged from the varint reference"
+        );
+        let p: Vec<u64> = planar_est
+            .estimate()
+            .total()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let v: Vec<u64> = varint_est
+            .estimate()
+            .total()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(p, v, "window {w}: estimates diverged between formats");
+        resets_seen += planar_rep.resets_detected;
+    }
+    // Machine 5's rebooted counter transmits again (decimation phase)
+    // a window after RESET_AT; the reset must not go unnoticed.
+    assert!(resets_seen >= 1, "the seq reset was never detected");
 }

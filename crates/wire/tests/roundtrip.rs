@@ -5,6 +5,8 @@
 
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
+use tdp_simsys::behavior::spin_loop_behavior;
+use tdp_simsys::{Machine, MachineConfig};
 use tdp_wire::{
     ingest_reference_with, ingest_serial, ingest_serial_with, HealthState, IngestState, WireEncoder,
 };
@@ -76,6 +78,33 @@ fn fleet_window(machines: u64) -> Vec<SampleSet> {
         .collect()
 }
 
+/// One counter window from each of `machines` simulated servers with
+/// `cpus` CPUs, in distinct load states. Every `Machine` programs all
+/// 18 `PerfEvent`s, so these frames carry the non-identity layout real
+/// producers send.
+fn simulated_window(cpus: usize, machines: u64) -> Vec<SampleSet> {
+    (0..machines)
+        .map(|m| {
+            let mut cfg = MachineConfig::default();
+            cfg.seed ^= m;
+            cfg.cpu.num_cpus = cpus;
+            let mut machine = Machine::new(cfg);
+            for t in 0..m {
+                machine
+                    .os_mut()
+                    .spawn(Box::new(spin_loop_behavior(0.4 + 0.3 * t as f64)), 0);
+            }
+            for _ in 0..50 + m * 13 {
+                machine.tick();
+            }
+            let set = machine.read_counters();
+            assert_eq!(set.per_cpu.len(), cpus);
+            assert_eq!(set.per_cpu[0].counts().len(), PerfEvent::ALL.len());
+            set
+        })
+        .collect()
+}
+
 fn encode_window(sets: &[SampleSet]) -> Vec<u8> {
     let mut enc = WireEncoder::new();
     for (id, set) in sets.iter().enumerate() {
@@ -111,26 +140,44 @@ fn batch_bits(est: &FleetEstimator) -> Vec<Vec<u64>> {
 
 #[test]
 fn wire_ingestion_is_bit_identical_to_in_memory() {
-    let sets = fleet_window(37);
-    let wire = encode_window(&sets);
-    let (ref_cols, ref_totals) = reference_bits(&sets);
+    // The synthetic nine-event fleet, plus 4- and 32-CPU simulated
+    // servers sending all 18 events.
+    for (label, sets) in [
+        ("synthetic", fleet_window(37)),
+        ("4-cpu machines", simulated_window(4, 6)),
+        ("32-cpu machines", simulated_window(32, 3)),
+    ] {
+        let n = sets.len();
+        let wire = encode_window(&sets);
+        let (ref_cols, ref_totals) = reference_bits(&sets);
 
-    let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let report = ingest_serial(&wire, sets.len(), &mut est);
-    assert_eq!(report.rows_written, 37);
-    assert_eq!(report.sample_frames, 37);
-    assert_eq!(report.layout_frames, 37, "one layout frame per machine");
-    assert_eq!(report.corrupt_frames + report.resyncs, 0);
+        let mut est = FleetEstimator::new(SystemPowerModel::paper());
+        let report = ingest_serial(&wire, n, &mut est);
+        assert_eq!(report.rows_written, n as u64, "{label}");
+        assert_eq!(report.sample_frames, n as u64, "{label}");
+        assert_eq!(
+            report.layout_frames, n as u64,
+            "{label}: one layout frame per machine"
+        );
+        assert_eq!(report.corrupt_frames + report.resyncs, 0, "{label}");
 
-    assert_eq!(batch_bits(&est), ref_cols, "columns must match bit for bit");
-    let totals: Vec<u64> = est.estimate().total().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(totals, ref_totals, "estimates must match bit for bit");
+        assert_eq!(
+            batch_bits(&est),
+            ref_cols,
+            "{label}: columns must match bit for bit"
+        );
+        let totals: Vec<u64> = est.estimate().total().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            totals, ref_totals,
+            "{label}: estimates must match bit for bit"
+        );
 
-    // The per-row reference lands on the same bits and counters.
-    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
-    let ref_report = ingest_reference_with(&mut IngestState::new(), &wire, 37, &mut ref_est);
-    assert_eq!(ref_report, report, "reference counters");
-    assert_eq!(batch_bits(&ref_est), ref_cols, "reference columns");
+        // The per-row reference lands on the same bits and counters.
+        let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
+        let ref_report = ingest_reference_with(&mut IngestState::new(), &wire, n, &mut ref_est);
+        assert_eq!(ref_report, report, "{label}: reference counters");
+        assert_eq!(batch_bits(&ref_est), ref_cols, "{label}: reference columns");
+    }
 }
 
 #[test]
