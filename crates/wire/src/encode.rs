@@ -1,20 +1,44 @@
 //! Frame encoding: [`SampleSet`]s → wire bytes.
 //!
-//! [`WireEncoder`] is the stateful producer side: it tracks the last
-//! layout hash announced per machine and interleaves a layout frame
-//! whenever a machine's PMU programming changes (including the first
-//! time it is seen), so a stream is always self-describing, and emits
-//! sample frames in its negotiated [`FrameKind`] (column-planar by
-//! default, row-major varint for legacy consumers and A/B baselines).
-//! The stateless [`encode_layout_frame`] / [`encode_sample_frame`] /
+//! [`WireEncoder`] is the stateful producer side: it interleaves a
+//! layout frame whenever a machine's PMU programming or negotiated
+//! decimation changes (including the first time it is seen), so a
+//! stream is always self-describing, and emits sample frames in its
+//! negotiated [`FrameKind`] (column-planar by default, row-major varint
+//! for legacy consumers and A/B baselines). The stateless
+//! [`encode_layout_frame`] / [`encode_sample_frame`] /
 //! [`encode_planar_sample_frame`] building blocks are public for tests
 //! and custom producers.
+//!
+//! The producer runs on every monitored machine, every window, so a
+//! push does each piece of work once:
+//!
+//! * **One agent map.** Per machine, one entry holds both the layout
+//!   hash and decimation last announced and the decimation the control
+//!   loop wants, keyed through a multiplicative hasher (machine ids are
+//!   the producer's own, so SipHash's flood resistance buys nothing).
+//!   A push is one map lookup and one layout hash, and that hash goes
+//!   straight into the sample header.
+//! * **One gather pass.** A planar frame reads each CPU's counts once,
+//!   CPU-major as [`SampleSet`] stores them, validating event ids and
+//!   folding each zigzag delta into an event-major scratch and its
+//!   plane's OR in the same visit; the OR's width code is the plane's
+//!   width. The scratch lives in the encoder and is reused, so a
+//!   steady-state push allocates only as the output buffer grows.
+//! * **One write pass.** The payload is sized once from the directory,
+//!   then every plane is written at its constant width — one fixed-size
+//!   store per lane, the mirror of the decoder's plane walk.
+//!
+//! Frames are byte-identical to the per-lane encoder this replaced,
+//! which `planar`'s tests keep as an oracle.
 
 use crate::frame::{
     put_uvarint, zigzag, FrameHeader, FrameKind, FrameType, HEADER_LEN, MAX_DECIMATION,
     MAX_WIRE_EVENTS,
 };
+use crate::planar::PlanarScratch;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use tdp_counters::{layout_hash, PerfEvent, SampleSet};
 
 /// Why a sample set could not be encoded.
@@ -88,7 +112,29 @@ pub fn encode_layout_frame_with_decimation(
     events: &[PerfEvent],
     decimation: u16,
 ) -> Result<(), EncodeError> {
-    if events.len() > MAX_WIRE_EVENTS || decimation > MAX_DECIMATION {
+    if decimation > MAX_DECIMATION {
+        return Err(EncodeError::OutOfBounds);
+    }
+    layout_frame(
+        out,
+        machine_id,
+        window_seq,
+        events.iter(),
+        layout_hash(events),
+        decimation,
+    )
+}
+
+/// The layout frame for a layout whose hash the caller already holds.
+fn layout_frame<'a>(
+    out: &mut Vec<u8>,
+    machine_id: u64,
+    window_seq: u64,
+    events: impl ExactSizeIterator<Item = &'a PerfEvent>,
+    hash: u64,
+    decimation: u16,
+) -> Result<(), EncodeError> {
+    if events.len() > MAX_WIRE_EVENTS {
         return Err(EncodeError::OutOfBounds);
     }
     let header = FrameHeader {
@@ -96,13 +142,13 @@ pub fn encode_layout_frame_with_decimation(
         payload_len: 0,
         machine_id,
         window_seq,
-        layout_hash: layout_hash(events),
+        layout_hash: hash,
         cpu_count: if decimation <= 1 { 0 } else { decimation },
         n_events: events.len() as u16,
         checksum: 0,
     };
     with_frame(out, header, |buf| {
-        for &e in events {
+        for e in events {
             put_uvarint(buf, e.index() as u64);
         }
     });
@@ -125,17 +171,33 @@ pub fn encode_sample_frame(
     machine_id: u64,
     set: &SampleSet,
 ) -> Result<(), EncodeError> {
-    let first = validate_sample_geometry(set)?;
-    let header = sample_header(FrameType::Sample, machine_id, set, first);
+    varint_frame(out, machine_id, set, layout_hash_of(first_counts(set)))
+}
+
+fn varint_frame(
+    out: &mut Vec<u8>,
+    machine_id: u64,
+    set: &SampleSet,
+    hash: u64,
+) -> Result<(), EncodeError> {
+    let first = first_counts(set);
+    if first.len() > MAX_WIRE_EVENTS || set.per_cpu.len() > u16::MAX as usize {
+        return Err(EncodeError::OutOfBounds);
+    }
+    for cpu in &set.per_cpu {
+        let counts = cpu.counts();
+        if counts.len() != first.len() || counts.iter().zip(first).any(|(a, b)| a.0 != b.0) {
+            return Err(EncodeError::MixedLayouts);
+        }
+    }
+    let header = sample_header(FrameType::Sample, machine_id, set, hash);
     with_frame(out, header, |buf| {
-        for (k, cpu) in set.per_cpu.iter().enumerate() {
-            for (e, &(_, count)) in cpu.counts().iter().enumerate() {
-                if k == 0 {
-                    put_uvarint(buf, count);
-                } else {
-                    let prev = set.per_cpu[k - 1].counts()[e].1;
-                    put_uvarint(buf, zigzag(count.wrapping_sub(prev) as i64));
-                }
+        for &(_, count) in first {
+            put_uvarint(buf, count);
+        }
+        for pair in set.per_cpu.windows(2) {
+            for (&(_, prev), &(_, count)) in pair[0].counts().iter().zip(pair[1].counts()) {
+                put_uvarint(buf, zigzag(count.wrapping_sub(prev) as i64));
             }
         }
     });
@@ -156,49 +218,94 @@ pub fn encode_planar_sample_frame(
     machine_id: u64,
     set: &SampleSet,
 ) -> Result<(), EncodeError> {
-    let first = validate_sample_geometry(set)?;
-    let header = sample_header(FrameType::PlanarSample, machine_id, set, first);
-    with_frame(out, header, |buf| crate::planar::encode_payload(buf, set));
+    let hash = layout_hash_of(first_counts(set));
+    planar_frame(out, machine_id, set, hash, &mut PlanarScratch::default())
+}
+
+/// The one planar sample path: gather (which validates) into `scratch`,
+/// then write the frame. On error nothing is appended.
+fn planar_frame(
+    out: &mut Vec<u8>,
+    machine_id: u64,
+    set: &SampleSet,
+    hash: u64,
+    scratch: &mut PlanarScratch,
+) -> Result<(), EncodeError> {
+    scratch.gather(set)?;
+    let header = sample_header(FrameType::PlanarSample, machine_id, set, hash);
+    with_frame(out, header, |buf| scratch.write(buf));
     Ok(())
 }
 
-/// The geometry checks both sample encoders share: uniform per-CPU
-/// layouts within the format's bounds. Returns the first CPU's counts
-/// (the layout all CPUs follow).
-fn validate_sample_geometry(set: &SampleSet) -> Result<&[(PerfEvent, u64)], EncodeError> {
-    let first: &[(PerfEvent, u64)] = set.per_cpu.first().map_or(&[], |c| c.counts());
-    if first.len() > MAX_WIRE_EVENTS || set.per_cpu.len() > u16::MAX as usize {
-        return Err(EncodeError::OutOfBounds);
-    }
-    for cpu in &set.per_cpu {
-        let counts = cpu.counts();
-        if counts.len() != first.len() || counts.iter().zip(first).any(|(a, b)| a.0 != b.0) {
-            return Err(EncodeError::MixedLayouts);
-        }
-    }
-    Ok(first)
+/// The first CPU's counts: the layout every CPU of the set must share.
+pub(crate) fn first_counts(set: &SampleSet) -> &[(PerfEvent, u64)] {
+    set.per_cpu.first().map_or(&[], |c| c.counts())
 }
 
 fn sample_header(
     frame_type: FrameType,
     machine_id: u64,
     set: &SampleSet,
-    first: &[(PerfEvent, u64)],
+    hash: u64,
 ) -> FrameHeader {
     FrameHeader {
         frame_type,
         payload_len: 0,
         machine_id,
         window_seq: set.seq,
-        layout_hash: layout_hash_of(first),
+        layout_hash: hash,
         cpu_count: set.per_cpu.len() as u16,
-        n_events: first.len() as u16,
+        n_events: first_counts(set).len() as u16,
         checksum: 0,
     }
 }
 
 fn layout_hash_of(pairs: &[(PerfEvent, u64)]) -> u64 {
     tdp_counters::layout_hash_indices(pairs.iter().map(|p| p.0.index() as u64))
+}
+
+/// What the encoder knows about one machine's agent.
+#[derive(Debug, Clone)]
+struct Agent {
+    /// The layout hash and decimation last *announced* on the wire
+    /// (`None` before the first frame). A change in either re-emits the
+    /// layout frame.
+    announced: Option<(u64, u16)>,
+    /// The decimation the control loop *wants*; announced lazily by the
+    /// next `push_sample_set`.
+    want: u16,
+}
+
+impl Default for Agent {
+    fn default() -> Self {
+        Self {
+            announced: None,
+            want: 1,
+        }
+    }
+}
+
+/// A multiplicative hasher for machine-id keys. The producer chooses
+/// its machine ids; no peer does, so SipHash's flood resistance would
+/// protect nothing here. The rotate moves the well-mixed high product
+/// bits down to where the table picks buckets.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// Stateful stream encoder: one byte buffer, automatic layout frames.
@@ -223,15 +330,11 @@ fn layout_hash_of(pairs: &[(PerfEvent, u64)]) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct WireEncoder {
     buf: Vec<u8>,
-    /// Per machine: the layout hash and decimation last *announced* on
-    /// the wire. A change in either re-emits the layout frame.
-    last_layout: HashMap<u64, (u64, u16)>,
-    /// Per machine: the decimation the control loop *wants* (1 when
-    /// unset). Announced lazily by the next `push_sample_set`.
-    decimation: HashMap<u64, u16>,
-    /// Reusable scratch for the pushed set's event layout — one
-    /// steady-state `push_sample_set` must not heap-allocate.
-    events: Vec<PerfEvent>,
+    /// Per machine: what was announced and what is wanted.
+    agents: HashMap<u64, Agent, BuildHasherDefault<IdHasher>>,
+    /// Reused planar gather scratch — one steady-state
+    /// `push_sample_set` must not heap-allocate.
+    scratch: PlanarScratch,
     kind: FrameKind,
 }
 
@@ -272,14 +375,13 @@ impl WireEncoder {
     /// the consumer learns about it in-band, on the frame before the
     /// first frame it applies to.
     pub fn set_decimation(&mut self, machine_id: u64, decimation: u16) {
-        self.decimation
-            .insert(machine_id, decimation.clamp(1, MAX_DECIMATION));
+        self.agents.entry(machine_id).or_default().want = decimation.clamp(1, MAX_DECIMATION);
     }
 
     /// The decimation currently wanted for `machine_id` (1 if never
     /// set: sample every window).
     pub fn decimation(&self, machine_id: u64) -> u16 {
-        self.decimation.get(&machine_id).copied().unwrap_or(1)
+        self.agents.get(&machine_id).map_or(1, |a| a.want)
     }
 
     /// Whether `machine_id` should transmit its sample for
@@ -300,29 +402,24 @@ impl WireEncoder {
     ///
     /// Propagates [`EncodeError`] (nothing is appended on error).
     pub fn push_sample_set(&mut self, machine_id: u64, set: &SampleSet) -> Result<(), EncodeError> {
-        self.events.clear();
-        if let Some(c) = set.per_cpu.first() {
-            self.events.extend(c.counts().iter().map(|p| p.0));
-        }
-        let hash = layout_hash(&self.events);
-        let dec = self.decimation(machine_id);
+        let first = first_counts(set);
+        let hash = layout_hash_of(first);
+        let agent = self.agents.entry(machine_id).or_default();
+        let current = Some((hash, agent.want));
         let rollback = self.buf.len();
-        if self.last_layout.get(&machine_id) != Some(&(hash, dec)) {
-            encode_layout_frame_with_decimation(
-                &mut self.buf,
-                machine_id,
-                set.seq,
-                &self.events,
-                dec,
-            )?;
+        if agent.announced != current {
+            let events = first.iter().map(|p| &p.0);
+            layout_frame(&mut self.buf, machine_id, set.seq, events, hash, agent.want)?;
         }
         let encoded = match self.kind {
-            FrameKind::Planar => encode_planar_sample_frame(&mut self.buf, machine_id, set),
-            FrameKind::Varint => encode_sample_frame(&mut self.buf, machine_id, set),
+            FrameKind::Planar => {
+                planar_frame(&mut self.buf, machine_id, set, hash, &mut self.scratch)
+            }
+            FrameKind::Varint => varint_frame(&mut self.buf, machine_id, set, hash),
         };
         match encoded {
             Ok(()) => {
-                self.last_layout.insert(machine_id, (hash, dec));
+                agent.announced = current;
                 Ok(())
             }
             Err(e) => {
@@ -348,5 +445,177 @@ impl WireEncoder {
     /// Consumes the encoder, returning the encoded stream.
     pub fn finish(self) -> Vec<u8> {
         self.buf
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tdp_counters::{CounterSample, CpuId, InterruptSnapshot};
+
+    const LAYOUT_A: [PerfEvent; 3] = [
+        PerfEvent::Cycles,
+        PerfEvent::HaltedCycles,
+        PerfEvent::L2Misses,
+    ];
+    const LAYOUT_B: [PerfEvent; 2] = [PerfEvent::Cycles, PerfEvent::TlbMisses];
+
+    /// A two-CPU window over `layout` whose counts vary with `machine`
+    /// and `seq`, so every frame in a stream carries distinct bytes.
+    fn set_of(layout: &[PerfEvent], machine: u64, seq: u64) -> SampleSet {
+        let per_cpu = (0..2u64)
+            .map(|cpu| {
+                let pairs = layout
+                    .iter()
+                    .enumerate()
+                    .map(|(e, &ev)| (ev, 1000 * machine + 100 * seq + 10 * cpu + e as u64))
+                    .collect();
+                CounterSample::new(CpuId::new(cpu as u8), seq, pairs)
+            })
+            .collect();
+        SampleSet {
+            time_ms: (seq + 1) * 1000,
+            window_ms: 1000,
+            seq,
+            per_cpu,
+            interrupts: InterruptSnapshot::default(),
+        }
+    }
+
+    /// `(frame type, machine, announced decimation)` of every frame in
+    /// `wire`.
+    fn frames(wire: &[u8]) -> Vec<(FrameType, u64, u16)> {
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while pos < wire.len() {
+            let h = FrameHeader::parse(&wire[pos..]).expect("well-formed stream");
+            out.push((h.frame_type, h.machine_id, h.cpu_count));
+            pos += HEADER_LEN + h.payload_len as usize;
+        }
+        out
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Drives one encoder through every agent transition — first
+    /// sight, a decimation grant, a layout change, a grant to a machine
+    /// that has never pushed, a no-op grant, clamping, and a rejected
+    /// set — returning the whole stream and the layout frames each push
+    /// emitted.
+    fn agent_script(kind: FrameKind) -> (Vec<u8>, Vec<usize>) {
+        let mut enc = WireEncoder::with_kind(kind);
+        let mut layouts_per_push = Vec::new();
+        let mut push = |enc: &mut WireEncoder, m: u64, set: &SampleSet| {
+            let before = enc.bytes().len();
+            enc.push_sample_set(m, set).unwrap();
+            let layouts = frames(&enc.bytes()[before..])
+                .iter()
+                .filter(|f| f.0 == FrameType::Layout)
+                .count();
+            layouts_per_push.push(layouts);
+        };
+        // Window 1: two machines seen for the first time.
+        push(&mut enc, 0, &set_of(&LAYOUT_A, 0, 1));
+        push(&mut enc, 1, &set_of(&LAYOUT_A, 1, 1));
+        // Window 2: steady state, then a grant for a machine that has
+        // never pushed.
+        push(&mut enc, 0, &set_of(&LAYOUT_A, 0, 2));
+        push(&mut enc, 1, &set_of(&LAYOUT_A, 1, 2));
+        enc.set_decimation(2, 4);
+        assert_eq!(enc.decimation(2), 4);
+        push(&mut enc, 2, &set_of(&LAYOUT_A, 2, 2));
+        // Window 3: a decimation change on machine 0, a layout change
+        // on machine 1, and a grant repeating machine 2's decimation.
+        enc.set_decimation(0, 2);
+        enc.set_decimation(2, 4);
+        push(&mut enc, 0, &set_of(&LAYOUT_A, 0, 3));
+        push(&mut enc, 1, &set_of(&LAYOUT_B, 1, 3));
+        push(&mut enc, 2, &set_of(&LAYOUT_A, 2, 3));
+        // A rejected set appends nothing and leaves the agent as it was.
+        let mut mixed = set_of(&LAYOUT_A, 0, 4);
+        mixed.per_cpu[1] = CounterSample::new(CpuId::new(1), 4, vec![(PerfEvent::Cycles, 1)]);
+        let before = enc.bytes().len();
+        assert_eq!(
+            enc.push_sample_set(0, &mixed),
+            Err(EncodeError::MixedLayouts)
+        );
+        assert_eq!(enc.bytes().len(), before);
+        // Window 4: clamped grants, each a change.
+        enc.set_decimation(0, 0);
+        enc.set_decimation(1, u16::MAX);
+        assert_eq!(enc.decimation(0), 1);
+        assert_eq!(enc.decimation(1), MAX_DECIMATION);
+        push(&mut enc, 0, &set_of(&LAYOUT_A, 0, 4));
+        push(&mut enc, 1, &set_of(&LAYOUT_B, 1, 4));
+        push(&mut enc, 2, &set_of(&LAYOUT_A, 2, 4));
+        // Window 5: steady state again.
+        for m in 0..3 {
+            let layout: &[PerfEvent] = if m == 1 { &LAYOUT_B } else { &LAYOUT_A };
+            push(&mut enc, m, &set_of(layout, m, 5));
+        }
+        // The decimation answers over every machine, including one the
+        // encoder has never heard of.
+        for m in 0..4u64 {
+            let want = [1, MAX_DECIMATION, 4, 1][m as usize];
+            assert_eq!(enc.decimation(m), want, "machine {m}");
+            for seq in 0..2 * MAX_DECIMATION as u64 {
+                let dec = want as u64;
+                assert_eq!(
+                    enc.should_send(m, seq),
+                    dec <= 1 || seq % dec == m % dec,
+                    "machine {m} window {seq}"
+                );
+            }
+        }
+        (enc.finish(), layouts_per_push)
+    }
+
+    #[test]
+    fn every_agent_transition_announces_exactly_one_layout_frame() {
+        for kind in [FrameKind::Planar, FrameKind::Varint] {
+            let (wire, layouts) = agent_script(kind);
+            assert_eq!(
+                layouts,
+                [1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0],
+                "{kind:?}"
+            );
+            // Announced decimations, in stream order.
+            let announced: Vec<(u64, u16)> = frames(&wire)
+                .into_iter()
+                .filter(|f| f.0 == FrameType::Layout)
+                .map(|f| (f.1, f.2))
+                .collect();
+            assert_eq!(
+                announced,
+                [
+                    (0, 0),
+                    (1, 0),
+                    (2, 4),
+                    (0, 2),
+                    (1, 0),
+                    (0, 0),
+                    (1, MAX_DECIMATION)
+                ],
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn agent_stream_matches_the_recording_of_the_two_map_encoder() {
+        // Digests of the streams `agent_script` produced when the
+        // encoder kept announced layouts and wanted decimations in two
+        // separate maps.
+        for (kind, len, digest) in [
+            (FrameKind::Planar, 1093usize, 0xd2cb_e207_5141_8a2f),
+            (FrameKind::Varint, 1057, 0x096c_441c_fe93_ecd2),
+        ] {
+            let (wire, _) = agent_script(kind);
+            assert_eq!((wire.len(), fnv1a(&wire)), (len, digest), "{kind:?}");
+        }
     }
 }

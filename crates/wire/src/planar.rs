@@ -39,18 +39,28 @@
 //! loop serves both (DESIGN.md §4i records why no separate wide-frame
 //! path is kept).
 //!
+//! The encoder mirrors the walk in two passes. The gather reads each
+//! CPU's counts once, CPU-major as the sample set stores them, and
+//! leaves event-major lanes in the decoder's output order plus one OR
+//! per plane; since a width code depends only on the highest set bit,
+//! the OR's code is the plane's width. The write sizes the payload once
+//! from the directory and stores every plane at its constant width
+//! (`put_plane::<W>`, the mirror of `unfold_plane::<W>`).
+//!
 //! Because the deltas and the delta chain are identical to the varint
 //! encoding's — and `count as f64` is the same IEEE rounding wherever
 //! it is performed — a decoder reconstructs bit-identical fleet rows
 //! from either payload, property-tested in `tests/planar.rs` across
 //! random layouts and width-boundary values.
 
-use crate::frame::PayloadChecksum;
+use crate::encode::{first_counts, EncodeError};
+use crate::frame::{PayloadChecksum, MAX_WIRE_EVENTS};
 use crate::varint::zigzag;
 use tdp_counters::SampleSet;
 
 /// The smallest width code (`0..=3`, meaning `1 << code` bytes) whose
-/// lane holds `v`.
+/// lane holds `v`. The code depends only on `v`'s highest set bit, so
+/// the code of an OR of values is the largest of their codes.
 #[inline]
 fn width_code(v: u64) -> u8 {
     if v < 1 << 8 {
@@ -64,44 +74,127 @@ fn width_code(v: u64) -> u8 {
     }
 }
 
-/// Appends the planar payload for `set` to `buf`: directory, bases,
-/// then one delta plane per event.
-///
-/// The caller (`encode_planar_sample_frame`) has already validated the
-/// set's geometry — uniform layouts, bounded event/CPU counts — so this
-/// only lays out bytes. An empty set (no CPUs) produces an empty
-/// payload.
-pub(crate) fn encode_payload(buf: &mut Vec<u8>, set: &SampleSet) {
-    let Some(first) = set.per_cpu.first() else {
-        return;
-    };
-    let n = first.counts().len();
-    let cpus = set.per_cpu.len();
-    let count = |cpu: usize, e: usize| set.per_cpu[cpu].counts()[e].1;
-    let zz = |cpu: usize, e: usize| zigzag(count(cpu, e).wrapping_sub(count(cpu - 1, e)) as i64);
+/// The producer's reusable scratch: one sample set gathered into
+/// event-major lanes, ready to be written as a planar payload.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PlanarScratch {
+    /// Event-major lanes in the decoder's output order: `lanes[e·cpus]`
+    /// is event `e`'s count on CPU 0, `lanes[e·cpus + c]` the zigzag
+    /// delta of CPU `c` over CPU `c − 1`.
+    lanes: Vec<u64>,
+    /// Per event, the OR of its delta lanes, whose width code is the
+    /// plane's.
+    delta_or: Vec<u64>,
+    /// Per event, the last gathered CPU's count.
+    prev: Vec<u64>,
+    cpus: usize,
+}
 
-    // Directory: per-event width codes from this window's value range.
-    let dir_start = buf.len();
-    for e in 0..n {
-        let base_code = width_code(count(0, e));
-        let delta_code = (1..cpus)
-            .map(|cpu| width_code(zz(cpu, e)))
-            .max()
-            .unwrap_or(0);
-        buf.push(delta_code << 4 | base_code);
+impl PlanarScratch {
+    /// Reads each CPU's counts once, CPU-major as `set` stores them,
+    /// checking every event id against CPU 0's and folding each count
+    /// into its zigzag delta and its event's OR in the same visit.
+    ///
+    /// # Errors
+    ///
+    /// [`EncodeError::OutOfBounds`] if the layout or CPU count exceeds
+    /// the format's bounds; [`EncodeError::MixedLayouts`] if any CPU's
+    /// layout differs from CPU 0's. The caller has written nothing yet.
+    pub(crate) fn gather(&mut self, set: &SampleSet) -> Result<(), EncodeError> {
+        let first = first_counts(set);
+        let (n, cpus) = (first.len(), set.per_cpu.len());
+        if n > MAX_WIRE_EVENTS || cpus > u16::MAX as usize {
+            return Err(EncodeError::OutOfBounds);
+        }
+        self.cpus = cpus;
+        // Every lane is overwritten below, so only a geometry change
+        // resizes.
+        self.lanes.resize(n * cpus, 0);
+        self.delta_or.clear();
+        self.delta_or.resize(n, 0);
+        self.prev.clear();
+        self.prev.extend(first.iter().map(|p| p.1));
+        let lanes = &mut self.lanes;
+        for (e, &(_, count)) in first.iter().enumerate() {
+            lanes[e * cpus] = count;
+        }
+        for (c, cpu) in set.per_cpu.iter().enumerate().skip(1) {
+            let counts = cpu.counts();
+            if counts.len() != n {
+                return Err(EncodeError::MixedLayouts);
+            }
+            let mut mixed = false;
+            let state = self.prev.iter_mut().zip(self.delta_or.iter_mut());
+            for (e, ((&(ev, count), &(ev0, _)), (prev, or))) in
+                counts.iter().zip(first).zip(state).enumerate()
+            {
+                mixed |= ev != ev0;
+                let z = zigzag(count.wrapping_sub(*prev) as i64);
+                *prev = count;
+                *or |= z;
+                lanes[e * cpus + c] = z;
+            }
+            if mixed {
+                return Err(EncodeError::MixedLayouts);
+            }
+        }
+        Ok(())
     }
-    // Bases: CPU 0 raw, little-endian at the declared width.
-    for e in 0..n {
-        let w = 1usize << (buf[dir_start + e] & 0x0f);
-        buf.extend_from_slice(&count(0, e).to_le_bytes()[..w]);
-    }
-    // Delta planes: contiguous per event, fixed-width zigzag deltas.
-    for e in 0..n {
-        let w = 1usize << (buf[dir_start + e] >> 4);
-        for cpu in 1..cpus {
-            buf.extend_from_slice(&zz(cpu, e).to_le_bytes()[..w]);
+
+    /// Appends the planar payload of the last gathered set to `buf`:
+    /// directory, bases, then one delta plane per event, each plane at
+    /// its constant width. An empty set (no CPUs) appends nothing.
+    pub(crate) fn write(&self, buf: &mut Vec<u8>) {
+        let (n, cpus) = (self.delta_or.len(), self.cpus);
+        if cpus == 0 {
+            return;
+        }
+        let mut dir = [0u8; MAX_WIRE_EVENTS];
+        let (mut bases_len, mut planes_len) = (0usize, 0usize);
+        let events = self.lanes.chunks_exact(cpus).zip(&self.delta_or);
+        for (d, (lanes, &or)) in dir.iter_mut().zip(events) {
+            let (base, delta) = (width_code(lanes[0]), width_code(or));
+            *d = delta << 4 | base;
+            bases_len += 1 << base;
+            planes_len += (cpus - 1) << delta;
+        }
+        let dir = &dir[..n];
+        // Sized once from the directory; every byte is then written at
+        // its offset.
+        let start = buf.len();
+        buf.resize(start + n + bases_len + planes_len, 0);
+        let (head, planes) = buf[start..].split_at_mut(n + bases_len);
+        let (dir_out, bases) = head.split_at_mut(n);
+        dir_out.copy_from_slice(dir);
+        let (mut b, mut p) = (0, 0);
+        for (&d, lanes) in dir.iter().zip(self.lanes.chunks_exact(cpus)) {
+            b += put_coded(&mut bases[b..], d & 0x0f, &lanes[..1]);
+            p += put_coded(&mut planes[p..], d >> 4, &lanes[1..]);
         }
     }
+}
+
+/// Writes `lanes` little-endian at the width `code` declares, returning
+/// the bytes written. Each arm monomorphises to fixed-size stores.
+#[inline(always)]
+fn put_coded(dst: &mut [u8], code: u8, lanes: &[u64]) -> usize {
+    match code {
+        0 => put_plane::<1>(dst, lanes),
+        1 => put_plane::<2>(dst, lanes),
+        2 => put_plane::<4>(dst, lanes),
+        _ => put_plane::<8>(dst, lanes),
+    }
+}
+
+/// The mirror of [`unfold_plane`]: writes `lanes` at constant width
+/// `W`, one fixed-size store per lane, returning the bytes written.
+#[inline(always)]
+fn put_plane<const W: usize>(dst: &mut [u8], lanes: &[u64]) -> usize {
+    let bytes = lanes.len() * W;
+    for (slot, &z) in dst[..bytes].chunks_exact_mut(W).zip(lanes) {
+        slot.copy_from_slice(&z.to_le_bytes()[..W]);
+    }
+    bytes
 }
 
 /// Decodes a planar payload into `out` as **f64 event lanes**,
@@ -272,8 +365,57 @@ fn decode_fused(payload: &[u8], n: usize, cpus: usize, out: &mut [f64]) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{FrameHeader, FrameType};
+    use crate::frame::{FrameHeader, FrameType, HEADER_LEN};
+    use crate::{encode_planar_sample_frame, EncodeError, WireEncoder};
+    use proptest::prelude::*;
     use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent};
+
+    /// The per-lane encoder the gather/write pair replaced, kept as the
+    /// byte-identity oracle: every lane re-reads its two counts through
+    /// `per_cpu[cpu].counts()` and is appended at a runtime width.
+    fn encode_payload_per_lane(buf: &mut Vec<u8>, set: &SampleSet) {
+        let Some(first) = set.per_cpu.first() else {
+            return;
+        };
+        let n = first.counts().len();
+        let cpus = set.per_cpu.len();
+        let count = |cpu: usize, e: usize| set.per_cpu[cpu].counts()[e].1;
+        let zz =
+            |cpu: usize, e: usize| zigzag(count(cpu, e).wrapping_sub(count(cpu - 1, e)) as i64);
+
+        let dir_start = buf.len();
+        for e in 0..n {
+            let base_code = width_code(count(0, e));
+            let delta_code = (1..cpus)
+                .map(|cpu| width_code(zz(cpu, e)))
+                .max()
+                .unwrap_or(0);
+            buf.push(delta_code << 4 | base_code);
+        }
+        for e in 0..n {
+            let w = 1usize << (buf[dir_start + e] & 0x0f);
+            buf.extend_from_slice(&count(0, e).to_le_bytes()[..w]);
+        }
+        for e in 0..n {
+            let w = 1usize << (buf[dir_start + e] >> 4);
+            for cpu in 1..cpus {
+                buf.extend_from_slice(&zz(cpu, e).to_le_bytes()[..w]);
+            }
+        }
+    }
+
+    /// The planar payload of `set` through the gather/write pair,
+    /// checked byte for byte against the per-lane oracle.
+    fn encode_payload(set: &SampleSet) -> Vec<u8> {
+        let mut scratch = PlanarScratch::default();
+        scratch.gather(set).expect("well-formed set");
+        let mut payload = Vec::new();
+        scratch.write(&mut payload);
+        let mut oracle = Vec::new();
+        encode_payload_per_lane(&mut oracle, set);
+        assert_eq!(payload, oracle, "payload diverged from the per-lane oracle");
+        payload
+    }
 
     fn set_of(counts: &[Vec<u64>]) -> SampleSet {
         let events = [
@@ -333,8 +475,7 @@ mod tests {
             vec![201, 4_999_999_000, (1 << 31) + 127],
             vec![190, 5_000_001_000, 1 << 31],
         ]);
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &set);
+        let payload = encode_payload(&set);
         // Directory: e0 base 1B delta 1B; e1 base 8B (≥ 2^32) deltas
         // 2B (zigzag(±1000) ≈ 2000); e2 base 4B... 2^31 < 2^32 so 4B,
         // deltas 1B (zigzag(127)=254, zigzag(-127)=253).
@@ -356,8 +497,7 @@ mod tests {
     #[test]
     fn structural_defects_are_rejected() {
         let set = set_of(&[vec![10, 20, 30], vec![11, 19, 31]]);
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &set);
+        let payload = encode_payload(&set);
         assert!(decode(&payload, 3, 2).is_some(), "clean baseline");
         // Bad directory nibble (width code > 3).
         let mut bad = payload.clone();
@@ -384,8 +524,7 @@ mod tests {
         let base = 3u64;
         let stepped = base.wrapping_add(i64::MIN as u64);
         let set = set_of(&[vec![base, 1, 2], vec![stepped, 1, 2]]);
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &set);
+        let payload = encode_payload(&set);
         assert_eq!(payload[0] >> 4, 3, "i64::MIN delta must price 8 bytes");
         let out = decode(&payload, 3, 2).expect("two-CPU frame");
         assert_eq!(
@@ -404,8 +543,7 @@ mod tests {
             })
             .collect();
         let wide = set_of(&rows);
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &wide);
+        let payload = encode_payload(&wide);
         assert_eq!(payload[0] >> 4, 3);
         let out = decode(&payload, 3, cpus).expect("wide frame");
         for cpu in 0..cpus {
@@ -424,8 +562,7 @@ mod tests {
         // A flipped header can claim 65535 CPUs against a tiny payload;
         // the price floor must reject it before sizing the lane buffer.
         let set = set_of(&[vec![10, 20, 30], vec![11, 19, 31]]);
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &set);
+        let payload = encode_payload(&set);
         let h = header_for(payload.len(), u16::MAX, 3);
         let mut out = Vec::new();
         let mut ck = PayloadChecksum::new(&h);
@@ -436,8 +573,7 @@ mod tests {
     #[test]
     fn single_cpu_and_empty_frames_decode() {
         let set = set_of(&[vec![7, 300, u64::MAX]]);
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &set);
+        let payload = encode_payload(&set);
         let out = decode(&payload, 3, 1).expect("single CPU");
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].to_bits(), 7.0f64.to_bits());
@@ -445,9 +581,207 @@ mod tests {
         assert_eq!(out[2].to_bits(), (u64::MAX as f64).to_bits());
         // No CPUs: empty payload, nothing decoded.
         let empty = set_of(&[]);
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &empty);
+        let payload = encode_payload(&empty);
         assert!(payload.is_empty());
         assert_eq!(decode(&payload, 0, 0), Some(Vec::new()));
+    }
+
+    /// The planar sample payloads in `wire`, in stream order.
+    fn sample_payloads(wire: &[u8]) -> Vec<&[u8]> {
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while pos < wire.len() {
+            let h = FrameHeader::parse(&wire[pos..]).expect("well-formed stream");
+            let payload = &wire[pos + HEADER_LEN..pos + HEADER_LEN + h.payload_len as usize];
+            if h.frame_type == FrameType::PlanarSample {
+                out.push(payload);
+            }
+            pos += HEADER_LEN + h.payload_len as usize;
+        }
+        out
+    }
+
+    /// The oracle's payload for `set`.
+    fn oracle(set: &SampleSet) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_payload_per_lane(&mut payload, set);
+        payload
+    }
+
+    /// A `cpus`-CPU window over the first `n` events of a layout
+    /// shuffled by `seed`. Each cell's selector picks a width-boundary
+    /// value, a uniform draw from one width class, or (selector 15) a
+    /// step of exactly `i64::MIN` over the previous CPU's count.
+    fn boundary_set(cpus: usize, n: usize, seed: u64, cells: &[(u64, u8)]) -> SampleSet {
+        const BOUNDARIES: [u64; 11] = [
+            0,
+            (1 << 8) - 1,
+            1 << 8,
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 63) - 1,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut layout = PerfEvent::ALL.to_vec();
+        let mut rng = seed | 1;
+        for i in (1..layout.len()).rev() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            layout.swap(i, (rng % (i as u64 + 1)) as usize);
+        }
+        layout.truncate(n);
+        let mut rows: Vec<Vec<u64>> = Vec::with_capacity(cpus);
+        for cpu in 0..cpus {
+            let row = (0..n)
+                .map(|e| {
+                    let (raw, pick) = cells[(cpu * PerfEvent::ALL.len() + e) % cells.len()];
+                    match pick {
+                        p if (p as usize) < BOUNDARIES.len() => BOUNDARIES[p as usize],
+                        11 => raw & 0xff,
+                        12 => raw & 0xffff,
+                        13 => raw & 0xffff_ffff,
+                        15 if cpu > 0 => rows[cpu - 1][e].wrapping_add(i64::MIN as u64),
+                        _ => raw,
+                    }
+                })
+                .collect();
+            rows.push(row);
+        }
+        SampleSet {
+            time_ms: 1000,
+            window_ms: 1000,
+            seq: 1,
+            per_cpu: rows
+                .iter()
+                .enumerate()
+                .map(|(cpu, vals)| {
+                    let pairs = layout.iter().copied().zip(vals.iter().copied()).collect();
+                    CounterSample::new(CpuId::new(cpu as u8), 1, pairs)
+                })
+                .collect(),
+            interrupts: InterruptSnapshot::default(),
+        }
+    }
+
+    proptest! {
+        /// The gather/write pair emits the per-lane oracle's payload
+        /// byte for byte, at every CPU count the format meets (none,
+        /// one, a 4-way server, 32 and 65 CPUs) and with values on
+        /// every width boundary — through the stateless frame function
+        /// and through an encoder whose scratch last held another
+        /// geometry.
+        #[test]
+        fn gathered_payload_matches_the_per_lane_oracle(
+            cpus in (0usize..5).prop_map(|i| [0, 1, 4, 32, 65][i]),
+            n in 0usize..19,
+            seed in any::<u64>(),
+            cells in prop::collection::vec((any::<u64>(), 0u8..16), 65 * 18),
+        ) {
+            let set = boundary_set(cpus, n, seed, &cells);
+            let want = oracle(&set);
+            let mut frame = Vec::new();
+            encode_planar_sample_frame(&mut frame, 3, &set).unwrap();
+            prop_assert_eq!(&frame[HEADER_LEN..], &want[..]);
+
+            let mut enc = WireEncoder::new();
+            let prime = boundary_set(65, 18, !seed, &cells);
+            enc.push_sample_set(3, &prime).unwrap();
+            enc.push_sample_set(3, &set).unwrap();
+            let payloads = sample_payloads(enc.bytes());
+            prop_assert_eq!(payloads[0], &oracle(&prime)[..]);
+            prop_assert_eq!(payloads[1], &want[..]);
+        }
+    }
+
+    #[test]
+    fn simulated_windows_match_the_per_lane_oracle() {
+        use tdp_simsys::behavior::spin_loop_behavior;
+        use tdp_simsys::{Machine, MachineConfig};
+        for cpus in [4usize, 32] {
+            let mut enc = WireEncoder::new();
+            let mut want = Vec::new();
+            for m in 0..3u64 {
+                let mut cfg = MachineConfig::default();
+                cfg.seed ^= m;
+                cfg.cpu.num_cpus = cpus;
+                let mut machine = Machine::new(cfg);
+                for t in 0..m * cpus as u64 / 2 {
+                    let load = 0.4 + 0.1 * (t % 7) as f64;
+                    machine
+                        .os_mut()
+                        .spawn(Box::new(spin_loop_behavior(load)), 0);
+                }
+                for _ in 0..3 {
+                    for _ in 0..60 {
+                        machine.tick();
+                    }
+                    let set = machine.read_counters();
+                    assert_eq!(set.per_cpu.len(), cpus);
+                    assert_eq!(set.per_cpu[0].counts().len(), PerfEvent::ALL.len());
+                    let mut frame = Vec::new();
+                    encode_planar_sample_frame(&mut frame, m, &set).unwrap();
+                    assert_eq!(frame[HEADER_LEN..], oracle(&set), "{cpus} CPUs");
+                    enc.push_sample_set(m, &set).unwrap();
+                    want.push(oracle(&set));
+                }
+            }
+            assert_eq!(sample_payloads(enc.bytes()), want, "{cpus} CPUs");
+        }
+    }
+
+    #[test]
+    fn rejected_sets_leave_the_buffer_untouched() {
+        let good = set_of(&[vec![10, 20, 30], vec![11, 19, 31]]);
+        // A later CPU programs a different event in one slot...
+        let mut swapped = good.clone();
+        swapped.per_cpu[1] = CounterSample::new(
+            CpuId::new(1),
+            1,
+            vec![
+                (PerfEvent::Cycles, 11),
+                (PerfEvent::TlbMisses, 19),
+                (PerfEvent::L2Misses, 31),
+            ],
+        );
+        // ...or fewer events; and a layout past the format's bound.
+        let mut short = good.clone();
+        short.per_cpu[1] = CounterSample::new(CpuId::new(1), 1, vec![(PerfEvent::Cycles, 11)]);
+        let wide = SampleSet {
+            per_cpu: vec![CounterSample::new(
+                CpuId::new(0),
+                1,
+                vec![(PerfEvent::Cycles, 1); crate::frame::MAX_WIRE_EVENTS + 1],
+            )],
+            ..good.clone()
+        };
+        for (bad, err) in [
+            (&swapped, EncodeError::MixedLayouts),
+            (&short, EncodeError::MixedLayouts),
+            (&wide, EncodeError::OutOfBounds),
+        ] {
+            let mut out = vec![0xa5; 7];
+            assert_eq!(encode_planar_sample_frame(&mut out, 1, bad), Err(err));
+            assert_eq!(out, [0xa5; 7], "stateless {err:?}");
+
+            // A machine already announced, and one seen for the first
+            // time (whose layout frame must be rolled back too).
+            let mut enc = WireEncoder::new();
+            enc.push_sample_set(1, &good).unwrap();
+            let before = enc.bytes().to_vec();
+            for m in [1, 2] {
+                assert_eq!(enc.push_sample_set(m, bad), Err(err));
+                assert_eq!(enc.bytes(), &before[..], "machine {m}, {err:?}");
+            }
+            // The scratch the failed gather left behind does not leak
+            // into the next frame.
+            enc.push_sample_set(1, &good).unwrap();
+            let payloads = sample_payloads(enc.bytes());
+            assert_eq!(payloads, [&oracle(&good)[..], &oracle(&good)[..]]);
+        }
     }
 }

@@ -171,10 +171,10 @@ fn steady_state_fleet_window_does_not_allocate() {
 fn steady_state_fused_planar_ingest_does_not_allocate() {
     // The fused planar wire path carries the same contract as the
     // in-memory fleet window: once the decoder's lane buffer, the
-    // identity-directory memo slab, the ingest ledger, and the batch
-    // columns have reached steady capacity, encoding + ingesting +
-    // estimating a window must not touch the heap. (The encoder writes
-    // into a caller-drained byte buffer we recycle below.)
+    // ingest ledger, and the batch columns have reached steady
+    // capacity, ingesting + estimating a window must not touch the
+    // heap. (Windows are encoded up front; the producer's own contract
+    // is the next test.)
     const MACHINES: usize = 64;
     let (mut machine, mut activity) = warmed_machine();
     let mut set = tdp_counters::SampleSet::empty();
@@ -185,8 +185,8 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
 
     // Every window is pre-encoded (fresh window sequences — replayed
     // sequences read as duplicates and skip the fold), so the measured
-    // stretch is exactly the consumer: decode, identity-directory
-    // memo, ledger, column fold, estimate.
+    // stretch is exactly the consumer: decode, ledger, column fold,
+    // estimate.
     const PRIME: usize = 5;
     const WINDOWS: usize = 50;
     let mut enc = tdp_wire::WireEncoder::with_kind(tdp_wire::FrameKind::Planar);
@@ -204,7 +204,7 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
         tdp_fleet::FleetEstimator::with_capacity(trickledown::SystemPowerModel::paper(), MACHINES);
     let mut state = tdp_wire::IngestState::new();
     // Prime: the first window announces layouts and sizes every slab
-    // (ledger, identity-directory memo, lane buffer, batch columns);
+    // (ledger, lane buffer, batch columns);
     // later windows only change counter magnitudes, so plane widths —
     // and buffer capacities — hold steady.
     for buf in &bufs[..PRIME] {
@@ -229,6 +229,49 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
         "{WINDOWS} fused planar windows allocated {delta} times — the \
          steady-state wire ingest path must be allocation-free"
     );
+}
+
+#[test]
+fn steady_state_producer_window_allocates_only_the_output_buffer() {
+    // The producer's side of the contract: once a priming window has
+    // announced every layout and sized the planar gather scratch and
+    // the agent map, a window of `push_sample_set` calls allocates only
+    // as the output buffer `take_bytes` handed away regrows — a
+    // doubling handful, never one allocation per frame.
+    const MACHINES: usize = 64;
+    let (mut machine, mut activity) = warmed_machine();
+    let mut set = tdp_counters::SampleSet::empty();
+    for _ in 0..100 {
+        machine.tick_into(&mut activity);
+    }
+    machine.read_counters_into(&mut set);
+
+    let mut enc = tdp_wire::WireEncoder::with_kind(tdp_wire::FrameKind::Planar);
+    set.seq = 1;
+    for m in 0..MACHINES as u64 {
+        enc.push_sample_set(m, &set).unwrap();
+    }
+    let primed = enc.take_bytes();
+
+    for w in 2..6 {
+        set.seq = w;
+        let mut window = Vec::new();
+        let delta = allocations_in(|| {
+            for m in 0..MACHINES as u64 {
+                enc.push_sample_set(m, &set).unwrap();
+            }
+            window = enc.take_bytes();
+        });
+        assert!(
+            window.len() < primed.len(),
+            "steady windows carry no layout frames"
+        );
+        assert!(
+            delta < MACHINES as u64,
+            "window {w}: {MACHINES} frames allocated {delta} times — the \
+             producer must allocate only for output-buffer growth"
+        );
+    }
 }
 
 #[test]
