@@ -18,6 +18,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tdp_bench::fleet::synthetic_set;
+use tdp_bench::wire::ROW_SLOTS;
 use tdp_bench::ExperimentConfig;
 use tdp_counters::SampleSet;
 use tdp_fleet::{fold_event_lanes, FleetEstimator, SampleBatch, ROW_EVENTS};
@@ -149,7 +150,8 @@ fn bench_wire_stages(c: &mut Criterion) {
                     let mut ck = PayloadChecksum::new(&header);
                     decode_planes(
                         payload,
-                        header.n_events as usize,
+                        &ROW_SLOTS[..header.n_events as usize],
+                        ROW_EVENTS.len(),
                         header.cpu_count as usize,
                         &mut lanes,
                         &mut ck,
@@ -188,18 +190,12 @@ fn bench_wire_stages(c: &mut Criterion) {
             }
         }
     }
-    let identity_pos: [u16; 9] = std::array::from_fn(|k| k as u16);
     c.bench_function("wire/planar_fold_row_256", |b| {
         b.iter(|| {
             let mut acc = 0.0f64;
             for m in 0..MACHINES {
-                let row = fold_event_lanes(
-                    d,
-                    &fold_lanes[m * lane_stride..(m + 1) * lane_stride],
-                    cpus,
-                    &identity_pos,
-                    true,
-                );
+                let row =
+                    fold_event_lanes(d, &fold_lanes[m * lane_stride..(m + 1) * lane_stride], cpus);
                 acc += row[1];
             }
             black_box(acc)
@@ -215,8 +211,6 @@ fn bench_wire_stages(c: &mut Criterion) {
                     d,
                     &fold_lanes[m * lane_stride..(m + 1) * lane_stride],
                     cpus,
-                    &identity_pos,
-                    true,
                 ));
             }
             black_box(fold_batch.len())

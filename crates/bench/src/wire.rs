@@ -56,6 +56,10 @@ use tdp_wire::{
 };
 use trickledown::SystemPowerModel;
 
+/// The slot map of the synthetic fleet's layout, which is [`ROW_EVENTS`]
+/// itself: wire event `e` fills row lane `e`.
+pub const ROW_SLOTS: [u8; ROW_EVENTS.len()] = [0, 1, 2, 3, 4, 5, 6, 7, 8];
+
 /// Full wire benchmark report.
 #[derive(Debug, Clone, Serialize)]
 pub struct WireReport {
@@ -279,7 +283,8 @@ fn payload_decode_pass(
                     let mut ck = PayloadChecksum::new(&header);
                     decode_planes(
                         payload,
-                        header.n_events as usize,
+                        &ROW_SLOTS[..header.n_events as usize],
+                        ROW_EVENTS.len(),
                         header.cpu_count as usize,
                         lanes,
                         &mut ck,
@@ -347,17 +352,10 @@ fn stage_passes(
             }
         }
     }
-    let identity_pos: [u16; ROW_EVENTS.len()] = std::array::from_fn(|k| k as u16);
     let start = Instant::now();
     batch.clear();
     for m in 0..sets.len() {
-        let row = fold_event_lanes(
-            d,
-            &fold_lanes[m * lane_stride..(m + 1) * lane_stride],
-            cpus,
-            &identity_pos,
-            true,
-        );
+        let row = fold_event_lanes(d, &fold_lanes[m * lane_stride..(m + 1) * lane_stride], cpus);
         batch.push_row(row);
     }
     black_box(&batch);
@@ -590,7 +588,7 @@ fn anomaly_bench(cfg: &ExperimentConfig, n_machines: usize, kind: FrameKind) -> 
 /// `kind` selects the format the headline paths time; the other
 /// format's fused path rides the same rotation for a matched-noise
 /// A/B. Every per-path and per-stage figure is a **median over the
-/// measured windows** (see [`robust_total`]), not a mean — the bench
+/// measured windows** (see `robust_total`), not a mean — the bench
 /// often runs on shared single-CPU containers where preemption noise
 /// otherwise dominates.
 ///
@@ -600,7 +598,7 @@ fn anomaly_bench(cfg: &ExperimentConfig, n_machines: usize, kind: FrameKind) -> 
 /// in-memory baseline — that is the codec's core contract and a run
 /// that breaks it must not report numbers.
 ///
-/// With `anomaly` set, the adaptive-sampling phase ([`anomaly_bench`])
+/// With `anomaly` set, the adaptive-sampling phase (`anomaly_bench`)
 /// runs after the headline timing and its `anomaly_*` /
 /// `decimation_*` fields join the report; the headline paths are
 /// untouched (every machine still transmits every window).

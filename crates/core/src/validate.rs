@@ -39,7 +39,8 @@ impl ValidationReport {
     /// All errors are plain Equation-6 relative errors against measured
     /// watts, matching the convention of the paper's Tables 3 and 4
     /// (the disk DC-offset-adjusted error appears only in the Figure-6
-    /// discussion; [`error_summary_with_offset`] serves that use).
+    /// discussion; [`error_summary_with_offset`](tdp_modeling::metrics::error_summary_with_offset)
+    /// serves that use).
     pub fn validate(model: &SystemPowerModel, traces: &[Trace]) -> Self {
         let rows = traces
             .iter()

@@ -2,8 +2,8 @@
 //! sampling driver and operating-system interrupt accounting.
 //!
 //! This crate is the shared vocabulary of the trickledown workspace: the
-//! simulated machine ([`tdp-simsys`]) *produces* event counts into
-//! [`CounterBank`]s, and the power-model library ([`trickledown`])
+//! simulated machine (`tdp-simsys`) *produces* event counts into
+//! [`CounterBank`]s, and the power-model library (`trickledown`)
 //! *consumes* [`SampleSet`]s read out of those banks. Nothing in this crate
 //! knows anything about power — that separation mirrors the paper's setup,
 //! where the Pentium 4's counters are oblivious to the sense resistors

@@ -148,7 +148,7 @@ pub struct CounterSample {
 
 /// Hand-rolled to keep the serialized shape exactly what the derive
 /// produced when `counts` was a `Vec` — `{"cpu":..,"seq":..,"counts":
-/// [..]}` — independent of the in-memory [`CountStore`] arm.
+/// [..]}` — independent of the in-memory `CountStore` arm.
 impl Serialize for CounterSample {
     fn serialize_json(&self, out: &mut String) {
         out.push_str("{\"cpu\":");

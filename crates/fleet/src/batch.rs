@@ -206,13 +206,14 @@ impl SampleBatch {
 }
 
 /// The nine raw events a machine row is built from, in the count order
-/// [`RowAccumulator::accumulate_cpu`] consumes (and [`LayoutCache::pos`]
-/// caches).
+/// [`RowAccumulator::accumulate_cpu`] consumes (and the batch's layout
+/// cache records positions for).
 ///
 /// External ingestion paths — the `tdp-wire` decoder in particular —
-/// gather one `Option<u64>` count per entry of this array per CPU and
-/// feed them through [`RowAccumulator`], which applies the exact same
-/// rate arithmetic as [`SampleBatch::push_sample_set`].
+/// either gather one `Option<u64>` count per entry of this array per
+/// CPU and feed them through [`RowAccumulator`], or decode one f64 lane
+/// per entry per CPU for [`fold_event_lanes`]; both apply the exact
+/// same rate arithmetic as [`SampleBatch::push_sample_set`].
 pub const ROW_EVENTS: [PerfEvent; 9] = [
     PerfEvent::Cycles,
     PerfEvent::HaltedCycles,
@@ -561,10 +562,10 @@ fn accumulate_rates(row: &mut [f64; COLUMNS], vals: [Option<u64>; ROW_EVENTS.len
 }
 
 /// The f64 core of [`accumulate_rates`]: one CPU's counts already
-/// widened to f64, a missing event carried as `0.0`. This is the entry
-/// point for decode paths that widen counts at decode time (the planar
-/// wire fold — see [`fold_event_lanes`]), and it is **bit-identical**
-/// to routing `Option<u64>` counts through the historical arithmetic:
+/// widened to f64, a missing event carried as `0.0`. Its expression
+/// sequence is the one [`fold_event_lanes`]'s packed kernel runs per
+/// CPU, and it is **bit-identical** to routing `Option<u64>` counts
+/// through the historical arithmetic:
 ///
 /// * `n as f64` is the same IEEE rounding wherever it is performed, so
 ///   widening early changes nothing;
@@ -667,56 +668,34 @@ impl RowAccumulator {
 /// already widened to f64 at decode time instead of `Option<u64>`
 /// gathers.
 ///
-/// `lanes` is event-major: `lanes[e · cpus + c]` is wire event `e`'s
-/// count on CPU `c` as f64 (`lanes.len() == n_events · cpus`). `pos`
-/// maps each [`ROW_EVENTS`] entry to its wire event index (`u16::MAX`
-/// = absent — the sentinel prices past any legal lane buffer, since
-/// wire layouts carry at most a few dozen events, so one
-/// bounds-checked `get` folds the presence test and the lookup exactly
-/// as the row-major reference path does). `identity` short-circuits
-/// the indirection for the canonical nine-event layout.
+/// `lanes` is event-major in [`ROW_EVENTS`] order: `lanes[k · cpus +
+/// c]` is row event `k`'s count on CPU `c` as f64, and an event the
+/// machine's layout lacks is a lane of `0.0` (`lanes.len() == 9 ·
+/// cpus`). The decoder projects each frame into this shape, so every
+/// layout takes the one packed [`fold_row_rates`](tdp_simd::fold_row_rates)
+/// kernel: rates derived a vector of CPUs at a time, reduced in CPU
+/// order.
 ///
 /// Bit-identity with the `Option<u64>` reference path
 /// ([`SampleBatch::push_sample_set`] / [`RowAccumulator`]) holds by
-/// the [`accumulate_rates_f64`] argument: widening is the same
-/// rounding wherever performed, an absent event ≡ a `0.0` lane, and
-/// the CPU fold order (CPU 0 first) is unchanged. The identity path
-/// routes through the dispatched
-/// [`fold_identity_rates`](tdp_simd::fold_identity_rates) kernel,
-/// whose elementwise-then-ordered-reduce structure is itself
-/// bit-identical to the scalar per-CPU accumulation (see its docs), so
-/// dispatch flavour never changes a row.
+/// the argument on the private `accumulate_rates_f64`: widening is the
+/// same rounding wherever performed, an absent event ≡ a `0.0` lane,
+/// and the CPU fold order (CPU 0 first) is unchanged. The kernel's
+/// elementwise-then-ordered-reduce structure is itself bit-identical to
+/// the scalar per-CPU accumulation (see its docs), so dispatch flavour
+/// never changes a row.
+///
+/// # Panics
+///
+/// Panics if `lanes.len() != 9 · cpus`.
 #[inline]
-pub fn fold_event_lanes(
-    d: tdp_simd::Dispatch,
-    lanes: &[f64],
-    cpus: usize,
-    pos: &[u16; ROW_EVENTS.len()],
-    identity: bool,
-) -> [f64; COLUMNS] {
+pub fn fold_event_lanes(d: tdp_simd::Dispatch, lanes: &[f64], cpus: usize) -> [f64; COLUMNS] {
     let mut row = [0.0f64; COLUMNS];
     row[col::NUM_CPUS] = cpus as f64;
-    if identity && lanes.len() == ROW_EVENTS.len() * cpus {
-        // Nine contiguous per-event lanes, rates derived a vector of
-        // CPUs at a time (one packed divide instead of `cpus` serial
-        // ones), reduced in CPU order.
-        let rates: &mut [f64; COLUMNS - 1] = (&mut row[col::ACTIVE..])
-            .try_into()
-            .expect("12 rate columns");
-        tdp_simd::fold_identity_rates(d, lanes, cpus, rates);
-    } else {
-        for c in 0..cpus {
-            accumulate_rates_f64(
-                &mut row,
-                std::array::from_fn(|k| {
-                    lanes
-                        .get(pos[k] as usize * cpus + c)
-                        .copied()
-                        .unwrap_or(0.0)
-                }),
-            );
-        }
-    }
+    let rates: &mut [f64; COLUMNS - 1] = (&mut row[col::ACTIVE..])
+        .try_into()
+        .expect("12 rate columns");
+    tdp_simd::fold_row_rates(d, lanes, cpus, rates);
     row
 }
 
@@ -814,6 +793,40 @@ mod tests {
             (PerfEvent::TimerInterrupts, 25),
         ]]);
         assert_eq!(extract_set(&set)[col::DEV_INT], 0.0);
+    }
+
+    #[test]
+    fn lane_fold_matches_the_row_accumulator_bit_for_bit() {
+        // Counts spanning zero cycles, missing events (a `0.0` lane on
+        // the fold side, `None` on the accumulator side) and counts past
+        // 2^53, at CPU counts on and off the kernel's 4-CPU chunk.
+        for d in [tdp_simd::Dispatch::Scalar, tdp_simd::Dispatch::Wide] {
+            for cpus in [0usize, 1, 3, 4, 5, 32] {
+                let count = |k: usize, c: usize| -> Option<u64> {
+                    match (k * 7 + c * 3) % 11 {
+                        0 => None,
+                        1 => Some(0),
+                        2 => Some(u64::MAX - c as u64),
+                        v => Some((v as u64) << (k * 4 + c % 5)),
+                    }
+                };
+                let mut lanes = vec![0.0; ROW_EVENTS.len() * cpus];
+                let mut acc = RowAccumulator::new(cpus);
+                for c in 0..cpus {
+                    for k in 0..ROW_EVENTS.len() {
+                        lanes[k * cpus + c] = count(k, c).map_or(0.0, |n| n as f64);
+                    }
+                    acc.accumulate_cpu(std::array::from_fn(|k| count(k, c)));
+                }
+                let got = fold_event_lanes(d, &lanes, cpus);
+                let want = acc.finish();
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{d:?} cpus={cpus}"
+                );
+            }
+        }
     }
 
     #[test]

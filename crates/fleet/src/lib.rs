@@ -3,7 +3,8 @@
 //! The paper's estimator is deliberately cheap — "the model is simple
 //! enough to be evaluated at runtime" (§3.3.1) — and PR 1 made a single
 //! machine's sample→estimate path allocation-free. This crate scales
-//! that path *across machines*: one [`SystemPowerModel`] evaluated over
+//! that path *across machines*: one
+//! [`SystemPowerModel`](trickledown::SystemPowerModel) evaluated over
 //! thousands of simulated servers per window, the shape a datacenter
 //! power-management controller consumes.
 //!

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// CPU power, per processor — an activity-factor model in the spirit of
-/// Isci & Martonosi [2].
+/// Isci & Martonosi \[2\].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CpuPowerSpec {
     /// Watts while clock-gated (`HLT`).
@@ -49,7 +49,7 @@ impl Default for CpuPowerSpec {
 }
 
 /// DRAM + memory-controller power, following Janzen's state-based DDR
-/// methodology [8].
+/// methodology \[8\].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DramPowerSpec {
     /// Background watts (controller + DRAM idle/clock-enabled).
@@ -129,7 +129,7 @@ impl Default for IoPowerSpec {
     }
 }
 
-/// Disk power per disk, after Zedlewski et al. [9]: rotation dominates
+/// Disk power per disk, after Zedlewski et al. \[9\]: rotation dominates
 /// (~80% of peak) because the paper's SCSI disks never stop spinning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiskPowerSpec {
@@ -139,7 +139,7 @@ pub struct DiskPowerSpec {
     pub seek_extra_w: f64,
     /// Additional watts while reading.
     pub read_extra_w: f64,
-    /// Additional watts while writing (peak per [9]).
+    /// Additional watts while writing (peak per \[9\]).
     pub write_extra_w: f64,
 }
 

@@ -173,7 +173,7 @@ fn quadratic_impl(out: &mut [f64], dc: f64, lin: f64, quad: f64, x: &[f64], x_sq
 
 wide_kernel! {
     /// `out[i] = dc + lin·x[i] + quad·x_sq[i]` — one whole quadratic
-    /// model per pass, in [`trickledown::quad_poly`]'s association.
+    /// model per pass, in `trickledown::quad_poly`'s association.
     /// Elementwise: bit-identical across dispatch modes.
     ///
     /// # Panics
@@ -224,7 +224,7 @@ wide_kernel! {
     /// `out[i] = clamp_watts(out[i], dc + peak1 · ncpus[i])`, returning
     /// how many entries changed (for the pipeline-health counters).
     /// Elementwise, comparison sequence identical to
-    /// [`trickledown::clamp_watts`]: bit-identical across dispatch
+    /// `trickledown::clamp_watts`: bit-identical across dispatch
     /// modes, including NaN pass-through.
     ///
     /// # Panics
@@ -363,13 +363,12 @@ wide_kernel! {
     pub fn sum[sum_impl / sum_avx2](x: &[f64]) -> f64;
 }
 
-/// Events per machine row in the canonical trickle-down layout
-/// [`fold_identity_rates`] consumes: cycles, halted, uops, L3 misses,
-/// bus transactions, DMA, total interrupts, timer interrupts, disk
-/// interrupts — in that wire order.
+/// Event lanes per machine row in the order [`fold_row_rates`]
+/// consumes: cycles, halted, uops, L3 misses, bus transactions, DMA,
+/// total interrupts, timer interrupts, disk interrupts.
 pub const ROW_FOLD_EVENTS: usize = 9;
 
-/// One chunk of the identity fold: derive all twelve per-CPU rate
+/// One chunk of the row fold: derive all twelve per-CPU rate
 /// columns for `B` consecutive CPUs elementwise (the phase the wide
 /// flavour vectorises — `B` is a compile-time trip count, so LLVM
 /// packs the independent lanes), then reduce them into `out` in CPU
@@ -416,11 +415,11 @@ fn fold_rate_chunk<const B: usize>(
 }
 
 #[inline(always)]
-fn fold_identity_impl(lanes: &[f64], cpus: usize, out: &mut [f64; 12]) {
+fn fold_row_impl(lanes: &[f64], cpus: usize, out: &mut [f64; 12]) {
     assert_eq!(
         lanes.len(),
         ROW_FOLD_EVENTS * cpus,
-        "fold_identity_rates geometry mismatch"
+        "fold_row_rates geometry mismatch"
     );
     let ev: [&[f64]; ROW_FOLD_EVENTS] = core::array::from_fn(|k| &lanes[k * cpus..(k + 1) * cpus]);
     let mut c = 0;
@@ -435,8 +434,9 @@ fn fold_identity_impl(lanes: &[f64], cpus: usize, out: &mut [f64; 12]) {
 }
 
 wide_kernel! {
-    /// The canonical-layout lane→row fold: `lanes` is event-major
-    /// (`lanes[e · cpus + c]`, nine [`ROW_FOLD_EVENTS`] planes), and
+    /// The lane→row fold: `lanes` is event-major in row order
+    /// (`lanes[k · cpus + c]`, nine [`ROW_FOLD_EVENTS`] planes, an
+    /// event the machine does not count carried as a plane of `0.0`), and
     /// each CPU contributes `active = clamp(1 − halted/cycles)`,
     /// `upc`, `l3·10³`, `bus·10⁶`, `dma`, `disk`, `dev = max(int −
     /// timer, 0)` rates plus the four squares, accumulated into the
@@ -449,7 +449,7 @@ wide_kernel! {
     /// # Panics
     ///
     /// Panics if `lanes.len() != 9 · cpus`.
-    pub fn fold_identity_rates[fold_identity_impl / fold_identity_avx2](
+    pub fn fold_row_rates[fold_row_impl / fold_row_avx2](
         lanes: &[f64],
         cpus: usize,
         out: &mut [f64; 12],
@@ -463,7 +463,7 @@ mod tests {
     const BOTH: [Dispatch; 2] = [Dispatch::Scalar, Dispatch::Wide];
 
     #[test]
-    fn fold_identity_rates_matches_per_cpu_reference_bit_for_bit() {
+    fn fold_row_rates_matches_per_cpu_reference_bit_for_bit() {
         for d in BOTH {
             for cpus in [1usize, 2, 3, 4, 5, 7, 8, 12, 17] {
                 // Lane values spanning zero counts, zero cycles, and
@@ -477,7 +477,7 @@ mod tests {
                     })
                     .collect();
                 let mut got = [0.0f64; 12];
-                fold_identity_rates(d, &lanes, cpus, &mut got);
+                fold_row_rates(d, &lanes, cpus, &mut got);
                 // Plain per-CPU reference: the scalar accumulation
                 // order the fleet fold has always used.
                 let mut want = [0.0f64; 12];

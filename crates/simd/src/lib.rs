@@ -47,7 +47,7 @@
 pub mod kernels;
 
 pub use kernels::{
-    add_assign, axpy, clamp_predictions, dot, fill, fold_identity_rates, mask_in_range,
+    add_assign, axpy, clamp_predictions, dot, fill, fold_row_rates, mask_in_range,
     mask_nonneg_le_scaled, quadratic, quadratic_acc, sum, ROW_FOLD_EVENTS,
 };
 

@@ -1,7 +1,7 @@
 //! SCSI disk model with seek / rotational-wait / transfer phases.
 //!
 //! The paper's disks have no power management: platters always spin, so
-//! idle power is ~80% of peak (Zedlewski et al. [9]) and the entire
+//! idle power is ~80% of peak (Zedlewski et al. \[9\]) and the entire
 //! dynamic range lives in head movement and media transfer. Each command
 //! transfers via DMA while in the transfer phase and raises exactly one
 //! completion interrupt — the event the Equation-4 disk model feeds on.

@@ -1,7 +1,7 @@
 //! DRAM bank-state model.
 //!
 //! Ground-truth memory power in the paper's framework follows Janzen's
-//! DDR power methodology [8]: what matters is how much time the devices
+//! DDR power methodology \[8\]: what matters is how much time the devices
 //! spend **active** (servicing reads/writes), in **precharge**, and
 //! **idle**, plus the read/write mix. None of that is visible to the
 //! CPU's counters — which is precisely why the paper must *infer* it from

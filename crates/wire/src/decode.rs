@@ -1,10 +1,11 @@
 //! Zero-copy frame decoding straight into fleet sample rows.
 //!
 //! [`FrameDecoder`] never materialises an intermediate `SampleSet` or
-//! `SystemSample`: it walks a frame's varints in place, reconstructs
-//! per-CPU counts in two reused scratch buffers (current and previous
-//! CPU, for the delta chain), and folds them through
-//! [`tdp_fleet::RowAccumulator`] — the *same* arithmetic
+//! `SystemSample`: it walks a frame in place. A varint frame's counts
+//! are reconstructed row-major in one reused scratch buffer and
+//! gathered through [`tdp_fleet::RowAccumulator`]; a planar frame is
+//! decoded straight into the nine f64 row lanes and folded by
+//! [`tdp_fleet::fold_event_lanes`]. Both apply the *same* arithmetic
 //! `SampleBatch::push_sample_set` applies to in-memory samples, which
 //! is what makes wire ingestion bit-identical to in-memory ingestion by
 //! construction. In the steady state (layouts already registered,
@@ -12,8 +13,9 @@
 //!
 //! Layouts are resolved through [`LayoutTable`], keyed on the header's
 //! `layout_hash`: a layout frame registers the positions of the nine
-//! [`ROW_EVENTS`] within the wire event list once, and every subsequent
-//! sample frame with that hash reuses the memoised positions (a
+//! [`ROW_EVENTS`] within the wire event list once — and their inverse,
+//! the row lane each wire event's planar plane unfolds into — and every
+//! subsequent sample frame with that hash reuses the memoised maps (a
 //! one-entry hot cache makes the common single-layout fleet a single
 //! comparison). A sample frame whose hash was never declared is
 //! reported as [`DecodeError::UnknownLayout`], never guessed at — and
@@ -25,6 +27,7 @@ use crate::frame::{
     FrameHeader, FrameType, HeaderError, PayloadChecksum, HEADER_LEN, MAGIC, MAX_DECIMATION,
     MAX_WIRE_EVENTS,
 };
+use crate::planar::{decode_planes, NO_SLOT};
 use crate::varint::{read_uvarint, read_uvarints_ck, unzigzag};
 use tdp_counters::layout_hash_indices;
 use tdp_fleet::{fold_event_lanes, RowAccumulator, COLUMNS, ROW_EVENTS};
@@ -68,16 +71,18 @@ pub enum Decoded {
 }
 
 /// One registered wire layout: where each of the nine [`ROW_EVENTS`]
-/// sits in the wire event list (`u16::MAX` = absent).
+/// sits in the wire event list, and the inverse map.
 #[derive(Debug, Clone, Copy)]
 struct LayoutEntry {
     hash: u64,
     n_events: u16,
-    /// The layout is exactly [`ROW_EVENTS`] in order — the canonical
-    /// producer layout, whose counts are consumed without position
-    /// indirection.
-    identity: bool,
+    /// Per row event, its wire event index (`u16::MAX` = absent) — the
+    /// varint gather's positions.
     pos: [u16; ROW_EVENTS.len()],
+    /// Per wire event, the row lane its planar plane unfolds into
+    /// ([`NO_SLOT`] = not read): the inverse of `pos`, so a row event
+    /// listed twice keeps its first occurrence only.
+    slot: [u8; MAX_WIRE_EVENTS],
 }
 
 /// Memoised `layout_hash → column positions` mapping.
@@ -124,15 +129,20 @@ impl LayoutTable {
     }
 }
 
-/// Streaming frame decoder; see the [module docs](self).
+/// Streaming frame decoder: walks each frame in place and reduces a
+/// sample frame straight to a fleet row, with no intermediate
+/// `SampleSet`. Sample frames resolve their layout through the
+/// [`LayoutTable`] of layout frames seen so far.
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
     layouts: LayoutTable,
     /// Scratch for a varint frame's reconstructed counts, row-major
     /// (`cpu_count × n_events`); the delta chain unfolds in place.
     cur: Vec<u64>,
-    /// A planar frame's decoded f64 event lanes, event-major
-    /// (`lanes[e · cpus + c]`), ready for the column fold.
+    /// A planar frame's f64 row lanes: the nine [`ROW_EVENTS`] planes,
+    /// event-major in row order (`lanes[k · cpus + c]`), an event the
+    /// layout lacks zero-filled — the shape [`fold_event_lanes`]
+    /// consumes.
     lanes: Vec<f64>,
 }
 
@@ -233,19 +243,16 @@ impl FrameDecoder {
         let mut entry = LayoutEntry {
             hash: header.layout_hash,
             n_events: header.n_events,
-            identity: false,
             pos: [u16::MAX; ROW_EVENTS.len()],
+            slot: [NO_SLOT; MAX_WIRE_EVENTS],
         };
         for (k, e) in ROW_EVENTS.iter().enumerate() {
             // First occurrence wins, matching the in-memory rescan rule.
-            entry.pos[k] = self
-                .cur
-                .iter()
-                .position(|&i| i == e.index() as u64)
-                .map_or(u16::MAX, |i| i as u16);
+            if let Some(i) = self.cur.iter().position(|&i| i == e.index() as u64) {
+                entry.pos[k] = i as u16;
+                entry.slot[i] = k as u8;
+            }
         }
-        entry.identity = entry.n_events as usize == ROW_EVENTS.len()
-            && entry.pos.iter().enumerate().all(|(k, &p)| p as usize == k);
         self.layouts.register(entry);
         Ok(Decoded::Layout { decimation })
     }
@@ -280,7 +287,7 @@ impl FrameDecoder {
         if header.checksum != ck.finish(payload) {
             return Err(DecodeError::Checksum);
         }
-        let entry = scanned?;
+        let pos = scanned?;
         let n = header.n_events as usize;
         let cpus = header.cpu_count as usize;
         if !planar {
@@ -299,31 +306,16 @@ impl FrameDecoder {
         Ok(PendingSample {
             machine_id: header.machine_id,
             window_seq: header.window_seq,
-            entry,
+            n_events: n,
+            pos,
             cpus,
             planar,
         })
     }
 
-    /// The layout a sample frame's header names, checked against the
-    /// header's event count.
-    fn resolve_layout(&mut self, header: &FrameHeader) -> Result<LayoutEntry, DecodeError> {
-        if header.n_events as usize > MAX_WIRE_EVENTS {
-            return Err(DecodeError::Malformed);
-        }
-        let entry = *self
-            .layouts
-            .lookup(header.layout_hash)
-            .ok_or(DecodeError::UnknownLayout)?;
-        if entry.n_events != header.n_events {
-            return Err(DecodeError::Malformed);
-        }
-        Ok(entry)
-    }
-
     /// The structural half of a planar sample decode: layout lookup,
-    /// geometry checks, and the fused single-pass decode into the f64
-    /// lane buffer (event-major — see [`crate::planar`]). Same contract
+    /// geometry checks, and the fused single-pass decode projected
+    /// into the f64 row lanes (see [`crate::planar`]). Same contract
     /// as [`scan_sample`](Self::scan_sample): whatever this returns,
     /// the caller finishes the checksum and gives its verdict
     /// precedence.
@@ -332,17 +324,18 @@ impl FrameDecoder {
         header: &FrameHeader,
         payload: &[u8],
         ck: &mut PayloadChecksum,
-    ) -> Result<LayoutEntry, DecodeError> {
-        let entry = self.resolve_layout(header)?;
-        crate::planar::decode_planes(
+    ) -> Result<[u16; ROW_EVENTS.len()], DecodeError> {
+        let entry = resolve_layout(&mut self.layouts, header)?;
+        decode_planes(
             payload,
-            header.n_events as usize,
+            &entry.slot[..header.n_events as usize],
+            ROW_EVENTS.len(),
             header.cpu_count as usize,
             &mut self.lanes,
             ck,
         )
         .ok_or(DecodeError::Malformed)?;
-        Ok(entry)
+        Ok(entry.pos)
     }
 
     /// The structural half of a sample decode: layout lookup, geometry
@@ -354,8 +347,8 @@ impl FrameDecoder {
         header: &FrameHeader,
         payload: &[u8],
         ck: &mut PayloadChecksum,
-    ) -> Result<LayoutEntry, DecodeError> {
-        let entry = self.resolve_layout(header)?;
+    ) -> Result<[u16; ROW_EVENTS.len()], DecodeError> {
+        let row_pos = resolve_layout(&mut self.layouts, header)?.pos;
         let n = header.n_events as usize;
         let cpus = header.cpu_count as usize;
         let total = n * cpus;
@@ -383,25 +376,19 @@ impl FrameDecoder {
         if pos != payload.len() {
             return Err(DecodeError::Malformed);
         }
-        Ok(entry)
+        Ok(row_pos)
     }
 
     /// Reduces a pending sample's reconstructed counts to one fleet
     /// row — the arithmetic `SampleBatch::push_sample_set` applies to
-    /// in-memory samples. Planar frames fold their decoded f64 event
-    /// lanes through [`fold_event_lanes`] (whose widening and
-    /// missing-event mapping are bit-identical to the `Option<u64>`
-    /// reference path — see its docs); varint frames gather through the
-    /// same [`RowAccumulator`] as always.
+    /// in-memory samples. Planar frames fold their f64 row lanes
+    /// through [`fold_event_lanes`] (whose widening and missing-event
+    /// mapping are bit-identical to the `Option<u64>` reference path —
+    /// see its docs); varint frames gather through the same
+    /// [`RowAccumulator`] as always.
     pub(crate) fn fold_row(&self, p: &PendingSample) -> [f64; COLUMNS] {
         if p.planar {
-            return fold_event_lanes(
-                Dispatch::active(),
-                &self.lanes,
-                p.cpus,
-                &p.entry.pos,
-                p.entry.identity,
-            );
+            return fold_event_lanes(Dispatch::active(), &self.lanes, p.cpus);
         }
         let mut acc = RowAccumulator::new(p.cpus);
         self.accumulate(p, &mut acc);
@@ -418,13 +405,7 @@ impl FrameDecoder {
         idx: usize,
     ) {
         if p.planar {
-            let row = fold_event_lanes(
-                Dispatch::active(),
-                &self.lanes,
-                p.cpus,
-                &p.entry.pos,
-                p.entry.identity,
-            );
+            let row = fold_event_lanes(Dispatch::active(), &self.lanes, p.cpus);
             for (c, v) in cols.iter_mut().zip(row) {
                 c[idx] = v;
             }
@@ -437,21 +418,33 @@ impl FrameDecoder {
 
     /// The varint-frame reduction over the row-major scratch.
     fn accumulate(&self, p: &PendingSample, acc: &mut RowAccumulator) {
-        let n = p.entry.n_events as usize;
+        let n = p.n_events;
         for cpu in 0..p.cpus {
             let row = &self.cur[cpu * n..(cpu + 1) * n];
             // The absent-event sentinel (`u16::MAX`) is out of bounds
             // by construction, so one bounds-checked `get` folds the
-            // presence test and the lookup into a single branch. The
-            // canonical identity layout skips the indirection entirely.
-            let counts: [Option<u64>; ROW_EVENTS.len()] = if p.entry.identity {
-                std::array::from_fn(|k| Some(row[k]))
-            } else {
-                std::array::from_fn(|k| row.get(p.entry.pos[k] as usize).copied())
-            };
-            acc.accumulate_cpu(counts);
+            // presence test and the lookup into a single branch.
+            acc.accumulate_cpu(std::array::from_fn(|k| row.get(p.pos[k] as usize).copied()));
         }
     }
+}
+
+/// The layout a sample frame's header names, checked against the
+/// header's event count.
+fn resolve_layout<'a>(
+    layouts: &'a mut LayoutTable,
+    header: &FrameHeader,
+) -> Result<&'a LayoutEntry, DecodeError> {
+    if header.n_events as usize > MAX_WIRE_EVENTS {
+        return Err(DecodeError::Malformed);
+    }
+    let entry = layouts
+        .lookup(header.layout_hash)
+        .ok_or(DecodeError::UnknownLayout)?;
+    if entry.n_events != header.n_events {
+        return Err(DecodeError::Malformed);
+    }
+    Ok(entry)
 }
 
 /// A sample frame that decoded cleanly (checksummed, delta-unfolded in
@@ -464,10 +457,12 @@ pub(crate) struct PendingSample {
     pub machine_id: u64,
     /// The window sequence number from the frame header.
     pub window_seq: u64,
-    entry: LayoutEntry,
+    n_events: usize,
+    /// The layout's row-event positions, for the varint gather.
+    pos: [u16; ROW_EVENTS.len()],
     cpus: usize,
-    /// Whether the decode landed in the f64 lane buffer (planar frames,
-    /// event-major) rather than the row-major u64 scratch (varint).
+    /// Whether the decode landed in the f64 row lanes (planar frames)
+    /// rather than the row-major u64 scratch (varint).
     planar: bool,
 }
 

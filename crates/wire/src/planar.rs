@@ -24,15 +24,22 @@
 //! varint payload stores row-major — contiguous and fixed-width, so
 //! decode is one fused walk over the payload: each plane is read as a
 //! single bounds-checked slice at its constant lane width, and the lane
-//! loop unzigzags, prefix-sums and widens in one step. The walk **emits
-//! f64 lanes directly** — event-major, CPU 0's base first — so the
-//! downstream column fold consumes them without per-count conversion,
-//! and the payload checksum is absorbed in one trailing pass over the
-//! lines the walk just touched, so the payload is effectively read once
-//! for decode and verification together. Each plane's width is the
-//! smallest that fits the plane's largest zigzag delta (bases
-//! likewise), so the encoding is canonical: one window has exactly one
-//! planar payload.
+//! loop unzigzags, prefix-sums and widens in one step.
+//!
+//! The walk **decodes straight into the fold's shape**. The caller
+//! passes a slot per wire event — the registered layout's inverse map
+//! onto [`ROW_EVENTS`](tdp_fleet::ROW_EVENTS) — and only slotted planes
+//! are unfolded, each into its row lane (f64, event-major, CPU 0's base
+//! first); a row event the layout lacks is a lane of zeros, rewritten
+//! on every frame. The model reads nine events and simulated agents
+//! ship eighteen, so half the planes are never unfolded. Skipping
+//! changes no verdict: every nibble is still checked, every base read,
+//! every plane priced (a skipped plane is a bounds-checked advance) and
+//! trailing bytes rejected, and the payload checksum is absorbed over
+//! every byte in one trailing pass over the lines the walk just
+//! touched. Each plane's width is the smallest that fits the plane's
+//! largest zigzag delta (bases likewise), so the encoding is canonical:
+//! one window has exactly one planar payload.
 //!
 //! Frame width does not change the walk. A 32-CPU frame carries about
 //! 280 delta lanes against a 4-CPU frame's 27, and the same per-plane
@@ -41,7 +48,7 @@
 //!
 //! The encoder mirrors the walk in two passes. The gather reads each
 //! CPU's counts once, CPU-major as the sample set stores them, and
-//! leaves event-major lanes in the decoder's output order plus one OR
+//! leaves event-major lanes in wire-event order plus one OR
 //! per plane; since a width code depends only on the highest set bit,
 //! the OR's code is the plane's width. The write sizes the payload once
 //! from the directory and stores every plane at its constant width
@@ -78,7 +85,7 @@ fn width_code(v: u64) -> u8 {
 /// event-major lanes, ready to be written as a planar payload.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanarScratch {
-    /// Event-major lanes in the decoder's output order: `lanes[e·cpus]`
+    /// Event-major lanes in wire-event order: `lanes[e·cpus]`
     /// is event `e`'s count on CPU 0, `lanes[e·cpus + c]` the zigzag
     /// delta of CPU `c` over CPU `c − 1`.
     lanes: Vec<u64>,
@@ -197,13 +204,29 @@ fn put_plane<const W: usize>(dst: &mut [u8], lanes: &[u64]) -> usize {
     bytes
 }
 
-/// Decodes a planar payload into `out` as **f64 event lanes**,
-/// event-major with CPU 0's base first: `out[e·cpus + c]` is event
-/// `e`'s reconstructed count on CPU `c`, widened to f64 (the delta
-/// chain already unfolded — the same `count as f64` the column fold
-/// would otherwise perform per count per window). Returns `None` on
-/// any structural defect — bad directory nibble or a payload length
-/// that disagrees with the directory's declared widths.
+/// The slot of a wire event no row lane reads: its plane is priced and
+/// skipped, never unfolded.
+pub const NO_SLOT: u8 = u8::MAX;
+
+/// Decodes a planar payload into `out` as **f64 row lanes**, projected
+/// through `slots`: `slots[e]` is the row lane wire event `e` fills, or
+/// [`NO_SLOT`], and `slots.len()` is the frame's event count. On
+/// success `out` holds `rows · cpus` entries, event-major with CPU 0
+/// first: `out[k·cpus + c]` is the count on CPU `c` of the wire event
+/// whose slot is `k`, reconstructed and widened to f64 (the same
+/// `count as f64` the column fold would otherwise perform). A lane no
+/// wire event fills is `0.0` — rewritten on every frame, so nothing
+/// from an earlier frame survives. Returns `None` on any structural
+/// defect: a bad directory nibble, or a payload length that disagrees
+/// with the directory's declared widths.
+///
+/// The walk covers the whole payload whatever the projection: it
+/// checks every nibble, reads every base, prices every plane (a
+/// skipped plane is a bounds-checked advance), and rejects trailing
+/// bytes. Only planes with a slot are unzigzagged, prefix-summed and
+/// widened, so the lanes are exactly those the full unfold would leave
+/// for the same events, and the accept/reject verdict is the full
+/// unfold's for every payload.
 ///
 /// `ck` absorbs the payload once the walk has accepted it, over the
 /// lines the walk just touched. [`PayloadChecksum::absorb_to`] is
@@ -212,51 +235,59 @@ fn put_plane<const W: usize>(dst: &mut [u8], lanes: &[u64]) -> usize {
 /// payload, when the walk rejects) and gives its verdict precedence,
 /// exactly as for varint sample frames.
 ///
-/// Growth of `out` is bounded by the input: every base and delta lane
-/// is at least one byte, so `out` never exceeds `payload.len()`
-/// entries — a corrupt header cannot request an absurd allocation.
+/// Growth of `out` is bounded by the input. The price floor runs
+/// before any resize: every base and delta lane is at least one byte,
+/// so a layout with an event prices `cpus ≤ payload.len()`, and `out`
+/// never exceeds `rows` × payload bytes entries (9 × for the decoder's
+/// row projection) — a corrupt header cannot request an absurd
+/// allocation. A zero-event layout has no lane to price; its frames
+/// are bounded by the header's 16-bit `cpu_count` alone.
+///
+/// # Panics
+///
+/// Panics if `rows > 64` or a slot is neither [`NO_SLOT`] nor below
+/// `rows`.
 pub fn decode_planes(
     payload: &[u8],
-    n_events: usize,
+    slots: &[u8],
+    rows: usize,
     cpus: usize,
     out: &mut Vec<f64>,
     ck: &mut PayloadChecksum,
 ) -> Option<()> {
-    let n = n_events;
+    assert!(rows <= 64, "at most 64 row lanes");
+    let n = slots.len();
     if payload.len() < n {
         return None;
     }
-    let stride = cpus.saturating_sub(1);
-    let lanes = n + n * stride;
     // Nibble validation in one OR-reduce: a width code is legal iff it
     // fits two bits, so a directory is legal iff no byte sets bits 2–3
     // or 6–7.
     if payload[..n].iter().fold(0u8, |a, &b| a | b) & 0xcc != 0 {
         return None;
     }
-    // Price floor *before* sizing `out`: every base and delta lane is at
-    // least one byte, so a structurally valid payload carries no fewer
-    // than `n` directory bytes plus one byte per lane. A header whose
-    // cpu_count prices past the payload (a corrupt cpu_count can claim
-    // 65535 CPUs against a 100-byte payload) is rejected here, so `out`
-    // never exceeds `payload.len()` entries and a corrupt header cannot
-    // request an absurd allocation.
+    // Price floor *before* sizing `out`: a structurally valid payload
+    // carries no fewer than `n` directory bytes plus one byte per lane.
+    // A header whose cpu_count prices past the payload (a corrupt
+    // cpu_count can claim 65535 CPUs against a 100-byte payload) is
+    // rejected here, before the lane buffer can grow.
+    let lanes = n + n * cpus.saturating_sub(1);
     if payload.len() < n + lanes {
         return None;
     }
-    // The decode passes overwrite every entry, so resize only on a
-    // geometry change (no steady-state memset) — same policy as the
-    // varint scratch.
-    let out_len = n * cpus;
+    // The walk and the zero-fill overwrite every entry, so resize only
+    // on a geometry change (no steady-state memset) — same policy as
+    // the varint scratch.
+    let out_len = rows * cpus;
     if out.len() != out_len {
         out.clear();
         out.resize(out_len, 0.0);
     }
-    // Exact pricing falls out of the walk itself: every plane read
-    // checks its bounds, and the final `pos == payload.len()` check
-    // rejects a payload with trailing bytes — together equivalent to
-    // pre-pricing the directory, without the extra pass.
-    let pos = decode_fused(payload, n, cpus, out)?;
+    // Exact pricing falls out of the walk itself: every plane read or
+    // skip checks its bounds, and the final `pos == payload.len()`
+    // check rejects a payload with trailing bytes — together equivalent
+    // to pre-pricing the directory, without the extra pass.
+    let pos = decode_fused(payload, slots, rows, cpus, out)?;
     if pos != payload.len() {
         return None;
     }
@@ -317,10 +348,11 @@ fn unfold_plane<const W: usize>(
 }
 
 /// The planar decode: a two-cursor walk — `bpos` over the bases
-/// region, `ppos` over the planes region — that emits each event's
-/// full f64 lane (base first, then the unfolded deltas) in one visit.
-/// Integer-exact before the final widen, so bit-identical to the
-/// varint path's delta chain by construction.
+/// region, `ppos` over the planes region — that emits each slotted
+/// event's full f64 lane (base first, then the unfolded deltas) in one
+/// visit and steps over every other plane, then zero-fills the lanes
+/// no event filled. Integer-exact before the final widen, so
+/// bit-identical to the varint path's delta chain by construction.
 ///
 /// No in-walk checksum absorbs here: the caller's trailing
 /// [`absorb_to`] pass runs over lines the walk just touched — the same
@@ -329,37 +361,66 @@ fn unfold_plane<const W: usize>(
 /// chunks (measured ≈ +18 ns/frame on 4-CPU fleets).
 ///
 /// With no CPUs there are no lanes to emit; the walk still parses (and
-/// prices) the bases region so trailing garbage is rejected exactly as
-/// before.
+/// prices) the bases region so trailing garbage is still rejected.
 ///
 /// [`absorb_to`]: PayloadChecksum::absorb_to
 #[inline(always)]
-fn decode_fused(payload: &[u8], n: usize, cpus: usize, out: &mut [f64]) -> Option<usize> {
+fn decode_fused(
+    payload: &[u8],
+    slots: &[u8],
+    rows: usize,
+    cpus: usize,
+    out: &mut [f64],
+) -> Option<usize> {
+    let n = slots.len();
+    let dir = &payload[..n];
     // Where the planes start: the directory declares every base width,
     // so the bases region's extent is known before walking it. Each
     // lane read below still bounds-checks, so a payload shorter than
     // this sum fails at the read, never at a slice index.
     let mut bases_end = n;
-    for &b in &payload[..n] {
+    for &b in dir {
         bases_end += 1usize << (b & 0x0f);
     }
     let mut bpos = n;
     let mut ppos = bases_end;
-    for e in 0..n {
-        let base = read_coded_lane(payload, &mut bpos, payload[e] & 0x0f)?;
+    let stride = cpus.saturating_sub(1);
+    let mut filled = 0u64;
+    for (&code, &slot) in dir.iter().zip(slots) {
+        let base = read_coded_lane(payload, &mut bpos, code & 0x0f)?;
         if cpus == 0 {
             continue;
         }
-        let dst = &mut out[e * cpus..(e + 1) * cpus];
+        if slot == NO_SLOT {
+            ppos += stride << (code >> 4);
+            if ppos > payload.len() {
+                return None;
+            }
+            continue;
+        }
+        let k = slot as usize;
+        filled |= 1 << k;
+        let dst = &mut out[k * cpus..(k + 1) * cpus];
         dst[0] = base as f64;
-        match payload[e] >> 4 {
+        match code >> 4 {
             0 => unfold_plane::<1>(payload, &mut ppos, base, &mut dst[1..]),
             1 => unfold_plane::<2>(payload, &mut ppos, base, &mut dst[1..]),
             2 => unfold_plane::<4>(payload, &mut ppos, base, &mut dst[1..]),
             _ => unfold_plane::<8>(payload, &mut ppos, base, &mut dst[1..]),
         }?;
     }
-    Some(if cpus == 0 { bpos } else { ppos })
+    if cpus == 0 {
+        return Some(bpos);
+    }
+    // Visit only the lanes no plane filled: with every row event
+    // present (the common layout) this is one mask test.
+    let mut missing = !filled & u64::MAX.checked_shr(64 - rows as u32).unwrap_or(0);
+    while missing != 0 {
+        let k = missing.trailing_zeros() as usize;
+        missing &= missing - 1;
+        out[k * cpus..(k + 1) * cpus].fill(0.0);
+    }
+    Some(ppos)
 }
 
 #[cfg(test)]
@@ -369,6 +430,7 @@ mod tests {
     use crate::{encode_planar_sample_frame, EncodeError, WireEncoder};
     use proptest::prelude::*;
     use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent};
+    use tdp_fleet::ROW_EVENTS;
 
     /// The per-lane encoder the gather/write pair replaced, kept as the
     /// byte-identity oracle: every lane re-reads its two counts through
@@ -455,14 +517,45 @@ mod tests {
         }
     }
 
-    fn decode(payload: &[u8], n: usize, cpus: usize) -> Option<Vec<f64>> {
-        let h = header_for(payload.len(), cpus as u16, n as u16);
-        let mut out = Vec::new();
+    /// The all-events slot map: wire event `e` fills lane `e`, so the
+    /// walk unfolds every plane in wire order.
+    fn all_slots(n: usize) -> Vec<u8> {
+        (0..n as u8).collect()
+    }
+
+    /// The decoder's row projection of `layout`: each wire event's
+    /// [`ROW_EVENTS`] lane, the first occurrence winning.
+    fn row_slots(layout: &[PerfEvent]) -> Vec<u8> {
+        let mut slots = vec![NO_SLOT; layout.len()];
+        for (k, ev) in ROW_EVENTS.iter().enumerate() {
+            if let Some(e) = layout.iter().position(|x| x == ev) {
+                slots[e] = k as u8;
+            }
+        }
+        slots
+    }
+
+    /// `payload` through [`decode_planes`] with `slots` into `out`,
+    /// checking that the in-walk absorb agrees with the one-shot
+    /// checksum whenever the walk accepts.
+    fn decode_into(
+        payload: &[u8],
+        slots: &[u8],
+        rows: usize,
+        cpus: usize,
+        out: &mut Vec<f64>,
+    ) -> Option<()> {
+        let h = header_for(payload.len(), cpus as u16, slots.len() as u16);
         let mut ck = PayloadChecksum::new(&h);
-        decode_planes(payload, n, cpus, &mut out, &mut ck)?;
-        // The in-walk absorb cadence must agree with the one-shot
-        // checksum.
+        decode_planes(payload, slots, rows, cpus, out, &mut ck)?;
         assert_eq!(ck.finish(payload), h.expected_checksum(payload));
+        Some(())
+    }
+
+    /// Every plane of `payload`, wire order.
+    fn decode(payload: &[u8], n: usize, cpus: usize) -> Option<Vec<f64>> {
+        let mut out = Vec::new();
+        decode_into(payload, &all_slots(n), n, cpus, &mut out)?;
         Some(out)
     }
 
@@ -566,8 +659,26 @@ mod tests {
         let h = header_for(payload.len(), u16::MAX, 3);
         let mut out = Vec::new();
         let mut ck = PayloadChecksum::new(&h);
-        assert!(decode_planes(&payload, 3, 65535, &mut out, &mut ck).is_none());
+        assert!(decode_planes(&payload, &all_slots(3), 3, 65535, &mut out, &mut ck).is_none());
         assert_eq!(out.capacity(), 0, "no lane-buffer growth on rejection");
+    }
+
+    #[test]
+    fn one_event_corrupt_cpu_count_is_rejected_before_the_row_buffer_grows() {
+        // The row buffer is nine lanes per CPU whatever the layout, so a
+        // one-event layout is where a flipped cpu_count would buy the
+        // largest buffer per payload byte. The price floor must still
+        // reject it first, for a wanted event and for a skipped one.
+        let set = set_of(&[vec![10], vec![11], vec![12]]);
+        let payload = &encode_payload(&set)[..2];
+        for slot in [0, NO_SLOT] {
+            let h = header_for(payload.len(), u16::MAX, 1);
+            let mut out = Vec::new();
+            let mut ck = PayloadChecksum::new(&h);
+            let rows = ROW_EVENTS.len();
+            assert!(decode_planes(payload, &[slot], rows, 65535, &mut out, &mut ck).is_none());
+            assert_eq!(out.capacity(), 0, "slot {slot}: no lane-buffer growth");
+        }
     }
 
     #[test]
@@ -609,10 +720,25 @@ mod tests {
     }
 
     /// A `cpus`-CPU window over the first `n` events of a layout
-    /// shuffled by `seed`. Each cell's selector picks a width-boundary
-    /// value, a uniform draw from one width class, or (selector 15) a
-    /// step of exactly `i64::MIN` over the previous CPU's count.
+    /// shuffled by `seed`; see [`boundary_set_over`].
     fn boundary_set(cpus: usize, n: usize, seed: u64, cells: &[(u64, u8)]) -> SampleSet {
+        let mut layout = PerfEvent::ALL.to_vec();
+        let mut rng = seed | 1;
+        for i in (1..layout.len()).rev() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            layout.swap(i, (rng % (i as u64 + 1)) as usize);
+        }
+        layout.truncate(n);
+        boundary_set_over(&layout, cpus, cells)
+    }
+
+    /// A `cpus`-CPU window over `layout`. Each cell's selector picks a
+    /// width-boundary value, a uniform draw from one width class, or
+    /// (selector 15) a step of exactly `i64::MIN` over the previous
+    /// CPU's count.
+    fn boundary_set_over(layout: &[PerfEvent], cpus: usize, cells: &[(u64, u8)]) -> SampleSet {
         const BOUNDARIES: [u64; 11] = [
             0,
             (1 << 8) - 1,
@@ -626,15 +752,7 @@ mod tests {
             u64::MAX - 1,
             u64::MAX,
         ];
-        let mut layout = PerfEvent::ALL.to_vec();
-        let mut rng = seed | 1;
-        for i in (1..layout.len()).rev() {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            layout.swap(i, (rng % (i as u64 + 1)) as usize);
-        }
-        layout.truncate(n);
+        let n = layout.len();
         let mut rows: Vec<Vec<u64>> = Vec::with_capacity(cpus);
         for cpu in 0..cpus {
             let row = (0..n)
@@ -695,6 +813,102 @@ mod tests {
             let payloads = sample_payloads(enc.bytes());
             prop_assert_eq!(payloads[0], &oracle(&prime)[..]);
             prop_assert_eq!(payloads[1], &want[..]);
+        }
+    }
+
+    /// Where each plane of a valid `payload` starts and ends.
+    fn plane_spans(payload: &[u8], n: usize, cpus: usize) -> Vec<(usize, usize)> {
+        let mut at = n + payload[..n]
+            .iter()
+            .map(|&d| 1usize << (d & 0x0f))
+            .sum::<usize>();
+        payload[..n]
+            .iter()
+            .map(|&d| {
+                let start = at;
+                at += cpus.saturating_sub(1) << (d >> 4);
+                (start, at)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The row projection is the full unfold, read through the
+        /// layout: at every CPU count the format meets and over layouts
+        /// that reorder, omit or repeat row events, row lane `k` equals
+        /// the all-events lane of `ROW_EVENTS[k]`'s first occurrence
+        /// (zeros where the layout lacks it), even in a buffer whose old
+        /// contents are NaN. And the two walks
+        /// reject exactly the same payloads: a bad nibble, a skipped or
+        /// a wanted plane cut short, a trailing byte, a cpu_count that
+        /// prices past the payload, or any flipped byte.
+        #[test]
+        fn row_projection_matches_the_full_unfold(
+            cpus in (0usize..5).prop_map(|i| [0, 1, 4, 32, 65][i]),
+            picks in prop::collection::vec(0usize..PerfEvent::ALL.len() + 6, 1..24),
+            cells in prop::collection::vec((any::<u64>(), 0u8..16), 65 * 18),
+            flip in (any::<usize>(), 1u8..255),
+        ) {
+            // Indices past the event list pick a row event again, so
+            // repeats of the model's events are common.
+            let layout: Vec<PerfEvent> = picks
+                .iter()
+                .map(|&i| PerfEvent::ALL.get(i).copied().unwrap_or(ROW_EVENTS[i % 9]))
+                .collect();
+            let set = boundary_set_over(&layout, cpus, &cells);
+            let payload = encode_payload(&set);
+            let n = if cpus == 0 { 0 } else { layout.len() };
+            let layout = &layout[..n];
+            let slots = row_slots(layout);
+            let rows = ROW_EVENTS.len();
+
+            let full = decode(&payload, n, cpus).expect("clean payload");
+            let mut lanes = vec![f64::NAN; rows * cpus];
+            decode_into(&payload, &slots, rows, cpus, &mut lanes).expect("clean payload");
+            for (k, ev) in ROW_EVENTS.iter().enumerate() {
+                let first = layout.iter().position(|x| x == ev);
+                for c in 0..cpus {
+                    let want = first.map_or(0.0, |e| full[e * cpus + c]);
+                    prop_assert_eq!(lanes[k * cpus + c].to_bits(), want.to_bits());
+                }
+            }
+
+            let verdicts = |bad: &[u8], cpus: usize| {
+                let mut out = Vec::new();
+                (
+                    decode_into(bad, &all_slots(n), n, cpus, &mut out).is_some(),
+                    decode_into(bad, &slots, rows, cpus, &mut out).is_some(),
+                )
+            };
+            let mut cases: Vec<(Vec<u8>, usize)> = Vec::new();
+            for e in 0..n {
+                for nibble in [0x04, 0x40] {
+                    let mut bad = payload.clone();
+                    bad[e] |= nibble;
+                    cases.push((bad, cpus));
+                }
+            }
+            for (start, end) in plane_spans(&payload, n, cpus) {
+                // Cut mid-plane, whether the projection skips the plane
+                // or unfolds it.
+                if end > start {
+                    cases.push((payload[..(start + end) / 2].to_vec(), cpus));
+                }
+            }
+            let mut long = payload.clone();
+            long.push(0);
+            cases.push((long, cpus));
+            cases.push((payload.clone(), cpus + 1));
+            cases.push((payload.clone(), u16::MAX as usize));
+            if !payload.is_empty() {
+                let mut bad = payload.clone();
+                bad[flip.0 % payload.len()] ^= flip.1;
+                cases.push((bad, cpus));
+            }
+            for (bad, cpus) in &cases {
+                let (full_ok, row_ok) = verdicts(bad, *cpus);
+                prop_assert_eq!(full_ok, row_ok, "verdicts diverged at {} CPUs", cpus);
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //!
 //! * [`read_uvarint`] — one value. When ≥ 8 buffer bytes remain, a
 //!   single unaligned word load finds the terminator and three
-//!   shift/mask rounds ([`compact7`]) compact the payload bits; buffer
+//!   shift/mask rounds (`compact7`) compact the payload bits; buffer
 //!   tails and > 8-byte encodings take the byte loop, whose own fast
 //!   path peels the 1- and 2-byte classes that dominate real streams.
 //! * [`read_uvarints`] — a run of values, dispatch-gated

@@ -181,6 +181,87 @@ fn wire_ingestion_is_bit_identical_to_in_memory() {
 }
 
 #[test]
+fn row_lanes_never_carry_over_between_frames() {
+    // One stream in which, frame after frame, machines rotate between
+    // the full 18-event layout, one without two row events (disk
+    // interrupts, DMA) and one listing disk interrupts twice, and
+    // alternate between 4 and 32 CPUs — within each window and, machine
+    // by machine, across windows. A frame whose layout lacks a row event
+    // reads zeros there, never the lane the previous same-sized frame
+    // left in the decoder; a repeated event reads its first occurrence.
+    const MACHINES: usize = 8;
+    let four = simulated_window(4, 4);
+    let wide = simulated_window(32, 4);
+    let omitted = [
+        PerfEvent::DiskInterrupts,
+        PerfEvent::DmaOtherBusTransactions,
+    ];
+    let mut enc = WireEncoder::new();
+    let mut state = IngestState::new();
+    let mut ref_state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
+    for w in 0..6u64 {
+        let sets: Vec<SampleSet> = (0..MACHINES)
+            .map(|m| {
+                let flip = w as usize % 2;
+                let src = [&four, &wide][(m / 2 + flip) % 2];
+                let variant = (m + w as usize) % 3;
+                let per_cpu = src[m % 4]
+                    .per_cpu
+                    .iter()
+                    .enumerate()
+                    .map(|(c, cpu)| {
+                        // Spinning machines raise no disk interrupts or
+                        // DMA; give both events counts, so a stale lane
+                        // would show.
+                        let mut counts: Vec<(PerfEvent, u64)> = cpu
+                            .counts()
+                            .iter()
+                            .filter(|(e, _)| variant != 1 || !omitted.contains(e))
+                            .map(|&(e, n)| {
+                                let fake = 300 + 11 * c as u64 + 97 * m as u64;
+                                (e, if omitted.contains(&e) { fake } else { n })
+                            })
+                            .collect();
+                        if variant == 2 {
+                            counts.push((PerfEvent::DiskInterrupts, 7_777 + c as u64));
+                        }
+                        CounterSample::new(CpuId::new(c as u8), w, counts)
+                    })
+                    .collect();
+                SampleSet {
+                    seq: w,
+                    per_cpu,
+                    ..src[m % 4].clone()
+                }
+            })
+            .collect();
+        for (id, set) in sets.iter().enumerate() {
+            enc.push_sample_set(id as u64, set).unwrap();
+        }
+        let buf = enc.take_bytes();
+        let rep = ingest_serial_with(&mut state, &buf, MACHINES, &mut est);
+        assert_eq!(rep.rows_written, MACHINES as u64, "window {w}");
+        assert_eq!(rep.corrupt_frames + rep.unknown_layout_frames, 0);
+        let ref_rep = ingest_reference_with(&mut ref_state, &buf, MACHINES, &mut ref_est);
+        assert_eq!(
+            ref_rep.rows_written, MACHINES as u64,
+            "window {w}: reference"
+        );
+
+        let mut want = FleetEstimator::new(SystemPowerModel::paper());
+        want.process_window(&sets);
+        assert_eq!(batch_bits(&est), batch_bits(&want), "window {w}");
+        assert_eq!(
+            batch_bits(&ref_est),
+            batch_bits(&want),
+            "window {w}: reference"
+        );
+    }
+}
+
+#[test]
 fn every_single_bit_flip_is_detected() {
     // A small stream: two machines, layout + sample frame each.
     let sets = fleet_window(2);

@@ -167,61 +167,52 @@ fn steady_state_fleet_window_does_not_allocate() {
     );
 }
 
-#[test]
-fn steady_state_fused_planar_ingest_does_not_allocate() {
-    // The fused planar wire path carries the same contract as the
-    // in-memory fleet window: once the decoder's lane buffer, the
-    // ingest ledger, and the batch columns have reached steady
-    // capacity, ingesting + estimating a window must not touch the
-    // heap. (Windows are encoded up front; the producer's own contract
-    // is the next test.)
-    const MACHINES: usize = 64;
-    let (mut machine, mut activity) = warmed_machine();
-    let mut set = tdp_counters::SampleSet::empty();
-    for _ in 0..100 {
-        machine.tick_into(&mut activity);
-    }
-    machine.read_counters_into(&mut set);
-
-    // Every window is pre-encoded (fresh window sequences — replayed
-    // sequences read as duplicates and skip the fold), so the measured
-    // stretch is exactly the consumer: decode, ledger, column fold,
-    // estimate.
+/// Pre-encodes `PRIME + WINDOWS` planar windows in which machine `m`
+/// sends `sets[(m + w) % sets.len()]` in window `w`, then asserts that
+/// once the priming windows have sized every slab (ledger, lane buffer,
+/// batch columns), ingesting + estimating the rest touches no heap.
+/// Windows are encoded up front, so the measured stretch is exactly the
+/// consumer: decode, ledger, column fold, estimate.
+fn assert_fused_ingest_allocation_free(sets: &mut [tdp_counters::SampleSet], machines: usize) {
     const PRIME: usize = 5;
     const WINDOWS: usize = 50;
     let mut enc = tdp_wire::WireEncoder::with_kind(tdp_wire::FrameKind::Planar);
     let bufs: Vec<Vec<u8>> = (0..PRIME + WINDOWS)
         .map(|w| {
-            set.seq = w as u64 + 1;
-            for m in 0..MACHINES as u64 {
-                enc.push_sample_set(m, &set).unwrap();
+            // Fresh window sequences: replayed ones read as duplicates
+            // and skip the fold.
+            for set in sets.iter_mut() {
+                set.seq = w as u64 + 1;
+            }
+            for m in 0..machines {
+                enc.push_sample_set(m as u64, &sets[(m + w) % sets.len()])
+                    .unwrap();
             }
             enc.take_bytes()
         })
         .collect();
 
     let mut est =
-        tdp_fleet::FleetEstimator::with_capacity(trickledown::SystemPowerModel::paper(), MACHINES);
+        tdp_fleet::FleetEstimator::with_capacity(trickledown::SystemPowerModel::paper(), machines);
     let mut state = tdp_wire::IngestState::new();
-    // Prime: the first window announces layouts and sizes every slab
-    // (ledger, lane buffer, batch columns);
-    // later windows only change counter magnitudes, so plane widths —
-    // and buffer capacities — hold steady.
+    // Prime: the first window announces layouts and sizes every slab;
+    // later windows only change counter magnitudes and which machine
+    // sends which geometry, so buffer capacities hold steady.
     for buf in &bufs[..PRIME] {
-        tdp_wire::ingest_serial_with(&mut state, buf, MACHINES, &mut est);
+        tdp_wire::ingest_serial_with(&mut state, buf, machines, &mut est);
         est.estimate();
     }
 
     let mut rows = 0u64;
     let delta = allocations_in(|| {
         for buf in &bufs[PRIME..] {
-            rows += tdp_wire::ingest_serial_with(&mut state, buf, MACHINES, &mut est).rows_written;
+            rows += tdp_wire::ingest_serial_with(&mut state, buf, machines, &mut est).rows_written;
             std::hint::black_box(est.estimate().fleet_total());
         }
     });
     assert_eq!(
         rows,
-        (WINDOWS * MACHINES) as u64,
+        (WINDOWS * machines) as u64,
         "clean windows commit every row"
     );
     assert_eq!(
@@ -229,6 +220,48 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
         "{WINDOWS} fused planar windows allocated {delta} times — the \
          steady-state wire ingest path must be allocation-free"
     );
+}
+
+#[test]
+fn steady_state_fused_planar_ingest_does_not_allocate() {
+    // The fused planar wire path carries the same contract as the
+    // in-memory fleet window. (The producer's own contract is a later
+    // test.)
+    let (mut machine, mut activity) = warmed_machine();
+    let mut set = tdp_counters::SampleSet::empty();
+    for _ in 0..100 {
+        machine.tick_into(&mut activity);
+    }
+    machine.read_counters_into(&mut set);
+    assert_fused_ingest_allocation_free(&mut [set], 64);
+}
+
+#[test]
+fn steady_state_mixed_width_planar_ingest_does_not_allocate() {
+    // 4- and 32-CPU machines interleaved within every window, and each
+    // machine switching width from one window to the next: the row-lane
+    // buffer changes geometry on almost every frame, but once it has
+    // held a 32-CPU frame every resize stays inside its capacity.
+    let (mut machine, mut activity) = warmed_machine();
+    let mut narrow = tdp_counters::SampleSet::empty();
+    for _ in 0..100 {
+        machine.tick_into(&mut activity);
+    }
+    machine.read_counters_into(&mut narrow);
+    let mut cfg = MachineConfig::default();
+    cfg.cpu.num_cpus = 32;
+    let mut wide_machine = Machine::new(cfg);
+    for cpu in 0..8 {
+        wide_machine
+            .os_mut()
+            .spawn(Box::new(spin_loop_behavior(1.5)), cpu);
+    }
+    for _ in 0..100 {
+        wide_machine.tick();
+    }
+    let wide = wide_machine.read_counters();
+    assert_eq!(wide.per_cpu.len(), 32);
+    assert_fused_ingest_allocation_free(&mut [narrow, wide], 64);
 }
 
 #[test]
