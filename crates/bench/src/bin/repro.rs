@@ -54,41 +54,6 @@ fn main() -> ExitCode {
         );
         println!("{}", tdp_bench::pipeline::run_and_write(&cfg));
     }
-    if let Some(n_machines) = parsed.fleet {
-        eprintln!(
-            "repro: benchmarking fleet estimation ({n_machines} machines, seed {})…",
-            cfg.seed
-        );
-        println!("{}", tdp_bench::fleet::run_and_write(&cfg, n_machines));
-    }
-    if let Some(n_machines) = parsed.wire {
-        let frame = parsed.frame;
-        let anomaly = parsed.anomaly;
-        let with_anomaly = if anomaly { " + anomaly detection" } else { "" };
-        if let Some(fault_seed) = parsed.faults {
-            eprintln!(
-                "repro: chaos harness — fault-injected streaming ingest{with_anomaly} \
-                 ({n_machines} machines, {} frames, fault seed {fault_seed}, seed {})…",
-                frame.label(),
-                cfg.seed
-            );
-            println!(
-                "{}",
-                tdp_bench::wire::run_chaos_and_write(&cfg, n_machines, fault_seed, frame, anomaly)
-            );
-        } else {
-            eprintln!(
-                "repro: benchmarking wire codec + streaming ingest{with_anomaly} \
-                 ({n_machines} machines, {} frames, seed {})…",
-                frame.label(),
-                cfg.seed
-            );
-            println!(
-                "{}",
-                tdp_bench::wire::run_and_write(&cfg, n_machines, frame, anomaly)
-            );
-        }
-    }
     if wanted.is_empty() {
         return ExitCode::SUCCESS;
     }

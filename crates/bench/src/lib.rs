@@ -13,10 +13,8 @@ pub mod ablations;
 pub mod cli;
 pub mod experiments;
 pub mod figures;
-pub mod fleet;
 pub mod pipeline;
 pub mod selection;
-pub mod wire;
 
 use std::path::PathBuf;
 use tdp_workloads::{Workload, WorkloadSet};

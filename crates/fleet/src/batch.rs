@@ -301,37 +301,6 @@ impl LayoutCache {
         ok.then_some(vals)
     }
 
-    /// Whether the cached layout is exactly [`ROW_EVENTS`] in order
-    /// with nothing else — the canonical producer layout, which the
-    /// bulk fast path loads sequentially without position indirection
-    /// ([`Self::load_identity`]).
-    #[inline]
-    fn is_identity(&self) -> bool {
-        self.all_present
-            && self.len as usize == ROW_EVENTS.len()
-            && self.pos.iter().enumerate().all(|(k, &p)| p as usize == k)
-    }
-
-    /// Verified loads for the identity layout: nine sequential reads,
-    /// same tag-on-the-loaded-tuple verification as
-    /// [`Self::load_verified`], none of its position indirection (worth
-    /// ~15% of bulk extraction — the indexed loads defeat the
-    /// hardware prefetcher's stride detection).
-    #[inline]
-    fn load_identity(pairs: &[(PerfEvent, u64)]) -> Option<[u64; ROW_EVENTS.len()]> {
-        let head = pairs.first_chunk::<{ ROW_EVENTS.len() }>()?;
-        if pairs.len() != ROW_EVENTS.len() {
-            return None;
-        }
-        let mut vals = [0u64; ROW_EVENTS.len()];
-        let mut ok = true;
-        for (k, (&(event, count), v)) in head.iter().zip(&mut vals).enumerate() {
-            ok &= event == ROW_EVENTS[k];
-            *v = count;
-        }
-        ok.then_some(vals)
-    }
-
     #[inline]
     fn matches(&self, pairs: &[(PerfEvent, u64)]) -> bool {
         pairs.len() == self.len as usize
@@ -445,10 +414,11 @@ mod wide {
 ///   thirteen per-machine stores are provably in bounds and compile
 ///   without per-store checks.
 ///
-/// Any set that fails verification is re-extracted from scratch on the
-/// slow path (same CPU order, same arithmetic — the row is
-/// bit-identical), the cache rebuilds, and the fast loop resumes with
-/// a fresh snapshot.
+/// Every cached layout, canonical [`ROW_EVENTS`] order or not, runs the
+/// same position-indexed [`LayoutCache::load_verified`] loads. Any set
+/// that fails verification is re-extracted from scratch on the slow
+/// path (same CPU order, same arithmetic — the row is bit-identical),
+/// the cache rebuilds, and the fast loop resumes with a fresh snapshot.
 #[inline(always)]
 fn extract_sets_into_impl(
     sets: &[SampleSet],
@@ -462,11 +432,25 @@ fn extract_sets_into_impl(
     });
     let mut i = 0;
     while i < n {
+        // Layout-stable run: extract machines from `i`, writing each
+        // finished row straight into the columns, until a set fails
+        // verification (layout change — left for the slow path below)
+        // or the window ends.
         let snap = *cache;
-        if snap.is_identity() {
-            i = fast_run(sets, &mut dst, i, LayoutCache::load_identity);
-        } else if snap.all_present {
-            i = fast_run(sets, &mut dst, i, |pairs| snap.load_verified(pairs));
+        'fast: while snap.all_present && i < n {
+            let set = &sets[i];
+            let mut row = [0.0f64; COLUMNS];
+            row[col::NUM_CPUS] = set.per_cpu.len() as f64;
+            for cpu in &set.per_cpu {
+                match snap.load_verified(cpu.counts()) {
+                    Some(vals) => accumulate_rates(&mut row, vals.map(Some)),
+                    None => break 'fast,
+                }
+            }
+            for (c, v) in dst.iter_mut().zip(row) {
+                c[i] = v;
+            }
+            i += 1;
         }
         if i < n {
             // Layout changed (or nothing cached yet): extract this one
@@ -482,36 +466,6 @@ fn extract_sets_into_impl(
     for (slot, c) in cols.iter_mut().zip(dst) {
         *slot = c;
     }
-}
-
-/// The layout-stable run of [`extract_sets_into_impl`]: extracts
-/// machines starting at `i`, writing each finished row straight into
-/// the columns, until a set fails `load` (layout change — that set is
-/// left for the caller's rebuilding slow path) or the window ends.
-/// Returns the first unprocessed index.
-#[inline(always)]
-fn fast_run(
-    sets: &[SampleSet],
-    dst: &mut [&mut [f64]; COLUMNS],
-    mut i: usize,
-    load: impl Fn(&[(PerfEvent, u64)]) -> Option<[u64; ROW_EVENTS.len()]>,
-) -> usize {
-    'fast: while i < sets.len() {
-        let set = &sets[i];
-        let mut row = [0.0f64; COLUMNS];
-        row[col::NUM_CPUS] = set.per_cpu.len() as f64;
-        for cpu in &set.per_cpu {
-            match load(cpu.counts()) {
-                Some(vals) => accumulate_rates(&mut row, vals.map(Some)),
-                None => break 'fast,
-            }
-        }
-        for (c, v) in dst.iter_mut().zip(row) {
-            c[i] = v;
-        }
-        i += 1;
-    }
-    i
 }
 
 /// One-shot extraction for cold paths (calibration, tests): pays a

@@ -6,8 +6,8 @@
 //! garbage, spiked counter payloads and window-sequence resets. Every
 //! choice is drawn from a [splitmix64] generator keyed on
 //! `(seed, window)`, so a given seed replays the identical fault
-//! schedule on every run — chaos tests and `repro --faults SEED` are
-//! reproducible bit for bit.
+//! schedule on every run — the chaos tests and perfbench's
+//! `fleet-chaos` workload are reproducible bit for bit.
 //!
 //! Each fault kind is engineered to damage **only its target**:
 //!

@@ -132,26 +132,6 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
-    /// Stable lower-case label (`"planar"` / `"varint"`), as accepted
-    /// by [`parse`](Self::parse) and reported in `BENCH_wire.json`.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            FrameKind::Planar => "planar",
-            FrameKind::Varint => "varint",
-        }
-    }
-
-    /// Parses a label back into a kind (`"planar"` / `"varint"`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "planar" => Some(FrameKind::Planar),
-            "varint" => Some(FrameKind::Varint),
-            _ => None,
-        }
-    }
-
     /// The frame type sample frames of this kind carry on the wire.
     #[must_use]
     pub fn sample_frame_type(self) -> FrameType {
@@ -446,12 +426,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_kind_labels_roundtrip() {
+    fn frame_kinds_emit_sample_frame_types() {
         for kind in [FrameKind::Planar, FrameKind::Varint] {
-            assert_eq!(FrameKind::parse(kind.label()), Some(kind));
             assert!(kind.sample_frame_type().is_sample());
         }
-        assert_eq!(FrameKind::parse("csv"), None);
         assert_eq!(FrameKind::default(), FrameKind::Planar);
         assert!(!FrameType::Layout.is_sample());
     }

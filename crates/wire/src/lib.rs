@@ -33,7 +33,7 @@
 //!   which every fault is accounted.
 //! * [`faults`] — a seeded, deterministic fault injector
 //!   ([`FaultPlan`]) that damages encoded windows in replayable ways,
-//!   for chaos tests and `repro --faults`.
+//!   for the chaos tests and perfbench's `fleet-chaos` workload.
 //!
 //! [`SampleBatch`]: tdp_fleet::SampleBatch
 //! [`RowAccumulator`]: tdp_fleet::RowAccumulator

@@ -230,10 +230,10 @@ pub(crate) fn read_uvarints_ck(
 /// per-varint tzcnt/advance chain — the next load issues while the
 /// current window's values are still being compacted.
 ///
-/// Measured on the `repro --wire 1024 --frame varint` fused path
-/// (back-to-back A/B on this container, median of 3 runs each): the
-/// `stage_varint` share drops ~148 → ~139 ns/machine-window and the
-/// fused leg ~315 → ~303 — a real but modest ~6% win; the per-varint
+/// Measured on a synthetic 1,024-machine varint stream (back-to-back
+/// A/B on a 1-core VM, median of 3 runs each): the varint decode stage
+/// dropped ~148 → ~139 ns/machine-window and the whole ingest
+/// ~315 → ~303 — a real but modest ~6% win; the per-varint
 /// extraction itself still bounds the path, which is why the planar
 /// format exists. Recorded like the negative u128 result on
 /// [`read_uvarints_wide`]: the varint chain's remaining cost is
