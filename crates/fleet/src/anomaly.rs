@@ -145,8 +145,13 @@ pub struct AnomalyDetector {
     verdict: Vec<Verdict>,
     /// Per machine: remaining hysteresis windows.
     hold: Vec<u32>,
-    /// Sort scratch for medians (values, then absolute deviations).
-    scratch: Vec<f64>,
+    /// Machines in the latest window; per-machine state past it belongs
+    /// to machines that have left the fleet.
+    live: usize,
+    /// Order-preserving [`key`]s of one column at a time (values, then
+    /// absolute deviations, then a scale ring), permuted in place by
+    /// the median selections.
+    scratch: Vec<u64>,
 }
 
 impl Default for AnomalyDetector {
@@ -155,20 +160,41 @@ impl Default for AnomalyDetector {
     }
 }
 
-/// Median of `vals` after an unstable total-order sort. Deterministic
-/// for any input (NaNs order via `total_cmp`; the estimator's clamped
-/// outputs never produce them).
-fn median_in(vals: &mut [f64]) -> f64 {
-    if vals.is_empty() {
+/// Maps `v` to a `u64` whose plain order is [`f64::total_cmp`]'s
+/// order: negative values get their magnitude bits flipped, then the
+/// sign bit is flipped so every positive value sorts above every
+/// negative one. A bijection; [`unkey`] inverts it.
+#[inline]
+fn key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) >> 1) ^ (1 << 63)
+}
+
+/// The value whose [`key`] is `k`.
+#[inline]
+fn unkey(k: u64) -> f64 {
+    let bits = k ^ (1 << 63);
+    f64::from_bits(bits ^ (((bits as i64 >> 63) as u64) >> 1))
+}
+
+/// Median of the values whose [`key`]s are `keys` (0 when empty), by
+/// linear-time selection; `keys` is left permuted. Under one total
+/// order each order statistic is a unique bit pattern, so this equals a
+/// full `total_cmp` sort's median bit for bit, NaNs included (the
+/// estimator's clamped outputs never produce them).
+fn median_in(keys: &mut [u64]) -> f64 {
+    let n = keys.len();
+    if n == 0 {
         return 0.0;
     }
-    vals.sort_unstable_by(f64::total_cmp);
-    let n = vals.len();
+    let (lower, &mut mid, _) = keys.select_nth_unstable(n / 2);
+    let hi = unkey(mid);
     if n % 2 == 1 {
-        vals[n / 2]
-    } else {
-        0.5 * (vals[n / 2 - 1] + vals[n / 2])
+        return hi;
     }
+    // The lower middle value is the largest key left of the pivot.
+    let lo = unkey(lower.iter().copied().max().expect("even n ≥ 2"));
+    0.5 * (lo + hi)
 }
 
 /// The pure per-machine judgement: worst-subsystem z against the
@@ -212,6 +238,7 @@ impl AnomalyDetector {
             z: Vec::new(),
             verdict: Vec::new(),
             hold: Vec::new(),
+            live: 0,
             scratch: Vec::new(),
         }
     }
@@ -255,10 +282,10 @@ impl AnomalyDetector {
         }
     }
 
-    /// Fleet-wide verdict counts for the latest window.
+    /// Fleet-wide verdict counts for the latest window's machines.
     pub fn summary(&self) -> AnomalySummary {
         let mut s = AnomalySummary::default();
-        for (&v, &z) in self.verdict.iter().zip(&self.z) {
+        for (&v, &z) in self.verdict[..self.live].iter().zip(&self.z) {
             match v {
                 Verdict::Anomalous => s.anomalous += 1,
                 Verdict::Suspect => s.suspect += 1,
@@ -294,11 +321,11 @@ impl AnomalyDetector {
         };
         for (s, col) in cols.iter().enumerate() {
             self.scratch.clear();
-            self.scratch.extend_from_slice(col);
+            self.scratch.extend(col.iter().map(|&v| key(v)));
             let med = median_in(&mut self.scratch);
-            for v in self.scratch.iter_mut() {
-                *v = (*v - med).abs();
-            }
+            self.scratch.clear();
+            self.scratch
+                .extend(col.iter().map(|&v| key((v - med).abs())));
             let mad = median_in(&mut self.scratch);
             let denom = (1.4826 * mad).max(self.cfg.rel_floor * med.abs() + 1e-12);
             if self.ring_denom[s].len() < cap {
@@ -313,7 +340,8 @@ impl AnomalyDetector {
         self.windows += 1;
         for s in 0..SUBSYSTEMS {
             self.scratch.clear();
-            self.scratch.extend_from_slice(&self.ring_denom[s]);
+            self.scratch
+                .extend(self.ring_denom[s].iter().map(|&v| key(v)));
             base.denom[s] = median_in(&mut self.scratch);
         }
         base
@@ -324,6 +352,7 @@ impl AnomalyDetector {
     pub fn update(&mut self, est: &FleetEstimates) {
         let n = est.len();
         self.ensure(n);
+        self.live = n;
         let cols = [est.cpu(), est.memory(), est.disk(), est.io()];
         let base = self.refresh_baseline(&cols);
         let warmed = self.warmed();
@@ -343,7 +372,102 @@ mod tests {
     use super::*;
     use crate::estimator::FleetEstimator;
     use crate::SampleBatch;
+    use proptest::prelude::*;
     use trickledown::SystemPowerModel;
+
+    /// The reference median [`median_in`] must equal bit for bit: an
+    /// unstable `total_cmp` sort, then the middle value (or the mean of
+    /// the two middle values).
+    fn sort_median(vals: &mut [f64]) -> f64 {
+        if vals.is_empty() {
+            return 0.0;
+        }
+        vals.sort_unstable_by(f64::total_cmp);
+        let n = vals.len();
+        if n % 2 == 1 {
+            vals[n / 2]
+        } else {
+            0.5 * (vals[n / 2 - 1] + vals[n / 2])
+        }
+    }
+
+    fn keyed_median(vals: &[f64]) -> f64 {
+        let mut keys: Vec<u64> = vals.iter().map(|&v| key(v)).collect();
+        median_in(&mut keys)
+    }
+
+    /// Values that stress a total-order median: signed zeros,
+    /// subnormals, infinities and NaNs with payloads of either sign.
+    const SPECIAL: [u64; 14] = [
+        0x0000_0000_0000_0000, // +0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x0000_0000_0000_0001, // smallest positive subnormal
+        0x8000_0000_0000_0001, // smallest negative subnormal
+        0x000f_ffff_ffff_ffff, // largest subnormal
+        0x0010_0000_0000_0000, // f64::MIN_POSITIVE
+        0x3ff0_0000_0000_0000, // 1.0
+        0xbff0_0000_0000_0000, // -1.0
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x7ff8_0000_0000_0000, // quiet NaN
+        0x7ff0_0000_0000_0001, // signalling NaN, payload 1
+        0xfff8_0000_dead_beef, // negative NaN with a payload
+        0x7fef_ffff_ffff_ffff, // f64::MAX
+    ];
+
+    /// One value per `(class, bits)` draw: mostly duplicates from a
+    /// small pool, plus raw bit patterns (every NaN payload and
+    /// subnormal is reachable) and subnormals of either sign.
+    fn value(class: u8, bits: u64) -> f64 {
+        match class {
+            0 | 1 => f64::from_bits(SPECIAL[(bits % SPECIAL.len() as u64) as usize]),
+            2 | 3 => (bits % 5) as f64 - 2.0,
+            4 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn keyed_selection_median_matches_the_sort_oracle_bit_for_bit(
+            draws in prop::collection::vec((0u8..7, any::<u64>()), 0..1026),
+        ) {
+            let mut vals: Vec<f64> = draws.iter().map(|&(c, b)| value(c, b)).collect();
+            let got = keyed_median(&vals);
+            let want = sort_median(&mut vals);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "n = {}", vals.len());
+        }
+
+        #[test]
+        fn keys_round_trip_every_bit_pattern_and_follow_total_cmp(
+            a in any::<u64>(),
+            b in (0u8..7, any::<u64>()).prop_map(|(c, b)| value(c, b).to_bits()),
+        ) {
+            for bits in [a, b].into_iter().chain(SPECIAL) {
+                prop_assert_eq!(unkey(key(f64::from_bits(bits))).to_bits(), bits);
+            }
+            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+            prop_assert_eq!(key(x).cmp(&key(y)), x.total_cmp(&y), "{:?} vs {:?}", x, y);
+        }
+    }
+
+    #[test]
+    fn keyed_median_matches_the_sort_oracle_at_every_length_to_1025() {
+        let mut r = 0x2545_f491_4f6c_dd1du64;
+        let pool: Vec<f64> = (0..1025u64)
+            .map(|i| {
+                r ^= r << 13;
+                r ^= r >> 7;
+                r ^= r << 17;
+                value((i % 7) as u8, r)
+            })
+            .collect();
+        for n in 0..=pool.len() {
+            let got = keyed_median(&pool[..n]);
+            let want = sort_median(&mut pool[..n].to_vec());
+            assert_eq!(got.to_bits(), want.to_bits(), "n = {n}");
+        }
+    }
 
     /// A deterministic synthetic fleet row straight into the batch
     /// columns: uniform-ish sane rates with small per-machine jitter.
@@ -457,5 +581,117 @@ mod tests {
         for m in 0..16 {
             assert_eq!(det.decimation(m), 1);
         }
+    }
+
+    /// The detector's statistics recomputed with [`sort_median`]: the
+    /// scale ring and hysteresis holds it needs, nothing else.
+    struct SortReference {
+        cfg: AnomalyConfig,
+        ring: [Vec<f64>; SUBSYSTEMS],
+        head: usize,
+        hold: Vec<u32>,
+    }
+
+    impl SortReference {
+        /// One window: the baseline, whether the ring is full, and
+        /// every machine's `(z, verdict)`.
+        fn update(&mut self, est: &FleetEstimates) -> (Baseline, bool, Vec<(f64, Verdict)>) {
+            let cap = self.cfg.baseline_windows.max(1);
+            let cols = [est.cpu(), est.memory(), est.disk(), est.io()];
+            let mut base = Baseline {
+                med: [0.0; SUBSYSTEMS],
+                denom: [0.0; SUBSYSTEMS],
+            };
+            for (s, col) in cols.iter().enumerate() {
+                let med = sort_median(&mut col.to_vec());
+                let mut dev: Vec<f64> = col.iter().map(|&v| (v - med).abs()).collect();
+                let mad = sort_median(&mut dev);
+                let denom = (1.4826 * mad).max(self.cfg.rel_floor * med.abs() + 1e-12);
+                if self.ring[s].len() < cap {
+                    self.ring[s].push(denom);
+                } else {
+                    self.ring[s][self.head] = denom;
+                }
+                base.med[s] = med;
+            }
+            self.head = (self.head + 1) % cap;
+            for s in 0..SUBSYSTEMS {
+                base.denom[s] = sort_median(&mut self.ring[s].clone());
+            }
+            let warmed = self.ring[0].len() >= cap;
+            self.hold.resize(est.len(), 0);
+            let judged = (0..est.len())
+                .map(|m| {
+                    let x = cols.map(|c| c[m]);
+                    let (z, v, hold) = judge(&self.cfg, &base, x, self.hold[m], warmed);
+                    self.hold[m] = hold;
+                    (z, v)
+                })
+                .collect();
+            (base, warmed, judged)
+        }
+    }
+
+    #[test]
+    fn detector_matches_a_sort_based_reference_bit_for_bit() {
+        let bits = |a: [f64; SUBSYSTEMS]| a.map(f64::to_bits);
+        for machines in [1usize, 2, 255, 256, 1024] {
+            let mut est = FleetEstimator::new(SystemPowerModel::paper());
+            let mut det = AnomalyDetector::default();
+            let mut reference = SortReference {
+                cfg: *det.config(),
+                ring: Default::default(),
+                head: 0,
+                hold: Vec::new(),
+            };
+            let (mut anomalous, mut suspect) = (0, 0);
+            for w in 0..24u64 {
+                // A spike every third window, on a machine that moves.
+                let spike = (w % 3 == 0).then_some((w as usize * 7919) % machines);
+                let e = estimates_for(&mut est, machines, w, spike);
+                let cols = [e.cpu(), e.memory(), e.disk(), e.io()];
+                let got = det.clone().refresh_baseline(&cols);
+                det.update(&e);
+                let (want, warmed, judged) = reference.update(&e);
+                let at = format!("{machines} machines, window {w}");
+                assert_eq!(bits(got.med), bits(want.med), "med, {at}");
+                assert_eq!(bits(got.denom), bits(want.denom), "denom, {at}");
+                assert_eq!(det.warmed(), warmed, "{at}");
+                for (m, &(z, v)) in judged.iter().enumerate() {
+                    let dec = if warmed && v == Verdict::Normal {
+                        det.config().healthy_decimation
+                    } else {
+                        1
+                    };
+                    assert_eq!(det.z(m).to_bits(), z.to_bits(), "z, machine {m}, {at}");
+                    assert_eq!(det.verdict(m), v, "verdict, machine {m}, {at}");
+                    assert_eq!(det.decimation(m), dec, "decimation, machine {m}, {at}");
+                    anomalous += u64::from(v == Verdict::Anomalous);
+                    suspect += u64::from(v == Verdict::Suspect);
+                }
+            }
+            if machines > 2 {
+                assert!(
+                    anomalous > 0 && suspect > 0,
+                    "{machines} machines: spikes judged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn summary_counts_only_the_latest_windows_machines() {
+        let mut est = FleetEstimator::new(SystemPowerModel::paper());
+        let mut det = AnomalyDetector::default();
+        for w in 0..8 {
+            det.update(&estimates_for(&mut est, 32, w, None));
+        }
+        det.update(&estimates_for(&mut est, 32, 100, Some(30)));
+        assert_eq!(det.summary().anomalous, 1);
+        // The fleet shrinks: machine 30 is gone, and so is its verdict.
+        det.update(&estimates_for(&mut est, 16, 101, None));
+        let s = det.summary();
+        assert_eq!((s.anomalous, s.suspect), (0, 0));
+        assert!(s.max_z < det.config().threshold, "z = {}", s.max_z);
     }
 }

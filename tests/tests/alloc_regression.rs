@@ -5,7 +5,9 @@
 //! scratch buffers reach steady state, `Machine::tick_into` and
 //! `Machine::read_counters_into` must run without heap allocation —
 //! and a whole fleet estimation window
-//! (`tdp_fleet::FleetEstimator`) must allocate nothing at all.
+//! (`tdp_fleet::FleetEstimator`) or closed-loop controller window
+//! (ingest, estimate, `tdp_fleet::AnomalyDetector`, grants) must
+//! allocate nothing at all.
 //!
 //! The count is per thread and armed only around each test's measured
 //! stretch, so tests running in parallel (libtest's default) never see
@@ -304,6 +306,67 @@ fn steady_state_producer_window_allocates_only_the_output_buffer() {
             "window {w}: {MACHINES} frames allocated {delta} times — the \
              producer must allocate only for output-buffer growth"
         );
+    }
+}
+
+#[test]
+fn steady_state_closed_loop_window_does_not_allocate() {
+    // The adaptive-sampling loop's controller half, once the detector
+    // has warmed and granted decimation: decimated ingest (three in
+    // four machines silent and reconstructed), estimate, the
+    // detector's median/MAD baseline and verdicts, and the grants fed
+    // back to the encoder. Encoding sits outside the measured stretch;
+    // the producer has its own contract above.
+    const MACHINES: usize = 256;
+    let (mut machine, mut activity) = warmed_machine();
+    let sets: Vec<tdp_counters::SampleSet> = (0..4)
+        .map(|_| {
+            for _ in 0..100 {
+                machine.tick_into(&mut activity);
+            }
+            machine.read_counters()
+        })
+        .collect();
+
+    let mut enc = tdp_wire::WireEncoder::new();
+    let mut state = tdp_wire::IngestState::new();
+    let mut est =
+        tdp_fleet::FleetEstimator::with_capacity(trickledown::SystemPowerModel::paper(), MACHINES);
+    let mut det = tdp_fleet::AnomalyDetector::default();
+    let dec = det.config().healthy_decimation;
+    for w in 0..40u64 {
+        for m in 0..MACHINES {
+            if enc.should_send(m as u64, w) {
+                let mut set = sets[(m + w as usize) % sets.len()].clone();
+                set.seq = w;
+                enc.push_sample_set(m as u64, &set).unwrap();
+            }
+        }
+        let buf = enc.take_bytes();
+        let mut reconstructed = 0;
+        let delta = allocations_in(|| {
+            let rep = tdp_wire::ingest_serial_with(&mut state, &buf, MACHINES, &mut est);
+            reconstructed = rep.rows_reconstructed;
+            det.update(est.estimate());
+            for m in 0..MACHINES {
+                enc.set_decimation(m as u64, det.decimation(m));
+            }
+        });
+        // Warm-up sizes every slab and the detector's scale ring; by
+        // window 16 every machine has run a full decimated cycle.
+        if w >= 16 {
+            assert_eq!(
+                reconstructed,
+                (MACHINES - MACHINES / dec as usize) as u64,
+                "window {w}: every machine decimated"
+            );
+            assert_eq!(
+                delta, 0,
+                "window {w}: the closed loop allocated {delta} times — \
+                 ingest, estimate, detector and grants must be \
+                 allocation-free in the steady state"
+            );
+        }
     }
 }
 
