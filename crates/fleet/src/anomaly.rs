@@ -139,15 +139,12 @@ pub struct AnomalyDetector {
     ring_len: usize,
     /// Windows observed in total.
     windows: u64,
-    /// Per machine: latest robust z-score.
+    /// Per machine of the latest window: latest robust z-score.
     z: Vec<f64>,
-    /// Per machine: current verdict.
+    /// Per machine of the latest window: current verdict.
     verdict: Vec<Verdict>,
-    /// Per machine: remaining hysteresis windows.
+    /// Per machine of the latest window: remaining hysteresis windows.
     hold: Vec<u32>,
-    /// Machines in the latest window; per-machine state past it belongs
-    /// to machines that have left the fleet.
-    live: usize,
     /// Order-preserving [`key`]s of one column at a time (values, then
     /// absolute deviations, then a scale ring), permuted in place by
     /// the median selections.
@@ -238,7 +235,6 @@ impl AnomalyDetector {
             z: Vec::new(),
             verdict: Vec::new(),
             hold: Vec::new(),
-            live: 0,
             scratch: Vec::new(),
         }
     }
@@ -285,7 +281,7 @@ impl AnomalyDetector {
     /// Fleet-wide verdict counts for the latest window's machines.
     pub fn summary(&self) -> AnomalySummary {
         let mut s = AnomalySummary::default();
-        for (&v, &z) in self.verdict[..self.live].iter().zip(&self.z) {
+        for (&v, &z) in self.verdict.iter().zip(&self.z) {
             match v {
                 Verdict::Anomalous => s.anomalous += 1,
                 Verdict::Suspect => s.suspect += 1,
@@ -296,16 +292,6 @@ impl AnomalyDetector {
             }
         }
         s
-    }
-
-    /// Grows the per-machine state to `n` machines (never shrinks; new
-    /// machines start Normal with no history).
-    fn ensure(&mut self, n: usize) {
-        if self.z.len() < n {
-            self.z.resize(n, 0.0);
-            self.verdict.resize(n, Verdict::Normal);
-            self.hold.resize(n, 0);
-        }
     }
 
     /// The fleet-wide phase of an update: this window's
@@ -351,8 +337,14 @@ impl AnomalyDetector {
     /// machine. Allocation-free in the steady state.
     pub fn update(&mut self, est: &FleetEstimates) {
         let n = est.len();
-        self.ensure(n);
-        self.live = n;
+        // Exactly this window's machines: a departed machine's state
+        // goes with it, and one that joins starts Normal with no
+        // history, even at an index a departed machine held. Resizing
+        // keeps capacity, so a fleet that shrinks and regrows does not
+        // allocate.
+        self.z.resize(n, 0.0);
+        self.verdict.resize(n, Verdict::Normal);
+        self.hold.resize(n, 0);
         let cols = [est.cpu(), est.memory(), est.disk(), est.io()];
         let base = self.refresh_baseline(&cols);
         let warmed = self.warmed();
@@ -688,10 +680,24 @@ mod tests {
         }
         det.update(&estimates_for(&mut est, 32, 100, Some(30)));
         assert_eq!(det.summary().anomalous, 1);
-        // The fleet shrinks: machine 30 is gone, and so is its verdict.
+        assert_eq!(det.verdict(30), Verdict::Anomalous);
+        assert_eq!(det.decimation(30), 1);
+        // The fleet shrinks: machine 30 is gone, and so is its state.
         det.update(&estimates_for(&mut est, 16, 101, None));
         let s = det.summary();
         assert_eq!((s.anomalous, s.suspect), (0, 0));
         assert!(s.max_z < det.config().threshold, "z = {}", s.max_z);
+        assert_eq!(det.verdict(30), Verdict::Normal);
+        assert_eq!(det.z(30).to_bits(), 0.0f64.to_bits());
+        // The fleet regrows: the new machine 30 inherits no hold, so it
+        // is judged Normal and granted decimation like its peers.
+        det.update(&estimates_for(&mut est, 32, 102, None));
+        let healthy = det.config().healthy_decimation;
+        for m in [15, 16, 30, 31] {
+            assert_eq!(det.verdict(m), Verdict::Normal, "machine {m}");
+            assert!(det.z(m) < det.config().threshold, "machine {m}");
+            assert_eq!(det.decimation(m), healthy, "machine {m}");
+        }
+        assert_eq!(det.summary().anomalous + det.summary().suspect, 0);
     }
 }

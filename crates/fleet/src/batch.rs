@@ -140,7 +140,7 @@ impl SampleBatch {
     /// Appends one machine's pre-aggregated column row — the raw-row
     /// ingestion point for producers that build rows outside this
     /// crate, such as the `tdp-wire` zero-copy decoder (via
-    /// [`RowAccumulator`], which guarantees the row was formed by the
+    /// [`fold_event_lanes`], which guarantees the row was formed by the
     /// exact arithmetic [`push_sample_set`](Self::push_sample_set)
     /// uses).
     pub fn push_row(&mut self, row: [f64; COLUMNS]) {
@@ -196,9 +196,9 @@ impl SampleBatch {
 
     /// All columns as mutable slices, indexable with the [`col`]
     /// constants — the raw write surface external fused ingestion
-    /// (the `tdp-wire` serial path) builds rows in directly, via
-    /// [`RowAccumulator::finish_into`], instead of staging each row
-    /// through [`set_row`](Self::set_row). Size the batch first with
+    /// (the `tdp-wire` serial path) writes [`fold_event_lanes`] rows
+    /// into directly, instead of staging each row through
+    /// [`set_row`](Self::set_row). Size the batch first with
     /// [`resize_rows`](Self::resize_rows).
     pub fn columns_mut(&mut self) -> [&mut [f64]; COLUMNS] {
         self.col_slices_mut()
@@ -210,10 +210,10 @@ impl SampleBatch {
 /// cache records positions for).
 ///
 /// External ingestion paths — the `tdp-wire` decoder in particular —
-/// either gather one `Option<u64>` count per entry of this array per
-/// CPU and feed them through [`RowAccumulator`], or decode one f64 lane
-/// per entry per CPU for [`fold_event_lanes`]; both apply the exact
-/// same rate arithmetic as [`SampleBatch::push_sample_set`].
+/// either decode one f64 lane per entry per CPU for
+/// [`fold_event_lanes`], or gather one `Option<u64>` count per entry
+/// per CPU and feed them through [`RowAccumulator`]; both apply the
+/// exact same rate arithmetic as [`SampleBatch::push_sample_set`].
 pub const ROW_EVENTS: [PerfEvent; 9] = [
     PerfEvent::Cycles,
     PerfEvent::HaltedCycles,
@@ -599,21 +599,6 @@ impl RowAccumulator {
     /// The finished machine row.
     pub fn finish(self) -> [f64; COLUMNS] {
         self.row
-    }
-
-    /// Writes the finished row straight into column slices at `idx` —
-    /// the same thirteen values [`finish`](Self::finish) returns, minus
-    /// the intermediate row copy a [`SampleBatch::set_row`] round trip
-    /// would add. Pair with [`SampleBatch::columns_mut`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column is `idx` or shorter.
-    #[inline]
-    pub fn finish_into(self, cols: &mut [&mut [f64]; COLUMNS], idx: usize) {
-        for (c, v) in cols.iter_mut().zip(self.row) {
-            c[idx] = v;
-        }
     }
 }
 

@@ -1,25 +1,23 @@
 //! Zero-copy frame decoding straight into fleet sample rows.
 //!
 //! [`FrameDecoder`] never materialises an intermediate `SampleSet` or
-//! `SystemSample`: it walks a frame in place. A varint frame's counts
-//! are reconstructed row-major in one reused scratch buffer and
-//! gathered through [`tdp_fleet::RowAccumulator`]; a planar frame is
-//! decoded straight into the nine f64 row lanes and folded by
-//! [`tdp_fleet::fold_event_lanes`]. Both apply the *same* arithmetic
+//! `SystemSample`: it walks a sample frame in place, decoding it
+//! straight into the nine f64 row lanes (see [`crate::planar`]) that
+//! [`tdp_fleet::fold_event_lanes`] folds with the *same* arithmetic
 //! `SampleBatch::push_sample_set` applies to in-memory samples, which
 //! is what makes wire ingestion bit-identical to in-memory ingestion by
 //! construction. In the steady state (layouts already registered,
-//! scratch sized) a decode performs no allocation.
+//! lane buffer sized) a decode performs no allocation.
 //!
 //! Layouts are resolved through [`LayoutTable`], keyed on the header's
-//! `layout_hash`: a layout frame registers the positions of the nine
-//! [`ROW_EVENTS`] within the wire event list once — and their inverse,
-//! the row lane each wire event's planar plane unfolds into — and every
-//! subsequent sample frame with that hash reuses the memoised maps (a
+//! `layout_hash`: a layout frame registers, once, the row lane each
+//! wire event's plane unfolds into (the inverse of the nine
+//! [`ROW_EVENTS`]' positions within the wire event list), and every
+//! subsequent sample frame with that hash reuses the memoised map (a
 //! one-entry hot cache makes the common single-layout fleet a single
 //! comparison). A sample frame whose hash was never declared is
 //! reported as [`DecodeError::UnknownLayout`], never guessed at — and
-//! because positions are keyed on the *hash of the full ordered list*,
+//! because the map is keyed on the *hash of the full ordered list*,
 //! a mid-stream PMU reprogramming (reordered or extended event list)
 //! can never misattribute columns.
 
@@ -28,9 +26,9 @@ use crate::frame::{
     MAX_WIRE_EVENTS,
 };
 use crate::planar::{decode_planes, NO_SLOT};
-use crate::varint::{read_uvarint, read_uvarints_ck, unzigzag};
+use crate::varint::read_uvarint;
 use tdp_counters::layout_hash_indices;
-use tdp_fleet::{fold_event_lanes, RowAccumulator, COLUMNS, ROW_EVENTS};
+use tdp_fleet::{fold_event_lanes, COLUMNS, ROW_EVENTS};
 use tdp_simd::Dispatch;
 
 /// Why a frame failed to decode.
@@ -39,8 +37,8 @@ pub enum DecodeError {
     /// Stored checksum does not match header + payload.
     Checksum,
     /// A layout frame whose payload hashes differently than its header
-    /// claims, or varints that overrun the payload, or out-of-bounds
-    /// counts of events/CPUs.
+    /// claims, a payload that disagrees with its own structure, or
+    /// out-of-bounds counts of events/CPUs.
     Malformed,
     /// A sample frame referencing a `layout_hash` no layout frame
     /// declared.
@@ -70,18 +68,14 @@ pub enum Decoded {
     },
 }
 
-/// One registered wire layout: where each of the nine [`ROW_EVENTS`]
-/// sits in the wire event list, and the inverse map.
+/// One registered wire layout.
 #[derive(Debug, Clone, Copy)]
 struct LayoutEntry {
     hash: u64,
     n_events: u16,
-    /// Per row event, its wire event index (`u16::MAX` = absent) — the
-    /// varint gather's positions.
-    pos: [u16; ROW_EVENTS.len()],
-    /// Per wire event, the row lane its planar plane unfolds into
-    /// ([`NO_SLOT`] = not read): the inverse of `pos`, so a row event
-    /// listed twice keeps its first occurrence only.
+    /// Per wire event, the [`ROW_EVENTS`] lane its plane unfolds into
+    /// ([`NO_SLOT`] = not read); a row event listed twice keeps its
+    /// first occurrence only.
     slot: [u8; MAX_WIRE_EVENTS],
 }
 
@@ -136,10 +130,7 @@ impl LayoutTable {
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
     layouts: LayoutTable,
-    /// Scratch for a varint frame's reconstructed counts, row-major
-    /// (`cpu_count × n_events`); the delta chain unfolds in place.
-    cur: Vec<u64>,
-    /// A planar frame's f64 row lanes: the nine [`ROW_EVENTS`] planes,
+    /// A sample frame's f64 row lanes: the nine [`ROW_EVENTS`] planes,
     /// event-major in row order (`lanes[k · cpus + c]`), an event the
     /// layout lacks zero-filled — the shape [`fold_event_lanes`]
     /// consumes.
@@ -159,7 +150,7 @@ impl FrameDecoder {
 
     /// Decodes one frame given its parsed header and payload slice
     /// (both still borrowed from the input buffer — nothing is copied
-    /// out except the reconstructed counts).
+    /// out except the reconstructed row lanes).
     ///
     /// # Errors
     ///
@@ -183,12 +174,11 @@ impl FrameDecoder {
                 }
                 self.decode_layout(header, payload)
             }
-            // Sample frames (either encoding) fuse verification into
-            // the payload walk (the hot path — see
-            // `decode_sample_pending`); the checksum verdict still
-            // takes precedence over every structural one, exactly as
-            // the layout arm orders them.
-            FrameType::Sample | FrameType::PlanarSample => {
+            // Sample frames absorb the checksum behind the payload walk
+            // (the hot path — see `decode_sample_pending`); the checksum
+            // verdict still takes precedence over every structural one,
+            // exactly as the layout arm orders them.
+            FrameType::Sample => {
                 let pending = self.decode_sample_pending(header, payload)?;
                 Ok(Decoded::Row {
                     machine_id: pending.machine_id,
@@ -224,12 +214,11 @@ impl FrameDecoder {
                 return Ok(Decoded::Layout { decimation });
             }
         }
-        let n = header.n_events as usize;
-        self.cur.clear();
+        let mut events = [0u64; MAX_WIRE_EVENTS];
+        let events = &mut events[..header.n_events as usize];
         let mut pos = 0usize;
-        for _ in 0..n {
-            self.cur
-                .push(read_uvarint(payload, &mut pos).ok_or(DecodeError::Malformed)?);
+        for e in events.iter_mut() {
+            *e = read_uvarint(payload, &mut pos).ok_or(DecodeError::Malformed)?;
         }
         if pos != payload.len() {
             return Err(DecodeError::Malformed);
@@ -237,19 +226,17 @@ impl FrameDecoder {
         // The payload must hash to what the header claims — otherwise
         // sample frames keyed on that hash would silently bind to the
         // wrong column mapping.
-        if layout_hash_indices(self.cur.iter().copied()) != header.layout_hash {
+        if layout_hash_indices(events.iter().copied()) != header.layout_hash {
             return Err(DecodeError::Malformed);
         }
         let mut entry = LayoutEntry {
             hash: header.layout_hash,
             n_events: header.n_events,
-            pos: [u16::MAX; ROW_EVENTS.len()],
             slot: [NO_SLOT; MAX_WIRE_EVENTS],
         };
         for (k, e) in ROW_EVENTS.iter().enumerate() {
             // First occurrence wins, matching the in-memory rescan rule.
-            if let Some(i) = self.cur.iter().position(|&i| i == e.index() as u64) {
-                entry.pos[k] = i as u16;
+            if let Some(i) = events.iter().position(|&i| i == e.index() as u64) {
                 entry.slot[i] = k as u8;
             }
         }
@@ -258,17 +245,16 @@ impl FrameDecoder {
     }
 
     /// Decodes a sample frame up to (but not including) the row
-    /// reduction: checksum verification fused into the varint walk,
-    /// delta chain unfolded in the decoder's scratch. The caller folds
-    /// the counts with [`fold_row`](Self::fold_row) (a row array, as
+    /// reduction: layout lookup, then the single payload walk into the
+    /// decoder's row lanes (see [`crate::planar`]). The caller folds the
+    /// lanes with [`fold_row`](Self::fold_row) (a row array, as
     /// [`decode_frame`](Self::decode_frame) returns) or
     /// [`fold_into`](Self::fold_into) (serial fused ingest, straight
     /// into the batch's columns) — the fold must happen before the next
-    /// decode reuses the scratch.
+    /// decode reuses the lanes.
     ///
-    /// Error precedence is identical to the historical two-pass decode:
-    /// the checksum is *always* computed over the full payload (the
-    /// walk absorbs what it reads, [`PayloadChecksum::finish`] the
+    /// The checksum is *always* computed over the full payload (the
+    /// walk absorbs what it accepted, [`PayloadChecksum::finish`] the
     /// rest) and checked first, so a corrupt frame reports
     /// [`DecodeError::Checksum`] no matter how it is corrupt, and only
     /// a frame that checksums can report a structural error.
@@ -277,154 +263,48 @@ impl FrameDecoder {
         header: &FrameHeader,
         payload: &[u8],
     ) -> Result<PendingSample, DecodeError> {
-        let planar = header.frame_type == FrameType::PlanarSample;
         let mut ck = PayloadChecksum::new(header);
-        let scanned = if planar {
-            self.scan_planar(header, payload, &mut ck)
-        } else {
-            self.scan_sample(header, payload, &mut ck)
-        };
+        let scanned = resolve_layout(&mut self.layouts, header).and_then(|entry| {
+            decode_planes(
+                payload,
+                &entry.slot[..header.n_events as usize],
+                ROW_EVENTS.len(),
+                header.cpu_count as usize,
+                &mut self.lanes,
+                &mut ck,
+            )
+            .ok_or(DecodeError::Malformed)
+        });
         if header.checksum != ck.finish(payload) {
             return Err(DecodeError::Checksum);
         }
-        let pos = scanned?;
-        let n = header.n_events as usize;
-        let cpus = header.cpu_count as usize;
-        if !planar {
-            // The varint path's delta chain unfolds row over row in
-            // place — integer-exact, so dispatch flavour cannot change
-            // a single reconstructed count. (The planar path already
-            // unfolded its planes during the scan.)
-            for cpu in 1..cpus {
-                let (done, rest) = self.cur.split_at_mut(cpu * n);
-                let prev = &done[(cpu - 1) * n..];
-                for (c, &p) in rest[..n].iter_mut().zip(prev) {
-                    *c = p.wrapping_add(unzigzag(*c) as u64);
-                }
-            }
-        }
+        scanned?;
         Ok(PendingSample {
             machine_id: header.machine_id,
             window_seq: header.window_seq,
-            n_events: n,
-            pos,
-            cpus,
-            planar,
+            cpus: header.cpu_count as usize,
         })
     }
 
-    /// The structural half of a planar sample decode: layout lookup,
-    /// geometry checks, and the fused single-pass decode projected
-    /// into the f64 row lanes (see [`crate::planar`]). Same contract
-    /// as [`scan_sample`](Self::scan_sample): whatever this returns,
-    /// the caller finishes the checksum and gives its verdict
-    /// precedence.
-    fn scan_planar(
-        &mut self,
-        header: &FrameHeader,
-        payload: &[u8],
-        ck: &mut PayloadChecksum,
-    ) -> Result<[u16; ROW_EVENTS.len()], DecodeError> {
-        let entry = resolve_layout(&mut self.layouts, header)?;
-        decode_planes(
-            payload,
-            &entry.slot[..header.n_events as usize],
-            ROW_EVENTS.len(),
-            header.cpu_count as usize,
-            &mut self.lanes,
-            ck,
-        )
-        .ok_or(DecodeError::Malformed)?;
-        Ok(entry.pos)
-    }
-
-    /// The structural half of a sample decode: layout lookup, geometry
-    /// checks, and the checksum-fused bulk varint walk into the scratch
-    /// buffer. Whatever this returns, the caller finishes the checksum
-    /// and gives its verdict precedence.
-    fn scan_sample(
-        &mut self,
-        header: &FrameHeader,
-        payload: &[u8],
-        ck: &mut PayloadChecksum,
-    ) -> Result<[u16; ROW_EVENTS.len()], DecodeError> {
-        let row_pos = resolve_layout(&mut self.layouts, header)?.pos;
-        let n = header.n_events as usize;
-        let cpus = header.cpu_count as usize;
-        let total = n * cpus;
-        // Every varint is at least one byte, so a payload shorter than
-        // the count cannot parse — and refusing it here keeps a corrupt
-        // header's geometry from growing the scratch buffer.
-        if total > payload.len() {
-            return Err(DecodeError::Malformed);
-        }
-        // The scratch contents never leak between frames — the bulk
-        // decode overwrites every entry — so resizing only on a frame
-        // geometry change spares the steady state a memset per frame.
-        if self.cur.len() != total {
-            self.cur.clear();
-            self.cur.resize(total, 0);
-        }
-        // Every varint of the frame in one bulk decode: the batched
-        // decoder's 8-byte windows run straight across CPU-row
-        // boundaries instead of discarding a partially consumed word at
-        // each row, and the checksum absorbs each window as the walk
-        // passes it — one read of the payload for both.
-        let mut pos = 0usize;
-        read_uvarints_ck(Dispatch::active(), payload, &mut pos, &mut self.cur, ck)
-            .ok_or(DecodeError::Malformed)?;
-        if pos != payload.len() {
-            return Err(DecodeError::Malformed);
-        }
-        Ok(row_pos)
-    }
-
-    /// Reduces a pending sample's reconstructed counts to one fleet
-    /// row — the arithmetic `SampleBatch::push_sample_set` applies to
-    /// in-memory samples. Planar frames fold their f64 row lanes
-    /// through [`fold_event_lanes`] (whose widening and missing-event
+    /// Reduces a pending sample's row lanes to one fleet row through
+    /// [`fold_event_lanes`] — the arithmetic `SampleBatch::push_sample_set`
+    /// applies to in-memory samples (its widening and missing-event
     /// mapping are bit-identical to the `Option<u64>` reference path —
-    /// see its docs); varint frames gather through the same
-    /// [`RowAccumulator`] as always.
+    /// see its docs).
     pub(crate) fn fold_row(&self, p: &PendingSample) -> [f64; COLUMNS] {
-        if p.planar {
-            return fold_event_lanes(Dispatch::active(), &self.lanes, p.cpus);
-        }
-        let mut acc = RowAccumulator::new(p.cpus);
-        self.accumulate(p, &mut acc);
-        acc.finish()
+        fold_event_lanes(Dispatch::active(), &self.lanes, p.cpus)
     }
 
     /// [`fold_row`](Self::fold_row) writing straight into a batch's
-    /// column slices at `idx` — the serial fused path, which skips the
-    /// intermediate row copy through `set_row`.
+    /// column slices at `idx` — the serial fused path.
     pub(crate) fn fold_into(
         &self,
         p: &PendingSample,
         cols: &mut [&mut [f64]; COLUMNS],
         idx: usize,
     ) {
-        if p.planar {
-            let row = fold_event_lanes(Dispatch::active(), &self.lanes, p.cpus);
-            for (c, v) in cols.iter_mut().zip(row) {
-                c[idx] = v;
-            }
-            return;
-        }
-        let mut acc = RowAccumulator::new(p.cpus);
-        self.accumulate(p, &mut acc);
-        acc.finish_into(cols, idx);
-    }
-
-    /// The varint-frame reduction over the row-major scratch.
-    fn accumulate(&self, p: &PendingSample, acc: &mut RowAccumulator) {
-        let n = p.n_events;
-        for cpu in 0..p.cpus {
-            let row = &self.cur[cpu * n..(cpu + 1) * n];
-            // The absent-event sentinel (`u16::MAX`) is out of bounds
-            // by construction, so one bounds-checked `get` folds the
-            // presence test and the lookup into a single branch.
-            acc.accumulate_cpu(std::array::from_fn(|k| row.get(p.pos[k] as usize).copied()));
+        for (c, v) in cols.iter_mut().zip(self.fold_row(p)) {
+            c[idx] = v;
         }
     }
 }
@@ -447,8 +327,8 @@ fn resolve_layout<'a>(
     Ok(entry)
 }
 
-/// A sample frame that decoded cleanly (checksummed, delta-unfolded in
-/// the decoder's scratch) but has not yet been reduced to a fleet row —
+/// A sample frame that decoded cleanly (checksummed, unfolded into the
+/// decoder's row lanes) but has not yet been reduced to a fleet row —
 /// the handle [`FrameDecoder::fold_row`] / [`FrameDecoder::fold_into`]
 /// consume. Valid only until the decoder's next sample decode.
 #[derive(Debug, Clone, Copy)]
@@ -457,13 +337,7 @@ pub(crate) struct PendingSample {
     pub machine_id: u64,
     /// The window sequence number from the frame header.
     pub window_seq: u64,
-    n_events: usize,
-    /// The layout's row-event positions, for the varint gather.
-    pos: [u16; ROW_EVENTS.len()],
     cpus: usize,
-    /// Whether the decode landed in the f64 row lanes (planar frames)
-    /// rather than the row-major u64 scratch (varint).
-    planar: bool,
 }
 
 /// One framing step over a raw byte stream.

@@ -3,12 +3,10 @@
 //! [`WireEncoder`] is the stateful producer side: it interleaves a
 //! layout frame whenever a machine's PMU programming or negotiated
 //! decimation changes (including the first time it is seen), so a
-//! stream is always self-describing, and emits sample frames in its
-//! negotiated [`FrameKind`] (column-planar by default, row-major varint
-//! for legacy consumers and A/B baselines). The stateless
-//! [`encode_layout_frame`] / [`encode_sample_frame`] /
-//! [`encode_planar_sample_frame`] building blocks are public for tests
-//! and custom producers.
+//! stream is always self-describing, and emits one sample frame per
+//! pushed window. The stateless [`encode_layout_frame`] /
+//! [`encode_sample_frame`] building blocks are public for tests and
+//! custom producers.
 //!
 //! The producer runs on every monitored machine, every window, so a
 //! push does each piece of work once:
@@ -19,22 +17,21 @@
 //!   the producer's own, so SipHash's flood resistance buys nothing).
 //!   A push is one map lookup and one layout hash, and that hash goes
 //!   straight into the sample header.
-//! * **One gather pass.** A planar frame reads each CPU's counts once,
+//! * **One gather pass.** A frame reads each CPU's counts once,
 //!   CPU-major as [`SampleSet`] stores them, validating event ids and
 //!   folding each zigzag delta into an event-major scratch and its
-//!   plane's OR in the same visit; the OR's width code is the plane's
-//!   width. The scratch lives in the encoder and is reused, so a
+//!   plane's OR in the same visit; the OR and the plane's nonzero lanes
+//!   pick its code. The scratch lives in the encoder and is reused, so a
 //!   steady-state push allocates only as the output buffer grows.
 //! * **One write pass.** The payload is sized once from the directory,
-//!   then every plane is written at its constant width — one fixed-size
-//!   store per lane, the mirror of the decoder's plane walk.
+//!   then every plane is written by its code — the mirror of the
+//!   decoder's plane walk.
 //!
-//! Frames are byte-identical to the per-lane encoder this replaced,
-//! which `planar`'s tests keep as an oracle.
+//! Frames are byte-identical to the per-lane encoder `planar`'s tests
+//! keep as an oracle.
 
 use crate::frame::{
-    put_uvarint, zigzag, FrameHeader, FrameKind, FrameType, HEADER_LEN, MAX_DECIMATION,
-    MAX_WIRE_EVENTS,
+    put_uvarint, FrameHeader, FrameType, HEADER_LEN, MAX_DECIMATION, MAX_WIRE_EVENTS,
 };
 use crate::planar::PlanarScratch;
 use std::collections::HashMap;
@@ -47,8 +44,9 @@ pub enum EncodeError {
     /// CPUs within one set disagree on event list or order; a frame
     /// carries exactly one layout for all its CPUs.
     MixedLayouts,
-    /// More events per CPU than [`MAX_WIRE_EVENTS`] (or more CPUs than
-    /// `u16::MAX`) — outside the format's bounds.
+    /// More events per CPU than [`MAX_WIRE_EVENTS`] or more CPUs than
+    /// [`MAX_WIRE_CPUS`](crate::frame::MAX_WIRE_CPUS) — outside the
+    /// format's bounds.
     OutOfBounds,
 }
 
@@ -156,75 +154,26 @@ fn layout_frame<'a>(
 }
 
 /// Appends one sample frame for `machine_id`, encoding every CPU's
-/// counts against `events` (the layout all CPUs of the set share).
-///
-/// CPU 0's counts are raw varints; each later CPU stores the zigzag
-/// delta against the previous CPU's count of the same event.
+/// counts against the layout all CPUs of the set share, in the payload
+/// of [`crate::planar`].
 ///
 /// # Errors
 ///
 /// [`EncodeError::MixedLayouts`] if any CPU's counter layout differs
 /// from the first CPU's; [`EncodeError::OutOfBounds`] if the layout or
-/// CPU count exceeds the format's bounds.
+/// CPU count exceeds the format's bounds. Nothing is appended on error.
 pub fn encode_sample_frame(
     out: &mut Vec<u8>,
     machine_id: u64,
     set: &SampleSet,
 ) -> Result<(), EncodeError> {
-    varint_frame(out, machine_id, set, layout_hash_of(first_counts(set)))
-}
-
-fn varint_frame(
-    out: &mut Vec<u8>,
-    machine_id: u64,
-    set: &SampleSet,
-    hash: u64,
-) -> Result<(), EncodeError> {
-    let first = first_counts(set);
-    if first.len() > MAX_WIRE_EVENTS || set.per_cpu.len() > u16::MAX as usize {
-        return Err(EncodeError::OutOfBounds);
-    }
-    for cpu in &set.per_cpu {
-        let counts = cpu.counts();
-        if counts.len() != first.len() || counts.iter().zip(first).any(|(a, b)| a.0 != b.0) {
-            return Err(EncodeError::MixedLayouts);
-        }
-    }
-    let header = sample_header(FrameType::Sample, machine_id, set, hash);
-    with_frame(out, header, |buf| {
-        for &(_, count) in first {
-            put_uvarint(buf, count);
-        }
-        for pair in set.per_cpu.windows(2) {
-            for (&(_, prev), &(_, count)) in pair[0].counts().iter().zip(pair[1].counts()) {
-                put_uvarint(buf, zigzag(count.wrapping_sub(prev) as i64));
-            }
-        }
-    });
-    Ok(())
-}
-
-/// Appends one column-planar sample frame for `machine_id` — the same
-/// machine-window [`encode_sample_frame`] would emit, in the
-/// fixed-width plane encoding of [`crate::planar`]. A decoder
-/// reconstructs bit-identical counts from either frame.
-///
-/// # Errors
-///
-/// Identical to [`encode_sample_frame`]:
-/// [`EncodeError::MixedLayouts`] / [`EncodeError::OutOfBounds`].
-pub fn encode_planar_sample_frame(
-    out: &mut Vec<u8>,
-    machine_id: u64,
-    set: &SampleSet,
-) -> Result<(), EncodeError> {
     let hash = layout_hash_of(first_counts(set));
-    planar_frame(out, machine_id, set, hash, &mut PlanarScratch::default())
+    sample_frame(out, machine_id, set, hash, &mut PlanarScratch::default())
 }
 
-/// The one planar sample path: gather (which validates) into `scratch`,
-/// then write the frame. On error nothing is appended.
-fn planar_frame(
+/// The one sample path: gather (which validates) into `scratch`, then
+/// write the frame. On error nothing is appended.
+fn sample_frame(
     out: &mut Vec<u8>,
     machine_id: u64,
     set: &SampleSet,
@@ -232,24 +181,8 @@ fn planar_frame(
     scratch: &mut PlanarScratch,
 ) -> Result<(), EncodeError> {
     scratch.gather(set)?;
-    let header = sample_header(FrameType::PlanarSample, machine_id, set, hash);
-    with_frame(out, header, |buf| scratch.write(buf));
-    Ok(())
-}
-
-/// The first CPU's counts: the layout every CPU of the set must share.
-pub(crate) fn first_counts(set: &SampleSet) -> &[(PerfEvent, u64)] {
-    set.per_cpu.first().map_or(&[], |c| c.counts())
-}
-
-fn sample_header(
-    frame_type: FrameType,
-    machine_id: u64,
-    set: &SampleSet,
-    hash: u64,
-) -> FrameHeader {
-    FrameHeader {
-        frame_type,
+    let header = FrameHeader {
+        frame_type: FrameType::Sample,
         payload_len: 0,
         machine_id,
         window_seq: set.seq,
@@ -257,7 +190,14 @@ fn sample_header(
         cpu_count: set.per_cpu.len() as u16,
         n_events: first_counts(set).len() as u16,
         checksum: 0,
-    }
+    };
+    with_frame(out, header, |buf| scratch.write(buf));
+    Ok(())
+}
+
+/// The first CPU's counts: the layout every CPU of the set must share.
+pub(crate) fn first_counts(set: &SampleSet) -> &[(PerfEvent, u64)] {
+    set.per_cpu.first().map_or(&[], |c| c.counts())
 }
 
 fn layout_hash_of(pairs: &[(PerfEvent, u64)]) -> u64 {
@@ -332,40 +272,15 @@ pub struct WireEncoder {
     buf: Vec<u8>,
     /// Per machine: what was announced and what is wanted.
     agents: HashMap<u64, Agent, BuildHasherDefault<IdHasher>>,
-    /// Reused planar gather scratch — one steady-state
-    /// `push_sample_set` must not heap-allocate.
+    /// Reused gather scratch — one steady-state `push_sample_set` must
+    /// not heap-allocate.
     scratch: PlanarScratch,
-    kind: FrameKind,
 }
 
 impl WireEncoder {
-    /// An empty encoder emitting the default sample encoding
-    /// ([`FrameKind::Planar`]).
+    /// An empty encoder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty encoder emitting `kind` sample frames
-    /// ([`FrameKind::Varint`] keeps the legacy row-major varint
-    /// encoding, e.g. for A/B comparison or old consumers).
-    pub fn with_kind(kind: FrameKind) -> Self {
-        Self {
-            kind,
-            ..Self::default()
-        }
-    }
-
-    /// The sample encoding this encoder emits.
-    pub fn frame_kind(&self) -> FrameKind {
-        self.kind
-    }
-
-    /// Switches the sample encoding for frames pushed from now on. The
-    /// format is negotiated in-band — a decoder reads the frame-type
-    /// byte — so mid-stream switches are safe; producers conventionally
-    /// switch at layout-epoch boundaries.
-    pub fn set_frame_kind(&mut self, kind: FrameKind) {
-        self.kind = kind;
     }
 
     /// Sets the sampling decimation the control loop wants for
@@ -373,7 +288,9 @@ impl WireEncoder {
     /// takes effect on the machine's next `push_sample_set`, which
     /// re-announces the (unchanged) layout with the new decimation —
     /// the consumer learns about it in-band, on the frame before the
-    /// first frame it applies to.
+    /// first frame it applies to. Until then
+    /// [`should_send`](Self::should_send) answers `true`, so that push
+    /// comes at once.
     pub fn set_decimation(&mut self, machine_id: u64, decimation: u16) {
         self.agents.entry(machine_id).or_default().want = decimation.clamp(1, MAX_DECIMATION);
     }
@@ -385,13 +302,26 @@ impl WireEncoder {
     }
 
     /// Whether `machine_id` should transmit its sample for
-    /// `window_seq` under its current decimation: every window at
-    /// decimation 1, else one window in `dec`, phase-staggered by
-    /// machine id so a homogeneous fleet spreads its transmissions
-    /// across windows instead of bursting every `dec`-th one.
+    /// `window_seq`. A machine whose wanted decimation differs from the
+    /// one its last layout frame announced (or that has sent nothing
+    /// yet) sends, so the grant reaches the wire before the machine
+    /// goes silent and the consumer reconstructs, not holds, the
+    /// windows it skips. Otherwise it phases on the announced
+    /// decimation: every window at 1, else one window in `dec`,
+    /// phase-staggered by machine id so a homogeneous fleet spreads its
+    /// transmissions across windows instead of bursting every `dec`-th
+    /// one.
     pub fn should_send(&self, machine_id: u64, window_seq: u64) -> bool {
-        let dec = self.decimation(machine_id) as u64;
-        dec <= 1 || window_seq % dec == machine_id % dec
+        match self.agents.get(&machine_id) {
+            Some(&Agent {
+                announced: Some((_, dec)),
+                want,
+            }) if dec == want => {
+                let dec = u64::from(dec);
+                dec <= 1 || window_seq % dec == machine_id % dec
+            }
+            _ => true,
+        }
     }
 
     /// Appends one machine-window, preceding it with a layout frame if
@@ -411,13 +341,7 @@ impl WireEncoder {
             let events = first.iter().map(|p| &p.0);
             layout_frame(&mut self.buf, machine_id, set.seq, events, hash, agent.want)?;
         }
-        let encoded = match self.kind {
-            FrameKind::Planar => {
-                planar_frame(&mut self.buf, machine_id, set, hash, &mut self.scratch)
-            }
-            FrameKind::Varint => varint_frame(&mut self.buf, machine_id, set, hash),
-        };
-        match encoded {
+        match sample_frame(&mut self.buf, machine_id, set, hash, &mut self.scratch) {
             Ok(()) => {
                 agent.announced = current;
                 Ok(())
@@ -506,8 +430,8 @@ mod tests {
     /// that has never pushed, a no-op grant, clamping, and a rejected
     /// set — returning the whole stream and the layout frames each push
     /// emitted.
-    fn agent_script(kind: FrameKind) -> (Vec<u8>, Vec<usize>) {
-        let mut enc = WireEncoder::with_kind(kind);
+    fn agent_script() -> (Vec<u8>, Vec<usize>) {
+        let mut enc = WireEncoder::new();
         let mut layouts_per_push = Vec::new();
         let mut push = |enc: &mut WireEncoder, m: u64, set: &SampleSet| {
             let before = enc.bytes().len();
@@ -530,8 +454,12 @@ mod tests {
         push(&mut enc, 2, &set_of(&LAYOUT_A, 2, 2));
         // Window 3: a decimation change on machine 0, a layout change
         // on machine 1, and a grant repeating machine 2's decimation.
+        // Until machine 0's push announces its grant it sends in every
+        // phase; machine 2 phases on its announced 4.
         enc.set_decimation(0, 2);
         enc.set_decimation(2, 4);
+        assert!((0..8).all(|seq| enc.should_send(0, seq)));
+        assert_eq!((0..8).filter(|&seq| enc.should_send(2, seq)).count(), 2);
         push(&mut enc, 0, &set_of(&LAYOUT_A, 0, 3));
         push(&mut enc, 1, &set_of(&LAYOUT_B, 1, 3));
         push(&mut enc, 2, &set_of(&LAYOUT_A, 2, 3));
@@ -576,46 +504,38 @@ mod tests {
 
     #[test]
     fn every_agent_transition_announces_exactly_one_layout_frame() {
-        for kind in [FrameKind::Planar, FrameKind::Varint] {
-            let (wire, layouts) = agent_script(kind);
-            assert_eq!(
-                layouts,
-                [1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0],
-                "{kind:?}"
-            );
-            // Announced decimations, in stream order.
-            let announced: Vec<(u64, u16)> = frames(&wire)
-                .into_iter()
-                .filter(|f| f.0 == FrameType::Layout)
-                .map(|f| (f.1, f.2))
-                .collect();
-            assert_eq!(
-                announced,
-                [
-                    (0, 0),
-                    (1, 0),
-                    (2, 4),
-                    (0, 2),
-                    (1, 0),
-                    (0, 0),
-                    (1, MAX_DECIMATION)
-                ],
-                "{kind:?}"
-            );
-        }
+        let (wire, layouts) = agent_script();
+        assert_eq!(layouts, [1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0]);
+        // Announced decimations, in stream order.
+        let announced: Vec<(u64, u16)> = frames(&wire)
+            .into_iter()
+            .filter(|f| f.0 == FrameType::Layout)
+            .map(|f| (f.1, f.2))
+            .collect();
+        assert_eq!(
+            announced,
+            [
+                (0, 0),
+                (1, 0),
+                (2, 4),
+                (0, 2),
+                (1, 0),
+                (0, 0),
+                (1, MAX_DECIMATION)
+            ]
+        );
     }
 
     #[test]
     fn agent_stream_matches_the_recording_of_the_two_map_encoder() {
-        // Digests of the streams `agent_script` produced when the
-        // encoder kept announced layouts and wanted decimations in two
-        // separate maps.
-        for (kind, len, digest) in [
-            (FrameKind::Planar, 1093usize, 0xd2cb_e207_5141_8a2f),
-            (FrameKind::Varint, 1057, 0x096c_441c_fe93_ecd2),
-        ] {
-            let (wire, _) = agent_script(kind);
-            assert_eq!((wire.len(), fnv1a(&wire)), (len, digest), "{kind:?}");
-        }
+        // Length and digest of the stream `agent_script` produces. The
+        // recording was first taken from the encoder that kept
+        // announced layouts and wanted decimations in two separate
+        // maps; the digest was re-taken when the sample payload gained
+        // its zero and sparse planes (format version 2), and the length
+        // did not move. Every announcement is also pinned, format-free,
+        // by the test above.
+        let (wire, _) = agent_script();
+        assert_eq!((wire.len(), fnv1a(&wire)), (1093, 0x718e_0d54_6bb0_5de1));
     }
 }

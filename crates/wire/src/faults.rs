@@ -196,7 +196,8 @@ impl FaultPlan {
                 .iter()
                 .enumerate()
                 .filter(|(i, s)| {
-                    !targets.contains(i) && s.header.is_some_and(|h| h.frame_type.is_sample())
+                    !targets.contains(i)
+                        && s.header.is_some_and(|h| h.frame_type == FrameType::Sample)
                 })
                 .map(|(i, _)| i)
                 .collect();
@@ -244,19 +245,13 @@ impl FaultPlan {
                     let seg = &mut segs[i];
                     let mut h = seg.header.expect("sample target has a header");
                     // All-ones counters: CPU 0 carries raw value 1 for
-                    // every event, later CPUs carry zero deltas.
-                    // Checksums correctly — the *producer* is insane,
-                    // not the wire. Same decoded counts in either
-                    // sample encoding; a planar target additionally
-                    // leads with an all-1-byte-width directory.
+                    // every event at one byte, and every delta plane is
+                    // zero, so each later CPU repeats it. Checksums
+                    // correctly — the *producer* is insane, not the
+                    // wire.
                     let n_events = h.n_events as usize;
-                    let cpus = (h.cpu_count as usize).max(1);
-                    let mut payload = Vec::new();
-                    if h.frame_type == FrameType::PlanarSample {
-                        payload.extend(std::iter::repeat_n(0x00u8, n_events));
-                    }
+                    let mut payload = vec![0x40u8; n_events];
                     payload.extend(std::iter::repeat_n(0x01u8, n_events));
-                    payload.extend(std::iter::repeat_n(0x00u8, (cpus - 1) * n_events));
                     h.payload_len = payload.len() as u32;
                     h.checksum = h.expected_checksum(&payload);
                     seg.bytes.truncate(0);
@@ -342,8 +337,8 @@ impl FaultPlan {
                                 && !targets.contains(&(i + 1))
                                 && match (&segs[i].header, &segs[i + 1].header) {
                                     (Some(a), Some(b)) => {
-                                        a.frame_type.is_sample()
-                                            && b.frame_type.is_sample()
+                                        a.frame_type == FrameType::Sample
+                                            && b.frame_type == FrameType::Sample
                                             && a.machine_id != b.machine_id
                                     }
                                     _ => false,
@@ -362,7 +357,9 @@ impl FaultPlan {
                 }
                 FaultKind::TruncateTail => {
                     let i = segs.len() - 1;
-                    let is_sample = segs[i].header.is_some_and(|h| h.frame_type.is_sample());
+                    let is_sample = segs[i]
+                        .header
+                        .is_some_and(|h| h.frame_type == FrameType::Sample);
                     if targets.contains(&i) || !is_sample || segs[i].bytes.len() < 3 {
                         continue;
                     }

@@ -1,5 +1,5 @@
-//! The frame format: fixed little-endian header, LEB128 varints,
-//! zigzag deltas, and a mix-based 64-bit frame checksum.
+//! The frame format: fixed little-endian header, one layout payload,
+//! one sample payload, and a mix-based 64-bit frame checksum.
 //!
 //! A wire stream is a concatenation of frames. Each frame is a 44-byte
 //! header followed by `payload_len` payload bytes:
@@ -7,39 +7,34 @@
 //! ```text
 //! offset  size  field
 //!      0     2  magic        0x5754 ("TW" little-endian)
-//!      2     1  version      1
-//!      3     1  frame type   0 = layout, 1 = sample, 2 = planar sample
+//!      2     1  version      2
+//!      3     1  frame type   0 = layout, 1 = sample
 //!      4     4  payload_len  bytes following the header
 //!      8     8  machine_id
 //!     16     8  window_seq   sampling-window sequence number
 //!     24     8  layout_hash  tdp_counters::layout_hash of the event list
-//!     32     2  cpu_count
+//!     32     2  cpu_count    CPUs (sample) or decimation (layout)
 //!     34     2  n_events     events per CPU in this layout
 //!     36     8  checksum     see [`FrameHeader::expected_checksum`]
 //! ```
 //!
 //! A **layout frame** declares a PMU event layout: its payload is
-//! `n_events` varints of stable event indices ([`PerfEvent::index`]),
-//! and `layout_hash` is their [`layout_hash_indices`] — a decoder
-//! verifies the two agree before trusting either. Layout frames have
-//! no CPUs to describe, so their `cpu_count` field carries the
-//! machine's negotiated **sampling decimation** instead: `0` or `1`
-//! means every window is transmitted, `N > 1` means the machine sends
-//! one window in `N` and expects the consumer to hold-reconstruct the
-//! rest (capped at [`MAX_DECIMATION`]; the field is checksummed like
-//! any other, and legacy producers always wrote `0`). A **sample frame**
-//! carries one machine's window of raw counts: `cpu_count × n_events`
-//! varints in layout order, CPU 0 raw and every later CPU zigzag
-//! delta-encoded against the previous CPU's count of the same event
-//! (fleet siblings count nearly alike, so deltas are short).
+//! `n_events` LEB128 varints of stable event indices
+//! ([`PerfEvent::index`]), and `layout_hash` is their
+//! [`layout_hash_indices`] — a decoder verifies the two agree before
+//! trusting either. Layout frames have no CPUs to describe, so their
+//! `cpu_count` field carries the machine's negotiated **sampling
+//! decimation** instead: `0` or `1` means every window is transmitted,
+//! `N > 1` means the machine sends one window in `N` and expects the
+//! consumer to hold-reconstruct the rest (capped at
+//! [`MAX_DECIMATION`]; the field is checksummed like any other).
 //!
-//! A **planar sample frame** carries the same machine-window in the
-//! column-planar fixed-width layout of [`crate::planar`]: a per-event
-//! width directory, then raw CPU-0 base counts, then per-event
-//! contiguous planes of fixed-width little-endian zigzag deltas. The
-//! two sample encodings are interchangeable — a decoder produces
-//! bit-identical fleet rows from either — and an encoder picks one per
-//! layout epoch via [`FrameKind`].
+//! A **sample frame** carries one machine's window of raw counts for
+//! at most [`MAX_WIRE_CPUS`] CPUs in the payload of [`crate::planar`]:
+//! a one-byte code per event, CPU 0's counts, then one plane of
+//! CPU-over-CPU zigzag deltas per event, each stored dense at a fixed
+//! width, as a bitmap plus its nonzero lanes, or not at all when every
+//! delta is zero (fleet siblings count nearly alike, so most lanes are).
 //!
 //! The checksum mixes every header field (except the checksum itself)
 //! and every payload word through a chain of bijective steps
@@ -56,8 +51,9 @@
 /// First two header bytes, `"TW"` read as a little-endian `u16`.
 pub const MAGIC: u16 = 0x5754;
 
-/// Current (only) format version.
-pub const VERSION: u8 = 1;
+/// Current (only) format version. Version 1 streams, whose sample
+/// frames came in two payloads, are refused as [`HeaderError::BadVersion`].
+pub const VERSION: u8 = 2;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 44;
@@ -74,18 +70,19 @@ pub const MAX_WIRE_EVENTS: usize = 64;
 /// larger in the field is treated as a malformed frame.
 pub const MAX_DECIMATION: u16 = 1024;
 
+/// Most CPUs a sample frame may carry. A zero delta plane stores no
+/// bytes, so the payload length does not bound the lane buffer a
+/// header's 16-bit `cpu_count` asks for: the decoder refuses a larger
+/// count before sizing anything, and the encoder refuses to write one.
+pub const MAX_WIRE_CPUS: usize = 1024;
+
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameType {
     /// Declares an event layout (payload: `n_events` event indices).
     Layout,
-    /// One machine-window of counts (payload: `cpu_count × n_events`
-    /// delta/varint counts).
+    /// One machine-window of counts (payload: see [`crate::planar`]).
     Sample,
-    /// One machine-window of counts in the column-planar fixed-width
-    /// encoding (payload: width directory + bases + delta planes, see
-    /// [`crate::planar`]).
-    PlanarSample,
 }
 
 impl FrameType {
@@ -93,7 +90,6 @@ impl FrameType {
         match b {
             0 => Some(FrameType::Layout),
             1 => Some(FrameType::Sample),
-            2 => Some(FrameType::PlanarSample),
             _ => None,
         }
     }
@@ -102,42 +98,6 @@ impl FrameType {
         match self {
             FrameType::Layout => 0,
             FrameType::Sample => 1,
-            FrameType::PlanarSample => 2,
-        }
-    }
-
-    /// Whether this frame carries a machine-window of counts (either
-    /// sample encoding), as opposed to a layout announcement.
-    #[must_use]
-    pub fn is_sample(self) -> bool {
-        matches!(self, FrameType::Sample | FrameType::PlanarSample)
-    }
-}
-
-/// Which sample-frame encoding an encoder emits; negotiated per layout
-/// epoch (the layout frame precedes the first sample of either kind, so
-/// a decoder needs no out-of-band signal — the frame-type byte is the
-/// negotiation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrameKind {
-    /// Column-planar fixed-width planes ([`FrameType::PlanarSample`]).
-    /// The default: decode is a branch-free widen + zigzag +
-    /// delta-unfold instead of a serial varint walk.
-    #[default]
-    Planar,
-    /// Row-major LEB128 varints ([`FrameType::Sample`]); the smaller
-    /// frame on real 18-event counter windows (217.8 vs 251.0 B on a
-    /// 4-CPU server, 888.8 vs 1655.9 B on a 32-CPU one).
-    Varint,
-}
-
-impl FrameKind {
-    /// The frame type sample frames of this kind carry on the wire.
-    #[must_use]
-    pub fn sample_frame_type(self) -> FrameType {
-        match self {
-            FrameKind::Planar => FrameType::PlanarSample,
-            FrameKind::Varint => FrameType::Sample,
         }
     }
 }
@@ -284,7 +244,7 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// [`FrameHeader::expected_checksum`] (which delegates here, so the two
 /// can never drift), exposed as a streaming absorb so a decoder can
 /// fold verification into the pass that is already reading the payload
-/// — varint decode — instead of walking the bytes twice.
+/// instead of walking the bytes twice.
 ///
 /// Usage: [`new`](Self::new) seeds the lanes from the header fields;
 /// [`absorb_to`](Self::absorb_to) may be called any number of times
@@ -418,20 +378,12 @@ mod tests {
         let mut bad = buf;
         bad[3] = 7;
         assert_eq!(FrameHeader::parse(&bad), Err(HeaderError::BadType));
-        // Wire byte 2 is the planar sample type, not an error.
-        let mut planar = buf;
-        planar[3] = 2;
-        let parsed = FrameHeader::parse(&planar).expect("planar type parses");
-        assert_eq!(parsed.frame_type, FrameType::PlanarSample);
-    }
-
-    #[test]
-    fn frame_kinds_emit_sample_frame_types() {
-        for kind in [FrameKind::Planar, FrameKind::Varint] {
-            assert!(kind.sample_frame_type().is_sample());
-        }
-        assert_eq!(FrameKind::default(), FrameKind::Planar);
-        assert!(!FrameType::Layout.is_sample());
+        // Version 1's second sample type is gone with its version.
+        let mut old = buf;
+        old[3] = 2;
+        assert_eq!(FrameHeader::parse(&old), Err(HeaderError::BadType));
+        old[2] = 1;
+        assert_eq!(FrameHeader::parse(&old), Err(HeaderError::BadVersion));
     }
 
     #[test]
@@ -451,7 +403,7 @@ mod tests {
                 ck.absorb_to(&payload, split);
                 assert_eq!(ck.finish(&payload), want, "len {len} split {split}");
             }
-            // Many small monotone absorbs, as a varint walk produces.
+            // Many small monotone absorbs.
             let mut ck = PayloadChecksum::new(&h);
             for upto in (0..=len).step_by(3) {
                 ck.absorb_to(&payload, upto);

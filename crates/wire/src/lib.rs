@@ -6,22 +6,21 @@
 //! a byte stream. This crate defines that stream and makes decoding it
 //! cost about as much as reading local memory:
 //!
-//! * [`frame`] — the format: 44-byte little-endian headers, two
-//!   negotiated sample encodings — LEB128 varints with cross-CPU zigzag
-//!   deltas (fleet siblings count nearly alike, so payloads stay
-//!   small), and the default column-[`planar`] fixed-width planes whose
-//!   decode is one bounds-checked walk per plane instead of a serial
-//!   varint chain — and a mix-based 64-bit checksum that provably
-//!   catches every single-bit corruption.
+//! * [`frame`] — the format: 44-byte little-endian headers, one
+//!   sample payload — the column-[`planar`] planes of cross-CPU zigzag
+//!   deltas, each stored dense at a fixed width, sparse behind a
+//!   bitmap, or not at all when every delta is zero (fleet siblings
+//!   count nearly alike, so most are) — and a mix-based 64-bit checksum
+//!   that provably catches every single-bit corruption.
 //! * [`WireEncoder`] — the producer side: self-describing streams that
-//!   interleave a layout frame whenever a machine's PMU programming
-//!   changes, emitting either sample encoding ([`FrameKind`], planar by
-//!   default).
+//!   interleave a layout frame whenever a machine's PMU programming or
+//!   sampling decimation changes.
 //! * [`FrameDecoder`] — the zero-copy consumer: validates frames in
 //!   place and reduces them straight to [`SampleBatch`] rows through
-//!   the same [`RowAccumulator`] arithmetic in-memory ingestion uses,
-//!   memoising event layouts by hash ([`LayoutTable`]). No intermediate
-//!   sample structs, no steady-state allocation.
+//!   the same rate arithmetic in-memory ingestion uses
+//!   ([`fold_event_lanes`]), memoising event layouts by hash
+//!   ([`LayoutTable`]). No intermediate sample structs, no
+//!   steady-state allocation.
 //! * [`ingest_serial_with`] — the ingest path: one serial walk that
 //!   decodes accepted frames straight into the batch columns and runs
 //!   the health ladder batched, pinned bit-for-bit against the per-row
@@ -36,7 +35,7 @@
 //!   for the chaos tests and perfbench's `fleet-chaos` workload.
 //!
 //! [`SampleBatch`]: tdp_fleet::SampleBatch
-//! [`RowAccumulator`]: tdp_fleet::RowAccumulator
+//! [`fold_event_lanes`]: tdp_fleet::fold_event_lanes
 //!
 //! # Quickstart
 //!
@@ -80,11 +79,10 @@ mod stream;
 
 pub use decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder, LayoutTable};
 pub use encode::{
-    encode_layout_frame, encode_layout_frame_with_decimation, encode_planar_sample_frame,
-    encode_sample_frame, EncodeError, WireEncoder,
+    encode_layout_frame, encode_layout_frame_with_decimation, encode_sample_frame, EncodeError,
+    WireEncoder,
 };
 pub use faults::{FaultKind, FaultPlan, FaultedWindow, InjectedFault};
-pub use frame::FrameKind;
 pub use health::{DegradePolicy, HealthState, PipelineHealth};
 pub use stream::{
     ingest_reference_with, ingest_serial, ingest_serial_with, IngestState, StreamReport,

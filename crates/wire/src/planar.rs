@@ -1,69 +1,96 @@
-//! The column-planar fixed-width sample payload
-//! ([`FrameType::PlanarSample`](crate::frame::FrameType::PlanarSample)).
-//!
-//! The varint sample payload is compact but serial: every varint's
-//! length is data-dependent, so decode is a loop-carried
-//! load→scan→advance chain with a hard per-varint latency floor
-//! (DESIGN.md §4h measured it at ~136 ns of the ~268 ns fused budget).
-//! The planar payload removes the dependency by moving the length
-//! information out of the data and into a tiny per-frame directory:
+//! The sample payload ([`FrameType::Sample`](crate::frame::FrameType::Sample)):
+//! CPU 0's counts, then one plane of CPU-over-CPU deltas per event,
+//! with every length moved out of the data into a per-event directory.
 //!
 //! ```text
-//! offset            size                    field
-//! 0                 n_events                width directory
-//! n_events          Σ base_w[e]             bases: CPU 0 raw counts
-//! (after bases)     (cpu_count−1)·delta_w[0]  event 0 delta plane
-//! …                 …                       … one plane per event
+//! offset            size            field
+//! 0                 n_events        directory, one byte per event
+//! n_events          Σ base bytes    bases: CPU 0's raw counts
+//! (after bases)     Σ plane bytes   one delta plane per event
 //! ```
 //!
-//! Directory byte `e` packs two width codes, low nibble for the base
-//! and high nibble for the event's delta plane: code `c ∈ 0..=3` means
-//! `1 << c` bytes per lane (1/2/4/8). The base is CPU 0's raw count,
-//! little-endian at its width. A **delta plane** holds the event's
-//! `cpu_count − 1` zigzag CPU-over-CPU deltas — the same values the
-//! varint payload stores row-major — contiguous and fixed-width, so
-//! decode is one fused walk over the payload: each plane is read as a
-//! single bounds-checked slice at its constant lane width, and the lane
-//! loop unzigzags, prefix-sums and widens in one step.
+//! Directory byte `e` holds event `e`'s base code in its low nibble and
+//! its plane code in its high nibble. A plane carries the event's
+//! `cpus − 1` delta lanes: lane `i` is the zigzag of CPU `i`'s count
+//! minus CPU `i − 1`'s (wrapping), so fleet siblings that count nearly
+//! alike give small lanes. All stored values are little-endian.
 //!
-//! The walk **decodes straight into the fold's shape**. The caller
-//! passes a slot per wire event — the registered layout's inverse map
-//! onto [`ROW_EVENTS`](tdp_fleet::ROW_EVENTS) — and only slotted planes
-//! are unfolded, each into its row lane (f64, event-major, CPU 0's base
-//! first); a row event the layout lacks is a lane of zeros, rewritten
-//! on every frame. The model reads nine events and simulated agents
-//! ship eighteen, so half the planes are never unfolded. Skipping
-//! changes no verdict: every nibble is still checked, every base read,
-//! every plane priced (a skipped plane is a bounds-checked advance) and
-//! trailing bytes rejected, and the payload checksum is absorbed over
-//! every byte in one trailing pass over the lines the walk just
-//! touched. Each plane's width is the smallest that fits the plane's
-//! largest zigzag delta (bases likewise), so the encoding is canonical:
-//! one window has exactly one planar payload.
+//! | code    | base                           | plane                                      |
+//! |---------|--------------------------------|--------------------------------------------|
+//! | `0..=3` | the count at `1 << c` bytes    | *dense*: every lane at `1 << c` bytes      |
+//! | `4`     | *zero*: the count is 0, no bytes | *zero*: every lane is 0, no bytes        |
+//! | `8..=11`| illegal                        | *sparse*: a bitmap of `⌈(cpus − 1)/8⌉` bytes (bit `i` set ⇔ lane `i + 1` nonzero), then the nonzero lanes at `1 << (c & 3)` bytes |
 //!
-//! Frame width does not change the walk. A 32-CPU frame carries about
-//! 280 delta lanes against a 4-CPU frame's 27, and the same per-plane
-//! loop serves both (DESIGN.md §4i records why no separate wide-frame
-//! path is kept).
+//! Every other nibble is illegal, as is a bitmap bit at or above
+//! `cpus − 1`. A header's `cpu_count` above [`MAX_WIRE_CPUS`] is
+//! refused before anything is sized: zero planes store nothing, so the
+//! payload length alone does not bound the lane buffer a header can
+//! ask for.
 //!
-//! The encoder mirrors the walk in two passes. The gather reads each
-//! CPU's counts once, CPU-major as the sample set stores them, and
-//! leaves event-major lanes in wire-event order plus one OR
-//! per plane; since a width code depends only on the highest set bit,
-//! the OR's code is the plane's width. The write sizes the payload once
-//! from the directory and stores every plane at its constant width
-//! (`put_plane::<W>`, the mirror of `unfold_plane::<W>`).
+//! **Encoder.** A zero count or an all-zero plane is coded zero.
+//! Otherwise the width is the smallest that holds the base, or the OR
+//! of the plane's lanes (a width code depends only on the highest set
+//! bit), and a plane goes sparse only when its bitmap plus its nonzero
+//! lanes are strictly smaller than the dense plane. So one window has
+//! exactly one payload. The gather reads each CPU's counts once,
+//! CPU-major as [`SampleSet`] stores them, and leaves event-major lanes
+//! in wire-event order plus one OR per plane. The write counts the
+//! nonzero lanes of each plane the OR does not already code zero, in
+//! one pass over its contiguous lanes (counting them in the gather
+//! costs a read-modify-write per lane there, and measured slower on
+//! 32-CPU frames), sizes the payload once from the directory and
+//! stores each plane by its code.
 //!
-//! Because the deltas and the delta chain are identical to the varint
-//! encoding's — and `count as f64` is the same IEEE rounding wherever
-//! it is performed — a decoder reconstructs bit-identical fleet rows
-//! from either payload, property-tested in `tests/planar.rs` across
-//! random layouts and width-boundary values.
+//! **Decoder.** [`decode_planes`] walks the payload once, **straight
+//! into the fold's shape**. The caller passes a slot per wire event —
+//! the registered layout's inverse map onto
+//! [`ROW_EVENTS`](tdp_fleet::ROW_EVENTS) — and only slotted planes are
+//! unfolded, each into its f64 row lane (CPU 0's base first): a dense
+//! plane with one bounds check and one fixed-size load per lane, a zero
+//! plane as a fill, a sparse plane by its bitmap. The model reads nine
+//! events and simulated agents ship eighteen, so half the planes are
+//! never unfolded. Skipping changes no verdict: one pass over a
+//! 256-entry table checks every directory byte while it sizes the bases
+//! region, every base is read, every plane priced (a sparse plane's
+//! price and bitmap are checked even when skipped) and trailing bytes
+//! rejected, and the payload checksum is absorbed over every byte in
+//! one trailing pass over the lines the walk just touched.
+//!
+//! The reconstructed counts are integer-exact and `count as f64` is the
+//! same IEEE rounding wherever it is performed, so wire rows are
+//! bit-identical to in-memory ones, property-tested in
+//! `tests/planar.rs` across random layouts, CPU counts on every bitmap
+//! byte boundary, and width-boundary values.
 
 use crate::encode::{first_counts, EncodeError};
-use crate::frame::{PayloadChecksum, MAX_WIRE_EVENTS};
-use crate::varint::zigzag;
+use crate::frame::{PayloadChecksum, MAX_WIRE_CPUS, MAX_WIRE_EVENTS};
+use crate::varint::{unzigzag, zigzag};
 use tdp_counters::SampleSet;
+
+/// The code of a zero base or an all-zero plane: nothing is stored.
+const ZERO: u8 = 4;
+
+/// The flag of a sparse plane code (`8..=11`, width code `c & 3`).
+const SPARSE: u8 = 8;
+
+/// The table entry of a directory byte with an illegal nibble.
+const BAD_DIR: u8 = 0x80;
+
+/// Per directory byte, the bytes its base stores, or [`BAD_DIR`] if
+/// either nibble is illegal. Legal stored widths are at most 8, so one
+/// OR over a directory's entries tells whether any byte was illegal.
+const BASE_BYTES: [u8; 256] = {
+    let mut t = [BAD_DIR; 256];
+    let mut d = 0;
+    while d < 256 {
+        let (base, plane) = (d as u8 & 0x0f, d as u8 >> 4);
+        if base <= ZERO && (plane <= ZERO || plane & !3 == SPARSE) {
+            t[d] = if base == ZERO { 0 } else { 1 << base };
+        }
+        d += 1;
+    }
+    t
+};
 
 /// The smallest width code (`0..=3`, meaning `1 << code` bytes) whose
 /// lane holds `v`. The code depends only on `v`'s highest set bit, so
@@ -81,8 +108,38 @@ fn width_code(v: u64) -> u8 {
     }
 }
 
+/// A base's code and stored bytes.
+#[inline]
+fn base_code(count: u64) -> (u8, usize) {
+    if count == 0 {
+        return (ZERO, 0);
+    }
+    let c = width_code(count);
+    (c, 1 << c)
+}
+
+/// The code and stored bytes of the plane `lanes`, whose OR is `or`:
+/// zero, else dense at the OR's width unless the sparse form is
+/// strictly smaller. Only a plane with a nonzero lane is counted, in
+/// one pass over its contiguous lanes.
+#[inline]
+fn plane_code(or: u64, lanes: &[u64]) -> (u8, usize) {
+    if or == 0 {
+        return (ZERO, 0);
+    }
+    let c = width_code(or);
+    let nonzero = lanes.iter().filter(|&&z| z != 0).count();
+    let stride = lanes.len();
+    let (dense, sparse) = (stride << c, stride.div_ceil(8) + (nonzero << c));
+    if sparse < dense {
+        (SPARSE | c, sparse)
+    } else {
+        (c, dense)
+    }
+}
+
 /// The producer's reusable scratch: one sample set gathered into
-/// event-major lanes, ready to be written as a planar payload.
+/// event-major lanes, ready to be written as a payload.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanarScratch {
     /// Event-major lanes in wire-event order: `lanes[e·cpus]`
@@ -100,17 +157,18 @@ pub(crate) struct PlanarScratch {
 impl PlanarScratch {
     /// Reads each CPU's counts once, CPU-major as `set` stores them,
     /// checking every event id against CPU 0's and folding each count
-    /// into its zigzag delta and its event's OR in the same visit.
+    /// into its zigzag delta and its plane's OR in the same visit.
     ///
     /// # Errors
     ///
-    /// [`EncodeError::OutOfBounds`] if the layout or CPU count exceeds
-    /// the format's bounds; [`EncodeError::MixedLayouts`] if any CPU's
-    /// layout differs from CPU 0's. The caller has written nothing yet.
+    /// [`EncodeError::OutOfBounds`] if the layout exceeds
+    /// [`MAX_WIRE_EVENTS`] or the set [`MAX_WIRE_CPUS`];
+    /// [`EncodeError::MixedLayouts`] if any CPU's layout differs from
+    /// CPU 0's. The caller has written nothing yet.
     pub(crate) fn gather(&mut self, set: &SampleSet) -> Result<(), EncodeError> {
         let first = first_counts(set);
         let (n, cpus) = (first.len(), set.per_cpu.len());
-        if n > MAX_WIRE_EVENTS || cpus > u16::MAX as usize {
+        if n > MAX_WIRE_EVENTS || cpus > MAX_WIRE_CPUS {
             return Err(EncodeError::OutOfBounds);
         }
         self.cpus = cpus;
@@ -148,9 +206,9 @@ impl PlanarScratch {
         Ok(())
     }
 
-    /// Appends the planar payload of the last gathered set to `buf`:
-    /// directory, bases, then one delta plane per event, each plane at
-    /// its constant width. An empty set (no CPUs) appends nothing.
+    /// Appends the payload of the last gathered set to `buf`:
+    /// directory, bases, then one delta plane per event, each stored by
+    /// its code. An empty set (no CPUs) appends nothing.
     pub(crate) fn write(&self, buf: &mut Vec<u8>) {
         let (n, cpus) = (self.delta_or.len(), self.cpus);
         if cpus == 0 {
@@ -160,10 +218,11 @@ impl PlanarScratch {
         let (mut bases_len, mut planes_len) = (0usize, 0usize);
         let events = self.lanes.chunks_exact(cpus).zip(&self.delta_or);
         for (d, (lanes, &or)) in dir.iter_mut().zip(events) {
-            let (base, delta) = (width_code(lanes[0]), width_code(or));
-            *d = delta << 4 | base;
-            bases_len += 1 << base;
-            planes_len += (cpus - 1) << delta;
+            let (base, base_bytes) = base_code(lanes[0]);
+            let (plane, plane_bytes) = plane_code(or, &lanes[1..]);
+            *d = plane << 4 | base;
+            bases_len += base_bytes;
+            planes_len += plane_bytes;
         }
         let dir = &dir[..n];
         // Sized once from the directory; every byte is then written at
@@ -181,15 +240,21 @@ impl PlanarScratch {
     }
 }
 
-/// Writes `lanes` little-endian at the width `code` declares, returning
-/// the bytes written. Each arm monomorphises to fixed-size stores.
+/// Stores `lanes` as `code` declares (a base is a one-lane plane),
+/// returning the bytes written. Each arm monomorphises to fixed-size
+/// stores.
 #[inline(always)]
 fn put_coded(dst: &mut [u8], code: u8, lanes: &[u64]) -> usize {
     match code {
         0 => put_plane::<1>(dst, lanes),
         1 => put_plane::<2>(dst, lanes),
         2 => put_plane::<4>(dst, lanes),
-        _ => put_plane::<8>(dst, lanes),
+        3 => put_plane::<8>(dst, lanes),
+        ZERO => 0,
+        8 => put_sparse::<1>(dst, lanes),
+        9 => put_sparse::<2>(dst, lanes),
+        10 => put_sparse::<4>(dst, lanes),
+        _ => put_sparse::<8>(dst, lanes),
     }
 }
 
@@ -204,11 +269,28 @@ fn put_plane<const W: usize>(dst: &mut [u8], lanes: &[u64]) -> usize {
     bytes
 }
 
+/// The mirror of [`unfold_sparse`]: the nonzero-lane bitmap, then the
+/// nonzero lanes at constant width `W`, returning the bytes written.
+#[inline(always)]
+fn put_sparse<const W: usize>(dst: &mut [u8], lanes: &[u64]) -> usize {
+    let (map, rest) = dst.split_at_mut(lanes.len().div_ceil(8));
+    map.fill(0);
+    let mut at = 0;
+    for (i, &z) in lanes.iter().enumerate() {
+        if z != 0 {
+            map[i / 8] |= 1 << (i % 8);
+            rest[at..at + W].copy_from_slice(&z.to_le_bytes()[..W]);
+            at += W;
+        }
+    }
+    map.len() + at
+}
+
 /// The slot of a wire event no row lane reads: its plane is priced and
 /// skipped, never unfolded.
 pub const NO_SLOT: u8 = u8::MAX;
 
-/// Decodes a planar payload into `out` as **f64 row lanes**, projected
+/// Decodes a payload into `out` as **f64 row lanes**, projected
 /// through `slots`: `slots[e]` is the row lane wire event `e` fills, or
 /// [`NO_SLOT`], and `slots.len()` is the frame's event count. On
 /// success `out` holds `rows · cpus` entries, event-major with CPU 0
@@ -217,31 +299,29 @@ pub const NO_SLOT: u8 = u8::MAX;
 /// `count as f64` the column fold would otherwise perform). A lane no
 /// wire event fills is `0.0` — rewritten on every frame, so nothing
 /// from an earlier frame survives. Returns `None` on any structural
-/// defect: a bad directory nibble, or a payload length that disagrees
-/// with the directory's declared widths.
+/// defect: `cpus` above [`MAX_WIRE_CPUS`], an illegal directory nibble,
+/// a sparse bitmap bit past the last lane, or a payload length that
+/// disagrees with what the directory declares.
 ///
 /// The walk covers the whole payload whatever the projection: it
 /// checks every nibble, reads every base, prices every plane (a
-/// skipped plane is a bounds-checked advance), and rejects trailing
-/// bytes. Only planes with a slot are unzigzagged, prefix-summed and
-/// widened, so the lanes are exactly those the full unfold would leave
-/// for the same events, and the accept/reject verdict is the full
-/// unfold's for every payload.
+/// skipped plane is a bounds-checked advance, a skipped sparse plane's
+/// bitmap is still checked), and rejects trailing bytes. Only planes
+/// with a slot are unfolded, so the lanes are exactly those the full
+/// unfold would leave for the same events, and the accept/reject
+/// verdict is the full unfold's for every payload. Any well-formed
+/// payload is accepted, canonical or not (a dense plane of zeros, a
+/// width wider than its values need).
 ///
 /// `ck` absorbs the payload once the walk has accepted it, over the
 /// lines the walk just touched. [`PayloadChecksum::absorb_to`] is
 /// position-pure and monotone, so where it runs cannot change the
 /// checksum; the caller finishes it over whatever remains (all of the
-/// payload, when the walk rejects) and gives its verdict precedence,
-/// exactly as for varint sample frames.
+/// payload, when the walk rejects) and gives its verdict precedence.
 ///
-/// Growth of `out` is bounded by the input. The price floor runs
-/// before any resize: every base and delta lane is at least one byte,
-/// so a layout with an event prices `cpus ≤ payload.len()`, and `out`
-/// never exceeds `rows` × payload bytes entries (9 × for the decoder's
-/// row projection) — a corrupt header cannot request an absurd
-/// allocation. A zero-event layout has no lane to price; its frames
-/// are bounded by the header's 16-bit `cpu_count` alone.
+/// `out` never exceeds `rows` × [`MAX_WIRE_CPUS`] entries: the bound is
+/// checked before the directory is read, so a corrupt header cannot
+/// request a larger buffer.
 ///
 /// # Panics
 ///
@@ -256,38 +336,31 @@ pub fn decode_planes(
     ck: &mut PayloadChecksum,
 ) -> Option<()> {
     assert!(rows <= 64, "at most 64 row lanes");
+    if cpus > MAX_WIRE_CPUS {
+        return None;
+    }
     let n = slots.len();
-    if payload.len() < n {
-        return None;
+    let dir = payload.get(..n)?;
+    // One pass validates every directory byte and finds where the
+    // planes start. Each base read below still bounds-checks, so a
+    // payload shorter than this fails at the read, never at an index.
+    let (mut bases_end, mut bad) = (n, 0u8);
+    for &d in dir {
+        let bytes = BASE_BYTES[d as usize];
+        bad |= bytes;
+        bases_end += usize::from(bytes);
     }
-    // Nibble validation in one OR-reduce: a width code is legal iff it
-    // fits two bits, so a directory is legal iff no byte sets bits 2–3
-    // or 6–7.
-    if payload[..n].iter().fold(0u8, |a, &b| a | b) & 0xcc != 0 {
-        return None;
-    }
-    // Price floor *before* sizing `out`: a structurally valid payload
-    // carries no fewer than `n` directory bytes plus one byte per lane.
-    // A header whose cpu_count prices past the payload (a corrupt
-    // cpu_count can claim 65535 CPUs against a 100-byte payload) is
-    // rejected here, before the lane buffer can grow.
-    let lanes = n + n * cpus.saturating_sub(1);
-    if payload.len() < n + lanes {
+    if bad & BAD_DIR != 0 {
         return None;
     }
     // The walk and the zero-fill overwrite every entry, so resize only
-    // on a geometry change (no steady-state memset) — same policy as
-    // the varint scratch.
+    // on a geometry change (no steady-state memset).
     let out_len = rows * cpus;
     if out.len() != out_len {
         out.clear();
         out.resize(out_len, 0.0);
     }
-    // Exact pricing falls out of the walk itself: every plane read or
-    // skip checks its bounds, and the final `pos == payload.len()`
-    // check rejects a payload with trailing bytes — together equivalent
-    // to pre-pricing the directory, without the extra pass.
-    let pos = decode_fused(payload, slots, rows, cpus, out)?;
+    let pos = decode_fused(payload, slots, rows, cpus, bases_end, out)?;
     if pos != payload.len() {
         return None;
     }
@@ -296,37 +369,40 @@ pub fn decode_planes(
     Some(())
 }
 
-/// One little-endian lane of constant width `W` at `pos`. The constant
-/// width turns the read into a single fixed-size load — no variable
-/// shift, no mask — with one bounds check. Returns `None` on overrun.
+/// The little-endian value of a `W`-byte lane.
+#[inline(always)]
+fn lane<const W: usize>(src: &[u8]) -> u64 {
+    let mut le = [0u8; 8];
+    le[..W].copy_from_slice(&src[..W]);
+    u64::from_le_bytes(le)
+}
+
+/// One little-endian lane of constant width `W` at `pos`: a single
+/// fixed-size load with one bounds check. Returns `None` on overrun.
 #[inline(always)]
 fn read_lane<const W: usize>(payload: &[u8], pos: &mut usize) -> Option<u64> {
     let src = payload.get(*pos..*pos + W)?;
-    let mut le = [0u8; 8];
-    le[..W].copy_from_slice(src);
     *pos += W;
-    Some(u64::from_le_bytes(le))
+    Some(lane::<W>(src))
 }
 
-/// Reads the lane whose two-bit width `code` the directory declared.
-/// Each arm monomorphises to a fixed-size load, so the only per-lane
-/// branch is the (predictable) directory dispatch.
+/// The base whose code the directory declared (a zero base stores no
+/// bytes). Each arm monomorphises to a fixed-size load.
 #[inline(always)]
-fn read_coded_lane(payload: &[u8], pos: &mut usize, code: u8) -> Option<u64> {
+fn read_base(payload: &[u8], pos: &mut usize, code: u8) -> Option<u64> {
     match code {
         0 => read_lane::<1>(payload, pos),
         1 => read_lane::<2>(payload, pos),
         2 => read_lane::<4>(payload, pos),
-        _ => read_lane::<8>(payload, pos),
+        3 => read_lane::<8>(payload, pos),
+        _ => Some(0),
     }
 }
 
-/// Unfolds one event's delta plane at constant lane width: one bounds
-/// check for the whole plane, then per lane unzigzag
-/// (`(z >> 1) ⊕ −(z & 1)` leaves the signed delta's bit pattern), the
-/// wrapping prefix add — the varint path's
-/// `prev.wrapping_add(unzigzag(c) as u64)` exactly — and the `as f64`
-/// widen the column fold would otherwise perform per count.
+/// Unfolds one event's dense plane at constant lane width: one bounds
+/// check for the whole plane, then per lane the unzigzag, the wrapping
+/// prefix add, and the `as f64` widen the column fold would otherwise
+/// perform per count.
 #[inline(always)]
 fn unfold_plane<const W: usize>(
     payload: &[u8],
@@ -336,23 +412,75 @@ fn unfold_plane<const W: usize>(
 ) -> Option<()> {
     let bytes = out.len() * W;
     let src = payload.get(*pos..*pos + bytes)?;
-    for (slot, lane) in out.iter_mut().zip(src.chunks_exact(W)) {
-        let mut le = [0u8; 8];
-        le[..W].copy_from_slice(lane);
-        let z = u64::from_le_bytes(le);
-        acc = acc.wrapping_add((z >> 1) ^ 0u64.wrapping_sub(z & 1));
+    for (slot, z) in out.iter_mut().zip(src.chunks_exact(W)) {
+        acc = acc.wrapping_add(unzigzag(lane::<W>(z)) as u64);
         *slot = acc as f64;
     }
     *pos += bytes;
     Some(())
 }
 
-/// The planar decode: a two-cursor walk — `bpos` over the bases
-/// region, `ppos` over the planes region — that emits each slotted
-/// event's full f64 lane (base first, then the unfolded deltas) in one
-/// visit and steps over every other plane, then zero-fills the lanes
-/// no event filled. Integer-exact before the final widen, so
-/// bit-identical to the varint path's delta chain by construction.
+/// The bitmap of a sparse plane of `stride` lanes at `pos` and how many
+/// lanes it marks nonzero. Returns `None` on overrun or a bit at or
+/// past `stride`.
+#[inline(always)]
+fn sparse_map(payload: &[u8], pos: usize, stride: usize) -> Option<(&[u8], usize)> {
+    let map = payload.get(pos..pos + stride.div_ceil(8))?;
+    if !stride.is_multiple_of(8) && map.last().is_some_and(|&b| b >> (stride % 8) != 0) {
+        return None;
+    }
+    Some((map, map.iter().map(|b| b.count_ones() as usize).sum()))
+}
+
+/// Unfolds one event's sparse plane: the bitmap says which lanes carry
+/// a `W`-byte delta; every other lane repeats its predecessor's count.
+#[inline(always)]
+fn unfold_sparse<const W: usize>(
+    payload: &[u8],
+    pos: &mut usize,
+    mut acc: u64,
+    out: &mut [f64],
+) -> Option<()> {
+    let (map, nonzero) = sparse_map(payload, *pos, out.len())?;
+    let start = *pos + map.len();
+    let src = payload.get(start..start + nonzero * W)?;
+    let mut deltas = src.chunks_exact(W);
+    for (chunk, &bits) in out.chunks_mut(8).zip(map) {
+        if bits == 0 {
+            chunk.fill(acc as f64);
+            continue;
+        }
+        for (j, slot) in chunk.iter_mut().enumerate() {
+            if bits >> j & 1 != 0 {
+                acc = acc.wrapping_add(unzigzag(lane::<W>(deltas.next()?)) as u64);
+            }
+            *slot = acc as f64;
+        }
+    }
+    *pos = start + src.len();
+    Some(())
+}
+
+/// Where a plane of `stride` lanes starting at `pos` ends, without
+/// unfolding it. Returns `None` on overrun or a bad sparse bitmap.
+#[inline(always)]
+fn skip_plane(payload: &[u8], pos: usize, code: u8, stride: usize) -> Option<usize> {
+    let end = match code {
+        ZERO => pos,
+        c if c & SPARSE != 0 => {
+            let (map, nonzero) = sparse_map(payload, pos, stride)?;
+            pos + map.len() + (nonzero << (c & 3))
+        }
+        c => pos + (stride << c),
+    };
+    (end <= payload.len()).then_some(end)
+}
+
+/// The decode: a two-cursor walk — `bpos` over the bases region, `ppos`
+/// over the planes region — that emits each slotted event's full f64
+/// lane (base first, then the unfolded deltas) in one visit and steps
+/// over every other plane, then zero-fills the lanes no event filled.
+/// Integer-exact before the final widen. Returns where the planes end.
 ///
 /// No in-walk checksum absorbs here: the caller's trailing
 /// [`absorb_to`] pass runs over lines the walk just touched — the same
@@ -360,8 +488,9 @@ fn unfold_plane<const W: usize>(
 /// watermark bookkeeping nine times for at most a handful of 16-byte
 /// chunks (measured ≈ +18 ns/frame on 4-CPU fleets).
 ///
-/// With no CPUs there are no lanes to emit; the walk still parses (and
-/// prices) the bases region so trailing garbage is still rejected.
+/// With no CPUs there are no lanes to emit and every plane is empty;
+/// the walk still reads every base, so trailing garbage is still
+/// rejected.
 ///
 /// [`absorb_to`]: PayloadChecksum::absorb_to
 #[inline(always)]
@@ -370,47 +499,43 @@ fn decode_fused(
     slots: &[u8],
     rows: usize,
     cpus: usize,
+    bases_end: usize,
     out: &mut [f64],
 ) -> Option<usize> {
     let n = slots.len();
-    let dir = &payload[..n];
-    // Where the planes start: the directory declares every base width,
-    // so the bases region's extent is known before walking it. Each
-    // lane read below still bounds-checks, so a payload shorter than
-    // this sum fails at the read, never at a slice index.
-    let mut bases_end = n;
-    for &b in dir {
-        bases_end += 1usize << (b & 0x0f);
-    }
     let mut bpos = n;
     let mut ppos = bases_end;
     let stride = cpus.saturating_sub(1);
     let mut filled = 0u64;
-    for (&code, &slot) in dir.iter().zip(slots) {
-        let base = read_coded_lane(payload, &mut bpos, code & 0x0f)?;
+    for (&code, &slot) in payload[..n].iter().zip(slots) {
+        let base = read_base(payload, &mut bpos, code & 0x0f)?;
         if cpus == 0 {
             continue;
         }
+        let plane = code >> 4;
         if slot == NO_SLOT {
-            ppos += stride << (code >> 4);
-            if ppos > payload.len() {
-                return None;
-            }
+            ppos = skip_plane(payload, ppos, plane, stride)?;
             continue;
         }
         let k = slot as usize;
         filled |= 1 << k;
         let dst = &mut out[k * cpus..(k + 1) * cpus];
         dst[0] = base as f64;
-        match code >> 4 {
-            0 => unfold_plane::<1>(payload, &mut ppos, base, &mut dst[1..]),
-            1 => unfold_plane::<2>(payload, &mut ppos, base, &mut dst[1..]),
-            2 => unfold_plane::<4>(payload, &mut ppos, base, &mut dst[1..]),
-            _ => unfold_plane::<8>(payload, &mut ppos, base, &mut dst[1..]),
+        let lanes = &mut dst[1..];
+        match plane {
+            0 => unfold_plane::<1>(payload, &mut ppos, base, lanes),
+            1 => unfold_plane::<2>(payload, &mut ppos, base, lanes),
+            2 => unfold_plane::<4>(payload, &mut ppos, base, lanes),
+            3 => unfold_plane::<8>(payload, &mut ppos, base, lanes),
+            ZERO => {
+                lanes.fill(base as f64);
+                Some(())
+            }
+            8 => unfold_sparse::<1>(payload, &mut ppos, base, lanes),
+            9 => unfold_sparse::<2>(payload, &mut ppos, base, lanes),
+            10 => unfold_sparse::<4>(payload, &mut ppos, base, lanes),
+            _ => unfold_sparse::<8>(payload, &mut ppos, base, lanes),
         }?;
-    }
-    if cpus == 0 {
-        return Some(bpos);
     }
     // Visit only the lanes no plane filled: with every row event
     // present (the common layout) this is one mask test.
@@ -427,14 +552,15 @@ fn decode_fused(
 mod tests {
     use super::*;
     use crate::frame::{FrameHeader, FrameType, HEADER_LEN};
-    use crate::{encode_planar_sample_frame, EncodeError, WireEncoder};
+    use crate::{encode_sample_frame, EncodeError, WireEncoder};
     use proptest::prelude::*;
     use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent};
     use tdp_fleet::ROW_EVENTS;
 
     /// The per-lane encoder the gather/write pair replaced, kept as the
     /// byte-identity oracle: every lane re-reads its two counts through
-    /// `per_cpu[cpu].counts()` and is appended at a runtime width.
+    /// `per_cpu[cpu].counts()`, every code is chosen from the lanes
+    /// themselves, and every byte is appended in order.
     fn encode_payload_per_lane(buf: &mut Vec<u8>, set: &SampleSet) {
         let Some(first) = set.per_cpu.first() else {
             return;
@@ -444,30 +570,61 @@ mod tests {
         let count = |cpu: usize, e: usize| set.per_cpu[cpu].counts()[e].1;
         let zz =
             |cpu: usize, e: usize| zigzag(count(cpu, e).wrapping_sub(count(cpu - 1, e)) as i64);
+        let deltas = |e: usize| (1..cpus).map(|cpu| zz(cpu, e)).collect::<Vec<u64>>();
 
         let dir_start = buf.len();
         for e in 0..n {
-            let base_code = width_code(count(0, e));
-            let delta_code = (1..cpus)
-                .map(|cpu| width_code(zz(cpu, e)))
-                .max()
-                .unwrap_or(0);
-            buf.push(delta_code << 4 | base_code);
+            let base_code = match count(0, e) {
+                0 => ZERO,
+                v => width_code(v),
+            };
+            let d = deltas(e);
+            let plane_code = if d.iter().all(|&z| z == 0) {
+                ZERO
+            } else {
+                let c = d.iter().map(|&z| width_code(z)).max().unwrap();
+                let w = 1usize << c;
+                let nonzero = d.iter().filter(|&&z| z != 0).count();
+                if d.len().div_ceil(8) + nonzero * w < d.len() * w {
+                    SPARSE | c
+                } else {
+                    c
+                }
+            };
+            buf.push(plane_code << 4 | base_code);
         }
         for e in 0..n {
-            let w = 1usize << (buf[dir_start + e] & 0x0f);
-            buf.extend_from_slice(&count(0, e).to_le_bytes()[..w]);
+            let code = buf[dir_start + e] & 0x0f;
+            if code != ZERO {
+                buf.extend_from_slice(&count(0, e).to_le_bytes()[..1 << code]);
+            }
         }
         for e in 0..n {
-            let w = 1usize << (buf[dir_start + e] >> 4);
-            for cpu in 1..cpus {
-                buf.extend_from_slice(&zz(cpu, e).to_le_bytes()[..w]);
+            let code = buf[dir_start + e] >> 4;
+            if code == ZERO {
+                continue;
+            }
+            let w = 1usize << (code & 3);
+            let d = deltas(e);
+            if code & SPARSE != 0 {
+                let mut map = vec![0u8; d.len().div_ceil(8)];
+                for (i, &z) in d.iter().enumerate() {
+                    if z != 0 {
+                        map[i / 8] |= 1 << (i % 8);
+                    }
+                }
+                buf.extend_from_slice(&map);
+            }
+            for z in d {
+                if code & SPARSE == 0 || z != 0 {
+                    buf.extend_from_slice(&z.to_le_bytes()[..w]);
+                }
             }
         }
     }
 
-    /// The planar payload of `set` through the gather/write pair,
-    /// checked byte for byte against the per-lane oracle.
+    /// The payload of `set` through the gather/write pair, checked byte
+    /// for byte against the per-lane oracle.
     fn encode_payload(set: &SampleSet) -> Vec<u8> {
         let mut scratch = PlanarScratch::default();
         scratch.gather(set).expect("well-formed set");
@@ -506,7 +663,7 @@ mod tests {
 
     fn header_for(payload_len: usize, cpus: u16, n_events: u16) -> FrameHeader {
         FrameHeader {
-            frame_type: FrameType::PlanarSample,
+            frame_type: FrameType::Sample,
             payload_len: payload_len as u32,
             machine_id: 1,
             window_seq: 1,
@@ -559,6 +716,20 @@ mod tests {
         Some(out)
     }
 
+    /// Asserts that `out` holds `set`'s counts, event-major.
+    fn assert_lanes(out: &[f64], set: &SampleSet) {
+        let cpus = set.per_cpu.len();
+        for (cpu, s) in set.per_cpu.iter().enumerate() {
+            for (e, &(_, count)) in s.counts().iter().enumerate() {
+                assert_eq!(
+                    out[e * cpus + cpu].to_bits(),
+                    (count as f64).to_bits(),
+                    "event {e} cpu {cpu}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn payload_roundtrips_and_widths_are_minimal() {
         // Event 0: tiny values (1-byte base, 1-byte deltas); event 1:
@@ -571,20 +742,41 @@ mod tests {
         let payload = encode_payload(&set);
         // Directory: e0 base 1B delta 1B; e1 base 8B (≥ 2^32) deltas
         // 2B (zigzag(±1000) ≈ 2000); e2 base 4B... 2^31 < 2^32 so 4B,
-        // deltas 1B (zigzag(127)=254, zigzag(-127)=253).
-        assert_eq!(payload[0], 0x00);
-        assert_eq!(payload[1], 0x13);
-        assert_eq!(payload[2], 0x02);
-        let out = decode(&payload, 3, 3).expect("clean payload");
-        for e in 0..3 {
-            for cpu in 0..3 {
-                assert_eq!(
-                    out[e * 3 + cpu].to_bits(),
-                    (set.per_cpu[cpu].counts()[e].1 as f64).to_bits(),
-                    "event {e} cpu {cpu}"
-                );
-            }
-        }
+        // deltas 1B (zigzag(127)=254, zigzag(-127)=253). Two lanes with
+        // both nonzero stay dense.
+        assert_eq!(payload[..3], [0x00, 0x13, 0x02]);
+        assert_lanes(&decode(&payload, 3, 3).expect("clean payload"), &set);
+    }
+
+    #[test]
+    fn zero_and_sparse_codes_are_chosen_and_roundtrip() {
+        // Nine CPUs: eight delta lanes, one bitmap byte. Event 0 is
+        // zero everywhere; event 1 is flat (zero plane, nonzero base);
+        // event 2 steps once, on CPU 5, by a 2-byte delta.
+        let rows: Vec<Vec<u64>> = (0..9u64)
+            .map(|cpu| vec![0, 70_000, if cpu >= 5 { 1_000 } else { 0 }])
+            .collect();
+        let set = set_of(&rows);
+        let payload = encode_payload(&set);
+        // Sparse costs 1 + 2 = 3 bytes against the dense 16.
+        assert_eq!(payload[..3], [0x44, 0x42, 0x94]);
+        assert_eq!(payload[3..7], 70_000u32.to_le_bytes());
+        assert_eq!(payload[7], 1 << 4, "bitmap: lane 5 (bit 4)");
+        assert_eq!(payload[8..], zigzag(1_000).to_le_bytes()[..2]);
+        assert_lanes(&decode(&payload, 3, 9).expect("clean payload"), &set);
+
+        // On four CPUs (three lanes) a tie stays dense: two nonzero
+        // 1-byte lanes cost 1 + 2 bytes sparse and 3 dense. One nonzero
+        // 2-byte lane goes sparse (1 + 2 < 6).
+        let narrow = set_of(&[
+            vec![5, 500, 9],
+            vec![6, 500, 9],
+            vec![7, 1_000, 9],
+            vec![7, 1_000, 9],
+        ]);
+        let payload = encode_payload(&narrow);
+        assert_eq!(payload[..3], [0x00, 0x91, 0x40]);
+        assert_lanes(&decode(&payload, 3, 4).expect("clean payload"), &narrow);
     }
 
     #[test]
@@ -592,13 +784,12 @@ mod tests {
         let set = set_of(&[vec![10, 20, 30], vec![11, 19, 31]]);
         let payload = encode_payload(&set);
         assert!(decode(&payload, 3, 2).is_some(), "clean baseline");
-        // Bad directory nibble (width code > 3).
-        let mut bad = payload.clone();
-        bad[0] = 0x40;
-        assert!(decode(&bad, 3, 2).is_none());
-        let mut bad = payload.clone();
-        bad[0] = 0x04;
-        assert!(decode(&bad, 3, 2).is_none());
+        // Illegal nibbles: base codes 5 and 8, plane codes 5 and 12.
+        for nibble in [0x05, 0x08, 0x50, 0xc0] {
+            let mut bad = payload.clone();
+            bad[0] = nibble;
+            assert!(decode(&bad, 3, 2).is_none(), "{nibble:#04x}");
+        }
         // Truncated and padded payloads disagree with the directory.
         assert!(decode(&payload[..payload.len() - 1], 3, 2).is_none());
         let mut long = payload.clone();
@@ -606,6 +797,11 @@ mod tests {
         assert!(decode(&long, 3, 2).is_none());
         // Payload shorter than the directory itself.
         assert!(decode(&payload[..2], 3, 2).is_none());
+        // A sparse plane of three lanes whose bitmap marks lane 4, and
+        // one whose marked lanes are cut short.
+        assert!(decode(&[0x84, 0b1000, 1], 1, 4).is_none());
+        assert!(decode(&[0x84, 0b0011, 1], 1, 4).is_none());
+        assert!(decode(&[0x84, 0b0011, 1, 2], 1, 4).is_some());
     }
 
     #[test]
@@ -613,7 +809,7 @@ mod tests {
         // A CPU-over-CPU step of exactly i64::MIN zigzags to u64::MAX —
         // the one value where a sign-magnitude width heuristic would
         // underprice the lane. It must take width code 3 and come back
-        // bit-exact through the planar walk...
+        // bit-exact through the walk...
         let base = 3u64;
         let stepped = base.wrapping_add(i64::MIN as u64);
         let set = set_of(&[vec![base, 1, 2], vec![stepped, 1, 2]]);
@@ -638,37 +834,35 @@ mod tests {
         let wide = set_of(&rows);
         let payload = encode_payload(&wide);
         assert_eq!(payload[0] >> 4, 3);
-        let out = decode(&payload, 3, cpus).expect("wide frame");
-        for cpu in 0..cpus {
-            for e in 0..3 {
-                assert_eq!(
-                    out[e * cpus + cpu].to_bits(),
-                    (rows[cpu][e] as f64).to_bits(),
-                    "event {e} cpu {cpu}"
-                );
-            }
-        }
+        assert_lanes(&decode(&payload, 3, cpus).expect("wide frame"), &wide);
     }
 
     #[test]
     fn corrupt_cpu_count_is_rejected_before_allocating() {
-        // A flipped header can claim 65535 CPUs against a tiny payload;
-        // the price floor must reject it before sizing the lane buffer.
-        let set = set_of(&[vec![10, 20, 30], vec![11, 19, 31]]);
+        // A flipped header can claim up to 65535 CPUs against a tiny
+        // payload; the CPU bound must reject it before sizing the lane
+        // buffer — zero planes store nothing, so the payload cannot.
+        let set = set_of(&[vec![10, 20, 30], vec![10, 20, 30]]);
         let payload = encode_payload(&set);
-        let h = header_for(payload.len(), u16::MAX, 3);
-        let mut out = Vec::new();
-        let mut ck = PayloadChecksum::new(&h);
-        assert!(decode_planes(&payload, &all_slots(3), 3, 65535, &mut out, &mut ck).is_none());
-        assert_eq!(out.capacity(), 0, "no lane-buffer growth on rejection");
+        assert_eq!(payload.len(), 6, "three zero planes");
+        for cpus in [MAX_WIRE_CPUS + 1, u16::MAX as usize] {
+            let h = header_for(payload.len(), cpus as u16, 3);
+            let mut out = Vec::new();
+            let mut ck = PayloadChecksum::new(&h);
+            assert!(decode_planes(&payload, &all_slots(3), 3, cpus, &mut out, &mut ck).is_none());
+            assert_eq!(out.capacity(), 0, "{cpus} CPUs: no lane-buffer growth");
+        }
+        // At the bound the same payload decodes: every CPU repeats CPU 0.
+        let out = decode(&payload, 3, MAX_WIRE_CPUS).expect("zero planes at the bound");
+        assert_eq!(out.len(), 3 * MAX_WIRE_CPUS);
     }
 
     #[test]
     fn one_event_corrupt_cpu_count_is_rejected_before_the_row_buffer_grows() {
         // The row buffer is nine lanes per CPU whatever the layout, so a
         // one-event layout is where a flipped cpu_count would buy the
-        // largest buffer per payload byte. The price floor must still
-        // reject it first, for a wanted event and for a skipped one.
+        // largest buffer per payload byte. The bound must still reject
+        // it first, for a wanted event and for a skipped one.
         let set = set_of(&[vec![10], vec![11], vec![12]]);
         let payload = &encode_payload(&set)[..2];
         for slot in [0, NO_SLOT] {
@@ -697,14 +891,14 @@ mod tests {
         assert_eq!(decode(&payload, 0, 0), Some(Vec::new()));
     }
 
-    /// The planar sample payloads in `wire`, in stream order.
+    /// The sample payloads in `wire`, in stream order.
     fn sample_payloads(wire: &[u8]) -> Vec<&[u8]> {
         let mut out = Vec::new();
         let mut pos = 0;
         while pos < wire.len() {
             let h = FrameHeader::parse(&wire[pos..]).expect("well-formed stream");
             let payload = &wire[pos + HEADER_LEN..pos + HEADER_LEN + h.payload_len as usize];
-            if h.frame_type == FrameType::PlanarSample {
+            if h.frame_type == FrameType::Sample {
                 out.push(payload);
             }
             pos += HEADER_LEN + h.payload_len as usize;
@@ -735,9 +929,10 @@ mod tests {
     }
 
     /// A `cpus`-CPU window over `layout`. Each cell's selector picks a
-    /// width-boundary value, a uniform draw from one width class, or
-    /// (selector 15) a step of exactly `i64::MIN` over the previous
-    /// CPU's count.
+    /// width-boundary value, a uniform draw from one width class, a
+    /// step of exactly `i64::MIN` over the previous CPU's count
+    /// (selector 15), or a repeat of it (16–19: zero lanes, so zero and
+    /// sparse planes are common).
     fn boundary_set_over(layout: &[PerfEvent], cpus: usize, cells: &[(u64, u8)]) -> SampleSet {
         const BOUNDARIES: [u64; 11] = [
             0,
@@ -764,6 +959,7 @@ mod tests {
                         12 => raw & 0xffff,
                         13 => raw & 0xffff_ffff,
                         15 if cpu > 0 => rows[cpu - 1][e].wrapping_add(i64::MIN as u64),
+                        16..=19 if cpu > 0 => rows[cpu - 1][e],
                         _ => raw,
                     }
                 })
@@ -786,24 +982,27 @@ mod tests {
         }
     }
 
+    /// CPU counts the format meets: none, one, a 4-way server, both
+    /// sides of each bitmap byte boundary, 32 and 65.
+    const CPU_COUNTS: [usize; 11] = [0, 1, 2, 3, 4, 8, 9, 17, 32, 33, 65];
+
     proptest! {
         /// The gather/write pair emits the per-lane oracle's payload
-        /// byte for byte, at every CPU count the format meets (none,
-        /// one, a 4-way server, 32 and 65 CPUs) and with values on
-        /// every width boundary — through the stateless frame function
-        /// and through an encoder whose scratch last held another
-        /// geometry.
+        /// byte for byte, at every CPU count the format meets and with
+        /// values on every width boundary — through the stateless frame
+        /// function and through an encoder whose scratch last held
+        /// another geometry.
         #[test]
         fn gathered_payload_matches_the_per_lane_oracle(
-            cpus in (0usize..5).prop_map(|i| [0, 1, 4, 32, 65][i]),
+            cpus in (0..CPU_COUNTS.len()).prop_map(|i| CPU_COUNTS[i]),
             n in 0usize..19,
             seed in any::<u64>(),
-            cells in prop::collection::vec((any::<u64>(), 0u8..16), 65 * 18),
+            cells in prop::collection::vec((any::<u64>(), 0u8..20), 65 * 18),
         ) {
             let set = boundary_set(cpus, n, seed, &cells);
             let want = oracle(&set);
             let mut frame = Vec::new();
-            encode_planar_sample_frame(&mut frame, 3, &set).unwrap();
+            encode_sample_frame(&mut frame, 3, &set).unwrap();
             prop_assert_eq!(&frame[HEADER_LEN..], &want[..]);
 
             let mut enc = WireEncoder::new();
@@ -816,18 +1015,20 @@ mod tests {
         }
     }
 
-    /// Where each plane of a valid `payload` starts and ends.
-    fn plane_spans(payload: &[u8], n: usize, cpus: usize) -> Vec<(usize, usize)> {
-        let mut at = n + payload[..n]
+    /// Where each plane of a valid `payload` starts and ends, and its
+    /// code.
+    fn plane_spans(payload: &[u8], n: usize, cpus: usize) -> Vec<(usize, usize, u8)> {
+        let stride = cpus.saturating_sub(1);
+        let dir = &payload[..n];
+        let mut at = n + dir
             .iter()
-            .map(|&d| 1usize << (d & 0x0f))
+            .map(|&d| usize::from(BASE_BYTES[d as usize]))
             .sum::<usize>();
-        payload[..n]
-            .iter()
+        dir.iter()
             .map(|&d| {
                 let start = at;
-                at += cpus.saturating_sub(1) << (d >> 4);
-                (start, at)
+                at = skip_plane(payload, at, d >> 4, stride).expect("valid payload");
+                (start, at, d >> 4)
             })
             .collect()
     }
@@ -838,15 +1039,16 @@ mod tests {
         /// that reorder, omit or repeat row events, row lane `k` equals
         /// the all-events lane of `ROW_EVENTS[k]`'s first occurrence
         /// (zeros where the layout lacks it), even in a buffer whose old
-        /// contents are NaN. And the two walks
-        /// reject exactly the same payloads: a bad nibble, a skipped or
-        /// a wanted plane cut short, a trailing byte, a cpu_count that
-        /// prices past the payload, or any flipped byte.
+        /// contents are NaN. The full unfold is the set's counts. And the
+        /// two walks reject exactly the same payloads: an illegal
+        /// nibble, a skipped or a wanted plane cut short, a sparse
+        /// bitmap bit past the last lane, a trailing byte, a cpu_count
+        /// that disagrees or exceeds the bound, or any flipped byte.
         #[test]
         fn row_projection_matches_the_full_unfold(
-            cpus in (0usize..5).prop_map(|i| [0, 1, 4, 32, 65][i]),
+            cpus in (0..CPU_COUNTS.len()).prop_map(|i| CPU_COUNTS[i]),
             picks in prop::collection::vec(0usize..PerfEvent::ALL.len() + 6, 1..24),
-            cells in prop::collection::vec((any::<u64>(), 0u8..16), 65 * 18),
+            cells in prop::collection::vec((any::<u64>(), 0u8..20), 65 * 18),
             flip in (any::<usize>(), 1u8..255),
         ) {
             // Indices past the event list pick a row event again, so
@@ -863,6 +1065,9 @@ mod tests {
             let rows = ROW_EVENTS.len();
 
             let full = decode(&payload, n, cpus).expect("clean payload");
+            if cpus > 0 {
+                assert_lanes(&full, &set);
+            }
             let mut lanes = vec![f64::NAN; rows * cpus];
             decode_into(&payload, &slots, rows, cpus, &mut lanes).expect("clean payload");
             for (k, ev) in ROW_EVENTS.iter().enumerate() {
@@ -880,34 +1085,43 @@ mod tests {
                     decode_into(bad, &slots, rows, cpus, &mut out).is_some(),
                 )
             };
-            let mut cases: Vec<(Vec<u8>, usize)> = Vec::new();
+            let mut cases: Vec<(Vec<u8>, usize, bool)> = Vec::new();
             for e in 0..n {
-                for nibble in [0x04, 0x40] {
+                // Every legal code OR 5 is illegal, in either nibble.
+                for nibble in [0x05, 0x50] {
                     let mut bad = payload.clone();
                     bad[e] |= nibble;
-                    cases.push((bad, cpus));
+                    cases.push((bad, cpus, false));
                 }
             }
-            for (start, end) in plane_spans(&payload, n, cpus) {
+            for (start, end, code) in plane_spans(&payload, n, cpus) {
                 // Cut mid-plane, whether the projection skips the plane
                 // or unfolds it.
                 if end > start {
-                    cases.push((payload[..(start + end) / 2].to_vec(), cpus));
+                    cases.push((payload[..(start + end) / 2].to_vec(), cpus, false));
+                }
+                // Set a sparse bitmap's first bit past the last lane.
+                let stride = cpus - 1;
+                if code & SPARSE != 0 && stride % 8 != 0 {
+                    let mut bad = payload.clone();
+                    bad[start + stride / 8] |= 1 << (stride % 8);
+                    cases.push((bad, cpus, false));
                 }
             }
             let mut long = payload.clone();
             long.push(0);
-            cases.push((long, cpus));
-            cases.push((payload.clone(), cpus + 1));
-            cases.push((payload.clone(), u16::MAX as usize));
+            cases.push((long, cpus, false));
+            cases.push((payload.clone(), MAX_WIRE_CPUS + 1, false));
+            cases.push((payload.clone(), cpus + 1, true));
             if !payload.is_empty() {
                 let mut bad = payload.clone();
                 bad[flip.0 % payload.len()] ^= flip.1;
-                cases.push((bad, cpus));
+                cases.push((bad, cpus, true));
             }
-            for (bad, cpus) in &cases {
+            for (bad, cpus, may_pass) in &cases {
                 let (full_ok, row_ok) = verdicts(bad, *cpus);
                 prop_assert_eq!(full_ok, row_ok, "verdicts diverged at {} CPUs", cpus);
+                prop_assert!(*may_pass || !full_ok, "a defect passed at {} CPUs", cpus);
             }
         }
     }
@@ -938,7 +1152,7 @@ mod tests {
                     assert_eq!(set.per_cpu.len(), cpus);
                     assert_eq!(set.per_cpu[0].counts().len(), PerfEvent::ALL.len());
                     let mut frame = Vec::new();
-                    encode_planar_sample_frame(&mut frame, m, &set).unwrap();
+                    encode_sample_frame(&mut frame, m, &set).unwrap();
                     assert_eq!(frame[HEADER_LEN..], oracle(&set), "{cpus} CPUs");
                     enc.push_sample_set(m, &set).unwrap();
                     want.push(oracle(&set));
@@ -962,24 +1176,30 @@ mod tests {
                 (PerfEvent::L2Misses, 31),
             ],
         );
-        // ...or fewer events; and a layout past the format's bound.
+        // ...or fewer events; and a layout or a CPU count past the
+        // format's bounds.
         let mut short = good.clone();
         short.per_cpu[1] = CounterSample::new(CpuId::new(1), 1, vec![(PerfEvent::Cycles, 11)]);
         let wide = SampleSet {
             per_cpu: vec![CounterSample::new(
                 CpuId::new(0),
                 1,
-                vec![(PerfEvent::Cycles, 1); crate::frame::MAX_WIRE_EVENTS + 1],
+                vec![(PerfEvent::Cycles, 1); MAX_WIRE_EVENTS + 1],
             )],
+            ..good.clone()
+        };
+        let many = SampleSet {
+            per_cpu: vec![good.per_cpu[0].clone(); MAX_WIRE_CPUS + 1],
             ..good.clone()
         };
         for (bad, err) in [
             (&swapped, EncodeError::MixedLayouts),
             (&short, EncodeError::MixedLayouts),
             (&wide, EncodeError::OutOfBounds),
+            (&many, EncodeError::OutOfBounds),
         ] {
             let mut out = vec![0xa5; 7];
-            assert_eq!(encode_planar_sample_frame(&mut out, 1, bad), Err(err));
+            assert_eq!(encode_sample_frame(&mut out, 1, bad), Err(err));
             assert_eq!(out, [0xa5; 7], "stateless {err:?}");
 
             // A machine already announced, and one seen for the first

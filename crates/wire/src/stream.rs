@@ -263,7 +263,7 @@ pub fn ingest_serial_with(
                 }
                 Err(_) => stats.corrupt_frames += 1,
             },
-            FrameType::Sample | FrameType::PlanarSample => {
+            FrameType::Sample => {
                 stats.sample_frames += 1;
                 let pend = match dec.decode_sample_pending(&header, cursor.payload(start, &header))
                 {

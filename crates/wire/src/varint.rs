@@ -2,26 +2,14 @@
 //! byte-level integer codec helper in the crate (the frame module
 //! re-exports them for compatibility).
 //!
-//! Three decode tiers, all with identical semantics:
-//!
-//! * [`read_uvarint`] — one value. When ≥ 8 buffer bytes remain, a
-//!   single unaligned word load finds the terminator and three
-//!   shift/mask rounds (`compact7`) compact the payload bits; buffer
-//!   tails and > 8-byte encodings take the byte loop, whose own fast
-//!   path peels the 1- and 2-byte classes that dominate real streams.
-//! * [`read_uvarints`] — a run of values, dispatch-gated
-//!   ([`tdp_simd::Dispatch`]). The wide flavour extracts *every*
-//!   complete varint from each 8-byte window before reloading —
-//!   typically 4–8 per load for the 1–2-byte encodings a delta stream
-//!   produces — so the load/terminator-scan cost is amortised across
-//!   the lane instead of paid per value. Pure shift/mask SWAR on
-//!   `u64`s: no unsafe, no hardware gate; the dispatch knob exists so
-//!   the CI equivalence matrix can force either flavour.
-//! * the byte loop — the reference semantics both of the above fall
-//!   back to and are tested against.
-
-use crate::frame::PayloadChecksum;
-use tdp_simd::Dispatch;
+//! Layout frames carry their event indices as varints, one value at a
+//! time through [`read_uvarint`]: when ≥ 8 buffer bytes remain, a
+//! single unaligned word load finds the terminator and three
+//! shift/mask rounds (`compact7`) compact the payload bits; buffer
+//! tails and > 8-byte encodings take the byte loop, whose own fast path
+//! peels the 1- and 2-byte classes. Sample frames store their deltas as
+//! zigzag values ([`zigzag`]) in fixed-width lanes instead
+//! ([`crate::planar`]).
 
 /// Longest LEB128 encoding of a `u64`.
 pub const MAX_VARINT_LEN: usize = 10;
@@ -115,195 +103,9 @@ fn read_uvarint_slow(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Decodes `dst.len()` consecutive varints starting at `*pos`,
-/// advancing it past them — the bulk form a frame's per-CPU count rows
-/// decode through.
-///
-/// Values, final position, and success/failure are identical to
-/// `dst.len()` sequential [`read_uvarint`] calls in both dispatch
-/// flavours (the values are integers — there is no arithmetic to
-/// reassociate). On `None` (truncated or over-long encoding), `*pos`
-/// and the tail of `dst` are unspecified, matching the sequential
-/// contract.
-#[inline]
-pub fn read_uvarints(d: Dispatch, buf: &[u8], pos: &mut usize, dst: &mut [u64]) -> Option<()> {
-    match d {
-        Dispatch::Scalar => {
-            for v in dst {
-                *v = read_uvarint(buf, pos)?;
-            }
-            Some(())
-        }
-        Dispatch::Wide => read_uvarints_wide(buf, pos, dst),
-    }
-}
-
-/// Word-batched decode: each 8-byte load yields every varint that ends
-/// inside it — typically four to eight for the 1–2-byte encodings a
-/// delta stream produces — so only the window advance is loop-carried.
-///
-/// Terminators are cleared from the stops mask one `stops & (stops − 1)`
-/// at a time and each varint's bytes are masked out of the already
-/// loaded word; no class-specialised branches (an 8×1-byte and a
-/// 4×2-byte whole-window fold were both measured slower than this
-/// uniform greedy extraction, as was a 16-byte `u128` double-word
-/// window — the wider shifts and terminator scans cost more than the
-/// halved reload count saves, even on 5-byte-heavy payloads). A varint
-/// straddling the window boundary is simply re-read in the next window;
-/// one with no terminator in sight (a > 8-byte encoding) or too few
-/// buffer bytes for a word load degrades to [`read_uvarint`] for that
-/// value alone.
-fn read_uvarints_wide(buf: &[u8], pos: &mut usize, dst: &mut [u64]) -> Option<()> {
-    const STOP: u64 = 0x8080_8080_8080_8080;
-    let mut p = *pos;
-    let mut i = 0;
-    'outer: while i < dst.len() {
-        if let Some(word) = load_word(buf, p) {
-            let mut stops = !word & STOP;
-            let mut off = 0usize;
-            while stops != 0 {
-                let end = ((stops.trailing_zeros() as usize) >> 3) + 1;
-                let len = end - off;
-                let data = (word >> (8 * off)) & (u64::MAX >> (64 - 8 * len as u32));
-                dst[i] = compact7(data);
-                i += 1;
-                p += len;
-                off = end;
-                if i == dst.len() {
-                    break 'outer;
-                }
-                stops &= stops - 1;
-            }
-            if off != 0 {
-                continue; // window exhausted: reload at the new `p`
-            }
-        }
-        // No terminator in the window (> 8-byte encoding) or < 8 bytes
-        // left: decode this one value through the scalar path.
-        *pos = p;
-        dst[i] = read_uvarint(buf, pos)?;
-        p = *pos;
-        i += 1;
-    }
-    *pos = p;
-    Some(())
-}
-
-/// [`read_uvarints`] fused with checksum absorption: as the varint walk
-/// passes each byte position, the [`PayloadChecksum`] absorbs the
-/// complete 16-byte chunks behind it — so a frame's payload is read
-/// once, while the bytes are hot, and the checksum's serial mix chain
-/// overlaps the varint extraction instead of running as its own pass.
-///
-/// Decoded values, final position, and success/failure are identical to
-/// [`read_uvarints`] in both dispatch flavours, and the checksum state
-/// after any outcome is a valid partial absorption (the caller's
-/// [`finish`](PayloadChecksum::finish) completes it), so interleaving
-/// cannot change either result.
-#[inline]
-pub(crate) fn read_uvarints_ck(
-    d: Dispatch,
-    buf: &[u8],
-    pos: &mut usize,
-    dst: &mut [u64],
-    ck: &mut PayloadChecksum,
-) -> Option<()> {
-    match d {
-        Dispatch::Scalar => {
-            for v in dst {
-                *v = read_uvarint(buf, pos)?;
-                ck.absorb_to(buf, *pos);
-            }
-            Some(())
-        }
-        Dispatch::Wide => read_uvarints_wide_ck(buf, pos, dst, ck),
-    }
-}
-
-/// [`read_uvarints_wide`] with the checksum absorb folded in at window
-/// cadence (one `absorb_to` per 8-byte reload, i.e. per 4–8 decoded
-/// values on real delta streams) and a **speculative window advance**:
-/// when every varint ending in the window fits `dst`, the next window
-/// position is computed from the stops mask alone (`8 − lzcnt/8`,
-/// three ops after the load) *before* any value is extracted, so the
-/// loop-carried dependency is load → mask → count rather than the full
-/// per-varint tzcnt/advance chain — the next load issues while the
-/// current window's values are still being compacted.
-///
-/// Measured on a synthetic 1,024-machine varint stream (back-to-back
-/// A/B on a 1-core VM, median of 3 runs each): the varint decode stage
-/// dropped ~148 → ~139 ns/machine-window and the whole ingest
-/// ~315 → ~303 — a real but modest ~6% win; the per-varint
-/// extraction itself still bounds the path, which is why the planar
-/// format exists. Recorded like the negative u128 result on
-/// [`read_uvarints_wide`]: the varint chain's remaining cost is
-/// structural, not an artefact of this loop's shape.
-fn read_uvarints_wide_ck(
-    buf: &[u8],
-    pos: &mut usize,
-    dst: &mut [u64],
-    ck: &mut PayloadChecksum,
-) -> Option<()> {
-    const STOP: u64 = 0x8080_8080_8080_8080;
-    let mut p = *pos;
-    let mut i = 0;
-    'outer: while i < dst.len() {
-        if let Some(word) = load_word(buf, p) {
-            let mut stops = !word & STOP;
-            if stops != 0 && (stops.count_ones() as usize) <= dst.len() - i {
-                // Whole window fits: advance `p` speculatively from the
-                // mask and only then extract, breaking the serial
-                // extract→advance recurrence between windows.
-                p += 8 - ((stops.leading_zeros() as usize) >> 3);
-                let mut off = 0usize;
-                while stops != 0 {
-                    let end = ((stops.trailing_zeros() as usize) >> 3) + 1;
-                    let len = end - off;
-                    let data = (word >> (8 * off)) & (u64::MAX >> (64 - 8 * len as u32));
-                    dst[i] = compact7(data);
-                    i += 1;
-                    off = end;
-                    stops &= stops - 1;
-                }
-                ck.absorb_to(buf, p);
-                continue;
-            }
-            // `dst` fills mid-window: the tail greedy walk advances per
-            // varint so `p` lands exactly past the last value consumed.
-            let mut off = 0usize;
-            while stops != 0 {
-                let end = ((stops.trailing_zeros() as usize) >> 3) + 1;
-                let len = end - off;
-                let data = (word >> (8 * off)) & (u64::MAX >> (64 - 8 * len as u32));
-                dst[i] = compact7(data);
-                i += 1;
-                p += len;
-                off = end;
-                if i == dst.len() {
-                    break 'outer;
-                }
-                stops &= stops - 1;
-            }
-            if off != 0 {
-                ck.absorb_to(buf, p);
-                continue; // window exhausted: reload at the new `p`
-            }
-        }
-        // No terminator in the window (> 8-byte encoding) or < 8 bytes
-        // left: decode this one value through the scalar path.
-        *pos = p;
-        dst[i] = read_uvarint(buf, pos)?;
-        p = *pos;
-        ck.absorb_to(buf, p);
-        i += 1;
-    }
-    *pos = p;
-    ck.absorb_to(buf, p);
-    Some(())
-}
-
-/// Zigzag-folds a signed delta into an unsigned varint-friendly value
-/// (small magnitudes of either sign encode short).
+/// Zigzag-folds a signed delta into an unsigned value whose highest
+/// set bit tracks the magnitude (small magnitudes of either sign
+/// encode short).
 #[inline]
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -378,12 +180,6 @@ mod tests {
             .collect::<Vec<_>>();
         let mut pos = 0;
         assert_eq!(read_uvarint(&too_big, &mut pos), None, "overflow");
-        // The batched decoder agrees on both failure shapes.
-        for bad in [vec![0x80u8, 0x80], too_big] {
-            let mut pos = 0;
-            let mut dst = [0u64; 1];
-            assert_eq!(read_uvarints_wide(&bad, &mut pos, &mut dst), None);
-        }
     }
 
     #[test]
@@ -398,144 +194,20 @@ mod tests {
         assert_eq!(prev.wrapping_add(unzigzag(zigzag(delta)) as u64), cur);
     }
 
-    /// Both dispatch flavours of the bulk decoder against the scalar
-    /// reference, on the exact shape frames produce: a run of values,
-    /// read to the very last buffer byte (no padding — the tail class
-    /// is always exercised).
-    fn assert_bulk_matches(values: &[u64]) {
-        let mut buf = Vec::new();
-        for &v in values {
-            put_uvarint(&mut buf, v);
-        }
-        let mut reference = vec![0u64; values.len()];
-        let mut ref_pos = 0usize;
-        for r in &mut reference {
-            *r = read_uvarint(&buf, &mut ref_pos).expect("reference decode");
-        }
-        for d in [Dispatch::Scalar, Dispatch::Wide] {
-            let mut out = vec![0u64; values.len()];
-            let mut pos = 0usize;
-            assert_eq!(read_uvarints(d, &buf, &mut pos, &mut out), Some(()));
-            assert_eq!(out, reference, "{d:?} values");
-            assert_eq!(pos, ref_pos, "{d:?} final position");
-            assert_eq!(pos, buf.len());
-        }
-    }
-
     proptest! {
-        /// Satellite property: zigzag ∘ varint round-trips arbitrary
-        /// signed deltas through an actual byte buffer, in both bulk
-        /// dispatch flavours.
+        /// zigzag ∘ varint round-trips arbitrary signed deltas through
+        /// an actual byte buffer.
         #[test]
         fn zigzag_varint_roundtrip(deltas in proptest::collection::vec(any::<i64>(), 0..64)) {
             let mut buf = Vec::new();
             for &d in &deltas {
                 put_uvarint(&mut buf, zigzag(d));
             }
-            for disp in [Dispatch::Scalar, Dispatch::Wide] {
-                let mut out = vec![0u64; deltas.len()];
-                let mut pos = 0usize;
-                prop_assert_eq!(read_uvarints(disp, &buf, &mut pos, &mut out), Some(()));
-                prop_assert_eq!(pos, buf.len());
-                for (&got, &want) in out.iter().zip(&deltas) {
-                    prop_assert_eq!(unzigzag(got), want);
-                }
+            let mut pos = 0usize;
+            for &want in &deltas {
+                prop_assert_eq!(read_uvarint(&buf, &mut pos).map(unzigzag), Some(want));
             }
+            prop_assert_eq!(pos, buf.len());
         }
-
-        /// Bulk decode ≡ sequential decode for arbitrary value runs —
-        /// the class draw skews toward the 1–3-byte encodings frames
-        /// produce but includes full-range values, so windows split at
-        /// every alignment.
-        #[test]
-        fn bulk_decode_matches_sequential(
-            picks in proptest::collection::vec((0u8..4, any::<u64>()), 0..96)
-        ) {
-            let values: Vec<u64> = picks
-                .iter()
-                .map(|&(class, raw)| match class {
-                    0 => raw % 0x80,                            // 1-byte class
-                    1 => 0x80 + raw % (0x4000 - 0x80),          // 2-byte class
-                    2 => 0x4000 + raw % (0x0020_0000 - 0x4000), // 3-byte class
-                    _ => raw,                                   // up to 10 bytes
-                })
-                .collect();
-            assert_bulk_matches(&values);
-        }
-    }
-
-    /// The checksum-fused bulk decoder must agree with the plain one on
-    /// values, final position, success/failure, *and* produce the exact
-    /// one-shot checksum — in both dispatch flavours, on clean runs and
-    /// on both failure shapes.
-    #[test]
-    fn fused_decode_matches_plain_and_one_shot_checksum() {
-        use crate::frame::{FrameHeader, FrameType};
-        let header = |len: usize| FrameHeader {
-            frame_type: FrameType::Sample,
-            payload_len: len as u32,
-            machine_id: 7,
-            window_seq: 99,
-            layout_hash: 0xabcd,
-            cpu_count: 4,
-            n_events: 9,
-            checksum: 0,
-        };
-        let shapes: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![0; 40],
-            vec![0x80; 40],
-            vec![u64::MAX; 7],
-            vec![1, u64::MAX, 2, 1 << 62, 3],
-            (0..96).map(|i| (i * i * 37) as u64).collect(),
-        ];
-        for values in &shapes {
-            let mut buf = Vec::new();
-            for &v in values {
-                put_uvarint(&mut buf, v);
-            }
-            let h = header(buf.len());
-            let want_sum = h.expected_checksum(&buf);
-            for d in [Dispatch::Scalar, Dispatch::Wide] {
-                let mut plain = vec![0u64; values.len()];
-                let mut plain_pos = 0usize;
-                assert_eq!(read_uvarints(d, &buf, &mut plain_pos, &mut plain), Some(()));
-                let mut fused = vec![0u64; values.len()];
-                let mut pos = 0usize;
-                let mut ck = PayloadChecksum::new(&h);
-                assert_eq!(
-                    read_uvarints_ck(d, &buf, &mut pos, &mut fused, &mut ck),
-                    Some(())
-                );
-                assert_eq!(fused, plain, "{d:?} values");
-                assert_eq!(pos, plain_pos, "{d:?} position");
-                assert_eq!(ck.finish(&buf), want_sum, "{d:?} checksum");
-            }
-        }
-        // Failure shapes: fused fails exactly where plain does, and the
-        // partially absorbed checksum still finishes to the one-shot sum.
-        let too_big: Vec<u8> = [0xff; 9].iter().copied().chain([0x02u8]).collect();
-        for bad in [vec![0x80u8, 0x80], too_big] {
-            let h = header(bad.len());
-            for d in [Dispatch::Scalar, Dispatch::Wide] {
-                let mut dst = [0u64; 1];
-                let mut pos = 0usize;
-                let mut ck = PayloadChecksum::new(&h);
-                assert_eq!(read_uvarints_ck(d, &bad, &mut pos, &mut dst, &mut ck), None);
-                assert_eq!(ck.finish(&bad), h.expected_checksum(&bad), "{d:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_decode_handles_boundary_shapes() {
-        // All 1-byte (8 per window), all 2-byte (window-straddling at
-        // every second value), the 9/10-byte in-window fallback, and a
-        // tail shorter than a word.
-        assert_bulk_matches(&[0; 40]);
-        assert_bulk_matches(&[0x80; 40]);
-        assert_bulk_matches(&[u64::MAX; 7]);
-        assert_bulk_matches(&[1, u64::MAX, 2, 1 << 62, 3]);
-        assert_bulk_matches(&[0x7f, 0x80, 0x3fff, 0x4000]);
     }
 }

@@ -3,12 +3,13 @@
 //! decimation grants back into the encoder — so healthy machines
 //! transmit one window in N while anomalous ones snap back to full
 //! rate. These tests drive the whole loop end to end over a simulated
-//! fleet: no false positives on a fault-free run, and spikes flagged
-//! within the machine's own decimation.
+//! fleet: no false positives on a fault-free run, spikes flagged
+//! within the machine's own decimation, and no row ever held while
+//! grants rise and fall.
 
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::{AnomalyDetector, FleetEstimator, Verdict};
-use tdp_wire::{ingest_serial_with, IngestState, WireEncoder};
+use tdp_wire::{ingest_serial_with, IngestState, StreamReport, WireEncoder};
 use trickledown::SystemPowerModel;
 
 const MACHINES: usize = 16;
@@ -77,8 +78,8 @@ fn synthetic_set(machine: u64, seq: u64, spiked: bool) -> SampleSet {
 
 /// One turn of the loop: encode every machine due this window (under
 /// the encoder's current grants), ingest, estimate, judge, and feed
-/// the verdict-derived grants back. Returns (sample frames sent,
-/// rows quarantined).
+/// the verdict-derived grants back. Returns the sample frames sent and
+/// the window's ingest report.
 fn turn(
     w: u64,
     enc: &mut WireEncoder,
@@ -86,7 +87,7 @@ fn turn(
     est: &mut FleetEstimator,
     det: &mut AnomalyDetector,
     spike: Option<usize>,
-) -> (u64, u64) {
+) -> (u64, StreamReport) {
     let mut senders = 0u64;
     for m in 0..MACHINES as u64 {
         if enc.should_send(m, w) {
@@ -102,7 +103,7 @@ fn turn(
     for m in 0..MACHINES as u64 {
         enc.set_decimation(m, det.decimation(m as usize));
     }
-    (senders, rep.rows_quarantined)
+    (senders, rep)
 }
 
 #[test]
@@ -165,8 +166,8 @@ fn spike_on_a_decimated_machine_is_flagged_within_its_decimation() {
     let mut flagged_at = None;
     let mut quarantined = 0u64;
     for w in onset..onset + dec {
-        let (_, q) = turn(w, &mut enc, &mut state, &mut est, &mut det, Some(SPIKED));
-        quarantined += q;
+        let (_, rep) = turn(w, &mut enc, &mut state, &mut est, &mut det, Some(SPIKED));
+        quarantined += rep.rows_quarantined;
         if det.verdict(SPIKED) == Verdict::Anomalous {
             flagged_at = Some(w);
             break;
@@ -210,4 +211,39 @@ fn spike_on_a_decimated_machine_is_flagged_within_its_decimation() {
     }
     assert_eq!(det.verdict(SPIKED), Verdict::Normal);
     assert_eq!(det.decimation(SPIKED), det.config().healthy_decimation);
+}
+
+#[test]
+fn raising_and_lowering_grants_never_holds_a_row() {
+    // Grants rise after warmup, fall when a spike is flagged and rise
+    // again after recovery. Each change reaches the wire with a frame
+    // the machine sends at once, so every window it then skips is
+    // reconstructed under an announced decimation: none is held.
+    const SPIKED: usize = 5;
+    let mut enc = WireEncoder::new();
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut det = AnomalyDetector::default();
+    let warmup = det.config().baseline_windows as u64;
+    let healthy = det.config().healthy_decimation;
+    let dec = u64::from(healthy);
+    let onset = warmup + 2 * dec;
+    let spiked = onset..onset + 2 * dec;
+    let end = spiked.end + u64::from(det.config().hold_windows) + 3 * dec;
+    let (mut grants, mut reconstructed) = (vec![1u16], 0u64);
+    for w in 0..end {
+        let spike = spiked.contains(&w).then_some(SPIKED);
+        let (_, rep) = turn(w, &mut enc, &mut state, &mut est, &mut det, spike);
+        assert_eq!(rep.rows_held, 0, "window {w}: a row was held");
+        reconstructed += rep.rows_reconstructed;
+        if grants.last() != Some(&enc.decimation(SPIKED as u64)) {
+            grants.push(enc.decimation(SPIKED as u64));
+        }
+    }
+    assert_eq!(
+        grants,
+        [1, healthy, 1, healthy],
+        "machine {SPIKED}'s grants"
+    );
+    assert!(reconstructed > 0, "decimated machines went silent");
 }

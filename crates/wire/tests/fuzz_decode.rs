@@ -1,12 +1,14 @@
 //! Property/fuzz tests for the frame cursor and decoder: arbitrary
 //! bytes never panic, the cursor's items exactly partition its input,
-//! damaged streams ingest deterministically, and a resync always
+//! the payload walk never sizes its lane buffer past the format's CPU
+//! bound, damaged streams ingest deterministically, and a resync always
 //! recovers the next intact frame.
 
 use proptest::prelude::*;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
-use tdp_fleet::FleetEstimator;
-use tdp_wire::frame::HEADER_LEN;
+use tdp_fleet::{FleetEstimator, ROW_EVENTS};
+use tdp_wire::frame::{FrameHeader, FrameType, PayloadChecksum, HEADER_LEN, MAX_WIRE_CPUS};
+use tdp_wire::planar::{decode_planes, NO_SLOT};
 use tdp_wire::{ingest_serial, CursorItem, FrameCursor, StreamReport, WireEncoder};
 use trickledown::SystemPowerModel;
 
@@ -116,6 +118,50 @@ proptest! {
         let rep = ingest(&buf, 8);
         prop_assert!(rep.resync_bytes <= buf.len() as u64);
         prop_assert!(rep.rows_written <= 8);
+    }
+
+    /// Arbitrary payload bytes under an arbitrary header geometry: the
+    /// payload walk never panics, and whatever it accepts or rejects,
+    /// the row-lane buffer never exceeds nine lanes of
+    /// `MAX_WIRE_CPUS` — a forged `cpu_count` cannot buy more, even
+    /// though zero planes store no bytes.
+    #[test]
+    fn arbitrary_payloads_never_outgrow_the_lane_bound(
+        payload in prop::collection::vec(any::<u8>(), 0..512),
+        picks in prop::collection::vec(0u8..10, 0..64),
+        // Small counts, the bound's neighbourhood, and any 16-bit value.
+        cpus in (0u8..3, any::<u16>()).prop_map(|(class, raw)| match class {
+            0 => raw % 40,
+            1 => MAX_WIRE_CPUS as u16 - 1 + raw % 3,
+            _ => raw,
+        }),
+        zero_planes in any::<bool>(),
+    ) {
+        // Directory bytes of zero bases and zero planes make the
+        // smallest payload that can claim the most CPUs.
+        let mut payload = payload;
+        if zero_planes {
+            for b in payload.iter_mut().take(picks.len()) {
+                *b = 0x44;
+            }
+        }
+        let rows = ROW_EVENTS.len();
+        let slots: Vec<u8> = picks.iter().map(|&p| if p as usize >= rows { NO_SLOT } else { p }).collect();
+        let header = FrameHeader {
+            frame_type: FrameType::Sample,
+            payload_len: payload.len() as u32,
+            machine_id: 0,
+            window_seq: 0,
+            layout_hash: 0,
+            cpu_count: cpus,
+            n_events: slots.len() as u16,
+            checksum: 0,
+        };
+        let mut out = Vec::new();
+        let mut ck = PayloadChecksum::new(&header);
+        let ok = decode_planes(&payload, &slots, rows, cpus as usize, &mut out, &mut ck);
+        prop_assert!(out.len() <= rows * MAX_WIRE_CPUS);
+        prop_assert!(ok.is_none() || cpus as usize <= MAX_WIRE_CPUS);
     }
 
     /// A valid stream cut at an arbitrary point: ingest never panics,

@@ -178,7 +178,7 @@ fn steady_state_fleet_window_does_not_allocate() {
 fn assert_fused_ingest_allocation_free(sets: &mut [tdp_counters::SampleSet], machines: usize) {
     const PRIME: usize = 5;
     const WINDOWS: usize = 50;
-    let mut enc = tdp_wire::WireEncoder::with_kind(tdp_wire::FrameKind::Planar);
+    let mut enc = tdp_wire::WireEncoder::new();
     let bufs: Vec<Vec<u8>> = (0..PRIME + WINDOWS)
         .map(|w| {
             // Fresh window sequences: replayed ones read as duplicates
@@ -281,7 +281,7 @@ fn steady_state_producer_window_allocates_only_the_output_buffer() {
     }
     machine.read_counters_into(&mut set);
 
-    let mut enc = tdp_wire::WireEncoder::with_kind(tdp_wire::FrameKind::Planar);
+    let mut enc = tdp_wire::WireEncoder::new();
     set.seq = 1;
     for m in 0..MACHINES as u64 {
         enc.push_sample_set(m, &set).unwrap();
