@@ -1,8 +1,7 @@
 //! Throughput benches for the allocation-free hot paths.
 //!
-//! Companion to `repro --bench-json` (which measures the end-to-end
-//! pipeline): these isolate the per-call costs the buffer-reuse API
-//! removed — `Machine::tick_into` vs the allocating `tick`, counter
+//! The end-to-end pipeline is measured by perfbench; these isolate the
+//! per-call costs the buffer-reuse API removed — `Machine::tick_into` vs the allocating `tick`, counter
 //! reads into a reused `SampleSet`, and the pooled parallel capture.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -48,8 +47,9 @@ fn bench_counter_read(c: &mut Criterion) {
 }
 
 fn bench_capture(c: &mut Criterion) {
-    // A deliberately tiny capture so the bench completes in seconds; the
-    // full-size numbers live in BENCH_pipeline.json.
+    // A deliberately tiny capture so the bench completes in seconds;
+    // perfbench reports the full-size capture time
+    // (`trickledown.testbed.capture_s`).
     let cfg = ExperimentConfig {
         seed: 7,
         trace_seconds: 2,

@@ -47,16 +47,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let (cfg, wanted, markdown) = (parsed.cfg, parsed.wanted, parsed.markdown);
-    if parsed.bench_json {
-        eprintln!(
-            "repro: benchmarking pipeline throughput (seed {}, {} s traces)…",
-            cfg.seed, cfg.trace_seconds
-        );
-        println!("{}", tdp_bench::pipeline::run_and_write(&cfg));
-    }
-    if wanted.is_empty() {
-        return ExitCode::SUCCESS;
-    }
 
     let needs_traces = ["table1", "table2", "table3", "table4", "shape"]
         .iter()

@@ -9,7 +9,7 @@ use crate::ExperimentConfig;
 use std::collections::BTreeSet;
 
 /// One-line usage string, printed with every argument error.
-pub const USAGE: &str = "usage: repro [--quick] [--markdown] [--bench-json] [--seed N] [--out DIR] \
+pub const USAGE: &str = "usage: repro [--quick] [--markdown] [--seed N] [--out DIR] \
     <table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|fig7|coefficients|shape|ablate|selection|all>...";
 
 /// Every experiment name the binary knows, excluding `all`.
@@ -56,8 +56,6 @@ pub struct Cli {
     pub wanted: BTreeSet<String>,
     /// Render tables as markdown.
     pub markdown: bool,
-    /// Run the pipeline throughput benchmark (`BENCH_pipeline.json`).
-    pub bench_json: bool,
     /// `--help` was requested: print usage, exit success.
     pub help: bool,
 }
@@ -65,7 +63,7 @@ pub struct Cli {
 impl Cli {
     /// Whether the invocation asks for any work at all.
     pub fn requests_something(&self) -> bool {
-        self.help || self.bench_json || !self.wanted.is_empty()
+        self.help || !self.wanted.is_empty()
     }
 }
 
@@ -95,14 +93,12 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
         cfg: ExperimentConfig::default(),
         wanted: BTreeSet::new(),
         markdown: false,
-        bench_json: false,
         help: false,
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--markdown" => cli.markdown = true,
-            "--bench-json" => cli.bench_json = true,
             "--quick" => {
                 let out = cli.cfg.out_dir.clone();
                 let seed = cli.cfg.seed;
@@ -157,7 +153,8 @@ mod tests {
         // perfbench measures the fleet pipeline; the old harness flags
         // must fail loudly rather than be silently ignored.
         for args in [
-            &["--wire", "8"][..],
+            &["--bench-json"][..],
+            &["--wire", "8"],
             &["--fleet", "8"],
             &["--frame", "varint", "shape"],
             &["--faults", "1234", "shape"],

@@ -13,7 +13,6 @@ pub mod ablations;
 pub mod cli;
 pub mod experiments;
 pub mod figures;
-pub mod pipeline;
 pub mod selection;
 
 use std::path::PathBuf;

@@ -13,12 +13,13 @@
 //!
 //! Ingestion mirrors `SystemSample::from_sample_set` (same
 //! missing-event, zero-cycle and clamping semantics, same model-unit
-//! scaling; rates agree to within an ulp — see `accumulate_cpu`) but in
-//! one pass over each CPU's sparse counter pairs and with zero
-//! allocation: aggregates are reduced on the stack and appended to the
-//! columns, whose buffers are reused window after window.
+//! scaling; rates agree to within an ulp — see `accumulate_rates`) and
+//! runs the same row fold as the wire decoder: each machine's counts
+//! are gathered into event lanes and reduced by [`fold_event_lanes`].
+//! The lane buffer and the columns are reused window after window, so
+//! the steady state does not allocate.
 
-use tdp_counters::{CounterSample, PerfEvent, SampleSet};
+use tdp_counters::{PerfEvent, SampleSet};
 use trickledown::SystemSample;
 
 /// Number of per-machine aggregate columns.
@@ -84,7 +85,9 @@ pub mod col {
 #[derive(Debug, Clone, Default)]
 pub struct SampleBatch {
     pub(crate) cols: [Vec<f64>; COLUMNS],
-    layout: LayoutCache,
+    /// Gather scratch for [`push_sample_set`](Self::push_sample_set):
+    /// one machine's counts as event lanes.
+    lanes: Vec<f64>,
 }
 
 impl SampleBatch {
@@ -97,7 +100,7 @@ impl SampleBatch {
     pub fn with_capacity(machines: usize) -> Self {
         Self {
             cols: std::array::from_fn(|_| Vec::with_capacity(machines)),
-            layout: LayoutCache::default(),
+            lanes: Vec::new(),
         }
     }
 
@@ -124,11 +127,12 @@ impl SampleBatch {
     /// [`SystemSample::from_sample_set`] — missing events contribute
     /// rate 0, a zero cycle count never divides by zero, the active
     /// fraction is clamped to `[0, 1]` and the device-interrupt rate is
-    /// the non-negative total-minus-timer difference — but performed in
-    /// a single pass per CPU with no allocation, and with rates formed
-    /// as `count · (1/cycles)` (agreement to within an ulp).
+    /// the non-negative total-minus-timer difference — with rates
+    /// formed as `count · (1/cycles)` (agreement to within an ulp). The
+    /// row is [`fold_event_lanes`] over the set's gathered counts, bit
+    /// for bit the row the wire decoder builds from the same counts.
     pub fn push_sample_set(&mut self, set: &SampleSet) {
-        let row = extract_set_cached(set, &mut self.layout);
+        let row = extract_set(set, &mut self.lanes);
         self.push_row(row);
     }
 
@@ -139,10 +143,8 @@ impl SampleBatch {
 
     /// Appends one machine's pre-aggregated column row — the raw-row
     /// ingestion point for producers that build rows outside this
-    /// crate, such as the `tdp-wire` zero-copy decoder (via
-    /// [`fold_event_lanes`], which guarantees the row was formed by the
-    /// exact arithmetic [`push_sample_set`](Self::push_sample_set)
-    /// uses).
+    /// crate, such as the `tdp-wire` decoder (via [`fold_event_lanes`],
+    /// the fold [`push_sample_set`](Self::push_sample_set) runs too).
     pub fn push_row(&mut self, row: [f64; COLUMNS]) {
         for (c, v) in self.cols.iter_mut().zip(row) {
             c.push(v);
@@ -177,7 +179,7 @@ impl SampleBatch {
 
     /// Resizes every column to `machines` rows for the indexed write
     /// paths ([`set_row`](Self::set_row) and
-    /// [`FleetEstimator::process_window`](crate::FleetEstimator::process_window)).
+    /// [`columns_mut`](Self::columns_mut)).
     /// Rows grown beyond the current length are zeroed; rows already
     /// present keep their values (call [`clear`](Self::clear) first for
     /// an all-zero window).
@@ -187,13 +189,6 @@ impl SampleBatch {
         }
     }
 
-    /// All columns as mutable slices, for the indexed bulk extraction
-    /// of [`FleetEstimator::process_window`](crate::FleetEstimator::process_window).
-    pub(crate) fn col_slices_mut(&mut self) -> [&mut [f64]; COLUMNS] {
-        let mut it = self.cols.iter_mut();
-        std::array::from_fn(|_| it.next().expect("13 columns").as_mut_slice())
-    }
-
     /// All columns as mutable slices, indexable with the [`col`]
     /// constants — the raw write surface external fused ingestion
     /// (the `tdp-wire` serial path) writes [`fold_event_lanes`] rows
@@ -201,19 +196,17 @@ impl SampleBatch {
     /// [`set_row`](Self::set_row). Size the batch first with
     /// [`resize_rows`](Self::resize_rows).
     pub fn columns_mut(&mut self) -> [&mut [f64]; COLUMNS] {
-        self.col_slices_mut()
+        let mut it = self.cols.iter_mut();
+        std::array::from_fn(|_| it.next().expect("13 columns").as_mut_slice())
     }
 }
 
-/// The nine raw events a machine row is built from, in the count order
-/// [`RowAccumulator::accumulate_cpu`] consumes (and the batch's layout
-/// cache records positions for).
+/// The nine raw events a machine row is built from, in the lane order
+/// [`fold_event_lanes`] and [`RowAccumulator::accumulate_cpu`] consume.
 ///
 /// External ingestion paths — the `tdp-wire` decoder in particular —
-/// either decode one f64 lane per entry per CPU for
-/// [`fold_event_lanes`], or gather one `Option<u64>` count per entry
-/// per CPU and feed them through [`RowAccumulator`]; both apply the
-/// exact same rate arithmetic as [`SampleBatch::push_sample_set`].
+/// decode one f64 lane per entry per CPU for [`fold_event_lanes`], the
+/// fold [`SampleBatch::push_sample_set`] runs on in-memory samples.
 pub const ROW_EVENTS: [PerfEvent; 9] = [
     PerfEvent::Cycles,
     PerfEvent::HaltedCycles,
@@ -226,300 +219,33 @@ pub const ROW_EVENTS: [PerfEvent; 9] = [
     PerfEvent::DiskInterrupts,
 ];
 
-const K_CYCLES: usize = 0;
-const K_HALTED: usize = 1;
-const K_UOPS: usize = 2;
-const K_L3: usize = 3;
-const K_BUS: usize = 4;
-const K_DMA: usize = 5;
-const K_INT_TOTAL: usize = 6;
-const K_TIMER: usize = 7;
-const K_DISK: usize = 8;
-
-/// Longest event list the layout cache will memoise. [`PerfEvent`] has
-/// 18 variants today; longer lists fall back to a per-sample rescan.
-const MAX_CACHED_EVENTS: usize = 32;
-
-/// Memoised event layout of the previous counter sample.
+/// One machine's row: gathers each CPU's [`ROW_EVENTS`] counts into
+/// `lanes` (event-major, the shape [`fold_event_lanes`] takes; a
+/// missing event is a `0.0` lane) and folds them. Every in-memory
+/// ingestion path runs this, so it shares the wire decoder's fold by
+/// construction. Counts come from
+/// [`CounterSample::count`](tdp_counters::CounterSample::count), so an event
+/// listed twice reads its first occurrence, as the wire decoder does.
 ///
-/// Every CPU in a fleet is normally programmed with the same event set
-/// in the same order, so instead of dispatching on every `(event,
-/// count)` pair of every sample, ingestion remembers where each wanted
-/// event sat in the last sample and reads the next sample's counts with
-/// one indexed load per event, *verifying the event tag on the same
-/// tuple as it loads the count* — so a layout change can never be
-/// consumed silently, and the verification costs no extra memory
-/// traffic. Any mismatch (different PMU programming, first sample, a
-/// wanted event missing) falls back to a linear rescan that rebuilds
-/// the cache. All-inline storage: the cache itself never allocates.
-///
-/// One caveat, checked nowhere because no producer in this repo does
-/// it: if a sample lists the same event *twice*, the verified-load path
-/// may read whichever occurrence the previous layout pointed at, where
-/// the rescan path keeps `CounterSample::count`'s first-match rule.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LayoutCache {
-    /// Number of cached events; `u8::MAX` marks "nothing cached yet /
-    /// layout too long to cache", which no real list length matches.
-    len: u8,
-    /// Whether every [`ROW_EVENTS`] entry was present — the
-    /// precondition for the verified-load fast path.
-    all_present: bool,
-    events: [PerfEvent; MAX_CACHED_EVENTS],
-    /// Position of each [`ROW_EVENTS`] entry in the layout
-    /// (first occurrence, like `CounterSample::count`'s linear find);
-    /// `u16::MAX` when absent.
-    pos: [u16; ROW_EVENTS.len()],
-}
-
-impl Default for LayoutCache {
-    fn default() -> Self {
-        Self {
-            len: u8::MAX,
-            all_present: false,
-            events: [PerfEvent::Cycles; MAX_CACHED_EVENTS],
-            pos: [u16::MAX; ROW_EVENTS.len()],
-        }
-    }
-}
-
-impl LayoutCache {
-    /// Verified loads of all wanted counts, or `None` if the sample's
-    /// layout no longer matches the cached positions.
-    #[inline]
-    fn load_verified(&self, pairs: &[(PerfEvent, u64)]) -> Option<[u64; ROW_EVENTS.len()]> {
-        if !self.all_present || pairs.len() != self.len as usize {
-            return None;
-        }
-        let mut vals = [0u64; ROW_EVENTS.len()];
-        let mut ok = true;
-        for (k, (&wanted, v)) in ROW_EVENTS.iter().zip(&mut vals).enumerate() {
-            let (event, count) = pairs[self.pos[k] as usize];
-            ok &= event == wanted;
-            *v = count;
-        }
-        ok.then_some(vals)
-    }
-
-    #[inline]
-    fn matches(&self, pairs: &[(PerfEvent, u64)]) -> bool {
-        pairs.len() == self.len as usize
-            && pairs.len() <= MAX_CACHED_EVENTS
-            && pairs.iter().zip(&self.events).all(|(p, e)| p.0 == *e)
-    }
-
-    #[cold]
-    fn rebuild(&mut self, pairs: &[(PerfEvent, u64)]) {
-        if pairs.len() <= MAX_CACHED_EVENTS {
-            self.len = pairs.len() as u8;
-            for (dst, p) in self.events.iter_mut().zip(pairs) {
-                *dst = p.0;
-            }
-        } else {
-            self.len = u8::MAX;
-        }
-        for (k, &e) in ROW_EVENTS.iter().enumerate() {
-            self.pos[k] = pairs
+/// `lanes` is caller-owned scratch, reused so the steady state does not
+/// allocate.
+pub(crate) fn extract_set(set: &SampleSet, lanes: &mut Vec<f64>) -> [f64; COLUMNS] {
+    lanes.clear();
+    for event in ROW_EVENTS {
+        lanes.extend(
+            set.per_cpu
                 .iter()
-                .position(|&(pe, _)| pe == e)
-                .map_or(u16::MAX, |i| i as u16);
-        }
-        self.all_present = self.pos.iter().all(|&p| p != u16::MAX);
+                .map(|cpu| cpu.count(event).map_or(0.0, |n| n as f64)),
+        );
     }
+    fold_event_lanes(tdp_simd::Dispatch::active(), lanes, set.per_cpu.len())
 }
 
-/// Machine-aggregated columns from one raw counter read. The hot inner
-/// loop of fleet ingestion; `cache` carries the memoised event layout
-/// between samples (see [`LayoutCache`]).
-pub(crate) fn extract_set_cached(set: &SampleSet, cache: &mut LayoutCache) -> [f64; COLUMNS] {
-    let mut row = [0.0f64; COLUMNS];
-    row[col::NUM_CPUS] = set.per_cpu.len() as f64;
-    for cpu in &set.per_cpu {
-        accumulate_cpu(cpu, &mut row, cache);
-    }
-    row
-}
-
-/// Extracts a whole window of sets into column slices, machine `i`'s
-/// row landing at index `i` of every column — the bulk counterpart of
-/// [`extract_set_cached`] and the hot outer loop of `process_window`.
-///
-/// Dispatches between two compiled flavours of the same loop body
-/// (baseline target features vs AVX2 — see [`wide`]), selected by the
-/// process-wide [`tdp_simd::Dispatch::active`] decision. Identical
-/// source, no reassociation: the flavours are bit-identical.
-///
-/// # Panics
-///
-/// Panics if any column is shorter than `sets`.
-pub(crate) fn extract_sets_into(
-    sets: &[SampleSet],
-    cache: &mut LayoutCache,
-    cols: &mut [&mut [f64]; COLUMNS],
-) {
-    match tdp_simd::Dispatch::active() {
-        tdp_simd::Dispatch::Scalar => extract_sets_into_impl(sets, cache, cols),
-        tdp_simd::Dispatch::Wide => {
-            #[cfg(target_arch = "x86_64")]
-            if tdp_simd::wide_available() {
-                // SAFETY: AVX2 support verified on the line above; the
-                // wrapper has no other obligations.
-                #[allow(unsafe_code)]
-                return unsafe { wide::extract_sets_avx2(sets, cache, cols) };
-            }
-            extract_sets_into_impl(sets, cache, cols)
-        }
-    }
-}
-
-/// The two-flavour recompilation of [`extract_sets_into_impl`]: the
-/// only `unsafe` in this crate, confined here (see the crate-level
-/// lint note).
-mod wide {
-    #![allow(unsafe_code)]
-
-    use super::{extract_sets_into_impl, LayoutCache, COLUMNS};
-    use tdp_counters::SampleSet;
-
-    /// [`extract_sets_into_impl`] compiled with AVX2 available: LLVM
-    /// widens the per-CPU rate arithmetic and the row/column stores to
-    /// 256-bit lanes. Same source body, no reassociation —
-    /// bit-identical to the baseline build.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (callers verify via
-    /// [`tdp_simd::wide_available`]).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn extract_sets_avx2(
-        sets: &[SampleSet],
-        cache: &mut LayoutCache,
-        cols: &mut [&mut [f64]; COLUMNS],
-    ) {
-        extract_sets_into_impl(sets, cache, cols)
-    }
-}
-
-/// The shared loop body of [`extract_sets_into`].
-///
-/// Structural wins over calling [`extract_set_cached`] per set:
-///
-/// * the layout cache is snapshotted *by value once per run of
-///   layout-stable sets*, so the per-CPU verified loads read the
-///   memoised positions from registers instead of reloading them
-///   through the `&mut` cache after every accumulation, and the
-///   rebuilding slow path stays entirely outside the hot loop;
-/// * the columns are resliced to exactly `sets.len()` up front, so the
-///   thirteen per-machine stores are provably in bounds and compile
-///   without per-store checks.
-///
-/// Every cached layout, canonical [`ROW_EVENTS`] order or not, runs the
-/// same position-indexed [`LayoutCache::load_verified`] loads. Any set
-/// that fails verification is re-extracted from scratch on the slow
-/// path (same CPU order, same arithmetic — the row is bit-identical),
-/// the cache rebuilds, and the fast loop resumes with a fresh snapshot.
-#[inline(always)]
-fn extract_sets_into_impl(
-    sets: &[SampleSet],
-    cache: &mut LayoutCache,
-    cols: &mut [&mut [f64]; COLUMNS],
-) {
-    let n = sets.len();
-    let mut dst: [&mut [f64]; COLUMNS] = std::array::from_fn(|k| {
-        let c = std::mem::take(&mut cols[k]);
-        &mut c[..n]
-    });
-    let mut i = 0;
-    while i < n {
-        // Layout-stable run: extract machines from `i`, writing each
-        // finished row straight into the columns, until a set fails
-        // verification (layout change — left for the slow path below)
-        // or the window ends.
-        let snap = *cache;
-        'fast: while snap.all_present && i < n {
-            let set = &sets[i];
-            let mut row = [0.0f64; COLUMNS];
-            row[col::NUM_CPUS] = set.per_cpu.len() as f64;
-            for cpu in &set.per_cpu {
-                match snap.load_verified(cpu.counts()) {
-                    Some(vals) => accumulate_rates(&mut row, vals.map(Some)),
-                    None => break 'fast,
-                }
-            }
-            for (c, v) in dst.iter_mut().zip(row) {
-                c[i] = v;
-            }
-            i += 1;
-        }
-        if i < n {
-            // Layout changed (or nothing cached yet): extract this one
-            // set through the rebuilding path, then re-snapshot.
-            let row = extract_set_cached(&sets[i], cache);
-            for (c, v) in dst.iter_mut().zip(row) {
-                c[i] = v;
-            }
-            i += 1;
-        }
-    }
-    // Hand the (full-length) columns back to the caller.
-    for (slot, c) in cols.iter_mut().zip(dst) {
-        *slot = c;
-    }
-}
-
-/// One-shot extraction for cold paths (calibration, tests): pays a
-/// layout rescan per call.
-pub(crate) fn extract_set(set: &SampleSet) -> [f64; COLUMNS] {
-    extract_set_cached(set, &mut LayoutCache::default())
-}
-
-fn accumulate_cpu(cpu: &CounterSample, row: &mut [f64; COLUMNS], cache: &mut LayoutCache) {
-    let pairs = cpu.counts();
-    // Fast path: every wanted event present at its remembered position
-    // (verified tuple by tuple as the counts are loaded).
-    if let Some(vals) = cache.load_verified(pairs) {
-        return accumulate_rates(row, vals.map(Some));
-    }
-    // Slow path: rescan, then fetch through the rebuilt positions.
-    if !cache.matches(pairs) {
-        cache.rebuild(pairs);
-    }
-    let fetch = |k: usize| -> Option<u64> {
-        let p = cache.pos[k];
-        (p != u16::MAX).then(|| pairs[p as usize].1)
-    };
-    let vals = [
-        fetch(K_CYCLES),
-        fetch(K_HALTED),
-        fetch(K_UOPS),
-        fetch(K_L3),
-        fetch(K_BUS),
-        fetch(K_DMA),
-        fetch(K_INT_TOTAL),
-        fetch(K_TIMER),
-        fetch(K_DISK),
-    ];
-    accumulate_rates(row, vals);
-}
-
-/// Turns one CPU's raw counts into model-unit rates and adds them to
-/// the machine row. Inlined into both the verified-load fast path
-/// (where every `Option` is statically `Some` and folds away) and the
-/// rescan path.
-///
-/// A missing count maps to `0.0` before the shared f64 core runs; see
-/// [`accumulate_rates_f64`] for why that mapping is bit-exact.
-#[inline(always)]
-fn accumulate_rates(row: &mut [f64; COLUMNS], vals: [Option<u64>; ROW_EVENTS.len()]) {
-    accumulate_rates_f64(row, vals.map(|n| n.map_or(0.0, |n| n as f64)));
-}
-
-/// The f64 core of [`accumulate_rates`]: one CPU's counts already
-/// widened to f64, a missing event carried as `0.0`. Its expression
-/// sequence is the one [`fold_event_lanes`]'s packed kernel runs per
-/// CPU, and it is **bit-identical** to routing `Option<u64>` counts
-/// through the historical arithmetic:
+/// Turns one CPU's counts, widened to f64 with a missing event carried
+/// as `0.0`, into model-unit rates and adds them to the machine row.
+/// Its expression sequence is the one [`fold_event_lanes`]'s packed
+/// kernel runs per CPU, and it is **bit-identical** to routing
+/// `Option<u64>` counts through the historical arithmetic:
 ///
 /// * `n as f64` is the same IEEE rounding wherever it is performed, so
 ///   widening early changes nothing;
@@ -532,8 +258,7 @@ fn accumulate_rates(row: &mut [f64; COLUMNS], vals: [Option<u64>; ROW_EVENTS.len
 ///   `+0.0` — the exact bits `unwrap_or(0.0)` produced — and every
 ///   downstream use (the active-fraction clamp, the device-interrupt
 ///   difference, the squares) receives identical inputs.
-#[inline(always)]
-fn accumulate_rates_f64(row: &mut [f64; COLUMNS], vals: [f64; ROW_EVENTS.len()]) {
+fn accumulate_rates(row: &mut [f64; COLUMNS], vals: [f64; ROW_EVENTS.len()]) {
     let [cycles, halted, uops, l3, bus, dma, int_total, timer, disk] = vals;
 
     // One reciprocal instead of nine divides per CPU: `n · (1/c)`
@@ -565,15 +290,14 @@ fn accumulate_rates_f64(row: &mut [f64; COLUMNS], vals: [f64; ROW_EVENTS.len()])
     row[col::DEV_INT_SQ] += dev * dev;
 }
 
-/// Builds one machine row from per-CPU raw counts using the *same*
-/// rate arithmetic as [`SampleBatch::push_sample_set`] — the contract
-/// external decoders (the `tdp-wire` zero-copy path) rely on for
-/// bit-identical wire-vs-in-memory ingestion.
+/// The scalar reference fold: one machine row built CPU by CPU from
+/// `Option<u64>` counts. Ingestion itself runs [`fold_event_lanes`];
+/// this stays as the oracle tests compare that fold (and so every
+/// ingestion path) against, bit for bit.
 ///
 /// Feed one `[Option<u64>; 9]` of counts per CPU, ordered as
 /// [`ROW_EVENTS`] (`None` marks an event absent from that CPU's PMU
-/// programming), then [`finish`](Self::finish) the row for
-/// [`SampleBatch::push_row`] or [`SampleBatch::set_row`].
+/// programming), then [`finish`](Self::finish) the row.
 #[derive(Debug, Clone)]
 pub struct RowAccumulator {
     row: [f64; COLUMNS],
@@ -590,10 +314,9 @@ impl RowAccumulator {
     /// Folds one CPU's raw counts (ordered as [`ROW_EVENTS`]) into the
     /// row. Call order must match CPU order — float accumulation is
     /// order-sensitive, and the bit-identical guarantee holds only for
-    /// the same sequence `push_sample_set` would use (CPU 0 first).
-    #[inline]
+    /// the fold's own order (CPU 0 first).
     pub fn accumulate_cpu(&mut self, counts: [Option<u64>; ROW_EVENTS.len()]) {
-        accumulate_rates(&mut self.row, counts);
+        accumulate_rates(&mut self.row, counts.map(|n| n.map_or(0.0, |n| n as f64)));
     }
 
     /// The finished machine row.
@@ -602,22 +325,21 @@ impl RowAccumulator {
     }
 }
 
-/// Reduces one machine's decoded event lanes to a fleet row — the
-/// fused-column counterpart of [`RowAccumulator`], consuming counts
-/// already widened to f64 at decode time instead of `Option<u64>`
-/// gathers.
+/// Reduces one machine's event lanes to a fleet row — the one row fold
+/// of the crate: [`SampleBatch::push_sample_set`] gathers in-memory
+/// samples into lanes for it, and the `tdp-wire` decoder decodes frames
+/// into lanes for it.
 ///
 /// `lanes` is event-major in [`ROW_EVENTS`] order: `lanes[k · cpus +
 /// c]` is row event `k`'s count on CPU `c` as f64, and an event the
 /// machine's layout lacks is a lane of `0.0` (`lanes.len() == 9 ·
-/// cpus`). The decoder projects each frame into this shape, so every
-/// layout takes the one packed [`fold_row_rates`](tdp_simd::fold_row_rates)
-/// kernel: rates derived a vector of CPUs at a time, reduced in CPU
-/// order.
+/// cpus`). Every layout takes the one packed
+/// [`fold_row_rates`](tdp_simd::fold_row_rates) kernel: rates derived a
+/// vector of CPUs at a time, reduced in CPU order.
 ///
-/// Bit-identity with the `Option<u64>` reference path
-/// ([`SampleBatch::push_sample_set`] / [`RowAccumulator`]) holds by
-/// the argument on the private `accumulate_rates_f64`: widening is the
+/// Bit-identity with the `Option<u64>` reference fold
+/// ([`RowAccumulator`]) holds by the argument on the private
+/// `accumulate_rates`: widening is the
 /// same rounding wherever performed, an absent event ≡ a `0.0` lane,
 /// and the CPU fold order (CPU 0 first) is unchanged. The kernel's
 /// elementwise-then-ordered-reduce structure is itself bit-identical to
@@ -664,7 +386,7 @@ pub(crate) fn extract_sample(sample: &SystemSample) -> [f64; COLUMNS] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdp_counters::{CpuId, InterruptSnapshot};
+    use tdp_counters::{CounterSample, CpuId, InterruptSnapshot};
 
     fn set_with(per_cpu: Vec<Vec<(PerfEvent, u64)>>) -> SampleSet {
         SampleSet {
@@ -697,7 +419,7 @@ mod tests {
             // Second CPU missing most events: rates must be zero.
             vec![(PerfEvent::Cycles, 1_000_000_000)],
         ]);
-        let row = extract_set(&set);
+        let row = extract_set(&set, &mut Vec::new());
         let via_sample = extract_sample(&SystemSample::from_sample_set(&set));
         // `extract_set` multiplies by 1/cycles where `from_sample_set`
         // divides, so agreement is to within a couple of ulps rather
@@ -719,7 +441,7 @@ mod tests {
             (PerfEvent::Cycles, 0),
             (PerfEvent::FetchedUops, 7),
         ]]);
-        let row = extract_set(&set);
+        let row = extract_set(&set, &mut Vec::new());
         assert!(row.iter().all(|v| v.is_finite()));
         assert_eq!(row[col::DISK_INT], 0.0);
     }
@@ -731,7 +453,7 @@ mod tests {
             (PerfEvent::InterruptsTotal, 10),
             (PerfEvent::TimerInterrupts, 25),
         ]]);
-        assert_eq!(extract_set(&set)[col::DEV_INT], 0.0);
+        assert_eq!(extract_set(&set, &mut Vec::new())[col::DEV_INT], 0.0);
     }
 
     #[test]

@@ -56,6 +56,8 @@ pub struct StreamingCalibrator {
     io: RecursiveLeastSquares,
     chipset_sum: f64,
     chipset_n: u64,
+    /// Gather scratch for [`observe_set`](Self::observe_set).
+    lanes: Vec<f64>,
 }
 
 impl StreamingCalibrator {
@@ -70,6 +72,7 @@ impl StreamingCalibrator {
             io: RecursiveLeastSquares::new(FeatureMap::linear(2)),
             chipset_sum: 0.0,
             chipset_n: 0,
+            lanes: Vec::new(),
         }
     }
 
@@ -109,7 +112,8 @@ impl StreamingCalibrator {
         if self.num_cpus.is_none() {
             self.num_cpus = Some(set.per_cpu.len() as f64);
         }
-        self.observe_row(extract_set(set), measured)
+        let row = extract_set(set, &mut self.lanes);
+        self.observe_row(row, measured)
     }
 
     fn observe_row(

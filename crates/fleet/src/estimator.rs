@@ -1,7 +1,7 @@
 //! Batched fleet estimation: evaluate one [`SystemPowerModel`] over
 //! every machine in a window with column kernels.
 
-use crate::batch::{col, extract_sets_into, LayoutCache, SampleBatch, COLUMNS};
+use crate::batch::{col, SampleBatch, COLUMNS};
 use crate::kernels::{add_assign, axpy, clamp_predictions, fill, quadratic, quadratic_acc};
 use tdp_counters::{SampleSet, Subsystem};
 use tdp_powermeter::SubsystemPower;
@@ -321,16 +321,14 @@ impl FleetEstimator {
         &self.estimates
     }
 
-    /// One whole window: ingest every set (indexed column writes
-    /// instead of per-column pushes), then evaluate.
+    /// One whole window: [`begin_window`](Self::begin_window),
+    /// [`push_sample_set`](Self::push_sample_set) for every set, then
+    /// [`estimate`](Self::estimate).
     pub fn process_window(&mut self, sets: &[SampleSet]) -> &FleetEstimates {
-        self.batch.resize_rows(sets.len());
-        // Layout cache per call: all-inline, so no allocation.
-        extract_sets_into(
-            sets,
-            &mut LayoutCache::default(),
-            &mut self.batch.col_slices_mut(),
-        );
+        self.begin_window();
+        for set in sets {
+            self.push_sample_set(set);
+        }
         self.estimate()
     }
 }

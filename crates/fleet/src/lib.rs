@@ -14,8 +14,9 @@
 //!   consume thirteen machine-aggregated event rates, so a fleet window
 //!   is thirteen contiguous `f64` columns (squared inputs materialised
 //!   at ingest), not N pointer-chasing sample structs. Extraction
-//!   mirrors `SystemSample::from_sample_set` exactly, in one pass, with
-//!   zero allocation in the steady state.
+//!   mirrors `SystemSample::from_sample_set` through the one row fold
+//!   the wire decoder also runs ([`fold_event_lanes`]), with zero
+//!   allocation in the steady state.
 //! * [`FleetEstimator`] — vectorized evaluation. Equations 1–5 are
 //!   linear/quadratic forms, so each model coefficient becomes one
 //!   `axpy` pass over a column ([`kernels`]); output lands in
@@ -49,12 +50,9 @@
 //! println!("fleet draws {:.0} W", estimates.fleet_total());
 //! ```
 
-// `deny` rather than `forbid`: `batch::wide` carries the two
-// `#[target_feature(enable = "avx2")]` recompilations of the bulk
-// ingest loop, whose call sites are `unsafe` by language rule alone
-// (hardware support is re-verified before every call). Everything else
-// in the crate stays unsafe-free.
-#![deny(unsafe_code)]
+// The wide kernels live in `tdp-simd`, behind its runtime dispatch;
+// this crate only calls them, so it needs no `unsafe` at all.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod anomaly;

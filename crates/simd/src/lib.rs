@@ -100,14 +100,6 @@ impl Dispatch {
             }
         }
     }
-
-    /// Stable lowercase name, for benchmark reports and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            Dispatch::Scalar => "scalar",
-            Dispatch::Wide => "wide",
-        }
-    }
 }
 
 /// Whether this machine can run the wide (AVX2) kernel flavour.
@@ -142,12 +134,6 @@ mod tests {
         // Unrecognised values fall back to auto-detection.
         assert_eq!(Dispatch::from_env(Some("avx512"), true), Wide);
         assert_eq!(Dispatch::from_env(Some(""), false), Scalar);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(Dispatch::Scalar.label(), "scalar");
-        assert_eq!(Dispatch::Wide.label(), "wide");
     }
 
     #[test]

@@ -30,10 +30,9 @@
 //! Frames are byte-identical to the per-lane encoder `planar`'s tests
 //! keep as an oracle.
 
-use crate::frame::{
-    put_uvarint, FrameHeader, FrameType, HEADER_LEN, MAX_DECIMATION, MAX_WIRE_EVENTS,
-};
+use crate::frame::{FrameHeader, FrameType, HEADER_LEN, MAX_DECIMATION, MAX_WIRE_EVENTS};
 use crate::planar::PlanarScratch;
+use crate::varint::put_uvarint;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use tdp_counters::{layout_hash, PerfEvent, SampleSet};

@@ -333,11 +333,6 @@ impl PayloadChecksum {
     }
 }
 
-// The varint / zigzag codec helpers live in [`crate::varint`] (one
-// definition each); re-exported here because the frame format is where
-// users historically found them.
-pub use crate::varint::{put_uvarint, read_uvarint, unzigzag, zigzag, MAX_VARINT_LEN};
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -178,15 +178,7 @@ impl DegradePolicy {
     /// identically in both forms. Pinned per-row-vs-mask by tests here
     /// and across seeded fault plans by the chaos property suite.
     pub(crate) fn sane_mask(&self, d: Dispatch, cols: &[&mut [f64]; COLUMNS], mask: &mut Vec<u8>) {
-        self.sane_mask_batch(d, std::array::from_fn(|i| &*cols[i]), mask);
-    }
-
-    /// The batched sanity scan over shared column slices — the exact
-    /// pass the fused serial ingest runs once per window. Public so
-    /// benchmarks can time the health stage in isolation; `mask[i] != 0`
-    /// ⇔ [`row_is_sane`](Self::row_is_sane) on row `i`.
-    pub fn sane_mask_batch(&self, d: Dispatch, cols: [&[f64]; COLUMNS], mask: &mut Vec<u8>) {
-        let ncpus = cols[col::NUM_CPUS];
+        let ncpus = &*cols[col::NUM_CPUS];
         mask.clear();
         mask.resize(ncpus.len(), 1);
         mask_in_range(d, ncpus, 1.0, self.max_cpus, mask);

@@ -1,14 +1,10 @@
 //! LEB128 varints and zigzag folding — the one home of every
-//! byte-level integer codec helper in the crate (the frame module
-//! re-exports them for compatibility).
+//! byte-level integer codec helper in the crate.
 //!
-//! Layout frames carry their event indices as varints, one value at a
-//! time through [`read_uvarint`]: when ≥ 8 buffer bytes remain, a
-//! single unaligned word load finds the terminator and three
-//! shift/mask rounds (`compact7`) compact the payload bits; buffer
-//! tails and > 8-byte encodings take the byte loop, whose own fast path
-//! peels the 1- and 2-byte classes. Sample frames store their deltas as
-//! zigzag values ([`zigzag`]) in fixed-width lanes instead
+//! Layout frames carry their event indices as varints, read one byte at
+//! a time by [`read_uvarint`]; the decoder parses a layout once per new
+//! layout hash, so this is no hot path. Sample frames store their
+//! deltas as zigzag values ([`zigzag`]) in fixed-width lanes instead
 //! ([`crate::planar`]).
 
 /// Longest LEB128 encoding of a `u64`.
@@ -23,70 +19,11 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// Loads the 8-byte little-endian word at `p`, or `None` within 8
-/// bytes of the buffer end. Total: decode paths run on
-/// attacker-controlled bytes, so even "provably in range" loads go
-/// through this instead of a panicking conversion.
-#[inline]
-fn load_word(buf: &[u8], p: usize) -> Option<u64> {
-    buf.get(p..)?
-        .first_chunk::<8>()
-        .map(|c| u64::from_le_bytes(*c))
-}
-
 /// Reads one LEB128 varint at `*pos`, advancing it past the encoding.
 ///
 /// Returns `None` on buffer overrun or an encoding longer than
 /// [`MAX_VARINT_LEN`] bytes (which no `u64` produces).
-///
-/// Hot path: when at least 8 bytes remain, one unaligned word load
-/// finds the terminator (first byte without the continuation bit) and
-/// compacts the 7-bit groups with three shift/mask rounds — no
-/// per-byte loop for the ≤ 8-byte encodings that dominate real streams
-/// (values below 2⁵⁶). Longer encodings and buffer tails fall back to
-/// the byte loop with identical semantics.
-#[inline]
 pub fn read_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let p = *pos;
-    if let Some(word) = load_word(buf, p) {
-        let stops = !word & 0x8080_8080_8080_8080;
-        if stops != 0 {
-            let len = (stops.trailing_zeros() as usize >> 3) + 1;
-            let data = word & (u64::MAX >> (64 - 8 * len as u32));
-            *pos = p + len;
-            return Some(compact7(data));
-        }
-    }
-    read_uvarint_slow(buf, pos)
-}
-
-/// Compacts up to eight 7-bit LEB128 groups (continuation bits still
-/// set or not — they are masked off) into one value.
-#[inline]
-fn compact7(w: u64) -> u64 {
-    let w = w & 0x7f7f_7f7f_7f7f_7f7f;
-    let w = (w & 0x7f00_7f00_7f00_7f00) >> 1 | (w & 0x007f_007f_007f_007f);
-    let w = (w & 0x3fff_0000_3fff_0000) >> 2 | (w & 0x0000_3fff_0000_3fff);
-    (w & 0x0fff_ffff_0000_0000) >> 4 | (w & 0x0000_0000_0fff_ffff)
-}
-
-/// Fallback for encodings longer than 8 bytes or closer than 8 bytes
-/// to the end of the buffer. Peels the 1- and 2-byte classes — which
-/// dominate buffer tails exactly as they dominate everywhere else —
-/// before the general byte loop, so the scalar baseline doesn't pay
-/// loop overhead for the common case merely because a frame ends.
-fn read_uvarint_slow(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let b0 = *buf.get(*pos)?;
-    if b0 < 0x80 {
-        *pos += 1;
-        return Some(b0 as u64);
-    }
-    if let Some(&b1) = buf.get(*pos + 1) {
-        if b1 < 0x80 {
-            *pos += 2;
-            return Some((b0 & 0x7f) as u64 | (b1 as u64) << 7);
-        }
-    }
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -144,27 +81,6 @@ mod tests {
             assert_eq!(read_uvarint(&buf, &mut pos), Some(v));
         }
         assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn varint_fast_and_slow_paths_agree() {
-        // Every encoded length 1..=10, read both far from the buffer
-        // tail (word fast path) and exactly at it (byte-loop fallback).
-        let mut values = vec![0u64, 1];
-        for s in 1..64 {
-            values.extend([(1u64 << s) - 1, 1u64 << s, (1u64 << s) | 1]);
-        }
-        values.push(u64::MAX);
-        for v in values {
-            let mut buf = Vec::new();
-            put_uvarint(&mut buf, v);
-            let padded: Vec<u8> = buf.iter().copied().chain([0u8; 16]).collect();
-            let (mut a, mut b) = (0usize, 0usize);
-            assert_eq!(read_uvarint(&padded, &mut a), Some(v), "fast path {v}");
-            assert_eq!(read_uvarint(&buf, &mut b), Some(v), "tail path {v}");
-            assert_eq!(a, b, "both paths consume the same bytes for {v}");
-            assert_eq!(b, buf.len());
-        }
     }
 
     #[test]
