@@ -220,22 +220,19 @@ mod tests {
 
     #[test]
     fn push_sample_set_matches_push() {
-        use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
-        let set = SampleSet {
-            time_ms: 1000,
-            window_ms: 1000,
-            seq: 0,
-            per_cpu: vec![CounterSample::new(
-                CpuId::new(0),
-                0,
-                vec![
-                    (PerfEvent::Cycles, 2_000_000_000),
-                    (PerfEvent::HaltedCycles, 0),
-                    (PerfEvent::FetchedUops, 4_000_000_000),
-                ],
-            )],
-            interrupts: InterruptSnapshot::default(),
-        };
+        use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
+        let mut set = SampleSet::from_samples(&[CounterSample::new(
+            CpuId::new(0),
+            0,
+            vec![
+                (PerfEvent::Cycles, 2_000_000_000),
+                (PerfEvent::HaltedCycles, 0),
+                (PerfEvent::FetchedUops, 4_000_000_000),
+            ],
+        )])
+        .unwrap();
+        set.time_ms = 1000;
+        set.window_ms = 1000;
         let mut a = SystemPowerEstimator::new(SystemPowerModel::paper());
         let mut b = SystemPowerEstimator::new(SystemPowerModel::paper());
         let via_set = a.push_sample_set(&set);

@@ -72,28 +72,39 @@ impl SystemSample {
     ///
     /// Missing events (not programmed on the bank) yield rate 0 — models
     /// that need them will simply see no contribution, which matches a
-    /// PMU configured without those events.
+    /// PMU configured without those events. Each event's plane is
+    /// resolved once per set, by its first occurrence in the layout.
     pub fn from_sample_set(set: &SampleSet) -> Self {
-        let per_cpu = set
-            .per_cpu
-            .iter()
-            .map(|s| {
-                let cycles = s.count(PerfEvent::Cycles).unwrap_or(0).max(1) as f64;
-                let rate = |e: PerfEvent| s.count(e).map(|n| n as f64 / cycles).unwrap_or(0.0);
-                let halted = rate(PerfEvent::HaltedCycles);
+        use PerfEvent as E;
+        let [cycles, halted, uops, l3, bus, dma, irq, timer, disk, tlb, unc] = [
+            E::Cycles,
+            E::HaltedCycles,
+            E::FetchedUops,
+            E::L3LoadMisses,
+            E::BusTransactionsAll,
+            E::DmaOtherBusTransactions,
+            E::InterruptsTotal,
+            E::TimerInterrupts,
+            E::DiskInterrupts,
+            E::TlbMisses,
+            E::UncacheableAccesses,
+        ]
+        .map(|e| set.plane(e));
+        let per_cpu = (0..set.num_cpus())
+            .map(|c| {
+                let cycles = cycles.map_or(0, |p| p[c]).max(1) as f64;
+                let rate = |plane: Option<&[u64]>| plane.map_or(0.0, |p| p[c] as f64 / cycles);
                 CpuRates {
-                    active_frac: (1.0 - halted).clamp(0.0, 1.0),
-                    fetched_upc: rate(PerfEvent::FetchedUops),
-                    l3_load_misses: rate(PerfEvent::L3LoadMisses),
-                    bus_tx_per_mcycle: rate(PerfEvent::BusTransactionsAll) * 1e6,
-                    dma_per_cycle: rate(PerfEvent::DmaOtherBusTransactions),
-                    interrupts_per_cycle: rate(PerfEvent::InterruptsTotal),
-                    device_interrupts_per_cycle: (rate(PerfEvent::InterruptsTotal)
-                        - rate(PerfEvent::TimerInterrupts))
-                    .max(0.0),
-                    disk_interrupts_per_cycle: rate(PerfEvent::DiskInterrupts),
-                    tlb_per_cycle: rate(PerfEvent::TlbMisses),
-                    uncacheable_per_cycle: rate(PerfEvent::UncacheableAccesses),
+                    active_frac: (1.0 - rate(halted)).clamp(0.0, 1.0),
+                    fetched_upc: rate(uops),
+                    l3_load_misses: rate(l3),
+                    bus_tx_per_mcycle: rate(bus) * 1e6,
+                    dma_per_cycle: rate(dma),
+                    interrupts_per_cycle: rate(irq),
+                    device_interrupts_per_cycle: (rate(irq) - rate(timer)).max(0.0),
+                    disk_interrupts_per_cycle: rate(disk),
+                    tlb_per_cycle: rate(tlb),
+                    uncacheable_per_cycle: rate(unc),
                 }
             })
             .collect();
@@ -118,16 +129,10 @@ impl SystemSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdp_counters::{CounterSample, CpuId, InterruptSnapshot};
+    use tdp_counters::{CounterSample, CpuId};
 
     fn set_with(counts: Vec<(PerfEvent, u64)>) -> SampleSet {
-        SampleSet {
-            time_ms: 1000,
-            window_ms: 1000,
-            seq: 0,
-            per_cpu: vec![CounterSample::new(CpuId::new(0), 0, counts)],
-            interrupts: InterruptSnapshot::default(),
-        }
+        SampleSet::from_samples(&[CounterSample::new(CpuId::new(0), 0, counts)]).unwrap()
     }
 
     #[test]
@@ -170,13 +175,7 @@ mod tests {
                 vec![(PerfEvent::Cycles, 1_000), (PerfEvent::FetchedUops, 1_500)],
             )
         };
-        let set = SampleSet {
-            time_ms: 0,
-            window_ms: 1000,
-            seq: 0,
-            per_cpu: vec![mk(0), mk(1)],
-            interrupts: InterruptSnapshot::default(),
-        };
+        let set = SampleSet::from_samples(&[mk(0), mk(1)]).unwrap();
         let s = SystemSample::from_sample_set(&set);
         assert!((s.sum(|c| c.fetched_upc) - 3.0).abs() < 1e-12);
     }

@@ -53,9 +53,12 @@ impl Error for ProgramError {}
 /// that have been *programmed* are visible through [`read_and_clear`] —
 /// mirroring the fact that a real PMU only counts what its event-select
 /// registers are configured for. The simulated machine calls [`add`]
-/// unconditionally; what escapes into a [`CounterSample`] is gated here.
+/// unconditionally; what escapes into a [`CounterSample`], or into the
+/// bank's CPU column of a [`SampleSet`](crate::SampleSet) through
+/// [`read_and_clear_column`], is gated here.
 ///
 /// [`read_and_clear`]: CounterBank::read_and_clear
+/// [`read_and_clear_column`]: CounterBank::read_and_clear_column
 /// [`add`]: CounterBank::add
 ///
 /// # Example
@@ -164,23 +167,39 @@ impl CounterBank {
     /// `seq`, then clears **all** counters (programmed or not), matching
     /// the paper's record-total-then-clear sampling discipline (§3.1.3).
     pub fn read_and_clear(&mut self, seq: u64) -> CounterSample {
-        // The sample's count store is inline up to the hardware limit,
-        // so an empty seed vector never allocates.
         let mut sample = CounterSample::new(self.cpu, seq, Vec::new());
         self.read_and_clear_into(seq, &mut sample);
         sample
     }
 
     /// Like [`read_and_clear`](Self::read_and_clear) but refilling a
-    /// caller-owned sample in place, reusing its count store.
+    /// caller-owned sample in place, reusing its capacity.
     pub fn read_and_clear_into(&mut self, seq: u64, out: &mut CounterSample) {
-        out.reset_for(self.cpu, seq);
-        for e in self.programmed.iter() {
-            out.push_count((e, self.counts[e.index()]));
+        let counts = &self.counts;
+        out.refill(
+            self.cpu,
+            seq,
+            self.programmed.iter().map(|e| (e, counts[e.index()])),
+        );
+        self.counts.fill(0);
+    }
+
+    /// Like [`read_and_clear`](Self::read_and_clear) but writing this
+    /// bank's column of an event-major block laid out over its
+    /// programmed events: `block[e · cpus + cpu]` for the `e`-th
+    /// programmed event. This is how a machine fills a
+    /// [`SampleSet`](crate::SampleSet) in place, one bank per CPU.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `block` holds `cpus` entries per programmed event
+    /// and `cpu < cpus`.
+    pub fn read_and_clear_column(&mut self, block: &mut [u64], cpus: usize, cpu: usize) {
+        assert!(cpu < cpus && block.len() == self.programmed.len() * cpus);
+        for (e, ev) in self.programmed.iter().enumerate() {
+            block[e * cpus + cpu] = self.counts[ev.index()];
         }
-        for c in &mut self.counts {
-            *c = 0;
-        }
+        self.counts.fill(0);
     }
 }
 
@@ -211,6 +230,19 @@ mod tests {
             Some(0),
             "clear-on-read wipes unprogrammed counters too"
         );
+    }
+
+    #[test]
+    fn column_read_writes_one_cpu_of_the_block_and_clears() {
+        let mut bank = CounterBank::new(CpuId::new(1));
+        bank.program(&[PerfEvent::Cycles, PerfEvent::L2Misses])
+            .unwrap();
+        bank.add(PerfEvent::Cycles, 7);
+        bank.add(PerfEvent::L2Misses, 3);
+        let mut block = [0u64; 6];
+        bank.read_and_clear_column(&mut block, 3, 1);
+        assert_eq!(block, [0, 7, 0, 0, 3, 0]);
+        assert_eq!(bank.peek(PerfEvent::Cycles), Some(0));
     }
 
     #[test]

@@ -56,6 +56,8 @@ pub use bank::{CounterBank, ProgramError, MAX_HARDWARE_COUNTERS};
 pub use event::{layout_hash, layout_hash_indices, EventProvenance, EventSet, PerfEvent};
 pub use interrupts::{InterruptAccounting, InterruptSnapshot, InterruptSource, InterruptVector};
 pub use multiplex::{MultiplexSchedule, MultiplexedSample, MultiplexedSampler};
-pub use sampler::{CounterSample, CpuId, SampleSet, SamplerConfig, SamplingDriver};
+pub use sampler::{
+    CounterSample, CpuId, MixedLayoutError, SampleSet, SamplerConfig, SamplingDriver,
+};
 pub use subsystem::Subsystem;
 pub use sync::{SyncPulse, SyncRecorder};

@@ -126,6 +126,8 @@ pub struct MultiplexedSampler {
     schedule: MultiplexSchedule,
     bank: CounterBank,
     slot: usize,
+    /// The last window's sample, refilled in place by each rotation.
+    last: MultiplexedSample,
 }
 
 /// A duty-cycle-corrected sample from one rotation window.
@@ -159,6 +161,10 @@ impl MultiplexedSampler {
             schedule,
             bank,
             slot: 0,
+            last: MultiplexedSample {
+                raw: CounterSample::new(cpu, 0, Vec::new()),
+                scales: Vec::new(),
+            },
         }
     }
 
@@ -173,20 +179,23 @@ impl MultiplexedSampler {
     }
 
     /// Ends the current window: reads the bank, rotates to the next
-    /// group, and returns the duty-corrected sample tagged `seq`.
-    pub fn rotate(&mut self, seq: u64) -> MultiplexedSample {
-        let raw = self.bank.read_and_clear(seq);
-        let scales = self
-            .schedule
-            .group(self.slot)
-            .iter()
-            .map(|&e| (e, 1.0 / self.schedule.duty_cycle(e)))
-            .collect();
+    /// group, and returns the duty-corrected sample tagged `seq`. The
+    /// sample is refilled in place, reusing its capacity, so rotations
+    /// stop allocating once every group has been read.
+    pub fn rotate(&mut self, seq: u64) -> &MultiplexedSample {
+        self.bank.read_and_clear_into(seq, &mut self.last.raw);
+        let group = self.schedule.group(self.slot);
+        self.last.scales.clear();
+        self.last.scales.extend(
+            group
+                .iter()
+                .map(|&e| (e, 1.0 / self.schedule.duty_cycle(e))),
+        );
         self.slot = (self.slot + 1) % self.schedule.num_groups();
         self.bank
             .program(self.schedule.group(self.slot))
             .expect("schedule groups fit the hardware");
-        MultiplexedSample { raw, scales }
+        &self.last
     }
 }
 

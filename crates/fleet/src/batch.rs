@@ -219,26 +219,26 @@ pub const ROW_EVENTS: [PerfEvent; 9] = [
     PerfEvent::DiskInterrupts,
 ];
 
-/// One machine's row: gathers each CPU's [`ROW_EVENTS`] counts into
+/// One machine's row: widens each [`ROW_EVENTS`] plane of the set into
 /// `lanes` (event-major, the shape [`fold_event_lanes`] takes; a
 /// missing event is a `0.0` lane) and folds them. Every in-memory
 /// ingestion path runs this, so it shares the wire decoder's fold by
-/// construction. Counts come from
-/// [`CounterSample::count`](tdp_counters::CounterSample::count), so an event
-/// listed twice reads its first occurrence, as the wire decoder does.
+/// construction. Planes come from
+/// [`SampleSet::plane`], so an event listed twice reads its first
+/// occurrence, as the wire decoder does.
 ///
 /// `lanes` is caller-owned scratch, reused so the steady state does not
 /// allocate.
 pub(crate) fn extract_set(set: &SampleSet, lanes: &mut Vec<f64>) -> [f64; COLUMNS] {
+    let cpus = set.num_cpus();
     lanes.clear();
     for event in ROW_EVENTS {
-        lanes.extend(
-            set.per_cpu
-                .iter()
-                .map(|cpu| cpu.count(event).map_or(0.0, |n| n as f64)),
-        );
+        match set.plane(event) {
+            Some(plane) => lanes.extend(plane.iter().map(|&n| n as f64)),
+            None => lanes.resize(lanes.len() + cpus, 0.0),
+        }
     }
-    fold_event_lanes(tdp_simd::Dispatch::active(), lanes, set.per_cpu.len())
+    fold_event_lanes(tdp_simd::Dispatch::active(), lanes, cpus)
 }
 
 /// Turns one CPU's counts, widened to f64 with a missing event carried
@@ -386,39 +386,44 @@ pub(crate) fn extract_sample(sample: &SystemSample) -> [f64; COLUMNS] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdp_counters::{CounterSample, CpuId, InterruptSnapshot};
+    use tdp_counters::{CounterSample, CpuId};
 
     fn set_with(per_cpu: Vec<Vec<(PerfEvent, u64)>>) -> SampleSet {
-        SampleSet {
-            time_ms: 1000,
-            window_ms: 1000,
-            seq: 0,
-            per_cpu: per_cpu
-                .into_iter()
-                .enumerate()
-                .map(|(i, counts)| CounterSample::new(CpuId::new(i as u8), 0, counts))
-                .collect(),
-            interrupts: InterruptSnapshot::default(),
-        }
+        let samples: Vec<CounterSample> = per_cpu
+            .into_iter()
+            .enumerate()
+            .map(|(i, counts)| CounterSample::new(CpuId::new(i as u8), 0, counts))
+            .collect();
+        SampleSet::from_samples(&samples).unwrap()
     }
 
     #[test]
     fn extraction_matches_from_sample_set() {
-        let set = set_with(vec![
-            vec![
-                (PerfEvent::Cycles, 2_000_000_000),
-                (PerfEvent::HaltedCycles, 500_000_000),
-                (PerfEvent::FetchedUops, 3_000_000_000),
-                (PerfEvent::L3LoadMisses, 4_000_000),
-                (PerfEvent::BusTransactionsAll, 20_000_000),
-                (PerfEvent::DmaOtherBusTransactions, 1_000_000),
-                (PerfEvent::InterruptsTotal, 5_000),
-                (PerfEvent::TimerInterrupts, 2_000),
-                (PerfEvent::DiskInterrupts, 800),
-            ],
-            // Second CPU missing most events: rates must be zero.
-            vec![(PerfEvent::Cycles, 1_000_000_000)],
-        ]);
+        let busy = [
+            2_000_000_000,
+            500_000_000,
+            3_000_000_000,
+            4_000_000,
+            20_000_000,
+            1_000_000,
+            5_000,
+            2_000,
+            800,
+        ];
+        // Second CPU counts only cycles: its rates must be zero.
+        let cycles_only = [1_000_000_000, 0, 0, 0, 0, 0, 0, 0, 0];
+        let set = set_with(
+            [busy, cycles_only]
+                .iter()
+                .map(|cpu| {
+                    ROW_EVENTS
+                        .iter()
+                        .copied()
+                        .zip(cpu.iter().copied())
+                        .collect()
+                })
+                .collect(),
+        );
         let row = extract_set(&set, &mut Vec::new());
         let via_sample = extract_sample(&SystemSample::from_sample_set(&set));
         // `extract_set` multiplies by 1/cycles where `from_sample_set`
@@ -431,7 +436,7 @@ mod tests {
             );
         }
         assert_eq!(row[col::NUM_CPUS], 2.0);
-        // CPU 1 has no halted counter ⇒ fully active.
+        // CPU 1 counts no halted cycles ⇒ fully active.
         assert!((row[col::ACTIVE] - (0.75 + 1.0)).abs() < 1e-12);
     }
 

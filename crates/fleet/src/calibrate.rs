@@ -110,7 +110,7 @@ impl StreamingCalibrator {
         measured: &SubsystemPower,
     ) -> Result<(), CalibrationError> {
         if self.num_cpus.is_none() {
-            self.num_cpus = Some(set.per_cpu.len() as f64);
+            self.num_cpus = Some(set.num_cpus() as f64);
         }
         let row = extract_set(set, &mut self.lanes);
         self.observe_row(row, measured)

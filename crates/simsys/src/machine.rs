@@ -444,17 +444,18 @@ impl Machine {
 
     /// Like [`read_counters`](Machine::read_counters) but refilling a
     /// caller-owned set in place — the allocation-free sampling path for
-    /// callers that do not archive the raw samples. Start from
+    /// callers that do not archive the raw samples. Each CPU's bank writes
+    /// its column of the set's event-major block directly. Start from
     /// [`SampleSet::empty`].
     pub fn read_counters_into(&mut self, out: &mut SampleSet) {
         let seq = self.sample_seq;
         self.sample_seq += 1;
-        out.per_cpu.resize_with(self.banks.len(), || {
-            tdp_counters::CounterSample::new(CpuId::new(0), 0, Vec::new())
-        });
-        out.per_cpu.truncate(self.banks.len());
-        for (b, s) in self.banks.iter_mut().zip(out.per_cpu.iter_mut()) {
-            b.read_and_clear_into(seq, s);
+        // Every bank is programmed alike, so bank 0's events are the
+        // set's layout and each bank writes its own CPU column.
+        let cpus = self.banks.len();
+        let block = out.reset(self.banks[0].programmed().iter(), cpus);
+        for (c, b) in self.banks.iter_mut().enumerate() {
+            b.read_and_clear_column(block, cpus, c);
         }
         self.intc
             .accounting_mut()
@@ -543,14 +544,12 @@ mod tests {
         run(&mut m, 1000);
         let s = m.read_counters();
         // Exactly one CPU should be mostly unhalted.
-        let busy_cpus = s
-            .per_cpu
+        let halted = s.plane(PerfEvent::HaltedCycles).unwrap();
+        let cycles = s.plane(PerfEvent::Cycles).unwrap();
+        let busy_cpus = halted
             .iter()
-            .filter(|c| {
-                let halted = c.count(PerfEvent::HaltedCycles).unwrap();
-                let cycles = c.count(PerfEvent::Cycles).unwrap();
-                (halted as f64) < 0.5 * cycles as f64
-            })
+            .zip(cycles)
+            .filter(|&(&h, &c)| (h as f64) < 0.5 * c as f64)
             .count();
         assert_eq!(busy_cpus, 1);
         let upc = s.total(PerfEvent::FetchedUops).unwrap() as f64 / 2_000_000_000.0;

@@ -32,14 +32,13 @@
 //! of the plane's lanes (a width code depends only on the highest set
 //! bit), and a plane goes sparse only when its bitmap plus its nonzero
 //! lanes are strictly smaller than the dense plane. So one window has
-//! exactly one payload. The gather reads each CPU's counts once,
-//! CPU-major as [`SampleSet`] stores them, and leaves event-major lanes
-//! in wire-event order plus one OR per plane. The write counts the
-//! nonzero lanes of each plane the OR does not already code zero, in
-//! one pass over its contiguous lanes (counting them in the gather
-//! costs a read-modify-write per lane there, and measured slower on
-//! 32-CPU frames), sizes the payload once from the directory and
-//! stores each plane by its code.
+//! exactly one payload. [`SampleSet`] already stores each event's counts
+//! across CPUs contiguously, in wire-event order, so the gather is one
+//! subtract/zigzag/OR pass per plane that leaves its base, its delta
+//! lanes and their OR. The write counts the nonzero lanes of each plane
+//! the OR does not already code zero, in one pass over its contiguous
+//! lanes, sizes the payload once from the directory and stores each
+//! plane by its code.
 //!
 //! **Decoder.** [`decode_planes`] walks the payload once, **straight
 //! into the fold's shape**. The caller passes a slot per wire event —
@@ -62,7 +61,7 @@
 //! `tests/planar.rs` across random layouts, CPU counts on every bitmap
 //! byte boundary, and width-boundary values.
 
-use crate::encode::{first_counts, EncodeError};
+use crate::encode::EncodeError;
 use crate::frame::{PayloadChecksum, MAX_WIRE_CPUS, MAX_WIRE_EVENTS};
 use crate::varint::{unzigzag, zigzag};
 use tdp_counters::SampleSet;
@@ -149,25 +148,21 @@ pub(crate) struct PlanarScratch {
     /// Per event, the OR of its delta lanes, whose width code is the
     /// plane's.
     delta_or: Vec<u64>,
-    /// Per event, the last gathered CPU's count.
-    prev: Vec<u64>,
     cpus: usize,
 }
 
 impl PlanarScratch {
-    /// Reads each CPU's counts once, CPU-major as `set` stores them,
-    /// checking every event id against CPU 0's and folding each count
-    /// into its zigzag delta and its plane's OR in the same visit.
+    /// Turns each of `set`'s event planes into its base and zigzag
+    /// delta lanes and the OR of those lanes, in one pass over the
+    /// plane's contiguous counts.
     ///
     /// # Errors
     ///
     /// [`EncodeError::OutOfBounds`] if the layout exceeds
-    /// [`MAX_WIRE_EVENTS`] or the set [`MAX_WIRE_CPUS`];
-    /// [`EncodeError::MixedLayouts`] if any CPU's layout differs from
-    /// CPU 0's. The caller has written nothing yet.
+    /// [`MAX_WIRE_EVENTS`] or the set [`MAX_WIRE_CPUS`]. The caller has
+    /// written nothing yet.
     pub(crate) fn gather(&mut self, set: &SampleSet) -> Result<(), EncodeError> {
-        let first = first_counts(set);
-        let (n, cpus) = (first.len(), set.per_cpu.len());
+        let (n, cpus) = (set.events().len(), set.num_cpus());
         if n > MAX_WIRE_EVENTS || cpus > MAX_WIRE_CPUS {
             return Err(EncodeError::OutOfBounds);
         }
@@ -176,32 +171,18 @@ impl PlanarScratch {
         // resizes.
         self.lanes.resize(n * cpus, 0);
         self.delta_or.clear();
-        self.delta_or.resize(n, 0);
-        self.prev.clear();
-        self.prev.extend(first.iter().map(|p| p.1));
-        let lanes = &mut self.lanes;
-        for (e, &(_, count)) in first.iter().enumerate() {
-            lanes[e * cpus] = count;
+        if cpus == 0 {
+            return Ok(());
         }
-        for (c, cpu) in set.per_cpu.iter().enumerate().skip(1) {
-            let counts = cpu.counts();
-            if counts.len() != n {
-                return Err(EncodeError::MixedLayouts);
+        let planes = set.counts().chunks_exact(cpus);
+        for (counts, lanes) in planes.zip(self.lanes.chunks_exact_mut(cpus)) {
+            lanes[0] = counts[0];
+            let mut or = 0;
+            for ((z, &cur), &prev) in lanes[1..].iter_mut().zip(&counts[1..]).zip(counts) {
+                *z = zigzag(cur.wrapping_sub(prev) as i64);
+                or |= *z;
             }
-            let mut mixed = false;
-            let state = self.prev.iter_mut().zip(self.delta_or.iter_mut());
-            for (e, ((&(ev, count), &(ev0, _)), (prev, or))) in
-                counts.iter().zip(first).zip(state).enumerate()
-            {
-                mixed |= ev != ev0;
-                let z = zigzag(count.wrapping_sub(*prev) as i64);
-                *prev = count;
-                *or |= z;
-                lanes[e * cpus + c] = z;
-            }
-            if mixed {
-                return Err(EncodeError::MixedLayouts);
-            }
+            self.delta_or.push(or);
         }
         Ok(())
     }
@@ -554,20 +535,19 @@ mod tests {
     use crate::frame::{FrameHeader, FrameType, HEADER_LEN};
     use crate::{encode_sample_frame, EncodeError, WireEncoder};
     use proptest::prelude::*;
-    use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent};
+    use tdp_counters::{CounterSample, CpuId, PerfEvent};
     use tdp_fleet::ROW_EVENTS;
 
     /// The per-lane encoder the gather/write pair replaced, kept as the
-    /// byte-identity oracle: every lane re-reads its two counts through
-    /// `per_cpu[cpu].counts()`, every code is chosen from the lanes
-    /// themselves, and every byte is appended in order.
+    /// byte-identity oracle: every lane re-reads its two counts from the
+    /// block by index, every code is chosen from the lanes themselves,
+    /// and every byte is appended in order.
     fn encode_payload_per_lane(buf: &mut Vec<u8>, set: &SampleSet) {
-        let Some(first) = set.per_cpu.first() else {
+        let (n, cpus) = (set.events().len(), set.num_cpus());
+        if cpus == 0 {
             return;
-        };
-        let n = first.counts().len();
-        let cpus = set.per_cpu.len();
-        let count = |cpu: usize, e: usize| set.per_cpu[cpu].counts()[e].1;
+        }
+        let count = |cpu: usize, e: usize| set.counts()[e * cpus + cpu];
         let zz =
             |cpu: usize, e: usize| zigzag(count(cpu, e).wrapping_sub(count(cpu - 1, e)) as i64);
         let deltas = |e: usize| (1..cpus).map(|cpu| zz(cpu, e)).collect::<Vec<u64>>();
@@ -642,23 +622,20 @@ mod tests {
             PerfEvent::HaltedCycles,
             PerfEvent::L2Misses,
         ];
-        SampleSet {
-            time_ms: 1000,
-            window_ms: 1000,
-            seq: 1,
-            per_cpu: counts
-                .iter()
-                .enumerate()
-                .map(|(cpu, vals)| {
-                    CounterSample::new(
-                        CpuId::new(cpu as u8),
-                        1,
-                        events.iter().copied().zip(vals.iter().copied()).collect(),
-                    )
-                })
-                .collect(),
-            interrupts: InterruptSnapshot::default(),
-        }
+        set_over(&events, counts)
+    }
+
+    /// A window of `rows[cpu]` counts over `layout`.
+    fn set_over(layout: &[PerfEvent], rows: &[Vec<u64>]) -> SampleSet {
+        let per_cpu: Vec<CounterSample> = rows
+            .iter()
+            .enumerate()
+            .map(|(cpu, vals)| {
+                let pairs = layout.iter().copied().zip(vals.iter().copied()).collect();
+                CounterSample::new(CpuId::new(cpu as u8), 1, pairs)
+            })
+            .collect();
+        SampleSet::from_samples(&per_cpu).expect("one layout")
     }
 
     fn header_for(payload_len: usize, cpus: u16, n_events: u16) -> FrameHeader {
@@ -718,15 +695,8 @@ mod tests {
 
     /// Asserts that `out` holds `set`'s counts, event-major.
     fn assert_lanes(out: &[f64], set: &SampleSet) {
-        let cpus = set.per_cpu.len();
-        for (cpu, s) in set.per_cpu.iter().enumerate() {
-            for (e, &(_, count)) in s.counts().iter().enumerate() {
-                assert_eq!(
-                    out[e * cpus + cpu].to_bits(),
-                    (count as f64).to_bits(),
-                    "event {e} cpu {cpu}"
-                );
-            }
+        for (i, &count) in set.counts().iter().enumerate() {
+            assert_eq!(out[i].to_bits(), (count as f64).to_bits(), "lane {i}");
         }
     }
 
@@ -966,20 +936,7 @@ mod tests {
                 .collect();
             rows.push(row);
         }
-        SampleSet {
-            time_ms: 1000,
-            window_ms: 1000,
-            seq: 1,
-            per_cpu: rows
-                .iter()
-                .enumerate()
-                .map(|(cpu, vals)| {
-                    let pairs = layout.iter().copied().zip(vals.iter().copied()).collect();
-                    CounterSample::new(CpuId::new(cpu as u8), 1, pairs)
-                })
-                .collect(),
-            interrupts: InterruptSnapshot::default(),
-        }
+        set_over(layout, &rows)
     }
 
     /// CPU counts the format meets: none, one, a 4-way server, both
@@ -1149,8 +1106,8 @@ mod tests {
                         machine.tick();
                     }
                     let set = machine.read_counters();
-                    assert_eq!(set.per_cpu.len(), cpus);
-                    assert_eq!(set.per_cpu[0].counts().len(), PerfEvent::ALL.len());
+                    assert_eq!(set.num_cpus(), cpus);
+                    assert_eq!(set.events(), PerfEvent::ALL);
                     let mut frame = Vec::new();
                     encode_sample_frame(&mut frame, m, &set).unwrap();
                     assert_eq!(frame[HEADER_LEN..], oracle(&set), "{cpus} CPUs");
@@ -1164,40 +1121,16 @@ mod tests {
 
     #[test]
     fn rejected_sets_leave_the_buffer_untouched() {
+        // A layout or a CPU count past the format's bounds. (A set
+        // whose CPUs disagree on the layout cannot be built at all.)
         let good = set_of(&[vec![10, 20, 30], vec![11, 19, 31]]);
-        // A later CPU programs a different event in one slot...
-        let mut swapped = good.clone();
-        swapped.per_cpu[1] = CounterSample::new(
-            CpuId::new(1),
-            1,
-            vec![
-                (PerfEvent::Cycles, 11),
-                (PerfEvent::TlbMisses, 19),
-                (PerfEvent::L2Misses, 31),
-            ],
+        let wide = set_over(
+            &[PerfEvent::Cycles; MAX_WIRE_EVENTS + 1],
+            &[vec![1; MAX_WIRE_EVENTS + 1]],
         );
-        // ...or fewer events; and a layout or a CPU count past the
-        // format's bounds.
-        let mut short = good.clone();
-        short.per_cpu[1] = CounterSample::new(CpuId::new(1), 1, vec![(PerfEvent::Cycles, 11)]);
-        let wide = SampleSet {
-            per_cpu: vec![CounterSample::new(
-                CpuId::new(0),
-                1,
-                vec![(PerfEvent::Cycles, 1); MAX_WIRE_EVENTS + 1],
-            )],
-            ..good.clone()
-        };
-        let many = SampleSet {
-            per_cpu: vec![good.per_cpu[0].clone(); MAX_WIRE_CPUS + 1],
-            ..good.clone()
-        };
-        for (bad, err) in [
-            (&swapped, EncodeError::MixedLayouts),
-            (&short, EncodeError::MixedLayouts),
-            (&wide, EncodeError::OutOfBounds),
-            (&many, EncodeError::OutOfBounds),
-        ] {
+        let many = set_of(&vec![vec![10, 20, 30]; MAX_WIRE_CPUS + 1]);
+        for bad in [&wide, &many] {
+            let err = EncodeError::OutOfBounds;
             let mut out = vec![0xa5; 7];
             assert_eq!(encode_sample_frame(&mut out, 1, bad), Err(err));
             assert_eq!(out, [0xa5; 7], "stateless {err:?}");

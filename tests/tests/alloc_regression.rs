@@ -106,7 +106,8 @@ fn steady_state_tick_into_does_not_allocate() {
 fn steady_state_counter_reads_do_not_allocate() {
     let (mut machine, mut activity) = warmed_machine();
     let mut set = tdp_counters::SampleSet::empty();
-    // Prime the sample-set buffers (first fill sizes per_cpu etc.).
+    // Prime the sample-set buffers (the first fill sizes the layout and
+    // the count block).
     for _ in 0..3 {
         for _ in 0..100 {
             machine.tick_into(&mut activity);
@@ -125,6 +126,32 @@ fn steady_state_counter_reads_do_not_allocate() {
         delta <= 8,
         "50 sampling windows allocated {delta} times — \
          read_counters_into regression"
+    );
+}
+
+#[test]
+fn steady_state_multiplexed_rotation_does_not_allocate() {
+    use tdp_counters::{CpuId, MultiplexSchedule, MultiplexedSampler, PerfEvent};
+    let schedule = MultiplexSchedule::new(PerfEvent::ALL, 4).expect("valid schedule");
+    let mut sampler = MultiplexedSampler::new(schedule, CpuId::new(0));
+    let rotate = |sampler: &mut MultiplexedSampler, w: u64| {
+        for &e in PerfEvent::ALL {
+            sampler.bank_mut().add(e, w);
+        }
+        sampler.rotate(w).scaled_count(PerfEvent::Cycles)
+    };
+    // One full rotation sizes the sample's pair and scale vectors.
+    for w in 0..8 {
+        rotate(&mut sampler, w);
+    }
+    let delta = allocations_in(|| {
+        for w in 8..64 {
+            std::hint::black_box(rotate(&mut sampler, w));
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "a steady-state rotation refills its sample in place"
     );
 }
 
@@ -262,7 +289,7 @@ fn steady_state_mixed_width_planar_ingest_does_not_allocate() {
         wide_machine.tick();
     }
     let wide = wide_machine.read_counters();
-    assert_eq!(wide.per_cpu.len(), 32);
+    assert_eq!(wide.num_cpus(), 32);
     assert_fused_ingest_allocation_free(&mut [narrow, wide], 64);
 }
 
