@@ -229,7 +229,7 @@ pub const ROW_EVENTS: [PerfEvent; 9] = [
 ///
 /// `lanes` is caller-owned scratch, reused so the steady state does not
 /// allocate.
-pub(crate) fn extract_set(set: &SampleSet, lanes: &mut Vec<f64>) -> [f64; COLUMNS] {
+fn extract_set(set: &SampleSet, lanes: &mut Vec<f64>) -> [f64; COLUMNS] {
     let cpus = set.num_cpus();
     lanes.clear();
     for event in ROW_EVENTS {
@@ -362,7 +362,7 @@ pub fn fold_event_lanes(d: tdp_simd::Dispatch, lanes: &[f64], cpus: usize) -> [f
 
 /// Machine-aggregated columns from a pre-extracted sample, in the same
 /// model units as [`extract_set`].
-pub(crate) fn extract_sample(sample: &SystemSample) -> [f64; COLUMNS] {
+fn extract_sample(sample: &SystemSample) -> [f64; COLUMNS] {
     let mut row = [0.0f64; COLUMNS];
     row[col::NUM_CPUS] = sample.per_cpu.len() as f64;
     for c in &sample.per_cpu {

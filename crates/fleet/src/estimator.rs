@@ -263,13 +263,6 @@ impl FleetEstimator {
         &self.model
     }
 
-    /// Replaces the model (e.g. with a freshly calibrated one from
-    /// [`StreamingCalibrator`](crate::StreamingCalibrator)) without
-    /// disturbing the column buffers.
-    pub fn set_model(&mut self, model: SystemPowerModel) {
-        self.model = model;
-    }
-
     /// Windows estimated so far.
     pub fn windows(&self) -> u64 {
         self.windows

@@ -8,7 +8,7 @@
 //! thousands of simulated servers per window, the shape a datacenter
 //! power-management controller consumes.
 //!
-//! Three ideas, three modules:
+//! Two ideas, two modules:
 //!
 //! * [`SampleBatch`] — structure-of-arrays ingestion. The models only
 //!   consume thirteen machine-aggregated event rates, so a fleet window
@@ -21,10 +21,10 @@
 //!   linear/quadratic forms, so each model coefficient becomes one
 //!   `axpy` pass over a column ([`kernels`]); output lands in
 //!   caller-owned column buffers reused window after window.
-//! * [`StreamingCalibrator`] — recursive-least-squares calibration
-//!   ([`tdp_modeling::fit_rls`]): models refresh per window at
-//!   `O(k²)` cost instead of re-solving the normal equations over the
-//!   full history, with coefficients equivalent to the batch fit.
+//!
+//! Models are fitted offline, as in the paper, by
+//! [`trickledown::Calibrator`]; the estimator runs them with fixed
+//! coefficients.
 //!
 //! # Quickstart
 //!
@@ -57,11 +57,9 @@
 
 pub mod anomaly;
 mod batch;
-mod calibrate;
 mod estimator;
 pub mod kernels;
 
 pub use anomaly::{AnomalyConfig, AnomalyDetector, AnomalySummary, Verdict};
 pub use batch::{col, fold_event_lanes, RowAccumulator, SampleBatch, COLUMNS, ROW_EVENTS};
-pub use calibrate::StreamingCalibrator;
 pub use estimator::{FleetEstimates, FleetEstimator};

@@ -49,7 +49,6 @@ mod matrix;
 pub mod metrics;
 mod model;
 mod ols;
-mod rls;
 mod select;
 mod stats;
 
@@ -58,6 +57,5 @@ pub use matrix::Matrix;
 pub use metrics::ErrorSummary;
 pub use model::RegressionModel;
 pub use ols::{fit_least_squares, fit_least_squares_ridge, FitError};
-pub use rls::{fit_rls, RecursiveLeastSquares};
 pub use select::{CandidateForm, ModelSelector, SelectionOutcome};
 pub use stats::OnlineStats;

@@ -248,43 +248,6 @@ impl Matrix {
         Some(x)
     }
 
-    /// The inverse, via one [`solve`](Matrix::solve) per identity
-    /// column. Returns `None` if the matrix is singular. Matrices here
-    /// are tiny (one row/column per model coefficient), so the `O(n⁴)`
-    /// cost is irrelevant next to clarity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn inverse(&self) -> Option<Matrix> {
-        assert_eq!(self.rows, self.cols, "inverse requires a square matrix");
-        let n = self.rows;
-        let mut inv = Matrix::zeros(n, n);
-        let mut unit = vec![0.0f64; n];
-        for col in 0..n {
-            unit[col] = 1.0;
-            let x = self.solve(&unit)?;
-            for (row, &v) in x.iter().enumerate() {
-                inv[(row, col)] = v;
-            }
-            unit[col] = 0.0;
-        }
-        Some(inv)
-    }
-
-    /// Adds `lambda` to every diagonal element (absolute ridge damping),
-    /// in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn add_diagonal(&mut self, lambda: f64) {
-        assert_eq!(self.rows, self.cols);
-        for i in 0..self.rows {
-            self[(i, i)] += lambda;
-        }
-    }
-
     /// Multiplies every diagonal element by `factor` (relative ridge
     /// damping), in place.
     ///
@@ -396,41 +359,10 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[
-            vec![4.0, 7.0, 2.0],
-            vec![3.0, 6.0, 1.0],
-            vec![2.0, 5.0, 3.0],
-        ]);
-        let inv = a.inverse().unwrap();
-        let id = a.matmul(&inv);
-        for i in 0..3 {
-            for j in 0..3 {
-                let want = if i == j { 1.0 } else { 0.0 };
-                assert!(
-                    (id[(i, j)] - want).abs() < 1e-9,
-                    "({i},{j}) = {}",
-                    id[(i, j)]
-                );
-            }
-        }
-        let singular = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert!(singular.inverse().is_none());
-    }
-
-    #[test]
     fn identity_solve_is_identity() {
         let i = Matrix::identity(4);
         let b = [1.0, 2.0, 3.0, 4.0];
         assert_close(&i.solve(&b).unwrap(), &b, 1e-15);
-    }
-
-    #[test]
-    fn add_diagonal_only_touches_diagonal() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_diagonal(0.5);
-        assert_eq!(m[(0, 0)], 0.5);
-        assert_eq!(m[(0, 1)], 0.0);
     }
 
     #[test]

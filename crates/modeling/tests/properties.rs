@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use tdp_modeling::metrics::{error_summary, error_summary_with_offset};
 use tdp_modeling::{
-    fit_least_squares, fit_least_squares_ridge, fit_rls, FeatureMap, FitError, Matrix, OnlineStats,
-    RecursiveLeastSquares,
+    fit_least_squares, fit_least_squares_ridge, FeatureMap, FitError, Matrix, OnlineStats,
 };
 
 proptest! {
@@ -121,42 +120,6 @@ proptest! {
         prop_assert!(adjusted >= plain - 1e-12);
     }
 
-    /// Recursive least squares is the same estimator as batch OLS:
-    /// across random seeds, slopes and intercepts, streaming the
-    /// samples one at a time lands within 1e-9 of re-solving the
-    /// normal equations over the full set.
-    #[test]
-    fn rls_matches_batch_ols_across_seeds(
-        seed in 0u64..500,
-        intercept in -50.0f64..50.0,
-        slope in -5.0f64..5.0,
-        quad in -0.5f64..0.5,
-    ) {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 4000) as f64 / 1000.0 - 2.0
-        };
-        let map = FeatureMap::quadratic_single(1, 0);
-        let xs: Vec<Vec<f64>> = (0..50).map(|_| vec![next() * 3.0]).collect();
-        // Deterministic "noise" so the residual is nonzero and both
-        // solvers actually have to average something.
-        let ys: Vec<f64> = xs
-            .iter()
-            .map(|x| intercept + slope * x[0] + quad * x[0] * x[0] + next() * 0.01)
-            .collect();
-        let batch = fit_least_squares(&map, &xs, &ys).unwrap();
-        let streamed = fit_rls(&map, &xs, &ys).unwrap();
-        for (a, b) in batch.coefficients().iter().zip(streamed.coefficients()) {
-            prop_assert!(
-                (a - b).abs() < 1e-9 * a.abs().max(1.0),
-                "batch {a} vs streamed {b}"
-            );
-        }
-    }
-
     /// Welford statistics agree with naive two-pass computation.
     #[test]
     fn online_stats_match_two_pass(
@@ -172,8 +135,7 @@ proptest! {
     }
 }
 
-/// Every `FitError` variant, produced on purpose, for both the batch
-/// and the streaming fitters.
+/// Every `FitError` variant, produced on purpose by the batch fitter.
 mod fit_error_variants {
     use super::*;
 
@@ -191,13 +153,6 @@ mod fit_error_variants {
                 coefficients: 2
             }
         ));
-        assert!(matches!(
-            fit_rls(&map(), &[vec![1.0]], &[1.0]).unwrap_err(),
-            FitError::NotEnoughSamples {
-                samples: 1,
-                coefficients: 2
-            }
-        ));
     }
 
     #[test]
@@ -209,21 +164,12 @@ mod fit_error_variants {
             fit_least_squares(&map(), &xs, &ys).unwrap_err(),
             FitError::SingularSystem
         ));
-        let mut rls = RecursiveLeastSquares::new(map());
-        for (x, &y) in xs.iter().zip(&ys) {
-            rls.observe(x, y).unwrap();
-        }
-        assert!(matches!(rls.model().unwrap_err(), FitError::SingularSystem));
     }
 
     #[test]
     fn length_mismatch() {
         let err = fit_least_squares(&map(), &[vec![1.0], vec![2.0]], &[1.0]).unwrap_err();
         assert!(matches!(err, FitError::LengthMismatch { xs: 2, ys: 1 }));
-        assert!(matches!(
-            fit_rls(&map(), &[vec![1.0], vec![2.0]], &[1.0]).unwrap_err(),
-            FitError::LengthMismatch { xs: 2, ys: 1 }
-        ));
     }
 
     #[test]
@@ -232,10 +178,6 @@ mod fit_error_variants {
         let ys = vec![1.0, 2.0, 3.0];
         assert!(matches!(
             fit_least_squares(&map(), &xs, &ys).unwrap_err(),
-            FitError::NonFiniteInput
-        ));
-        assert!(matches!(
-            fit_rls(&map(), &xs, &ys).unwrap_err(),
             FitError::NonFiniteInput
         ));
         // Non-finite responses are rejected too.

@@ -6,9 +6,9 @@
 //! public function dispatches between them. Because both flavours
 //! inline the *same* expression sequence and Rust neither contracts
 //! (`a*b + c` → FMA) nor reassociates floating point, the elementwise
-//! kernels are bit-identical across dispatch modes. The reductions
-//! ([`dot`], [`sum`]) hard-code a four-accumulator association in the
-//! shared body for the same reason — see the crate docs.
+//! kernels are bit-identical across dispatch modes. The reduction
+//! ([`sum`]) hard-codes a four-accumulator association in the shared
+//! body for the same reason — see the crate docs.
 //!
 //! `quad_poly` / `clamp_watts` here are deliberate local copies of the
 //! canonical `trickledown` definitions (this crate sits below
@@ -23,7 +23,7 @@ use crate::Dispatch;
 /// registers of f64 lanes under AVX2.
 const LANES: usize = 8;
 
-/// Accumulator count in the reductions ([`dot`], [`sum`]): one 256-bit
+/// Accumulator count in the reduction ([`sum`]): one 256-bit
 /// register of f64 lanes. Fixed so both dispatch flavours (and any
 /// future wider one) share one documented association.
 const ACCS: usize = 4;
@@ -312,35 +312,6 @@ wide_kernel! {
 }
 
 #[inline(always)]
-fn dot_impl(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    let mut acc = [0.0f64; ACCS];
-    let mut a_it = a.chunks_exact(ACCS);
-    let mut b_it = b.chunks_exact(ACCS);
-    for (ac, bc) in a_it.by_ref().zip(b_it.by_ref()) {
-        for l in 0..ACCS {
-            acc[l] += ac[l] * bc[l];
-        }
-    }
-    let mut tail = 0.0;
-    for (&x, &y) in a_it.remainder().iter().zip(b_it.remainder()) {
-        tail += x * y;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-wide_kernel! {
-    /// `Σ a[i]·b[i]` with the fixed four-accumulator association
-    /// documented at the crate level: bit-identical across dispatch
-    /// modes, a few ulp from a naive sequential sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length.
-    pub fn dot[dot_impl / dot_avx2](a: &[f64], b: &[f64]) -> f64;
-}
-
-#[inline(always)]
 fn sum_impl(x: &[f64]) -> f64 {
     let mut acc = [0.0f64; ACCS];
     let mut it = x.chunks_exact(ACCS);
@@ -579,21 +550,20 @@ mod tests {
     #[test]
     fn reductions_use_the_documented_association() {
         let x: Vec<f64> = (0..23).map(|i| (i as f64).sin() * 1e3).collect();
-        let y: Vec<f64> = (0..23).map(|i| (i as f64).cos() * 1e-3).collect();
         // Reference: the documented 4-accumulator association, written
         // out independently of the kernel body.
         let mut acc = [0.0f64; 4];
         let mut tail = 0.0;
-        for (i, (&a, &b)) in x.iter().zip(&y).enumerate() {
+        for (i, &v) in x.iter().enumerate() {
             if i < 20 {
-                acc[i % 4] += a * b;
+                acc[i % 4] += v;
             } else {
-                tail += a * b;
+                tail += v;
             }
         }
         let expect = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail;
         for d in BOTH {
-            assert_eq!(dot(d, &x, &y).to_bits(), expect.to_bits(), "{d:?}");
+            assert_eq!(sum(d, &x).to_bits(), expect.to_bits(), "{d:?}");
         }
         let ones = vec![1.0; 9];
         for d in BOTH {

@@ -22,10 +22,10 @@
 //! construction — vector lanes evaluate the same `a·x + b` per element
 //! that the scalar loop does, in the same order.
 //!
-//! The reductions ([`dot`], [`sum`]) cannot be both fast and
-//! sequentially associated: they use a fixed four-accumulator
-//! association, *written out explicitly in the shared body*, so Scalar
-//! and Wide still agree bit for bit with each other. Against a naive
+//! The reduction ([`sum`]) cannot be both fast and sequentially
+//! associated: it uses a fixed four-accumulator association, *written
+//! out explicitly in the shared body*, so Scalar and Wide still agree
+//! bit for bit with each other. Against a naive
 //! left-to-right sum they are reassociated; callers that previously
 //! summed sequentially get answers within a few ulp (property-tested in
 //! `tests/equivalence.rs`).
@@ -47,7 +47,7 @@
 pub mod kernels;
 
 pub use kernels::{
-    add_assign, axpy, clamp_predictions, dot, fill, fold_row_rates, mask_in_range,
+    add_assign, axpy, clamp_predictions, fill, fold_row_rates, mask_in_range,
     mask_nonneg_le_scaled, quadratic, quadratic_acc, sum, ROW_FOLD_EVENTS,
 };
 

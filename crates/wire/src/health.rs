@@ -388,8 +388,9 @@ impl HealthLedger {
     ///
     /// * `since < dec` — silence is the sampling protocol itself;
     ///   reconstruct the last good row with no health downgrade;
-    /// * `since ≤ dec − 1 + max_stale` — the machine has missed a
-    ///   window it owed; carry it as Suspect (the legacy hold);
+    /// * `since ≤ dec − 1 + max_stale` (saturating, so `u64::MAX`
+    ///   never goes stale) — the machine has missed a window it owed;
+    ///   carry it as Suspect (the legacy hold);
     /// * beyond that — declare it stale.
     ///
     /// At `dec = 1` the first tier is unreachable (a machine with a
@@ -407,7 +408,7 @@ impl HealthLedger {
                 }
                 return Hold::Reconstructed(row);
             }
-            if since <= dec - 1 + max_stale {
+            if since <= (dec - 1).saturating_add(max_stale) {
                 self.emitted_epoch[m] = epoch;
                 if self.state[m] == HealthState::Healthy {
                     self.state[m] = HealthState::Suspect;

@@ -8,7 +8,8 @@ use tdp_fleet::FleetEstimator;
 use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig};
 use tdp_wire::{
-    ingest_reference_with, ingest_serial, ingest_serial_with, HealthState, IngestState, WireEncoder,
+    ingest_reference_with, ingest_serial, ingest_serial_with, DegradePolicy, HealthState,
+    IngestState, WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -610,6 +611,41 @@ fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
     let rep = ingest_serial_with(&mut state, &enc.take_bytes(), 1, &mut est);
     assert_eq!(rep.rows_written, 1);
     assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
+}
+
+#[test]
+fn never_stale_policy_holds_a_silent_decimated_machine_forever() {
+    // `max_stale_windows: u64::MAX` means "never go stale". Under a
+    // decimation grant the staleness bound is `dec − 1 + max_stale`,
+    // which must saturate rather than overflow (a debug panic) or wrap
+    // (release: Stale at the first owed window). Both ingest paths
+    // must hold the dead machine as Suspect indefinitely, exactly as
+    // they do at decimation 1.
+    const DEC: u16 = 4;
+    let mut enc = WireEncoder::new();
+    enc.set_decimation(0, DEC);
+    enc.push_sample_set(0, &synthetic_set(0, 0, &LAYOUT))
+        .unwrap();
+    let first = enc.take_bytes();
+    for ingest in [ingest_serial_with, ingest_reference_with] {
+        let mut state = IngestState::with_policy(DegradePolicy {
+            max_stale_windows: u64::MAX,
+            ..DegradePolicy::default()
+        });
+        let mut est = FleetEstimator::new(SystemPowerModel::paper());
+        assert_eq!(ingest(&mut state, &first, 1, &mut est).rows_written, 1);
+        for since in 1..=32u64 {
+            let rep = ingest(&mut state, &[], 1, &mut est);
+            assert_eq!(rep.machines_stale, 0, "window {since}");
+            assert_eq!(rep.rows_written, 1, "window {since}");
+            let want = if since < DEC as u64 {
+                HealthState::Healthy
+            } else {
+                HealthState::Suspect
+            };
+            assert_eq!(state.machine_health(0), Some(want), "window {since}");
+        }
+    }
 }
 
 #[test]
