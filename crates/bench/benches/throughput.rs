@@ -1,8 +1,9 @@
 //! Throughput benches for the allocation-free hot paths.
 //!
 //! The end-to-end pipeline is measured by perfbench; these isolate the
-//! per-call costs the buffer-reuse API removed — `Machine::tick_into` vs the allocating `tick`, counter
-//! reads into a reused `SampleSet`, and the pooled parallel capture.
+//! per-call costs the buffer-reuse API removed — `Machine::tick_into`
+//! vs the allocating `tick`, counter reads into a reused `SampleSet` —
+//! and the parallel 12-workload capture.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -56,7 +57,7 @@ fn bench_capture(c: &mut Criterion) {
         ramp_seconds: 1,
         out_dir: std::env::temp_dir().join("tdp-bench-throughput"),
     };
-    c.bench_function("capture/pooled_12_workloads_2s", |b| {
+    c.bench_function("capture/parallel_12_workloads_2s", |b| {
         b.iter(|| black_box(tdp_bench::capture_all(&cfg)))
     });
 }

@@ -80,12 +80,11 @@ pub fn capture_workload(cfg: &ExperimentConfig, workload: Workload) -> Trace {
     )
 }
 
-/// Captures all twelve standard traces on a pooled parallel map sized
-/// to the host (previously one thread per trace, which oversubscribed
-/// small hosts).
+/// Captures all twelve standard traces on [`tdp_parallel::par_map`],
+/// at most one thread per available core.
 ///
 /// Each trace is seeded independently from the master seed, and
-/// [`tdp_parallel::par_map`] returns results in workload order, so the
+/// `par_map` returns results in workload order, so the
 /// output is bit-identical to capturing the workloads serially —
 /// regardless of core count. `tests/golden_determinism.rs` pins this.
 pub fn capture_all(cfg: &ExperimentConfig) -> Vec<Trace> {

@@ -133,7 +133,7 @@ impl ModelSelector {
     /// `valid_*` scores them. Rows of the input matrices are full
     /// candidate vectors; the selector projects out subsets itself.
     ///
-    /// Candidate subsets are fitted on a pooled parallel map (one work
+    /// Candidate subsets are fitted on `tdp_parallel::par_map` (one work
     /// item per subset); results are flattened in subset order and the
     /// final ranking uses a *stable* sort on validation error, so the
     /// outcome is deterministic and identical to a serial sweep.

@@ -574,43 +574,61 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
 
 #[test]
 fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
-    // A decimated machine that actually dies: the first dec−1 silent
-    // windows are reconstruction (protocol), the next max_stale_windows
-    // are held as Suspect (the legacy grace), then staleness — counted
-    // exactly once for the outage — and a fresh row revives it.
-    const DEC: u16 = 4;
-    let mut state = IngestState::new();
-    let max_stale = state.policy().max_stale_windows;
-    let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut enc = WireEncoder::new();
-    enc.set_decimation(0, DEC);
-    enc.push_sample_set(0, &synthetic_set(0, 0, &LAYOUT))
-        .unwrap();
-    let rep = ingest_serial_with(&mut state, &enc.take_bytes(), 1, &mut est);
-    assert_eq!(rep.rows_written, 1);
+    // A decimated machine that actually dies, on both ingest paths and
+    // across decimations and grace policies. Both paths share the hold
+    // ladder, so the expected outcome of every silent window is derived
+    // here from the documented three-tier rule, not from the ledger:
+    // the first dec−1 silent windows are reconstruction (protocol), the
+    // next max_stale_windows are held as Suspect (the legacy grace),
+    // then staleness — counted exactly once for the outage — until a
+    // fresh row revives the machine.
+    for dec in [1u16, 2, 4] {
+        for max_stale in [0u64, 1, 4] {
+            let mut enc = WireEncoder::new();
+            enc.set_decimation(0, dec);
+            enc.push_sample_set(0, &synthetic_set(0, 0, &LAYOUT))
+                .unwrap();
+            let first = enc.take_bytes();
+            enc.push_sample_set(0, &synthetic_set(0, 99, &LAYOUT))
+                .unwrap();
+            let revive = enc.take_bytes();
 
-    let mut stale_events = 0u64;
-    for since in 1..=(DEC as u64 - 1 + max_stale + 3) {
-        let rep = ingest_serial_with(&mut state, &[], 1, &mut est);
-        if since < DEC as u64 {
-            assert_eq!(rep.rows_reconstructed, 1, "window {since}");
-            assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
-        } else if since <= DEC as u64 - 1 + max_stale {
-            assert_eq!(rep.rows_held, 1, "window {since}");
-            assert_eq!(state.machine_health(0), Some(HealthState::Suspect));
-        } else {
-            assert_eq!(rep.rows_written, 0, "window {since}");
-            assert_eq!(state.machine_health(0), Some(HealthState::Stale));
+            for ingest in [ingest_serial_with, ingest_reference_with] {
+                let mut state = IngestState::with_policy(DegradePolicy {
+                    max_stale_windows: max_stale,
+                    ..DegradePolicy::default()
+                });
+                let mut est = FleetEstimator::new(SystemPowerModel::paper());
+                assert_eq!(ingest(&mut state, &first, 1, &mut est).rows_written, 1);
+
+                let mut stale_events = 0u64;
+                let d = u64::from(dec);
+                for since in 1..=(d + max_stale + 3) {
+                    let rep = ingest(&mut state, &[], 1, &mut est);
+                    let ctx = format!("dec {dec}, max_stale {max_stale}, window {since}");
+                    let (written, reconstructed, held, newly, health) = if since < d {
+                        (1, 1, 0, 0, HealthState::Healthy)
+                    } else if since <= d - 1 + max_stale {
+                        (1, 0, 1, 0, HealthState::Suspect)
+                    } else {
+                        let newly = since == d + max_stale;
+                        (0, 0, 0, u64::from(newly), HealthState::Stale)
+                    };
+                    assert_eq!(rep.rows_written, written, "{ctx}");
+                    assert_eq!(rep.rows_reconstructed, reconstructed, "{ctx}");
+                    assert_eq!(rep.rows_held, held, "{ctx}");
+                    assert_eq!(rep.machines_stale, newly, "{ctx}");
+                    assert_eq!(state.machine_health(0), Some(health), "{ctx}");
+                    stale_events += rep.machines_stale;
+                }
+                assert_eq!(stale_events, 1, "one outage, one stale count");
+
+                let rep = ingest(&mut state, &revive, 1, &mut est);
+                assert_eq!(rep.rows_written, 1);
+                assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
+            }
         }
-        stale_events += rep.machines_stale;
     }
-    assert_eq!(stale_events, 1, "one outage, one stale count");
-
-    enc.push_sample_set(0, &synthetic_set(0, 99, &LAYOUT))
-        .unwrap();
-    let rep = ingest_serial_with(&mut state, &enc.take_bytes(), 1, &mut est);
-    assert_eq!(rep.rows_written, 1);
-    assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
 }
 
 #[test]

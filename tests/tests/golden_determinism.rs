@@ -1,4 +1,4 @@
-//! Golden-trace determinism: the pooled parallel capture must be
+//! Golden-trace determinism: the parallel capture must be
 //! bit-identical to a serial capture of the same workloads, and repeat
 //! runs must be bit-identical to each other.
 //!
@@ -9,7 +9,6 @@
 //! captured records.
 
 use tdp_bench::{capture_all, capture_workload, ExperimentConfig};
-use tdp_parallel::WorkerPool;
 use tdp_workloads::Workload;
 
 fn tiny_cfg() -> ExperimentConfig {
@@ -44,21 +43,6 @@ fn repeat_parallel_captures_are_identical() {
     let a = capture_all(&cfg);
     let b = capture_all(&cfg);
     assert_eq!(a, b);
-}
-
-#[test]
-fn pool_par_map_is_order_preserving_at_any_worker_count() {
-    let items: Vec<u64> = (0..997).collect();
-    let f = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 42;
-    let expect: Vec<u64> = items.iter().copied().map(f).collect();
-    for workers in [1, 2, 8] {
-        let pool = WorkerPool::new(workers);
-        assert_eq!(
-            pool.par_map_chunks(items.clone(), 13, f),
-            expect,
-            "workers={workers}"
-        );
-    }
 }
 
 #[test]
