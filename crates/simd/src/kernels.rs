@@ -261,57 +261,6 @@ wide_kernel! {
 }
 
 #[inline(always)]
-fn mask_in_range_impl(x: &[f64], lo: f64, hi: f64, mask: &mut [u8]) {
-    assert_eq!(x.len(), mask.len(), "mask_in_range length mismatch");
-    for (m, &v) in mask.iter_mut().zip(x) {
-        *m &= (lo <= v && v <= hi) as u8;
-    }
-}
-
-wide_kernel! {
-    /// `mask[i] &= (lo ≤ x[i] ≤ hi)` — an AND-accumulating column
-    /// bounds check (NaN fails). Conjunction passes over a window's
-    /// columns build the batched sanity mask the wire health ledger
-    /// consumes. Pure comparisons, elementwise: bit-identical across
-    /// dispatch modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length.
-    pub fn mask_in_range[mask_in_range_impl / mask_in_range_avx2](
-        x: &[f64], lo: f64, hi: f64, mask: &mut [u8],
-    );
-}
-
-#[inline(always)]
-fn mask_nonneg_le_scaled_impl(x: &[f64], cap: f64, scale: &[f64], mask: &mut [u8]) {
-    assert_eq!(
-        x.len(),
-        scale.len(),
-        "mask_nonneg_le_scaled length mismatch"
-    );
-    assert_eq!(x.len(), mask.len(), "mask_nonneg_le_scaled length mismatch");
-    for ((m, &v), &s) in mask.iter_mut().zip(x).zip(scale) {
-        *m &= (v >= 0.0 && v <= cap * s) as u8;
-    }
-}
-
-wide_kernel! {
-    /// `mask[i] &= (0 ≤ x[i] ≤ cap · scale[i])` — the AND-accumulating
-    /// per-row-scaled cap check (NaN in either operand fails). The one
-    /// floating-point operation, `cap · scale[i]`, is elementwise and
-    /// unreassociated: bit-identical across dispatch modes, and
-    /// identical to a scalar `x <= cap * scale` comparison.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length.
-    pub fn mask_nonneg_le_scaled[mask_nonneg_le_scaled_impl / mask_nonneg_le_scaled_avx2](
-        x: &[f64], cap: f64, scale: &[f64], mask: &mut [u8],
-    );
-}
-
-#[inline(always)]
 fn sum_impl(x: &[f64]) -> f64 {
     let mut acc = [0.0f64; ACCS];
     let mut it = x.chunks_exact(ACCS);
@@ -568,41 +517,6 @@ mod tests {
         let ones = vec![1.0; 9];
         for d in BOTH {
             assert_eq!(sum(d, &ones), 9.0, "{d:?}");
-        }
-    }
-
-    #[test]
-    fn mask_kernels_and_accumulate_and_reject_non_finites() {
-        let x = [
-            0.5,
-            -0.0,
-            4.0,
-            -1.0,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            1024.0,
-            1024.5,
-        ];
-        for d in BOTH {
-            let mut mask = vec![1u8; x.len()];
-            mask_in_range(d, &x, 0.0, 1024.0, &mut mask);
-            assert_eq!(mask, [1, 1, 1, 0, 0, 0, 0, 1, 0], "{d:?} in_range");
-            // AND-accumulation: a second pass can only clear bits.
-            mask_in_range(d, &x, 1.0, 2000.0, &mut mask);
-            assert_eq!(mask, [0, 0, 1, 0, 0, 0, 0, 1, 0], "{d:?} accumulated");
-
-            let scale = [2.0; 9];
-            let mut mask = vec![1u8; x.len()];
-            // cap·scale = 8: nonneg values ≤ 8 survive, NaN/inf/negative
-            // (including -0.0 surviving as ≥ 0) handled like the scalar
-            // comparisons.
-            mask_nonneg_le_scaled(d, &x, 4.0, &scale, &mut mask);
-            assert_eq!(mask, [1, 1, 1, 0, 0, 0, 0, 0, 0], "{d:?} scaled");
-            // NaN scale fails the ≤ comparison for any x.
-            let mut m = vec![1u8; 1];
-            mask_nonneg_le_scaled(d, &[1.0], 4.0, &[f64::NAN], &mut m);
-            assert_eq!(m, [0], "{d:?} NaN scale");
         }
     }
 

@@ -17,8 +17,7 @@
 //! and Rust performs no floating-point contraction or reassociation on
 //! its own, so for the elementwise kernels ([`fill`], [`axpy`],
 //! [`quadratic`], [`quadratic_acc`], [`clamp_predictions`],
-//! [`add_assign`], [`mask_in_range`], [`mask_nonneg_le_scaled`]) the
-//! two dispatch paths are bit-identical by
+//! [`add_assign`]) the two dispatch paths are bit-identical by
 //! construction — vector lanes evaluate the same `a·x + b` per element
 //! that the scalar loop does, in the same order.
 //!
@@ -47,8 +46,8 @@
 pub mod kernels;
 
 pub use kernels::{
-    add_assign, axpy, clamp_predictions, fill, fold_row_rates, mask_in_range,
-    mask_nonneg_le_scaled, quadratic, quadratic_acc, sum, ROW_FOLD_EVENTS,
+    add_assign, axpy, clamp_predictions, fill, fold_row_rates, quadratic, quadratic_acc, sum,
+    ROW_FOLD_EVENTS,
 };
 
 use std::sync::OnceLock;

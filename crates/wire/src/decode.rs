@@ -247,11 +247,8 @@ impl FrameDecoder {
     /// Decodes a sample frame up to (but not including) the row
     /// reduction: layout lookup, then the single payload walk into the
     /// decoder's row lanes (see [`crate::planar`]). The caller folds the
-    /// lanes with [`fold_row`](Self::fold_row) (a row array, as
-    /// [`decode_frame`](Self::decode_frame) returns) or
-    /// [`fold_into`](Self::fold_into) (serial fused ingest, straight
-    /// into the batch's columns) — the fold must happen before the next
-    /// decode reuses the lanes.
+    /// lanes with [`fold_row`](Self::fold_row) before the next decode
+    /// reuses them — or, for a duplicate or out-of-range frame, never.
     ///
     /// The checksum is *always* computed over the full payload (the
     /// walk absorbs what it accepted, [`PayloadChecksum::finish`] the
@@ -294,19 +291,6 @@ impl FrameDecoder {
     pub(crate) fn fold_row(&self, p: &PendingSample) -> [f64; COLUMNS] {
         fold_event_lanes(Dispatch::active(), &self.lanes, p.cpus)
     }
-
-    /// [`fold_row`](Self::fold_row) writing straight into a batch's
-    /// column slices at `idx` — the serial fused path.
-    pub(crate) fn fold_into(
-        &self,
-        p: &PendingSample,
-        cols: &mut [&mut [f64]; COLUMNS],
-        idx: usize,
-    ) {
-        for (c, v) in cols.iter_mut().zip(self.fold_row(p)) {
-            c[idx] = v;
-        }
-    }
 }
 
 /// The layout a sample frame's header names, checked against the
@@ -329,8 +313,8 @@ fn resolve_layout<'a>(
 
 /// A sample frame that decoded cleanly (checksummed, unfolded into the
 /// decoder's row lanes) but has not yet been reduced to a fleet row —
-/// the handle [`FrameDecoder::fold_row`] / [`FrameDecoder::fold_into`]
-/// consume. Valid only until the decoder's next sample decode.
+/// the handle [`FrameDecoder::fold_row`] consumes. Valid only until
+/// the decoder's next sample decode.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingSample {
     /// Which machine the frame describes.

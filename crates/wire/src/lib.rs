@@ -22,9 +22,10 @@
 //!   ([`LayoutTable`]). No intermediate sample structs, no
 //!   steady-state allocation.
 //! * [`ingest_serial_with`] — the ingest path: one serial walk that
-//!   decodes accepted frames straight into the batch columns and runs
-//!   the health ladder batched, pinned bit-for-bit against the per-row
-//!   [`ingest_reference_with`].
+//!   decodes each accepted frame to a row, judges it against the
+//!   sanity bounds and writes only sane rows into the batch columns,
+//!   where each machine's last good row persists across windows;
+//!   pinned bit-for-bit against the per-row [`ingest_reference_with`].
 //! * [`health`](PipelineHealth) — graceful degradation under a hostile
 //!   stream: per-machine [`HealthState`] ledgers, sequence
 //!   reset/duplicate detection, [`DegradePolicy`] sanity quarantine,

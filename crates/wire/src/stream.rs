@@ -2,35 +2,47 @@
 //! graceful-degradation ladder.
 //!
 //! [`ingest_serial_with`] is the ingest path: one serial pass that
-//! decodes accepted frames straight into the estimator's batch columns
-//! and runs the health ladder batched (one sanity mask per window, a
-//! bulk ledger commit when the window is clean).
+//! decodes each accepted sample frame to a row, judges it with
+//! [`DegradePolicy::row_is_sane`] and writes only sane rows into the
+//! estimator's batch columns.
+//!
+//! # Persisted rows
+//!
+//! The batch is not cleared between windows: a machine's batch row
+//! *is* its last good row. So a machine silent within its decimation
+//! (reconstructed) or past it but within the staleness bound (held)
+//! costs no copy, a quarantined row never reaches the batch, and a
+//! machine that goes stale has its row zeroed once, when it crosses
+//! the bound. Only the first window of an [`IngestState`] clears the
+//! batch; every window sizes it to the window's machine count, so a
+//! machine cut off by a smaller fleet loses its row and its health
+//! history and comes back unseen.
 //!
 //! # Per-row reference
 //!
-//! [`ingest_reference_with`] runs the same ladder one row at a time:
-//! every frame is decoded to a row array by [`FrameDecoder::decode_frame`],
-//! screened with [`DegradePolicy::row_is_sane`], committed to the
-//! ledger, and written with [`SampleBatch::set_row`](tdp_fleet::SampleBatch::set_row).
-//! It shares no batching with the hot path — no staged columns, no
-//! batched mask, no bulk commit — so it is the independent oracle the
-//! batched ladder is pinned against: same health counters, same rows
-//! written, same estimate bits, same per-machine [`HealthState`]s, on
-//! clean and seeded-[`FaultPlan`](crate::FaultPlan) streams alike.
+//! [`ingest_reference_with`] runs the same ladder one decoded row at a
+//! time: every frame is decoded to a row array by
+//! [`FrameDecoder::decode_frame`], screened with
+//! [`DegradePolicy::row_is_sane`], written with
+//! [`SampleBatch::set_row`](tdp_fleet::SampleBatch::set_row) and
+//! committed to the ledger, and the hold pass runs every window. It is
+//! the oracle the hot path is pinned against: same health counters,
+//! same rows written, same estimate bits, same per-machine
+//! [`HealthState`]s, on clean and seeded-[`FaultPlan`](crate::FaultPlan)
+//! streams alike.
 //!
 //! # Determinism
 //!
 //! A machine's row comes from [`FrameDecoder`]'s arithmetic (itself
 //! bit-identical to in-memory ingestion) over the last acceptable frame
 //! for that machine in stream order, and rows land at fixed indices, so
-//! both paths are deterministic functions of the bytes and the carried
-//! [`IngestState`].
+//! both paths are deterministic functions of the bytes, the carried
+//! [`IngestState`] and the batch rows it left behind.
 
 use crate::decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder};
 use crate::frame::FrameType;
 use crate::health::{DegradePolicy, HealthLedger, HealthState, Hold, SeqNote};
-use tdp_fleet::{FleetEstimator, COLUMNS};
-use tdp_simd::Dispatch;
+use tdp_fleet::{FleetEstimator, SampleBatch, COLUMNS};
 
 /// What happened during one ingested window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -114,27 +126,22 @@ impl StreamReport {
 /// fail the [`DegradePolicy`] sanity bounds, bounded last-good-row
 /// holds for silent machines, and staleness cut-off.
 ///
-/// The health ledger is dense, indexed by machine id — ids are
-/// `< machines` by the time the ladder runs, so the hot-path lookup is
-/// one bounds-checked index. A machine never decoded is exactly one
-/// whose ledger `seen` flag is unset (every write path notes the
-/// sequence first).
+/// The health ledger is dense, indexed by machine id and sized to each
+/// window's machine count, so the hot-path lookup is one
+/// bounds-checked index. A machine never decoded is exactly one whose
+/// ledger `seen` flag is unset (every write path notes the sequence
+/// first).
 ///
-/// The remaining vectors are [`ingest_serial_with`]'s per-window
-/// scratch, retained across windows so the steady state allocates
-/// nothing: which machines staged a fresh row into the batch columns
-/// this epoch, each staged row's reset flag, and the batched sanity
-/// mask. [`ingest_reference_with`] leaves them untouched.
+/// The state holds no rows: the estimator's batch does, one last good
+/// row per machine. The state's first window clears the batch; later
+/// windows only resize it, so pass the same [`FleetEstimator`] every
+/// window and do not write its batch in between.
 #[derive(Debug, Default)]
 pub struct IngestState {
     dec: FrameDecoder,
     ledger: HealthLedger,
     policy: DegradePolicy,
     epoch: u64,
-    pending: Vec<u32>,
-    staged_epoch: Vec<u64>,
-    staged_reset: Vec<bool>,
-    sane_mask: Vec<u8>,
 }
 
 impl IngestState {
@@ -163,17 +170,22 @@ impl IngestState {
     }
 
     /// The last known [`HealthState`] of `machine`, or `None` if no
-    /// row has ever been decoded for it.
+    /// row has been decoded for it since it last joined the fleet.
     pub fn machine_health(&self, machine: u64) -> Option<HealthState> {
         let idx = machine as usize;
         self.ledger.seen(idx).then(|| self.ledger.state(idx))
     }
 
-    /// Opens the next ingest window for `machines` machines: bumps the
-    /// epoch and sizes the ledger. Returns the new epoch.
-    fn begin(&mut self, machines: usize) -> u64 {
+    /// Opens the next window: sizes the ledger and `est`'s batch to
+    /// exactly `machines` (clearing the batch first for a fresh state)
+    /// and returns the new epoch.
+    fn begin(&mut self, machines: usize, est: &mut FleetEstimator) -> u64 {
+        if self.epoch == 0 {
+            est.begin_window();
+        }
+        est.batch_mut().resize_rows(machines);
+        self.ledger.resize(machines);
         self.epoch += 1;
-        self.ledger.ensure(machines);
         self.epoch
     }
 }
@@ -191,55 +203,28 @@ pub fn ingest_serial(buf: &[u8], machines: usize, est: &mut FleetEstimator) -> S
 /// by earlier windows (or earlier in this one) stay known, so
 /// steady-state windows can carry sample frames only.
 ///
-/// This is the fused hot path, and it is *batched*: the cursor walk
-/// delta-unfolds each accepted frame straight into the batch columns
-/// (no intermediate row copy — checksum verification already overlaps
-/// the payload walk inside the decoder), sequence bookkeeping runs per
-/// frame, and the sanity screen runs once at the end as thirteen
-/// AND-accumulating column passes — [`DegradePolicy`]'s batched mask,
-/// bit-identical to the per-row ladder of [`ingest_reference_with`]. A
-/// perfectly clean window — every machine exactly one fresh sane row,
-/// no resets — commits the whole health ledger with column memcpys;
-/// any degradation falls back to per-machine resolution with identical
-/// transitions and counters (pinned batched-vs-reference by the chaos
-/// property suite).
+/// This is the fused hot path, one pass over the frames: each accepted
+/// sample frame is delta-unfolded in place (checksum verification
+/// overlaps the payload walk inside the decoder), folded to a row,
+/// judged by [`DegradePolicy::row_is_sane`] and, if sane, written
+/// straight into its batch slot and committed to the health ledger.
+/// The hold / staleness pass over silent machines runs only when some
+/// machine committed no fresh row this window. Pinned against
+/// [`ingest_reference_with`] by the chaos property suite.
 pub fn ingest_serial_with(
     state: &mut IngestState,
     buf: &[u8],
     machines: usize,
     est: &mut FleetEstimator,
 ) -> StreamReport {
-    let epoch = state.begin(machines);
+    let epoch = state.begin(machines, est);
     let policy = state.policy;
-    let IngestState {
-        dec,
-        ledger,
-        pending,
-        staged_epoch,
-        staged_reset,
-        sane_mask,
-        ..
-    } = state;
-    if staged_epoch.len() < machines {
-        // Stale epochs from earlier (possibly smaller) windows are
-        // harmless: the epoch strictly increases, so they never match.
-        staged_epoch.resize(machines, 0);
-        staged_reset.resize(machines, false);
-    }
-    pending.clear();
-
-    est.begin_window();
-    let batch = est.batch_mut();
-    batch.resize_rows(machines);
-    let mut cols = batch.columns_mut();
+    let IngestState { dec, ledger, .. } = state;
+    let mut cols = est.batch_mut().columns_mut();
 
     let mut stats = StreamReport::default();
-    let mut resolved_early = false;
-    let mut any_reset = false;
-
-    // Phase 1: one pass over the frames, unfolding accepted samples
-    // straight into the batch columns and deferring their sanity
-    // verdicts to the batched screen below.
+    // Machines that committed a fresh row this window.
+    let mut committed = 0usize;
     let mut cursor = FrameCursor::new(buf);
     while let Some(item) = cursor.next() {
         let (start, header) = match item {
@@ -289,111 +274,63 @@ pub fn ingest_serial_with(
                     }
                     SeqNote::Reset => {
                         stats.resets_detected += 1;
-                        any_reset = true;
                         true
                     }
                     SeqNote::Fresh => false,
                 };
-                if staged_epoch[idx] == epoch {
-                    // A second fresh frame for an already-staged
-                    // machine: resolve the staged row now, per row —
-                    // exactly what the per-row ladder does on its
-                    // delivery — before the new frame overwrites its
-                    // column slot.
-                    resolved_early = true;
-                    let mut row = [0.0; COLUMNS];
-                    for (v, c) in row.iter_mut().zip(cols.iter()) {
-                        *v = c[idx];
-                    }
-                    if policy.row_is_sane(&row) {
-                        ledger.commit_row(idx, epoch, &row, staged_reset[idx]);
-                        stats.rows_written += 1;
-                    } else {
-                        stats.rows_quarantined += 1;
-                        ledger.quarantine(idx);
-                    }
-                } else {
-                    staged_epoch[idx] = epoch;
-                    pending.push(idx as u32);
+                let row = dec.fold_row(&pend);
+                if !policy.row_is_sane(&row) {
+                    stats.rows_quarantined += 1;
+                    ledger.quarantine(idx);
+                    continue;
                 }
-                staged_reset[idx] = reset;
-                dec.fold_into(&pend, &mut cols, idx);
+                for (c, v) in cols.iter_mut().zip(row) {
+                    c[idx] = v;
+                }
+                stats.rows_written += 1;
+                committed += usize::from(!ledger.committed_in(idx, epoch));
+                ledger.commit(idx, epoch, reset);
             }
         }
     }
-
-    // Phase 2: the batched sanity screen over the full columns.
-    policy.sane_mask(Dispatch::active(), &cols, sane_mask);
-
-    // Phase 3: resolve the staged rows. A clean window commits the
-    // whole ledger in bulk; anything else resolves machine by machine.
-    let clean = !resolved_early
-        && !any_reset
-        && pending.len() == machines
-        && sane_mask.iter().all(|&m| m != 0);
-    if clean {
-        ledger.commit_all(epoch, &cols, machines);
-        stats.rows_written += machines as u64;
-    } else {
-        for &idx in pending.iter() {
-            let idx = idx as usize;
-            if sane_mask[idx] != 0 {
-                ledger.commit_from_cols(idx, epoch, &cols, staged_reset[idx]);
-                stats.rows_written += 1;
-            } else {
-                stats.rows_quarantined += 1;
-                ledger.quarantine(idx);
-                if ledger.emitted_this(idx, epoch) {
-                    // The quarantined frame overwrote a row this window
-                    // already emitted (a resolve-early above) — put the
-                    // last good row back.
-                    ledger.restore_into(idx, &mut cols);
-                } else {
-                    // Never emitted this window: the slot must read as
-                    // the zeros `resize_rows` left (the per-row ladder
-                    // never wrote it), pending a possible hold below.
-                    for c in cols.iter_mut() {
-                        c[idx] = 0.0;
-                    }
-                }
-            }
-        }
-        // Phase 4: hold / staleness for machines that contributed
-        // nothing this window (a clean window has none).
-        hold_pass(ledger, epoch, &policy, machines, &mut stats, |idx, row| {
-            for (c, v) in cols.iter_mut().zip(row) {
-                c[idx] = v;
-            }
-        });
+    if committed < machines {
+        hold_pass(
+            ledger,
+            epoch,
+            &policy,
+            machines,
+            &mut stats,
+            est.batch_mut(),
+        );
     }
     stats
 }
 
-/// The unbatched health ladder, one row at a time — the reference
+/// The health ladder one decoded row at a time — the reference
 /// [`ingest_serial_with`] is pinned against. Each sample frame is
-/// decoded to a row array, screened through duplicate skip, reset
-/// re-baseline and [`DegradePolicy::row_is_sane`] quarantine, committed
-/// to the ledger and written with `SampleBatch::set_row`; silent
-/// machines then take the hold / staleness pass. It shares no batching
-/// with the hot path (no staged columns, no batched mask, no bulk
-/// commit), so on any stream the two must agree on the whole
-/// [`StreamReport`], the batch bits and every machine's
-/// [`HealthState`]. Call [`FleetEstimator::estimate`] afterwards.
+/// decoded to a row array by [`FrameDecoder::decode_frame`], screened
+/// through duplicate skip, reset re-baseline and
+/// [`DegradePolicy::row_is_sane`] quarantine, written with
+/// `SampleBatch::set_row` and committed to the ledger; the hold /
+/// staleness pass then runs every window. It shares the persisted-row
+/// rule with the hot path but not its fused decode, so on any stream
+/// the two must agree on the whole [`StreamReport`], the batch bits
+/// and every machine's [`HealthState`]. Call
+/// [`FleetEstimator::estimate`] afterwards.
 ///
-/// Give it its own [`IngestState`]: the ledger and decoder it carries
-/// are the reference's history, not the hot path's.
+/// Give it its own [`IngestState`] and [`FleetEstimator`]: the ledger,
+/// decoder and batch rows they carry are the reference's history, not
+/// the hot path's.
 pub fn ingest_reference_with(
     state: &mut IngestState,
     buf: &[u8],
     machines: usize,
     est: &mut FleetEstimator,
 ) -> StreamReport {
-    let epoch = state.begin(machines);
+    let epoch = state.begin(machines, est);
     let policy = state.policy;
     let IngestState { dec, ledger, .. } = state;
-    est.begin_window();
     let batch = est.batch_mut();
-    batch.resize_rows(machines);
 
     let mut stats = StreamReport::default();
     let mut cursor = FrameCursor::new(buf);
@@ -455,45 +392,45 @@ pub fn ingest_reference_with(
                 }
                 batch.set_row(idx, row);
                 stats.rows_written += 1;
-                ledger.commit_row(idx, epoch, &row, reset);
+                ledger.commit(idx, epoch, reset);
             }
             Err(DecodeError::UnknownLayout) => stats.unknown_layout_frames += 1,
             Err(_) => stats.corrupt_frames += 1,
         }
     }
-    hold_pass(ledger, epoch, &policy, machines, &mut stats, |idx, row| {
-        batch.set_row(idx, row)
-    });
+    hold_pass(ledger, epoch, &policy, machines, &mut stats, batch);
     stats
 }
 
 /// After the frame walk: every seen machine that contributed nothing
-/// this window is either carried at its last good row (`write`, bounded
-/// by [`DegradePolicy::max_stale_windows`]) or declared stale.
+/// this window is either carried at its last good row — already in its
+/// batch slot — for up to [`DegradePolicy::max_stale_windows`] windows
+/// past its decimation, or declared stale, which zeroes its row once.
 fn hold_pass(
     ledger: &mut HealthLedger,
     epoch: u64,
     policy: &DegradePolicy,
     machines: usize,
     stats: &mut StreamReport,
-    mut write: impl FnMut(usize, [f64; COLUMNS]),
+    batch: &mut SampleBatch,
 ) {
     for idx in 0..machines {
-        if !ledger.seen(idx) || ledger.emitted_this(idx, epoch) {
+        if !ledger.seen(idx) || ledger.committed_in(idx, epoch) {
             continue;
         }
         match ledger.hold(idx, epoch, policy.max_stale_windows) {
-            Hold::Reconstructed(row) => {
-                write(idx, row);
+            Hold::Reconstructed => {
                 stats.rows_reconstructed += 1;
                 stats.rows_written += 1;
             }
-            Hold::Held(row) => {
-                write(idx, row);
+            Hold::Held => {
                 stats.rows_held += 1;
                 stats.rows_written += 1;
             }
-            Hold::NewlyStale => stats.machines_stale += 1,
+            Hold::NewlyStale => {
+                stats.machines_stale += 1;
+                batch.set_row(idx, [0.0; COLUMNS]);
+            }
             Hold::AlreadyStale => {}
         }
     }

@@ -2,7 +2,7 @@
 //! while persistent ingest degrades gracefully — every injected fault
 //! lands in a pipeline-health counter, machines untouched by recent
 //! faults estimate **bit-identically** to a fault-free run, and the
-//! whole scenario replays deterministically (batched and per-row
+//! whole scenario replays deterministically (fused and per-row
 //! reference alike, under several fault seeds, and the anomaly
 //! detector judging the battered estimates included).
 
@@ -213,7 +213,7 @@ fn assert_degrades_gracefully(seed: u64) {
         assert_faults_accounted(&at, &injected, &serial_rep);
         assert_eq!(
             serial_rep, ref_rep,
-            "{at}: batched and per-row reference ingest must degrade identically"
+            "{at}: fused and per-row reference ingest must degrade identically"
         );
 
         // Every machine is either contributing a row or known-stale —
@@ -227,7 +227,7 @@ fn assert_degrades_gracefully(seed: u64) {
             "{at}: rows + stale machines must cover the fleet"
         );
 
-        // Clean-subset bit-identity, batched and reference: machines with
+        // Clean-subset bit-identity, fused and reference: machines with
         // no fault in the last `max_stale_windows + 1` windows have
         // been fed exclusively intact fresh frames, so their estimates
         // carry no trace of the chaos elsewhere in the fleet.
@@ -269,13 +269,14 @@ fn assert_degrades_gracefully(seed: u64) {
 }
 
 proptest! {
-    /// The serial fused path screens health in *batches* — an SoA
-    /// health ledger plus one vectorised column sanity scan per window
-    /// — while `ingest_reference_with` walks the per-row ladder, which
-    /// is the semantic reference. Across arbitrary seeded fault plans
-    /// the two must be indistinguishable: same report (health-counter
-    /// block, rows delivered, reconstructions), same per-machine ladder
-    /// states, and bit-identical estimates, every window.
+    /// The serial fused path folds each frame straight to its batch
+    /// slot and runs the hold pass only when some machine is silent,
+    /// while `ingest_reference_with` decodes every frame to a row and
+    /// runs the hold pass every window; it is the semantic reference.
+    /// Across arbitrary seeded fault plans the two must be
+    /// indistinguishable: same report (health-counter block, rows
+    /// delivered, reconstructions), same per-machine ladder states, and
+    /// bit-identical estimates, every window.
     #[test]
     fn batched_serial_health_matches_per_row_reference(seed in any::<u64>()) {
         let plan = FaultPlan::new(seed);
@@ -351,7 +352,7 @@ fn chaos_run_replays_bit_identically() {
 #[test]
 fn anomaly_detector_judges_a_faulted_stream_bit_identically() {
     // The detector scores every window of a battered stream, held and
-    // stale rows included. Batched and per-row reference ingest feed it
+    // stale rows included. Fused and per-row reference ingest feed it
     // the same estimates, so every replay must judge identically, down
     // to the last bit of every z-score.
     let run = |reference: bool| {

@@ -1,6 +1,6 @@
 //! Equivalence guarantees of the sample payload: whatever the layout,
 //! CPU count (on and off every bitmap byte boundary), value range or
-//! plane code (zero, dense, sparse), ingesting a stream — batched and
+//! plane code (zero, dense, sparse), ingesting a stream — fused and
 //! per-row reference — produces **bit-identical** fleet rows and
 //! estimates to in-memory estimation of the same windows; a payload
 //! that breaks the format is rejected even when it checksums; and a
@@ -191,7 +191,7 @@ proptest! {
     /// makes it dense, sparse (most CPUs repeat their predecessor's
     /// count) or zero (every CPU does) — every frame decodes to the
     /// fleet row in-memory estimation computes, bit for bit, and the
-    /// batched ingest ladder matches its per-row reference.
+    /// fused ingest matches its per-row reference.
     #[test]
     fn wire_ingest_matches_in_memory_bit_identically(
         machines in 1usize..6,

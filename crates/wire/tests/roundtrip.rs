@@ -1,10 +1,10 @@
 //! End-to-end guarantees of the wire codec and ingest: wire ingestion
-//! — batched and per-row reference alike — is bit-identical to
+//! — fused and per-row reference alike — is bit-identical to
 //! in-memory ingestion, and every single-bit corruption of a frame is
 //! detected, never silently ingested.
 
 use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
-use tdp_fleet::FleetEstimator;
+use tdp_fleet::{FleetEstimator, COLUMNS};
 use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig};
 use tdp_wire::{
@@ -492,7 +492,7 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
     // each announces the grant with a frame sent at once, then,
     // phase-staggered, two transmit per window and the other six are
     // reconstructed at their last transmitted row — bit-exactly, with
-    // no row held and no health downgrade, identically under batched
+    // no row held and no health downgrade, identically under fused
     // and per-row reference ingest.
     const MACHINES: usize = 8;
     const DEC: u16 = 4;
@@ -581,7 +581,12 @@ fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
     // the first dec−1 silent windows are reconstruction (protocol), the
     // next max_stale_windows are held as Suspect (the legacy grace),
     // then staleness — counted exactly once for the outage — until a
-    // fresh row revives the machine.
+    // fresh row revives the machine. Rows persist in the batch: a
+    // reconstructed or held window reads the last good row, a stale
+    // one reads all zeros, and the revival frame's row replaces them.
+    let first_row = reference_bits(&[synthetic_set(0, 0, &LAYOUT)]).0;
+    let revive_row = reference_bits(&[synthetic_set(0, 99, &LAYOUT)]).0;
+    let zero_row = vec![vec![0.0f64.to_bits()]; COLUMNS];
     for dec in [1u16, 2, 4] {
         for max_stale in [0u64, 1, 4] {
             let mut enc = WireEncoder::new();
@@ -619,6 +624,8 @@ fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
                     assert_eq!(rep.rows_held, held, "{ctx}");
                     assert_eq!(rep.machines_stale, newly, "{ctx}");
                     assert_eq!(state.machine_health(0), Some(health), "{ctx}");
+                    let row = if written == 1 { &first_row } else { &zero_row };
+                    assert_eq!(&batch_bits(&est), row, "{ctx}: batch row");
                     stale_events += rep.machines_stale;
                 }
                 assert_eq!(stale_events, 1, "one outage, one stale count");
@@ -626,8 +633,111 @@ fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
                 let rep = ingest(&mut state, &revive, 1, &mut est);
                 assert_eq!(rep.rows_written, 1);
                 assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
+                assert_eq!(batch_bits(&est), revive_row, "revived batch row");
             }
         }
+    }
+}
+
+#[test]
+fn a_fresh_ingest_state_starts_from_an_all_zero_batch() {
+    // Rows persist in the batch across an `IngestState`'s windows, but
+    // an estimator may come to a new state holding another stream's
+    // rows. The new state's first window must not inherit them: a
+    // machine that sent nothing reads zeros, not the old row.
+    let full = encode_window(&fleet_window(4));
+    let one = encode_window(&fleet_window(1));
+    let want = reference_bits(&fleet_window(1)).0;
+    for ingest in [ingest_serial_with, ingest_reference_with] {
+        let mut est = FleetEstimator::new(SystemPowerModel::paper());
+        assert_eq!(
+            ingest(&mut IngestState::new(), &full, 4, &mut est).rows_written,
+            4
+        );
+        assert!(batch_bits(&est)
+            .iter()
+            .all(|c| c[1..].iter().all(|&b| b != 0)));
+
+        let rep = ingest(&mut IngestState::new(), &one, 4, &mut est);
+        assert_eq!(rep.rows_written, 1);
+        for (c, (got, want)) in batch_bits(&est).iter().zip(&want).enumerate() {
+            assert_eq!(got[0], want[0], "column {c}: machine 0's fresh row");
+            assert_eq!(got[1..], [0; 3], "column {c}: silent machines read zero");
+        }
+    }
+}
+
+#[test]
+fn machines_cut_off_by_a_smaller_fleet_come_back_unseen() {
+    // 8 machines, then 4, then 8 again two windows after machines 4–7
+    // last sent — well within the hold bound. The cut-off machines lost
+    // their row and their health history with the smaller fleet: on
+    // regrowth they are neither held nor counted stale, read zero rows
+    // and report no health until their next frame.
+    let sets = |senders: u64, w: u64| -> Vec<SampleSet> {
+        (0..senders).map(|m| synthetic_set(m, w, &LAYOUT)).collect()
+    };
+    for ingest in [ingest_serial_with, ingest_reference_with] {
+        let mut state = IngestState::new();
+        let mut est = FleetEstimator::new(SystemPowerModel::paper());
+        let rep = ingest(&mut state, &encode_window(&sets(8, 0)), 8, &mut est);
+        assert_eq!(rep.rows_written, 8);
+
+        for (w, machines) in [(1, 4), (2, 8)] {
+            let rep = ingest(&mut state, &encode_window(&sets(4, w)), machines, &mut est);
+            assert_eq!(rep.rows_written, 4, "window {w}");
+            assert_eq!(rep.rows_held, 0, "window {w}");
+            assert_eq!(rep.rows_reconstructed, 0, "window {w}");
+            assert_eq!(rep.machines_stale, 0, "window {w}");
+            assert!(rep.health().is_clean(), "window {w}: {}", rep.health());
+            for m in 4..8 {
+                assert_eq!(state.machine_health(m), None, "window {w} machine {m}");
+            }
+        }
+        // Window 2: machines 0–3 carry this window's rows, 4–7 zeros.
+        let mut want = reference_bits(&sets(4, 2)).0;
+        for c in &mut want {
+            c.resize(8, 0.0f64.to_bits());
+        }
+        assert_eq!(batch_bits(&est), want, "regrown batch");
+
+        let rep = ingest(&mut state, &encode_window(&sets(8, 3)), 8, &mut est);
+        assert_eq!(rep.rows_written, 8);
+        assert!(rep.health().is_clean(), "{}", rep.health());
+        for m in 0..8 {
+            assert_eq!(state.machine_health(m), Some(HealthState::Healthy));
+        }
+        assert_eq!(batch_bits(&est), reference_bits(&sets(8, 3)).0);
+    }
+}
+
+#[test]
+fn a_machine_sending_twice_does_not_cover_a_silent_one() {
+    // Two machines; in window 1 machine 0 sends two fresh windows and
+    // machine 1 sends nothing. Two rows arrived for a fleet of two, but
+    // machine 1 must still take the hold pass: held at its last row,
+    // while machine 0 keeps the later of its two.
+    let mut enc = WireEncoder::new();
+    for m in 0..2 {
+        enc.push_sample_set(m, &synthetic_set(m, 0, &LAYOUT))
+            .unwrap();
+    }
+    let first = enc.take_bytes();
+    for seq in [1, 2] {
+        enc.push_sample_set(0, &synthetic_set(0, seq, &LAYOUT))
+            .unwrap();
+    }
+    let twice = enc.take_bytes();
+    let want = reference_bits(&[synthetic_set(0, 2, &LAYOUT), synthetic_set(1, 0, &LAYOUT)]).0;
+    for ingest in [ingest_serial_with, ingest_reference_with] {
+        let mut state = IngestState::new();
+        let mut est = FleetEstimator::new(SystemPowerModel::paper());
+        assert_eq!(ingest(&mut state, &first, 2, &mut est).rows_written, 2);
+        let rep = ingest(&mut state, &twice, 2, &mut est);
+        assert_eq!((rep.rows_written, rep.rows_held), (3, 1));
+        assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
+        assert_eq!(state.machine_health(1), Some(HealthState::Suspect));
+        assert_eq!(batch_bits(&est), want);
     }
 }
 
