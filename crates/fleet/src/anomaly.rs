@@ -33,14 +33,20 @@
 //! Verdicts close the loop with the wire protocol:
 //! [`AnomalyDetector::decimation`] answers, per machine, how often the
 //! producer should transmit — `1` (every window) for anomalous,
-//! suspect, or not-yet-warmed machines, the configured
-//! [`healthy_decimation`](AnomalyConfig::healthy_decimation) for
+//! suspect, or not-yet-warmed machines, [`HEALTHY_DECIMATION`] for
 //! machines the fleet agrees are boring. The controller forwards that
 //! to [`WireEncoder::set_decimation`], the encoder announces it on the
 //! machine's layout frame, and ingest reconstructs the skipped windows
 //! by holding the last row — cutting steady-state wire + ingest cost
 //! roughly `N×` while anomalous machines keep full resolution: trace
 //! the problem, not the process.
+//!
+//! # One configuration
+//!
+//! The detector has no settings: [`BASELINE_WINDOWS`], [`THRESHOLD`],
+//! [`HOLD_WINDOWS`], [`HEALTHY_DECIMATION`] and [`REL_FLOOR`] are the
+//! one configuration it runs, as Equations 1–5 run one set of fitted
+//! coefficients.
 //!
 //! [`tdp-wire`]: ../tdp_wire/index.html
 //! [`WireEncoder::set_decimation`]: ../tdp_wire/struct.WireEncoder.html#method.set_decimation
@@ -52,44 +58,32 @@ use crate::FleetEstimates;
 /// can diverge on its own.
 const SUBSYSTEMS: usize = 4;
 
-/// Tuning for [`AnomalyDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnomalyConfig {
-    /// Capacity of the scale window ring — how many windows of
-    /// cross-sectional MAD scales the operative denominator is the
-    /// median of. Also the warmup length: until this many windows have
-    /// been seen, every machine is sampled at full rate and no verdict
-    /// leaves [`Verdict::Normal`].
-    pub baseline_windows: usize,
-    /// Robust z-score at or above which a machine is
-    /// [`Verdict::Anomalous`]. A clean homogeneous fleet sits well
-    /// under 3; the default leaves a wide false-positive margin while
-    /// still catching order-of-magnitude spikes instantly.
-    pub threshold: f64,
-    /// Windows a machine stays [`Verdict::Suspect`] (still sampled
-    /// every window) after its z-score drops back below the threshold.
-    pub hold_windows: u32,
-    /// Sampling decimation granted to warmed-up [`Verdict::Normal`]
-    /// machines: transmit one window in this many, reconstructed by
-    /// hold on ingest.
-    pub healthy_decimation: u16,
-    /// Relative floor on the MAD-derived scale, as a fraction of the
-    /// baseline median's magnitude — keeps z finite on an idle fleet
-    /// whose MAD is exactly zero.
-    pub rel_floor: f64,
-}
+/// Capacity of the scale window ring — how many windows of
+/// cross-sectional MAD scales the operative denominator is the median
+/// of. Also the warmup length: until this many windows have been seen,
+/// every machine is sampled at full rate and no verdict leaves
+/// [`Verdict::Normal`].
+pub const BASELINE_WINDOWS: usize = 8;
 
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        Self {
-            baseline_windows: 8,
-            threshold: 6.0,
-            hold_windows: 3,
-            healthy_decimation: 4,
-            rel_floor: 0.01,
-        }
-    }
-}
+/// Robust z-score at or above which a machine is
+/// [`Verdict::Anomalous`]. A clean homogeneous fleet sits well under 3;
+/// 6 leaves a wide false-positive margin while still catching
+/// order-of-magnitude spikes instantly.
+pub const THRESHOLD: f64 = 6.0;
+
+/// Windows a machine stays [`Verdict::Suspect`] (still sampled every
+/// window) after its z-score drops back below [`THRESHOLD`].
+pub const HOLD_WINDOWS: u32 = 3;
+
+/// Sampling decimation granted to warmed-up [`Verdict::Normal`]
+/// machines: transmit one window in this many, reconstructed by hold
+/// on ingest.
+pub const HEALTHY_DECIMATION: u16 = 4;
+
+/// Relative floor on the MAD-derived scale, as a fraction of the
+/// window median's magnitude — keeps z finite on an idle fleet whose
+/// MAD is exactly zero.
+pub const REL_FLOOR: f64 = 0.01;
 
 /// Where a machine stands with the detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,18 +121,16 @@ pub struct AnomalySummary {
 ///
 /// State is structure-of-arrays: one dense vector per per-machine
 /// field, indexed by machine id, exactly like the wire health ledger.
-#[derive(Debug, Clone)]
+/// [`AnomalyDetector::default`] is a detector with no windows observed.
+#[derive(Debug, Clone, Default)]
 pub struct AnomalyDetector {
-    cfg: AnomalyConfig,
-    /// Ring of per-window MAD-derived scales, subsystem-major
-    /// (`ring_denom[s]` holds up to `baseline_windows` entries).
-    ring_denom: [Vec<f64>; SUBSYSTEMS],
-    /// Next ring slot to overwrite once the ring is full.
+    /// Ring of per-window MAD-derived scales, subsystem-major; the
+    /// first `ring_len` entries of each are filled.
+    ring_denom: [[f64; BASELINE_WINDOWS]; SUBSYSTEMS],
+    /// Next ring slot to write: the oldest entry once the ring is full.
     ring_head: usize,
-    /// Entries currently in the ring (`≤ baseline_windows`).
+    /// Entries currently in the ring (`≤ BASELINE_WINDOWS`).
     ring_len: usize,
-    /// Windows observed in total.
-    windows: u64,
     /// Per machine of the latest window: latest robust z-score.
     z: Vec<f64>,
     /// Per machine of the latest window: current verdict.
@@ -146,15 +138,9 @@ pub struct AnomalyDetector {
     /// Per machine of the latest window: remaining hysteresis windows.
     hold: Vec<u32>,
     /// Order-preserving [`key`]s of one column at a time (values, then
-    /// absolute deviations, then a scale ring), permuted in place by
-    /// the median selections.
+    /// absolute deviations), permuted in place by the median
+    /// selections.
     scratch: Vec<u64>,
-}
-
-impl Default for AnomalyDetector {
-    fn default() -> Self {
-        Self::new(AnomalyConfig::default())
-    }
 }
 
 /// Maps `v` to a `u64` whose plain order is [`f64::total_cmp`]'s
@@ -198,7 +184,6 @@ fn median_in(keys: &mut [u64]) -> f64 {
 /// baseline, then the verdict transition.
 #[inline]
 fn judge(
-    cfg: &AnomalyConfig,
     base: &Baseline,
     x: [f64; SUBSYSTEMS],
     prev_hold: u32,
@@ -214,8 +199,8 @@ fn judge(
     if !warmed {
         return (z, Verdict::Normal, 0);
     }
-    if z >= cfg.threshold {
-        (z, Verdict::Anomalous, cfg.hold_windows)
+    if z >= THRESHOLD {
+        (z, Verdict::Anomalous, HOLD_WINDOWS)
     } else if prev_hold > 0 {
         (z, Verdict::Suspect, prev_hold - 1)
     } else {
@@ -224,35 +209,10 @@ fn judge(
 }
 
 impl AnomalyDetector {
-    /// A detector with no windows observed.
-    pub fn new(cfg: AnomalyConfig) -> Self {
-        Self {
-            cfg,
-            ring_denom: Default::default(),
-            ring_head: 0,
-            ring_len: 0,
-            windows: 0,
-            z: Vec::new(),
-            verdict: Vec::new(),
-            hold: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The configuration this detector runs.
-    pub fn config(&self) -> &AnomalyConfig {
-        &self.cfg
-    }
-
-    /// Windows observed so far.
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
     /// Whether the baseline ring is full — verdicts and decimation
     /// grants are only issued from here on.
     pub fn warmed(&self) -> bool {
-        self.ring_len >= self.cfg.baseline_windows.max(1)
+        self.ring_len == BASELINE_WINDOWS
     }
 
     /// Machine `m`'s current verdict ([`Verdict::Normal`] if never
@@ -268,11 +228,11 @@ impl AnomalyDetector {
 
     /// The sampling decimation the control loop should grant machine
     /// `m`: full rate until the detector is warmed and for any machine
-    /// not currently [`Verdict::Normal`], the configured healthy
-    /// decimation otherwise.
+    /// not currently [`Verdict::Normal`], [`HEALTHY_DECIMATION`]
+    /// otherwise.
     pub fn decimation(&self, m: usize) -> u16 {
         if self.warmed() && self.verdict(m) == Verdict::Normal {
-            self.cfg.healthy_decimation.max(1)
+            HEALTHY_DECIMATION
         } else {
             1
         }
@@ -300,7 +260,6 @@ impl AnomalyDetector {
     /// pushed into the ring, and the operative scale (ring median)
     /// read back out.
     fn refresh_baseline(&mut self, cols: &[&[f64]; SUBSYSTEMS]) -> Baseline {
-        let cap = self.cfg.baseline_windows.max(1);
         let mut base = Baseline {
             med: [0.0; SUBSYSTEMS],
             denom: [0.0; SUBSYSTEMS],
@@ -313,22 +272,15 @@ impl AnomalyDetector {
             self.scratch
                 .extend(col.iter().map(|&v| key((v - med).abs())));
             let mad = median_in(&mut self.scratch);
-            let denom = (1.4826 * mad).max(self.cfg.rel_floor * med.abs() + 1e-12);
-            if self.ring_denom[s].len() < cap {
-                self.ring_denom[s].push(denom);
-            } else {
-                self.ring_denom[s][self.ring_head] = denom;
-            }
+            let denom = (1.4826 * mad).max(REL_FLOOR * med.abs() + 1e-12);
+            self.ring_denom[s][self.ring_head] = denom;
             base.med[s] = med;
         }
-        self.ring_len = self.ring_denom[0].len();
-        self.ring_head = (self.ring_head + 1) % cap;
-        self.windows += 1;
-        for s in 0..SUBSYSTEMS {
-            self.scratch.clear();
-            self.scratch
-                .extend(self.ring_denom[s].iter().map(|&v| key(v)));
-            base.denom[s] = median_in(&mut self.scratch);
+        self.ring_len = (self.ring_len + 1).min(BASELINE_WINDOWS);
+        self.ring_head = (self.ring_head + 1) % BASELINE_WINDOWS;
+        for (d, ring) in base.denom.iter_mut().zip(&self.ring_denom) {
+            let mut keys = ring.map(key);
+            *d = median_in(&mut keys[..self.ring_len]);
         }
         base
     }
@@ -351,7 +303,7 @@ impl AnomalyDetector {
         #[allow(clippy::needless_range_loop)] // four parallel columns, one index
         for m in 0..n {
             let x = [cols[0][m], cols[1][m], cols[2][m], cols[3][m]];
-            let (z, v, hold) = judge(&self.cfg, &base, x, self.hold[m], warmed);
+            let (z, v, hold) = judge(&base, x, self.hold[m], warmed);
             self.z[m] = z;
             self.verdict[m] = v;
             self.hold[m] = hold;
@@ -526,9 +478,9 @@ mod tests {
         assert!(det.warmed());
         let s = det.summary();
         assert_eq!((s.anomalous, s.suspect), (0, 0), "false positives");
-        assert!(s.max_z < det.config().threshold, "z = {}", s.max_z);
+        assert!(s.max_z < THRESHOLD, "z = {}", s.max_z);
         for m in 0..32 {
-            assert_eq!(det.decimation(m), det.config().healthy_decimation);
+            assert_eq!(det.decimation(m), HEALTHY_DECIMATION);
         }
     }
 
@@ -547,8 +499,8 @@ mod tests {
         assert_eq!(det.verdict(7), Verdict::Anomalous);
         assert_eq!(det.decimation(7), 1);
         assert_eq!(det.summary().anomalous, 1, "only the spiked machine");
-        // Recovery: suspect for hold_windows, then normal again.
-        for w in 0..det.config().hold_windows {
+        // Recovery: suspect for HOLD_WINDOWS, then normal again.
+        for w in 0..HOLD_WINDOWS {
             let e = estimates_for(&mut est, 32, 200 + w as u64, None);
             det.update(&e);
             assert_eq!(det.verdict(7), Verdict::Suspect, "hold window {w}");
@@ -557,7 +509,7 @@ mod tests {
         let e = estimates_for(&mut est, 32, 300, None);
         det.update(&e);
         assert_eq!(det.verdict(7), Verdict::Normal);
-        assert_eq!(det.decimation(7), det.config().healthy_decimation);
+        assert_eq!(det.decimation(7), HEALTHY_DECIMATION);
     }
 
     #[test]
@@ -577,8 +529,8 @@ mod tests {
 
     /// The detector's statistics recomputed with [`sort_median`]: the
     /// scale ring and hysteresis holds it needs, nothing else.
+    #[derive(Default)]
     struct SortReference {
-        cfg: AnomalyConfig,
         ring: [Vec<f64>; SUBSYSTEMS],
         head: usize,
         hold: Vec<u32>,
@@ -588,7 +540,7 @@ mod tests {
         /// One window: the baseline, whether the ring is full, and
         /// every machine's `(z, verdict)`.
         fn update(&mut self, est: &FleetEstimates) -> (Baseline, bool, Vec<(f64, Verdict)>) {
-            let cap = self.cfg.baseline_windows.max(1);
+            let cap = BASELINE_WINDOWS;
             let cols = [est.cpu(), est.memory(), est.disk(), est.io()];
             let mut base = Baseline {
                 med: [0.0; SUBSYSTEMS],
@@ -598,7 +550,7 @@ mod tests {
                 let med = sort_median(&mut col.to_vec());
                 let mut dev: Vec<f64> = col.iter().map(|&v| (v - med).abs()).collect();
                 let mad = sort_median(&mut dev);
-                let denom = (1.4826 * mad).max(self.cfg.rel_floor * med.abs() + 1e-12);
+                let denom = (1.4826 * mad).max(REL_FLOOR * med.abs() + 1e-12);
                 if self.ring[s].len() < cap {
                     self.ring[s].push(denom);
                 } else {
@@ -615,7 +567,7 @@ mod tests {
             let judged = (0..est.len())
                 .map(|m| {
                     let x = cols.map(|c| c[m]);
-                    let (z, v, hold) = judge(&self.cfg, &base, x, self.hold[m], warmed);
+                    let (z, v, hold) = judge(&base, x, self.hold[m], warmed);
                     self.hold[m] = hold;
                     (z, v)
                 })
@@ -630,12 +582,7 @@ mod tests {
         for machines in [1usize, 2, 255, 256, 1024] {
             let mut est = FleetEstimator::new(SystemPowerModel::paper());
             let mut det = AnomalyDetector::default();
-            let mut reference = SortReference {
-                cfg: *det.config(),
-                ring: Default::default(),
-                head: 0,
-                hold: Vec::new(),
-            };
+            let mut reference = SortReference::default();
             let (mut anomalous, mut suspect) = (0, 0);
             for w in 0..24u64 {
                 // A spike every third window, on a machine that moves.
@@ -651,7 +598,7 @@ mod tests {
                 assert_eq!(det.warmed(), warmed, "{at}");
                 for (m, &(z, v)) in judged.iter().enumerate() {
                     let dec = if warmed && v == Verdict::Normal {
-                        det.config().healthy_decimation
+                        HEALTHY_DECIMATION
                     } else {
                         1
                     };
@@ -686,17 +633,16 @@ mod tests {
         det.update(&estimates_for(&mut est, 16, 101, None));
         let s = det.summary();
         assert_eq!((s.anomalous, s.suspect), (0, 0));
-        assert!(s.max_z < det.config().threshold, "z = {}", s.max_z);
+        assert!(s.max_z < THRESHOLD, "z = {}", s.max_z);
         assert_eq!(det.verdict(30), Verdict::Normal);
         assert_eq!(det.z(30).to_bits(), 0.0f64.to_bits());
         // The fleet regrows: the new machine 30 inherits no hold, so it
         // is judged Normal and granted decimation like its peers.
         det.update(&estimates_for(&mut est, 32, 102, None));
-        let healthy = det.config().healthy_decimation;
         for m in [15, 16, 30, 31] {
             assert_eq!(det.verdict(m), Verdict::Normal, "machine {m}");
-            assert!(det.z(m) < det.config().threshold, "machine {m}");
-            assert_eq!(det.decimation(m), healthy, "machine {m}");
+            assert!(det.z(m) < THRESHOLD, "machine {m}");
+            assert_eq!(det.decimation(m), HEALTHY_DECIMATION, "machine {m}");
         }
         assert_eq!(det.summary().anomalous + det.summary().suspect, 0);
     }

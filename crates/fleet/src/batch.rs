@@ -8,7 +8,7 @@
 //! consume the same thirteen of them for every machine. `SampleBatch`
 //! therefore stores one contiguous `f64` column per aggregate — one
 //! entry per machine — so model evaluation becomes a handful of dense
-//! column passes (see [`kernels`](crate::kernels)) instead of N
+//! column passes (the [`tdp_simd`] kernels) instead of N
 //! scattered struct walks.
 //!
 //! Ingestion mirrors `SystemSample::from_sample_set` (same
@@ -238,7 +238,7 @@ fn extract_set(set: &SampleSet, lanes: &mut Vec<f64>) -> [f64; COLUMNS] {
             None => lanes.resize(lanes.len() + cpus, 0.0),
         }
     }
-    fold_event_lanes(tdp_simd::Dispatch::active(), lanes, cpus)
+    fold_event_lanes(lanes, cpus)
 }
 
 /// Turns one CPU's counts, widened to f64 with a missing event carried
@@ -343,20 +343,20 @@ impl RowAccumulator {
 /// same rounding wherever performed, an absent event ≡ a `0.0` lane,
 /// and the CPU fold order (CPU 0 first) is unchanged. The kernel's
 /// elementwise-then-ordered-reduce structure is itself bit-identical to
-/// the scalar per-CPU accumulation (see its docs), so dispatch flavour
-/// never changes a row.
+/// the scalar per-CPU accumulation (see its docs), so a row never
+/// depends on whether the machine ran the AVX2 or the scalar flavour.
 ///
 /// # Panics
 ///
 /// Panics if `lanes.len() != 9 · cpus`.
 #[inline]
-pub fn fold_event_lanes(d: tdp_simd::Dispatch, lanes: &[f64], cpus: usize) -> [f64; COLUMNS] {
+pub fn fold_event_lanes(lanes: &[f64], cpus: usize) -> [f64; COLUMNS] {
     let mut row = [0.0f64; COLUMNS];
     row[col::NUM_CPUS] = cpus as f64;
     let rates: &mut [f64; COLUMNS - 1] = (&mut row[col::ACTIVE..])
         .try_into()
         .expect("12 rate columns");
-    tdp_simd::fold_row_rates(d, lanes, cpus, rates);
+    tdp_simd::fold_row_rates(lanes, cpus, rates);
     row
 }
 
@@ -466,32 +466,26 @@ mod tests {
         // Counts spanning zero cycles, missing events (a `0.0` lane on
         // the fold side, `None` on the accumulator side) and counts past
         // 2^53, at CPU counts on and off the kernel's 4-CPU chunk.
-        for d in [tdp_simd::Dispatch::Scalar, tdp_simd::Dispatch::Wide] {
-            for cpus in [0usize, 1, 3, 4, 5, 32] {
-                let count = |k: usize, c: usize| -> Option<u64> {
-                    match (k * 7 + c * 3) % 11 {
-                        0 => None,
-                        1 => Some(0),
-                        2 => Some(u64::MAX - c as u64),
-                        v => Some((v as u64) << (k * 4 + c % 5)),
-                    }
-                };
-                let mut lanes = vec![0.0; ROW_EVENTS.len() * cpus];
-                let mut acc = RowAccumulator::new(cpus);
-                for c in 0..cpus {
-                    for k in 0..ROW_EVENTS.len() {
-                        lanes[k * cpus + c] = count(k, c).map_or(0.0, |n| n as f64);
-                    }
-                    acc.accumulate_cpu(std::array::from_fn(|k| count(k, c)));
+        for cpus in [0usize, 1, 3, 4, 5, 32] {
+            let count = |k: usize, c: usize| -> Option<u64> {
+                match (k * 7 + c * 3) % 11 {
+                    0 => None,
+                    1 => Some(0),
+                    2 => Some(u64::MAX - c as u64),
+                    v => Some((v as u64) << (k * 4 + c % 5)),
                 }
-                let got = fold_event_lanes(d, &lanes, cpus);
-                let want = acc.finish();
-                assert_eq!(
-                    got.map(f64::to_bits),
-                    want.map(f64::to_bits),
-                    "{d:?} cpus={cpus}"
-                );
+            };
+            let mut lanes = vec![0.0; ROW_EVENTS.len() * cpus];
+            let mut acc = RowAccumulator::new(cpus);
+            for c in 0..cpus {
+                for k in 0..ROW_EVENTS.len() {
+                    lanes[k * cpus + c] = count(k, c).map_or(0.0, |n| n as f64);
+                }
+                acc.accumulate_cpu(std::array::from_fn(|k| count(k, c)));
             }
+            let got = fold_event_lanes(&lanes, cpus);
+            let want = acc.finish();
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "cpus={cpus}");
         }
     }
 

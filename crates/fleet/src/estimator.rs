@@ -1,10 +1,23 @@
 //! Batched fleet estimation: evaluate one [`SystemPowerModel`] over
-//! every machine in a window with column kernels.
+//! every machine in a window with the [`tdp_simd`] column kernels.
+//!
+//! Equations 1–5 are linear/quadratic forms, so a model over a whole
+//! fleet column is `fill` (the DC term) plus a few `axpy` passes, or one
+//! `quadratic` pass per Equation 2/3/5 (the squared inputs are columns
+//! of their own). Two contracts follow from the kernels:
+//!
+//! * every kernel is elementwise — `out[i]` depends only on position
+//!   `i` of the inputs — so a machine's estimate never depends on its
+//!   neighbours or on the fleet size;
+//! * the quadratic and clamp kernels evaluate `trickledown::quad_poly`'s
+//!   and `trickledown::clamp_watts`'s exact expressions, so batched and
+//!   scalar predictions agree bit for bit on identical aggregates
+//!   (pinned by `tests/quad_crosscheck.rs`).
 
 use crate::batch::{col, SampleBatch, COLUMNS};
-use crate::kernels::{add_assign, axpy, clamp_predictions, fill, quadratic, quadratic_acc};
 use tdp_counters::{SampleSet, Subsystem};
 use tdp_powermeter::SubsystemPower;
+use tdp_simd::{add_assign, axpy, clamp_predictions, fill, quadratic, quadratic_acc};
 use trickledown::{MemoryInput, SystemPowerModel, SystemSample};
 
 /// Output columns: five subsystems plus the precomputed total.
@@ -85,11 +98,11 @@ impl FleetEstimates {
 
     /// Total estimated watts across the whole fleet.
     ///
-    /// Reduced with [`crate::kernels::sum`]'s fixed four-accumulator
-    /// association: identical across dispatch modes, a few ulp from a
+    /// Reduced with [`tdp_simd::sum`]'s fixed four-accumulator
+    /// association: identical on every machine, a few ulp from a
     /// sequential sum.
     pub fn fleet_total(&self) -> f64 {
-        crate::kernels::sum(&self.cols[OUT_TOTAL])
+        tdp_simd::sum(&self.cols[OUT_TOTAL])
     }
 
     /// How many subsystem predictions this window had to be clamped to
@@ -238,7 +251,6 @@ pub struct FleetEstimator {
     model: SystemPowerModel,
     batch: SampleBatch,
     estimates: FleetEstimates,
-    windows: u64,
 }
 
 impl FleetEstimator {
@@ -254,18 +266,12 @@ impl FleetEstimator {
             model,
             batch: SampleBatch::with_capacity(machines),
             estimates: FleetEstimates::default(),
-            windows: 0,
         }
     }
 
     /// The model in use.
     pub fn model(&self) -> &SystemPowerModel {
         &self.model
-    }
-
-    /// Windows estimated so far.
-    pub fn windows(&self) -> u64 {
-        self.windows
     }
 
     /// The current window's ingested batch.
@@ -310,7 +316,6 @@ impl FleetEstimator {
             &self.batch.col_slices(),
             &mut self.estimates.col_slices_mut(),
         );
-        self.windows += 1;
         &self.estimates
     }
 

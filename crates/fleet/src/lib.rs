@@ -19,7 +19,7 @@
 //!   allocation in the steady state.
 //! * [`FleetEstimator`] — vectorized evaluation. Equations 1–5 are
 //!   linear/quadratic forms, so each model coefficient becomes one
-//!   `axpy` pass over a column ([`kernels`]); output lands in
+//!   `axpy` pass over a column (the [`tdp_simd`] kernels); output lands in
 //!   caller-owned column buffers reused window after window.
 //!
 //! Models are fitted offline, as in the paper, by
@@ -50,16 +50,15 @@
 //! println!("fleet draws {:.0} W", estimates.fleet_total());
 //! ```
 
-// The wide kernels live in `tdp-simd`, behind its runtime dispatch;
-// this crate only calls them, so it needs no `unsafe` at all.
+// The wide kernels live in `tdp-simd`; this crate only calls them, so
+// it needs no `unsafe` at all.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod anomaly;
 mod batch;
 mod estimator;
-pub mod kernels;
 
-pub use anomaly::{AnomalyConfig, AnomalyDetector, AnomalySummary, Verdict};
+pub use anomaly::{AnomalyDetector, AnomalySummary, Verdict};
 pub use batch::{col, fold_event_lanes, RowAccumulator, SampleBatch, COLUMNS, ROW_EVENTS};
 pub use estimator::{FleetEstimates, FleetEstimator};

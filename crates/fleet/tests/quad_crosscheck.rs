@@ -8,10 +8,13 @@
 //! the same CPU order, so their results must agree to the last bit,
 //! not within a tolerance. This test pins that contract for every
 //! quadratic model against fleet batches ingested from the same
-//! pre-extracted samples.
+//! pre-extracted samples, and pins `tdp-simd`'s local copies of
+//! `quad_poly` and `clamp_watts` (that crate sits below `trickledown`)
+//! against the canonical helpers through the kernels directly.
 
 use tdp_fleet::FleetEstimator;
-use trickledown::{CpuRates, MemoryInput, SystemPowerModel, SystemSample};
+use tdp_simd::{clamp_predictions, quadratic, quadratic_acc};
+use trickledown::{clamp_watts, quad_poly, CpuRates, MemoryInput, SystemPowerModel, SystemSample};
 
 fn sample(machine: usize, cpus: usize) -> SystemSample {
     let m = machine as f64;
@@ -164,4 +167,39 @@ fn quadratic_models_agree_bit_for_bit_fitted_coefficients() {
     model.io.int_quad *= 0.999991;
     assert!(matches!(model.memory.input, MemoryInput::BusTransactions));
     crosscheck(model);
+}
+
+#[test]
+fn clamp_predictions_matches_scalar_clamp_and_counts() {
+    // One negative entry, one above the 4-CPU ceiling, two already in
+    // range (incl. an exact-ceiling value that must not count).
+    let dc = 21.6;
+    let peak1 = 0.5;
+    let ncpus = [4.0, 4.0, 4.0, 2.0];
+    let raw = [-3.0, 30.0, dc + peak1 * 4.0, 10.0];
+    let mut out = raw;
+    assert_eq!(clamp_predictions(&mut out, dc, peak1, &ncpus), 2);
+    for (i, ((&o, &r), &nc)) in out.iter().zip(&raw).zip(&ncpus).enumerate() {
+        let expect = clamp_watts(r, dc + peak1 * nc);
+        assert_eq!(o.to_bits(), expect.to_bits(), "i={i}");
+    }
+}
+
+#[test]
+fn quadratic_kernels_match_quad_poly_bit_for_bit() {
+    let x: Vec<f64> = (0..33).map(|i| i as f64 * 0.37 - 4.0).collect();
+    let x_sq: Vec<f64> = x.iter().map(|v| v * v).collect();
+    let (dc, lin, quad) = (21.6, 10.6e7, -11.1e15);
+    let mut out = vec![0.0; x.len()];
+    quadratic(&mut out, dc, lin, quad, &x, &x_sq);
+    for (i, &o) in out.iter().enumerate() {
+        let expect = quad_poly(dc, lin, quad, x[i], x_sq[i]);
+        assert_eq!(o.to_bits(), expect.to_bits(), "i={i}");
+    }
+    quadratic_acc(&mut out, 9.18, -45.4, &x, &x_sq);
+    for (i, &o) in out.iter().enumerate() {
+        let expect =
+            quad_poly(dc, lin, quad, x[i], x_sq[i]) + quad_poly(0.0, 9.18, -45.4, x[i], x_sq[i]);
+        assert_eq!(o.to_bits(), expect.to_bits(), "i={i}");
+    }
 }

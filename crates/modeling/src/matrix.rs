@@ -7,12 +7,11 @@
 //! The row-sweep inner loops ([`matmul`](Matrix::matmul),
 //! [`gram`](Matrix::gram), [`transpose_vec_mul`](Matrix::transpose_vec_mul))
 //! accumulate through the workspace-wide [`tdp_simd::axpy`] kernel —
-//! elementwise, so both dispatch flavours produce bit-identical results.
+//! elementwise, so its scalar and AVX2 flavours produce bit-identical results.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
-use tdp_simd::Dispatch;
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -124,7 +123,6 @@ impl Matrix {
             "inner dimensions must agree: {}x{} · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let d = Dispatch::active();
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
             let out_row = out.row_mut(i);
@@ -133,7 +131,7 @@ impl Matrix {
                 if a == 0.0 {
                     continue;
                 }
-                tdp_simd::axpy(d, out_row, a, rhs.row(k));
+                tdp_simd::axpy(out_row, a, rhs.row(k));
             }
         }
         out
@@ -142,7 +140,6 @@ impl Matrix {
     /// Computes `selfᵀ · self` (the Gram matrix) without materialising the
     /// transpose.
     pub fn gram(&self) -> Matrix {
-        let d = Dispatch::active();
         let mut out = Matrix::zeros(self.cols, self.cols);
         for r in 0..self.rows {
             let row = self.row(r);
@@ -151,7 +148,7 @@ impl Matrix {
                 if v == 0.0 {
                     continue;
                 }
-                tdp_simd::axpy(d, &mut out.row_mut(i)[i..], v, &row[i..]);
+                tdp_simd::axpy(&mut out.row_mut(i)[i..], v, &row[i..]);
             }
         }
         // mirror the upper triangle
@@ -170,10 +167,9 @@ impl Matrix {
     /// Panics if `y.len() != self.rows()`.
     pub fn transpose_vec_mul(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.rows, "vector length must match row count");
-        let d = Dispatch::active();
         let mut out = vec![0.0; self.cols];
         for (r, &w) in y.iter().enumerate() {
-            tdp_simd::axpy(d, &mut out, w, self.row(r));
+            tdp_simd::axpy(&mut out, w, self.row(r));
         }
         out
     }

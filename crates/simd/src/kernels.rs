@@ -3,10 +3,11 @@
 //! Every kernel follows the same pattern: a private `#[inline(always)]`
 //! `*_impl` holds the arithmetic; a `#[target_feature(enable = "avx2")]`
 //! wrapper re-compiles that body with 256-bit lanes available; the
-//! public function dispatches between them. Because both flavours
+//! public kernel runs that wrapper where the hardware has AVX2 and the
+//! scalar body everywhere else. Because both flavours
 //! inline the *same* expression sequence and Rust neither contracts
 //! (`a*b + c` → FMA) nor reassociates floating point, the elementwise
-//! kernels are bit-identical across dispatch modes. The reduction
+//! kernels are bit-identical across flavours. The reduction
 //! ([`sum`]) hard-codes a four-accumulator association in the shared
 //! body for the same reason — see the crate docs.
 //!
@@ -17,15 +18,21 @@
 //! against the canonical helpers bit for bit, so the copies cannot
 //! drift silently.
 
-use crate::Dispatch;
+/// Whether this machine can run the AVX2 kernel flavour. The standard
+/// library caches the detection, so every kernel asks on each call.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn wide_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
 
 /// Elements per unrolled step in the elementwise kernels; two 256-bit
 /// registers of f64 lanes under AVX2.
 const LANES: usize = 8;
 
 /// Accumulator count in the reduction ([`sum`]): one 256-bit
-/// register of f64 lanes. Fixed so both dispatch flavours (and any
-/// future wider one) share one documented association.
+/// register of f64 lanes. Fixed so both flavours (and any future wider
+/// one) share one documented association.
 const ACCS: usize = 4;
 
 /// Local copy of [`trickledown::quad_poly`]'s expression —
@@ -48,74 +55,44 @@ fn clamp_watts(w: f64, ceil: f64) -> f64 {
     }
 }
 
-/// Defines the AVX2 recompilation of `$impl` and the public dispatcher
-/// `$name` choosing between the two flavours.
+/// Defines the AVX2 recompilation `$avx2` of `$impl` and the public
+/// kernel `$name`, which runs it where the hardware has AVX2 and the
+/// scalar body `$impl` everywhere else.
 ///
 /// The AVX2 wrapper is `unsafe fn` purely because of `target_feature`;
-/// the dispatcher re-verifies hardware support before every wide call,
-/// so a hand-built [`Dispatch::Wide`] on non-AVX2 hardware degrades to
-/// the scalar flavour instead of hitting undefined behaviour.
+/// the kernel checks hardware support before every wide call.
 macro_rules! wide_kernel {
     (
         $(#[$doc:meta])*
         pub fn $name:ident[$impl:ident / $avx2:ident](
             $($arg:ident: $ty:ty),* $(,)?
-        );
+        ) $(-> $ret:ty)?;
     ) => {
+        /// The AVX2 flavour of the kernel.
+        ///
+        /// # Safety
+        ///
+        /// The CPU running it must support AVX2.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) {
+        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
             $impl($($arg),*)
         }
 
         $(#[$doc])*
-        // Inline the dispatcher itself (a two-way match) so callers in
-        // other crates pay no call overhead reaching it; the scalar
+        // Inline the kernel itself (one cached feature test) so callers
+        // in other crates pay no call overhead reaching it; the scalar
         // flavour then inlines fully, while the AVX2 flavour stays an
         // out-of-line `target_feature` call as it must.
         #[inline]
-        pub fn $name(d: Dispatch, $($arg: $ty),*) {
-            match d {
-                Dispatch::Scalar => $impl($($arg),*),
-                Dispatch::Wide => {
-                    #[cfg(target_arch = "x86_64")]
-                    if crate::wide_available() {
-                        // SAFETY: AVX2 support verified on the line
-                        // above; the wrapper has no other obligations.
-                        return unsafe { $avx2($($arg),*) };
-                    }
-                    $impl($($arg),*)
-                }
+        pub fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if wide_available() {
+                // SAFETY: AVX2 support verified on the line above; the
+                // wrapper has no other obligations.
+                return unsafe { $avx2($($arg),*) };
             }
-        }
-    };
-    (
-        $(#[$doc:meta])*
-        pub fn $name:ident[$impl:ident / $avx2:ident](
-            $($arg:ident: $ty:ty),* $(,)?
-        ) -> $ret:ty;
-    ) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) -> $ret {
             $impl($($arg),*)
-        }
-
-        $(#[$doc])*
-        #[inline]
-        pub fn $name(d: Dispatch, $($arg: $ty),*) -> $ret {
-            match d {
-                Dispatch::Scalar => $impl($($arg),*),
-                Dispatch::Wide => {
-                    #[cfg(target_arch = "x86_64")]
-                    if crate::wide_available() {
-                        // SAFETY: AVX2 support verified on the line
-                        // above; the wrapper has no other obligations.
-                        return unsafe { $avx2($($arg),*) };
-                    }
-                    $impl($($arg),*)
-                }
-            }
         }
     };
 }
@@ -147,8 +124,8 @@ fn axpy_impl(out: &mut [f64], a: f64, x: &[f64]) {
 }
 
 wide_kernel! {
-    /// `out[i] += a · x[i]`. Elementwise: bit-identical across dispatch
-    /// modes.
+    /// `out[i] += a · x[i]`. Elementwise: bit-identical across
+    /// flavours.
     ///
     /// # Panics
     ///
@@ -174,7 +151,7 @@ fn quadratic_impl(out: &mut [f64], dc: f64, lin: f64, quad: f64, x: &[f64], x_sq
 wide_kernel! {
     /// `out[i] = dc + lin·x[i] + quad·x_sq[i]` — one whole quadratic
     /// model per pass, in `trickledown::quad_poly`'s association.
-    /// Elementwise: bit-identical across dispatch modes.
+    /// Elementwise: bit-identical across flavours.
     ///
     /// # Panics
     ///
@@ -196,7 +173,7 @@ fn quadratic_acc_impl(out: &mut [f64], lin: f64, quad: f64, x: &[f64], x_sq: &[f
 wide_kernel! {
     /// `out[i] += 0 + lin·x[i] + quad·x_sq[i]` — the accumulate form
     /// for multi-input models. Elementwise: bit-identical across
-    /// dispatch modes.
+    /// flavours.
     ///
     /// # Panics
     ///
@@ -224,8 +201,8 @@ wide_kernel! {
     /// `out[i] = clamp_watts(out[i], dc + peak1 · ncpus[i])`, returning
     /// how many entries changed (for the pipeline-health counters).
     /// Elementwise, comparison sequence identical to
-    /// `trickledown::clamp_watts`: bit-identical across dispatch
-    /// modes, including NaN pass-through.
+    /// `trickledown::clamp_watts`: bit-identical across flavours,
+    /// including NaN pass-through.
     ///
     /// # Panics
     ///
@@ -251,8 +228,8 @@ fn add_assign_impl(out: &mut [f64], x: &[f64]) {
 }
 
 wide_kernel! {
-    /// `out[i] += x[i]`. Elementwise: bit-identical across dispatch
-    /// modes.
+    /// `out[i] += x[i]`. Elementwise: bit-identical across
+    /// flavours.
     ///
     /// # Panics
     ///
@@ -278,7 +255,7 @@ fn sum_impl(x: &[f64]) -> f64 {
 
 wide_kernel! {
     /// `Σ x[i]` with the fixed four-accumulator association documented
-    /// at the crate level: bit-identical across dispatch modes, a few
+    /// at the crate level: bit-identical across flavours, a few
     /// ulp from a naive sequential sum.
     pub fn sum[sum_impl / sum_avx2](x: &[f64]) -> f64;
 }
@@ -364,7 +341,7 @@ wide_kernel! {
     /// `n · (1/max(cycles, 1))` — the exact expression sequence of the
     /// scalar reference fold — and rates are derived elementwise before
     /// a scalar in-order reduction, so the result is bit-identical
-    /// across dispatch modes *and* to the per-CPU scalar accumulation.
+    /// across flavours *and* to the per-CPU scalar accumulation.
     ///
     /// # Panics
     ///
@@ -379,12 +356,75 @@ wide_kernel! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    const BOTH: [Dispatch; 2] = [Dispatch::Scalar, Dispatch::Wide];
+    /// `out, dc, lin, quad, x, x_sq`, as [`quadratic`] takes them.
+    type QuadraticFn = fn(&mut [f64], f64, f64, f64, &[f64], &[f64]);
+
+    /// One flavour of every kernel, as plain function pointers, so each
+    /// test runs the same calls through every flavour and compares bits.
+    struct Flavour {
+        name: &'static str,
+        fill: fn(&mut [f64], f64),
+        axpy: fn(&mut [f64], f64, &[f64]),
+        quadratic: QuadraticFn,
+        quadratic_acc: fn(&mut [f64], f64, f64, &[f64], &[f64]),
+        clamp_predictions: fn(&mut [f64], f64, f64, &[f64]) -> u64,
+        add_assign: fn(&mut [f64], &[f64]),
+        sum: fn(&[f64]) -> f64,
+        fold_row_rates: fn(&[f64], usize, &mut [f64; 12]),
+    }
+
+    /// The flavours this machine can run: the scalar bodies, the AVX2
+    /// wrappers where the hardware has AVX2, and the public kernels
+    /// (which pick one of the two).
+    fn flavours() -> Vec<Flavour> {
+        let mut all = vec![
+            Flavour {
+                name: "scalar",
+                fill: fill_impl,
+                axpy: axpy_checked,
+                quadratic: quadratic_impl,
+                quadratic_acc: quadratic_acc_impl,
+                clamp_predictions: clamp_impl,
+                add_assign: add_assign_impl,
+                sum: sum_impl,
+                fold_row_rates: fold_row_impl,
+            },
+            Flavour {
+                name: "public",
+                fill,
+                axpy,
+                quadratic,
+                quadratic_acc,
+                clamp_predictions,
+                add_assign,
+                sum,
+                fold_row_rates,
+            },
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if wide_available() {
+            // SAFETY (every closure): this flavour exists only on a
+            // machine that has AVX2, checked just above.
+            all.push(Flavour {
+                name: "avx2",
+                fill: |o, v| unsafe { fill_avx2(o, v) },
+                axpy: |o, a, x| unsafe { axpy_avx2(o, a, x) },
+                quadratic: |o, dc, l, q, x, s| unsafe { quadratic_avx2(o, dc, l, q, x, s) },
+                quadratic_acc: |o, l, q, x, s| unsafe { quadratic_acc_avx2(o, l, q, x, s) },
+                clamp_predictions: |o, dc, p, n| unsafe { clamp_avx2(o, dc, p, n) },
+                add_assign: |o, x| unsafe { add_assign_avx2(o, x) },
+                sum: |x| unsafe { sum_avx2(x) },
+                fold_row_rates: |l, c, o| unsafe { fold_row_avx2(l, c, o) },
+            });
+        }
+        all
+    }
 
     #[test]
     fn fold_row_rates_matches_per_cpu_reference_bit_for_bit() {
-        for d in BOTH {
+        for f in flavours() {
             for cpus in [1usize, 2, 3, 4, 5, 7, 8, 12, 17] {
                 // Lane values spanning zero counts, zero cycles, and
                 // large magnitudes — the cases the rate expressions
@@ -397,7 +437,7 @@ mod tests {
                     })
                     .collect();
                 let mut got = [0.0f64; 12];
-                fold_row_rates(d, &lanes, cpus, &mut got);
+                (f.fold_row_rates)(&lanes, cpus, &mut got);
                 // Plain per-CPU reference: the scalar accumulation
                 // order the fleet fold has always used.
                 let mut want = [0.0f64; 12];
@@ -432,7 +472,8 @@ mod tests {
                     assert_eq!(
                         g.to_bits(),
                         w.to_bits(),
-                        "{d:?} cpus={cpus} col={k}: {g} vs {w}"
+                        "{} cpus={cpus} col={k}: {g} vs {w}",
+                        f.name
                     );
                 }
             }
@@ -441,16 +482,16 @@ mod tests {
 
     #[test]
     fn elementwise_kernels_match_plain_loops() {
-        for d in BOTH {
+        for f in flavours() {
             for n in [0, 1, 3, 7, 8, 9, 16, 33] {
                 let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 3.0).collect();
                 let mut out = vec![0.0; n];
-                fill(d, &mut out, 2.5);
+                (f.fill)(&mut out, 2.5);
                 assert!(out.iter().all(|&v| v == 2.5));
-                axpy(d, &mut out, -1.5, &x);
-                add_assign(d, &mut out, &x);
+                (f.axpy)(&mut out, -1.5, &x);
+                (f.add_assign)(&mut out, &x);
                 for (i, &o) in out.iter().enumerate() {
-                    assert_eq!(o, 2.5 + -1.5 * x[i] + x[i], "{d:?} n={n} i={i}");
+                    assert_eq!(o, 2.5 + -1.5 * x[i] + x[i], "{} n={n} i={i}", f.name);
                 }
             }
         }
@@ -461,18 +502,18 @@ mod tests {
         let x: Vec<f64> = (0..33).map(|i| i as f64 * 0.37 - 4.0).collect();
         let x_sq: Vec<f64> = x.iter().map(|v| v * v).collect();
         let (dc, lin, quad) = (21.6, 10.6e7, -11.1e15);
-        for d in BOTH {
+        for f in flavours() {
             let mut out = vec![0.0; x.len()];
-            quadratic(d, &mut out, dc, lin, quad, &x, &x_sq);
+            (f.quadratic)(&mut out, dc, lin, quad, &x, &x_sq);
             for (i, &o) in out.iter().enumerate() {
                 let e = quad_poly(dc, lin, quad, x[i], x_sq[i]);
-                assert_eq!(o.to_bits(), e.to_bits(), "{d:?} i={i}");
+                assert_eq!(o.to_bits(), e.to_bits(), "{} i={i}", f.name);
             }
-            quadratic_acc(d, &mut out, 9.18, -45.4, &x, &x_sq);
+            (f.quadratic_acc)(&mut out, 9.18, -45.4, &x, &x_sq);
             for (i, &o) in out.iter().enumerate() {
                 let e = quad_poly(dc, lin, quad, x[i], x_sq[i])
                     + quad_poly(0.0, 9.18, -45.4, x[i], x_sq[i]);
-                assert_eq!(o.to_bits(), e.to_bits(), "{d:?} i={i}");
+                assert_eq!(o.to_bits(), e.to_bits(), "{} i={i}", f.name);
             }
         }
     }
@@ -482,17 +523,22 @@ mod tests {
         let dc = 21.6;
         let peak1 = 0.5;
         let ncpus = [4.0, 4.0, 4.0, 2.0];
-        for d in BOTH {
+        for f in flavours() {
+            let clamp = f.clamp_predictions;
             let mut out = [-3.0, 30.0, dc + peak1 * 4.0, 10.0];
-            assert_eq!(clamp_predictions(d, &mut out, dc, peak1, &ncpus), 2);
+            assert_eq!(clamp(&mut out, dc, peak1, &ncpus), 2, "{}", f.name);
             assert_eq!(out[0], 0.0);
             assert_eq!(out[1], dc + peak1 * 4.0);
             // NaN passes through unchanged and uncounted, matching the
             // scalar comparison sequence.
             let mut raw = [f64::NAN, -0.0];
-            assert_eq!(clamp_predictions(d, &mut raw, 50.0, 0.0, &[1.0, 1.0]), 0);
+            assert_eq!(clamp(&mut raw, 50.0, 0.0, &[1.0, 1.0]), 0);
             assert!(raw[0].is_nan());
             assert_eq!(raw[1].to_bits(), (-0.0f64).to_bits());
+            // An unbounded ceiling only enforces the floor.
+            let mut raw = [f64::MAX, -1.0];
+            assert_eq!(clamp(&mut raw, f64::INFINITY, 0.0, &[4.0, 4.0]), 1);
+            assert_eq!(raw, [f64::MAX, 0.0]);
         }
     }
 
@@ -511,18 +557,96 @@ mod tests {
             }
         }
         let expect = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail;
-        for d in BOTH {
-            assert_eq!(sum(d, &x).to_bits(), expect.to_bits(), "{d:?}");
-        }
-        let ones = vec![1.0; 9];
-        for d in BOTH {
-            assert_eq!(sum(d, &ones), 9.0, "{d:?}");
+        for f in flavours() {
+            assert_eq!((f.sum)(&x).to_bits(), expect.to_bits(), "{}", f.name);
+            assert_eq!((f.sum)(&[1.0; 9]), 9.0, "{}", f.name);
+            assert_eq!((f.sum)(&[]), 0.0, "{}", f.name);
         }
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        axpy(Dispatch::Wide, &mut [0.0; 3], 1.0, &[0.0; 4]);
+        axpy(&mut [0.0; 3], 1.0, &[0.0; 4]);
+    }
+
+    /// Expands class-tagged draws into a column that mixes ordinary
+    /// values with every special-case row the estimator can meet: NaN (a
+    /// machine that never sent a counter), ±inf (overflowed rate
+    /// division), signed zeros, and values sitting exactly on / next to
+    /// the clamp ceiling.
+    fn build_column(picks: &[(u8, f64)], ceil: f64) -> Vec<f64> {
+        picks
+            .iter()
+            .map(|&(class, raw)| match class {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 => ceil,                       // exactly at the clamp boundary
+                6 => ceil + ceil * f64::EPSILON, // first value past it
+                _ => raw,
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Every elementwise kernel, every flavour, raw-bit equality —
+        /// on batches salted with NaN/inf/clamp-boundary rows. One pass
+        /// per flavour through the full kernel sequence the estimator
+        /// runs, so equivalence is checked on composed state, not just
+        /// one call.
+        #[test]
+        fn elementwise_kernels_bit_identical(
+            picks in proptest::collection::vec((0u8..8, any::<f64>()), 0..64),
+            dc in 10.0f64..40.0,
+            lin in -2.0f64..2.0,
+            quad in -1e-3f64..1e-3,
+        ) {
+            let peak1 = 9.5;
+            let ncpus = 4.0;
+            let ceil = dc + peak1 * ncpus;
+            let x = build_column(&picks, ceil);
+            let x_sq: Vec<f64> = x.iter().map(|v| v * v).collect();
+            let n_col = vec![ncpus; x.len()];
+
+            let run = |f: &Flavour| {
+                let mut out = vec![0.0f64; x.len()];
+                (f.fill)(&mut out, dc);
+                (f.axpy)(&mut out, lin, &x);
+                (f.quadratic)(&mut out, dc, lin, quad, &x, &x_sq);
+                (f.quadratic_acc)(&mut out, lin, quad, &x, &x_sq);
+                (f.add_assign)(&mut out, &x);
+                let clamped = (f.clamp_predictions)(&mut out, dc, peak1, &n_col);
+                (out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), clamped)
+            };
+            let all = flavours();
+            let scalar = run(&all[0]);
+            for f in &all[1..] {
+                prop_assert_eq!(&run(f), &scalar, "{} diverged from scalar", f.name);
+            }
+        }
+
+        /// The reduction: bit-identical across flavours, and within the
+        /// forward-error bound of a naive sequential sum on
+        /// cancellation-free inputs (`n · ε` relative — "a few ulp" for
+        /// the small `n` the estimator uses).
+        #[test]
+        fn reductions_bit_identical_and_ulp_bounded(
+            xs in proptest::collection::vec(0.0f64..1e9, 0..96),
+        ) {
+            let all = flavours();
+            let scalar = (all[0].sum)(&xs);
+            for f in &all[1..] {
+                prop_assert_eq!((f.sum)(&xs).to_bits(), scalar.to_bits(), "{} sum diverged", f.name);
+            }
+            let sum_seq: f64 = xs.iter().sum();
+            let bound = xs.len() as f64 * f64::EPSILON * sum_seq.abs();
+            prop_assert!(
+                (scalar - sum_seq).abs() <= bound,
+                "sum drifted past the documented reassociation bound"
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! construction. In the steady state (layouts already registered,
 //! lane buffer sized) a decode performs no allocation.
 //!
-//! Layouts are resolved through [`LayoutTable`], keyed on the header's
+//! Layouts are resolved through a memo table, keyed on the header's
 //! `layout_hash`: a layout frame registers, once, the row lane each
 //! wire event's plane unfolds into (the inverse of the nine
 //! [`ROW_EVENTS`]' positions within the wire event list), and every
@@ -29,7 +29,6 @@ use crate::planar::{decode_planes, NO_SLOT};
 use crate::varint::read_uvarint;
 use tdp_counters::layout_hash_indices;
 use tdp_fleet::{fold_event_lanes, COLUMNS, ROW_EVENTS};
-use tdp_simd::Dispatch;
 
 /// Why a frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +84,7 @@ struct LayoutEntry {
 /// hot index first; the fallback is a linear scan (distinct layouts per
 /// stream are few — re-registration of a known hash is free).
 #[derive(Debug, Clone, Default)]
-pub struct LayoutTable {
+struct LayoutTable {
     entries: Vec<LayoutEntry>,
     hot: usize,
 }
@@ -111,22 +110,12 @@ impl LayoutTable {
             self.entries.push(entry);
         }
     }
-
-    /// Registered layouts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no layout has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// Streaming frame decoder: walks each frame in place and reduces a
 /// sample frame straight to a fleet row, with no intermediate
 /// `SampleSet`. Sample frames resolve their layout through the
-/// [`LayoutTable`] of layout frames seen so far.
+/// memo table of layout frames seen so far.
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
     layouts: LayoutTable,
@@ -141,11 +130,6 @@ impl FrameDecoder {
     /// A decoder with no layouts registered.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The layouts registered so far.
-    pub fn layouts(&self) -> &LayoutTable {
-        &self.layouts
     }
 
     /// Decodes one frame given its parsed header and payload slice
@@ -289,7 +273,7 @@ impl FrameDecoder {
     /// mapping are bit-identical to the `Option<u64>` reference path —
     /// see its docs).
     pub(crate) fn fold_row(&self, p: &PendingSample) -> [f64; COLUMNS] {
-        fold_event_lanes(Dispatch::active(), &self.lanes, p.cpus)
+        fold_event_lanes(&self.lanes, p.cpus)
     }
 }
 

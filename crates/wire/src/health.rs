@@ -9,11 +9,11 @@
 //!
 //! * every machine carries a [`HealthState`] that ingest updates from
 //!   observed evidence (sequence regressions, insane rates, silence);
-//! * rows whose rates fail the [`DegradePolicy`] sanity bounds are
-//!   **quarantined** — counted, never fed to the estimator;
+//! * rows that fail the [`row_is_sane`] bounds are **quarantined** —
+//!   counted, never fed to the estimator;
 //! * a machine that goes silent is **held** at its last good row for a
-//!   bounded number of windows ([`DegradePolicy::max_stale_windows`]),
-//!   then declared stale and dropped from the window entirely;
+//!   bounded number of windows ([`MAX_STALE_WINDOWS`]), then declared
+//!   stale and dropped from the window entirely;
 //! * model-level protection (prediction clamping to the calibrated
 //!   validity range — see [`trickledown::clamp_watts`]) catches what
 //!   row-level sanity bounds cannot: rates that are individually
@@ -56,97 +56,88 @@ pub enum HealthState {
     Stale,
 }
 
-/// Sanity bounds and hold limits for streaming ingest.
+/// How many consecutive windows past its decimation a silent machine is
+/// carried at its last good row before being declared
+/// [`HealthState::Stale`].
+pub const MAX_STALE_WINDOWS: u64 = 4;
+
+/// Most CPUs one machine may claim.
+const MAX_CPUS: f64 = 1024.0;
+
+/// The sanity caps, per CPU: *physical plausibility* screens,
+/// deliberately far above anything a real machine sustains (compare:
+/// the simulated fleet peaks around 3 misses/kilocycle, 9 000 bus
+/// tx/megacycle, 0.03 DMA/cycle, and interrupt rates near 1e-8/cycle)
+/// but far below the garbage a misattributed or malicious payload
+/// produces.
 ///
-/// The rate caps are *physical plausibility* screens, deliberately far
-/// above anything a real machine sustains (compare: the simulated
-/// fleet peaks around 3 misses/kilocycle, 9 000 bus tx/megacycle,
-/// 0.03 DMA/cycle, and interrupt rates near 1e-8/cycle) but far below
-/// the garbage a misattributed or malicious payload produces. Rows are
-/// machine-aggregated sums over CPUs, so every per-CPU cap is scaled
-/// by the row's CPU count before comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradePolicy {
-    /// Max fetched uops per cycle, per CPU (architectural width is
-    /// single digits).
-    pub max_upc: f64,
-    /// Max L3 load misses per **kilo**cycle, per CPU.
-    pub max_l3_per_kilocycle: f64,
-    /// Max bus transactions per **mega**cycle, per CPU.
-    pub max_bus_per_megacycle: f64,
-    /// Max DMA accesses per cycle, per CPU.
-    pub max_dma_per_cycle: f64,
-    /// Max interrupts per cycle, per CPU (covers disk and device
-    /// interrupt rates; even a 1 kHz tick at 10 MHz is 1e-4).
-    pub max_interrupts_per_cycle: f64,
-    /// Max CPUs one machine may claim.
-    pub max_cpus: f64,
-    /// How many consecutive windows a silent machine is carried at its
-    /// last good row before being declared [`HealthState::Stale`].
-    pub max_stale_windows: u64,
-}
+/// * fetched uops per cycle: 16 (architectural width is single digits);
+/// * L3 load misses per **kilo**cycle: 50;
+/// * bus transactions per **mega**cycle: 10⁵;
+/// * DMA accesses per cycle: 0.2;
+/// * disk and device interrupts per cycle: 10⁻³ (even a 1 kHz tick at
+///   10 MHz is 10⁻⁴).
+///
+/// One entry per column except `NUM_CPUS`, which takes the range check
+/// `1..=MAX_CPUS` instead. A squared-rate column's cap is the square of
+/// its rate's cap, so its bound associates as `(cap·cap)·n`.
+const COLUMN_CAPS: [(usize, f64); COLUMNS - 1] = {
+    const UPC: f64 = 16.0;
+    const L3: f64 = 50.0;
+    const BUS: f64 = 1e5;
+    const DMA: f64 = 0.2;
+    const INT: f64 = 1e-3;
+    [
+        (col::ACTIVE, 1.0),
+        (col::UPC, UPC),
+        (col::L3, L3),
+        (col::L3_SQ, L3 * L3),
+        (col::BUS, BUS),
+        (col::BUS_SQ, BUS * BUS),
+        (col::DMA, DMA),
+        (col::DMA_SQ, DMA * DMA),
+        (col::DISK_INT, INT),
+        (col::DISK_INT_SQ, INT * INT),
+        (col::DEV_INT, INT),
+        (col::DEV_INT_SQ, INT * INT),
+    ]
+};
 
-impl Default for DegradePolicy {
-    fn default() -> Self {
-        Self {
-            max_upc: 16.0,
-            max_l3_per_kilocycle: 50.0,
-            max_bus_per_megacycle: 1e5,
-            max_dma_per_cycle: 0.2,
-            max_interrupts_per_cycle: 1e-3,
-            max_cpus: 1024.0,
-            max_stale_windows: 4,
-        }
+// Every bound `cap · n` is finite and positive for every admitted CPU
+// count `n ≤ MAX_CPUS`, so a +∞ or NaN in any column fails its bound.
+const _: () = {
+    assert!(MAX_CPUS >= 1.0 && MAX_CPUS < f64::INFINITY);
+    let mut i = 0;
+    while i < COLUMN_CAPS.len() {
+        let cap = COLUMN_CAPS[i].1;
+        assert!(cap > 0.0 && cap < f64::INFINITY);
+        assert!(cap * MAX_CPUS < f64::INFINITY);
+        i += 1;
     }
-}
+};
 
-impl DegradePolicy {
-    /// Whether a decoded sample row is physically plausible under this
-    /// policy. A `false` verdict quarantines the row: it checksummed
-    /// (the bytes arrived as sent) but describes a machine that cannot
-    /// exist, so the *producer* is lying or broken, not the wire.
-    ///
-    /// The CPU count must lie in `1..=max_cpus`; every other column
-    /// must lie in `0..=cap·n`, where `n` is the row's CPU count
-    /// (aggregates are per-CPU sums, each term individually capped, so
-    /// the sums are bounded by `n·cap` and the squared-rate sums by
-    /// `n·cap²`). NaN fails every comparison, and with finite caps so
-    /// does ±∞. The verdict is one branch-free conjunction (`&`, not
-    /// `&&`), so a window of rows costs the same whatever they hold.
-    pub fn row_is_sane(&self, row: &[f64; COLUMNS]) -> bool {
-        let n = row[col::NUM_CPUS];
-        let mut sane = (1.0 <= n) & (n <= self.max_cpus);
-        for (c, cap) in self.column_caps() {
-            let v = row[c];
-            sane &= (v >= 0.0) & (v <= cap * n);
-        }
-        sane
+/// Whether a decoded sample row is physically plausible. A `false`
+/// verdict quarantines the row: it checksummed (the bytes arrived as
+/// sent) but describes a machine that cannot exist, so the *producer*
+/// is lying or broken, not the wire.
+///
+/// The CPU count must lie in `1..=1024`; every other column must lie
+/// in `0..=cap·n`, where `cap` is the column's per-CPU cap (listed on
+/// the private `COLUMN_CAPS` table) and `n` the row's CPU count (rows
+/// are machine-aggregated sums over CPUs, each term individually
+/// capped, so the sums are bounded by `n·cap` and the squared-rate sums
+/// by `n·cap²`). NaN fails every comparison, and since every `cap·n` is
+/// finite (checked at compile time) so does ±∞. The columns are joined
+/// by `&`, not `&&`, so a window of rows costs the same whatever they
+/// hold.
+pub fn row_is_sane(row: &[f64; COLUMNS]) -> bool {
+    let n = row[col::NUM_CPUS];
+    let mut sane = (1.0..=MAX_CPUS).contains(&n);
+    for (c, cap) in COLUMN_CAPS {
+        let v = row[c];
+        sane &= (v >= 0.0) & (v <= cap * n);
     }
-
-    /// The cap [`row_is_sane`](Self::row_is_sane) scales by the row's
-    /// CPU count, per column (every column except `NUM_CPUS`, which
-    /// takes the range check instead). Squared-rate columns use
-    /// `cap·cap`, so their bound associates as `(cap·cap)·n`.
-    fn column_caps(&self) -> [(usize, f64); COLUMNS - 1] {
-        let l3 = self.max_l3_per_kilocycle;
-        let bus = self.max_bus_per_megacycle;
-        let dma = self.max_dma_per_cycle;
-        let int = self.max_interrupts_per_cycle;
-        [
-            (col::ACTIVE, 1.0),
-            (col::UPC, self.max_upc),
-            (col::L3, l3),
-            (col::L3_SQ, l3 * l3),
-            (col::BUS, bus),
-            (col::BUS_SQ, bus * bus),
-            (col::DMA, dma),
-            (col::DMA_SQ, dma * dma),
-            (col::DISK_INT, int),
-            (col::DISK_INT_SQ, int * int),
-            (col::DEV_INT, int),
-            (col::DEV_INT_SQ, int * int),
-        ]
-    }
+    sane
 }
 
 /// What sequence bookkeeping concluded about one frame's window
@@ -302,22 +293,21 @@ impl HealthLedger {
     ///
     /// * `since < dec` — silence is the sampling protocol itself;
     ///   reconstruct the last good row with no health downgrade;
-    /// * `since ≤ dec − 1 + max_stale` (saturating, so `u64::MAX`
-    ///   never goes stale) — the machine has missed a window it owed;
-    ///   carry it as Suspect (the legacy hold);
+    /// * `since ≤ dec − 1 + MAX_STALE_WINDOWS` — the machine has
+    ///   missed a window it owed; carry it as Suspect (the legacy hold);
     /// * beyond that — declare it stale.
     ///
     /// At `dec = 1` the first tier is unreachable (a machine with a
     /// good row *this* epoch never reaches `hold`), so the ladder
     /// reduces exactly to the historical every-window behaviour.
-    pub(crate) fn hold(&mut self, m: usize, epoch: u64, max_stale: u64) -> Hold {
+    pub(crate) fn hold(&mut self, m: usize, epoch: u64) -> Hold {
         if self.last_good_epoch[m] != 0 {
             let since = epoch - self.last_good_epoch[m];
             let dec = self.decimation[m] as u64;
             if since < dec {
                 return Hold::Reconstructed;
             }
-            if since <= (dec - 1).saturating_add(max_stale) {
+            if since <= dec - 1 + MAX_STALE_WINDOWS {
                 if self.state[m] == HealthState::Healthy {
                     self.state[m] = HealthState::Suspect;
                 }
@@ -418,12 +408,11 @@ mod tests {
 
     #[test]
     fn default_policy_accepts_plausible_rows() {
-        assert!(DegradePolicy::default().row_is_sane(&sane_row()));
+        assert!(row_is_sane(&sane_row()));
     }
 
     #[test]
     fn each_bound_rejects_independently() {
-        let p = DegradePolicy::default();
         let cases: [(usize, f64); 9] = [
             (col::NUM_CPUS, 0.0),
             (col::NUM_CPUS, 4096.0),
@@ -438,47 +427,65 @@ mod tests {
         for (i, v) in cases {
             let mut row = sane_row();
             row[i] = v;
-            assert!(!p.row_is_sane(&row), "col {i} = {v} must be insane");
+            assert!(!row_is_sane(&row), "col {i} = {v} must be insane");
         }
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
             let mut row = sane_row();
             row[col::UPC] = bad;
-            assert!(!p.row_is_sane(&row), "{bad} must be insane");
+            assert!(!row_is_sane(&row), "{bad} must be insane");
         }
         // Squared-rate columns are bounded too (a consistent sum with
         // an impossible square means the payload lies).
         let mut row = sane_row();
         row[col::L3_SQ] = 1e9;
-        assert!(!p.row_is_sane(&row));
+        assert!(!row_is_sane(&row));
     }
 
-    /// The short-circuit ladder [`DegradePolicy::row_is_sane`] was
-    /// written as before it became one branch-free conjunction: the
-    /// oracle the rewrite is pinned against.
-    fn short_circuit_ladder(p: &DegradePolicy, row: &[f64; COLUMNS]) -> bool {
+    /// No non-finite value passes in any column. u64 counts over the
+    /// wire cannot produce +∞, so the screen is pinned here: a +∞ UPC
+    /// and a +∞ `BUS_SQ` (the rows a settable infinite or overflowing
+    /// cap once let through), and ±∞ and NaN in every column, also on a
+    /// row at the largest admitted CPU count.
+    #[test]
+    fn non_finite_values_are_insane_in_every_column() {
+        let mut widest = sane_row();
+        widest[col::NUM_CPUS] = MAX_CPUS;
+        for base in [sane_row(), widest] {
+            assert!(row_is_sane(&base));
+            for c in [col::UPC, col::BUS_SQ] {
+                let mut row = base;
+                row[c] = f64::INFINITY;
+                assert!(!row_is_sane(&row), "col {c} = +inf must be insane");
+            }
+            for c in 0..COLUMNS {
+                for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut row = base;
+                    row[c] = bad;
+                    assert!(!row_is_sane(&row), "col {c} = {bad} must be insane");
+                }
+            }
+        }
+    }
+
+    /// The short-circuit ladder [`row_is_sane`] was written as before
+    /// it became one branch-free conjunction: the oracle the rewrite is
+    /// pinned against, with the per-CPU caps spelled out.
+    fn short_circuit_ladder(row: &[f64; COLUMNS]) -> bool {
         if !row.iter().all(|v| v.is_finite() && *v >= 0.0) {
             return false;
         }
         let n = row[col::NUM_CPUS];
-        if !(1.0..=p.max_cpus).contains(&n) {
+        if !(1.0..=1024.0).contains(&n) {
             return false;
         }
         let within = |sum: f64, sq: f64, cap: f64| sum <= cap * n && sq <= cap * cap * n;
         row[col::ACTIVE] <= n
-            && within(row[col::UPC], 0.0, p.max_upc)
-            && within(row[col::L3], row[col::L3_SQ], p.max_l3_per_kilocycle)
-            && within(row[col::BUS], row[col::BUS_SQ], p.max_bus_per_megacycle)
-            && within(row[col::DMA], row[col::DMA_SQ], p.max_dma_per_cycle)
-            && within(
-                row[col::DISK_INT],
-                row[col::DISK_INT_SQ],
-                p.max_interrupts_per_cycle,
-            )
-            && within(
-                row[col::DEV_INT],
-                row[col::DEV_INT_SQ],
-                p.max_interrupts_per_cycle,
-            )
+            && within(row[col::UPC], 0.0, 16.0)
+            && within(row[col::L3], row[col::L3_SQ], 50.0)
+            && within(row[col::BUS], row[col::BUS_SQ], 1e5)
+            && within(row[col::DMA], row[col::DMA_SQ], 0.2)
+            && within(row[col::DISK_INT], row[col::DISK_INT_SQ], 1e-3)
+            && within(row[col::DEV_INT], row[col::DEV_INT_SQ], 1e-3)
     }
 
     /// The branch-free verdict is the short-circuit ladder's, bit for
@@ -486,7 +493,6 @@ mod tests {
     /// with every cap exactly met (sane) or just exceeded.
     #[test]
     fn row_is_sane_matches_the_short_circuit_ladder() {
-        let p = DegradePolicy::default();
         let mut rows: Vec<[f64; COLUMNS]> = vec![sane_row()];
         for c in 0..COLUMNS {
             for v in [
@@ -508,23 +514,23 @@ mod tests {
         }
         // Boundary rows: every cap exactly met (sane) and just over.
         let mut at_cap = [0.0; COLUMNS];
-        at_cap[col::NUM_CPUS] = p.max_cpus;
-        for (c, cap) in p.column_caps() {
-            at_cap[c] = cap * p.max_cpus;
+        at_cap[col::NUM_CPUS] = MAX_CPUS;
+        for (c, cap) in COLUMN_CAPS {
+            at_cap[c] = cap * MAX_CPUS;
         }
-        assert!(p.row_is_sane(&at_cap), "every cap exactly met is sane");
+        assert!(row_is_sane(&at_cap), "every cap exactly met is sane");
         rows.push(at_cap);
         for c in 0..COLUMNS {
             let mut row = at_cap;
             row[c] = at_cap[c] * (1.0 + 1e-9) + f64::MIN_POSITIVE;
-            assert!(!p.row_is_sane(&row), "col {c} just over its cap");
+            assert!(!row_is_sane(&row), "col {c} just over its cap");
             rows.push(row);
         }
 
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(
-                p.row_is_sane(row),
-                short_circuit_ladder(&p, row),
+                row_is_sane(row),
+                short_circuit_ladder(row),
                 "row {i} ({row:?}) disagrees"
             );
         }

@@ -18,9 +18,8 @@
 //! * [`FrameDecoder`] — the zero-copy consumer: validates frames in
 //!   place and reduces them straight to [`SampleBatch`] rows through
 //!   the same rate arithmetic in-memory ingestion uses
-//!   ([`fold_event_lanes`]), memoising event layouts by hash
-//!   ([`LayoutTable`]). No intermediate sample structs, no
-//!   steady-state allocation.
+//!   ([`fold_event_lanes`]), memoising event layouts by hash. No
+//!   intermediate sample structs, no steady-state allocation.
 //! * [`ingest_serial_with`] — the ingest path: one serial walk that
 //!   decodes each accepted frame to a row, judges it against the
 //!   sanity bounds and writes only sane rows into the batch columns,
@@ -28,9 +27,10 @@
 //!   pinned bit-for-bit against the per-row [`ingest_reference_with`].
 //! * [`health`](PipelineHealth) — graceful degradation under a hostile
 //!   stream: per-machine [`HealthState`] ledgers, sequence
-//!   reset/duplicate detection, [`DegradePolicy`] sanity quarantine,
-//!   bounded last-good-row holds, and a per-window counter block in
-//!   which every fault is accounted.
+//!   reset/duplicate detection, quarantine of rows outside fixed
+//!   physical bounds ([`row_is_sane`]), last-good-row holds for at most
+//!   [`MAX_STALE_WINDOWS`] owed windows, and a per-window counter block
+//!   in which every fault is accounted.
 //! * [`faults`] — a seeded, deterministic fault injector
 //!   ([`FaultPlan`]) that damages encoded windows in replayable ways,
 //!   for the chaos tests and perfbench's `fleet-chaos` workload.
@@ -78,13 +78,13 @@ mod health;
 pub mod planar;
 mod stream;
 
-pub use decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder, LayoutTable};
+pub use decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder};
 pub use encode::{
     encode_layout_frame, encode_layout_frame_with_decimation, encode_sample_frame, EncodeError,
     WireEncoder,
 };
 pub use faults::{FaultKind, FaultPlan, FaultedWindow, InjectedFault};
-pub use health::{DegradePolicy, HealthState, PipelineHealth};
+pub use health::{row_is_sane, HealthState, PipelineHealth, MAX_STALE_WINDOWS};
 pub use stream::{
     ingest_reference_with, ingest_serial, ingest_serial_with, IngestState, StreamReport,
 };

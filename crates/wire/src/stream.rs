@@ -3,7 +3,7 @@
 //!
 //! [`ingest_serial_with`] is the ingest path: one serial pass that
 //! decodes each accepted sample frame to a row, judges it with
-//! [`DegradePolicy::row_is_sane`] and writes only sane rows into the
+//! [`row_is_sane`] and writes only sane rows into the
 //! estimator's batch columns.
 //!
 //! # Persisted rows
@@ -22,8 +22,8 @@
 //!
 //! [`ingest_reference_with`] runs the same ladder one decoded row at a
 //! time: every frame is decoded to a row array by
-//! [`FrameDecoder::decode_frame`], screened with
-//! [`DegradePolicy::row_is_sane`], written with
+//! [`FrameDecoder::decode_frame`], screened with [`row_is_sane`],
+//! written with
 //! [`SampleBatch::set_row`](tdp_fleet::SampleBatch::set_row) and
 //! committed to the ledger, and the hold pass runs every window. It is
 //! the oracle the hot path is pinned against: same health counters,
@@ -41,7 +41,7 @@
 
 use crate::decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder};
 use crate::frame::FrameType;
-use crate::health::{DegradePolicy, HealthLedger, HealthState, Hold, SeqNote};
+use crate::health::{row_is_sane, HealthLedger, HealthState, Hold, SeqNote};
 use tdp_fleet::{FleetEstimator, SampleBatch, COLUMNS};
 
 /// What happened during one ingested window.
@@ -72,8 +72,8 @@ pub struct StreamReport {
     /// Frames re-delivering a machine's already-accepted window
     /// sequence; the redundant row is skipped.
     pub duplicate_windows: u64,
-    /// Decoded rows withheld because they failed the
-    /// [`DegradePolicy`] sanity bounds.
+    /// Decoded rows withheld because they failed the [`row_is_sane`]
+    /// bounds.
     pub rows_quarantined: u64,
     /// Rows emitted from a machine's last good window because this
     /// window brought no acceptable fresh row.
@@ -85,8 +85,8 @@ pub struct StreamReport {
     /// of [`PipelineHealth`](crate::PipelineHealth).
     pub rows_reconstructed: u64,
     /// Machines declared [`HealthState::Stale`] this window after
-    /// exceeding [`DegradePolicy::max_stale_windows`] (counted once
-    /// per outage, not once per silent window).
+    /// exceeding [`MAX_STALE_WINDOWS`](crate::MAX_STALE_WINDOWS)
+    /// (counted once per outage, not once per silent window).
     pub machines_stale: u64,
 }
 
@@ -123,7 +123,7 @@ impl StreamReport {
 /// layout registration exactly once — plus per-machine health
 /// ([`HealthState`]) driving the graceful-degradation ladder: duplicate
 /// and reset detection on window sequences, quarantine of rows that
-/// fail the [`DegradePolicy`] sanity bounds, bounded last-good-row
+/// fail the [`row_is_sane`] bounds, bounded last-good-row
 /// holds for silent machines, and staleness cut-off.
 ///
 /// The health ledger is dense, indexed by machine id and sized to each
@@ -140,33 +140,13 @@ impl StreamReport {
 pub struct IngestState {
     dec: FrameDecoder,
     ledger: HealthLedger,
-    policy: DegradePolicy,
     epoch: u64,
 }
 
 impl IngestState {
-    /// State with no layouts registered and the default
-    /// [`DegradePolicy`].
+    /// State with no layouts registered and no machine seen.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// State enforcing a caller-chosen [`DegradePolicy`].
-    pub fn with_policy(policy: DegradePolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
-    }
-
-    /// The degradation policy this state enforces.
-    pub fn policy(&self) -> &DegradePolicy {
-        &self.policy
-    }
-
-    /// How many windows this state has ingested.
-    pub fn windows_ingested(&self) -> u64 {
-        self.epoch
     }
 
     /// The last known [`HealthState`] of `machine`, or `None` if no
@@ -206,7 +186,7 @@ pub fn ingest_serial(buf: &[u8], machines: usize, est: &mut FleetEstimator) -> S
 /// This is the fused hot path, one pass over the frames: each accepted
 /// sample frame is delta-unfolded in place (checksum verification
 /// overlaps the payload walk inside the decoder), folded to a row,
-/// judged by [`DegradePolicy::row_is_sane`] and, if sane, written
+/// judged by [`row_is_sane`] and, if sane, written
 /// straight into its batch slot and committed to the health ledger.
 /// The hold / staleness pass over silent machines runs only when some
 /// machine committed no fresh row this window. Pinned against
@@ -218,7 +198,6 @@ pub fn ingest_serial_with(
     est: &mut FleetEstimator,
 ) -> StreamReport {
     let epoch = state.begin(machines, est);
-    let policy = state.policy;
     let IngestState { dec, ledger, .. } = state;
     let mut cols = est.batch_mut().columns_mut();
 
@@ -279,7 +258,7 @@ pub fn ingest_serial_with(
                     SeqNote::Fresh => false,
                 };
                 let row = dec.fold_row(&pend);
-                if !policy.row_is_sane(&row) {
+                if !row_is_sane(&row) {
                     stats.rows_quarantined += 1;
                     ledger.quarantine(idx);
                     continue;
@@ -294,14 +273,7 @@ pub fn ingest_serial_with(
         }
     }
     if committed < machines {
-        hold_pass(
-            ledger,
-            epoch,
-            &policy,
-            machines,
-            &mut stats,
-            est.batch_mut(),
-        );
+        hold_pass(ledger, epoch, machines, &mut stats, est.batch_mut());
     }
     stats
 }
@@ -310,7 +282,7 @@ pub fn ingest_serial_with(
 /// [`ingest_serial_with`] is pinned against. Each sample frame is
 /// decoded to a row array by [`FrameDecoder::decode_frame`], screened
 /// through duplicate skip, reset re-baseline and
-/// [`DegradePolicy::row_is_sane`] quarantine, written with
+/// [`row_is_sane`] quarantine, written with
 /// `SampleBatch::set_row` and committed to the ledger; the hold /
 /// staleness pass then runs every window. It shares the persisted-row
 /// rule with the hot path but not its fused decode, so on any stream
@@ -328,7 +300,6 @@ pub fn ingest_reference_with(
     est: &mut FleetEstimator,
 ) -> StreamReport {
     let epoch = state.begin(machines, est);
-    let policy = state.policy;
     let IngestState { dec, ledger, .. } = state;
     let batch = est.batch_mut();
 
@@ -382,7 +353,7 @@ pub fn ingest_reference_with(
                     }
                     SeqNote::Fresh => false,
                 };
-                if !policy.row_is_sane(&row) {
+                if !row_is_sane(&row) {
                     // The bytes arrived as sent (checksummed) but
                     // describe an impossible machine: never let it
                     // touch the estimator.
@@ -398,18 +369,18 @@ pub fn ingest_reference_with(
             Err(_) => stats.corrupt_frames += 1,
         }
     }
-    hold_pass(ledger, epoch, &policy, machines, &mut stats, batch);
+    hold_pass(ledger, epoch, machines, &mut stats, batch);
     stats
 }
 
 /// After the frame walk: every seen machine that contributed nothing
 /// this window is either carried at its last good row — already in its
-/// batch slot — for up to [`DegradePolicy::max_stale_windows`] windows
-/// past its decimation, or declared stale, which zeroes its row once.
+/// batch slot — for up to [`MAX_STALE_WINDOWS`](crate::MAX_STALE_WINDOWS)
+/// windows past its decimation, or declared stale, which zeroes its row
+/// once.
 fn hold_pass(
     ledger: &mut HealthLedger,
     epoch: u64,
-    policy: &DegradePolicy,
     machines: usize,
     stats: &mut StreamReport,
     batch: &mut SampleBatch,
@@ -418,7 +389,7 @@ fn hold_pass(
         if !ledger.seen(idx) || ledger.committed_in(idx, epoch) {
             continue;
         }
-        match ledger.hold(idx, epoch, policy.max_stale_windows) {
+        match ledger.hold(idx, epoch) {
             Hold::Reconstructed => {
                 stats.rows_reconstructed += 1;
                 stats.rows_written += 1;

@@ -8,6 +8,7 @@
 //! grants rise and fall.
 
 use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
+use tdp_fleet::anomaly::{BASELINE_WINDOWS, HEALTHY_DECIMATION, HOLD_WINDOWS};
 use tdp_fleet::{AnomalyDetector, FleetEstimator, Verdict};
 use tdp_wire::{ingest_serial_with, IngestState, StreamReport, WireEncoder};
 use trickledown::SystemPowerModel;
@@ -35,7 +36,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// A realistic 4-CPU machine-window. A spiked machine runs its uop and
 /// bus rates far above the fleet — a runaway workload — while staying
-/// inside every `DegradePolicy` sanity cap, so the row is *not*
+/// inside every sanity cap of `row_is_sane`, so the row is *not*
 /// quarantined: only the detector can catch it.
 fn synthetic_set(machine: u64, seq: u64, spiked: bool) -> SampleSet {
     let mut rng = machine
@@ -106,8 +107,8 @@ fn fault_free_loop_decimates_the_whole_fleet_with_zero_false_positives() {
     let mut state = IngestState::new();
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
     let mut det = AnomalyDetector::default();
-    let warmup = det.config().baseline_windows as u64;
-    let dec = det.config().healthy_decimation as u64;
+    let warmup = BASELINE_WINDOWS as u64;
+    let dec = u64::from(HEALTHY_DECIMATION);
     for w in 0..warmup + 12 {
         let (senders, _) = turn(w, &mut enc, &mut state, &mut est, &mut det, None);
         let s = det.summary();
@@ -132,7 +133,7 @@ fn fault_free_loop_decimates_the_whole_fleet_with_zero_false_positives() {
     }
     for m in 0..MACHINES {
         assert_eq!(det.verdict(m), Verdict::Normal);
-        assert_eq!(det.decimation(m), det.config().healthy_decimation);
+        assert_eq!(det.decimation(m), HEALTHY_DECIMATION);
     }
 }
 
@@ -143,15 +144,15 @@ fn spike_on_a_decimated_machine_is_flagged_within_its_decimation() {
     let mut state = IngestState::new();
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
     let mut det = AnomalyDetector::default();
-    let warmup = det.config().baseline_windows as u64;
-    let dec = det.config().healthy_decimation as u64;
+    let warmup = BASELINE_WINDOWS as u64;
+    let dec = u64::from(HEALTHY_DECIMATION);
 
     // Warm up and settle into decimated steady state.
     let onset = warmup + 2 * dec;
     for w in 0..onset {
         turn(w, &mut enc, &mut state, &mut est, &mut det, None);
     }
-    assert_eq!(det.decimation(SPIKED), det.config().healthy_decimation);
+    assert_eq!(det.decimation(SPIKED), HEALTHY_DECIMATION);
 
     // The machine starts misbehaving while decimated: its spiked
     // sample may wait out its phase, so detection is bounded by the
@@ -197,14 +198,14 @@ fn spike_on_a_decimated_machine_is_flagged_within_its_decimation() {
     let recover = flagged_at + 4;
     let mut w = recover;
     turn(w, &mut enc, &mut state, &mut est, &mut det, None);
-    for _ in 0..det.config().hold_windows {
+    for _ in 0..HOLD_WINDOWS {
         assert_eq!(det.verdict(SPIKED), Verdict::Suspect, "window {w}");
         assert_eq!(det.decimation(SPIKED), 1);
         w += 1;
         turn(w, &mut enc, &mut state, &mut est, &mut det, None);
     }
     assert_eq!(det.verdict(SPIKED), Verdict::Normal);
-    assert_eq!(det.decimation(SPIKED), det.config().healthy_decimation);
+    assert_eq!(det.decimation(SPIKED), HEALTHY_DECIMATION);
 }
 
 #[test]
@@ -218,12 +219,11 @@ fn raising_and_lowering_grants_never_holds_a_row() {
     let mut state = IngestState::new();
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
     let mut det = AnomalyDetector::default();
-    let warmup = det.config().baseline_windows as u64;
-    let healthy = det.config().healthy_decimation;
-    let dec = u64::from(healthy);
+    let warmup = BASELINE_WINDOWS as u64;
+    let dec = u64::from(HEALTHY_DECIMATION);
     let onset = warmup + 2 * dec;
     let spiked = onset..onset + 2 * dec;
-    let end = spiked.end + u64::from(det.config().hold_windows) + 3 * dec;
+    let end = spiked.end + u64::from(HOLD_WINDOWS) + 3 * dec;
     let (mut grants, mut reconstructed) = (vec![1u16], 0u64);
     for w in 0..end {
         let spike = spiked.contains(&w).then_some(SPIKED);
@@ -236,7 +236,7 @@ fn raising_and_lowering_grants_never_holds_a_row() {
     }
     assert_eq!(
         grants,
-        [1, healthy, 1, healthy],
+        [1, HEALTHY_DECIMATION, 1, HEALTHY_DECIMATION],
         "machine {SPIKED}'s grants"
     );
     assert!(reconstructed > 0, "decimated machines went silent");

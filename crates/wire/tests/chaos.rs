@@ -14,6 +14,7 @@ use tdp_wire::frame::FrameType;
 use tdp_wire::{
     ingest_reference_with, ingest_serial, ingest_serial_with, CursorItem, FaultKind, FaultPlan,
     FaultedWindow, FrameCursor, HealthState, IngestState, StreamReport, WireEncoder,
+    MAX_STALE_WINDOWS,
 };
 use trickledown::SystemPowerModel;
 
@@ -46,7 +47,7 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// A realistic 4-CPU machine-window with rates inside both the models'
-/// operating range and the default `DegradePolicy` sanity bounds.
+/// operating range and the `row_is_sane` sanity bounds.
 fn synthetic_set(machine: u64, seq: u64) -> SampleSet {
     let mut rng = machine
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -152,8 +153,6 @@ fn more_fault_seeds_uphold_the_degradation_contract() {
 /// plan `seed`.
 fn assert_degrades_gracefully(seed: u64) {
     let plan = FaultPlan::new(seed);
-    let policy_span = IngestState::new().policy().max_stale_windows;
-
     let mut clean_enc = WireEncoder::new();
     let mut fault_enc = WireEncoder::new();
     let mut clean_state = IngestState::new();
@@ -228,10 +227,10 @@ fn assert_degrades_gracefully(seed: u64) {
         );
 
         // Clean-subset bit-identity, fused and reference: machines with
-        // no fault in the last `max_stale_windows + 1` windows have
+        // no fault in the last `MAX_STALE_WINDOWS + 1` windows have
         // been fed exclusively intact fresh frames, so their estimates
         // carry no trace of the chaos elsewhere in the fleet.
-        let span = (policy_span + 1) as usize;
+        let span = (MAX_STALE_WINDOWS + 1) as usize;
         let dirty: BTreeSet<u64> = recent_affected
             .iter()
             .rev()
@@ -394,7 +393,7 @@ fn anomaly_detector_judges_a_faulted_stream_bit_identically() {
 
 #[test]
 fn sane_but_out_of_calibration_rows_trip_the_prediction_clamp() {
-    // The sneaky producer: a frame whose rates pass every DegradePolicy
+    // The sneaky producer: a frame whose rates pass every `row_is_sane`
     // plausibility bound (so it is *not* quarantined) but sit far past
     // the disk model's negative-curvature vertex (~4.8e-9 interrupts
     // per cycle), where the raw Equation-4 quadratic predicts large

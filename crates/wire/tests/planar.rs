@@ -14,6 +14,7 @@ use tdp_wire::frame::{FrameHeader, FrameType, HEADER_LEN, MAX_WIRE_CPUS};
 use tdp_wire::{
     encode_layout_frame, ingest_reference_with, ingest_serial_with, CursorItem, DecodeError,
     Decoded, FaultKind, FaultPlan, FrameCursor, FrameDecoder, IngestState, WireEncoder,
+    MAX_STALE_WINDOWS,
 };
 use trickledown::SystemPowerModel;
 
@@ -443,7 +444,7 @@ fn faulted_planar_stream_upholds_the_clean_subset_invariant() {
     let mut fault_state = IngestState::new();
     let mut clean_est = FleetEstimator::new(SystemPowerModel::paper());
     let mut fault_est = FleetEstimator::new(SystemPowerModel::paper());
-    let horizon = clean_state.policy().max_stale_windows as usize + 1;
+    let horizon = MAX_STALE_WINDOWS as usize + 1;
     let mut recent: Vec<BTreeSet<u64>> = Vec::new();
     let (mut flips_seen, mut framing_seen) = (0u64, 0u64);
 

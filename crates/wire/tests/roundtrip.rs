@@ -8,8 +8,8 @@ use tdp_fleet::{FleetEstimator, COLUMNS};
 use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig};
 use tdp_wire::{
-    ingest_reference_with, ingest_serial, ingest_serial_with, DegradePolicy, HealthState,
-    IngestState, WireEncoder,
+    ingest_reference_with, ingest_serial, ingest_serial_with, HealthState, IngestState,
+    WireEncoder, MAX_STALE_WINDOWS,
 };
 use trickledown::SystemPowerModel;
 
@@ -575,66 +575,61 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
 #[test]
 fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
     // A decimated machine that actually dies, on both ingest paths and
-    // across decimations and grace policies. Both paths share the hold
-    // ladder, so the expected outcome of every silent window is derived
-    // here from the documented three-tier rule, not from the ledger:
-    // the first dec−1 silent windows are reconstruction (protocol), the
-    // next max_stale_windows are held as Suspect (the legacy grace),
-    // then staleness — counted exactly once for the outage — until a
-    // fresh row revives the machine. Rows persist in the batch: a
+    // across decimations. Both paths share the hold ladder, so the
+    // expected outcome of every silent window is derived here from the
+    // documented three-tier rule, not from the ledger: the first dec−1
+    // silent windows are reconstruction (protocol), the next
+    // MAX_STALE_WINDOWS are held as Suspect (the grace), then
+    // staleness — counted exactly once for the outage — until a fresh
+    // row revives the machine. Rows persist in the batch: a
     // reconstructed or held window reads the last good row, a stale
     // one reads all zeros, and the revival frame's row replaces them.
     let first_row = reference_bits(&[synthetic_set(0, 0, &LAYOUT)]).0;
     let revive_row = reference_bits(&[synthetic_set(0, 99, &LAYOUT)]).0;
     let zero_row = vec![vec![0.0f64.to_bits()]; COLUMNS];
     for dec in [1u16, 2, 4] {
-        for max_stale in [0u64, 1, 4] {
-            let mut enc = WireEncoder::new();
-            enc.set_decimation(0, dec);
-            enc.push_sample_set(0, &synthetic_set(0, 0, &LAYOUT))
-                .unwrap();
-            let first = enc.take_bytes();
-            enc.push_sample_set(0, &synthetic_set(0, 99, &LAYOUT))
-                .unwrap();
-            let revive = enc.take_bytes();
+        let mut enc = WireEncoder::new();
+        enc.set_decimation(0, dec);
+        enc.push_sample_set(0, &synthetic_set(0, 0, &LAYOUT))
+            .unwrap();
+        let first = enc.take_bytes();
+        enc.push_sample_set(0, &synthetic_set(0, 99, &LAYOUT))
+            .unwrap();
+        let revive = enc.take_bytes();
 
-            for ingest in [ingest_serial_with, ingest_reference_with] {
-                let mut state = IngestState::with_policy(DegradePolicy {
-                    max_stale_windows: max_stale,
-                    ..DegradePolicy::default()
-                });
-                let mut est = FleetEstimator::new(SystemPowerModel::paper());
-                assert_eq!(ingest(&mut state, &first, 1, &mut est).rows_written, 1);
+        for ingest in [ingest_serial_with, ingest_reference_with] {
+            let mut state = IngestState::new();
+            let mut est = FleetEstimator::new(SystemPowerModel::paper());
+            assert_eq!(ingest(&mut state, &first, 1, &mut est).rows_written, 1);
 
-                let mut stale_events = 0u64;
-                let d = u64::from(dec);
-                for since in 1..=(d + max_stale + 3) {
-                    let rep = ingest(&mut state, &[], 1, &mut est);
-                    let ctx = format!("dec {dec}, max_stale {max_stale}, window {since}");
-                    let (written, reconstructed, held, newly, health) = if since < d {
-                        (1, 1, 0, 0, HealthState::Healthy)
-                    } else if since <= d - 1 + max_stale {
-                        (1, 0, 1, 0, HealthState::Suspect)
-                    } else {
-                        let newly = since == d + max_stale;
-                        (0, 0, 0, u64::from(newly), HealthState::Stale)
-                    };
-                    assert_eq!(rep.rows_written, written, "{ctx}");
-                    assert_eq!(rep.rows_reconstructed, reconstructed, "{ctx}");
-                    assert_eq!(rep.rows_held, held, "{ctx}");
-                    assert_eq!(rep.machines_stale, newly, "{ctx}");
-                    assert_eq!(state.machine_health(0), Some(health), "{ctx}");
-                    let row = if written == 1 { &first_row } else { &zero_row };
-                    assert_eq!(&batch_bits(&est), row, "{ctx}: batch row");
-                    stale_events += rep.machines_stale;
-                }
-                assert_eq!(stale_events, 1, "one outage, one stale count");
-
-                let rep = ingest(&mut state, &revive, 1, &mut est);
-                assert_eq!(rep.rows_written, 1);
-                assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
-                assert_eq!(batch_bits(&est), revive_row, "revived batch row");
+            let mut stale_events = 0u64;
+            let d = u64::from(dec);
+            for since in 1..=(d + MAX_STALE_WINDOWS + 3) {
+                let rep = ingest(&mut state, &[], 1, &mut est);
+                let ctx = format!("dec {dec}, window {since}");
+                let (written, reconstructed, held, newly, health) = if since < d {
+                    (1, 1, 0, 0, HealthState::Healthy)
+                } else if since <= d - 1 + MAX_STALE_WINDOWS {
+                    (1, 0, 1, 0, HealthState::Suspect)
+                } else {
+                    let newly = since == d + MAX_STALE_WINDOWS;
+                    (0, 0, 0, u64::from(newly), HealthState::Stale)
+                };
+                assert_eq!(rep.rows_written, written, "{ctx}");
+                assert_eq!(rep.rows_reconstructed, reconstructed, "{ctx}");
+                assert_eq!(rep.rows_held, held, "{ctx}");
+                assert_eq!(rep.machines_stale, newly, "{ctx}");
+                assert_eq!(state.machine_health(0), Some(health), "{ctx}");
+                let row = if written == 1 { &first_row } else { &zero_row };
+                assert_eq!(&batch_bits(&est), row, "{ctx}: batch row");
+                stale_events += rep.machines_stale;
             }
+            assert_eq!(stale_events, 1, "one outage, one stale count");
+
+            let rep = ingest(&mut state, &revive, 1, &mut est);
+            assert_eq!(rep.rows_written, 1);
+            assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
+            assert_eq!(batch_bits(&est), revive_row, "revived batch row");
         }
     }
 }
@@ -742,41 +737,6 @@ fn a_machine_sending_twice_does_not_cover_a_silent_one() {
 }
 
 #[test]
-fn never_stale_policy_holds_a_silent_decimated_machine_forever() {
-    // `max_stale_windows: u64::MAX` means "never go stale". Under a
-    // decimation grant the staleness bound is `dec − 1 + max_stale`,
-    // which must saturate rather than overflow (a debug panic) or wrap
-    // (release: Stale at the first owed window). Both ingest paths
-    // must hold the dead machine as Suspect indefinitely, exactly as
-    // they do at decimation 1.
-    const DEC: u16 = 4;
-    let mut enc = WireEncoder::new();
-    enc.set_decimation(0, DEC);
-    enc.push_sample_set(0, &synthetic_set(0, 0, &LAYOUT))
-        .unwrap();
-    let first = enc.take_bytes();
-    for ingest in [ingest_serial_with, ingest_reference_with] {
-        let mut state = IngestState::with_policy(DegradePolicy {
-            max_stale_windows: u64::MAX,
-            ..DegradePolicy::default()
-        });
-        let mut est = FleetEstimator::new(SystemPowerModel::paper());
-        assert_eq!(ingest(&mut state, &first, 1, &mut est).rows_written, 1);
-        for since in 1..=32u64 {
-            let rep = ingest(&mut state, &[], 1, &mut est);
-            assert_eq!(rep.machines_stale, 0, "window {since}");
-            assert_eq!(rep.rows_written, 1, "window {since}");
-            let want = if since < DEC as u64 {
-                HealthState::Healthy
-            } else {
-                HealthState::Suspect
-            };
-            assert_eq!(state.machine_health(0), Some(want), "window {since}");
-        }
-    }
-}
-
-#[test]
 fn stale_machine_replaying_its_last_window_rebaselines_not_locked_out() {
     // Regression for the staleness-boundary sequence bug: a machine
     // that crossed the staleness bound and reappeared replaying its
@@ -785,7 +745,6 @@ fn stale_machine_replaying_its_last_window_rebaselines_not_locked_out() {
     // its next outage could re-count in `machines_stale`. Equal
     // sequences from a Stale machine must re-baseline as a reset.
     let mut state = IngestState::new();
-    let max_stale = state.policy().max_stale_windows;
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
     let set = synthetic_set(0, 5, &LAYOUT);
     let mut enc = WireEncoder::new();
@@ -794,7 +753,7 @@ fn stale_machine_replaying_its_last_window_rebaselines_not_locked_out() {
 
     // stale → …
     let mut stales = 0;
-    for _ in 0..max_stale + 2 {
+    for _ in 0..MAX_STALE_WINDOWS + 2 {
         stales += ingest_serial_with(&mut state, &[], 1, &mut est).machines_stale;
     }
     assert_eq!(stales, 1);
@@ -813,7 +772,7 @@ fn stale_machine_replaying_its_last_window_rebaselines_not_locked_out() {
 
     // … → stale again: the fresh outage counts exactly once more.
     let mut stales = 0;
-    for _ in 0..max_stale + 2 {
+    for _ in 0..MAX_STALE_WINDOWS + 2 {
         stales += ingest_serial_with(&mut state, &[], 1, &mut est).machines_stale;
     }
     assert_eq!(stales, 1, "a fresh outage counts once more");

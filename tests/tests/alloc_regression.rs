@@ -360,7 +360,7 @@ fn steady_state_closed_loop_window_does_not_allocate() {
     let mut est =
         tdp_fleet::FleetEstimator::with_capacity(trickledown::SystemPowerModel::paper(), MACHINES);
     let mut det = tdp_fleet::AnomalyDetector::default();
-    let dec = det.config().healthy_decimation;
+    let dec = tdp_fleet::anomaly::HEALTHY_DECIMATION;
     for w in 0..40u64 {
         for m in 0..MACHINES {
             if enc.should_send(m as u64, w) {
