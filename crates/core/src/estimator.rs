@@ -220,17 +220,15 @@ mod tests {
 
     #[test]
     fn push_sample_set_matches_push() {
-        use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
-        let mut set = SampleSet::from_samples(&[CounterSample::new(
-            CpuId::new(0),
-            0,
-            vec![
-                (PerfEvent::Cycles, 2_000_000_000),
-                (PerfEvent::HaltedCycles, 0),
-                (PerfEvent::FetchedUops, 4_000_000_000),
-            ],
-        )])
-        .unwrap();
+        use tdp_counters::{PerfEvent, SampleSet};
+        let mut set = SampleSet::empty();
+        let events = [
+            PerfEvent::Cycles,
+            PerfEvent::HaltedCycles,
+            PerfEvent::FetchedUops,
+        ];
+        set.reset(events, 1)
+            .copy_from_slice(&[2_000_000_000, 0, 4_000_000_000]);
         set.time_ms = 1000;
         set.window_ms = 1000;
         let mut a = SystemPowerEstimator::new(SystemPowerModel::paper());

@@ -129,20 +129,28 @@ impl SystemSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdp_counters::{CounterSample, CpuId};
 
-    fn set_with(counts: Vec<(PerfEvent, u64)>) -> SampleSet {
-        SampleSet::from_samples(&[CounterSample::new(CpuId::new(0), 0, counts)]).unwrap()
+    /// A set of `cpus` CPUs that each read `counts`.
+    fn set_with(cpus: usize, counts: &[(PerfEvent, u64)]) -> SampleSet {
+        let mut set = SampleSet::empty();
+        let block = set.reset(counts.iter().map(|&(e, _)| e), cpus);
+        for (plane, &(_, n)) in block.chunks_mut(cpus).zip(counts) {
+            plane.fill(n);
+        }
+        set
     }
 
     #[test]
     fn rates_divide_by_cycles() {
-        let set = set_with(vec![
-            (PerfEvent::Cycles, 2_000_000_000),
-            (PerfEvent::HaltedCycles, 500_000_000),
-            (PerfEvent::FetchedUops, 3_000_000_000),
-            (PerfEvent::BusTransactionsAll, 20_000_000),
-        ]);
+        let set = set_with(
+            1,
+            &[
+                (PerfEvent::Cycles, 2_000_000_000),
+                (PerfEvent::HaltedCycles, 500_000_000),
+                (PerfEvent::FetchedUops, 3_000_000_000),
+                (PerfEvent::BusTransactionsAll, 20_000_000),
+            ],
+        );
         let s = SystemSample::from_sample_set(&set);
         let c = &s.per_cpu[0];
         assert!((c.active_frac - 0.75).abs() < 1e-12);
@@ -152,7 +160,7 @@ mod tests {
 
     #[test]
     fn missing_events_are_zero_rates() {
-        let set = set_with(vec![(PerfEvent::Cycles, 1_000)]);
+        let set = set_with(1, &[(PerfEvent::Cycles, 1_000)]);
         let s = SystemSample::from_sample_set(&set);
         assert_eq!(s.per_cpu[0].fetched_upc, 0.0);
         assert_eq!(s.per_cpu[0].interrupts_per_cycle, 0.0);
@@ -161,21 +169,17 @@ mod tests {
 
     #[test]
     fn zero_cycles_does_not_divide_by_zero() {
-        let set = set_with(vec![(PerfEvent::Cycles, 0), (PerfEvent::FetchedUops, 5)]);
+        let set = set_with(1, &[(PerfEvent::Cycles, 0), (PerfEvent::FetchedUops, 5)]);
         let s = SystemSample::from_sample_set(&set);
         assert!(s.per_cpu[0].fetched_upc.is_finite());
     }
 
     #[test]
     fn sum_adds_across_cpus() {
-        let mk = |n| {
-            CounterSample::new(
-                CpuId::new(n),
-                0,
-                vec![(PerfEvent::Cycles, 1_000), (PerfEvent::FetchedUops, 1_500)],
-            )
-        };
-        let set = SampleSet::from_samples(&[mk(0), mk(1)]).unwrap();
+        let set = set_with(
+            2,
+            &[(PerfEvent::Cycles, 1_000), (PerfEvent::FetchedUops, 1_500)],
+        );
         let s = SystemSample::from_sample_set(&set);
         assert!((s.sum(|c| c.fetched_upc) - 3.0).abs() < 1e-12);
     }

@@ -1,7 +1,7 @@
 //! Per-CPU hardware counter banks.
 
 use crate::event::{EventSet, PerfEvent};
-use crate::sampler::{CounterSample, CpuId};
+use crate::sampler::CpuId;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -50,30 +50,30 @@ impl Error for ProgramError {}
 /// A per-CPU bank of event counters with clear-on-read semantics.
 ///
 /// The bank counts every defined [`PerfEvent`] internally, but only events
-/// that have been *programmed* are visible through [`read_and_clear`] —
-/// mirroring the fact that a real PMU only counts what its event-select
+/// that have been *programmed* are visible through [`read_and_clear_column`]
+/// — mirroring the fact that a real PMU only counts what its event-select
 /// registers are configured for. The simulated machine calls [`add`]
-/// unconditionally; what escapes into a [`CounterSample`], or into the
-/// bank's CPU column of a [`SampleSet`](crate::SampleSet) through
-/// [`read_and_clear_column`], is gated here.
+/// unconditionally; what escapes into the bank's CPU column of a
+/// [`SampleSet`](crate::SampleSet) is gated here.
 ///
-/// [`read_and_clear`]: CounterBank::read_and_clear
 /// [`read_and_clear_column`]: CounterBank::read_and_clear_column
 /// [`add`]: CounterBank::add
 ///
 /// # Example
 ///
 /// ```
-/// use tdp_counters::{CounterBank, CpuId, PerfEvent};
+/// use tdp_counters::{CounterBank, CpuId, PerfEvent, SampleSet};
 ///
 /// let mut bank = CounterBank::new(CpuId::new(2));
 /// bank.program(&[PerfEvent::TlbMisses])?;
 /// bank.add(PerfEvent::TlbMisses, 10);
 /// bank.add(PerfEvent::Cycles, 999); // counted but not programmed
 ///
-/// let s = bank.read_and_clear(0);
-/// assert_eq!(s.count(PerfEvent::TlbMisses), Some(10));
-/// assert_eq!(s.count(PerfEvent::Cycles), None, "not programmed");
+/// let mut set = SampleSet::empty();
+/// let block = set.reset(bank.programmed().iter(), 1);
+/// bank.read_and_clear_column(block, 1, 0);
+/// assert_eq!(set.total(PerfEvent::TlbMisses), Some(10));
+/// assert_eq!(set.total(PerfEvent::Cycles), None, "not programmed");
 /// # Ok::<(), tdp_counters::ProgramError>(())
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -135,16 +135,6 @@ impl CounterBank {
         Ok(())
     }
 
-    /// Programs the bank to expose every defined event.
-    ///
-    /// This over-subscribes a real PMU (it would need multiplexing) but is
-    /// convenient for model-selection experiments where all candidates are
-    /// observed; a note to that effect belongs in any methodology that uses
-    /// it.
-    pub fn program_all_for_exploration(&mut self) {
-        self.programmed = EventSet::from_events(PerfEvent::ALL);
-    }
-
     /// The currently programmed event set.
     pub fn programmed(&self) -> EventSet {
         self.programmed
@@ -163,32 +153,13 @@ impl CounterBank {
             .then(|| self.counts[event.index()])
     }
 
-    /// Reads all programmed counters into a [`CounterSample`] tagged with
-    /// `seq`, then clears **all** counters (programmed or not), matching
-    /// the paper's record-total-then-clear sampling discipline (§3.1.3).
-    pub fn read_and_clear(&mut self, seq: u64) -> CounterSample {
-        let mut sample = CounterSample::new(self.cpu, seq, Vec::new());
-        self.read_and_clear_into(seq, &mut sample);
-        sample
-    }
-
-    /// Like [`read_and_clear`](Self::read_and_clear) but refilling a
-    /// caller-owned sample in place, reusing its capacity.
-    pub fn read_and_clear_into(&mut self, seq: u64, out: &mut CounterSample) {
-        let counts = &self.counts;
-        out.refill(
-            self.cpu,
-            seq,
-            self.programmed.iter().map(|e| (e, counts[e.index()])),
-        );
-        self.counts.fill(0);
-    }
-
-    /// Like [`read_and_clear`](Self::read_and_clear) but writing this
-    /// bank's column of an event-major block laid out over its
-    /// programmed events: `block[e · cpus + cpu]` for the `e`-th
-    /// programmed event. This is how a machine fills a
-    /// [`SampleSet`](crate::SampleSet) in place, one bank per CPU.
+    /// Writes every programmed counter into this bank's column of an
+    /// event-major block laid out over its programmed events,
+    /// `block[e · cpus + cpu]` for the `e`-th programmed event, then clears
+    /// **all** counters (programmed or not), matching the paper's
+    /// record-total-then-clear sampling discipline (§3.1.3). This is how a
+    /// machine fills a [`SampleSet`](crate::SampleSet) in place, one bank
+    /// per CPU.
     ///
     /// # Panics
     ///
@@ -206,14 +177,24 @@ impl CounterBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SampleSet;
+
+    /// Reads `bank` alone as a one-CPU set.
+    fn read(bank: &mut CounterBank) -> SampleSet {
+        let mut set = SampleSet::empty();
+        let block = set.reset(bank.programmed().iter(), 1);
+        bank.read_and_clear_column(block, 1, 0);
+        set
+    }
 
     #[test]
     fn unprogrammed_events_are_invisible() {
         let mut bank = CounterBank::new(CpuId::new(0));
         bank.program(&[PerfEvent::Cycles]).unwrap();
         bank.add(PerfEvent::HaltedCycles, 5);
-        let s = bank.read_and_clear(0);
-        assert_eq!(s.count(PerfEvent::HaltedCycles), None);
+        let s = read(&mut bank);
+        assert_eq!(s.events(), [PerfEvent::Cycles]);
+        assert_eq!(s.total(PerfEvent::HaltedCycles), None);
     }
 
     #[test]
@@ -222,11 +203,10 @@ mod tests {
         bank.program(&[PerfEvent::Cycles]).unwrap();
         bank.add(PerfEvent::HaltedCycles, 5);
         bank.add(PerfEvent::Cycles, 7);
-        let _ = bank.read_and_clear(0);
+        assert_eq!(read(&mut bank).counts(), [7]);
         bank.program(&[PerfEvent::HaltedCycles]).unwrap();
-        let s = bank.read_and_clear(1);
         assert_eq!(
-            s.count(PerfEvent::HaltedCycles),
+            read(&mut bank).total(PerfEvent::HaltedCycles),
             Some(0),
             "clear-on-read wipes unprogrammed counters too"
         );

@@ -17,7 +17,8 @@
 //!   little jitter from cache effects and interrupt latency
 //!   ([`SamplingDriver`]);
 //! * the total count of each event over the window is recorded and the
-//!   counters are **cleared** ([`CounterBank::read_and_clear`]);
+//!   counters are **cleared** ([`CounterBank::read_and_clear_column`],
+//!   which writes one CPU's column of a [`SampleSet`]);
 //! * a **synchronisation pulse** is emitted at each sampling so that
 //!   power-measurement records taken by separate acquisition hardware can be
 //!   aligned offline ([`SyncPulse`]);
@@ -28,15 +29,17 @@
 //! # Example
 //!
 //! ```
-//! use tdp_counters::{CounterBank, CpuId, PerfEvent};
+//! use tdp_counters::{CounterBank, CpuId, PerfEvent, SampleSet};
 //!
 //! let mut bank = CounterBank::new(CpuId::new(0));
 //! bank.program(&[PerfEvent::Cycles, PerfEvent::FetchedUops])?;
 //! bank.add(PerfEvent::Cycles, 2_000_000_000);
 //! bank.add(PerfEvent::FetchedUops, 1_400_000_000);
 //!
-//! let sample = bank.read_and_clear(1);
-//! assert_eq!(sample.count(PerfEvent::Cycles), Some(2_000_000_000));
+//! let mut set = SampleSet::empty();
+//! let block = set.reset(bank.programmed().iter(), 1);
+//! bank.read_and_clear_column(block, 1, 0);
+//! assert_eq!(set.total(PerfEvent::Cycles), Some(2_000_000_000));
 //! assert_eq!(bank.peek(PerfEvent::Cycles), Some(0));
 //! # Ok::<(), tdp_counters::ProgramError>(())
 //! ```
@@ -47,7 +50,6 @@
 mod bank;
 mod event;
 mod interrupts;
-mod multiplex;
 mod sampler;
 mod subsystem;
 mod sync;
@@ -55,9 +57,6 @@ mod sync;
 pub use bank::{CounterBank, ProgramError, MAX_HARDWARE_COUNTERS};
 pub use event::{layout_hash, layout_hash_indices, EventProvenance, EventSet, PerfEvent};
 pub use interrupts::{InterruptAccounting, InterruptSnapshot, InterruptSource, InterruptVector};
-pub use multiplex::{MultiplexSchedule, MultiplexedSample, MultiplexedSampler};
-pub use sampler::{
-    CounterSample, CpuId, MixedLayoutError, SampleSet, SamplerConfig, SamplingDriver,
-};
+pub use sampler::{CpuId, SampleSet, SamplerConfig, SamplingDriver};
 pub use subsystem::Subsystem;
 pub use sync::{SyncPulse, SyncRecorder};

@@ -43,109 +43,6 @@ impl From<u8> for CpuId {
     }
 }
 
-/// Event totals read from one CPU's counter bank over one sampling window.
-///
-/// Counts are stored sparsely as `(event, total)` pairs in event
-/// declaration order. A [`SampleSet`] does not hold these: it keeps one
-/// layout for all its CPUs and their counts in one event-major block, and
-/// [`SampleSet::from_samples`] builds one from per-CPU samples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterSample {
-    cpu: CpuId,
-    seq: u64,
-    counts: Vec<(PerfEvent, u64)>,
-}
-
-impl CounterSample {
-    /// Creates a sample. `counts` should be in event declaration order, as
-    /// produced by [`CounterBank::read_and_clear`](crate::CounterBank::read_and_clear).
-    pub fn new(cpu: CpuId, seq: u64, counts: Vec<(PerfEvent, u64)>) -> Self {
-        Self { cpu, seq, counts }
-    }
-
-    /// The CPU the sample was read from.
-    pub fn cpu(&self) -> CpuId {
-        self.cpu
-    }
-
-    /// Monotonic sequence number shared with the [`SyncPulse`](crate::SyncPulse)
-    /// emitted at the same sampling.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total count of `event` over the window, or `None` if the event was
-    /// not programmed.
-    pub fn count(&self, event: PerfEvent) -> Option<u64> {
-        self.counts
-            .iter()
-            .find(|(e, _)| *e == event)
-            .map(|&(_, c)| c)
-    }
-
-    /// `event` count divided by the window's unhalted-cycle count — the
-    /// per-cycle rate the paper builds every model input from (§3.3
-    /// "Cycles"). Returns `None` if either event is missing, and 0.0 when
-    /// the cycle count is zero (a fully halted window).
-    pub fn rate_per_cycle(&self, event: PerfEvent) -> Option<f64> {
-        let cycles = self.count(PerfEvent::Cycles)?;
-        let n = self.count(event)?;
-        Some(if cycles == 0 {
-            0.0
-        } else {
-            n as f64 / cycles as f64
-        })
-    }
-
-    /// Iterates over `(event, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (PerfEvent, u64)> + '_ {
-        self.counts.iter().copied()
-    }
-
-    /// The raw `(event, count)` pairs, in the order they were read.
-    pub fn counts(&self) -> &[(PerfEvent, u64)] {
-        &self.counts
-    }
-
-    /// Re-tags the sample and replaces its counts in place, keeping the
-    /// pair vector's capacity — the refill path behind
-    /// [`CounterBank::read_and_clear_into`](crate::CounterBank::read_and_clear_into),
-    /// for callers that cycle a fixed pool of sample buffers instead of
-    /// allocating one per read.
-    pub fn refill(
-        &mut self,
-        cpu: CpuId,
-        seq: u64,
-        pairs: impl IntoIterator<Item = (PerfEvent, u64)>,
-    ) {
-        self.cpu = cpu;
-        self.seq = seq;
-        self.counts.clear();
-        self.counts.extend(pairs);
-    }
-}
-
-/// Why per-CPU samples cannot form one [`SampleSet`]: a CPU's event list
-/// differs, in events or in order, from CPU 0's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MixedLayoutError {
-    /// The position, in the samples given, of the first CPU that
-    /// disagrees.
-    pub cpu: usize,
-}
-
-impl fmt::Display for MixedLayoutError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CPU {} programs a different event list than CPU 0",
-            self.cpu
-        )
-    }
-}
-
-impl std::error::Error for MixedLayoutError {}
-
 /// One synchronized read of every CPU's counters plus the OS interrupt
 /// accounting, tagged with simulated time.
 ///
@@ -153,28 +50,26 @@ impl std::error::Error for MixedLayoutError {}
 /// all four CPUs, §3), so a set holds one event layout,
 /// [`events`](Self::events), and one event-major block of counts:
 /// [`counts`](Self::counts)`[e · cpus + c]` is event `events[e]` on CPU
-/// `c`. An event's counts across CPUs, its *plane*, are contiguous. CPUs
-/// that disagree on the layout cannot be represented:
-/// [`from_samples`](Self::from_samples) refuses them. A set with no CPUs
-/// has no layout.
+/// `c`. An event's counts across CPUs, its *plane*, are contiguous, and
+/// CPUs that disagree on the layout cannot be represented. A set with no
+/// CPUs has no layout.
+///
+/// A producer fills a set in place with [`reset`](Self::reset): a
+/// machine hands each CPU's [`CounterBank`](crate::CounterBank) the
+/// returned block through
+/// [`read_and_clear_column`](crate::CounterBank::read_and_clear_column).
 ///
 /// # Example
 ///
 /// ```
-/// use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
+/// use tdp_counters::{PerfEvent, SampleSet};
 ///
-/// let cpu = |id, cycles| {
-///     let counts = vec![(PerfEvent::Cycles, cycles), (PerfEvent::L2Misses, 3)];
-///     CounterSample::new(CpuId::new(id), 0, counts)
-/// };
-/// let set = SampleSet::from_samples(&[cpu(0, 10), cpu(1, 20)])?;
-/// assert_eq!(set.counts(), [10, 20, 3, 3]);
+/// let mut set = SampleSet::empty();
+/// let block = set.reset([PerfEvent::Cycles, PerfEvent::L2Misses], 2);
+/// block.copy_from_slice(&[10, 20, 3, 3]);
 /// assert_eq!(set.plane(PerfEvent::Cycles), Some(&[10, 20][..]));
 /// assert_eq!(set.total(PerfEvent::L2Misses), Some(6));
-///
-/// let short = CounterSample::new(CpuId::new(1), 0, vec![(PerfEvent::Cycles, 20)]);
-/// assert!(SampleSet::from_samples(&[cpu(0, 10), short]).is_err());
-/// # Ok::<(), tdp_counters::MixedLayoutError>(())
+/// assert_eq!(set.total(PerfEvent::TlbMisses), None, "not in the layout");
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SampleSet {
@@ -236,36 +131,6 @@ impl SampleSet {
             counts: Vec::new(),
             interrupts: InterruptSnapshot::default(),
         }
-    }
-
-    /// The set of per-CPU `samples`, CPU `c` being `samples[c]`, for
-    /// tests and custom producers. The sequence number is CPU 0's; the
-    /// times are zero and the interrupt deltas empty until the caller
-    /// sets them.
-    ///
-    /// # Errors
-    ///
-    /// [`MixedLayoutError`] if any CPU's event list differs from CPU 0's
-    /// in events or order.
-    pub fn from_samples(samples: &[CounterSample]) -> Result<Self, MixedLayoutError> {
-        let mut set = Self::empty();
-        let Some(first) = samples.first() else {
-            return Ok(set);
-        };
-        set.seq = first.seq;
-        let cpus = samples.len();
-        let block = set.reset(first.iter().map(|p| p.0), cpus);
-        for (c, s) in samples.iter().enumerate() {
-            let same = s.counts.len() == first.counts.len()
-                && s.iter().zip(first.iter()).all(|(a, b)| a.0 == b.0);
-            if !same {
-                return Err(MixedLayoutError { cpu: c });
-            }
-            for (e, &(_, n)) in s.counts.iter().enumerate() {
-                block[e * cpus + c] = n;
-            }
-        }
-        Ok(set)
     }
 
     /// Re-lays the set out as `cpus` CPUs over `events` and returns its
@@ -416,95 +281,54 @@ impl SamplingDriver {
 mod tests {
     use super::*;
 
-    #[test]
-    fn rate_per_cycle_handles_zero_cycles() {
-        let s = CounterSample::new(
-            CpuId::new(0),
-            0,
-            vec![(PerfEvent::Cycles, 0), (PerfEvent::FetchedUops, 0)],
-        );
-        assert_eq!(s.rate_per_cycle(PerfEvent::FetchedUops), Some(0.0));
-    }
-
-    #[test]
-    fn rate_per_cycle_missing_event_is_none() {
-        let s = CounterSample::new(CpuId::new(0), 0, vec![(PerfEvent::Cycles, 10)]);
-        assert_eq!(s.rate_per_cycle(PerfEvent::TlbMisses), None);
-    }
-
-    /// The serialized form is the flat struct shape
-    /// `{"cpu":..,"seq":..,"counts":[..]}`, and round-trips exactly.
-    #[test]
-    fn counter_sample_serializes_as_a_flat_struct() {
-        let pairs = vec![(PerfEvent::Cycles, 1), (PerfEvent::L2Misses, 8)];
-        let s = CounterSample::new(CpuId::new(3), 9, pairs);
-        let json = serde_json::to_string(&s).unwrap();
-        let flat = r#"{"cpu":3,"seq":9,"counts":[["Cycles",1],["L2Misses",8]]}"#;
-        assert_eq!(json, flat);
-        let back: CounterSample = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-    }
-
-    fn set_of(per_cpu: &[Vec<(PerfEvent, u64)>]) -> Result<SampleSet, MixedLayoutError> {
-        let samples: Vec<CounterSample> = per_cpu
-            .iter()
-            .enumerate()
-            .map(|(c, pairs)| CounterSample::new(CpuId::new(c as u8), 4, pairs.clone()))
-            .collect();
-        SampleSet::from_samples(&samples)
+    /// The set of `per_cpu` counts over `events`, CPU `c` being
+    /// `per_cpu[c]`, filled through the block a producer fills.
+    fn set_of(events: &[PerfEvent], per_cpu: &[&[u64]]) -> SampleSet {
+        let mut set = SampleSet::empty();
+        set.seq = 4;
+        let cpus = per_cpu.len();
+        let block = set.reset(events.iter().copied(), cpus);
+        for (c, counts) in per_cpu.iter().enumerate() {
+            for (e, &n) in counts.iter().enumerate() {
+                block[e * cpus + c] = n;
+            }
+        }
+        set
     }
 
     #[test]
     fn sample_set_total_sums_across_cpus() {
-        let mk = |n| vec![(PerfEvent::L2Misses, n)];
-        let set = set_of(&[mk(5), mk(7)]).unwrap();
+        let set = set_of(&[PerfEvent::L2Misses], &[&[5], &[7]]);
         assert_eq!(set.total(PerfEvent::L2Misses), Some(12));
         assert_eq!(set.total(PerfEvent::Cycles), None);
     }
 
     #[test]
-    fn from_samples_lays_the_block_out_event_major() {
-        let cpu = |c: u64| vec![(PerfEvent::Cycles, 10 + c), (PerfEvent::L2Misses, 20 + c)];
-        let set = set_of(&[cpu(0), cpu(1), cpu(2)]).unwrap();
+    fn reset_lays_the_block_out_event_major() {
+        let events = [PerfEvent::Cycles, PerfEvent::L2Misses];
+        let set = set_of(&events, &[&[10, 20], &[11, 21], &[12, 22]]);
         assert_eq!((set.seq, set.num_cpus()), (4, 3));
-        assert_eq!(set.events(), [PerfEvent::Cycles, PerfEvent::L2Misses]);
+        assert_eq!(set.events(), events);
         assert_eq!(set.counts(), [10, 11, 12, 20, 21, 22]);
         assert_eq!(set.plane(PerfEvent::L2Misses), Some(&[20, 21, 22][..]));
         // No CPUs: no layout.
-        let empty = SampleSet::from_samples(&[]).unwrap();
+        let empty = set_of(&events, &[]);
         assert!(empty.events().is_empty() && empty.counts().is_empty());
     }
 
     #[test]
-    fn from_samples_rejects_cpus_that_disagree_on_the_layout() {
-        let good = vec![
-            (PerfEvent::Cycles, 10),
-            (PerfEvent::HaltedCycles, 20),
-            (PerfEvent::L2Misses, 30),
-        ];
-        // A later CPU programs a different event in one slot, the same
-        // events in another order, or fewer events.
-        let swapped = vec![
-            (PerfEvent::Cycles, 11),
-            (PerfEvent::TlbMisses, 19),
-            (PerfEvent::L2Misses, 31),
-        ];
-        let mut reordered = good.clone();
-        reordered.swap(0, 1);
-        let short = vec![(PerfEvent::Cycles, 11)];
-        for bad in [swapped, reordered, short] {
-            let err = set_of(&[good.clone(), good.clone(), bad]).unwrap_err();
-            assert_eq!(err, MixedLayoutError { cpu: 2 });
-        }
-    }
-
-    #[test]
     fn deserialization_rejects_a_block_that_does_not_fit_the_layout() {
-        let set = set_of(&[vec![(PerfEvent::Cycles, 1)], vec![(PerfEvent::Cycles, 2)]]).unwrap();
+        let set = set_of(&[PerfEvent::Cycles], &[&[1], &[2]]);
         let json = serde_json::to_string(&set).unwrap();
         assert_eq!(serde_json::from_str::<SampleSet>(&json).unwrap(), set);
         let bad = json.replace(r#""cpus":2"#, r#""cpus":3"#);
         assert!(serde_json::from_str::<SampleSet>(&bad).is_err());
+        // No CPUs and no counts, yet a layout: a set with no CPUs has none.
+        let layout_without_cpus = json
+            .replace(r#""cpus":2"#, r#""cpus":0"#)
+            .replace(r#""counts":[1,2]"#, r#""counts":[]"#);
+        assert!(layout_without_cpus.contains(r#""events":["Cycles"],"cpus":0,"counts":[]"#));
+        assert!(serde_json::from_str::<SampleSet>(&layout_without_cpus).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tdp_counters::{
-    CounterBank, CpuId, InterruptAccounting, InterruptSource, PerfEvent, SamplerConfig,
+    CounterBank, CpuId, InterruptAccounting, InterruptSource, PerfEvent, SampleSet, SamplerConfig,
     SamplingDriver,
 };
 
@@ -18,21 +18,21 @@ proptest! {
         adds in prop::collection::vec((arb_event(), 0u64..1_000_000), 0..100),
     ) {
         let mut bank = CounterBank::new(CpuId::new(0));
-        bank.program_all_for_exploration();
+        bank.program(PerfEvent::ALL).unwrap();
         let mut expected = vec![0u64; PerfEvent::count()];
         for &(e, n) in &adds {
             bank.add(e, n);
             expected[e.index()] += n;
         }
-        let sample = bank.read_and_clear(0);
+        let mut set = SampleSet::empty();
+        bank.read_and_clear_column(set.reset(PerfEvent::ALL.iter().copied(), 1), 1, 0);
+        prop_assert_eq!(set.events(), PerfEvent::ALL);
         for &e in PerfEvent::ALL {
-            prop_assert_eq!(sample.count(e), Some(expected[e.index()]));
+            prop_assert_eq!(set.total(e), Some(expected[e.index()]));
         }
         // Second read is all zeros.
-        let empty = bank.read_and_clear(1);
-        for &e in PerfEvent::ALL {
-            prop_assert_eq!(empty.count(e), Some(0));
-        }
+        bank.read_and_clear_column(set.reset(PerfEvent::ALL.iter().copied(), 1), 1, 0);
+        prop_assert!(set.counts().iter().all(|&n| n == 0));
     }
 
     /// The sampling driver fires exactly once per period no matter how

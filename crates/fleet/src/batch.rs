@@ -386,15 +386,19 @@ fn extract_sample(sample: &SystemSample) -> [f64; COLUMNS] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdp_counters::{CounterSample, CpuId};
 
-    fn set_with(per_cpu: Vec<Vec<(PerfEvent, u64)>>) -> SampleSet {
-        let samples: Vec<CounterSample> = per_cpu
-            .into_iter()
-            .enumerate()
-            .map(|(i, counts)| CounterSample::new(CpuId::new(i as u8), 0, counts))
-            .collect();
-        SampleSet::from_samples(&samples).unwrap()
+    /// The set of `per_cpu` counts over `events`, CPU `c` being
+    /// `per_cpu[c]`.
+    fn set_with(events: &[PerfEvent], per_cpu: &[&[u64]]) -> SampleSet {
+        let mut set = SampleSet::empty();
+        let cpus = per_cpu.len();
+        let block = set.reset(events.iter().copied(), cpus);
+        for (c, counts) in per_cpu.iter().enumerate() {
+            for (e, &n) in counts.iter().enumerate() {
+                block[e * cpus + c] = n;
+            }
+        }
+        set
     }
 
     #[test]
@@ -412,18 +416,7 @@ mod tests {
         ];
         // Second CPU counts only cycles: its rates must be zero.
         let cycles_only = [1_000_000_000, 0, 0, 0, 0, 0, 0, 0, 0];
-        let set = set_with(
-            [busy, cycles_only]
-                .iter()
-                .map(|cpu| {
-                    ROW_EVENTS
-                        .iter()
-                        .copied()
-                        .zip(cpu.iter().copied())
-                        .collect()
-                })
-                .collect(),
-        );
+        let set = set_with(&ROW_EVENTS, &[&busy, &cycles_only]);
         let row = extract_set(&set, &mut Vec::new());
         let via_sample = extract_sample(&SystemSample::from_sample_set(&set));
         // `extract_set` multiplies by 1/cycles where `from_sample_set`
@@ -442,10 +435,7 @@ mod tests {
 
     #[test]
     fn zero_cycles_and_missing_events_are_safe() {
-        let set = set_with(vec![vec![
-            (PerfEvent::Cycles, 0),
-            (PerfEvent::FetchedUops, 7),
-        ]]);
+        let set = set_with(&[PerfEvent::Cycles, PerfEvent::FetchedUops], &[&[0, 7]]);
         let row = extract_set(&set, &mut Vec::new());
         assert!(row.iter().all(|v| v.is_finite()));
         assert_eq!(row[col::DISK_INT], 0.0);
@@ -453,11 +443,12 @@ mod tests {
 
     #[test]
     fn timer_exceeding_total_clamps_device_rate_to_zero() {
-        let set = set_with(vec![vec![
-            (PerfEvent::Cycles, 1_000_000),
-            (PerfEvent::InterruptsTotal, 10),
-            (PerfEvent::TimerInterrupts, 25),
-        ]]);
+        let events = [
+            PerfEvent::Cycles,
+            PerfEvent::InterruptsTotal,
+            PerfEvent::TimerInterrupts,
+        ];
+        let set = set_with(&events, &[&[1_000_000, 10, 25]]);
         assert_eq!(extract_set(&set, &mut Vec::new())[col::DEV_INT], 0.0);
     }
 
@@ -492,7 +483,7 @@ mod tests {
     #[test]
     fn clear_retains_capacity() {
         let mut b = SampleBatch::with_capacity(4);
-        let set = set_with(vec![vec![(PerfEvent::Cycles, 1_000)]]);
+        let set = set_with(&[PerfEvent::Cycles], &[&[1_000]]);
         for _ in 0..4 {
             b.push_sample_set(&set);
         }

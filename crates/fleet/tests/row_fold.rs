@@ -11,7 +11,7 @@
 //! reference on every row.
 
 use proptest::prelude::*;
-use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
+use tdp_counters::{PerfEvent, SampleSet};
 use tdp_fleet::{col, RowAccumulator, SampleBatch, COLUMNS, ROW_EVENTS};
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -26,30 +26,34 @@ fn splitmix(state: &mut u64) -> u64 {
 /// seed-derived counts large enough to produce nonzero rates.
 fn set_with_layout(layout: &[PerfEvent], seed: u64, cpus: usize) -> SampleSet {
     let mut s = seed;
-    let per_cpu: Vec<CounterSample> = (0..cpus)
-        .map(|cpu| {
-            let counts = layout
-                .iter()
-                .map(|&e| {
-                    let base = if e == PerfEvent::Cycles {
-                        1_000_000_000
-                    } else {
-                        0
-                    };
-                    (e, base + splitmix(&mut s) % 1_000_000_000)
-                })
-                .collect();
-            CounterSample::new(CpuId::new(cpu as u8), seed, counts)
-        })
-        .collect();
-    set_of(&per_cpu)
+    set_of(layout, cpus, seed, |e| {
+        let base = if layout[e] == PerfEvent::Cycles {
+            1_000_000_000
+        } else {
+            0
+        };
+        base + splitmix(&mut s) % 1_000_000_000
+    })
 }
 
-/// The one-second window of `per_cpu`.
-fn set_of(per_cpu: &[CounterSample]) -> SampleSet {
-    let mut set = SampleSet::from_samples(per_cpu).expect("one layout");
+/// The one-second window `seq` of `cpus` CPUs over `layout`, each CPU
+/// reading `count(e)` for `layout[e]`, drawn CPU by CPU.
+fn set_of(
+    layout: &[PerfEvent],
+    cpus: usize,
+    seq: u64,
+    mut count: impl FnMut(usize) -> u64,
+) -> SampleSet {
+    let mut set = SampleSet::empty();
+    set.seq = seq;
     set.time_ms = 1000;
     set.window_ms = 1000;
+    let block = set.reset(layout.iter().copied(), cpus);
+    for c in 0..cpus {
+        for e in 0..layout.len() {
+            block[e * cpus + c] = count(e);
+        }
+    }
     set
 }
 
@@ -160,7 +164,7 @@ fn extended_layout_mid_stream_shifts_no_columns() {
 
 #[test]
 fn truncated_layout_mid_stream_zeroes_missing_events_only() {
-    // Events vanish (counter multiplexed away): their rates must read
+    // Events vanish (the counters were reprogrammed): their rates must read
     // zero, and surviving events must keep their true values.
     let partial = [PerfEvent::Cycles, PerfEvent::FetchedUops];
     assert_stream_matches_reference(&[
@@ -198,23 +202,17 @@ fn duplicated_event_reads_its_first_occurrence_whatever_came_before() {
         .chain(TRICKLE.iter())
         .copied()
         .collect();
-    let counts = |cycles: u64| -> Vec<(PerfEvent, u64)> {
-        TRICKLE
-            .iter()
-            .map(|&e| match e {
-                PerfEvent::Cycles => (e, cycles),
-                PerfEvent::HaltedCycles => (e, 250_000),
-                _ => (e, 1_000),
-            })
-            .collect()
-    };
-    let mut doubled = vec![(PerfEvent::Cycles, 1_000_000)];
-    doubled.extend(counts(2_000_000));
-    let doubled = set_of(
-        &(0..4)
-            .map(|cpu| CounterSample::new(CpuId::new(cpu), 1, doubled.clone()))
-            .collect::<Vec<_>>(),
-    );
+    let doubled_layout: Vec<PerfEvent> = [PerfEvent::Cycles]
+        .iter()
+        .chain(TRICKLE.iter())
+        .copied()
+        .collect();
+    let doubled = set_of(&doubled_layout, 4, 1, |e| match doubled_layout[e] {
+        PerfEvent::Cycles if e == 0 => 1_000_000,
+        PerfEvent::Cycles => 2_000_000,
+        PerfEvent::HaltedCycles => 250_000,
+        _ => 1_000,
+    });
     let sets = [set_with_layout(&shifted, 40, 4), doubled];
     assert_stream_matches_reference(&sets);
 

@@ -126,7 +126,8 @@ impl Machine {
             .map(|i| CounterBank::new(CpuId::new(i as u8)))
             .collect();
         for b in &mut banks {
-            b.program_all_for_exploration();
+            b.program(PerfEvent::ALL)
+                .expect("every event fits the hardware counters");
         }
         let disks = (0..cfg.disk.num_disks)
             .map(|i| ScsiDisk::new(cfg.disk, root.derive(&format!("disk-{i}"))))

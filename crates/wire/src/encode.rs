@@ -354,7 +354,6 @@ impl WireEncoder {
 mod tests {
     use super::*;
     use crate::frame::MAX_WIRE_CPUS;
-    use tdp_counters::{CounterSample, CpuId};
 
     const LAYOUT_A: [PerfEvent; 3] = [
         PerfEvent::Cycles,
@@ -366,17 +365,14 @@ mod tests {
     /// A two-CPU window over `layout` whose counts vary with `machine`
     /// and `seq`, so every frame in a stream carries distinct bytes.
     fn set_of(layout: &[PerfEvent], machine: u64, seq: u64) -> SampleSet {
-        let per_cpu: Vec<CounterSample> = (0..2u64)
-            .map(|cpu| {
-                let pairs = layout
-                    .iter()
-                    .enumerate()
-                    .map(|(e, &ev)| (ev, 1000 * machine + 100 * seq + 10 * cpu + e as u64))
-                    .collect();
-                CounterSample::new(CpuId::new(cpu as u8), seq, pairs)
-            })
-            .collect();
-        SampleSet::from_samples(&per_cpu).unwrap()
+        let mut set = SampleSet::empty();
+        set.seq = seq;
+        let block = set.reset(layout.iter().copied(), 2);
+        for (i, n) in block.iter_mut().enumerate() {
+            let (e, cpu) = (i as u64 / 2, i as u64 % 2);
+            *n = 1000 * machine + 100 * seq + 10 * cpu + e;
+        }
+        set
     }
 
     /// `(frame type, machine, announced decimation)` of every frame in
@@ -437,8 +433,9 @@ mod tests {
         push(&mut enc, 1, &set_of(&LAYOUT_B, 1, 3));
         push(&mut enc, 2, &set_of(&LAYOUT_A, 2, 3));
         // A rejected set appends nothing and leaves the agent as it was.
-        let cpu = CounterSample::new(CpuId::new(0), 4, vec![(PerfEvent::Cycles, 1)]);
-        let wide = SampleSet::from_samples(&vec![cpu; MAX_WIRE_CPUS + 1]).unwrap();
+        let mut wide = SampleSet::empty();
+        wide.seq = 4;
+        wide.reset([PerfEvent::Cycles], MAX_WIRE_CPUS + 1).fill(1);
         let before = enc.bytes().len();
         assert_eq!(enc.push_sample_set(0, &wide), Err(EncodeError::OutOfBounds));
         assert_eq!(enc.bytes().len(), before);

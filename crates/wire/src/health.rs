@@ -335,6 +335,10 @@ pub struct PipelineHealth {
     pub corrupt_frames: u64,
     /// Framing losses that forced a scan for the next boundary.
     pub resyncs: u64,
+    /// Sample frames naming a layout never declared on the stream.
+    pub unknown_layout_frames: u64,
+    /// Decoded rows for machines beyond the window's machine count.
+    pub out_of_range_frames: u64,
     /// Window-sequence regressions (machine reboot / counter reset).
     pub resets_detected: u64,
     /// Frames re-delivering an already-accepted window.
@@ -354,6 +358,8 @@ impl PipelineHealth {
         Self {
             corrupt_frames: r.corrupt_frames,
             resyncs: r.resyncs,
+            unknown_layout_frames: r.unknown_layout_frames,
+            out_of_range_frames: r.out_of_range_frames,
             resets_detected: r.resets_detected,
             duplicate_windows: r.duplicate_windows,
             rows_quarantined: r.rows_quarantined,
@@ -372,9 +378,12 @@ impl std::fmt::Display for PipelineHealth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "corrupt={} resyncs={} resets={} dups={} quarantined={} held={} stale={}",
+            "corrupt={} resyncs={} unknown_layout={} out_of_range={} resets={} dups={} \
+             quarantined={} held={} stale={}",
             self.corrupt_frames,
             self.resyncs,
+            self.unknown_layout_frames,
+            self.out_of_range_frames,
             self.resets_detected,
             self.duplicate_windows,
             self.rows_quarantined,

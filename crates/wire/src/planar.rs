@@ -535,7 +535,7 @@ mod tests {
     use crate::frame::{FrameHeader, FrameType, HEADER_LEN};
     use crate::{encode_sample_frame, EncodeError, WireEncoder};
     use proptest::prelude::*;
-    use tdp_counters::{CounterSample, CpuId, PerfEvent};
+    use tdp_counters::PerfEvent;
     use tdp_fleet::ROW_EVENTS;
 
     /// The per-lane encoder the gather/write pair replaced, kept as the
@@ -627,15 +627,16 @@ mod tests {
 
     /// A window of `rows[cpu]` counts over `layout`.
     fn set_over(layout: &[PerfEvent], rows: &[Vec<u64>]) -> SampleSet {
-        let per_cpu: Vec<CounterSample> = rows
-            .iter()
-            .enumerate()
-            .map(|(cpu, vals)| {
-                let pairs = layout.iter().copied().zip(vals.iter().copied()).collect();
-                CounterSample::new(CpuId::new(cpu as u8), 1, pairs)
-            })
-            .collect();
-        SampleSet::from_samples(&per_cpu).expect("one layout")
+        let mut set = SampleSet::empty();
+        set.seq = 1;
+        let cpus = rows.len();
+        let block = set.reset(layout.iter().copied(), cpus);
+        for (cpu, vals) in rows.iter().enumerate() {
+            for (e, &n) in vals.iter().enumerate() {
+                block[e * cpus + cpu] = n;
+            }
+        }
+        set
     }
 
     fn header_for(payload_len: usize, cpus: u16, n_events: u16) -> FrameHeader {

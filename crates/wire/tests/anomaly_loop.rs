@@ -7,69 +7,15 @@
 //! within the machine's own decimation, and no row ever held while
 //! grants rise and fall.
 
-use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
+mod common;
+
+use common::synthetic_set;
 use tdp_fleet::anomaly::{BASELINE_WINDOWS, HEALTHY_DECIMATION, HOLD_WINDOWS};
-use tdp_fleet::{AnomalyDetector, FleetEstimator, Verdict};
+use tdp_fleet::{AnomalyDetector, FleetEstimator, Verdict, ROW_EVENTS};
 use tdp_wire::{ingest_serial_with, IngestState, StreamReport, WireEncoder};
 use trickledown::SystemPowerModel;
 
 const MACHINES: usize = 16;
-
-const LAYOUT: [PerfEvent; 9] = [
-    PerfEvent::Cycles,
-    PerfEvent::HaltedCycles,
-    PerfEvent::FetchedUops,
-    PerfEvent::L3LoadMisses,
-    PerfEvent::BusTransactionsAll,
-    PerfEvent::DmaOtherBusTransactions,
-    PerfEvent::InterruptsTotal,
-    PerfEvent::TimerInterrupts,
-    PerfEvent::DiskInterrupts,
-];
-
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
-
-/// A realistic 4-CPU machine-window. A spiked machine runs its uop and
-/// bus rates far above the fleet — a runaway workload — while staying
-/// inside every sanity cap of `row_is_sane`, so the row is *not*
-/// quarantined: only the detector can catch it.
-fn synthetic_set(machine: u64, seq: u64, spiked: bool) -> SampleSet {
-    let mut rng = machine
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(seq)
-        | 1;
-    let per_cpu: Vec<CounterSample> = (0..4)
-        .map(|cpu| {
-            let counts = LAYOUT
-                .iter()
-                .map(|&e| {
-                    let r = xorshift(&mut rng);
-                    let (scale, boost): (u64, u64) = match e {
-                        PerfEvent::Cycles => (2_000_000_000, 1),
-                        PerfEvent::HaltedCycles => (900_000_000, 1),
-                        PerfEvent::FetchedUops => (2_500_000_000, 4),
-                        PerfEvent::L3LoadMisses => (4_000_000, 5),
-                        PerfEvent::BusTransactionsAll => (25_000_000, 4),
-                        PerfEvent::DmaOtherBusTransactions => (1_500_000, 4),
-                        PerfEvent::InterruptsTotal => (6_000, 4),
-                        PerfEvent::TimerInterrupts => (2_000, 1),
-                        PerfEvent::DiskInterrupts => (900, 4),
-                        _ => (10_000, 1),
-                    };
-                    let base = scale / 2 + r % scale.max(1);
-                    (e, if spiked { base * boost } else { base })
-                })
-                .collect();
-            CounterSample::new(CpuId::new(cpu), seq, counts)
-        })
-        .collect();
-    SampleSet::from_samples(&per_cpu).expect("one layout")
-}
 
 /// One turn of the loop: encode every machine due this window (under
 /// the encoder's current grants), ingest, estimate, judge, and feed
@@ -86,7 +32,7 @@ fn turn(
     let mut senders = 0u64;
     for m in 0..MACHINES as u64 {
         if enc.should_send(m, w) {
-            let set = synthetic_set(m, w, spike == Some(m as usize));
+            let set = synthetic_set(m, w, &ROW_EVENTS, spike == Some(m as usize));
             enc.push_sample_set(m, &set).unwrap();
             senders += 1;
         }

@@ -6,10 +6,13 @@
 //! reference alike, under several fault seeds, and the anomaly
 //! detector judging the battered estimates included).
 
+mod common;
+
+use common::synthetic_set;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
-use tdp_fleet::{AnomalyDetector, FleetEstimator};
+use tdp_counters::{PerfEvent, SampleSet};
+use tdp_fleet::{AnomalyDetector, FleetEstimator, ROW_EVENTS};
 use tdp_wire::frame::FrameType;
 use tdp_wire::{
     ingest_reference_with, ingest_serial, ingest_serial_with, CursorItem, FaultKind, FaultPlan,
@@ -27,64 +30,12 @@ const SEED: u64 = 0x00c0_ffee;
 /// Further fault plans the degradation contract is checked under.
 const MORE_FAULT_SEEDS: [u64; 2] = [1234, 4321];
 
-const LAYOUT: [PerfEvent; 9] = [
-    PerfEvent::Cycles,
-    PerfEvent::HaltedCycles,
-    PerfEvent::FetchedUops,
-    PerfEvent::L3LoadMisses,
-    PerfEvent::BusTransactionsAll,
-    PerfEvent::DmaOtherBusTransactions,
-    PerfEvent::InterruptsTotal,
-    PerfEvent::TimerInterrupts,
-    PerfEvent::DiskInterrupts,
-];
-
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
-
-/// A realistic 4-CPU machine-window with rates inside both the models'
-/// operating range and the `row_is_sane` sanity bounds.
-fn synthetic_set(machine: u64, seq: u64) -> SampleSet {
-    let mut rng = machine
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(seq)
-        | 1;
-    let per_cpu: Vec<CounterSample> = (0..4)
-        .map(|cpu| {
-            let counts = LAYOUT
-                .iter()
-                .map(|&e| {
-                    let r = xorshift(&mut rng);
-                    let scale: u64 = match e {
-                        PerfEvent::Cycles => 2_000_000_000,
-                        PerfEvent::HaltedCycles => 900_000_000,
-                        PerfEvent::FetchedUops => 2_500_000_000,
-                        PerfEvent::L3LoadMisses => 4_000_000,
-                        PerfEvent::BusTransactionsAll => 25_000_000,
-                        PerfEvent::DmaOtherBusTransactions => 1_500_000,
-                        PerfEvent::InterruptsTotal => 6_000,
-                        PerfEvent::TimerInterrupts => 2_000,
-                        PerfEvent::DiskInterrupts => 900,
-                        _ => 10_000,
-                    };
-                    (e, scale / 2 + r % scale.max(1))
-                })
-                .collect();
-            CounterSample::new(CpuId::new(cpu), seq, counts)
-        })
-        .collect();
-    SampleSet::from_samples(&per_cpu).expect("one layout")
-}
-
 /// Encodes one steady-state window (layout frames only on window 0,
 /// courtesy of the persistent encoder).
 fn encode_window(enc: &mut WireEncoder, seq: u64) -> Vec<u8> {
     for m in 0..MACHINES as u64 {
-        enc.push_sample_set(m, &synthetic_set(m, seq)).unwrap();
+        enc.push_sample_set(m, &synthetic_set(m, seq, &ROW_EVENTS, false))
+            .unwrap();
     }
     enc.take_bytes()
 }
@@ -401,33 +352,24 @@ fn sane_but_out_of_calibration_rows_trip_the_prediction_clamp() {
     // model-level clamp must, pinning the prediction at the
     // non-negative floor and counting the intervention.
     let cycles: u64 = 2_000_000_000;
-    let per_cpu: Vec<CounterSample> = (0..4)
-        .map(|cpu| {
-            let counts = LAYOUT
-                .iter()
-                .map(|&e| {
-                    let v = match e {
-                        PerfEvent::Cycles => cycles,
-                        PerfEvent::HaltedCycles => cycles / 2,
-                        PerfEvent::FetchedUops => cycles,
-                        PerfEvent::L3LoadMisses => 2_000_000,
-                        PerfEvent::BusTransactionsAll => 20_000_000,
-                        PerfEvent::DmaOtherBusTransactions => 1_000_000,
-                        // ~1e-5 disk interrupts per cycle: 100× under
-                        // the 1e-3 sanity cap, 2000× past the
-                        // calibrated vertex.
-                        PerfEvent::DiskInterrupts => cycles / 100_000,
-                        PerfEvent::InterruptsTotal => cycles / 50_000,
-                        PerfEvent::TimerInterrupts => 2_000,
-                        _ => 0,
-                    };
-                    (e, v)
-                })
-                .collect();
-            CounterSample::new(CpuId::new(cpu), 0, counts)
-        })
-        .collect();
-    let sneaky = SampleSet::from_samples(&per_cpu).expect("one layout");
+    let mut sneaky = SampleSet::empty();
+    let block = sneaky.reset(ROW_EVENTS, 4);
+    for (plane, &e) in block.chunks_mut(4).zip(&ROW_EVENTS) {
+        plane.fill(match e {
+            PerfEvent::Cycles => cycles,
+            PerfEvent::HaltedCycles => cycles / 2,
+            PerfEvent::FetchedUops => cycles,
+            PerfEvent::L3LoadMisses => 2_000_000,
+            PerfEvent::BusTransactionsAll => 20_000_000,
+            PerfEvent::DmaOtherBusTransactions => 1_000_000,
+            // ~1e-5 disk interrupts per cycle: 100× under the 1e-3
+            // sanity cap, 2000× past the calibrated vertex.
+            PerfEvent::DiskInterrupts => cycles / 100_000,
+            PerfEvent::InterruptsTotal => cycles / 50_000,
+            PerfEvent::TimerInterrupts => 2_000,
+            _ => 0,
+        });
+    }
     let mut enc = WireEncoder::new();
     enc.push_sample_set(0, &sneaky).unwrap();
     let wire = enc.finish();

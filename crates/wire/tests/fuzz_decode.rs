@@ -5,52 +5,36 @@
 //! recovers the next intact frame.
 
 use proptest::prelude::*;
-use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
+use tdp_counters::{PerfEvent, SampleSet};
 use tdp_fleet::{FleetEstimator, ROW_EVENTS};
 use tdp_wire::frame::{FrameHeader, FrameType, PayloadChecksum, HEADER_LEN, MAX_WIRE_CPUS};
 use tdp_wire::planar::{decode_planes, NO_SLOT};
 use tdp_wire::{ingest_serial, CursorItem, FrameCursor, StreamReport, WireEncoder};
 use trickledown::SystemPowerModel;
 
-const LAYOUT: [PerfEvent; 9] = [
-    PerfEvent::Cycles,
-    PerfEvent::HaltedCycles,
-    PerfEvent::FetchedUops,
-    PerfEvent::L3LoadMisses,
-    PerfEvent::BusTransactionsAll,
-    PerfEvent::DmaOtherBusTransactions,
-    PerfEvent::InterruptsTotal,
-    PerfEvent::TimerInterrupts,
-    PerfEvent::DiskInterrupts,
-];
-
 /// A plain plausible machine-window (fixed counts in each model's
 /// operating range; these tests fuzz the byte stream, not the data).
 fn plain_set(seq: u64) -> SampleSet {
-    let per_cpu: Vec<CounterSample> = (0..2)
-        .map(|cpu| {
-            let counts = LAYOUT
-                .iter()
-                .map(|&e| {
-                    let v: u64 = match e {
-                        PerfEvent::Cycles => 2_000_000_000,
-                        PerfEvent::HaltedCycles => 800_000_000,
-                        PerfEvent::FetchedUops => 2_400_000_000,
-                        PerfEvent::L3LoadMisses => 3_000_000,
-                        PerfEvent::BusTransactionsAll => 22_000_000,
-                        PerfEvent::DmaOtherBusTransactions => 1_200_000,
-                        PerfEvent::InterruptsTotal => 5_000,
-                        PerfEvent::TimerInterrupts => 2_000,
-                        PerfEvent::DiskInterrupts => 800,
-                        _ => 0,
-                    };
-                    (e, v + cpu as u64)
-                })
-                .collect();
-            CounterSample::new(CpuId::new(cpu), seq, counts)
-        })
-        .collect();
-    SampleSet::from_samples(&per_cpu).expect("one layout")
+    let mut set = SampleSet::empty();
+    set.seq = seq;
+    let block = set.reset(ROW_EVENTS, 2);
+    for (plane, &e) in block.chunks_mut(2).zip(&ROW_EVENTS) {
+        let v: u64 = match e {
+            PerfEvent::Cycles => 2_000_000_000,
+            PerfEvent::HaltedCycles => 800_000_000,
+            PerfEvent::FetchedUops => 2_400_000_000,
+            PerfEvent::L3LoadMisses => 3_000_000,
+            PerfEvent::BusTransactionsAll => 22_000_000,
+            PerfEvent::DmaOtherBusTransactions => 1_200_000,
+            PerfEvent::InterruptsTotal => 5_000,
+            PerfEvent::TimerInterrupts => 2_000,
+            PerfEvent::DiskInterrupts => 800,
+            _ => 0,
+        };
+        // CPU c reads v + c.
+        plane.copy_from_slice(&[v, v + 1]);
+    }
+    set
 }
 
 fn valid_stream(machines: u64) -> Vec<u8> {

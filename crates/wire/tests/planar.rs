@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tdp_counters::{layout_hash, CounterSample, CpuId, PerfEvent, SampleSet};
+use tdp_counters::{layout_hash, PerfEvent, SampleSet};
 use tdp_fleet::{FleetEstimator, COLUMNS};
 use tdp_wire::frame::{FrameHeader, FrameType, HEADER_LEN, MAX_WIRE_CPUS};
 use tdp_wire::{
@@ -57,15 +57,16 @@ fn random_layout(n_events: usize, seed: u64) -> Vec<PerfEvent> {
 /// Builds one machine-window over `layout` with explicit per-CPU
 /// counts: `counts[cpu][event]`.
 fn set_from_counts(seq: u64, layout: &[PerfEvent], counts: &[Vec<u64>]) -> SampleSet {
-    let per_cpu: Vec<CounterSample> = counts
-        .iter()
-        .enumerate()
-        .map(|(cpu, row)| {
-            let pairs = layout.iter().copied().zip(row.iter().copied()).collect();
-            CounterSample::new(CpuId::new(cpu as u8), seq, pairs)
-        })
-        .collect();
-    SampleSet::from_samples(&per_cpu).expect("one layout")
+    let mut set = SampleSet::empty();
+    set.seq = seq;
+    let cpus = counts.len();
+    let block = set.reset(layout.iter().copied(), cpus);
+    for (cpu, row) in counts.iter().enumerate() {
+        for (e, &n) in row.iter().enumerate() {
+            block[e * cpus + cpu] = n;
+        }
+    }
+    set
 }
 
 /// Encodes `sets` as one window.

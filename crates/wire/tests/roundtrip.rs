@@ -3,8 +3,11 @@
 //! in-memory ingestion, and every single-bit corruption of a frame is
 //! detected, never silently ingested.
 
-use tdp_counters::{CounterSample, CpuId, PerfEvent, SampleSet};
-use tdp_fleet::{FleetEstimator, COLUMNS};
+mod common;
+
+use common::synthetic_set;
+use tdp_counters::{PerfEvent, SampleSet};
+use tdp_fleet::{FleetEstimator, COLUMNS, ROW_EVENTS};
 use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig};
 use tdp_wire::{
@@ -13,63 +16,9 @@ use tdp_wire::{
 };
 use trickledown::SystemPowerModel;
 
-/// The nine-event trickle-down layout every machine runs by default.
-const LAYOUT: [PerfEvent; 9] = [
-    PerfEvent::Cycles,
-    PerfEvent::HaltedCycles,
-    PerfEvent::FetchedUops,
-    PerfEvent::L3LoadMisses,
-    PerfEvent::BusTransactionsAll,
-    PerfEvent::DmaOtherBusTransactions,
-    PerfEvent::InterruptsTotal,
-    PerfEvent::TimerInterrupts,
-    PerfEvent::DiskInterrupts,
-];
-
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
-
-/// A realistic machine-window: 4 CPUs, counts scaled per event so the
-/// derived rates land in each model's operating range.
-fn synthetic_set(machine: u64, seq: u64, layout: &[PerfEvent]) -> SampleSet {
-    let mut rng = machine
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(seq)
-        | 1;
-    let per_cpu: Vec<CounterSample> = (0..4)
-        .map(|cpu| {
-            let counts = layout
-                .iter()
-                .map(|&e| {
-                    let r = xorshift(&mut rng);
-                    let scale: u64 = match e {
-                        PerfEvent::Cycles => 2_000_000_000,
-                        PerfEvent::HaltedCycles => 900_000_000,
-                        PerfEvent::FetchedUops => 2_500_000_000,
-                        PerfEvent::L3LoadMisses => 4_000_000,
-                        PerfEvent::BusTransactionsAll => 25_000_000,
-                        PerfEvent::DmaOtherBusTransactions => 1_500_000,
-                        PerfEvent::InterruptsTotal => 6_000,
-                        PerfEvent::TimerInterrupts => 2_000,
-                        PerfEvent::DiskInterrupts => 900,
-                        _ => 10_000,
-                    };
-                    (e, scale / 2 + r % scale.max(1))
-                })
-                .collect();
-            CounterSample::new(CpuId::new(cpu), seq, counts)
-        })
-        .collect();
-    SampleSet::from_samples(&per_cpu).expect("one layout")
-}
-
 fn fleet_window(machines: u64) -> Vec<SampleSet> {
     (0..machines)
-        .map(|m| synthetic_set(m, 3, &LAYOUT))
+        .map(|m| synthetic_set(m, 3, &ROW_EVENTS, false))
         .collect()
 }
 
@@ -202,28 +151,33 @@ fn row_lanes_never_carry_over_between_frames() {
                 let flip = w as usize % 2;
                 let src = &[&four, &wide][(m / 2 + flip) % 2][m % 4];
                 let variant = (m + w as usize) % 3;
-                let per_cpu: Vec<CounterSample> = (0..src.num_cpus())
-                    .map(|c| {
-                        // Spinning machines raise no disk interrupts or
-                        // DMA; give both events counts, so a stale lane
-                        // would show.
-                        let mut counts: Vec<(PerfEvent, u64)> = src
-                            .events()
-                            .iter()
-                            .filter(|e| variant != 1 || !omitted.contains(e))
-                            .map(|&e| {
-                                let fake = 300 + 11 * c as u64 + 97 * m as u64;
-                                let n = src.plane(e).unwrap()[c];
-                                (e, if omitted.contains(&e) { fake } else { n })
-                            })
-                            .collect();
-                        if variant == 2 {
-                            counts.push((PerfEvent::DiskInterrupts, 7_777 + c as u64));
-                        }
-                        CounterSample::new(CpuId::new(c as u8), w, counts)
-                    })
+                let mut layout: Vec<PerfEvent> = src
+                    .events()
+                    .iter()
+                    .copied()
+                    .filter(|e| variant != 1 || !omitted.contains(e))
                     .collect();
-                SampleSet::from_samples(&per_cpu).expect("one layout")
+                if variant == 2 {
+                    layout.push(PerfEvent::DiskInterrupts);
+                }
+                let cpus = src.num_cpus();
+                let mut set = SampleSet::empty();
+                set.seq = w;
+                let block = set.reset(layout.iter().copied(), cpus);
+                for (i, n) in block.iter_mut().enumerate() {
+                    let (e, c) = (i / cpus, i % cpus);
+                    // Spinning machines raise no disk interrupts or
+                    // DMA; give both events counts, so a stale lane
+                    // would show.
+                    *n = if variant == 2 && e == layout.len() - 1 {
+                        7_777 + c as u64
+                    } else if omitted.contains(&layout[e]) {
+                        300 + 11 * c as u64 + 97 * m as u64
+                    } else {
+                        src.plane(layout[e]).unwrap()[c]
+                    };
+                }
+                set
             })
             .collect();
         for (id, set) in sets.iter().enumerate() {
@@ -296,18 +250,18 @@ fn every_single_bit_flip_is_detected() {
 fn mid_stream_layout_change_never_misattributes_columns() {
     // Machine 0 reprograms its PMU mid-stream: same events reordered,
     // then an extended list with extra (irrelevant) events in front.
-    let mut reordered = LAYOUT;
+    let mut reordered = ROW_EVENTS;
     reordered.reverse();
     let extended: Vec<PerfEvent> = [PerfEvent::TlbMisses, PerfEvent::L2Misses]
         .iter()
-        .chain(LAYOUT.iter())
+        .chain(ROW_EVENTS.iter())
         .copied()
         .collect();
 
     let windows = [
-        synthetic_set(0, 0, &LAYOUT),
-        synthetic_set(0, 1, &reordered),
-        synthetic_set(0, 2, &extended),
+        synthetic_set(0, 0, &ROW_EVENTS, false),
+        synthetic_set(0, 1, &reordered, false),
+        synthetic_set(0, 2, &extended, false),
     ];
 
     for (seq, set) in windows.iter().enumerate() {
@@ -374,6 +328,44 @@ fn sample_frame_without_its_layout_is_counted_not_guessed() {
 }
 
 #[test]
+fn a_window_that_lost_its_rows_is_never_clean() {
+    // Rows can be lost with every byte intact: sample frames whose
+    // layout frames never arrived, and frames from machines past the
+    // fleet's count. Both losses must mark the window unhealthy.
+    use tdp_wire::frame::{FrameType, HEADER_LEN};
+    use tdp_wire::{CursorItem, FrameCursor};
+    let wire = encode_window(&simulated_window(4, 3));
+    let sample_frames_only: Vec<u8> = FrameCursor::new(&wire)
+        .flat_map(|item| match item {
+            CursorItem::Frame { start, header } if header.frame_type == FrameType::Sample => {
+                &wire[start..start + HEADER_LEN + header.payload_len as usize]
+            }
+            _ => &[],
+        })
+        .copied()
+        .collect();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let rep = ingest_serial(&sample_frames_only, 3, &mut est);
+    assert_eq!((rep.rows_written, rep.unknown_layout_frames), (0, 3));
+    let health = rep.health();
+    assert!(
+        !health.is_clean() && health.unknown_layout_frames == 3,
+        "{health}"
+    );
+    assert!(health.to_string().contains("unknown_layout=3"), "{health}");
+
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let rep = ingest_serial(&wire, 1, &mut est);
+    assert_eq!((rep.rows_written, rep.out_of_range_frames), (1, 2));
+    let health = rep.health();
+    assert!(
+        !health.is_clean() && health.out_of_range_frames == 2,
+        "{health}"
+    );
+    assert!(health.to_string().contains("out_of_range=2"), "{health}");
+}
+
+#[test]
 fn counter_reset_is_rebaselined_not_poisoned() {
     // A machine reboots mid-stream: its window sequence rewinds to
     // zero. Counters are read-and-clear, so the post-reboot row is a
@@ -386,7 +378,7 @@ fn counter_reset_is_rebaselined_not_poisoned() {
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
 
     for (step, seq) in [5u64, 6, 0, 1].iter().enumerate() {
-        let set = synthetic_set(0, *seq, &LAYOUT);
+        let set = synthetic_set(0, *seq, &ROW_EVENTS, false);
         let mut enc = WireEncoder::new();
         enc.push_sample_set(0, &set).unwrap();
         let rep = ingest_serial_with(&mut state, &enc.finish(), 1, &mut est);
@@ -431,7 +423,7 @@ fn persistent_state_decodes_steady_state_streams() {
     let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
     for seq in 0..4u64 {
         let sets: Vec<SampleSet> = (0..machines)
-            .map(|m| synthetic_set(m as u64, seq, &LAYOUT))
+            .map(|m| synthetic_set(m as u64, seq, &ROW_EVENTS, false))
             .collect();
         for (id, set) in sets.iter().enumerate() {
             enc.push_sample_set(id as u64, set).unwrap();
@@ -514,7 +506,7 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
         let mut senders = 0u64;
         for m in 0..MACHINES as u64 {
             if enc.should_send(m, w) {
-                enc.push_sample_set(m, &synthetic_set(m, w, &LAYOUT))
+                enc.push_sample_set(m, &synthetic_set(m, w, &ROW_EVENTS, false))
                     .unwrap();
                 last_sent[m as usize] = w;
                 senders += 1;
@@ -539,7 +531,7 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
         let mut reference = FleetEstimator::new(SystemPowerModel::paper());
         reference.begin_window();
         for (m, &sent) in last_sent.iter().enumerate() {
-            reference.push_sample_set(&synthetic_set(m as u64, sent, &LAYOUT));
+            reference.push_sample_set(&synthetic_set(m as u64, sent, &ROW_EVENTS, false));
         }
         assert_eq!(
             batch_bits(&serial_est),
@@ -584,16 +576,16 @@ fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
     // row revives the machine. Rows persist in the batch: a
     // reconstructed or held window reads the last good row, a stale
     // one reads all zeros, and the revival frame's row replaces them.
-    let first_row = reference_bits(&[synthetic_set(0, 0, &LAYOUT)]).0;
-    let revive_row = reference_bits(&[synthetic_set(0, 99, &LAYOUT)]).0;
+    let first_row = reference_bits(&[synthetic_set(0, 0, &ROW_EVENTS, false)]).0;
+    let revive_row = reference_bits(&[synthetic_set(0, 99, &ROW_EVENTS, false)]).0;
     let zero_row = vec![vec![0.0f64.to_bits()]; COLUMNS];
     for dec in [1u16, 2, 4] {
         let mut enc = WireEncoder::new();
         enc.set_decimation(0, dec);
-        enc.push_sample_set(0, &synthetic_set(0, 0, &LAYOUT))
+        enc.push_sample_set(0, &synthetic_set(0, 0, &ROW_EVENTS, false))
             .unwrap();
         let first = enc.take_bytes();
-        enc.push_sample_set(0, &synthetic_set(0, 99, &LAYOUT))
+        enc.push_sample_set(0, &synthetic_set(0, 99, &ROW_EVENTS, false))
             .unwrap();
         let revive = enc.take_bytes();
 
@@ -670,7 +662,9 @@ fn machines_cut_off_by_a_smaller_fleet_come_back_unseen() {
     // regrowth they are neither held nor counted stale, read zero rows
     // and report no health until their next frame.
     let sets = |senders: u64, w: u64| -> Vec<SampleSet> {
-        (0..senders).map(|m| synthetic_set(m, w, &LAYOUT)).collect()
+        (0..senders)
+            .map(|m| synthetic_set(m, w, &ROW_EVENTS, false))
+            .collect()
     };
     for ingest in [ingest_serial_with, ingest_reference_with] {
         let mut state = IngestState::new();
@@ -714,16 +708,20 @@ fn a_machine_sending_twice_does_not_cover_a_silent_one() {
     // while machine 0 keeps the later of its two.
     let mut enc = WireEncoder::new();
     for m in 0..2 {
-        enc.push_sample_set(m, &synthetic_set(m, 0, &LAYOUT))
+        enc.push_sample_set(m, &synthetic_set(m, 0, &ROW_EVENTS, false))
             .unwrap();
     }
     let first = enc.take_bytes();
     for seq in [1, 2] {
-        enc.push_sample_set(0, &synthetic_set(0, seq, &LAYOUT))
+        enc.push_sample_set(0, &synthetic_set(0, seq, &ROW_EVENTS, false))
             .unwrap();
     }
     let twice = enc.take_bytes();
-    let want = reference_bits(&[synthetic_set(0, 2, &LAYOUT), synthetic_set(1, 0, &LAYOUT)]).0;
+    let want = reference_bits(&[
+        synthetic_set(0, 2, &ROW_EVENTS, false),
+        synthetic_set(1, 0, &ROW_EVENTS, false),
+    ])
+    .0;
     for ingest in [ingest_serial_with, ingest_reference_with] {
         let mut state = IngestState::new();
         let mut est = FleetEstimator::new(SystemPowerModel::paper());
@@ -746,7 +744,7 @@ fn stale_machine_replaying_its_last_window_rebaselines_not_locked_out() {
     // sequences from a Stale machine must re-baseline as a reset.
     let mut state = IngestState::new();
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let set = synthetic_set(0, 5, &LAYOUT);
+    let set = synthetic_set(0, 5, &ROW_EVENTS, false);
     let mut enc = WireEncoder::new();
     enc.push_sample_set(0, &set).unwrap();
     ingest_serial_with(&mut state, &enc.take_bytes(), 1, &mut est);

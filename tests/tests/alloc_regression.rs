@@ -130,32 +130,6 @@ fn steady_state_counter_reads_do_not_allocate() {
 }
 
 #[test]
-fn steady_state_multiplexed_rotation_does_not_allocate() {
-    use tdp_counters::{CpuId, MultiplexSchedule, MultiplexedSampler, PerfEvent};
-    let schedule = MultiplexSchedule::new(PerfEvent::ALL, 4).expect("valid schedule");
-    let mut sampler = MultiplexedSampler::new(schedule, CpuId::new(0));
-    let rotate = |sampler: &mut MultiplexedSampler, w: u64| {
-        for &e in PerfEvent::ALL {
-            sampler.bank_mut().add(e, w);
-        }
-        sampler.rotate(w).scaled_count(PerfEvent::Cycles)
-    };
-    // One full rotation sizes the sample's pair and scale vectors.
-    for w in 0..8 {
-        rotate(&mut sampler, w);
-    }
-    let delta = allocations_in(|| {
-        for w in 8..64 {
-            std::hint::black_box(rotate(&mut sampler, w));
-        }
-    });
-    assert_eq!(
-        delta, 0,
-        "a steady-state rotation refills its sample in place"
-    );
-}
-
-#[test]
 fn steady_state_fleet_window_does_not_allocate() {
     // Fleet estimation is advertised as allocation-free once the column
     // buffers reach their steady capacity: per window, one
