@@ -1,7 +1,6 @@
 //! Per-CPU hardware counter banks.
 
 use crate::event::{EventSet, PerfEvent};
-use crate::sampler::CpuId;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -62,9 +61,9 @@ impl Error for ProgramError {}
 /// # Example
 ///
 /// ```
-/// use tdp_counters::{CounterBank, CpuId, PerfEvent, SampleSet};
+/// use tdp_counters::{CounterBank, PerfEvent, SampleSet};
 ///
-/// let mut bank = CounterBank::new(CpuId::new(2));
+/// let mut bank = CounterBank::default();
 /// bank.program(&[PerfEvent::TlbMisses])?;
 /// bank.add(PerfEvent::TlbMisses, 10);
 /// bank.add(PerfEvent::Cycles, 999); // counted but not programmed
@@ -78,35 +77,21 @@ impl Error for ProgramError {}
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CounterBank {
-    cpu: CpuId,
     programmed: EventSet,
     counts: Vec<u64>,
 }
 
-impl CounterBank {
-    /// Creates a bank for `cpu` with no events programmed.
-    pub fn new(cpu: CpuId) -> Self {
+impl Default for CounterBank {
+    /// A bank with no events programmed.
+    fn default() -> Self {
         Self {
-            cpu,
             programmed: EventSet::new(),
             counts: vec![0; PerfEvent::count()],
         }
     }
+}
 
-    /// Creates a bank pre-programmed with the paper's trickle-down event
-    /// set ([`PerfEvent::TRICKLE_DOWN_SET`]).
-    pub fn with_trickle_down_set(cpu: CpuId) -> Self {
-        let mut bank = Self::new(cpu);
-        bank.program(PerfEvent::TRICKLE_DOWN_SET)
-            .expect("trickle-down set fits the hardware");
-        bank
-    }
-
-    /// The CPU this bank belongs to.
-    pub fn cpu(&self) -> CpuId {
-        self.cpu
-    }
-
+impl CounterBank {
     /// Programs the bank to expose exactly `events`.
     ///
     /// # Errors
@@ -146,13 +131,6 @@ impl CounterBank {
         self.counts[event.index()] = self.counts[event.index()].wrapping_add(delta);
     }
 
-    /// Current raw count of `event` if it is programmed, without clearing.
-    pub fn peek(&self, event: PerfEvent) -> Option<u64> {
-        self.programmed
-            .contains(event)
-            .then(|| self.counts[event.index()])
-    }
-
     /// Writes every programmed counter into this bank's column of an
     /// event-major block laid out over its programmed events,
     /// `block[e · cpus + cpu]` for the `e`-th programmed event, then clears
@@ -189,7 +167,7 @@ mod tests {
 
     #[test]
     fn unprogrammed_events_are_invisible() {
-        let mut bank = CounterBank::new(CpuId::new(0));
+        let mut bank = CounterBank::default();
         bank.program(&[PerfEvent::Cycles]).unwrap();
         bank.add(PerfEvent::HaltedCycles, 5);
         let s = read(&mut bank);
@@ -199,7 +177,7 @@ mod tests {
 
     #[test]
     fn read_clears_all_counters_even_unprogrammed() {
-        let mut bank = CounterBank::new(CpuId::new(0));
+        let mut bank = CounterBank::default();
         bank.program(&[PerfEvent::Cycles]).unwrap();
         bank.add(PerfEvent::HaltedCycles, 5);
         bank.add(PerfEvent::Cycles, 7);
@@ -214,7 +192,7 @@ mod tests {
 
     #[test]
     fn column_read_writes_one_cpu_of_the_block_and_clears() {
-        let mut bank = CounterBank::new(CpuId::new(1));
+        let mut bank = CounterBank::default();
         bank.program(&[PerfEvent::Cycles, PerfEvent::L2Misses])
             .unwrap();
         bank.add(PerfEvent::Cycles, 7);
@@ -222,12 +200,12 @@ mod tests {
         let mut block = [0u64; 6];
         bank.read_and_clear_column(&mut block, 3, 1);
         assert_eq!(block, [0, 7, 0, 0, 3, 0]);
-        assert_eq!(bank.peek(PerfEvent::Cycles), Some(0));
+        assert_eq!(read(&mut bank).counts(), [0, 0], "cleared");
     }
 
     #[test]
     fn duplicate_program_rejected() {
-        let mut bank = CounterBank::new(CpuId::new(0));
+        let mut bank = CounterBank::default();
         let err = bank
             .program(&[PerfEvent::Cycles, PerfEvent::Cycles])
             .unwrap_err();
@@ -236,7 +214,7 @@ mod tests {
 
     #[test]
     fn os_events_do_not_consume_hardware_slots() {
-        let mut bank = CounterBank::new(CpuId::new(0));
+        let mut bank = CounterBank::default();
         // 14 PMU events + 4 OS events = 18 entries, but only 14 PMU slots.
         bank.program(PerfEvent::ALL)
             .expect("full event list fits because interrupt events are OS-side");
@@ -244,20 +222,11 @@ mod tests {
 
     #[test]
     fn counts_saturate_by_wrapping_not_panicking() {
-        let mut bank = CounterBank::new(CpuId::new(0));
+        let mut bank = CounterBank::default();
         bank.program(&[PerfEvent::Cycles]).unwrap();
         bank.add(PerfEvent::Cycles, u64::MAX);
         bank.add(PerfEvent::Cycles, 2);
-        assert_eq!(bank.peek(PerfEvent::Cycles), Some(1));
-    }
-
-    #[test]
-    fn trickle_down_constructor_programs_expected_set() {
-        let bank = CounterBank::with_trickle_down_set(CpuId::new(1));
-        for &e in PerfEvent::TRICKLE_DOWN_SET {
-            assert!(bank.programmed().contains(e));
-        }
-        assert_eq!(bank.programmed().len(), PerfEvent::TRICKLE_DOWN_SET.len());
+        assert_eq!(read(&mut bank).counts(), [1]);
     }
 
     #[test]

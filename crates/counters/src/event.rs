@@ -118,18 +118,6 @@ impl PerfEvent {
         PerfEvent::BranchMispredictions,
     ];
 
-    /// The six events the paper's final models consume (§1, §3.3), plus
-    /// `Cycles` which normalises the rest into per-cycle rates.
-    pub const TRICKLE_DOWN_SET: &'static [PerfEvent] = &[
-        PerfEvent::Cycles,
-        PerfEvent::HaltedCycles,
-        PerfEvent::FetchedUops,
-        PerfEvent::BusTransactionsAll,
-        PerfEvent::DmaOtherBusTransactions,
-        PerfEvent::InterruptsTotal,
-        PerfEvent::DiskInterrupts,
-    ];
-
     /// Stable dense index of this event, usable as an array offset.
     #[inline]
     pub fn index(self) -> usize {
@@ -253,15 +241,6 @@ impl EventSet {
         Self(0)
     }
 
-    /// Creates a set containing every event in `events`.
-    pub fn from_events(events: &[PerfEvent]) -> Self {
-        let mut s = Self::new();
-        for &e in events {
-            s.insert(e);
-        }
-        s
-    }
-
     /// Adds `event`; returns `true` if it was newly inserted.
     pub fn insert(&mut self, event: PerfEvent) -> bool {
         let bit = 1u32 << event.index();
@@ -340,13 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn trickle_down_set_is_subset_of_all() {
-        for e in PerfEvent::TRICKLE_DOWN_SET {
-            assert!(PerfEvent::ALL.contains(e));
-        }
-    }
-
-    #[test]
     fn mnemonics_are_unique() {
         let mut seen = std::collections::HashSet::new();
         for &e in PerfEvent::ALL {
@@ -382,11 +354,13 @@ mod tests {
 
     #[test]
     fn event_set_iterates_in_declaration_order() {
-        let s = EventSet::from_events(&[
+        let s: EventSet = [
             PerfEvent::TlbMisses,
             PerfEvent::Cycles,
             PerfEvent::DiskInterrupts,
-        ]);
+        ]
+        .into_iter()
+        .collect();
         let order: Vec<_> = s.iter().collect();
         assert_eq!(
             order,
@@ -425,20 +399,24 @@ mod tests {
 
     #[test]
     fn event_set_layout_hash_matches_declaration_order_list() {
-        let s = EventSet::from_events(&[
+        let s: EventSet = [
             PerfEvent::TlbMisses,
             PerfEvent::Cycles,
             PerfEvent::DiskInterrupts,
-        ]);
+        ]
+        .into_iter()
+        .collect();
         let ordered: Vec<PerfEvent> = s.iter().collect();
         assert_eq!(s.layout_hash(), layout_hash(&ordered));
         // Insertion order is irrelevant: the set iterates (and hashes)
         // in declaration order.
-        let t = EventSet::from_events(&[
+        let t: EventSet = [
             PerfEvent::DiskInterrupts,
             PerfEvent::TlbMisses,
             PerfEvent::Cycles,
-        ]);
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(s.layout_hash(), t.layout_hash());
     }
 

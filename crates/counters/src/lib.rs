@@ -29,9 +29,9 @@
 //! # Example
 //!
 //! ```
-//! use tdp_counters::{CounterBank, CpuId, PerfEvent, SampleSet};
+//! use tdp_counters::{CounterBank, PerfEvent, SampleSet};
 //!
-//! let mut bank = CounterBank::new(CpuId::new(0));
+//! let mut bank = CounterBank::default();
 //! bank.program(&[PerfEvent::Cycles, PerfEvent::FetchedUops])?;
 //! bank.add(PerfEvent::Cycles, 2_000_000_000);
 //! bank.add(PerfEvent::FetchedUops, 1_400_000_000);
@@ -40,7 +40,11 @@
 //! let block = set.reset(bank.programmed().iter(), 1);
 //! bank.read_and_clear_column(block, 1, 0);
 //! assert_eq!(set.total(PerfEvent::Cycles), Some(2_000_000_000));
-//! assert_eq!(bank.peek(PerfEvent::Cycles), Some(0));
+//!
+//! // The read cleared the bank: the next window starts from zero.
+//! let block = set.reset(bank.programmed().iter(), 1);
+//! bank.read_and_clear_column(block, 1, 0);
+//! assert_eq!(set.counts(), [0, 0]);
 //! # Ok::<(), tdp_counters::ProgramError>(())
 //! ```
 

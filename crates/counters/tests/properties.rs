@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tdp_counters::{
-    CounterBank, CpuId, InterruptAccounting, InterruptSource, PerfEvent, SampleSet, SamplerConfig,
+    CounterBank, InterruptAccounting, InterruptSource, PerfEvent, SampleSet, SamplerConfig,
     SamplingDriver,
 };
 
@@ -17,7 +17,7 @@ proptest! {
     fn bank_totals_are_exact_sums(
         adds in prop::collection::vec((arb_event(), 0u64..1_000_000), 0..100),
     ) {
-        let mut bank = CounterBank::new(CpuId::new(0));
+        let mut bank = CounterBank::default();
         bank.program(PerfEvent::ALL).unwrap();
         let mut expected = vec![0u64; PerfEvent::count()];
         for &(e, n) in &adds {

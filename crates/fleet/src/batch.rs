@@ -219,6 +219,28 @@ pub const ROW_EVENTS: [PerfEvent; 9] = [
     PerfEvent::DiskInterrupts,
 ];
 
+/// The row projection of a counter layout: per event of `layout`, given
+/// by its stable [`PerfEvent::index`], the [`ROW_EVENTS`] lane its plane
+/// fills — `Some(k)` for the first occurrence of `ROW_EVENTS[k]`, `None`
+/// for an event no lane reads, a repeat of one already placed, or an
+/// index this build does not know (a newer producer).
+///
+/// This is the one rule both ends of the `tdp-wire` stream run: the
+/// encoder ships exactly the planes it maps to a lane, in layout order,
+/// and the decoder unfolds each wire plane into the lane it names. It
+/// picks the planes [`SampleSet::plane`]'s first-occurrence lookup
+/// gives the in-memory fold, so a projected frame decodes to the row of
+/// the full set.
+pub fn row_slots(layout: impl IntoIterator<Item = u64>) -> impl Iterator<Item = Option<usize>> {
+    let mut placed = 0u16;
+    layout.into_iter().map(move |index| {
+        let k = ROW_EVENTS.iter().position(|e| e.index() as u64 == index)?;
+        let fresh = placed & 1 << k == 0;
+        placed |= 1 << k;
+        fresh.then_some(k)
+    })
+}
+
 /// One machine's row: widens each [`ROW_EVENTS`] plane of the set into
 /// `lanes` (event-major, the shape [`fold_event_lanes`] takes; a
 /// missing event is a `0.0` lane) and folds them. Every in-memory
@@ -478,6 +500,33 @@ mod tests {
             let want = acc.finish();
             assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "cpus={cpus}");
         }
+    }
+
+    #[test]
+    fn row_slots_place_each_row_event_at_its_first_occurrence() {
+        // Row events reordered, repeated and mixed with non-row events
+        // and an index no build knows: each lane goes to the first
+        // position listing its event, and nothing else gets one.
+        let mut layout: Vec<u64> = vec![99, PerfEvent::TlbMisses.index() as u64];
+        layout.extend(ROW_EVENTS.iter().rev().map(|e| e.index() as u64));
+        layout.extend(PerfEvent::ALL.iter().map(|e| e.index() as u64));
+        let got: Vec<Option<usize>> = row_slots(layout.iter().copied()).collect();
+        let want: Vec<Option<usize>> = (0..layout.len())
+            .map(|i| {
+                let k = ROW_EVENTS
+                    .iter()
+                    .position(|e| e.index() as u64 == layout[i])?;
+                (!layout[..i].contains(&layout[i])).then_some(k)
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(got.iter().flatten().count(), ROW_EVENTS.len());
+        assert_eq!(
+            got[2],
+            Some(ROW_EVENTS.len() - 1),
+            "the reversed list leads"
+        );
+        assert!(row_slots([]).next().is_none());
     }
 
     #[test]

@@ -60,5 +60,7 @@ mod batch;
 mod estimator;
 
 pub use anomaly::{AnomalyDetector, AnomalySummary, Verdict};
-pub use batch::{col, fold_event_lanes, RowAccumulator, SampleBatch, COLUMNS, ROW_EVENTS};
+pub use batch::{
+    col, fold_event_lanes, row_slots, RowAccumulator, SampleBatch, COLUMNS, ROW_EVENTS,
+};
 pub use estimator::{FleetEstimates, FleetEstimator};

@@ -10,7 +10,7 @@ use crate::iochip::{IoActivity, IoChip};
 use crate::nic::NicDevice;
 use crate::os::{IoSubmission, Os};
 use crate::rng::SimRng;
-use tdp_counters::{CounterBank, CpuId, InterruptSource, PerfEvent, SampleSet};
+use tdp_counters::{CounterBank, InterruptSource, PerfEvent, SampleSet};
 
 /// Everything the machine did during one tick, at device granularity.
 ///
@@ -122,9 +122,7 @@ impl Machine {
                 )
             })
             .collect();
-        let mut banks: Vec<CounterBank> = (0..cfg.cpu.num_cpus)
-            .map(|i| CounterBank::new(CpuId::new(i as u8)))
-            .collect();
+        let mut banks = vec![CounterBank::default(); cfg.cpu.num_cpus];
         for b in &mut banks {
             b.program(PerfEvent::ALL)
                 .expect("every event fits the hardware counters");

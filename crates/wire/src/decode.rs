@@ -11,8 +11,9 @@
 //!
 //! Layouts are resolved through a memo table, keyed on the header's
 //! `layout_hash`: a layout frame registers, once, the row lane each
-//! wire event's plane unfolds into (the inverse of the nine
-//! [`ROW_EVENTS`]' positions within the wire event list), and every
+//! wire event's plane unfolds into ([`row_slots`]: the first
+//! occurrence of each of the nine [`ROW_EVENTS`], the same rule the
+//! encoder projects sets with), and every
 //! subsequent sample frame with that hash reuses the memoised map (a
 //! one-entry hot cache makes the common single-layout fleet a single
 //! comparison). A sample frame whose hash was never declared is
@@ -28,7 +29,7 @@ use crate::frame::{
 use crate::planar::{decode_planes, NO_SLOT};
 use crate::varint::read_uvarint;
 use tdp_counters::layout_hash_indices;
-use tdp_fleet::{fold_event_lanes, COLUMNS, ROW_EVENTS};
+use tdp_fleet::{fold_event_lanes, row_slots, COLUMNS, ROW_EVENTS};
 
 /// Why a frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +74,8 @@ struct LayoutEntry {
     hash: u64,
     n_events: u16,
     /// Per wire event, the [`ROW_EVENTS`] lane its plane unfolds into
-    /// ([`NO_SLOT`] = not read); a row event listed twice keeps its
-    /// first occurrence only.
+    /// ([`NO_SLOT`] = not read), by [`row_slots`]: a row event listed
+    /// twice keeps its first occurrence only.
     slot: [u8; MAX_WIRE_EVENTS],
 }
 
@@ -218,10 +219,11 @@ impl FrameDecoder {
             n_events: header.n_events,
             slot: [NO_SLOT; MAX_WIRE_EVENTS],
         };
-        for (k, e) in ROW_EVENTS.iter().enumerate() {
-            // First occurrence wins, matching the in-memory rescan rule.
-            if let Some(i) = events.iter().position(|&i| i == e.index() as u64) {
-                entry.slot[i] = k as u8;
+        // The encoder's projection rule: a row event's first occurrence
+        // gets its lane, every other plane is skipped.
+        for (slot, k) in entry.slot.iter_mut().zip(row_slots(events.iter().copied())) {
+            if let Some(k) = k {
+                *slot = k as u8;
             }
         }
         self.layouts.register(entry);

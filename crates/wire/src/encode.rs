@@ -5,12 +5,22 @@
 //! decimation changes (including the first time it is seen), so a
 //! stream is always self-describing, and emits one sample frame per
 //! pushed window. The stateless [`encode_layout_frame`] /
-//! [`encode_sample_frame`] building blocks are public for tests and
-//! custom producers.
+//! [`encode_sample_frame`] building blocks encode exactly the layout
+//! they are given; they are public for tests and custom producers.
 //!
 //! The producer runs on every monitored machine, every window, so a
 //! push does each piece of work once:
 //!
+//! * **Row projection.** The fleet row reads nine events
+//!   ([`ROW_EVENTS`](tdp_fleet::ROW_EVENTS)), and no consumer of the
+//!   wire reads any other: the decoder yields rows, never a
+//!   `SampleSet`. So a pushed set ships only the planes
+//!   [`row_slots`] gives a lane — each row event's first occurrence, in
+//!   the set's own order — and its layout frame declares only those
+//!   events. A simulated machine programs all eighteen events (the
+//!   calibration captures and the §3.3 event search read the rest), so
+//!   this halves its frames. The projection is recomputed only when the
+//!   set's layout differs from the last one pushed.
 //! * **One agent map.** Per machine, one entry holds both the layout
 //!   hash and decimation last announced and the decimation the control
 //!   loop wants, keyed through a multiplicative hasher (machine ids are
@@ -30,7 +40,7 @@
 //!   decoder's plane walk.
 //!
 //! Frames are byte-identical to the per-lane encoder `planar`'s tests
-//! keep as an oracle.
+//! keep as an oracle, run on the projected set.
 
 use crate::frame::{FrameHeader, FrameType, HEADER_LEN, MAX_DECIMATION, MAX_WIRE_EVENTS};
 use crate::planar::PlanarScratch;
@@ -38,6 +48,7 @@ use crate::varint::put_uvarint;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use tdp_counters::{layout_hash, PerfEvent, SampleSet};
+use tdp_fleet::row_slots;
 
 /// Why a sample set could not be encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,19 +167,30 @@ pub fn encode_sample_frame(
     set: &SampleSet,
 ) -> Result<(), EncodeError> {
     let hash = layout_hash(set.events());
-    sample_frame(out, machine_id, set, hash, &mut PlanarScratch::default())
+    let planes = 0..set.events().len();
+    sample_frame(
+        out,
+        machine_id,
+        set,
+        planes,
+        hash,
+        &mut PlanarScratch::default(),
+    )
 }
 
-/// The one sample path: gather (which checks the bounds) into
-/// `scratch`, then write the frame. On error nothing is appended.
+/// The one sample path: gather `planes` of `set` (which checks the
+/// bounds) into `scratch`, then write the frame, whose layout is those
+/// planes' events and hashes to `hash`. On error nothing is appended.
 fn sample_frame(
     out: &mut Vec<u8>,
     machine_id: u64,
     set: &SampleSet,
+    planes: impl ExactSizeIterator<Item = usize>,
     hash: u64,
     scratch: &mut PlanarScratch,
 ) -> Result<(), EncodeError> {
-    scratch.gather(set)?;
+    let n_events = planes.len() as u16;
+    scratch.gather(set, planes)?;
     let header = FrameHeader {
         frame_type: FrameType::Sample,
         payload_len: 0,
@@ -176,11 +198,48 @@ fn sample_frame(
         window_seq: set.seq,
         layout_hash: hash,
         cpu_count: set.num_cpus() as u16,
-        n_events: set.events().len() as u16,
+        n_events,
         checksum: 0,
     };
     with_frame(out, header, |buf| scratch.write(buf));
     Ok(())
+}
+
+/// The row projection of the layout last pushed: which of the set's
+/// planes a frame ships, and the layout its frames declare.
+#[derive(Debug, Clone, Default)]
+struct Projection {
+    /// The set layout projected (`None` before the first push).
+    source: Option<Vec<PerfEvent>>,
+    /// Per shipped event, its plane in the set.
+    planes: Vec<usize>,
+    /// The shipped events, in the set's order.
+    events: Vec<PerfEvent>,
+    /// [`layout_hash`] of `events`.
+    hash: u64,
+}
+
+impl Projection {
+    /// Projects `layout` through [`row_slots`], unless it is the layout
+    /// already projected.
+    fn update(&mut self, layout: &[PerfEvent]) -> &Self {
+        if self.source.as_deref() != Some(layout) {
+            let source = self.source.get_or_insert_with(Vec::new);
+            source.clear();
+            source.extend_from_slice(layout);
+            self.planes.clear();
+            self.events.clear();
+            let slots = row_slots(layout.iter().map(|e| e.index() as u64));
+            for (plane, (&event, slot)) in layout.iter().zip(slots).enumerate() {
+                if slot.is_some() {
+                    self.planes.push(plane);
+                    self.events.push(event);
+                }
+            }
+            self.hash = layout_hash(&self.events);
+        }
+        self
+    }
 }
 
 /// What the encoder knows about one machine's agent.
@@ -227,7 +286,12 @@ impl Hasher for IdHasher {
     }
 }
 
-/// Stateful stream encoder: one byte buffer, automatic layout frames.
+/// Stateful stream encoder: one byte buffer, automatic layout frames,
+/// and every set projected onto the fleet row's events before it is
+/// hashed, announced and gathered
+/// ([`push_sample_set`](Self::push_sample_set)). A pushed set ships
+/// the bytes the stateless functions write for the set with every
+/// other plane removed.
 ///
 /// # Example
 ///
@@ -254,6 +318,8 @@ pub struct WireEncoder {
     /// Reused gather scratch — one steady-state `push_sample_set` must
     /// not heap-allocate.
     scratch: PlanarScratch,
+    /// The row projection of the last layout pushed.
+    projection: Projection,
 }
 
 impl WireEncoder {
@@ -303,23 +369,39 @@ impl WireEncoder {
         }
     }
 
-    /// Appends one machine-window, preceding it with a layout frame if
-    /// this machine's event layout is new or changed — or if its
-    /// negotiated decimation changed since last announced.
+    /// Appends one machine-window projected onto the row events,
+    /// preceding it with a layout frame if this machine's projected
+    /// layout is new or changed — or if its negotiated decimation
+    /// changed since last announced.
+    ///
+    /// The projection keeps at most nine events, so the event bound
+    /// cannot fail here: a set listing more than [`MAX_WIRE_EVENTS`]
+    /// events encodes, where the stateless functions refuse it.
     ///
     /// # Errors
     ///
-    /// Propagates [`EncodeError`] (nothing is appended on error).
+    /// [`EncodeError::OutOfBounds`] if the set has more CPUs than
+    /// [`MAX_WIRE_CPUS`](crate::frame::MAX_WIRE_CPUS) (nothing is
+    /// appended).
     pub fn push_sample_set(&mut self, machine_id: u64, set: &SampleSet) -> Result<(), EncodeError> {
-        let hash = layout_hash(set.events());
+        let projection = self.projection.update(set.events());
+        let hash = projection.hash;
         let agent = self.agents.entry(machine_id).or_default();
         let current = Some((hash, agent.want));
         let rollback = self.buf.len();
         if agent.announced != current {
-            let events = set.events();
+            let events = &projection.events;
             layout_frame(&mut self.buf, machine_id, set.seq, events, hash, agent.want)?;
         }
-        match sample_frame(&mut self.buf, machine_id, set, hash, &mut self.scratch) {
+        let planes = projection.planes.iter().copied();
+        match sample_frame(
+            &mut self.buf,
+            machine_id,
+            set,
+            planes,
+            hash,
+            &mut self.scratch,
+        ) {
             Ok(()) => {
                 agent.announced = current;
                 Ok(())
@@ -499,10 +581,12 @@ mod tests {
         // recording was first taken from the encoder that kept
         // announced layouts and wanted decimations in two separate
         // maps; the digest was re-taken when the sample payload gained
-        // its zero and sparse planes (format version 2), and the length
-        // did not move. Every announcement is also pinned, format-free,
-        // by the test above.
+        // its zero and sparse planes (format version 2), and again when
+        // the encoder began shipping only the row events. The last
+        // value is what the unprojecting encoder wrote for the script
+        // with `L2Misses` and `TlbMisses` left out of its layouts. Every
+        // announcement is also pinned, format-free, by the test above.
         let (wire, _) = agent_script();
-        assert_eq!((wire.len(), fnv1a(&wire)), (1093, 0x718e_0d54_6bb0_5de1));
+        assert_eq!((wire.len(), fnv1a(&wire)), (1032, 0xe608_ca26_d182_9ae2));
     }
 }

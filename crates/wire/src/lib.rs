@@ -14,7 +14,8 @@
 //!   that provably catches every single-bit corruption.
 //! * [`WireEncoder`] — the producer side: self-describing streams that
 //!   interleave a layout frame whenever a machine's PMU programming or
-//!   sampling decimation changes.
+//!   sampling decimation changes, shipping only the planes of the
+//!   events the fleet row reads ([`row_slots`]).
 //! * [`FrameDecoder`] — the zero-copy consumer: validates frames in
 //!   place and reduces them straight to [`SampleBatch`] rows through
 //!   the same rate arithmetic in-memory ingestion uses
@@ -37,6 +38,7 @@
 //!
 //! [`SampleBatch`]: tdp_fleet::SampleBatch
 //! [`fold_event_lanes`]: tdp_fleet::fold_event_lanes
+//! [`row_slots`]: tdp_fleet::row_slots
 //!
 //! # Quickstart
 //!

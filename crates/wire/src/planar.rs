@@ -33,12 +33,14 @@
 //! bit), and a plane goes sparse only when its bitmap plus its nonzero
 //! lanes are strictly smaller than the dense plane. So one window has
 //! exactly one payload. [`SampleSet`] already stores each event's counts
-//! across CPUs contiguously, in wire-event order, so the gather is one
-//! subtract/zigzag/OR pass per plane that leaves its base, its delta
-//! lanes and their OR. The write counts the nonzero lanes of each plane
-//! the OR does not already code zero, in one pass over its contiguous
-//! lanes, sizes the payload once from the directory and stores each
-//! plane by its code.
+//! across CPUs contiguously, so the gather takes the list of planes to
+//! ship — every plane for the stateless frame functions, the row
+//! projection for [`WireEncoder`](crate::WireEncoder) — and is one
+//! subtract/zigzag/OR pass per listed plane that leaves its base, its
+//! delta lanes and their OR. The write counts the nonzero lanes of
+//! each plane the OR does not already code zero, in one pass over its
+//! contiguous lanes, sizes the payload once from the directory and
+//! stores each plane by its code.
 //!
 //! **Decoder.** [`decode_planes`] walks the payload once, **straight
 //! into the fold's shape**. The caller passes a slot per wire event —
@@ -46,14 +48,16 @@
 //! [`ROW_EVENTS`](tdp_fleet::ROW_EVENTS) — and only slotted planes are
 //! unfolded, each into its f64 row lane (CPU 0's base first): a dense
 //! plane with one bounds check and one fixed-size load per lane, a zero
-//! plane as a fill, a sparse plane by its bitmap. The model reads nine
-//! events and simulated agents ship eighteen, so half the planes are
-//! never unfolded. Skipping changes no verdict: one pass over a
-//! 256-entry table checks every directory byte while it sizes the bases
-//! region, every base is read, every plane priced (a sparse plane's
-//! price and bitmap are checked even when skipped) and trailing bytes
-//! rejected, and the payload checksum is absorbed over every byte in
-//! one trailing pass over the lines the walk just touched.
+//! plane as a fill, a sparse plane by its bitmap. The agent encoder
+//! ships only the nine row events, so on its frames every plane has a
+//! slot; a frame from another producer may carry any layout, and its
+//! unslotted planes are never unfolded. Skipping changes no verdict:
+//! one pass over a 256-entry table checks every directory byte while it
+//! sizes the bases region, every base is read, every plane priced (a
+//! sparse plane's price and bitmap are checked even when skipped) and
+//! trailing bytes rejected, and the payload checksum is absorbed over
+//! every byte in one trailing pass over the lines the walk just
+//! touched.
 //!
 //! The reconstructed counts are integer-exact and `count as f64` is the
 //! same IEEE rounding wherever it is performed, so wire rows are
@@ -152,17 +156,27 @@ pub(crate) struct PlanarScratch {
 }
 
 impl PlanarScratch {
-    /// Turns each of `set`'s event planes into its base and zigzag
-    /// delta lanes and the OR of those lanes, in one pass over the
-    /// plane's contiguous counts.
+    /// Turns each of `set`'s event planes listed in `planes` (by
+    /// position in the set's layout) into its base and zigzag delta
+    /// lanes and the OR of those lanes, in one pass over the plane's
+    /// contiguous counts. The payload's events are those planes', in
+    /// the order listed.
     ///
     /// # Errors
     ///
-    /// [`EncodeError::OutOfBounds`] if the layout exceeds
+    /// [`EncodeError::OutOfBounds`] if `planes` exceeds
     /// [`MAX_WIRE_EVENTS`] or the set [`MAX_WIRE_CPUS`]. The caller has
     /// written nothing yet.
-    pub(crate) fn gather(&mut self, set: &SampleSet) -> Result<(), EncodeError> {
-        let (n, cpus) = (set.events().len(), set.num_cpus());
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed plane is past the set's layout.
+    pub(crate) fn gather(
+        &mut self,
+        set: &SampleSet,
+        planes: impl ExactSizeIterator<Item = usize>,
+    ) -> Result<(), EncodeError> {
+        let (n, cpus) = (planes.len(), set.num_cpus());
         if n > MAX_WIRE_EVENTS || cpus > MAX_WIRE_CPUS {
             return Err(EncodeError::OutOfBounds);
         }
@@ -174,8 +188,8 @@ impl PlanarScratch {
         if cpus == 0 {
             return Ok(());
         }
-        let planes = set.counts().chunks_exact(cpus);
-        for (counts, lanes) in planes.zip(self.lanes.chunks_exact_mut(cpus)) {
+        for (p, lanes) in planes.zip(self.lanes.chunks_exact_mut(cpus)) {
+            let counts = &set.counts()[p * cpus..][..cpus];
             lanes[0] = counts[0];
             let mut or = 0;
             for ((z, &cur), &prev) in lanes[1..].iter_mut().zip(&counts[1..]).zip(counts) {
@@ -536,7 +550,7 @@ mod tests {
     use crate::{encode_sample_frame, EncodeError, WireEncoder};
     use proptest::prelude::*;
     use tdp_counters::PerfEvent;
-    use tdp_fleet::ROW_EVENTS;
+    use tdp_fleet::{row_slots, ROW_EVENTS};
 
     /// The per-lane encoder the gather/write pair replaced, kept as the
     /// byte-identity oracle: every lane re-reads its two counts from the
@@ -607,7 +621,9 @@ mod tests {
     /// for byte against the per-lane oracle.
     fn encode_payload(set: &SampleSet) -> Vec<u8> {
         let mut scratch = PlanarScratch::default();
-        scratch.gather(set).expect("well-formed set");
+        scratch
+            .gather(set, 0..set.events().len())
+            .expect("well-formed set");
         let mut payload = Vec::new();
         scratch.write(&mut payload);
         let mut oracle = Vec::new();
@@ -658,16 +674,28 @@ mod tests {
         (0..n as u8).collect()
     }
 
-    /// The decoder's row projection of `layout`: each wire event's
-    /// [`ROW_EVENTS`] lane, the first occurrence winning.
-    fn row_slots(layout: &[PerfEvent]) -> Vec<u8> {
-        let mut slots = vec![NO_SLOT; layout.len()];
-        for (k, ev) in ROW_EVENTS.iter().enumerate() {
-            if let Some(e) = layout.iter().position(|x| x == ev) {
-                slots[e] = k as u8;
-            }
+    /// The decoder's slot map for `layout`: each wire event's
+    /// [`ROW_EVENTS`] lane by [`row_slots`], or [`NO_SLOT`].
+    fn slots_of(layout: &[PerfEvent]) -> Vec<u8> {
+        row_slots(layout.iter().map(|e| e.index() as u64))
+            .map(|k| k.map_or(NO_SLOT, |k| k as u8))
+            .collect()
+    }
+
+    /// `set` as the encoder ships it, built without [`row_slots`]: only
+    /// the planes of row events not listed earlier, in the set's order.
+    fn projected(set: &SampleSet) -> SampleSet {
+        let (layout, cpus) = (set.events(), set.num_cpus());
+        let keep: Vec<usize> = (0..layout.len())
+            .filter(|&e| ROW_EVENTS.contains(&layout[e]) && !layout[..e].contains(&layout[e]))
+            .collect();
+        let mut out = SampleSet::empty();
+        out.seq = set.seq;
+        let block = out.reset(keep.iter().map(|&e| layout[e]), cpus);
+        for (dst, &e) in block.chunks_exact_mut(cpus.max(1)).zip(&keep) {
+            dst.copy_from_slice(&set.counts()[e * cpus..][..cpus]);
         }
-        slots
+        out
     }
 
     /// `payload` through [`decode_planes`] with `slots` into `out`,
@@ -948,8 +976,9 @@ mod tests {
         /// The gather/write pair emits the per-lane oracle's payload
         /// byte for byte, at every CPU count the format meets and with
         /// values on every width boundary — through the stateless frame
-        /// function and through an encoder whose scratch last held
-        /// another geometry.
+        /// function on the set itself, and through an encoder whose
+        /// scratch last held another geometry on the set's row
+        /// projection.
         #[test]
         fn gathered_payload_matches_the_per_lane_oracle(
             cpus in (0..CPU_COUNTS.len()).prop_map(|i| CPU_COUNTS[i]),
@@ -968,8 +997,8 @@ mod tests {
             enc.push_sample_set(3, &prime).unwrap();
             enc.push_sample_set(3, &set).unwrap();
             let payloads = sample_payloads(enc.bytes());
-            prop_assert_eq!(payloads[0], &oracle(&prime)[..]);
-            prop_assert_eq!(payloads[1], &want[..]);
+            prop_assert_eq!(payloads[0], &oracle(&projected(&prime))[..]);
+            prop_assert_eq!(payloads[1], &oracle(&projected(&set))[..]);
         }
     }
 
@@ -1019,7 +1048,7 @@ mod tests {
             let payload = encode_payload(&set);
             let n = if cpus == 0 { 0 } else { layout.len() };
             let layout = &layout[..n];
-            let slots = row_slots(layout);
+            let slots = slots_of(layout);
             let rows = ROW_EVENTS.len();
 
             let full = decode(&payload, n, cpus).expect("clean payload");
@@ -1113,7 +1142,9 @@ mod tests {
                     encode_sample_frame(&mut frame, m, &set).unwrap();
                     assert_eq!(frame[HEADER_LEN..], oracle(&set), "{cpus} CPUs");
                     enc.push_sample_set(m, &set).unwrap();
-                    want.push(oracle(&set));
+                    let shipped = projected(&set);
+                    assert_eq!(shipped.events().len(), ROW_EVENTS.len());
+                    want.push(oracle(&shipped));
                 }
             }
             assert_eq!(sample_payloads(enc.bytes()), want, "{cpus} CPUs");
@@ -1130,26 +1161,51 @@ mod tests {
             &[vec![1; MAX_WIRE_EVENTS + 1]],
         );
         let many = set_of(&vec![vec![10, 20, 30]; MAX_WIRE_CPUS + 1]);
+        let err = EncodeError::OutOfBounds;
         for bad in [&wide, &many] {
-            let err = EncodeError::OutOfBounds;
             let mut out = vec![0xa5; 7];
             assert_eq!(encode_sample_frame(&mut out, 1, bad), Err(err));
             assert_eq!(out, [0xa5; 7], "stateless {err:?}");
-
-            // A machine already announced, and one seen for the first
-            // time (whose layout frame must be rolled back too).
-            let mut enc = WireEncoder::new();
-            enc.push_sample_set(1, &good).unwrap();
-            let before = enc.bytes().to_vec();
-            for m in [1, 2] {
-                assert_eq!(enc.push_sample_set(m, bad), Err(err));
-                assert_eq!(enc.bytes(), &before[..], "machine {m}, {err:?}");
-            }
-            // The scratch the failed gather left behind does not leak
-            // into the next frame.
-            enc.push_sample_set(1, &good).unwrap();
-            let payloads = sample_payloads(enc.bytes());
-            assert_eq!(payloads, [&oracle(&good)[..], &oracle(&good)[..]]);
         }
+
+        // The encoder ships one plane of `wide`, so only the CPU bound
+        // can fail it: a machine already announced, and one seen for
+        // the first time (whose layout frame must be rolled back too).
+        let mut enc = WireEncoder::new();
+        enc.push_sample_set(1, &good).unwrap();
+        let before = enc.bytes().to_vec();
+        for m in [1, 2] {
+            assert_eq!(enc.push_sample_set(m, &many), Err(err));
+            assert_eq!(enc.bytes(), &before[..], "machine {m}");
+        }
+        // The scratch the failed gather left behind does not leak into
+        // the next frame.
+        enc.push_sample_set(1, &good).unwrap();
+        let shipped = oracle(&projected(&good));
+        assert_eq!(sample_payloads(enc.bytes()), [&shipped[..], &shipped[..]]);
+    }
+
+    #[test]
+    fn a_set_past_the_event_bound_encodes_its_row_projection() {
+        // 65 events cycling through the row events: the stateless
+        // function refuses the layout, the encoder ships each row
+        // event's first occurrence — nine planes.
+        let layout: Vec<PerfEvent> = (0..MAX_WIRE_EVENTS + 1)
+            .map(|i| ROW_EVENTS[i % ROW_EVENTS.len()])
+            .collect();
+        let rows: Vec<Vec<u64>> = (0..3u64)
+            .map(|cpu| (0..layout.len() as u64).map(|e| 1_000 * e + cpu).collect())
+            .collect();
+        let long = set_over(&layout, &rows);
+        let mut out = Vec::new();
+        assert_eq!(
+            encode_sample_frame(&mut out, 1, &long),
+            Err(EncodeError::OutOfBounds)
+        );
+        let mut enc = WireEncoder::new();
+        enc.push_sample_set(1, &long).unwrap();
+        let shipped = projected(&long);
+        assert_eq!(shipped.events(), ROW_EVENTS);
+        assert_eq!(sample_payloads(enc.bytes()), [&oracle(&shipped)[..]]);
     }
 }

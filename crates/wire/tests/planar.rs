@@ -5,16 +5,22 @@
 //! estimates to in-memory estimation of the same windows; a payload
 //! that breaks the format is rejected even when it checksums; and a
 //! battered stream degrades under the clean-subset contract.
+//!
+//! The layout properties encode through the stateless frame functions,
+//! which ship every plane as given: the agent encoder projects each set
+//! onto the row events, so only those functions put reordered non-row
+//! planes in front of the decoder's skip path. The agent's projected
+//! stream is checked against the same in-memory rows.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tdp_counters::{layout_hash, PerfEvent, SampleSet};
-use tdp_fleet::{FleetEstimator, COLUMNS};
+use tdp_fleet::{FleetEstimator, COLUMNS, ROW_EVENTS};
 use tdp_wire::frame::{FrameHeader, FrameType, HEADER_LEN, MAX_WIRE_CPUS};
 use tdp_wire::{
-    encode_layout_frame, ingest_reference_with, ingest_serial_with, CursorItem, DecodeError,
-    Decoded, FaultKind, FaultPlan, FrameCursor, FrameDecoder, IngestState, WireEncoder,
-    MAX_STALE_WINDOWS,
+    encode_layout_frame, encode_sample_frame, ingest_reference_with, ingest_serial_with,
+    CursorItem, DecodeError, Decoded, FaultKind, FaultPlan, FrameCursor, FrameDecoder, IngestState,
+    WireEncoder, MAX_STALE_WINDOWS,
 };
 use trickledown::SystemPowerModel;
 
@@ -69,8 +75,21 @@ fn set_from_counts(seq: u64, layout: &[PerfEvent], counts: &[Vec<u64>]) -> Sampl
     set
 }
 
-/// Encodes `sets` as one window.
+/// Encodes `sets` as one window exactly as given: per machine, a
+/// layout frame declaring every event of the set, then a sample frame
+/// carrying every plane.
 fn encode(sets: &[SampleSet]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (id, set) in sets.iter().enumerate() {
+        encode_layout_frame(&mut out, id as u64, set.seq, set.events()).unwrap();
+        encode_sample_frame(&mut out, id as u64, set).unwrap();
+    }
+    out
+}
+
+/// Encodes `sets` as one window through the agent encoder, which
+/// ships each set's row projection.
+fn encode_agent(sets: &[SampleSet]) -> Vec<u8> {
     let mut enc = WireEncoder::new();
     for (id, set) in sets.iter().enumerate() {
         enc.push_sample_set(id as u64, set).unwrap();
@@ -225,9 +244,13 @@ proptest! {
             })
             .collect();
 
+        let want = in_memory_bits(&sets).0;
         let wire = encode(&sets);
-        prop_assert_eq!(decoded_bits(&wire, machines), in_memory_bits(&sets).0);
+        prop_assert_eq!(decoded_bits(&wire, machines), want.clone());
         prop_assert_eq!(serial_bits(&wire, machines), reference_bits(&wire, machines));
+        let projected = encode_agent(&sets);
+        prop_assert!(projected.len() <= wire.len());
+        prop_assert_eq!(decoded_bits(&projected, machines), want);
     }
 }
 
@@ -382,24 +405,10 @@ fn malformed_payloads_are_rejected_even_when_they_checksum() {
     }
 }
 
-/// The nine trickle-down input events, in [`tdp_fleet::ROW_EVENTS`]
-/// order.
-const NINE_EVENTS: [PerfEvent; 9] = [
-    PerfEvent::Cycles,
-    PerfEvent::HaltedCycles,
-    PerfEvent::FetchedUops,
-    PerfEvent::L3LoadMisses,
-    PerfEvent::BusTransactionsAll,
-    PerfEvent::DmaOtherBusTransactions,
-    PerfEvent::InterruptsTotal,
-    PerfEvent::TimerInterrupts,
-    PerfEvent::DiskInterrupts,
-];
-
 /// A realistic in-range machine-window (the chaos leg needs rows that
 /// pass the sanity policy, so degradation comes only from the plan).
 fn sane_set(machine: u64, seq: u64) -> SampleSet {
-    let layout = NINE_EVENTS;
+    let layout = ROW_EVENTS;
     let mut rng = machine
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(seq)
@@ -535,7 +544,7 @@ fn scaled_set(machine: u64, seq: u64, magnitude: u64) -> SampleSet {
         | 1;
     let counts: Vec<Vec<u64>> = (0..4)
         .map(|_| {
-            NINE_EVENTS
+            ROW_EVENTS
                 .iter()
                 .map(|&e| {
                     let r = xorshift(&mut rng);
@@ -556,7 +565,7 @@ fn scaled_set(machine: u64, seq: u64, magnitude: u64) -> SampleSet {
                 .collect()
         })
         .collect();
-    set_from_counts(seq, &NINE_EVENTS, &counts)
+    set_from_counts(seq, &ROW_EVENTS, &counts)
 }
 
 /// The decimation × width-change regression: adaptive sampling

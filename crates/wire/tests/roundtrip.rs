@@ -10,9 +10,10 @@ use tdp_counters::{PerfEvent, SampleSet};
 use tdp_fleet::{FleetEstimator, COLUMNS, ROW_EVENTS};
 use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig};
+use tdp_wire::frame::{FrameHeader, FrameType, HEADER_LEN};
 use tdp_wire::{
-    ingest_reference_with, ingest_serial, ingest_serial_with, HealthState, IngestState,
-    WireEncoder, MAX_STALE_WINDOWS,
+    encode_layout_frame, encode_sample_frame, ingest_reference_with, ingest_serial,
+    ingest_serial_with, HealthState, IngestState, WireEncoder, MAX_STALE_WINDOWS,
 };
 use trickledown::SystemPowerModel;
 
@@ -24,8 +25,9 @@ fn fleet_window(machines: u64) -> Vec<SampleSet> {
 
 /// One counter window from each of `machines` simulated servers with
 /// `cpus` CPUs, in distinct load states. Every `Machine` programs all
-/// 18 `PerfEvent`s, so these frames carry the non-identity layout real
-/// producers send.
+/// 18 `PerfEvent`s; the agent encoder ships their nine row events in
+/// declaration order, not `ROW_EVENTS` order, so these frames carry
+/// the non-identity layout real producers send.
 fn simulated_window(cpus: usize, machines: u64) -> Vec<SampleSet> {
     (0..machines)
         .map(|m| {
@@ -47,6 +49,15 @@ fn simulated_window(cpus: usize, machines: u64) -> Vec<SampleSet> {
             set
         })
         .collect()
+}
+
+/// Appends `set` for `machine` exactly as given — every plane, in the
+/// set's order, under a layout frame — through the stateless frame
+/// functions, so the decoder meets layouts the agent encoder would
+/// project onto the row events.
+fn encode_raw(out: &mut Vec<u8>, machine: u64, set: &SampleSet) {
+    encode_layout_frame(out, machine, set.seq, set.events()).unwrap();
+    encode_sample_frame(out, machine, set).unwrap();
 }
 
 fn encode_window(sets: &[SampleSet]) -> Vec<u8> {
@@ -85,7 +96,7 @@ fn batch_bits(est: &FleetEstimator) -> Vec<Vec<u64>> {
 #[test]
 fn wire_ingestion_is_bit_identical_to_in_memory() {
     // The synthetic nine-event fleet, plus 4- and 32-CPU simulated
-    // servers sending all 18 events.
+    // servers programming all 18 events.
     for (label, sets) in [
         ("synthetic", fleet_window(37)),
         ("4-cpu machines", simulated_window(4, 6)),
@@ -133,6 +144,9 @@ fn row_lanes_never_carry_over_between_frames() {
     // by machine, across windows. A frame whose layout lacks a row event
     // reads zeros there, never the lane the previous same-sized frame
     // left in the decoder; a repeated event reads its first occurrence.
+    // The frames carry the sets as given (the agent encoder would drop
+    // the non-row events and the repeat), so the decoder's skip path
+    // runs.
     const MACHINES: usize = 8;
     let four = simulated_window(4, 4);
     let wide = simulated_window(32, 4);
@@ -140,7 +154,6 @@ fn row_lanes_never_carry_over_between_frames() {
         PerfEvent::DiskInterrupts,
         PerfEvent::DmaOtherBusTransactions,
     ];
-    let mut enc = WireEncoder::new();
     let mut state = IngestState::new();
     let mut ref_state = IngestState::new();
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
@@ -180,10 +193,10 @@ fn row_lanes_never_carry_over_between_frames() {
                 set
             })
             .collect();
+        let mut buf = Vec::new();
         for (id, set) in sets.iter().enumerate() {
-            enc.push_sample_set(id as u64, set).unwrap();
+            encode_raw(&mut buf, id as u64, set);
         }
-        let buf = enc.take_bytes();
         let rep = ingest_serial_with(&mut state, &buf, MACHINES, &mut est);
         assert_eq!(rep.rows_written, MACHINES as u64, "window {w}");
         assert_eq!(rep.corrupt_frames + rep.unknown_layout_frames, 0);
@@ -304,6 +317,105 @@ fn mid_stream_layout_change_never_misattributes_columns() {
     reference.begin_window();
     reference.push_sample_set(&windows[2]);
     assert_eq!(batch_bits(&est), batch_bits(&reference));
+
+    // The agent encoder projects the extended list back onto the row
+    // events, so only the raw frame functions put `TlbMisses` and
+    // `L2Misses` in front on the wire: every row plane then sits two
+    // places later, and each window must still decode to its own row.
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut state = IngestState::new();
+    for (seq, set) in windows.iter().enumerate() {
+        let mut wire = Vec::new();
+        encode_raw(&mut wire, 0, set);
+        let report = ingest_serial_with(&mut state, &wire, 1, &mut est);
+        assert_eq!(report.rows_written, 1, "raw window {seq}");
+        assert_eq!(report.corrupt_frames + report.unknown_layout_frames, 0);
+        let mut reference = FleetEstimator::new(SystemPowerModel::paper());
+        reference.begin_window();
+        reference.push_sample_set(set);
+        assert_eq!(
+            batch_bits(&est),
+            batch_bits(&reference),
+            "raw window {seq}: wire row must match in-memory extraction"
+        );
+    }
+}
+
+/// Every frame of `wire` as `(type, layout events, sample event count)`:
+/// a layout frame's declared events (decoded from its payload), a
+/// sample frame's header `n_events`.
+fn frame_layouts(wire: &[u8]) -> Vec<(FrameType, Vec<PerfEvent>, u16)> {
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < wire.len() {
+        let h = FrameHeader::parse(&wire[pos..]).expect("well-formed stream");
+        let payload = &wire[pos + HEADER_LEN..pos + HEADER_LEN + h.payload_len as usize];
+        // Every event index is below 128, so each is a one-byte varint.
+        let events = match h.frame_type {
+            FrameType::Layout => payload
+                .iter()
+                .map(|&i| PerfEvent::ALL[usize::from(i)])
+                .collect(),
+            FrameType::Sample => Vec::new(),
+        };
+        out.push((h.frame_type, events, h.n_events));
+        pos += HEADER_LEN + h.payload_len as usize;
+    }
+    out
+}
+
+#[test]
+fn agents_ship_exactly_the_row_events_of_simulated_servers() {
+    // Simulated 4- and 32-CPU servers program all 18 events. The agent
+    // encoder announces and ships only the nine row events, in the
+    // set's own order (declaration order, not `ROW_EVENTS` order); a
+    // row event the set lists twice ships once; and the rows decoded
+    // from those frames equal in-memory estimation of the full sets,
+    // bit for bit.
+    let in_set_order: Vec<PerfEvent> = PerfEvent::ALL
+        .iter()
+        .copied()
+        .filter(|e| ROW_EVENTS.contains(e))
+        .collect();
+    assert_ne!(in_set_order, ROW_EVENTS, "the orders differ");
+    for cpus in [4usize, 32] {
+        let full = simulated_window(cpus, 3);
+        // The same servers with `Cycles` and `DiskInterrupts` listed a
+        // second time, at the end, carrying other counts.
+        let doubled: Vec<SampleSet> = full
+            .iter()
+            .map(|src| {
+                let mut layout = src.events().to_vec();
+                layout.extend([PerfEvent::Cycles, PerfEvent::DiskInterrupts]);
+                let mut set = SampleSet::empty();
+                set.seq = src.seq;
+                let block = set.reset(layout.iter().copied(), cpus);
+                block[..src.counts().len()].copy_from_slice(src.counts());
+                block[src.counts().len()..].fill(123_456_789);
+                set
+            })
+            .collect();
+        for (label, sets) in [("full", &full), ("doubled", &doubled)] {
+            let wire = encode_window(sets);
+            let frames = frame_layouts(&wire);
+            assert_eq!(frames.len(), 2 * sets.len(), "{cpus} CPUs {label}");
+            for pair in frames.chunks(2) {
+                assert_eq!(pair[0].0, FrameType::Layout);
+                assert_eq!(pair[0].1, in_set_order, "{cpus} CPUs {label}");
+                assert_eq!(pair[1].0, FrameType::Sample);
+                assert_eq!(usize::from(pair[1].2), ROW_EVENTS.len());
+            }
+            let mut est = FleetEstimator::new(SystemPowerModel::paper());
+            let report = ingest_serial(&wire, sets.len(), &mut est);
+            assert_eq!(report.rows_written, sets.len() as u64);
+            let (ref_cols, ref_totals) = reference_bits(sets);
+            assert_eq!(batch_bits(&est), ref_cols, "{cpus} CPUs {label}");
+            let totals: Vec<u64> = est.estimate().total().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(totals, ref_totals, "{cpus} CPUs {label}");
+        }
+        // The repeats change nothing the row reads, so nothing shipped.
+        assert_eq!(encode_window(&full), encode_window(&doubled));
+    }
 }
 
 #[test]
@@ -824,9 +936,13 @@ fn simulated_stream_digest(cpus: usize) -> (usize, u64) {
 #[test]
 fn simulated_streams_match_their_recorded_digests() {
     // Frames of real simulated counters must not move when the
-    // producer's sample representation or gather changes: these values
-    // were recorded from the CPU-major per-CPU sample layout and its
-    // per-lane gather, and pin every byte the encoder writes.
-    assert_eq!(simulated_stream_digest(4), (1822, 0x8b9a_c6f3_d814_2a92));
-    assert_eq!(simulated_stream_digest(32), (6262, 0xe5ad_b922_f61e_58a7));
+    // producer's sample representation or gather changes; these values
+    // pin every byte the encoder writes. They were first recorded from
+    // the CPU-major per-CPU sample layout and its per-lane gather
+    // (1,822 and 6,262 B, all 18 events shipped), and re-recorded when
+    // the encoder began shipping only the nine row events: the new
+    // values are what the encoder before that change wrote for the
+    // same sets with every non-row plane removed.
+    assert_eq!(simulated_stream_digest(4), (1277, 0xe2c9_0db9_7d04_84ea));
+    assert_eq!(simulated_stream_digest(32), (3205, 0xbc24_f4c8_6837_8d4a));
 }
