@@ -1,30 +1,31 @@
 //! Zero-copy frame decoding straight into fleet sample rows.
 //!
-//! [`FrameDecoder`] never materialises an intermediate `SampleSet` or
-//! `SystemSample`: it walks a sample frame in place, decoding it
+//! [`FrameDecoder::decode_frame`] is the one decode, and it verifies,
+//! then decodes: the frame checksum is checked first, over the header
+//! and the whole payload, so a corrupt frame reports
+//! [`DecodeError::Checksum`] whatever it names, and only a frame that
+//! checksums is read further. A sample frame is then walked in place,
 //! straight into the nine f64 row lanes (see [`crate::planar`]) that
 //! [`tdp_fleet::fold_event_lanes`] folds with the *same* arithmetic
 //! `SampleBatch::push_sample_set` applies to in-memory samples, which
 //! is what makes wire ingestion bit-identical to in-memory ingestion by
-//! construction. In the steady state (layouts already registered,
-//! lane buffer sized) a decode performs no allocation.
+//! construction. No intermediate `SampleSet` or `SystemSample` is
+//! built, and in the steady state (layouts already registered, lane
+//! buffer sized) a decode performs no allocation.
 //!
-//! Layouts are resolved through a memo table, keyed on the header's
+//! Layouts are resolved through a table keyed on the header's
 //! `layout_hash`: a layout frame registers, once, the row lane each
 //! wire event's plane unfolds into ([`row_slots`]: the first
 //! occurrence of each of the nine [`ROW_EVENTS`], the same rule the
-//! encoder projects sets with), and every
-//! subsequent sample frame with that hash reuses the memoised map (a
-//! one-entry hot cache makes the common single-layout fleet a single
-//! comparison). A sample frame whose hash was never declared is
+//! encoder projects sets with), and every subsequent sample frame with
+//! that hash reuses it. A sample frame whose hash was never declared is
 //! reported as [`DecodeError::UnknownLayout`], never guessed at — and
 //! because the map is keyed on the *hash of the full ordered list*,
 //! a mid-stream PMU reprogramming (reordered or extended event list)
 //! can never misattribute columns.
 
 use crate::frame::{
-    FrameHeader, FrameType, HeaderError, PayloadChecksum, HEADER_LEN, MAGIC, MAX_DECIMATION,
-    MAX_WIRE_EVENTS,
+    FrameHeader, FrameType, HeaderError, HEADER_LEN, MAGIC, MAX_DECIMATION, MAX_WIRE_EVENTS,
 };
 use crate::planar::{decode_planes, NO_SLOT};
 use crate::varint::read_uvarint;
@@ -79,44 +80,34 @@ struct LayoutEntry {
     slot: [u8; MAX_WIRE_EVENTS],
 }
 
-/// Memoised `layout_hash → column positions` mapping.
+/// The registered layouts, scanned by hash. [`WireEncoder`] announces
+/// one row-projected layout per PMU programming, so a fleet running one
+/// programming holds one entry; re-registering a known hash replaces
+/// its entry.
 ///
-/// Fleets overwhelmingly run one PMU programming, so lookups check a
-/// hot index first; the fallback is a linear scan (distinct layouts per
-/// stream are few — re-registration of a known hash is free).
+/// [`WireEncoder`]: crate::WireEncoder
 #[derive(Debug, Clone, Default)]
 struct LayoutTable {
     entries: Vec<LayoutEntry>,
-    hot: usize,
 }
 
 impl LayoutTable {
-    fn lookup(&mut self, hash: u64) -> Option<&LayoutEntry> {
-        if let Some(e) = self.entries.get(self.hot) {
-            if e.hash == hash {
-                return self.entries.get(self.hot);
-            }
-        }
-        let i = self.entries.iter().position(|e| e.hash == hash)?;
-        self.hot = i;
-        self.entries.get(i)
+    fn lookup(&self, hash: u64) -> Option<&LayoutEntry> {
+        self.entries.iter().find(|e| e.hash == hash)
     }
 
     fn register(&mut self, entry: LayoutEntry) {
-        if let Some(i) = self.entries.iter().position(|e| e.hash == entry.hash) {
-            self.entries[i] = entry;
-            self.hot = i;
-        } else {
-            self.hot = self.entries.len();
-            self.entries.push(entry);
+        match self.entries.iter_mut().find(|e| e.hash == entry.hash) {
+            Some(e) => *e = entry,
+            None => self.entries.push(entry),
         }
     }
 }
 
-/// Streaming frame decoder: walks each frame in place and reduces a
-/// sample frame straight to a fleet row, with no intermediate
-/// `SampleSet`. Sample frames resolve their layout through the
-/// memo table of layout frames seen so far.
+/// Streaming frame decoder: verifies each frame, then walks it in
+/// place and reduces a sample frame straight to a fleet row, with no
+/// intermediate `SampleSet`. Sample frames resolve their layout through
+/// the table of layout frames seen so far.
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
     layouts: LayoutTable,
@@ -135,43 +126,57 @@ impl FrameDecoder {
 
     /// Decodes one frame given its parsed header and payload slice
     /// (both still borrowed from the input buffer — nothing is copied
-    /// out except the reconstructed row lanes).
+    /// out except the reconstructed row lanes): verify, then decode.
+    /// The checksum is checked first, then the event-count bound; a
+    /// layout frame is then registered, and a sample frame is walked
+    /// into the row lanes through its registered layout and folded by
+    /// [`fold_event_lanes`] — the arithmetic
+    /// `SampleBatch::push_sample_set` applies to in-memory samples.
     ///
     /// # Errors
     ///
     /// [`DecodeError::Checksum`] on any corruption (the checksum covers
-    /// every header field and payload bit), [`DecodeError::Malformed`]
-    /// on a structurally invalid frame that nonetheless checksums
-    /// (encoder bug), [`DecodeError::UnknownLayout`] for a sample frame
-    /// whose layout was never declared.
+    /// every header field and payload bit, and its verdict precedes
+    /// every other), [`DecodeError::Malformed`] on a structurally
+    /// invalid frame that nonetheless checksums (encoder bug),
+    /// [`DecodeError::UnknownLayout`] for a sample frame whose layout
+    /// was never declared.
     pub fn decode_frame(
         &mut self,
         header: &FrameHeader,
         payload: &[u8],
     ) -> Result<Decoded, DecodeError> {
-        match header.frame_type {
-            FrameType::Layout => {
-                if !header.verify(payload) {
-                    return Err(DecodeError::Checksum);
-                }
-                if header.n_events as usize > MAX_WIRE_EVENTS {
-                    return Err(DecodeError::Malformed);
-                }
-                self.decode_layout(header, payload)
-            }
-            // Sample frames absorb the checksum behind the payload walk
-            // (the hot path — see `decode_sample_pending`); the checksum
-            // verdict still takes precedence over every structural one,
-            // exactly as the layout arm orders them.
-            FrameType::Sample => {
-                let pending = self.decode_sample_pending(header, payload)?;
-                Ok(Decoded::Row {
-                    machine_id: pending.machine_id,
-                    window_seq: pending.window_seq,
-                    row: self.fold_row(&pending),
-                })
-            }
+        if !header.verify(payload) {
+            return Err(DecodeError::Checksum);
         }
+        let n = header.n_events as usize;
+        if n > MAX_WIRE_EVENTS {
+            return Err(DecodeError::Malformed);
+        }
+        if header.frame_type == FrameType::Layout {
+            return self.decode_layout(header, payload);
+        }
+        let entry = self
+            .layouts
+            .lookup(header.layout_hash)
+            .ok_or(DecodeError::UnknownLayout)?;
+        if entry.n_events != header.n_events {
+            return Err(DecodeError::Malformed);
+        }
+        let cpus = header.cpu_count as usize;
+        decode_planes(
+            payload,
+            &entry.slot[..n],
+            ROW_EVENTS.len(),
+            cpus,
+            &mut self.lanes,
+        )
+        .ok_or(DecodeError::Malformed)?;
+        Ok(Decoded::Row {
+            machine_id: header.machine_id,
+            window_seq: header.window_seq,
+            row: fold_event_lanes(&self.lanes, cpus),
+        })
     }
 
     fn decode_layout(
@@ -229,85 +234,6 @@ impl FrameDecoder {
         self.layouts.register(entry);
         Ok(Decoded::Layout { decimation })
     }
-
-    /// Decodes a sample frame up to (but not including) the row
-    /// reduction: layout lookup, then the single payload walk into the
-    /// decoder's row lanes (see [`crate::planar`]). The caller folds the
-    /// lanes with [`fold_row`](Self::fold_row) before the next decode
-    /// reuses them — or, for a duplicate or out-of-range frame, never.
-    ///
-    /// The checksum is *always* computed over the full payload (the
-    /// walk absorbs what it accepted, [`PayloadChecksum::finish`] the
-    /// rest) and checked first, so a corrupt frame reports
-    /// [`DecodeError::Checksum`] no matter how it is corrupt, and only
-    /// a frame that checksums can report a structural error.
-    pub(crate) fn decode_sample_pending(
-        &mut self,
-        header: &FrameHeader,
-        payload: &[u8],
-    ) -> Result<PendingSample, DecodeError> {
-        let mut ck = PayloadChecksum::new(header);
-        let scanned = resolve_layout(&mut self.layouts, header).and_then(|entry| {
-            decode_planes(
-                payload,
-                &entry.slot[..header.n_events as usize],
-                ROW_EVENTS.len(),
-                header.cpu_count as usize,
-                &mut self.lanes,
-                &mut ck,
-            )
-            .ok_or(DecodeError::Malformed)
-        });
-        if header.checksum != ck.finish(payload) {
-            return Err(DecodeError::Checksum);
-        }
-        scanned?;
-        Ok(PendingSample {
-            machine_id: header.machine_id,
-            window_seq: header.window_seq,
-            cpus: header.cpu_count as usize,
-        })
-    }
-
-    /// Reduces a pending sample's row lanes to one fleet row through
-    /// [`fold_event_lanes`] — the arithmetic `SampleBatch::push_sample_set`
-    /// applies to in-memory samples (its widening and missing-event
-    /// mapping are bit-identical to the `Option<u64>` reference path —
-    /// see its docs).
-    pub(crate) fn fold_row(&self, p: &PendingSample) -> [f64; COLUMNS] {
-        fold_event_lanes(&self.lanes, p.cpus)
-    }
-}
-
-/// The layout a sample frame's header names, checked against the
-/// header's event count.
-fn resolve_layout<'a>(
-    layouts: &'a mut LayoutTable,
-    header: &FrameHeader,
-) -> Result<&'a LayoutEntry, DecodeError> {
-    if header.n_events as usize > MAX_WIRE_EVENTS {
-        return Err(DecodeError::Malformed);
-    }
-    let entry = layouts
-        .lookup(header.layout_hash)
-        .ok_or(DecodeError::UnknownLayout)?;
-    if entry.n_events != header.n_events {
-        return Err(DecodeError::Malformed);
-    }
-    Ok(entry)
-}
-
-/// A sample frame that decoded cleanly (checksummed, unfolded into the
-/// decoder's row lanes) but has not yet been reduced to a fleet row —
-/// the handle [`FrameDecoder::fold_row`] consumes. Valid only until
-/// the decoder's next sample decode.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingSample {
-    /// Which machine the frame describes.
-    pub machine_id: u64,
-    /// The window sequence number from the frame header.
-    pub window_seq: u64,
-    cpus: usize,
 }
 
 /// One framing step over a raw byte stream.

@@ -94,33 +94,7 @@ pub fn encode_layout_frame(
     window_seq: u64,
     events: &[PerfEvent],
 ) -> Result<(), EncodeError> {
-    encode_layout_frame_with_decimation(out, machine_id, window_seq, events, 1)
-}
-
-/// [`encode_layout_frame`] announcing a sampling decimation alongside
-/// the layout: the header's (otherwise unused) `cpu_count` field tells
-/// the consumer this machine will send one sample frame every
-/// `decimation` windows, phase-staggered, and expects held
-/// reconstruction in between. `decimation ≤ 1` writes the legacy `0`,
-/// so an every-window stream is byte-identical to one produced before
-/// the field existed.
-///
-/// # Errors
-///
-/// [`EncodeError::OutOfBounds`] if `events` exceeds
-/// [`MAX_WIRE_EVENTS`] or `decimation` exceeds [`MAX_DECIMATION`].
-pub fn encode_layout_frame_with_decimation(
-    out: &mut Vec<u8>,
-    machine_id: u64,
-    window_seq: u64,
-    events: &[PerfEvent],
-    decimation: u16,
-) -> Result<(), EncodeError> {
-    if decimation > MAX_DECIMATION {
-        return Err(EncodeError::OutOfBounds);
-    }
-    let hash = layout_hash(events);
-    layout_frame(out, machine_id, window_seq, events, hash, decimation)
+    layout_frame(out, machine_id, window_seq, events, layout_hash(events), 1)
 }
 
 /// The layout frame for a layout whose hash the caller already holds.

@@ -196,13 +196,43 @@ impl FrameHeader {
         out[36..44].copy_from_slice(&self.checksum.to_le_bytes());
     }
 
-    /// The checksum this header + payload *should* carry.
+    /// The checksum this header + payload *should* carry: the header
+    /// fields seed two mix lanes, then each 16-byte payload chunk feeds
+    /// its first word to lane 0 and its second to lane 1, the final
+    /// partial chunk zero-padded per word, and the lanes fold into one.
     ///
-    /// One-shot form of [`PayloadChecksum`] (the single definition of
-    /// the algorithm): seed from the header, absorb the whole payload,
-    /// fold the lanes.
+    /// The seed splits the fields across the lanes, two mixes each, so
+    /// seeding is two multiply chains deep instead of five. Every field
+    /// keeps its own disjoint bit range within exactly one mix word (the
+    /// frame type xors into the lane-1 seed, a bijection of the seed),
+    /// so a single flipped header bit perturbs exactly one lane's state.
+    /// `payload_len` is mixed into the seed, so the zero padding cannot
+    /// alias a longer payload.
     pub fn expected_checksum(&self, payload: &[u8]) -> u64 {
-        PayloadChecksum::new(self).finish(payload)
+        let geom =
+            self.payload_len as u64 | (self.cpu_count as u64) << 32 | (self.n_events as u64) << 48;
+        let mut h = mix(mix(SEED0, geom), self.window_seq);
+        let mut lane = mix(
+            mix(
+                SEED1 ^ (self.frame_type.to_wire() as u64) << 56,
+                self.machine_id,
+            ),
+            self.layout_hash,
+        );
+        let mut chunks = payload.chunks_exact(16);
+        for c in &mut chunks {
+            let (lo, hi) = c.split_at(8);
+            h = mix(h, le_word(lo));
+            lane = mix(lane, le_word(hi));
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            h = mix(h, le_word(rem));
+        }
+        if rem.len() > 8 {
+            lane = mix(lane, le_word(&rem[8..]));
+        }
+        mix(h, lane)
     }
 
     /// Whether the stored checksum matches the payload.
@@ -238,99 +268,6 @@ fn le_word(bytes: &[u8]) -> u64 {
     let mut b = [0u8; 8];
     b[..take].copy_from_slice(&bytes[..take]);
     u64::from_le_bytes(b)
-}
-
-/// Incremental frame checksum: the same two-lane mix as
-/// [`FrameHeader::expected_checksum`] (which delegates here, so the two
-/// can never drift), exposed as a streaming absorb so a decoder can
-/// fold verification into the pass that is already reading the payload
-/// instead of walking the bytes twice.
-///
-/// Usage: [`new`](Self::new) seeds the lanes from the header fields;
-/// [`absorb_to`](Self::absorb_to) may be called any number of times
-/// with a monotonically growing watermark and consumes every *complete*
-/// 16-byte chunk below it; [`finish`](Self::finish) absorbs whatever
-/// remains (including the zero-padded tail words) and folds the lanes.
-/// The result is bit-identical to the one-shot form no matter how the
-/// absorb calls are spaced — the chunk→lane assignment is a pure
-/// function of byte position.
-#[derive(Debug, Clone, Copy)]
-pub struct PayloadChecksum {
-    h: u64,
-    lane: u64,
-    /// Payload bytes already absorbed (always a multiple of 16 until
-    /// `finish`).
-    done: usize,
-}
-
-impl PayloadChecksum {
-    /// Seeds the checksum with every checksummed header field.
-    ///
-    /// The fields are split across the two lanes — two mixes each —
-    /// so seeding latency is two multiply chains deep instead of five:
-    /// the decoder pays this per frame, fused into the payload walk.
-    /// Every field keeps its own disjoint bit range within exactly one
-    /// mix word (the frame type xors into the lane-1 seed, a bijection
-    /// of the seed), so a single flipped header bit still perturbs
-    /// exactly one lane's state and the single-bit detection argument
-    /// is unchanged.
-    pub fn new(header: &FrameHeader) -> Self {
-        let geom = header.payload_len as u64
-            | (header.cpu_count as u64) << 32
-            | (header.n_events as u64) << 48;
-        let mut h = mix(SEED0, geom);
-        let mut lane = mix(
-            SEED1 ^ (header.frame_type.to_wire() as u64) << 56,
-            header.machine_id,
-        );
-        h = mix(h, header.window_seq);
-        lane = mix(lane, header.layout_hash);
-        Self { h, lane, done: 0 }
-    }
-
-    /// Absorbs every complete 16-byte payload chunk that lies fully
-    /// below `upto` and has not been absorbed yet. Cheap when there is
-    /// nothing new to do, so callers may invoke it at whatever cadence
-    /// their own walk produces.
-    #[inline]
-    pub fn absorb_to(&mut self, payload: &[u8], upto: usize) {
-        let end = upto.min(payload.len()) & !15;
-        while self.done < end {
-            // `end` is 16-aligned and ≤ payload.len(), so the chunk is
-            // always there; `get` keeps the walk total regardless.
-            let Some(c) = payload.get(self.done..self.done + 16) else {
-                break;
-            };
-            self.h = mix(self.h, le_word(&c[..8]));
-            self.lane = mix(self.lane, le_word(&c[8..]));
-            self.done += 16;
-        }
-    }
-
-    /// Absorbs the unconsumed remainder of `payload` (the final partial
-    /// chunk is zero-padded per 8-byte word: first word → lane 0, rest
-    /// → lane 1) and folds the lanes into the frame checksum.
-    ///
-    /// `payload_len` is already mixed in by [`new`](Self::new), so the
-    /// zero padding cannot alias a longer payload.
-    pub fn finish(mut self, payload: &[u8]) -> u64 {
-        self.absorb_to(payload, payload.len());
-        // After the chunked absorb the remainder is < 16 bytes: at most
-        // one word per lane, zero-padded. Staging it through one fixed
-        // 16-byte buffer keeps the padding semantics of the historical
-        // per-word `le_word` calls (same words, same zeros) while
-        // paying a single variable-length copy instead of two.
-        let rem = payload.get(self.done..).unwrap_or_default();
-        let mut tail = [0u8; 16];
-        tail[..rem.len()].copy_from_slice(rem);
-        if !rem.is_empty() {
-            self.h = mix(self.h, u64::from_le_bytes(tail[..8].try_into().unwrap()));
-        }
-        if rem.len() > 8 {
-            self.lane = mix(self.lane, u64::from_le_bytes(tail[8..].try_into().unwrap()));
-        }
-        mix(self.h, self.lane)
-    }
 }
 
 #[cfg(test)]
@@ -379,32 +316,6 @@ mod tests {
         assert_eq!(FrameHeader::parse(&old), Err(HeaderError::BadType));
         old[2] = 1;
         assert_eq!(FrameHeader::parse(&old), Err(HeaderError::BadVersion));
-    }
-
-    #[test]
-    fn streaming_checksum_matches_one_shot_at_every_split() {
-        let h = header();
-        // Lengths that cover: empty, sub-chunk, exact chunk multiples,
-        // one- and two-word tails.
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 130] {
-            let payload: Vec<u8> = (0..len)
-                .map(|i| (i as u8).wrapping_mul(37) ^ 0x5a)
-                .collect();
-            let want = h.expected_checksum(&payload);
-            // Single absorb watermark at every position (including far
-            // past the end), then finish.
-            for split in 0..=len + 8 {
-                let mut ck = PayloadChecksum::new(&h);
-                ck.absorb_to(&payload, split);
-                assert_eq!(ck.finish(&payload), want, "len {len} split {split}");
-            }
-            // Many small monotone absorbs.
-            let mut ck = PayloadChecksum::new(&h);
-            for upto in (0..=len).step_by(3) {
-                ck.absorb_to(&payload, upto);
-            }
-            assert_eq!(ck.finish(&payload), want, "len {len} stepped");
-        }
     }
 
     #[test]

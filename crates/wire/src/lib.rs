@@ -16,16 +16,19 @@
 //!   interleave a layout frame whenever a machine's PMU programming or
 //!   sampling decimation changes, shipping only the planes of the
 //!   events the fleet row reads ([`row_slots`]).
-//! * [`FrameDecoder`] — the zero-copy consumer: validates frames in
-//!   place and reduces them straight to [`SampleBatch`] rows through
-//!   the same rate arithmetic in-memory ingestion uses
-//!   ([`fold_event_lanes`]), memoising event layouts by hash. No
-//!   intermediate sample structs, no steady-state allocation.
+//! * [`FrameDecoder`] — the zero-copy consumer: verify, then decode.
+//!   [`decode_frame`](FrameDecoder::decode_frame) checks a frame's
+//!   checksum before it reads anything else, then reduces a sample
+//!   frame in place straight to a [`SampleBatch`] row through the same
+//!   rate arithmetic in-memory ingestion uses ([`fold_event_lanes`]),
+//!   resolving event layouts by hash. No intermediate sample structs,
+//!   no steady-state allocation.
 //! * [`ingest_serial_with`] — the ingest path: one serial walk that
-//!   decodes each accepted frame to a row, judges it against the
-//!   sanity bounds and writes only sane rows into the batch columns,
-//!   where each machine's last good row persists across windows;
-//!   pinned bit-for-bit against the per-row [`ingest_reference_with`].
+//!   decodes every frame through `decode_frame`, judges each row
+//!   against the sanity bounds and writes only sane rows into the
+//!   batch columns, where each machine's last good row persists across
+//!   windows; pinned bit-for-bit against the per-row
+//!   [`ingest_reference_with`].
 //! * [`health`](PipelineHealth) — graceful degradation under a hostile
 //!   stream: per-machine [`HealthState`] ledgers, sequence
 //!   reset/duplicate detection, quarantine of rows outside fixed
@@ -81,10 +84,7 @@ pub mod planar;
 mod stream;
 
 pub use decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder};
-pub use encode::{
-    encode_layout_frame, encode_layout_frame_with_decimation, encode_sample_frame, EncodeError,
-    WireEncoder,
-};
+pub use encode::{encode_layout_frame, encode_sample_frame, EncodeError, WireEncoder};
 pub use faults::{FaultKind, FaultPlan, FaultedWindow, InjectedFault};
 pub use health::{row_is_sane, HealthState, PipelineHealth, MAX_STALE_WINDOWS};
 pub use stream::{

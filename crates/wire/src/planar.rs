@@ -55,9 +55,8 @@
 //! one pass over a 256-entry table checks every directory byte while it
 //! sizes the bases region, every base is read, every plane priced (a
 //! sparse plane's price and bitmap are checked even when skipped) and
-//! trailing bytes rejected, and the payload checksum is absorbed over
-//! every byte in one trailing pass over the lines the walk just
-//! touched.
+//! trailing bytes rejected. The walk never sees the checksum: the
+//! decoder verifies it over the whole frame before the walk starts.
 //!
 //! The reconstructed counts are integer-exact and `count as f64` is the
 //! same IEEE rounding wherever it is performed, so wire rows are
@@ -66,7 +65,7 @@
 //! byte boundary, and width-boundary values.
 
 use crate::encode::EncodeError;
-use crate::frame::{PayloadChecksum, MAX_WIRE_CPUS, MAX_WIRE_EVENTS};
+use crate::frame::{MAX_WIRE_CPUS, MAX_WIRE_EVENTS};
 use crate::varint::{unzigzag, zigzag};
 use tdp_counters::SampleSet;
 
@@ -308,12 +307,6 @@ pub const NO_SLOT: u8 = u8::MAX;
 /// payload is accepted, canonical or not (a dense plane of zeros, a
 /// width wider than its values need).
 ///
-/// `ck` absorbs the payload once the walk has accepted it, over the
-/// lines the walk just touched. [`PayloadChecksum::absorb_to`] is
-/// position-pure and monotone, so where it runs cannot change the
-/// checksum; the caller finishes it over whatever remains (all of the
-/// payload, when the walk rejects) and gives its verdict precedence.
-///
 /// `out` never exceeds `rows` × [`MAX_WIRE_CPUS`] entries: the bound is
 /// checked before the directory is read, so a corrupt header cannot
 /// request a larger buffer.
@@ -328,7 +321,6 @@ pub fn decode_planes(
     rows: usize,
     cpus: usize,
     out: &mut Vec<f64>,
-    ck: &mut PayloadChecksum,
 ) -> Option<()> {
     assert!(rows <= 64, "at most 64 row lanes");
     if cpus > MAX_WIRE_CPUS {
@@ -356,12 +348,7 @@ pub fn decode_planes(
         out.resize(out_len, 0.0);
     }
     let pos = decode_fused(payload, slots, rows, cpus, bases_end, out)?;
-    if pos != payload.len() {
-        return None;
-    }
-    // The whole absorb, while the payload is still in L1 from the walk.
-    ck.absorb_to(payload, pos);
-    Some(())
+    (pos == payload.len()).then_some(())
 }
 
 /// The little-endian value of a `W`-byte lane.
@@ -477,17 +464,9 @@ fn skip_plane(payload: &[u8], pos: usize, code: u8, stride: usize) -> Option<usi
 /// over every other plane, then zero-fills the lanes no event filled.
 /// Integer-exact before the final widen. Returns where the planes end.
 ///
-/// No in-walk checksum absorbs here: the caller's trailing
-/// [`absorb_to`] pass runs over lines the walk just touched — the same
-/// single read of the payload — while per-plane absorb calls would pay
-/// watermark bookkeeping nine times for at most a handful of 16-byte
-/// chunks (measured ≈ +18 ns/frame on 4-CPU fleets).
-///
 /// With no CPUs there are no lanes to emit and every plane is empty;
 /// the walk still reads every base, so trailing garbage is still
 /// rejected.
-///
-/// [`absorb_to`]: PayloadChecksum::absorb_to
 #[inline(always)]
 fn decode_fused(
     payload: &[u8],
@@ -655,19 +634,6 @@ mod tests {
         set
     }
 
-    fn header_for(payload_len: usize, cpus: u16, n_events: u16) -> FrameHeader {
-        FrameHeader {
-            frame_type: FrameType::Sample,
-            payload_len: payload_len as u32,
-            machine_id: 1,
-            window_seq: 1,
-            layout_hash: 0,
-            cpu_count: cpus,
-            n_events,
-            checksum: 0,
-        }
-    }
-
     /// The all-events slot map: wire event `e` fills lane `e`, so the
     /// walk unfolds every plane in wire order.
     fn all_slots(n: usize) -> Vec<u8> {
@@ -698,27 +664,10 @@ mod tests {
         out
     }
 
-    /// `payload` through [`decode_planes`] with `slots` into `out`,
-    /// checking that the in-walk absorb agrees with the one-shot
-    /// checksum whenever the walk accepts.
-    fn decode_into(
-        payload: &[u8],
-        slots: &[u8],
-        rows: usize,
-        cpus: usize,
-        out: &mut Vec<f64>,
-    ) -> Option<()> {
-        let h = header_for(payload.len(), cpus as u16, slots.len() as u16);
-        let mut ck = PayloadChecksum::new(&h);
-        decode_planes(payload, slots, rows, cpus, out, &mut ck)?;
-        assert_eq!(ck.finish(payload), h.expected_checksum(payload));
-        Some(())
-    }
-
     /// Every plane of `payload`, wire order.
     fn decode(payload: &[u8], n: usize, cpus: usize) -> Option<Vec<f64>> {
         let mut out = Vec::new();
-        decode_into(payload, &all_slots(n), n, cpus, &mut out)?;
+        decode_planes(payload, &all_slots(n), n, cpus, &mut out)?;
         Some(out)
     }
 
@@ -845,10 +794,8 @@ mod tests {
         let payload = encode_payload(&set);
         assert_eq!(payload.len(), 6, "three zero planes");
         for cpus in [MAX_WIRE_CPUS + 1, u16::MAX as usize] {
-            let h = header_for(payload.len(), cpus as u16, 3);
             let mut out = Vec::new();
-            let mut ck = PayloadChecksum::new(&h);
-            assert!(decode_planes(&payload, &all_slots(3), 3, cpus, &mut out, &mut ck).is_none());
+            assert!(decode_planes(&payload, &all_slots(3), 3, cpus, &mut out).is_none());
             assert_eq!(out.capacity(), 0, "{cpus} CPUs: no lane-buffer growth");
         }
         // At the bound the same payload decodes: every CPU repeats CPU 0.
@@ -865,11 +812,9 @@ mod tests {
         let set = set_of(&[vec![10], vec![11], vec![12]]);
         let payload = &encode_payload(&set)[..2];
         for slot in [0, NO_SLOT] {
-            let h = header_for(payload.len(), u16::MAX, 1);
             let mut out = Vec::new();
-            let mut ck = PayloadChecksum::new(&h);
             let rows = ROW_EVENTS.len();
-            assert!(decode_planes(payload, &[slot], rows, 65535, &mut out, &mut ck).is_none());
+            assert!(decode_planes(payload, &[slot], rows, 65535, &mut out).is_none());
             assert_eq!(out.capacity(), 0, "slot {slot}: no lane-buffer growth");
         }
     }
@@ -1056,7 +1001,7 @@ mod tests {
                 assert_lanes(&full, &set);
             }
             let mut lanes = vec![f64::NAN; rows * cpus];
-            decode_into(&payload, &slots, rows, cpus, &mut lanes).expect("clean payload");
+            decode_planes(&payload, &slots, rows, cpus, &mut lanes).expect("clean payload");
             for (k, ev) in ROW_EVENTS.iter().enumerate() {
                 let first = layout.iter().position(|x| x == ev);
                 for c in 0..cpus {
@@ -1068,8 +1013,8 @@ mod tests {
             let verdicts = |bad: &[u8], cpus: usize| {
                 let mut out = Vec::new();
                 (
-                    decode_into(bad, &all_slots(n), n, cpus, &mut out).is_some(),
-                    decode_into(bad, &slots, rows, cpus, &mut out).is_some(),
+                    decode_planes(bad, &all_slots(n), n, cpus, &mut out).is_some(),
+                    decode_planes(bad, &slots, rows, cpus, &mut out).is_some(),
                 )
             };
             let mut cases: Vec<(Vec<u8>, usize, bool)> = Vec::new();

@@ -2,9 +2,9 @@
 //! graceful-degradation ladder.
 //!
 //! [`ingest_serial_with`] is the ingest path: one serial pass that
-//! decodes each accepted sample frame to a row, judges it with
-//! [`row_is_sane`] and writes only sane rows into the
-//! estimator's batch columns.
+//! hands every frame to [`FrameDecoder::decode_frame`] — verify, then
+//! decode — judges each decoded row with [`row_is_sane`] and writes
+//! only sane rows into the estimator's batch columns.
 //!
 //! # Persisted rows
 //!
@@ -20,9 +20,8 @@
 //!
 //! # Per-row reference
 //!
-//! [`ingest_reference_with`] runs the same ladder one decoded row at a
-//! time: every frame is decoded to a row array by
-//! [`FrameDecoder::decode_frame`], screened with [`row_is_sane`],
+//! [`ingest_reference_with`] runs the same decode and the same ladder
+//! one row at a time: each row is screened with [`row_is_sane`],
 //! written with
 //! [`SampleBatch::set_row`](tdp_fleet::SampleBatch::set_row) and
 //! committed to the ledger, and the hold pass runs every window. It is
@@ -183,11 +182,12 @@ pub fn ingest_serial(buf: &[u8], machines: usize, est: &mut FleetEstimator) -> S
 /// by earlier windows (or earlier in this one) stay known, so
 /// steady-state windows can carry sample frames only.
 ///
-/// This is the fused hot path, one pass over the frames: each accepted
-/// sample frame is delta-unfolded in place (checksum verification
-/// overlaps the payload walk inside the decoder), folded to a row,
-/// judged by [`row_is_sane`] and, if sane, written
-/// straight into its batch slot and committed to the health ledger.
+/// This is the fused hot path, one pass over the frames: each frame
+/// goes through [`FrameDecoder::decode_frame`], which verifies its
+/// checksum, then delta-unfolds a sample frame in place and folds it
+/// to a row; the row is judged by [`row_is_sane`] and, if sane,
+/// written straight into its batch slot and committed to the health
+/// ledger.
 /// The hold / staleness pass over silent machines runs only when some
 /// machine committed no fresh row this window. Pinned against
 /// [`ingest_reference_with`] by the chaos property suite.
@@ -214,39 +214,28 @@ pub fn ingest_serial_with(
             }
             CursorItem::Frame { start, header } => (start, header),
         };
-        match header.frame_type {
-            FrameType::Layout => match dec.decode_frame(&header, cursor.payload(start, &header)) {
-                Ok(d) => {
-                    stats.layout_frames += 1;
-                    if let Decoded::Layout { decimation } = d {
-                        let idx = header.machine_id as usize;
-                        if idx < machines {
-                            ledger.set_decimation(idx, decimation);
-                        }
-                    }
+        if header.frame_type != FrameType::Layout {
+            stats.sample_frames += 1;
+        }
+        match dec.decode_frame(&header, cursor.payload(start, &header)) {
+            Ok(Decoded::Layout { decimation }) => {
+                stats.layout_frames += 1;
+                let idx = header.machine_id as usize;
+                if idx < machines {
+                    ledger.set_decimation(idx, decimation);
                 }
-                Err(_) => stats.corrupt_frames += 1,
-            },
-            FrameType::Sample => {
-                stats.sample_frames += 1;
-                let pend = match dec.decode_sample_pending(&header, cursor.payload(start, &header))
-                {
-                    Ok(p) => p,
-                    Err(DecodeError::UnknownLayout) => {
-                        stats.unknown_layout_frames += 1;
-                        continue;
-                    }
-                    Err(_) => {
-                        stats.corrupt_frames += 1;
-                        continue;
-                    }
-                };
-                let idx = pend.machine_id as usize;
+            }
+            Ok(Decoded::Row {
+                machine_id,
+                window_seq,
+                row,
+            }) => {
+                let idx = machine_id as usize;
                 if idx >= machines {
                     stats.out_of_range_frames += 1;
                     continue;
                 }
-                let reset = match ledger.note_seq(idx, pend.window_seq) {
+                let reset = match ledger.note_seq(idx, window_seq) {
                     SeqNote::Duplicate => {
                         stats.duplicate_windows += 1;
                         continue;
@@ -257,7 +246,6 @@ pub fn ingest_serial_with(
                     }
                     SeqNote::Fresh => false,
                 };
-                let row = dec.fold_row(&pend);
                 if !row_is_sane(&row) {
                     stats.rows_quarantined += 1;
                     ledger.quarantine(idx);
@@ -270,6 +258,8 @@ pub fn ingest_serial_with(
                 committed += usize::from(!ledger.committed_in(idx, epoch));
                 ledger.commit(idx, epoch, reset);
             }
+            Err(DecodeError::UnknownLayout) => stats.unknown_layout_frames += 1,
+            Err(_) => stats.corrupt_frames += 1,
         }
     }
     if committed < machines {
@@ -284,8 +274,9 @@ pub fn ingest_serial_with(
 /// through duplicate skip, reset re-baseline and
 /// [`row_is_sane`] quarantine, written with
 /// `SampleBatch::set_row` and committed to the ledger; the hold /
-/// staleness pass then runs every window. It shares the persisted-row
-/// rule with the hot path but not its fused decode, so on any stream
+/// staleness pass then runs every window. It shares the decode and
+/// the persisted-row rule with the hot path but not its direct column
+/// writes or its conditional hold pass, so on any stream
 /// the two must agree on the whole [`StreamReport`], the batch bits
 /// and every machine's [`HealthState`]. Call
 /// [`FleetEstimator::estimate`] afterwards.

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use tdp_counters::{PerfEvent, SampleSet};
 use tdp_fleet::{FleetEstimator, ROW_EVENTS};
-use tdp_wire::frame::{FrameHeader, FrameType, PayloadChecksum, HEADER_LEN, MAX_WIRE_CPUS};
+use tdp_wire::frame::{HEADER_LEN, MAX_WIRE_CPUS};
 use tdp_wire::planar::{decode_planes, NO_SLOT};
 use tdp_wire::{ingest_serial, CursorItem, FrameCursor, StreamReport, WireEncoder};
 use trickledown::SystemPowerModel;
@@ -125,19 +125,8 @@ proptest! {
         }
         let rows = ROW_EVENTS.len();
         let slots: Vec<u8> = picks.iter().map(|&p| if p as usize >= rows { NO_SLOT } else { p }).collect();
-        let header = FrameHeader {
-            frame_type: FrameType::Sample,
-            payload_len: payload.len() as u32,
-            machine_id: 0,
-            window_seq: 0,
-            layout_hash: 0,
-            cpu_count: cpus,
-            n_events: slots.len() as u16,
-            checksum: 0,
-        };
         let mut out = Vec::new();
-        let mut ck = PayloadChecksum::new(&header);
-        let ok = decode_planes(&payload, &slots, rows, cpus as usize, &mut out, &mut ck);
+        let ok = decode_planes(&payload, &slots, rows, cpus as usize, &mut out);
         prop_assert!(out.len() <= rows * MAX_WIRE_CPUS);
         prop_assert!(ok.is_none() || cpus as usize <= MAX_WIRE_CPUS);
     }

@@ -13,7 +13,8 @@ use tdp_simsys::{Machine, MachineConfig};
 use tdp_wire::frame::{FrameHeader, FrameType, HEADER_LEN};
 use tdp_wire::{
     encode_layout_frame, encode_sample_frame, ingest_reference_with, ingest_serial,
-    ingest_serial_with, HealthState, IngestState, WireEncoder, MAX_STALE_WINDOWS,
+    ingest_serial_with, CursorItem, DecodeError, FrameCursor, FrameDecoder, HealthState,
+    IngestState, WireEncoder, MAX_STALE_WINDOWS,
 };
 use trickledown::SystemPowerModel;
 
@@ -256,6 +257,47 @@ fn every_single_bit_flip_is_detected() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn a_corrupt_frame_fails_its_checksum_before_anything_else() {
+    // Verify, then decode: whatever a flipped bit makes a frame name —
+    // an unknown layout, a wrong event or CPU count, another payload
+    // length, the other frame type — a decoder that knows the layout
+    // reports the corruption, never a structural verdict.
+    let wire = encode_window(&fleet_window(1));
+    let frames: Vec<&[u8]> = FrameCursor::new(&wire)
+        .map(|item| match item {
+            CursorItem::Frame { start, header } => {
+                &wire[start..start + HEADER_LEN + header.payload_len as usize]
+            }
+            other => panic!("clean stream resynced: {other:?}"),
+        })
+        .collect();
+    assert_eq!(frames.len(), 2, "one layout frame, one sample frame");
+    let mut dec = FrameDecoder::new();
+    for frame in &frames {
+        let h = FrameHeader::parse(frame).unwrap();
+        assert!(dec.decode_frame(&h, &frame[HEADER_LEN..]).is_ok());
+    }
+    for frame in &frames {
+        let pristine = FrameHeader::parse(frame).unwrap().frame_type;
+        let mut switched = 0;
+        for byte in 3..frame.len() {
+            for bit in 0..8 {
+                let mut bad = frame.to_vec();
+                bad[byte] ^= 1 << bit;
+                // Other type bytes fail to parse and resync instead.
+                let Ok(h) = FrameHeader::parse(&bad) else {
+                    continue;
+                };
+                switched += usize::from(h.frame_type != pristine);
+                let got = dec.decode_frame(&h, &bad[HEADER_LEN..]);
+                assert_eq!(got, Err(DecodeError::Checksum), "byte {byte} bit {bit}");
+            }
+        }
+        assert_eq!(switched, 1, "the frame-type flip was exercised");
     }
 }
 
