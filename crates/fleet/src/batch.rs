@@ -141,28 +141,10 @@ impl SampleBatch {
         self.push_row(extract_sample(sample));
     }
 
-    /// Appends one machine's pre-aggregated column row — the raw-row
-    /// ingestion point for producers that build rows outside this
-    /// crate, such as the `tdp-wire` decoder (via [`fold_event_lanes`],
-    /// the fold [`push_sample_set`](Self::push_sample_set) runs too).
-    pub fn push_row(&mut self, row: [f64; COLUMNS]) {
+    /// Appends one machine's pre-aggregated column row.
+    fn push_row(&mut self, row: [f64; COLUMNS]) {
         for (c, v) in self.cols.iter_mut().zip(row) {
             c.push(v);
-        }
-    }
-
-    /// Overwrites row `machine` with a pre-aggregated column row — the
-    /// indexed counterpart of [`push_row`](Self::push_row) for writers
-    /// that place machines at fixed positions (wire ingest keys rows by
-    /// machine id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machine` is out of range — size the batch first with
-    /// [`resize_rows`](Self::resize_rows).
-    pub fn set_row(&mut self, machine: usize, row: [f64; COLUMNS]) {
-        for (c, v) in self.cols.iter_mut().zip(row) {
-            c[machine] = v;
         }
     }
 
@@ -177,9 +159,8 @@ impl SampleBatch {
         self.col_slices()
     }
 
-    /// Resizes every column to `machines` rows for the indexed write
-    /// paths ([`set_row`](Self::set_row) and
-    /// [`columns_mut`](Self::columns_mut)).
+    /// Resizes every column to `machines` rows for the indexed writes
+    /// through [`columns_mut`](Self::columns_mut).
     /// Rows grown beyond the current length are zeroed; rows already
     /// present keep their values (call [`clear`](Self::clear) first for
     /// an all-zero window).
@@ -190,10 +171,9 @@ impl SampleBatch {
     }
 
     /// All columns as mutable slices, indexable with the [`col`]
-    /// constants — the raw write surface external fused ingestion
-    /// (the `tdp-wire` serial path) writes [`fold_event_lanes`] rows
-    /// into directly, instead of staging each row through
-    /// [`set_row`](Self::set_row). Size the batch first with
+    /// constants — the write surface external ingestion (the `tdp-wire`
+    /// decoder) writes [`fold_event_lanes`] rows into, keyed by
+    /// machine id. Size the batch first with
     /// [`resize_rows`](Self::resize_rows).
     pub fn columns_mut(&mut self) -> [&mut [f64]; COLUMNS] {
         let mut it = self.cols.iter_mut();

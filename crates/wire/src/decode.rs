@@ -62,9 +62,8 @@ pub enum Decoded {
         machine_id: u64,
         /// The window sequence number from the frame header.
         window_seq: u64,
-        /// Machine aggregates, ready for
-        /// [`SampleBatch::push_row`](tdp_fleet::SampleBatch::push_row) /
-        /// [`set_row`](tdp_fleet::SampleBatch::set_row).
+        /// Machine aggregates, ready to write into a batch row through
+        /// [`SampleBatch::columns_mut`](tdp_fleet::SampleBatch::columns_mut).
         row: [f64; COLUMNS],
     },
 }

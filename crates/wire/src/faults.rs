@@ -17,7 +17,9 @@
 //!   one frame;
 //! * [`GarbageInsert`](FaultKind::GarbageInsert) bytes exclude the
 //!   first magic byte, so the decoder resynchronises at precisely the
-//!   next real frame;
+//!   next real frame, and two runs never have only a
+//!   [`DropFrame`](FaultKind::DropFrame) between them, so each is its
+//!   own resync;
 //! * [`TruncateTail`](FaultKind::TruncateTail) cuts into the stream's
 //!   final frame only.
 //!
@@ -186,8 +188,11 @@ impl FaultPlan {
         let n_faults = 1 + (splitmix64(&mut rng) % 3) as usize;
         let mut targets: BTreeSet<usize> = BTreeSet::new();
         // boundary b = "before segment b"; one garbage run per
-        // boundary keeps each run a distinct resync event.
+        // boundary, and never a dropped frame as the only thing
+        // between two runs, keeps each run a distinct resync event.
         let mut garbage: Vec<(usize, Vec<u8>)> = Vec::new();
+        let has_garbage =
+            |garbage: &[(usize, Vec<u8>)], b: usize| garbage.iter().any(|(gb, _)| *gb == b);
 
         // Sample frames are the only sensible targets for frame-level
         // faults (layout frames are shared infrastructure).
@@ -232,6 +237,9 @@ impl FaultPlan {
                     let Some(i) = pick_sample(&mut rng, &targets, &segs) else {
                         continue;
                     };
+                    if has_garbage(&garbage, i) && has_garbage(&garbage, i + 1) {
+                        continue;
+                    }
                     segs[i].dropped = true;
                     let machine = segs[i].header.map(|h| h.machine_id);
                     targets.insert(i);
@@ -306,7 +314,10 @@ impl FaultPlan {
                         continue;
                     }
                     let b = (splitmix64(&mut rng) % (segs.len() - 1) as u64) as usize;
-                    if garbage.iter().any(|(gb, _)| *gb == b) {
+                    if has_garbage(&garbage, b)
+                        || (b > 0 && segs[b - 1].dropped && has_garbage(&garbage, b - 1))
+                        || (segs[b].dropped && has_garbage(&garbage, b + 1))
+                    {
                         continue;
                     }
                     let len = 2 + (splitmix64(&mut rng) % 31) as usize;
@@ -449,29 +460,22 @@ mod tests {
 
     #[test]
     fn garbage_never_contains_the_magic_prefix_byte() {
-        // Drive many windows and check every inserted garbage run is
-        // free of 0x54, the byte the resync scanner hunts for.
+        // Every inserted garbage run must be free of 0x54, the byte the
+        // resync scanner hunts for, and no dropped frame may leave two
+        // runs back to back: walk each faulted stream and count
+        // resyncs — each garbage run and each truncated tail is
+        // exactly one.
         let clean = clean_window(4, 1);
-        let plan = FaultPlan::new(42);
-        for w in 0..64 {
-            let f = plan.apply(w, &clean);
-            if f.count(FaultKind::GarbageInsert) == 0 {
-                continue;
+        for seed in 0..8192 {
+            let plan = FaultPlan::new(seed);
+            for w in 0..8 {
+                let f = plan.apply(w, &clean);
+                let resyncs = FrameCursor::new(&f.bytes)
+                    .filter(|item| matches!(item, CursorItem::Resync { .. }))
+                    .count() as u64;
+                let framing = f.count(FaultKind::GarbageInsert) + f.count(FaultKind::TruncateTail);
+                assert_eq!(resyncs, framing, "seed {seed} window {w}: {:?}", f.injected);
             }
-            // The faulted stream must still decompose into frames plus
-            // resync runs that contain no fake boundaries: walk it and
-            // count resyncs — each garbage run is exactly one.
-            let mut resyncs = 0;
-            for item in FrameCursor::new(&f.bytes) {
-                if matches!(item, CursorItem::Resync { .. }) {
-                    resyncs += 1;
-                }
-            }
-            let floor = f.count(FaultKind::GarbageInsert);
-            assert!(
-                resyncs >= floor,
-                "window {w}: {resyncs} resyncs < {floor} garbage runs"
-            );
         }
     }
 

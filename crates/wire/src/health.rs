@@ -24,7 +24,6 @@
 //! The counters all of this produces are summarised by
 //! [`PipelineHealth`].
 
-use crate::stream::StreamReport;
 use tdp_fleet::{col, COLUMNS};
 
 /// Where a machine stands in the degradation ladder.
@@ -325,7 +324,9 @@ impl HealthLedger {
 }
 
 /// The pipeline-health counter block: every way the stream degraded
-/// this window, condensed from a [`StreamReport`].
+/// this window, condensed from a
+/// [`StreamReport`](crate::StreamReport) by
+/// [`StreamReport::health`](crate::StreamReport::health).
 ///
 /// Invariant the chaos tests pin: every injected fault lands in at
 /// least one of these counters — nothing fails silently.
@@ -353,21 +354,6 @@ pub struct PipelineHealth {
 }
 
 impl PipelineHealth {
-    /// Condenses a window's [`StreamReport`] to the health block.
-    pub fn from_report(r: &StreamReport) -> Self {
-        Self {
-            corrupt_frames: r.corrupt_frames,
-            resyncs: r.resyncs,
-            unknown_layout_frames: r.unknown_layout_frames,
-            out_of_range_frames: r.out_of_range_frames,
-            resets_detected: r.resets_detected,
-            duplicate_windows: r.duplicate_windows,
-            rows_quarantined: r.rows_quarantined,
-            rows_held: r.rows_held,
-            machines_stale: r.machines_stale,
-        }
-    }
-
     /// Whether the window showed no degradation at all.
     pub fn is_clean(&self) -> bool {
         *self == Self::default()

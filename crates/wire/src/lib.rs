@@ -27,8 +27,8 @@
 //!   decodes every frame through `decode_frame`, judges each row
 //!   against the sanity bounds and writes only sane rows into the
 //!   batch columns, where each machine's last good row persists across
-//!   windows; pinned bit-for-bit against the per-row
-//!   [`ingest_reference_with`].
+//!   windows, then runs the hold / staleness pass over silent
+//!   machines.
 //! * [`health`](PipelineHealth) — graceful degradation under a hostile
 //!   stream: per-machine [`HealthState`] ledgers, sequence
 //!   reset/duplicate detection, quarantine of rows outside fixed
@@ -87,6 +87,4 @@ pub use decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder};
 pub use encode::{encode_layout_frame, encode_sample_frame, EncodeError, WireEncoder};
 pub use faults::{FaultKind, FaultPlan, FaultedWindow, InjectedFault};
 pub use health::{row_is_sane, HealthState, PipelineHealth, MAX_STALE_WINDOWS};
-pub use stream::{
-    ingest_reference_with, ingest_serial, ingest_serial_with, IngestState, StreamReport,
-};
+pub use stream::{ingest_serial, ingest_serial_with, IngestState, StreamReport};

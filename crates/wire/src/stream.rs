@@ -18,30 +18,18 @@
 //! machine cut off by a smaller fleet loses its row and its health
 //! history and comes back unseen.
 //!
-//! # Per-row reference
-//!
-//! [`ingest_reference_with`] runs the same decode and the same ladder
-//! one row at a time: each row is screened with [`row_is_sane`],
-//! written with
-//! [`SampleBatch::set_row`](tdp_fleet::SampleBatch::set_row) and
-//! committed to the ledger, and the hold pass runs every window. It is
-//! the oracle the hot path is pinned against: same health counters,
-//! same rows written, same estimate bits, same per-machine
-//! [`HealthState`]s, on clean and seeded-[`FaultPlan`](crate::FaultPlan)
-//! streams alike.
-//!
 //! # Determinism
 //!
 //! A machine's row comes from [`FrameDecoder`]'s arithmetic (itself
 //! bit-identical to in-memory ingestion) over the last acceptable frame
 //! for that machine in stream order, and rows land at fixed indices, so
-//! both paths are deterministic functions of the bytes, the carried
+//! ingest is a deterministic function of the bytes, the carried
 //! [`IngestState`] and the batch rows it left behind.
 
 use crate::decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder};
 use crate::frame::FrameType;
-use crate::health::{row_is_sane, HealthLedger, HealthState, Hold, SeqNote};
-use tdp_fleet::{FleetEstimator, SampleBatch, COLUMNS};
+use crate::health::{row_is_sane, HealthLedger, HealthState, Hold, PipelineHealth, SeqNote};
+use tdp_fleet::{FleetEstimator, COLUMNS};
 
 /// What happened during one ingested window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,7 +69,7 @@ pub struct StreamReport {
     /// their negotiated sampling decimation (see
     /// [`WireEncoder::set_decimation`](crate::WireEncoder::set_decimation)).
     /// Expected in the steady state of a decimated stream, so not part
-    /// of [`PipelineHealth`](crate::PipelineHealth).
+    /// of [`PipelineHealth`].
     pub rows_reconstructed: u64,
     /// Machines declared [`HealthState::Stale`] this window after
     /// exceeding [`MAX_STALE_WINDOWS`](crate::MAX_STALE_WINDOWS)
@@ -109,10 +97,19 @@ impl StreamReport {
         self.machines_stale += o.machines_stale;
     }
 
-    /// The window's [`PipelineHealth`](crate::PipelineHealth) block —
-    /// shorthand for [`PipelineHealth::from_report`](crate::PipelineHealth::from_report).
-    pub fn health(&self) -> crate::PipelineHealth {
-        crate::PipelineHealth::from_report(self)
+    /// Condenses the window's counters to its [`PipelineHealth`] block.
+    pub fn health(&self) -> PipelineHealth {
+        PipelineHealth {
+            corrupt_frames: self.corrupt_frames,
+            resyncs: self.resyncs,
+            unknown_layout_frames: self.unknown_layout_frames,
+            out_of_range_frames: self.out_of_range_frames,
+            resets_detected: self.resets_detected,
+            duplicate_windows: self.duplicate_windows,
+            rows_quarantined: self.rows_quarantined,
+            rows_held: self.rows_held,
+            machines_stale: self.machines_stale,
+        }
     }
 }
 
@@ -182,15 +179,14 @@ pub fn ingest_serial(buf: &[u8], machines: usize, est: &mut FleetEstimator) -> S
 /// by earlier windows (or earlier in this one) stay known, so
 /// steady-state windows can carry sample frames only.
 ///
-/// This is the fused hot path, one pass over the frames: each frame
-/// goes through [`FrameDecoder::decode_frame`], which verifies its
-/// checksum, then delta-unfolds a sample frame in place and folds it
-/// to a row; the row is judged by [`row_is_sane`] and, if sane,
+/// This is the one walk over a window's frames: each frame goes
+/// through [`FrameDecoder::decode_frame`], which verifies its checksum,
+/// then delta-unfolds a sample frame in place and folds it to a row. A
+/// duplicate window is skipped and a sequence regression re-baselines
+/// the machine; the row is judged by [`row_is_sane`] and, if sane,
 /// written straight into its batch slot and committed to the health
-/// ledger.
-/// The hold / staleness pass over silent machines runs only when some
-/// machine committed no fresh row this window. Pinned against
-/// [`ingest_reference_with`] by the chaos property suite.
+/// ledger. The hold / staleness pass over silent machines then runs
+/// every window. Call [`FleetEstimator::estimate`] afterwards.
 pub fn ingest_serial_with(
     state: &mut IngestState,
     buf: &[u8],
@@ -200,99 +196,6 @@ pub fn ingest_serial_with(
     let epoch = state.begin(machines, est);
     let IngestState { dec, ledger, .. } = state;
     let mut cols = est.batch_mut().columns_mut();
-
-    let mut stats = StreamReport::default();
-    // Machines that committed a fresh row this window.
-    let mut committed = 0usize;
-    let mut cursor = FrameCursor::new(buf);
-    while let Some(item) = cursor.next() {
-        let (start, header) = match item {
-            CursorItem::Resync { skipped } => {
-                stats.resyncs += 1;
-                stats.resync_bytes += skipped as u64;
-                continue;
-            }
-            CursorItem::Frame { start, header } => (start, header),
-        };
-        if header.frame_type != FrameType::Layout {
-            stats.sample_frames += 1;
-        }
-        match dec.decode_frame(&header, cursor.payload(start, &header)) {
-            Ok(Decoded::Layout { decimation }) => {
-                stats.layout_frames += 1;
-                let idx = header.machine_id as usize;
-                if idx < machines {
-                    ledger.set_decimation(idx, decimation);
-                }
-            }
-            Ok(Decoded::Row {
-                machine_id,
-                window_seq,
-                row,
-            }) => {
-                let idx = machine_id as usize;
-                if idx >= machines {
-                    stats.out_of_range_frames += 1;
-                    continue;
-                }
-                let reset = match ledger.note_seq(idx, window_seq) {
-                    SeqNote::Duplicate => {
-                        stats.duplicate_windows += 1;
-                        continue;
-                    }
-                    SeqNote::Reset => {
-                        stats.resets_detected += 1;
-                        true
-                    }
-                    SeqNote::Fresh => false,
-                };
-                if !row_is_sane(&row) {
-                    stats.rows_quarantined += 1;
-                    ledger.quarantine(idx);
-                    continue;
-                }
-                for (c, v) in cols.iter_mut().zip(row) {
-                    c[idx] = v;
-                }
-                stats.rows_written += 1;
-                committed += usize::from(!ledger.committed_in(idx, epoch));
-                ledger.commit(idx, epoch, reset);
-            }
-            Err(DecodeError::UnknownLayout) => stats.unknown_layout_frames += 1,
-            Err(_) => stats.corrupt_frames += 1,
-        }
-    }
-    if committed < machines {
-        hold_pass(ledger, epoch, machines, &mut stats, est.batch_mut());
-    }
-    stats
-}
-
-/// The health ladder one decoded row at a time — the reference
-/// [`ingest_serial_with`] is pinned against. Each sample frame is
-/// decoded to a row array by [`FrameDecoder::decode_frame`], screened
-/// through duplicate skip, reset re-baseline and
-/// [`row_is_sane`] quarantine, written with
-/// `SampleBatch::set_row` and committed to the ledger; the hold /
-/// staleness pass then runs every window. It shares the decode and
-/// the persisted-row rule with the hot path but not its direct column
-/// writes or its conditional hold pass, so on any stream
-/// the two must agree on the whole [`StreamReport`], the batch bits
-/// and every machine's [`HealthState`]. Call
-/// [`FleetEstimator::estimate`] afterwards.
-///
-/// Give it its own [`IngestState`] and [`FleetEstimator`]: the ledger,
-/// decoder and batch rows they carry are the reference's history, not
-/// the hot path's.
-pub fn ingest_reference_with(
-    state: &mut IngestState,
-    buf: &[u8],
-    machines: usize,
-    est: &mut FleetEstimator,
-) -> StreamReport {
-    let epoch = state.begin(machines, est);
-    let IngestState { dec, ledger, .. } = state;
-    let batch = est.batch_mut();
 
     let mut stats = StreamReport::default();
     let mut cursor = FrameCursor::new(buf);
@@ -352,7 +255,9 @@ pub fn ingest_reference_with(
                     ledger.quarantine(idx);
                     continue;
                 }
-                batch.set_row(idx, row);
+                for (c, v) in cols.iter_mut().zip(row) {
+                    c[idx] = v;
+                }
                 stats.rows_written += 1;
                 ledger.commit(idx, epoch, reset);
             }
@@ -360,7 +265,7 @@ pub fn ingest_reference_with(
             Err(_) => stats.corrupt_frames += 1,
         }
     }
-    hold_pass(ledger, epoch, machines, &mut stats, batch);
+    hold_pass(ledger, epoch, machines, &mut stats, &mut cols);
     stats
 }
 
@@ -374,7 +279,7 @@ fn hold_pass(
     epoch: u64,
     machines: usize,
     stats: &mut StreamReport,
-    batch: &mut SampleBatch,
+    cols: &mut [&mut [f64]; COLUMNS],
 ) {
     for idx in 0..machines {
         if !ledger.seen(idx) || ledger.committed_in(idx, epoch) {
@@ -391,7 +296,9 @@ fn hold_pass(
             }
             Hold::NewlyStale => {
                 stats.machines_stale += 1;
-                batch.set_row(idx, [0.0; COLUMNS]);
+                for c in cols.iter_mut() {
+                    c[idx] = 0.0;
+                }
             }
             Hold::AlreadyStale => {}
         }

@@ -1,10 +1,11 @@
 //! Chaos test: a seeded [`FaultPlan`] batters a multi-window stream
 //! while persistent ingest degrades gracefully — every injected fault
-//! lands in a pipeline-health counter, machines untouched by recent
-//! faults estimate **bit-identically** to a fault-free run, and the
-//! whole scenario replays deterministically (fused and per-row
-//! reference alike, under several fault seeds, and the anomaly
-//! detector judging the battered estimates included).
+//! lands in a pipeline-health counter, every machine either contributes
+//! a row or is known-stale, machines untouched by recent faults
+//! estimate **bit-identically** to a fault-free run, and the whole
+//! scenario replays deterministically (under arbitrary fault seeds,
+//! against the recorded outcomes of three fixed ones, and with the
+//! anomaly detector judging the battered estimates).
 
 mod common;
 
@@ -15,9 +16,8 @@ use tdp_counters::{PerfEvent, SampleSet};
 use tdp_fleet::{AnomalyDetector, FleetEstimator, ROW_EVENTS};
 use tdp_wire::frame::FrameType;
 use tdp_wire::{
-    ingest_reference_with, ingest_serial, ingest_serial_with, CursorItem, FaultKind, FaultPlan,
-    FaultedWindow, FrameCursor, HealthState, IngestState, StreamReport, WireEncoder,
-    MAX_STALE_WINDOWS,
+    ingest_serial, ingest_serial_with, CursorItem, FaultKind, FaultPlan, FaultedWindow,
+    FrameCursor, HealthState, IngestState, StreamReport, WireEncoder, MAX_STALE_WINDOWS,
 };
 use trickledown::SystemPowerModel;
 
@@ -29,6 +29,9 @@ const WINDOWS: u64 = 24;
 const SEED: u64 = 0x00c0_ffee;
 /// Further fault plans the degradation contract is checked under.
 const MORE_FAULT_SEEDS: [u64; 2] = [1234, 4321];
+/// Windows per arbitrary-seed property case: enough for a machine
+/// silenced in window 1 to cross the staleness horizon.
+const PROPERTY_WINDOWS: u64 = MAX_STALE_WINDOWS + 4;
 
 /// Encodes one steady-state window (layout frames only on window 0,
 /// courtesy of the persistent encoder).
@@ -40,17 +43,21 @@ fn encode_window(enc: &mut WireEncoder, seq: u64) -> Vec<u8> {
     enc.take_bytes()
 }
 
-/// Per-machine estimate bits for the window just evaluated.
-fn estimate_bits(est: &mut FleetEstimator) -> Vec<[u64; 4]> {
+/// Every estimate column's bits for the window just evaluated, machine
+/// by machine: CPU, memory, disk, I/O, chipset, total.
+fn estimate_bits(est: &mut FleetEstimator) -> Vec<[u64; 6]> {
     let e = est.estimate();
     (0..MACHINES)
         .map(|i| {
             [
-                e.memory()[i].to_bits(),
-                e.disk()[i].to_bits(),
-                e.io()[i].to_bits(),
-                e.total()[i].to_bits(),
+                e.cpu()[i],
+                e.memory()[i],
+                e.disk()[i],
+                e.io()[i],
+                e.chipset()[i],
+                e.total()[i],
             ]
+            .map(f64::to_bits)
         })
         .collect()
 }
@@ -88,6 +95,71 @@ fn assert_faults_accounted(at: &str, f: &FaultedWindow, rep: &StreamReport) {
     );
 }
 
+/// Each machine's ladder state as one character: `H`ealthy,
+/// `S`uspect, `Q`uarantined, `X` stale, `-` never decoded.
+fn ladder(state: &IngestState) -> String {
+    (0..MACHINES as u64)
+        .map(|m| match state.machine_health(m) {
+            None => '-',
+            Some(HealthState::Healthy) => 'H',
+            Some(HealthState::Suspect) => 'S',
+            Some(HealthState::Quarantined) => 'Q',
+            Some(HealthState::Stale) => 'X',
+        })
+        .collect()
+}
+
+/// One window of a [`chaos_run`].
+#[derive(Debug, PartialEq)]
+struct ChaosWindow {
+    report: StreamReport,
+    /// Faults the plan injected.
+    faults: usize,
+    /// Machines those faults may have set apart from a fault-free run.
+    affected: BTreeSet<u64>,
+    bits: Vec<[u64; 6]>,
+}
+
+/// Persistent ingest of `windows` windows battered by fault plan
+/// `seed`; window 0 is delivered intact (it carries the layouts). Every
+/// window must account for each injected fault, and every machine must
+/// either contribute a row or be known-stale — nothing simply vanishes.
+/// Returns the windows and the machines' final [`ladder`].
+fn chaos_run(seed: u64, windows: u64) -> (Vec<ChaosWindow>, String) {
+    let plan = FaultPlan::new(seed);
+    let mut enc = WireEncoder::new();
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut run = Vec::new();
+    for w in 0..windows {
+        let at = format!("fault seed {seed}, window {w}");
+        let clean = encode_window(&mut enc, w);
+        let faulted = if w == 0 {
+            FaultedWindow {
+                bytes: clean,
+                ..FaultedWindow::default()
+            }
+        } else {
+            plan.apply(w, &clean)
+        };
+        let report = ingest_serial_with(&mut state, &faulted.bytes, MACHINES, &mut est);
+        assert_faults_accounted(&at, &faulted, &report);
+        let stale = ladder(&state).matches('X').count() as u64;
+        assert_eq!(
+            report.rows_written + stale,
+            MACHINES as u64,
+            "{at}: rows + stale machines must cover the fleet"
+        );
+        run.push(ChaosWindow {
+            report,
+            faults: faulted.injected.len(),
+            affected: faulted.affected,
+            bits: estimate_bits(&mut est),
+        });
+    }
+    (run, ladder(&state))
+}
+
 #[test]
 fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
     assert_degrades_gracefully(SEED);
@@ -100,34 +172,22 @@ fn more_fault_seeds_uphold_the_degradation_contract() {
     }
 }
 
-/// One leg of the degradation contract: a stream battered by the fault
-/// plan `seed`.
+/// One leg of the degradation contract: the [`chaos_run`] of fault
+/// plan `seed` against a fault-free run of the same windows.
 fn assert_degrades_gracefully(seed: u64) {
-    let plan = FaultPlan::new(seed);
-    let mut clean_enc = WireEncoder::new();
-    let mut fault_enc = WireEncoder::new();
-    let mut clean_state = IngestState::new();
-    let mut serial_state = IngestState::new();
-    let mut ref_state = IngestState::new();
-    let mut clean_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
+    let (run, _) = chaos_run(seed, WINDOWS);
+    let mut enc = WireEncoder::new();
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
 
     // Machines hit by a fault within the staleness span may hold or
     // re-learn state; everything outside that trailing set must match
     // the fault-free run bit for bit.
-    let mut recent_affected: Vec<BTreeSet<u64>> = Vec::new();
-    let mut total_injected = 0u64;
-
-    for w in 0..WINDOWS {
+    let span = (MAX_STALE_WINDOWS + 1) as usize;
+    for (w, faulted) in run.iter().enumerate() {
         let at = format!("fault seed {seed}, window {w}");
-        let clean_buf = encode_window(&mut clean_enc, w);
-        let fault_src = encode_window(&mut fault_enc, w);
-        assert_eq!(
-            clean_buf, fault_src,
-            "{at}: encoders must agree on clean bytes"
-        );
-        let samples = FrameCursor::new(&clean_buf)
+        let clean = encode_window(&mut enc, w as u64);
+        let samples = FrameCursor::new(&clean)
             .filter(|item| {
                 matches!(item, CursorItem::Frame { header, .. } if header.frame_type == FrameType::Sample)
             })
@@ -136,57 +196,21 @@ fn assert_degrades_gracefully(seed: u64) {
             samples, MACHINES,
             "{at}: every machine sends one sample frame"
         );
-
-        // Window 0 is delivered intact (it carries the layouts); every
-        // later window is damaged by the plan.
-        let (buf, injected) = if w == 0 {
-            (fault_src, FaultedWindow::default())
-        } else {
-            let f = plan.apply(w, &fault_src);
-            let bytes = f.bytes.clone();
-            (bytes, f)
-        };
-        total_injected += injected.injected.len() as u64;
-        recent_affected.push(injected.affected.clone());
-
-        let clean_rep = ingest_serial_with(&mut clean_state, &clean_buf, MACHINES, &mut clean_est);
+        let rep = ingest_serial_with(&mut state, &clean, MACHINES, &mut est);
         assert!(
-            clean_rep.health().is_clean(),
+            rep.health().is_clean(),
             "{at}: fault-free stream reported degradation: {}",
-            clean_rep.health()
+            rep.health()
         );
-        let clean_bits = estimate_bits(&mut clean_est);
+        let clean_bits = estimate_bits(&mut est);
 
-        let serial_rep = ingest_serial_with(&mut serial_state, &buf, MACHINES, &mut serial_est);
-        let ref_rep = ingest_reference_with(&mut ref_state, &buf, MACHINES, &mut ref_est);
-
-        assert_faults_accounted(&at, &injected, &serial_rep);
-        assert_eq!(
-            serial_rep, ref_rep,
-            "{at}: fused and per-row reference ingest must degrade identically"
-        );
-
-        // Every machine is either contributing a row or known-stale —
-        // nothing simply vanishes.
-        let stale = (0..MACHINES as u64)
-            .filter(|&m| serial_state.machine_health(m) == Some(HealthState::Stale))
-            .count() as u64;
-        assert_eq!(
-            serial_rep.rows_written + stale,
-            MACHINES as u64,
-            "{at}: rows + stale machines must cover the fleet"
-        );
-
-        // Clean-subset bit-identity, fused and reference: machines with
-        // no fault in the last `MAX_STALE_WINDOWS + 1` windows have
-        // been fed exclusively intact fresh frames, so their estimates
-        // carry no trace of the chaos elsewhere in the fleet.
-        let span = (MAX_STALE_WINDOWS + 1) as usize;
-        let dirty: BTreeSet<u64> = recent_affected
+        // Machines with no fault in the last `MAX_STALE_WINDOWS + 1`
+        // windows have been fed exclusively intact fresh frames, so
+        // their estimates carry no trace of the chaos elsewhere in the
+        // fleet.
+        let dirty: BTreeSet<u64> = run[(w + 1).saturating_sub(span)..=w]
             .iter()
-            .rev()
-            .take(span)
-            .flatten()
+            .flat_map(|window| &window.affected)
             .copied()
             .collect();
         assert!(
@@ -195,77 +219,122 @@ fn assert_degrades_gracefully(seed: u64) {
              too few clean machines for the identity check to mean much",
             dirty.len()
         );
-        let serial_bits = estimate_bits(&mut serial_est);
-        let ref_bits = estimate_bits(&mut ref_est);
-        for m in 0..MACHINES as u64 {
-            if dirty.contains(&m) {
-                continue;
+        for (m, (got, want)) in faulted.bits.iter().zip(&clean_bits).enumerate() {
+            if !dirty.contains(&(m as u64)) {
+                assert_eq!(
+                    got, want,
+                    "{at}: clean machine {m} diverged under faulted ingest"
+                );
             }
-            assert_eq!(
-                serial_bits[m as usize], clean_bits[m as usize],
-                "{at}: clean machine {m} diverged under serial faulted ingest"
-            );
-            assert_eq!(
-                ref_bits[m as usize], clean_bits[m as usize],
-                "{at}: clean machine {m} diverged under reference faulted ingest"
-            );
         }
     }
+    let total_injected: usize = run.iter().map(|window| window.faults).sum();
     assert!(
-        total_injected >= WINDOWS - 1,
+        total_injected as u64 >= WINDOWS - 1,
         "fault seed {seed}: plan injected only {total_injected} faults \
          over {WINDOWS} windows"
     );
 }
 
-proptest! {
-    /// The serial fused path folds each frame straight to its batch
-    /// slot and runs the hold pass only when some machine is silent,
-    /// while `ingest_reference_with` decodes every frame to a row and
-    /// runs the hold pass every window; it is the semantic reference.
-    /// Across arbitrary seeded fault plans the two must be
-    /// indistinguishable: same report (health-counter block, rows
-    /// delivered, reconstructions), same per-machine ladder states, and
-    /// bit-identical estimates, every window.
-    #[test]
-    fn batched_serial_health_matches_per_row_reference(seed in any::<u64>()) {
-        let plan = FaultPlan::new(seed);
-        let mut enc = WireEncoder::new();
-        let mut serial_state = IngestState::new();
-        let mut ref_state = IngestState::new();
-        let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-        let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
-        for w in 0..4u64 {
-            let clean = encode_window(&mut enc, w);
-            // Window 0 carries the layouts intact; every later window
-            // is battered by the seed's plan before both paths see it.
-            let buf = if w == 0 {
-                clean
-            } else {
-                plan.apply(w, &clean).bytes
-            };
-            let serial_rep =
-                ingest_serial_with(&mut serial_state, &buf, MACHINES, &mut serial_est);
-            let ref_rep = ingest_reference_with(&mut ref_state, &buf, MACHINES, &mut ref_est);
-            prop_assert_eq!(serial_rep, ref_rep, "seed {} window {}: reports diverged", seed, w);
-            for m in 0..MACHINES as u64 {
-                prop_assert_eq!(
-                    serial_state.machine_health(m),
-                    ref_state.machine_health(m),
-                    "seed {} window {} machine {}: ladder states diverged",
-                    seed,
-                    w,
-                    m
-                );
-            }
-            prop_assert_eq!(
-                estimate_bits(&mut serial_est),
-                estimate_bits(&mut ref_est),
-                "seed {} window {}: estimate bits diverged",
-                seed,
-                w
-            );
+/// The summed report, an FNV-1a digest of every window's estimate bits
+/// and the final [`ladder`] of fault plan `seed`'s [`WINDOWS`]-window
+/// [`chaos_run`].
+fn outcome(seed: u64) -> (StreamReport, u64, String) {
+    let (run, ladder) = chaos_run(seed, WINDOWS);
+    let mut total = StreamReport::default();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for window in &run {
+        total.absorb(&window.report);
+        for byte in window.bits.iter().flatten().flat_map(|b| b.to_le_bytes()) {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+    (total, digest, ladder)
+}
+
+#[test]
+fn chaos_runs_match_their_recorded_outcomes() {
+    // Recorded while a second, per-row ingest still ran the same
+    // ladder and was held to identical reports, ladder states and
+    // estimate bits on every window of these runs. Any change to what
+    // ingest decides under faults moves them.
+    let recorded = |report, digest: u64, ladder: &str| (report, digest, ladder.to_string());
+    assert_eq!(
+        outcome(SEED),
+        recorded(
+            StreamReport {
+                sample_frames: 570,
+                layout_frames: 24,
+                rows_written: 576,
+                corrupt_frames: 5,
+                resyncs: 6,
+                resync_bytes: 433,
+                resets_detected: 8,
+                duplicate_windows: 4,
+                rows_quarantined: 8,
+                rows_held: 23,
+                ..StreamReport::default()
+            },
+            0x8eda_f519_db87_85e6,
+            "HHHHHHQHHHHHHHHHHHHHHHHH",
+        )
+    );
+    assert_eq!(
+        outcome(1234),
+        recorded(
+            StreamReport {
+                sample_frames: 577,
+                layout_frames: 24,
+                rows_written: 576,
+                corrupt_frames: 8,
+                resyncs: 11,
+                resync_bytes: 409,
+                resets_detected: 9,
+                duplicate_windows: 7,
+                rows_quarantined: 5,
+                rows_held: 19,
+                ..StreamReport::default()
+            },
+            0xfb2e_d37a_46a9_c5f0,
+            "HHHHHHHHHHHHHHHHHHHHHHHH",
+        )
+    );
+    assert_eq!(
+        outcome(4321),
+        recorded(
+            StreamReport {
+                sample_frames: 566,
+                layout_frames: 24,
+                rows_written: 576,
+                corrupt_frames: 2,
+                resyncs: 10,
+                resync_bytes: 660,
+                resets_detected: 7,
+                duplicate_windows: 5,
+                rows_quarantined: 5,
+                rows_held: 22,
+                ..StreamReport::default()
+            },
+            0x1b11_5da1_cfa5_9c37,
+            "HQHHHHHHHHHHHHHHHHHHSHHH",
+        )
+    );
+}
+
+proptest! {
+    /// Under an arbitrary seeded fault plan, every window accounts for
+    /// each injected fault and covers the fleet with rows or stale
+    /// machines (both checked inside [`chaos_run`]), and a replay of
+    /// the seed reproduces every report, estimate bit and final ladder
+    /// state.
+    #[test]
+    fn arbitrary_fault_plans_uphold_the_degradation_contract(seed in any::<u64>()) {
+        let run = chaos_run(seed, PROPERTY_WINDOWS);
+        prop_assert!(
+            run == chaos_run(seed, PROPERTY_WINDOWS),
+            "seed {}: a replay diverged",
+            seed
+        );
     }
 }
 
@@ -274,38 +343,15 @@ fn chaos_run_replays_bit_identically() {
     // The whole point of a *seeded* fault plan: two full runs of the
     // same scenario — same seed, same windows — produce the same
     // reports, the same health states, and the same estimate bits.
-    let run = || {
-        let plan = FaultPlan::new(SEED);
-        let mut enc = WireEncoder::new();
-        let mut state = IngestState::new();
-        let mut est = FleetEstimator::new(SystemPowerModel::paper());
-        let mut reports = Vec::new();
-        let mut bits = Vec::new();
-        for w in 0..WINDOWS {
-            let clean = encode_window(&mut enc, w);
-            let buf = if w == 0 {
-                clean
-            } else {
-                plan.apply(w, &clean).bytes
-            };
-            reports.push(ingest_serial_with(&mut state, &buf, MACHINES, &mut est));
-            bits.push(estimate_bits(&mut est));
-        }
-        let health: Vec<Option<HealthState>> = (0..MACHINES as u64)
-            .map(|m| state.machine_health(m))
-            .collect();
-        (reports, bits, health)
-    };
-    assert_eq!(run(), run());
+    assert_eq!(chaos_run(SEED, WINDOWS), chaos_run(SEED, WINDOWS));
 }
 
 #[test]
 fn anomaly_detector_judges_a_faulted_stream_bit_identically() {
     // The detector scores every window of a battered stream, held and
-    // stale rows included. Fused and per-row reference ingest feed it
-    // the same estimates, so every replay must judge identically, down
-    // to the last bit of every z-score.
-    let run = |reference: bool| {
+    // stale rows included, so every replay must judge identically,
+    // down to the last bit of every z-score.
+    let run = || {
         let plan = FaultPlan::new(1234);
         let mut enc = WireEncoder::new();
         let mut state = IngestState::new();
@@ -320,11 +366,7 @@ fn anomaly_detector_judges_a_faulted_stream_bit_identically() {
             } else {
                 plan.apply(w, &clean).bytes
             };
-            if reference {
-                ingest_reference_with(&mut state, &buf, MACHINES, &mut est);
-            } else {
-                ingest_serial_with(&mut state, &buf, MACHINES, &mut est);
-            }
+            ingest_serial_with(&mut state, &buf, MACHINES, &mut est);
             det.update(est.estimate());
             for m in 0..MACHINES {
                 let z = det.z(m);
@@ -337,9 +379,7 @@ fn anomaly_detector_judges_a_faulted_stream_bit_identically() {
         assert!(det.warmed(), "{WINDOWS} windows must outlast warm-up");
         (z_bits, flagged)
     };
-    let first = run(false);
-    assert_eq!(first, run(false), "a replay judged differently");
-    assert_eq!(first, run(true), "reference ingest judged differently");
+    assert_eq!(run(), run(), "a replay judged differently");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end guarantees of the wire codec and ingest: wire ingestion
-//! — fused and per-row reference alike — is bit-identical to
-//! in-memory ingestion, and every single-bit corruption of a frame is
-//! detected, never silently ingested.
+//! is bit-identical to in-memory ingestion, silent machines follow the
+//! documented hold ladder, and every single-bit corruption of a frame
+//! is detected, never silently ingested.
 
 mod common;
 
@@ -12,9 +12,9 @@ use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig};
 use tdp_wire::frame::{FrameHeader, FrameType, HEADER_LEN};
 use tdp_wire::{
-    encode_layout_frame, encode_sample_frame, ingest_reference_with, ingest_serial,
-    ingest_serial_with, CursorItem, DecodeError, FrameCursor, FrameDecoder, HealthState,
-    IngestState, WireEncoder, MAX_STALE_WINDOWS,
+    encode_layout_frame, encode_sample_frame, ingest_serial, ingest_serial_with, CursorItem,
+    DecodeError, FrameCursor, FrameDecoder, HealthState, IngestState, WireEncoder,
+    MAX_STALE_WINDOWS,
 };
 use trickledown::SystemPowerModel;
 
@@ -70,7 +70,7 @@ fn encode_window(sets: &[SampleSet]) -> Vec<u8> {
 }
 
 /// Ingests in-memory and returns the batch columns + estimates as bits.
-fn reference_bits(sets: &[SampleSet]) -> (Vec<Vec<u64>>, Vec<u64>) {
+fn in_memory_bits(sets: &[SampleSet]) -> (Vec<Vec<u64>>, Vec<u64>) {
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
     est.begin_window();
     for set in sets {
@@ -105,7 +105,7 @@ fn wire_ingestion_is_bit_identical_to_in_memory() {
     ] {
         let n = sets.len();
         let wire = encode_window(&sets);
-        let (ref_cols, ref_totals) = reference_bits(&sets);
+        let (want_cols, want_totals) = in_memory_bits(&sets);
 
         let mut est = FleetEstimator::new(SystemPowerModel::paper());
         let report = ingest_serial(&wire, n, &mut est);
@@ -119,20 +119,14 @@ fn wire_ingestion_is_bit_identical_to_in_memory() {
 
         assert_eq!(
             batch_bits(&est),
-            ref_cols,
+            want_cols,
             "{label}: columns must match bit for bit"
         );
         let totals: Vec<u64> = est.estimate().total().iter().map(|v| v.to_bits()).collect();
         assert_eq!(
-            totals, ref_totals,
+            totals, want_totals,
             "{label}: estimates must match bit for bit"
         );
-
-        // The per-row reference lands on the same bits and counters.
-        let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
-        let ref_report = ingest_reference_with(&mut IngestState::new(), &wire, n, &mut ref_est);
-        assert_eq!(ref_report, report, "{label}: reference counters");
-        assert_eq!(batch_bits(&ref_est), ref_cols, "{label}: reference columns");
     }
 }
 
@@ -156,9 +150,7 @@ fn row_lanes_never_carry_over_between_frames() {
         PerfEvent::DmaOtherBusTransactions,
     ];
     let mut state = IngestState::new();
-    let mut ref_state = IngestState::new();
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
     for w in 0..6u64 {
         let sets: Vec<SampleSet> = (0..MACHINES)
             .map(|m| {
@@ -201,20 +193,10 @@ fn row_lanes_never_carry_over_between_frames() {
         let rep = ingest_serial_with(&mut state, &buf, MACHINES, &mut est);
         assert_eq!(rep.rows_written, MACHINES as u64, "window {w}");
         assert_eq!(rep.corrupt_frames + rep.unknown_layout_frames, 0);
-        let ref_rep = ingest_reference_with(&mut ref_state, &buf, MACHINES, &mut ref_est);
-        assert_eq!(
-            ref_rep.rows_written, MACHINES as u64,
-            "window {w}: reference"
-        );
 
         let mut want = FleetEstimator::new(SystemPowerModel::paper());
         want.process_window(&sets);
         assert_eq!(batch_bits(&est), batch_bits(&want), "window {w}");
-        assert_eq!(
-            batch_bits(&ref_est),
-            batch_bits(&want),
-            "window {w}: reference"
-        );
     }
 }
 
@@ -450,10 +432,10 @@ fn agents_ship_exactly_the_row_events_of_simulated_servers() {
             let mut est = FleetEstimator::new(SystemPowerModel::paper());
             let report = ingest_serial(&wire, sets.len(), &mut est);
             assert_eq!(report.rows_written, sets.len() as u64);
-            let (ref_cols, ref_totals) = reference_bits(sets);
-            assert_eq!(batch_bits(&est), ref_cols, "{cpus} CPUs {label}");
+            let (want_cols, want_totals) = in_memory_bits(sets);
+            assert_eq!(batch_bits(&est), want_cols, "{cpus} CPUs {label}");
             let totals: Vec<u64> = est.estimate().total().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(totals, ref_totals, "{cpus} CPUs {label}");
+            assert_eq!(totals, want_totals, "{cpus} CPUs {label}");
         }
         // The repeats change nothing the row reads, so nothing shipped.
         assert_eq!(encode_window(&full), encode_window(&doubled));
@@ -571,10 +553,8 @@ fn persistent_state_decodes_steady_state_streams() {
     // cold decoder on the same bytes must count the frames unknown.
     let machines = 23usize;
     let mut enc = WireEncoder::new();
-    let mut serial_state = IngestState::new();
-    let mut ref_state = IngestState::new();
-    let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
     for seq in 0..4u64 {
         let sets: Vec<SampleSet> = (0..machines)
             .map(|m| synthetic_set(m as u64, seq, &ROW_EVENTS, false))
@@ -584,27 +564,17 @@ fn persistent_state_decodes_steady_state_streams() {
         }
         let buf = enc.take_bytes();
 
-        let rep = ingest_serial_with(&mut serial_state, &buf, machines, &mut serial_est);
+        let rep = ingest_serial_with(&mut state, &buf, machines, &mut est);
         assert_eq!(rep.rows_written, machines as u64);
         assert_eq!(rep.unknown_layout_frames, 0);
         if seq > 0 {
             assert_eq!(rep.layout_frames, 0, "steady state re-announces nothing");
         }
 
-        let rep = ingest_reference_with(&mut ref_state, &buf, machines, &mut ref_est);
-        assert_eq!(rep.rows_written, machines as u64);
-        assert_eq!(rep.unknown_layout_frames, 0);
-
-        let (ref_cols, ref_totals) = reference_bits(&sets);
-        assert_eq!(batch_bits(&serial_est), ref_cols, "window {seq}: serial");
-        assert_eq!(batch_bits(&ref_est), ref_cols, "window {seq}: reference");
-        let totals: Vec<u64> = serial_est
-            .estimate()
-            .total()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(totals, ref_totals, "window {seq}: estimates");
+        let (want_cols, want_totals) = in_memory_bits(&sets);
+        assert_eq!(batch_bits(&est), want_cols, "window {seq}: columns");
+        let totals: Vec<u64> = est.estimate().total().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(totals, want_totals, "window {seq}: estimates");
 
         if seq > 0 {
             let mut cold = FleetEstimator::new(SystemPowerModel::paper());
@@ -638,15 +608,12 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
     // each announces the grant with a frame sent at once, then,
     // phase-staggered, two transmit per window and the other six are
     // reconstructed at their last transmitted row — bit-exactly, with
-    // no row held and no health downgrade, identically under fused
-    // and per-row reference ingest.
+    // no row held and no health downgrade.
     const MACHINES: usize = 8;
     const DEC: u16 = 4;
     let mut enc = WireEncoder::new();
     let mut serial_state = IngestState::new();
-    let mut ref_state = IngestState::new();
     let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut ref_est = FleetEstimator::new(SystemPowerModel::paper());
     let mut last_sent = [0u64; MACHINES];
     for w in 0..12u64 {
         if w == 1 {
@@ -674,11 +641,8 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
         );
         let buf = enc.take_bytes();
         let serial = ingest_serial_with(&mut serial_state, &buf, MACHINES, &mut serial_est);
-        let per_row = ingest_reference_with(&mut ref_state, &buf, MACHINES, &mut ref_est);
         assert_eq!(serial.rows_written, MACHINES as u64, "window {w}");
         assert_eq!(serial.sample_frames, senders, "window {w}");
-        assert_eq!(serial, per_row, "window {w}");
-        assert_eq!(batch_bits(&serial_est), batch_bits(&ref_est), "window {w}");
 
         // Bit-exact reference: every machine's row is the in-memory
         // extraction of its last *transmitted* window.
@@ -720,8 +684,7 @@ fn decimated_stream_reconstructs_bit_exactly_and_stays_healthy() {
 
 #[test]
 fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
-    // A decimated machine that actually dies, on both ingest paths and
-    // across decimations. Both paths share the hold ladder, so the
+    // A decimated machine that actually dies, across decimations. The
     // expected outcome of every silent window is derived here from the
     // documented three-tier rule, not from the ledger: the first dec−1
     // silent windows are reconstruction (protocol), the next
@@ -730,8 +693,8 @@ fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
     // row revives the machine. Rows persist in the batch: a
     // reconstructed or held window reads the last good row, a stale
     // one reads all zeros, and the revival frame's row replaces them.
-    let first_row = reference_bits(&[synthetic_set(0, 0, &ROW_EVENTS, false)]).0;
-    let revive_row = reference_bits(&[synthetic_set(0, 99, &ROW_EVENTS, false)]).0;
+    let first_row = in_memory_bits(&[synthetic_set(0, 0, &ROW_EVENTS, false)]).0;
+    let revive_row = in_memory_bits(&[synthetic_set(0, 99, &ROW_EVENTS, false)]).0;
     let zero_row = vec![vec![0.0f64.to_bits()]; COLUMNS];
     for dec in [1u16, 2, 4] {
         let mut enc = WireEncoder::new();
@@ -743,40 +706,41 @@ fn decimated_silence_past_grace_goes_stale_once_then_recovers() {
             .unwrap();
         let revive = enc.take_bytes();
 
-        for ingest in [ingest_serial_with, ingest_reference_with] {
-            let mut state = IngestState::new();
-            let mut est = FleetEstimator::new(SystemPowerModel::paper());
-            assert_eq!(ingest(&mut state, &first, 1, &mut est).rows_written, 1);
+        let mut state = IngestState::new();
+        let mut est = FleetEstimator::new(SystemPowerModel::paper());
+        assert_eq!(
+            ingest_serial_with(&mut state, &first, 1, &mut est).rows_written,
+            1
+        );
 
-            let mut stale_events = 0u64;
-            let d = u64::from(dec);
-            for since in 1..=(d + MAX_STALE_WINDOWS + 3) {
-                let rep = ingest(&mut state, &[], 1, &mut est);
-                let ctx = format!("dec {dec}, window {since}");
-                let (written, reconstructed, held, newly, health) = if since < d {
-                    (1, 1, 0, 0, HealthState::Healthy)
-                } else if since <= d - 1 + MAX_STALE_WINDOWS {
-                    (1, 0, 1, 0, HealthState::Suspect)
-                } else {
-                    let newly = since == d + MAX_STALE_WINDOWS;
-                    (0, 0, 0, u64::from(newly), HealthState::Stale)
-                };
-                assert_eq!(rep.rows_written, written, "{ctx}");
-                assert_eq!(rep.rows_reconstructed, reconstructed, "{ctx}");
-                assert_eq!(rep.rows_held, held, "{ctx}");
-                assert_eq!(rep.machines_stale, newly, "{ctx}");
-                assert_eq!(state.machine_health(0), Some(health), "{ctx}");
-                let row = if written == 1 { &first_row } else { &zero_row };
-                assert_eq!(&batch_bits(&est), row, "{ctx}: batch row");
-                stale_events += rep.machines_stale;
-            }
-            assert_eq!(stale_events, 1, "one outage, one stale count");
-
-            let rep = ingest(&mut state, &revive, 1, &mut est);
-            assert_eq!(rep.rows_written, 1);
-            assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
-            assert_eq!(batch_bits(&est), revive_row, "revived batch row");
+        let mut stale_events = 0u64;
+        let d = u64::from(dec);
+        for since in 1..=(d + MAX_STALE_WINDOWS + 3) {
+            let rep = ingest_serial_with(&mut state, &[], 1, &mut est);
+            let ctx = format!("dec {dec}, window {since}");
+            let (written, reconstructed, held, newly, health) = if since < d {
+                (1, 1, 0, 0, HealthState::Healthy)
+            } else if since <= d - 1 + MAX_STALE_WINDOWS {
+                (1, 0, 1, 0, HealthState::Suspect)
+            } else {
+                let newly = since == d + MAX_STALE_WINDOWS;
+                (0, 0, 0, u64::from(newly), HealthState::Stale)
+            };
+            assert_eq!(rep.rows_written, written, "{ctx}");
+            assert_eq!(rep.rows_reconstructed, reconstructed, "{ctx}");
+            assert_eq!(rep.rows_held, held, "{ctx}");
+            assert_eq!(rep.machines_stale, newly, "{ctx}");
+            assert_eq!(state.machine_health(0), Some(health), "{ctx}");
+            let row = if written == 1 { &first_row } else { &zero_row };
+            assert_eq!(&batch_bits(&est), row, "{ctx}: batch row");
+            stale_events += rep.machines_stale;
         }
+        assert_eq!(stale_events, 1, "one outage, one stale count");
+
+        let rep = ingest_serial_with(&mut state, &revive, 1, &mut est);
+        assert_eq!(rep.rows_written, 1);
+        assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
+        assert_eq!(batch_bits(&est), revive_row, "revived batch row");
     }
 }
 
@@ -788,23 +752,21 @@ fn a_fresh_ingest_state_starts_from_an_all_zero_batch() {
     // machine that sent nothing reads zeros, not the old row.
     let full = encode_window(&fleet_window(4));
     let one = encode_window(&fleet_window(1));
-    let want = reference_bits(&fleet_window(1)).0;
-    for ingest in [ingest_serial_with, ingest_reference_with] {
-        let mut est = FleetEstimator::new(SystemPowerModel::paper());
-        assert_eq!(
-            ingest(&mut IngestState::new(), &full, 4, &mut est).rows_written,
-            4
-        );
-        assert!(batch_bits(&est)
-            .iter()
-            .all(|c| c[1..].iter().all(|&b| b != 0)));
+    let want = in_memory_bits(&fleet_window(1)).0;
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    assert_eq!(
+        ingest_serial_with(&mut IngestState::new(), &full, 4, &mut est).rows_written,
+        4
+    );
+    assert!(batch_bits(&est)
+        .iter()
+        .all(|c| c[1..].iter().all(|&b| b != 0)));
 
-        let rep = ingest(&mut IngestState::new(), &one, 4, &mut est);
-        assert_eq!(rep.rows_written, 1);
-        for (c, (got, want)) in batch_bits(&est).iter().zip(&want).enumerate() {
-            assert_eq!(got[0], want[0], "column {c}: machine 0's fresh row");
-            assert_eq!(got[1..], [0; 3], "column {c}: silent machines read zero");
-        }
+    let rep = ingest_serial_with(&mut IngestState::new(), &one, 4, &mut est);
+    assert_eq!(rep.rows_written, 1);
+    for (c, (got, want)) in batch_bits(&est).iter().zip(&want).enumerate() {
+        assert_eq!(got[0], want[0], "column {c}: machine 0's fresh row");
+        assert_eq!(got[1..], [0; 3], "column {c}: silent machines read zero");
     }
 }
 
@@ -820,38 +782,36 @@ fn machines_cut_off_by_a_smaller_fleet_come_back_unseen() {
             .map(|m| synthetic_set(m, w, &ROW_EVENTS, false))
             .collect()
     };
-    for ingest in [ingest_serial_with, ingest_reference_with] {
-        let mut state = IngestState::new();
-        let mut est = FleetEstimator::new(SystemPowerModel::paper());
-        let rep = ingest(&mut state, &encode_window(&sets(8, 0)), 8, &mut est);
-        assert_eq!(rep.rows_written, 8);
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let rep = ingest_serial_with(&mut state, &encode_window(&sets(8, 0)), 8, &mut est);
+    assert_eq!(rep.rows_written, 8);
 
-        for (w, machines) in [(1, 4), (2, 8)] {
-            let rep = ingest(&mut state, &encode_window(&sets(4, w)), machines, &mut est);
-            assert_eq!(rep.rows_written, 4, "window {w}");
-            assert_eq!(rep.rows_held, 0, "window {w}");
-            assert_eq!(rep.rows_reconstructed, 0, "window {w}");
-            assert_eq!(rep.machines_stale, 0, "window {w}");
-            assert!(rep.health().is_clean(), "window {w}: {}", rep.health());
-            for m in 4..8 {
-                assert_eq!(state.machine_health(m), None, "window {w} machine {m}");
-            }
+    for (w, machines) in [(1, 4), (2, 8)] {
+        let rep = ingest_serial_with(&mut state, &encode_window(&sets(4, w)), machines, &mut est);
+        assert_eq!(rep.rows_written, 4, "window {w}");
+        assert_eq!(rep.rows_held, 0, "window {w}");
+        assert_eq!(rep.rows_reconstructed, 0, "window {w}");
+        assert_eq!(rep.machines_stale, 0, "window {w}");
+        assert!(rep.health().is_clean(), "window {w}: {}", rep.health());
+        for m in 4..8 {
+            assert_eq!(state.machine_health(m), None, "window {w} machine {m}");
         }
-        // Window 2: machines 0–3 carry this window's rows, 4–7 zeros.
-        let mut want = reference_bits(&sets(4, 2)).0;
-        for c in &mut want {
-            c.resize(8, 0.0f64.to_bits());
-        }
-        assert_eq!(batch_bits(&est), want, "regrown batch");
-
-        let rep = ingest(&mut state, &encode_window(&sets(8, 3)), 8, &mut est);
-        assert_eq!(rep.rows_written, 8);
-        assert!(rep.health().is_clean(), "{}", rep.health());
-        for m in 0..8 {
-            assert_eq!(state.machine_health(m), Some(HealthState::Healthy));
-        }
-        assert_eq!(batch_bits(&est), reference_bits(&sets(8, 3)).0);
     }
+    // Window 2: machines 0–3 carry this window's rows, 4–7 zeros.
+    let mut want = in_memory_bits(&sets(4, 2)).0;
+    for c in &mut want {
+        c.resize(8, 0.0f64.to_bits());
+    }
+    assert_eq!(batch_bits(&est), want, "regrown batch");
+
+    let rep = ingest_serial_with(&mut state, &encode_window(&sets(8, 3)), 8, &mut est);
+    assert_eq!(rep.rows_written, 8);
+    assert!(rep.health().is_clean(), "{}", rep.health());
+    for m in 0..8 {
+        assert_eq!(state.machine_health(m), Some(HealthState::Healthy));
+    }
+    assert_eq!(batch_bits(&est), in_memory_bits(&sets(8, 3)).0);
 }
 
 #[test]
@@ -871,21 +831,22 @@ fn a_machine_sending_twice_does_not_cover_a_silent_one() {
             .unwrap();
     }
     let twice = enc.take_bytes();
-    let want = reference_bits(&[
+    let want = in_memory_bits(&[
         synthetic_set(0, 2, &ROW_EVENTS, false),
         synthetic_set(1, 0, &ROW_EVENTS, false),
     ])
     .0;
-    for ingest in [ingest_serial_with, ingest_reference_with] {
-        let mut state = IngestState::new();
-        let mut est = FleetEstimator::new(SystemPowerModel::paper());
-        assert_eq!(ingest(&mut state, &first, 2, &mut est).rows_written, 2);
-        let rep = ingest(&mut state, &twice, 2, &mut est);
-        assert_eq!((rep.rows_written, rep.rows_held), (3, 1));
-        assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
-        assert_eq!(state.machine_health(1), Some(HealthState::Suspect));
-        assert_eq!(batch_bits(&est), want);
-    }
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    assert_eq!(
+        ingest_serial_with(&mut state, &first, 2, &mut est).rows_written,
+        2
+    );
+    let rep = ingest_serial_with(&mut state, &twice, 2, &mut est);
+    assert_eq!((rep.rows_written, rep.rows_held), (3, 1));
+    assert_eq!(state.machine_health(0), Some(HealthState::Healthy));
+    assert_eq!(state.machine_health(1), Some(HealthState::Suspect));
+    assert_eq!(batch_bits(&est), want);
 }
 
 #[test]
