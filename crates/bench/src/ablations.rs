@@ -250,3 +250,33 @@ pub fn run_all(cfg: &ExperimentConfig) -> String {
     ]
     .join("\n")
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_all_reports_every_ablation() {
+        let cfg = ExperimentConfig {
+            seed: 77,
+            trace_seconds: 8,
+            ramp_seconds: 1,
+            out_dir: std::env::temp_dir().join("tdp-bench-ablate"),
+        };
+        let report = run_all(&cfg);
+        for heading in [
+            "memory model input",
+            "halted-cycle term",
+            "I/O model input",
+            "model form",
+            "sampling period",
+        ] {
+            assert!(report.contains(heading), "{heading} missing:\n{report}");
+        }
+        assert!(!report.contains("fit failed"), "{report}");
+        // One row per sampling period, each with its window count.
+        for period in ["250 ms", "500 ms", "1000 ms", "2000 ms", "4000 ms"] {
+            assert!(report.contains(period), "{period} missing:\n{report}");
+        }
+    }
+}

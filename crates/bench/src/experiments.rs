@@ -241,6 +241,32 @@ mod tests {
     }
 
     #[test]
+    fn tables_1_and_2_write_csv_and_render() {
+        let cfg = ExperimentConfig {
+            trace_seconds: 6,
+            ramp_seconds: 1,
+            out_dir: std::env::temp_dir().join("tdp-bench-tables"),
+            ..ExperimentConfig::quick()
+        };
+        let traces = vec![
+            capture_workload(&cfg, Workload::Idle),
+            capture_workload(&cfg, Workload::DiskLoad),
+        ];
+        let (means, std_devs) = tables_1_and_2(&cfg, &traces);
+        for table in [&means, &std_devs] {
+            assert!(table.starts_with("workload"), "{table}");
+            assert!(table.contains("idle") && table.contains("diskload"));
+        }
+        let csv = std::fs::read_to_string(cfg.out_dir.join("table1_table2.csv")).unwrap();
+        assert_eq!(
+            csv.lines().count(),
+            1 + traces.len(),
+            "header + one row each"
+        );
+        assert!(csv.starts_with("cpu_mean,"));
+    }
+
+    #[test]
     fn shape_checks_produce_verdicts_on_tiny_run() {
         let cfg = ExperimentConfig {
             trace_seconds: 6,

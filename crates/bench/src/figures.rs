@@ -247,10 +247,28 @@ mod tests {
     }
 
     #[test]
+    fn fig2_writes_trace_and_reports() {
+        let r = fig2(&tiny_cfg("f2"), &SystemPowerModel::paper());
+        assert_eq!(r.name, "fig2");
+        assert!(r.csv_path.exists());
+        assert!(r.summary.contains("avg error"));
+    }
+
+    #[test]
     fn fig3_trains_and_reports() {
         let r = fig3(&tiny_cfg("f3"));
         assert!(r.csv_path.exists());
         assert!(r.summary.contains("avg error"));
+    }
+
+    #[test]
+    fn fig4_fig5_share_trace_and_report() {
+        let (f4, f5) = fig4_fig5(&tiny_cfg("f45"));
+        assert_eq!((f4.name, f5.name), ("fig4", "fig5"));
+        assert!(f4.csv_path.exists());
+        assert!(f5.csv_path.exists());
+        assert!(f4.summary.contains("cache-miss model"));
+        assert!(f5.summary.contains("avg error"));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Shared harness code for the reproduction binary and the Criterion
-//! benches.
+//! Shared harness code for the reproduction binary.
 //!
 //! The experiment index lives in `DESIGN.md`; each `Experiment` here
 //! regenerates one of the paper's tables or figures. Traces are captured

@@ -42,7 +42,7 @@ impl PowerEstimate {
 ///
 /// for _ in 0..3 {
 ///     for _ in 0..1000 { machine.tick(); }
-///     let est = estimator.push_sample_set(&machine.read_counters());
+///     let est = estimator.push_sample_set(machine.read_counters());
 ///     assert!(est.total() > 100.0);
 /// }
 /// assert_eq!(estimator.history().count(), 3);
@@ -138,16 +138,9 @@ impl SystemPowerEstimator {
 
     /// Per-CPU power attribution for the latest sample pushed through
     /// [`push`](Self::push) — the per-processor accounting of §4.2.1.
-    pub fn attribute_cpus(&self, sample: &SystemSample) -> Vec<f64> {
-        let mut out = Vec::with_capacity(sample.per_cpu.len());
-        self.attribute_cpus_into(sample, &mut out);
-        out
-    }
-
-    /// Like [`attribute_cpus`](Self::attribute_cpus) but refilling a
-    /// caller-owned buffer — for per-window attribution loops that run at
-    /// sampling rate.
-    pub fn attribute_cpus_into(&self, sample: &SystemSample, out: &mut Vec<f64>) {
+    /// Refills `out` in place, so per-window attribution loops at
+    /// sampling rate reuse one buffer.
+    pub fn attribute_cpus(&self, sample: &SystemSample, out: &mut Vec<f64>) {
         out.clear();
         out.extend(
             sample
@@ -204,7 +197,8 @@ mod tests {
     fn attribution_sums_to_cpu_estimate() {
         let e = SystemPowerEstimator::new(SystemPowerModel::paper());
         let s = sample(0, 2.0);
-        let per_cpu = e.attribute_cpus(&s);
+        let mut per_cpu = Vec::new();
+        e.attribute_cpus(&s, &mut per_cpu);
         assert_eq!(per_cpu.len(), 4);
         let total: f64 = per_cpu.iter().sum();
         let est = e.model().predict(&s).get(Subsystem::Cpu);

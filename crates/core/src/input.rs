@@ -52,7 +52,7 @@ pub struct CpuRates {
 /// for _ in 0..1000 {
 ///     machine.tick();
 /// }
-/// let sample = SystemSample::from_sample_set(&machine.read_counters());
+/// let sample = SystemSample::from_sample_set(machine.read_counters());
 /// assert_eq!(sample.per_cpu.len(), 4);
 /// // An idle machine is almost entirely halted.
 /// assert!(sample.per_cpu[0].active_frac < 0.05);

@@ -157,7 +157,7 @@ mod sealed {
 /// let model = SystemPowerModel::paper();
 /// let mut machine = Machine::new(MachineConfig::default());
 /// for _ in 0..1000 { machine.tick(); }
-/// let sample = SystemSample::from_sample_set(&machine.read_counters());
+/// let sample = SystemSample::from_sample_set(machine.read_counters());
 /// let estimate = model.predict(&sample);
 /// // An idle machine: every subsystem near its DC term.
 /// assert!(estimate.total() > 100.0 && estimate.total() < 200.0);

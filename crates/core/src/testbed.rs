@@ -175,15 +175,14 @@ impl Testbed {
         // Hard stop well past the nominal end, in case of pathological
         // jitter configurations.
         let end_ms = self.machine.now_ms() + seconds * period + 10 * period;
-        // One activity buffer reused across every tick of the run; the
-        // sampling path below (1 Hz) is the only per-window allocation.
-        let mut activity = tdp_simsys::TickActivity::empty();
+        // The machine reuses its activity buffer across every tick; the
+        // sampling path below (1 Hz) is the only per-window allocation,
+        // where the archived raw set is cloned out of the machine.
         while records.len() < seconds as usize && self.machine.now_ms() < end_ms {
-            self.machine.tick_into(&mut activity);
-            self.meter.observe(&activity);
+            self.meter.observe(self.machine.tick());
             if let Some(seq) = self.driver.poll(self.machine.now_ms()) {
                 self.sync.pulse(seq, self.machine.now_ms());
-                let raw = self.machine.read_counters();
+                let raw = self.machine.read_counters().clone();
                 let measured = self.meter.cut_window();
                 records.push(TraceRecord {
                     input: SystemSample::from_sample_set(&raw),

@@ -119,18 +119,20 @@ impl InterruptSnapshot {
 /// # Example
 ///
 /// ```
-/// use tdp_counters::{InterruptAccounting, InterruptSource};
+/// use tdp_counters::{InterruptAccounting, InterruptSnapshot, InterruptSource};
 ///
 /// let mut acc = InterruptAccounting::new(2);
 /// acc.record(0, InterruptSource::Timer);
 /// acc.record(1, InterruptSource::Disk(0));
 /// acc.record(1, InterruptSource::Disk(0));
 ///
-/// let snap = acc.snapshot_delta();
+/// let mut snap = InterruptSnapshot::default();
+/// acc.snapshot_delta(&mut snap);
 /// assert_eq!(snap.total(), 3);
 /// assert_eq!(snap.total_disk(), 2);
 /// // Deltas reset after each snapshot:
-/// assert_eq!(acc.snapshot_delta().total(), 0);
+/// acc.snapshot_delta(&mut snap);
+/// assert_eq!(snap.total(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct InterruptAccounting {
@@ -192,17 +194,10 @@ impl InterruptAccounting {
         self.cumulative[cpu as usize][slot_of(source)]
     }
 
-    /// Returns the per-window deltas and resets the window, analogous to
-    /// diffing two `/proc/interrupts` reads.
-    pub fn snapshot_delta(&mut self) -> InterruptSnapshot {
-        let mut snap = InterruptSnapshot::default();
-        self.snapshot_delta_into(&mut snap);
-        snap
-    }
-
-    /// Like [`snapshot_delta`](Self::snapshot_delta) but filling a
-    /// caller-owned snapshot, reusing its buffer.
-    pub fn snapshot_delta_into(&mut self, out: &mut InterruptSnapshot) {
+    /// Fills `out` with the per-window deltas, reusing its buffer, and
+    /// resets the window, analogous to diffing two `/proc/interrupts`
+    /// reads.
+    pub fn snapshot_delta(&mut self, out: &mut InterruptSnapshot) {
         out.counts.clear();
         for (cpu, row) in self.window.iter_mut().enumerate() {
             for (slot, c) in row.iter_mut().enumerate() {
@@ -241,6 +236,12 @@ impl InterruptAccounting {
 mod tests {
     use super::*;
 
+    fn snapshot(acc: &mut InterruptAccounting) -> InterruptSnapshot {
+        let mut out = InterruptSnapshot::default();
+        acc.snapshot_delta(&mut out);
+        out
+    }
+
     #[test]
     fn vector_roundtrip() {
         for s in [
@@ -258,7 +259,7 @@ mod tests {
     fn cumulative_survives_snapshot() {
         let mut acc = InterruptAccounting::new(1);
         acc.record(0, InterruptSource::Timer);
-        let _ = acc.snapshot_delta();
+        let _ = snapshot(&mut acc);
         acc.record(0, InterruptSource::Timer);
         assert_eq!(acc.cumulative(0, InterruptSource::Timer), 2);
     }
@@ -269,7 +270,7 @@ mod tests {
         acc.record(0, InterruptSource::Disk(0));
         acc.record(1, InterruptSource::Disk(1));
         acc.record(1, InterruptSource::Nic);
-        let snap = acc.snapshot_delta();
+        let snap = snapshot(&mut acc);
         assert_eq!(snap.total_disk(), 2);
         assert_eq!(snap.total_on_cpu(1), 2);
         assert_eq!(snap.total_from(InterruptSource::Nic), 1);
@@ -291,7 +292,7 @@ mod tests {
     fn high_disk_indices_fold_into_last_slot() {
         let mut acc = InterruptAccounting::new(1);
         acc.record(0, InterruptSource::Disk(9));
-        let snap = acc.snapshot_delta();
+        let snap = snapshot(&mut acc);
         assert_eq!(snap.total_disk(), 1);
     }
 }

@@ -120,7 +120,7 @@ impl Deserialize for SampleSet {
 
 impl SampleSet {
     /// An empty set suitable as the reusable buffer for in-place refills
-    /// (e.g. `Machine::read_counters_into` in `tdp-simsys`).
+    /// (e.g. the set `Machine::read_counters` in `tdp-simsys` refills).
     pub fn empty() -> Self {
         Self {
             time_ms: 0,

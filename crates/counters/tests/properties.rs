@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use tdp_counters::{
-    CounterBank, InterruptAccounting, InterruptSource, PerfEvent, SampleSet, SamplerConfig,
-    SamplingDriver,
+    CounterBank, InterruptAccounting, InterruptSnapshot, InterruptSource, PerfEvent, SampleSet,
+    SamplerConfig, SamplingDriver,
 };
 
 fn arb_event() -> impl Strategy<Value = PerfEvent> {
@@ -73,6 +73,7 @@ proptest! {
         snapshot_every in 1usize..20,
     ) {
         let mut acc = InterruptAccounting::new(4);
+        let mut snap = InterruptSnapshot::default();
         let mut delta_total = 0u64;
         for (i, &(cpu, kind)) in events.iter().enumerate() {
             let source = match kind {
@@ -83,10 +84,12 @@ proptest! {
             };
             acc.record(cpu, source);
             if i % snapshot_every == 0 {
-                delta_total += acc.snapshot_delta().total();
+                acc.snapshot_delta(&mut snap);
+                delta_total += snap.total();
             }
         }
-        delta_total += acc.snapshot_delta().total();
+        acc.snapshot_delta(&mut snap);
+        delta_total += snap.total();
         prop_assert_eq!(delta_total, events.len() as u64);
         let cumulative: u64 = (0..4u8)
             .map(|c| {

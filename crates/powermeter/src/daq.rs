@@ -302,8 +302,7 @@ mod tests {
         let mut machine = Machine::new(MachineConfig::default());
         let mut meter = PowerMeter::new(PowerSpec::default(), 3);
         for _ in 0..1000 {
-            let a = machine.tick();
-            meter.observe(&a);
+            meter.observe(machine.tick());
         }
         let s = meter.cut_window();
         assert_eq!(s.window_ms, 1000);
@@ -321,8 +320,7 @@ mod tests {
         let mut samples = Vec::new();
         for _ in 0..10 {
             for _ in 0..200 {
-                let a = machine.tick();
-                meter.observe(&a);
+                meter.observe(machine.tick());
             }
             samples.push(meter.cut_window().watts.get(Subsystem::Disk));
         }

@@ -6,7 +6,8 @@
 //! target's sync pulses (§3.1.2). This crate is that apparatus:
 //!
 //! * [`PowerSpec`] + [`GroundTruth`] convert per-tick device activity
-//!   ([`tdp_simsys::TickActivity`]) into instantaneous subsystem watts
+//!   (the [`tdp_simsys::TickActivity`] that `Machine::tick` lends out,
+//!   read by reference) into instantaneous subsystem watts
 //!   using the *local-event* power models of §2.2.1 — Janzen-style DRAM
 //!   state power, Zedlewski-style disk mode power, CMOS static+dynamic
 //!   power for chipset and I/O, and activity-factor CPU power;
@@ -30,8 +31,7 @@
 //! let mut meter = PowerMeter::new(PowerSpec::default(), 7);
 //!
 //! for _ in 0..1000 {
-//!     let activity = machine.tick();
-//!     meter.observe(&activity);
+//!     meter.observe(machine.tick());
 //! }
 //! let sample = meter.cut_window();
 //! // An idle 4-way server burns ~141 W total in the paper's Table 1.

@@ -21,8 +21,7 @@ use tdp_simsys::TickActivity;
 ///
 /// let truth = GroundTruth::new(PowerSpec::default());
 /// let mut machine = Machine::new(MachineConfig::default());
-/// let activity = machine.tick();
-/// let w = truth.instantaneous(&activity);
+/// let w = truth.instantaneous(machine.tick());
 /// assert!(w.get(Subsystem::Cpu) > 30.0, "4 idle CPUs ≈ 38 W");
 /// ```
 #[derive(Debug, Clone)]
@@ -123,7 +122,7 @@ mod tests {
     use tdp_simsys::{Machine, MachineConfig};
 
     fn idle_activity() -> TickActivity {
-        Machine::new(MachineConfig::default()).tick()
+        Machine::new(MachineConfig::default()).tick().clone()
     }
 
     #[test]
@@ -151,11 +150,10 @@ mod tests {
         for _ in 0..8 {
             m.os_mut().spawn(Box::new(spin_loop_behavior(2.5)), 0);
         }
-        let mut last = None;
-        for _ in 0..200 {
-            last = Some(m.tick());
+        for _ in 0..199 {
+            m.tick();
         }
-        let w = truth.instantaneous(&last.unwrap());
+        let w = truth.instantaneous(m.tick());
         let idle = truth.instantaneous(&idle_activity());
         assert!(
             w.get(Subsystem::Cpu) > idle.get(Subsystem::Cpu) + 100.0,

@@ -102,7 +102,7 @@ pub struct CpuTickResult {
 impl CpuTickResult {
     /// Clears every field for reuse, keeping the `per_thread_retired`
     /// buffer's allocation — the buffer-reuse contract of
-    /// [`CpuCore::run_tick_into`].
+    /// [`CpuCore::run_tick`].
     pub fn reset(&mut self) {
         self.activity = CoreActivity::default();
         self.traffic = MemoryTraffic::default();
@@ -149,43 +149,16 @@ impl CpuCore {
     }
 
     /// Runs one tick with the demands of the threads scheduled on this
-    /// core (0, 1 or 2 entries), under the bus throttle from last tick.
+    /// core (0, 1 or 2 entries), under the bus throttle from last tick,
+    /// writing the outcome into `out`.
     ///
     /// `timer_interrupts` is how many timer interrupts hit this core this
-    /// tick (they wake a halted core briefly).
+    /// tick (they wake a halted core briefly). `cycles` is the tick's
+    /// cycle budget: [`CpuConfig::cycles_per_tick`] at nominal clock,
+    /// fewer under DVFS. `out` is [`reset`](CpuTickResult::reset) first
+    /// and its buffers are reused, so a steady-state tick does not
+    /// allocate.
     pub fn run_tick(
-        &mut self,
-        demands: &[TickDemand],
-        mem_throttle: f64,
-        timer_interrupts: u64,
-    ) -> CpuTickResult {
-        self.run_tick_at(
-            demands,
-            mem_throttle,
-            timer_interrupts,
-            self.cpu_cfg.cycles_per_tick(),
-        )
-    }
-
-    /// Like [`run_tick`](Self::run_tick) but with an explicit cycle
-    /// budget — the DVFS path: a frequency-scaled core simply has fewer
-    /// cycles per millisecond.
-    pub fn run_tick_at(
-        &mut self,
-        demands: &[TickDemand],
-        mem_throttle: f64,
-        timer_interrupts: u64,
-        cycles: u64,
-    ) -> CpuTickResult {
-        let mut out = CpuTickResult::default();
-        self.run_tick_into(demands, mem_throttle, timer_interrupts, cycles, &mut out);
-        out
-    }
-
-    /// Like [`run_tick_at`](Self::run_tick_at) but writing into a
-    /// caller-owned result — the allocation-free hot path. `out` is
-    /// [`reset`](CpuTickResult::reset) first; its buffers are reused.
-    pub fn run_tick_into(
         &mut self,
         demands: &[TickDemand],
         mem_throttle: f64,
@@ -196,7 +169,7 @@ impl CpuCore {
         out.reset();
         let cycles = cycles.max(1);
         if demands.is_empty() {
-            self.run_idle_tick_into(cycles, timer_interrupts, out);
+            self.run_idle_tick(cycles, timer_interrupts, out);
             return;
         }
 
@@ -312,7 +285,7 @@ impl CpuCore {
         self.upcs = upcs;
     }
 
-    fn run_idle_tick_into(&mut self, cycles: u64, timer_interrupts: u64, out: &mut CpuTickResult) {
+    fn run_idle_tick(&mut self, cycles: u64, timer_interrupts: u64, out: &mut CpuTickResult) {
         // The OS idle loop executes HLT; only interrupt handling wakes
         // the clock. Each timer tick costs some active cycles.
         let overhead =
@@ -350,6 +323,14 @@ mod tests {
         CpuCore::new(cfg.cpu, cfg.cache, cfg.prefetch, SimRng::seed(99))
     }
 
+    /// One nominal-clock tick with one timer interrupt.
+    fn tick(c: &mut CpuCore, demands: &[TickDemand], mem_throttle: f64) -> CpuTickResult {
+        let cycles = MachineConfig::default().cpu.cycles_per_tick();
+        let mut out = CpuTickResult::default();
+        c.run_tick(demands, mem_throttle, 1, cycles, &mut out);
+        out
+    }
+
     fn compute_demand(upc: f64) -> TickDemand {
         TickDemand {
             target_upc: upc,
@@ -362,7 +343,7 @@ mod tests {
     #[test]
     fn idle_core_is_mostly_halted() {
         let mut c = core();
-        let r = c.run_tick(&[], 1.0, 1);
+        let r = tick(&mut c, &[], 1.0);
         let halted_frac = r.activity.halted_cycles as f64 / r.activity.cycles as f64;
         assert!(halted_frac > 0.98, "halted_frac {halted_frac}");
         assert_eq!(r.traffic.total_lines(), 0);
@@ -371,7 +352,7 @@ mod tests {
     #[test]
     fn busy_core_never_halts() {
         let mut c = core();
-        let r = c.run_tick(&[compute_demand(1.5)], 1.0, 1);
+        let r = tick(&mut c, &[compute_demand(1.5)], 1.0);
         assert_eq!(r.activity.halted_cycles, 0);
         let upc = r.counters.retired_uops as f64 / r.activity.cycles as f64;
         assert!((upc - 1.5).abs() < 0.05, "upc {upc}");
@@ -382,7 +363,7 @@ mod tests {
         let mut c = core();
         let mut d = compute_demand(1.0);
         d.wrongpath_fraction = 0.25;
-        let r = c.run_tick(&[d], 1.0, 1);
+        let r = tick(&mut c, &[d], 1.0);
         let ratio = r.counters.fetched_uops as f64 / r.counters.retired_uops as f64;
         assert!((ratio - 1.25).abs() < 0.02, "ratio {ratio}");
     }
@@ -390,9 +371,9 @@ mod tests {
     #[test]
     fn smt_pair_beats_single_thread_but_not_double() {
         let mut c1 = core();
-        let one = c1.run_tick(&[compute_demand(1.6)], 1.0, 1);
+        let one = tick(&mut c1, &[compute_demand(1.6)], 1.0);
         let mut c2 = core();
-        let two = c2.run_tick(&[compute_demand(1.6), compute_demand(1.6)], 1.0, 1);
+        let two = tick(&mut c2, &[compute_demand(1.6), compute_demand(1.6)], 1.0);
         let u1 = one.counters.retired_uops as f64;
         let u2 = two.counters.retired_uops as f64;
         assert!(u2 > u1 * 1.5, "SMT should add throughput: {u1} vs {u2}");
@@ -405,7 +386,7 @@ mod tests {
     #[test]
     fn combined_throughput_never_exceeds_fetch_width() {
         let mut c = core();
-        let r = c.run_tick(&[compute_demand(3.0), compute_demand(3.0)], 1.0, 1);
+        let r = tick(&mut c, &[compute_demand(3.0), compute_demand(3.0)], 1.0);
         let upc = r.counters.retired_uops as f64 / r.activity.cycles as f64;
         assert!(upc <= 3.05, "total upc {upc} capped at fetch width");
     }
@@ -421,15 +402,15 @@ mod tests {
         mem_demand.loads_per_uop = 0.5;
 
         let mut c = core();
-        let free = c.run_tick(&[mem_demand], 1.0, 1);
+        let free = tick(&mut c, &[mem_demand], 1.0);
         let mut c = core();
-        let jammed = c.run_tick(&[mem_demand], 0.25, 1);
+        let jammed = tick(&mut c, &[mem_demand], 0.25);
         assert!((jammed.counters.retired_uops as f64) < 0.4 * free.counters.retired_uops as f64);
 
         let mut c = core();
-        let cpu_free = c.run_tick(&[compute_demand(2.0)], 1.0, 1);
+        let cpu_free = tick(&mut c, &[compute_demand(2.0)], 1.0);
         let mut c = core();
-        let cpu_jammed = c.run_tick(&[compute_demand(2.0)], 0.25, 1);
+        let cpu_jammed = tick(&mut c, &[compute_demand(2.0)], 0.25);
         let ratio = cpu_jammed.counters.retired_uops as f64 / cpu_free.counters.retired_uops as f64;
         assert!((ratio - 1.0).abs() < 0.05, "compute-bound unaffected");
     }
@@ -444,7 +425,7 @@ mod tests {
             ..TickDemand::default()
         };
         let mut c = core();
-        let r = c.run_tick(&[demand], 1.0, 1);
+        let r = tick(&mut c, &[demand], 1.0);
         assert!(r.activity.stall_search_frac > 0.5);
         assert_eq!(r.activity.quiet_stall_frac, 0.0);
         let quiet_demand = TickDemand {
@@ -455,11 +436,11 @@ mod tests {
             ..TickDemand::default()
         };
         let mut c = core();
-        let r = c.run_tick(&[quiet_demand], 1.0, 1);
+        let r = tick(&mut c, &[quiet_demand], 1.0);
         assert!(r.activity.quiet_stall_frac > 0.5);
         assert_eq!(r.activity.stall_search_frac, 0.0);
         let mut c = core();
-        let r = c.run_tick(&[compute_demand(2.5)], 1.0, 1);
+        let r = tick(&mut c, &[compute_demand(2.5)], 1.0);
         assert!(r.activity.stall_search_frac < 0.01);
     }
 
@@ -490,7 +471,7 @@ mod tests {
         let mut late_misses = 0;
         let mut late_bus = 0;
         for i in 0..300 {
-            let r = c.run_tick(std::slice::from_ref(&demand), 1.0, 1);
+            let r = tick(&mut c, std::slice::from_ref(&demand), 1.0);
             let bus = r.traffic.demand_fill_lines + r.traffic.prefetch_lines;
             if i < 3 {
                 early_misses += r.counters.l3_total_misses;

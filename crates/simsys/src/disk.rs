@@ -71,7 +71,7 @@ pub struct DiskTickResult {
 impl DiskTickResult {
     /// Clears the result for reuse, keeping the completion buffer's
     /// allocation.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.modes = DiskModeFractions::default();
         self.dma_read_bytes = 0;
         self.dma_write_bytes = 0;
@@ -100,6 +100,7 @@ pub struct ScsiDisk {
     active: Option<ActiveCommand>,
     head_position: f64,
     rng: SimRng,
+    result: DiskTickResult,
 }
 
 impl ScsiDisk {
@@ -111,6 +112,7 @@ impl ScsiDisk {
             active: None,
             head_position: 0.0,
             rng,
+            result: DiskTickResult::default(),
         }
     }
 
@@ -124,23 +126,19 @@ impl ScsiDisk {
         self.queue.len() + usize::from(self.active.is_some())
     }
 
-    /// Advances the disk one millisecond.
-    pub fn tick(&mut self) -> DiskTickResult {
-        let mut result = DiskTickResult::default();
-        self.tick_into(&mut result);
-        result
-    }
-
-    /// Like [`tick`](Self::tick) but writing into a caller-owned result —
-    /// the allocation-free hot path. `result` is
-    /// [`reset`](DiskTickResult::reset) first; its buffers are reused.
-    pub fn tick_into(&mut self, result: &mut DiskTickResult) {
+    /// Advances the disk one millisecond and returns the tick's outcome.
+    ///
+    /// The result lives in the disk and is overwritten by the next call;
+    /// its completion buffer is reused, so a steady-state tick does not
+    /// allocate.
+    pub fn tick(&mut self) -> &DiskTickResult {
+        let result = &mut self.result;
         result.reset();
         let mut budget_ms = 1.0f64;
 
         while budget_ms > 1e-9 {
             if self.active.is_none() {
-                let Some(next) = self.pick_nearest() else {
+                let Some(next) = pick_nearest(&mut self.queue, self.head_position) else {
                     result.modes.idle += budget_ms;
                     break;
                 };
@@ -223,27 +221,18 @@ impl ScsiDisk {
         } else {
             m.idle = 1.0;
         }
+        result
     }
+}
 
-    /// Elevator-lite scheduling: service the queued command nearest the
-    /// head.
-    fn pick_nearest(&mut self) -> Option<DiskCommand> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let head = self.head_position;
-        let (idx, _) = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let da = (a.position - head).abs();
-                let db = (b.position - head).abs();
-                da.partial_cmp(&db).expect("positions are finite")
-            })
-            .expect("non-empty");
-        Some(self.queue.swap_remove(idx))
-    }
+/// Elevator-lite scheduling: takes the queued command nearest the head.
+fn pick_nearest(queue: &mut Vec<DiskCommand>, head: f64) -> Option<DiskCommand> {
+    let (idx, _) = queue.iter().enumerate().min_by(|(_, a), (_, b)| {
+        let da = (a.position - head).abs();
+        let db = (b.position - head).abs();
+        da.partial_cmp(&db).expect("positions are finite")
+    })?;
+    Some(queue.swap_remove(idx))
 }
 
 #[cfg(test)]
@@ -287,7 +276,7 @@ mod tests {
             rot += r.modes.rotate_wait;
             read += r.modes.read;
             bytes += r.dma_read_bytes;
-            done.extend(r.completions);
+            done.extend_from_slice(&r.completions);
             if !done.is_empty() {
                 break;
             }

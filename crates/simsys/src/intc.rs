@@ -65,17 +65,9 @@ impl InterruptController {
         }
     }
 
-    /// Takes this tick's per-CPU deltas (and resets them).
-    pub fn take_tick_deltas(&mut self) -> InterruptDeltas {
-        let mut out = InterruptDeltas::default();
-        self.take_tick_deltas_into(&mut out);
-        out
-    }
-
-    /// Like [`take_tick_deltas`](Self::take_tick_deltas) but copying into
-    /// a caller-owned buffer — the allocation-free hot path. `out` is
-    /// resized to the CPU count; the internal deltas are zeroed.
-    pub fn take_tick_deltas_into(&mut self, out: &mut InterruptDeltas) {
+    /// Copies this tick's per-CPU deltas into `out` (resized to the CPU
+    /// count, its buffer reused) and zeroes the internal deltas.
+    pub fn take_tick_deltas(&mut self, out: &mut InterruptDeltas) {
         out.per_cpu.clear();
         out.per_cpu.extend_from_slice(&self.tick_deltas.per_cpu);
         for d in &mut self.tick_deltas.per_cpu {
@@ -98,6 +90,12 @@ impl InterruptController {
 mod tests {
     use super::*;
 
+    fn take(intc: &mut InterruptController) -> InterruptDeltas {
+        let mut out = InterruptDeltas::default();
+        intc.take_tick_deltas(&mut out);
+        out
+    }
+
     #[test]
     fn device_interrupts_round_robin() {
         let mut intc = InterruptController::new(4);
@@ -111,7 +109,7 @@ mod tests {
     fn timer_hits_every_cpu() {
         let mut intc = InterruptController::new(3);
         intc.deliver_timer_all();
-        let d = intc.take_tick_deltas();
+        let d = take(&mut intc);
         for (total, disk, timer, nic) in d.per_cpu {
             assert_eq!((total, disk, timer, nic), (1, 0, 1, 0));
         }
@@ -121,9 +119,9 @@ mod tests {
     fn tick_deltas_reset_after_take() {
         let mut intc = InterruptController::new(2);
         intc.deliver(InterruptSource::Nic);
-        let first = intc.take_tick_deltas();
+        let first = take(&mut intc);
         assert_eq!(first.per_cpu[0].3, 1);
-        let second = intc.take_tick_deltas();
+        let second = take(&mut intc);
         assert_eq!(second.per_cpu[0], (0, 0, 0, 0));
     }
 
@@ -131,7 +129,7 @@ mod tests {
     fn accounting_accumulates_across_ticks() {
         let mut intc = InterruptController::new(1);
         intc.deliver(InterruptSource::Disk(1));
-        let _ = intc.take_tick_deltas();
+        let _ = take(&mut intc);
         intc.deliver(InterruptSource::Disk(1));
         assert_eq!(intc.accounting().cumulative(0, InterruptSource::Disk(1)), 2);
     }

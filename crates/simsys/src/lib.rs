@@ -35,6 +35,13 @@
 //! trained and evaluated against measured power but may only *read*
 //! CPU-visible counters.
 //!
+//! Each stream has one call. [`Machine::tick`] advances one millisecond
+//! and lends out the tick's [`TickActivity`]; [`Machine::read_counters`]
+//! reads and clears every bank and lends out the window's
+//! [`tdp_counters::SampleSet`]. Both refill a buffer the machine owns,
+//! so a steady-state tick or read does not allocate; clone the result
+//! to keep it past the next call.
+//!
 //! Beyond the paper's fixed-frequency platform, the machine supports
 //! DVFS operating points ([`Machine::set_frequency_scale`]) and
 //! per-process scheduler accounting ([`Machine::take_sched_delta`]) for

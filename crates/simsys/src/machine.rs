@@ -3,7 +3,7 @@
 use crate::bus::{BusActivity, FrontSideBus};
 use crate::config::MachineConfig;
 use crate::cpu::{CoreActivity, CpuCore, CpuTickResult};
-use crate::disk::{DiskModeFractions, DiskTickResult, ScsiDisk};
+use crate::disk::{DiskModeFractions, ScsiDisk};
 use crate::dram::{DramActivity, DramModel};
 use crate::intc::{InterruptController, InterruptDeltas};
 use crate::iochip::{IoActivity, IoChip};
@@ -38,9 +38,8 @@ pub struct TickActivity {
 }
 
 impl TickActivity {
-    /// An empty activity suitable as the reusable buffer for
-    /// [`Machine::tick_into`].
-    pub fn empty() -> Self {
+    /// An empty activity, the machine's buffer before its first tick.
+    fn empty() -> Self {
         Self {
             time_ms: 0,
             freq_scale: 1.0,
@@ -55,7 +54,7 @@ impl TickActivity {
 
 /// Reusable per-tick working buffers. Every vector grows once to its
 /// steady-state size and is cleared (not freed) between ticks, making
-/// [`Machine::tick_into`] allocation-free after warm-up.
+/// [`Machine::tick`] allocation-free after warm-up.
 #[derive(Debug, Default)]
 struct TickScratch {
     results: Vec<CpuTickResult>,
@@ -63,7 +62,6 @@ struct TickScratch {
     assignments: Vec<Vec<usize>>,
     demands: Vec<crate::behavior::TickDemand>,
     sub: IoSubmission,
-    disk_tick: DiskTickResult,
     completed: Vec<crate::disk::CommandId>,
     irq: InterruptDeltas,
 }
@@ -90,6 +88,8 @@ pub struct Machine {
     dma_rr: usize,
     freq_scale: f64,
     scratch: TickScratch,
+    activity: TickActivity,
+    sample: SampleSet,
 }
 
 impl Machine {
@@ -154,6 +154,8 @@ impl Machine {
             dma_rr: 0,
             freq_scale: 1.0,
             scratch: TickScratch::default(),
+            activity: TickActivity::empty(),
+            sample: SampleSet::empty(),
             cfg,
         })
     }
@@ -216,22 +218,11 @@ impl Machine {
     /// Advances the machine by one millisecond and returns the tick's
     /// device activity.
     ///
-    /// Allocates a fresh [`TickActivity`] per call; tight loops should
-    /// hold a buffer and use [`tick_into`](Machine::tick_into) instead.
-    pub fn tick(&mut self) -> TickActivity {
-        let mut out = TickActivity::empty();
-        self.tick_into(&mut out);
-        out
-    }
-
-    /// Advances the machine by one millisecond, writing the tick's device
-    /// activity into a caller-owned buffer.
-    ///
-    /// This is the allocation-free hot path: `out`'s vectors and every
-    /// internal working buffer are reused across calls, so a steady-state
-    /// tick performs no heap allocation. The result is identical to
-    /// [`tick`](Machine::tick).
-    pub fn tick_into(&mut self, out: &mut TickActivity) {
+    /// The activity lives in the machine and is overwritten by the next
+    /// tick; clone it to keep it longer. It and every internal working
+    /// buffer are reused across calls, so a steady-state tick performs no
+    /// heap allocation.
+    pub fn tick(&mut self) -> &TickActivity {
         self.now_ms += 1;
         let num_cpus = self.cfg.cpu.num_cpus;
 
@@ -244,7 +235,7 @@ impl Machine {
         let timer_count = u64::from(timer_fired);
 
         // 2. Schedule and execute CPUs.
-        self.os.assignments_into(
+        self.os.assignments(
             self.now_ms,
             num_cpus,
             self.cfg.cpu.smt_per_cpu,
@@ -271,7 +262,7 @@ impl Machine {
                 let d = self.os.demand_of(p, self.now_ms, share, throttle);
                 self.scratch.demands.push(d);
             }
-            self.cores[cpu].run_tick_into(
+            self.cores[cpu].run_tick(
                 &self.scratch.demands,
                 throttle,
                 timer_count,
@@ -294,8 +285,7 @@ impl Machine {
                 if io.read_bytes == 0 && io.write_bytes == 0 && !io.sync && io.sleep_ms == 0 {
                     continue;
                 }
-                self.os
-                    .submit_io_into(p, io, self.now_ms, &mut self.scratch.sub);
+                self.os.submit_io(p, io, self.now_ms, &mut self.scratch.sub);
                 commands_started += self.scratch.sub.commands.len() as u64;
                 config_accesses_total += self.scratch.sub.config_accesses;
                 self.scratch.extra_uncacheable[cpu] += self.scratch.sub.config_accesses;
@@ -306,7 +296,7 @@ impl Machine {
         }
 
         // 4. Background write-back (kernel flusher, charged to CPU 0).
-        self.os.background_writeback_into(&mut self.scratch.sub);
+        self.os.background_writeback(&mut self.scratch.sub);
         let wb = &self.scratch.sub;
         if !wb.commands.is_empty() {
             commands_started += wb.commands.len() as u64;
@@ -320,11 +310,11 @@ impl Machine {
         // 5. Disks: advance, stream DMA, complete commands.
         let mut dma_read_bytes = 0u64;
         let mut dma_write_bytes = 0u64;
+        let out = &mut self.activity;
         out.disks.clear();
         self.scratch.completed.clear();
         for (idx, disk) in self.disks.iter_mut().enumerate() {
-            let r = &mut self.scratch.disk_tick;
-            disk.tick_into(r);
+            let r = disk.tick();
             dma_read_bytes += r.dma_read_bytes;
             dma_write_bytes += r.dma_write_bytes;
             out.disks.push(r.modes);
@@ -383,7 +373,7 @@ impl Machine {
         let dram_activity = self.dram.tick(dram_reads, dram_writes);
 
         // 8. Retire counter deltas into the banks.
-        self.intc.take_tick_deltas_into(&mut self.scratch.irq);
+        self.intc.take_tick_deltas(&mut self.scratch.irq);
         let irq = &self.scratch.irq;
         for cpu in 0..num_cpus {
             let bank = &mut self.banks[cpu];
@@ -431,22 +421,18 @@ impl Machine {
         out.bus = bus_activity;
         out.dram = dram_activity;
         out.io = io_activity;
+        out
     }
 
     /// Reads and clears every CPU's counters plus the OS interrupt
     /// accounting, producing one synchronized [`SampleSet`].
-    pub fn read_counters(&mut self) -> SampleSet {
-        let mut out = SampleSet::empty();
-        self.read_counters_into(&mut out);
-        out
-    }
-
-    /// Like [`read_counters`](Machine::read_counters) but refilling a
-    /// caller-owned set in place — the allocation-free sampling path for
-    /// callers that do not archive the raw samples. Each CPU's bank writes
-    /// its column of the set's event-major block directly. Start from
-    /// [`SampleSet::empty`].
-    pub fn read_counters_into(&mut self, out: &mut SampleSet) {
+    ///
+    /// The set lives in the machine and is refilled in place by the next
+    /// read; clone it to archive it. Each CPU's bank writes its column of
+    /// the set's event-major block directly, so a steady-state read
+    /// performs no heap allocation.
+    pub fn read_counters(&mut self) -> &SampleSet {
+        let out = &mut self.sample;
         let seq = self.sample_seq;
         self.sample_seq += 1;
         // Every bank is programmed alike, so bank 0's events are the
@@ -458,11 +444,12 @@ impl Machine {
         }
         self.intc
             .accounting_mut()
-            .snapshot_delta_into(&mut out.interrupts);
+            .snapshot_delta(&mut out.interrupts);
         out.time_ms = self.now_ms;
         out.window_ms = self.now_ms - self.last_sample_ms;
         out.seq = seq;
         self.last_sample_ms = self.now_ms;
+        out
     }
 }
 
@@ -528,7 +515,7 @@ mod tests {
             let mut acc = Vec::new();
             for _ in 0..2 {
                 run(&mut m, 1000);
-                acc.push(m.read_counters());
+                acc.push(m.read_counters().clone());
             }
             acc
         };

@@ -218,22 +218,11 @@ impl Os {
     /// to `num_cpus × smt` contexts, spreading across physical CPUs
     /// before doubling up on SMT (the Linux SMP scheduler's policy).
     ///
-    /// Returns, per CPU, the indices of the processes to run this tick.
+    /// Fills `per_cpu` with, per CPU, the indices of the processes to run
+    /// this tick. The outer vector is resized to `num_cpus` and every
+    /// inner vector is cleared and reused, so a steady-state call does not
+    /// allocate.
     pub fn assignments(
-        &mut self,
-        now_ms: u64,
-        num_cpus: usize,
-        smt_per_cpu: usize,
-    ) -> Vec<Vec<usize>> {
-        let mut per_cpu = Vec::new();
-        self.assignments_into(now_ms, num_cpus, smt_per_cpu, &mut per_cpu);
-        per_cpu
-    }
-
-    /// Like [`assignments`](Self::assignments) but filling a caller-owned
-    /// buffer — the allocation-free hot path. The outer vector is resized
-    /// to `num_cpus` and every inner vector is cleared and reused.
-    pub fn assignments_into(
         &mut self,
         now_ms: u64,
         num_cpus: usize,
@@ -349,17 +338,10 @@ impl Os {
     }
 
     /// Processes the file-I/O part of a thread's demand, turning it into
-    /// disk commands and possibly blocking or sleeping the thread.
-    pub fn submit_io(&mut self, proc_idx: usize, io: &IoDemand, now_ms: u64) -> IoSubmission {
-        let mut sub = IoSubmission::default();
-        self.submit_io_into(proc_idx, io, now_ms, &mut sub);
-        sub
-    }
-
-    /// Like [`submit_io`](Self::submit_io) but filling a caller-owned
-    /// submission — the allocation-free hot path. `sub` is
-    /// [`reset`](IoSubmission::reset) first; its buffer is reused.
-    pub fn submit_io_into(
+    /// disk commands in `sub` and possibly blocking or sleeping the
+    /// thread. `sub` is [`reset`](IoSubmission::reset) first; its buffer
+    /// is reused.
+    pub fn submit_io(
         &mut self,
         proc_idx: usize,
         io: &IoDemand,
@@ -418,17 +400,9 @@ impl Os {
     /// Background flusher: called once per tick; writes back dirty pages
     /// above the threshold, a bounded amount, paced to one submission
     /// every few milliseconds so it issues disk-sized commands instead
-    /// of a storm of slivers.
-    pub fn background_writeback(&mut self) -> IoSubmission {
-        let mut sub = IoSubmission::default();
-        self.background_writeback_into(&mut sub);
-        sub
-    }
-
-    /// Like [`background_writeback`](Self::background_writeback) but
-    /// filling a caller-owned submission — the allocation-free hot path.
-    /// `sub` is [`reset`](IoSubmission::reset) first.
-    pub fn background_writeback_into(&mut self, sub: &mut IoSubmission) {
+    /// of a storm of slivers. The commands go into `sub`, which is
+    /// [`reset`](IoSubmission::reset) first.
+    pub fn background_writeback(&mut self, sub: &mut IoSubmission) {
         sub.reset();
         let threshold = (self.cfg.page_cache_pages as f64 * self.cfg.dirty_background_ratio) as u64;
         self.wb_pace = self.wb_pace.wrapping_add(1);
@@ -511,6 +485,24 @@ mod tests {
         Os::new(OsConfig::default(), 2, 4, 512 * 1024, SimRng::seed(5))
     }
 
+    fn assign(os: &mut Os, now_ms: u64) -> Vec<Vec<usize>> {
+        let mut per_cpu = Vec::new();
+        os.assignments(now_ms, 4, 2, &mut per_cpu);
+        per_cpu
+    }
+
+    fn submit(os: &mut Os, proc_idx: usize, io: &IoDemand) -> IoSubmission {
+        let mut sub = IoSubmission::default();
+        os.submit_io(proc_idx, io, 0, &mut sub);
+        sub
+    }
+
+    fn writeback(os: &mut Os) -> IoSubmission {
+        let mut sub = IoSubmission::default();
+        os.background_writeback(&mut sub);
+        sub
+    }
+
     fn spawn_n(os: &mut Os, n: usize, start: u64) {
         for _ in 0..n {
             os.spawn(Box::new(spin_loop_behavior(1.0)), start);
@@ -521,12 +513,12 @@ mod tests {
     fn threads_spread_across_cpus_before_smt() {
         let mut o = os();
         spawn_n(&mut o, 4, 0);
-        let a = o.assignments(0, 4, 2);
+        let a = assign(&mut o, 0);
         assert_eq!(a.iter().map(Vec::len).collect::<Vec<_>>(), vec![1, 1, 1, 1]);
 
         let mut o = os();
         spawn_n(&mut o, 6, 0);
-        let a = o.assignments(0, 4, 2);
+        let a = assign(&mut o, 0);
         let lens: Vec<usize> = a.iter().map(Vec::len).collect();
         assert_eq!(lens, vec![2, 2, 1, 1]);
     }
@@ -535,9 +527,9 @@ mod tests {
     fn not_started_threads_do_not_run() {
         let mut o = os();
         spawn_n(&mut o, 2, 500);
-        assert!(o.assignments(0, 4, 2).iter().all(Vec::is_empty));
+        assert!(assign(&mut o, 0).iter().all(Vec::is_empty));
         assert_eq!(o.runnable_count(), 0);
-        let a = o.assignments(500, 4, 2);
+        let a = assign(&mut o, 500);
         assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 2);
     }
 
@@ -545,7 +537,7 @@ mod tests {
     fn oversubscription_caps_at_contexts() {
         let mut o = os();
         spawn_n(&mut o, 12, 0);
-        let a = o.assignments(0, 4, 2);
+        let a = assign(&mut o, 0);
         assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 8);
     }
 
@@ -553,12 +545,12 @@ mod tests {
     fn writes_dirty_pages_then_sync_flushes_and_blocks() {
         let mut o = os();
         spawn_n(&mut o, 1, 0);
-        let _ = o.assignments(0, 4, 2);
+        let _ = assign(&mut o, 0);
         let write = IoDemand {
             write_bytes: 1 << 20, // 256 pages
             ..IoDemand::default()
         };
-        let sub = o.submit_io(0, &write, 0);
+        let sub = submit(&mut o, 0, &write);
         assert!(sub.commands.is_empty(), "writes buffer in page cache");
         assert_eq!(o.dirty_pages(), 256);
 
@@ -566,7 +558,7 @@ mod tests {
             sync: true,
             ..IoDemand::default()
         };
-        let sub = o.submit_io(0, &sync, 0);
+        let sub = submit(&mut o, 0, &sync);
         assert_eq!(o.dirty_pages(), 0);
         assert_eq!(sub.commands.len(), 2, "1 MiB in 512 KiB commands");
         assert!(sub.commands.iter().all(|(_, c)| c.write));
@@ -586,14 +578,14 @@ mod tests {
     fn blocking_reads_block_nonblocking_do_not() {
         let mut o = os();
         spawn_n(&mut o, 2, 0);
-        let _ = o.assignments(0, 4, 2);
+        let _ = assign(&mut o, 0);
         let read = IoDemand {
             read_bytes: 64 * 1024,
             read_hit_fraction: 0.0,
             blocking_reads: true,
             ..IoDemand::default()
         };
-        let sub = o.submit_io(0, &read, 0);
+        let sub = submit(&mut o, 0, &read);
         assert_eq!(sub.commands.len(), 1);
         assert_eq!(o.runnable_count(), 1, "reader blocked");
 
@@ -603,7 +595,7 @@ mod tests {
             blocking_reads: false,
             ..IoDemand::default()
         };
-        let _ = o.submit_io(1, &nonblocking, 0);
+        let _ = submit(&mut o, 1, &nonblocking);
         assert_eq!(o.runnable_count(), 1, "second thread still runnable");
     }
 
@@ -611,14 +603,14 @@ mod tests {
     fn cache_hits_produce_no_commands() {
         let mut o = os();
         spawn_n(&mut o, 1, 0);
-        let _ = o.assignments(0, 4, 2);
+        let _ = assign(&mut o, 0);
         let read = IoDemand {
             read_bytes: 1 << 20,
             read_hit_fraction: 1.0,
             blocking_reads: true,
             ..IoDemand::default()
         };
-        let sub = o.submit_io(0, &read, 0);
+        let sub = submit(&mut o, 0, &read);
         assert!(sub.commands.is_empty());
         assert_eq!(o.runnable_count(), 1);
     }
@@ -632,30 +624,30 @@ mod tests {
         };
         let mut o = Os::new(cfg, 2, 4, 512 * 1024, SimRng::seed(6));
         spawn_n(&mut o, 1, 0);
-        let _ = o.assignments(0, 4, 2);
+        let _ = assign(&mut o, 0);
         // 300 dirty pages: below 400-page threshold → no writeback.
-        let _ = o.submit_io(
+        let _ = submit(
+            &mut o,
             0,
             &IoDemand {
                 write_bytes: 300 * 4096,
                 ..IoDemand::default()
             },
-            0,
         );
-        assert!(o.background_writeback().commands.is_empty());
+        assert!(writeback(&mut o).commands.is_empty());
         // 300 more: above threshold → bounded writeback.
-        let _ = o.submit_io(
+        let _ = submit(
+            &mut o,
             0,
             &IoDemand {
                 write_bytes: 300 * 4096,
                 ..IoDemand::default()
             },
-            0,
         );
         // Paced: fires within the first 8 calls.
         let mut fired = false;
         for _ in 0..8 {
-            if !o.background_writeback().commands.is_empty() {
+            if !writeback(&mut o).commands.is_empty() {
                 fired = true;
                 break;
             }
@@ -668,7 +660,7 @@ mod tests {
     fn sched_accounting_sums_and_resets() {
         let mut o = os();
         spawn_n(&mut o, 2, 0);
-        let _ = o.assignments(0, 4, 2);
+        let _ = assign(&mut o, 0);
         o.record_execution(0, 0, 1_000);
         o.record_execution(0, 0, 500);
         o.record_execution(1, 2, 2_000);
@@ -694,22 +686,22 @@ mod tests {
     fn commands_alternate_disks() {
         let mut o = os();
         spawn_n(&mut o, 1, 0);
-        let _ = o.assignments(0, 4, 2);
-        let _ = o.submit_io(
+        let _ = assign(&mut o, 0);
+        let _ = submit(
+            &mut o,
             0,
             &IoDemand {
                 write_bytes: 4 << 20,
                 ..IoDemand::default()
             },
-            0,
         );
-        let sub = o.submit_io(
+        let sub = submit(
+            &mut o,
             0,
             &IoDemand {
                 sync: true,
                 ..IoDemand::default()
             },
-            0,
         );
         let disks: Vec<usize> = sub.commands.iter().map(|&(d, _)| d).collect();
         assert!(disks.contains(&0) && disks.contains(&1));

@@ -419,7 +419,7 @@ mod tests {
             for _ in 0..200 {
                 m.tick();
             }
-            let mut set = m.read_counters();
+            let mut set = m.read_counters().clone();
             set.seq = window;
             enc.push_sample_set(id, &set).unwrap();
         }

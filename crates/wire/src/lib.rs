@@ -58,7 +58,7 @@
 //!     for _ in 0..500 {
 //!         m.tick();
 //!     }
-//!     enc.push_sample_set(id, &m.read_counters()).unwrap();
+//!     enc.push_sample_set(id, m.read_counters()).unwrap();
 //! }
 //! let wire = enc.finish();
 //!

@@ -1084,10 +1084,10 @@ mod tests {
                     assert_eq!(set.num_cpus(), cpus);
                     assert_eq!(set.events(), PerfEvent::ALL);
                     let mut frame = Vec::new();
-                    encode_sample_frame(&mut frame, m, &set).unwrap();
-                    assert_eq!(frame[HEADER_LEN..], oracle(&set), "{cpus} CPUs");
-                    enc.push_sample_set(m, &set).unwrap();
-                    let shipped = projected(&set);
+                    encode_sample_frame(&mut frame, m, set).unwrap();
+                    assert_eq!(frame[HEADER_LEN..], oracle(set), "{cpus} CPUs");
+                    enc.push_sample_set(m, set).unwrap();
+                    let shipped = projected(set);
                     assert_eq!(shipped.events().len(), ROW_EVENTS.len());
                     want.push(oracle(&shipped));
                 }

@@ -47,7 +47,7 @@ fn simulated_window(cpus: usize, machines: u64) -> Vec<SampleSet> {
             let set = machine.read_counters();
             assert_eq!(set.num_cpus(), cpus);
             assert_eq!(set.events(), PerfEvent::ALL);
-            set
+            set.clone()
         })
         .collect()
 }
@@ -928,7 +928,7 @@ fn simulated_stream_digest(cpus: usize) -> (usize, u64) {
             for _ in 0..40 {
                 machine.tick();
             }
-            enc.push_sample_set(id as u64, &machine.read_counters())
+            enc.push_sample_set(id as u64, machine.read_counters())
                 .unwrap();
         }
     }

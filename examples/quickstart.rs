@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut busiest_cpu_w: f64 = 0.0;
     for record in &trace.records {
         let est = estimator.push(&record.input);
-        estimator.attribute_cpus_into(&record.input, &mut per_cpu_w);
+        estimator.attribute_cpus(&record.input, &mut per_cpu_w);
         busiest_cpu_w = busiest_cpu_w.max(per_cpu_w.iter().cloned().fold(0.0, f64::max));
         let measured = record.measured.watts.total();
         let err = (est.total() - measured).abs() / measured * 100.0;

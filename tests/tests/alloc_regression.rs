@@ -2,8 +2,8 @@
 //!
 //! A counting `#[global_allocator]` (own test binary, so it observes
 //! everything) pins the buffer-reuse contract: once the machine's
-//! scratch buffers reach steady state, `Machine::tick_into` and
-//! `Machine::read_counters_into` must run without heap allocation —
+//! scratch buffers reach steady state, `Machine::tick` and
+//! `Machine::read_counters` must run without heap allocation —
 //! and a whole fleet estimation window
 //! (`tdp_fleet::FleetEstimator`) or closed-loop controller window
 //! (ingest, estimate, `tdp_fleet::AnomalyDetector`, grants) must
@@ -17,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tdp_simsys::behavior::spin_loop_behavior;
-use tdp_simsys::{Machine, MachineConfig, TickActivity};
+use tdp_simsys::{Machine, MachineConfig};
 
 struct CountingAllocator;
 
@@ -68,27 +68,34 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 
 /// A machine running four busy compute threads, ticked past warm-up so
 /// every internal scratch buffer has reached its steady capacity.
-fn warmed_machine() -> (Machine, TickActivity) {
+fn warmed_machine() -> Machine {
     let mut machine = Machine::new(MachineConfig::default());
     for cpu in 0..4 {
         machine
             .os_mut()
             .spawn(Box::new(spin_loop_behavior(1.5)), cpu);
     }
-    let mut activity = TickActivity::empty();
     for _ in 0..5_000 {
-        machine.tick_into(&mut activity);
+        machine.tick();
     }
-    (machine, activity)
+    machine
+}
+
+/// Ticks `machine` through one 100 ms window and reads its counters.
+fn sample_window(machine: &mut Machine) -> &tdp_counters::SampleSet {
+    for _ in 0..100 {
+        machine.tick();
+    }
+    machine.read_counters()
 }
 
 #[test]
-fn steady_state_tick_into_does_not_allocate() {
-    let (mut machine, mut activity) = warmed_machine();
+fn steady_state_tick_does_not_allocate() {
+    let mut machine = warmed_machine();
     const TICKS: u64 = 10_000;
     let delta = allocations_in(|| {
         for _ in 0..TICKS {
-            machine.tick_into(&mut activity);
+            machine.tick();
         }
     });
     // The contract is zero steady-state allocations; a tiny budget
@@ -96,7 +103,7 @@ fn steady_state_tick_into_does_not_allocate() {
     // capacity threshold mid-measurement.
     assert!(
         delta <= 8,
-        "tick_into allocated {delta} times over {TICKS} ticks \
+        "tick allocated {delta} times over {TICKS} ticks \
          ({} per 1000 ticks) — hot-path regression",
         delta as f64 * 1000.0 / TICKS as f64
     );
@@ -104,28 +111,21 @@ fn steady_state_tick_into_does_not_allocate() {
 
 #[test]
 fn steady_state_counter_reads_do_not_allocate() {
-    let (mut machine, mut activity) = warmed_machine();
-    let mut set = tdp_counters::SampleSet::empty();
-    // Prime the sample-set buffers (the first fill sizes the layout and
+    let mut machine = warmed_machine();
+    // Prime the machine's sample set (the first fill sizes the layout and
     // the count block).
     for _ in 0..3 {
-        for _ in 0..100 {
-            machine.tick_into(&mut activity);
-        }
-        machine.read_counters_into(&mut set);
+        sample_window(&mut machine);
     }
     let delta = allocations_in(|| {
         for _ in 0..50 {
-            for _ in 0..100 {
-                machine.tick_into(&mut activity);
-            }
-            machine.read_counters_into(&mut set);
+            sample_window(&mut machine);
         }
     });
     assert!(
         delta <= 8,
         "50 sampling windows allocated {delta} times — \
-         read_counters_into regression"
+         read_counters regression"
     );
 }
 
@@ -136,12 +136,8 @@ fn steady_state_fleet_window_does_not_allocate() {
     // `begin_window`, one `push_sample_set` per machine and one
     // `estimate` must not touch the heap.
     const MACHINES: usize = 64;
-    let (mut machine, mut activity) = warmed_machine();
-    let mut set = tdp_counters::SampleSet::empty();
-    for _ in 0..100 {
-        machine.tick_into(&mut activity);
-    }
-    machine.read_counters_into(&mut set);
+    let mut machine = warmed_machine();
+    let set = sample_window(&mut machine);
 
     let mut fleet =
         tdp_fleet::FleetEstimator::with_capacity(trickledown::SystemPowerModel::paper(), MACHINES);
@@ -149,7 +145,7 @@ fn steady_state_fleet_window_does_not_allocate() {
     for _ in 0..3 {
         fleet.begin_window();
         for _ in 0..MACHINES {
-            fleet.push_sample_set(&set);
+            fleet.push_sample_set(set);
         }
         fleet.estimate();
     }
@@ -158,7 +154,7 @@ fn steady_state_fleet_window_does_not_allocate() {
         for _ in 0..50 {
             fleet.begin_window();
             for _ in 0..MACHINES {
-                fleet.push_sample_set(&set);
+                fleet.push_sample_set(set);
             }
             std::hint::black_box(fleet.estimate().fleet_total());
         }
@@ -230,12 +226,8 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
     // The fused planar wire path carries the same contract as the
     // in-memory fleet window. (The producer's own contract is a later
     // test.)
-    let (mut machine, mut activity) = warmed_machine();
-    let mut set = tdp_counters::SampleSet::empty();
-    for _ in 0..100 {
-        machine.tick_into(&mut activity);
-    }
-    machine.read_counters_into(&mut set);
+    let mut machine = warmed_machine();
+    let set = sample_window(&mut machine).clone();
     assert_fused_ingest_allocation_free(&mut [set], 64);
 }
 
@@ -245,12 +237,8 @@ fn steady_state_mixed_width_planar_ingest_does_not_allocate() {
     // machine switching width from one window to the next: the row-lane
     // buffer changes geometry on almost every frame, but once it has
     // held a 32-CPU frame every resize stays inside its capacity.
-    let (mut machine, mut activity) = warmed_machine();
-    let mut narrow = tdp_counters::SampleSet::empty();
-    for _ in 0..100 {
-        machine.tick_into(&mut activity);
-    }
-    machine.read_counters_into(&mut narrow);
+    let mut machine = warmed_machine();
+    let narrow = sample_window(&mut machine).clone();
     let mut cfg = MachineConfig::default();
     cfg.cpu.num_cpus = 32;
     let mut wide_machine = Machine::new(cfg);
@@ -259,10 +247,7 @@ fn steady_state_mixed_width_planar_ingest_does_not_allocate() {
             .os_mut()
             .spawn(Box::new(spin_loop_behavior(1.5)), cpu);
     }
-    for _ in 0..100 {
-        wide_machine.tick();
-    }
-    let wide = wide_machine.read_counters();
+    let wide = sample_window(&mut wide_machine).clone();
     assert_eq!(wide.num_cpus(), 32);
     assert_fused_ingest_allocation_free(&mut [narrow, wide], 64);
 }
@@ -275,12 +260,8 @@ fn steady_state_producer_window_allocates_only_the_output_buffer() {
     // as the output buffer `take_bytes` handed away regrows — a
     // doubling handful, never one allocation per frame.
     const MACHINES: usize = 64;
-    let (mut machine, mut activity) = warmed_machine();
-    let mut set = tdp_counters::SampleSet::empty();
-    for _ in 0..100 {
-        machine.tick_into(&mut activity);
-    }
-    machine.read_counters_into(&mut set);
+    let mut machine = warmed_machine();
+    let mut set = sample_window(&mut machine).clone();
 
     let mut enc = tdp_wire::WireEncoder::new();
     set.seq = 1;
@@ -319,14 +300,9 @@ fn steady_state_closed_loop_window_does_not_allocate() {
     // back to the encoder. Encoding sits outside the measured stretch;
     // the producer has its own contract above.
     const MACHINES: usize = 256;
-    let (mut machine, mut activity) = warmed_machine();
+    let mut machine = warmed_machine();
     let sets: Vec<tdp_counters::SampleSet> = (0..4)
-        .map(|_| {
-            for _ in 0..100 {
-                machine.tick_into(&mut activity);
-            }
-            machine.read_counters()
-        })
+        .map(|_| sample_window(&mut machine).clone())
         .collect();
 
     let mut enc = tdp_wire::WireEncoder::new();
@@ -368,21 +344,5 @@ fn steady_state_closed_loop_window_does_not_allocate() {
                  allocation-free in the steady state"
             );
         }
-    }
-}
-
-#[test]
-fn allocating_tick_wrapper_still_works() {
-    // The compatibility wrapper allocates per call by design; assert it
-    // produces the same activity as the in-place path on a twin machine,
-    // and that the counter sees the wrapper's own allocations.
-    let (mut a, mut buf) = warmed_machine();
-    let (mut b, _) = warmed_machine();
-    for _ in 0..100 {
-        a.tick_into(&mut buf);
-        let mut owned = None;
-        let delta = allocations_in(|| owned = Some(b.tick()));
-        assert!(delta > 0, "the allocating wrapper must be counted");
-        assert_eq!(Some(&buf), owned.as_ref());
     }
 }
