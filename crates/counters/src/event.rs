@@ -179,11 +179,12 @@ impl fmt::Display for PerfEvent {
 /// 64-bit FNV-1a hash of an *ordered* event list, over each event's
 /// stable [`PerfEvent::index`] plus the list length.
 ///
-/// This is the layout identity used on the telemetry wire (`tdp-wire`):
-/// two counter layouts hash equal iff they list the same events in the
-/// same order, so a decoder can key its memoized column mapping on the
-/// hash alone. The hash is stable across processes and architectures
-/// (it depends only on declaration order, which `ALL` pins).
+/// The wire encoder (`tdp-wire`) keys each machine's announced layout
+/// on it: two counter layouts hash equal iff they list the same events
+/// in the same order (up to a 64-bit collision), so a change of
+/// programming is one integer comparison. The hash is stable across
+/// processes and architectures (it depends only on declaration order,
+/// which `ALL` pins).
 ///
 /// # Example
 ///
@@ -196,26 +197,14 @@ impl fmt::Display for PerfEvent {
 /// assert_eq!(layout_hash(&a), layout_hash(&a.to_vec()));
 /// ```
 pub fn layout_hash(events: &[PerfEvent]) -> u64 {
-    layout_hash_indices(events.iter().map(|e| e.index() as u64))
-}
-
-/// [`layout_hash`] over raw event *indices* instead of [`PerfEvent`]s.
-///
-/// This is the form a wire decoder uses to verify a layout frame: the
-/// frame carries indices, some of which may be unknown to this build
-/// (a newer producer), yet the hash must still be checkable.
-pub fn layout_hash_indices(indices: impl IntoIterator<Item = u64>) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut len = 0u64;
-    for i in indices {
-        h = (h ^ i).wrapping_mul(FNV_PRIME);
-        len += 1;
-    }
+    let h = events.iter().fold(FNV_OFFSET, |h, e| {
+        (h ^ e.index() as u64).wrapping_mul(FNV_PRIME)
+    });
     // Fold the length in so a truncated list never aliases its prefix
     // (FNV of a prefix is a valid intermediate state of the full list).
-    (h ^ len).wrapping_mul(FNV_PRIME)
+    (h ^ events.len() as u64).wrapping_mul(FNV_PRIME)
 }
 
 /// A set of [`PerfEvent`]s, represented as a bitmask for cheap copying.
@@ -275,12 +264,6 @@ impl EventSet {
     /// Iterates over the members in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = PerfEvent> + '_ {
         PerfEvent::ALL.iter().copied().filter(|e| self.contains(*e))
-    }
-
-    /// [`layout_hash`] of this set's members in declaration order — the
-    /// wire identity of a counter bank programmed from this set.
-    pub fn layout_hash(&self) -> u64 {
-        layout_hash_indices(self.iter().map(|e| e.index() as u64))
     }
 }
 
@@ -395,29 +378,6 @@ mod tests {
         assert_ne!(layout_hash(&base), layout_hash(&extended));
         assert_ne!(layout_hash(&base), layout_hash(&base[..2]));
         assert_ne!(layout_hash(&[]), layout_hash(&base));
-    }
-
-    #[test]
-    fn event_set_layout_hash_matches_declaration_order_list() {
-        let s: EventSet = [
-            PerfEvent::TlbMisses,
-            PerfEvent::Cycles,
-            PerfEvent::DiskInterrupts,
-        ]
-        .into_iter()
-        .collect();
-        let ordered: Vec<PerfEvent> = s.iter().collect();
-        assert_eq!(s.layout_hash(), layout_hash(&ordered));
-        // Insertion order is irrelevant: the set iterates (and hashes)
-        // in declaration order.
-        let t: EventSet = [
-            PerfEvent::DiskInterrupts,
-            PerfEvent::TlbMisses,
-            PerfEvent::Cycles,
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(s.layout_hash(), t.layout_hash());
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod subsystem;
 mod sync;
 
 pub use bank::{CounterBank, ProgramError, MAX_HARDWARE_COUNTERS};
-pub use event::{layout_hash, layout_hash_indices, EventProvenance, EventSet, PerfEvent};
+pub use event::{layout_hash, EventProvenance, EventSet, PerfEvent};
 pub use interrupts::{InterruptAccounting, InterruptSnapshot, InterruptSource, InterruptVector};
 pub use sampler::{CpuId, SampleSet, SamplerConfig, SamplingDriver};
 pub use subsystem::Subsystem;

@@ -11,10 +11,10 @@
 //!
 //! Each fault kind is engineered to damage **only its target**:
 //!
-//! * [`BitFlip`](FaultKind::BitFlip) touches byte 8 onward of a frame
-//!   (never magic/version/type/length), so framing survives and the
-//!   checksum — which detects every single-bit flip — rejects exactly
-//!   one frame;
+//! * [`BitFlip`](FaultKind::BitFlip) touches a byte past the framing
+//!   prefix (never magic, version/type or length), so framing survives
+//!   and the checksum — which detects every single-bit flip — rejects
+//!   exactly one frame;
 //! * [`GarbageInsert`](FaultKind::GarbageInsert) bytes exclude the
 //!   first magic byte, so the decoder resynchronises at precisely the
 //!   next real frame, and two runs never have only a
@@ -32,24 +32,26 @@
 //! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 
 use crate::decode::{CursorItem, FrameCursor};
-use crate::frame::{FrameHeader, FrameType, HEADER_LEN};
+use crate::frame::{write_frame, BodyHead, FrameHeader, FrameType};
 use std::collections::BTreeSet;
 
 /// One way a stream can be damaged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Flip one bit in a frame (header byte ≥ 8 or payload): the frame
-    /// checksums wrong and is rejected; framing is untouched.
+    /// Flip one bit in a frame past its framing prefix (checksum or
+    /// body): the frame checksums wrong and is rejected; framing is
+    /// untouched.
     BitFlip,
     /// Remove one frame entirely: its machine falls silent this
     /// window.
     DropFrame,
     /// Replace a sample payload with an all-ones counter pattern
-    /// (every event = 1, cycles = 1): the frame checksums *correctly*
-    /// but describes impossible rates, exercising quarantine.
+    /// (every event = 1, cycles = 1) over the frame's own event count:
+    /// the frame checksums *correctly* but describes impossible rates,
+    /// exercising quarantine.
     RateSpike,
-    /// Rewrite `window_seq` to 0 (checksum recomputed): a machine
-    /// reboot / counter reset as seen on the wire.
+    /// Re-encode the frame with `window_seq` 0: a machine reboot /
+    /// counter reset as seen on the wire.
     SeqReset,
     /// Deliver one frame twice back to back.
     DuplicateFrame,
@@ -114,11 +116,30 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// One frame (or pass-through byte run) of the window being damaged.
 struct Seg {
     bytes: Vec<u8>,
-    header: Option<FrameHeader>,
+    /// The frame's type and machine (`None` for a pass-through run).
+    frame: Option<(FrameType, u64)>,
     dropped: bool,
     duplicated: bool,
     /// Bytes to cut from the end of this segment (tail truncation).
     cut: usize,
+}
+
+impl Seg {
+    fn is_sample(&self) -> bool {
+        self.frame.is_some_and(|(t, _)| t == FrameType::Sample)
+    }
+
+    fn machine(&self) -> Option<u64> {
+        self.frame.map(|(_, m)| m)
+    }
+}
+
+/// The header, body head and payload of one frame whose body head was
+/// read when the window was decomposed.
+fn parts(frame: &[u8]) -> (FrameHeader, BodyHead, &[u8]) {
+    let header = FrameHeader::parse(frame).expect("a decomposed frame parses");
+    let (head, payload) = BodyHead::read(&frame[header.header_len()..]).expect("a read body");
+    (header, head, payload)
 }
 
 impl FaultPlan {
@@ -139,17 +160,19 @@ impl FaultPlan {
         let mut rng = self
             .seed
             .wrapping_add(window.wrapping_mul(0xa076_1d64_78bd_642f));
-        // Decompose the clean stream into frames (resync runs in a
-        // *clean* stream would be an encoder bug; passed through).
+        // Decompose the clean stream into frames (resync runs or
+        // unreadable bodies in a *clean* stream would be an encoder
+        // bug; passed through).
         let mut segs: Vec<Seg> = Vec::new();
         let mut pos = 0usize;
         for item in FrameCursor::new(clean) {
             match item {
                 CursorItem::Frame { start, header } => {
-                    let end = start + HEADER_LEN + header.payload_len as usize;
+                    let end = start + header.frame_len();
+                    let head = BodyHead::read(&clean[start + header.header_len()..end]);
                     segs.push(Seg {
                         bytes: clean[start..end].to_vec(),
-                        header: Some(header),
+                        frame: head.map(|(h, _)| (header.frame_type, h.machine_id)),
                         dropped: false,
                         duplicated: false,
                         cut: 0,
@@ -159,7 +182,7 @@ impl FaultPlan {
                 CursorItem::Resync { skipped } => {
                     segs.push(Seg {
                         bytes: clean[pos..pos + skipped].to_vec(),
-                        header: None,
+                        frame: None,
                         dropped: false,
                         duplicated: false,
                         cut: 0,
@@ -200,10 +223,7 @@ impl FaultPlan {
             let candidates: Vec<usize> = segs
                 .iter()
                 .enumerate()
-                .filter(|(i, s)| {
-                    !targets.contains(i)
-                        && s.header.is_some_and(|h| h.frame_type == FrameType::Sample)
-                })
+                .filter(|(i, s)| !targets.contains(i) && s.is_sample())
                 .map(|(i, _)| i)
                 .collect();
             if candidates.is_empty() {
@@ -221,14 +241,15 @@ impl FaultPlan {
                         continue;
                     };
                     let seg = &mut segs[i];
-                    // Byte 8 onward: past magic/version/type/length,
-                    // so framing survives; the checksum catches every
-                    // single-bit flip of what remains.
-                    let span = seg.bytes.len() - 8;
-                    let byte = 8 + (splitmix64(&mut rng) % span as u64) as usize;
+                    // Past magic, version/type and length, so framing
+                    // survives; the checksum catches every single-bit
+                    // flip of what remains.
+                    let prefix = usize::from(parts(&seg.bytes).0.prefix_len);
+                    let span = seg.bytes.len() - prefix;
+                    let byte = prefix + (splitmix64(&mut rng) % span as u64) as usize;
                     let bit = (splitmix64(&mut rng) % 8) as u8;
                     seg.bytes[byte] ^= 1 << bit;
-                    let machine = seg.header.map(|h| h.machine_id);
+                    let machine = seg.machine();
                     targets.insert(i);
                     out.affected.extend(machine);
                     out.injected.push(InjectedFault { kind, machine });
@@ -241,7 +262,7 @@ impl FaultPlan {
                         continue;
                     }
                     segs[i].dropped = true;
-                    let machine = segs[i].header.map(|h| h.machine_id);
+                    let machine = segs[i].machine();
                     targets.insert(i);
                     out.affected.extend(machine);
                     out.injected.push(InjectedFault { kind, machine });
@@ -251,23 +272,20 @@ impl FaultPlan {
                         continue;
                     };
                     let seg = &mut segs[i];
-                    let mut h = seg.header.expect("sample target has a header");
                     // All-ones counters: CPU 0 carries raw value 1 for
                     // every event at one byte, and every delta plane is
                     // zero, so each later CPU repeats it. Checksums
                     // correctly — the *producer* is insane, not the
                     // wire.
-                    let n_events = h.n_events as usize;
-                    let mut payload = vec![0x40u8; n_events];
-                    payload.extend(std::iter::repeat_n(0x01u8, n_events));
-                    h.payload_len = payload.len() as u32;
-                    h.checksum = h.expected_checksum(&payload);
-                    seg.bytes.truncate(0);
-                    seg.bytes.resize(HEADER_LEN, 0);
-                    h.write(&mut seg.bytes);
-                    seg.bytes.extend_from_slice(&payload);
-                    seg.header = Some(h);
-                    let machine = Some(h.machine_id);
+                    let (_, head, _) = parts(&seg.bytes);
+                    let n_events = usize::from(head.n_events);
+                    let mut spiked = Vec::new();
+                    write_frame(&mut spiked, FrameType::Sample, &head, |b| {
+                        b.resize(b.len() + n_events, 0x40);
+                        b.resize(b.len() + n_events, 0x01);
+                    });
+                    seg.bytes = spiked;
+                    let machine = Some(head.machine_id);
                     targets.insert(i);
                     out.affected.extend(machine);
                     out.injected.push(InjectedFault { kind, machine });
@@ -277,17 +295,23 @@ impl FaultPlan {
                         continue;
                     };
                     let seg = &mut segs[i];
-                    let mut h = seg.header.expect("sample target has a header");
-                    h.window_seq = 0;
-                    let payload = &seg.bytes[HEADER_LEN..];
-                    h.checksum = h.expected_checksum(payload);
-                    h.write(&mut seg.bytes[..HEADER_LEN]);
-                    seg.header = Some(h);
+                    // A zero sequence is a shorter varint, so the frame
+                    // is written anew around the same payload.
+                    let (_, head, payload) = parts(&seg.bytes);
+                    let reset = BodyHead {
+                        window_seq: 0,
+                        ..head
+                    };
+                    let mut bytes = Vec::new();
+                    write_frame(&mut bytes, FrameType::Sample, &reset, |b| {
+                        b.extend_from_slice(payload)
+                    });
+                    seg.bytes = bytes;
                     // The row itself is intact, but a second reset in
                     // a later window collides with the re-baselined
                     // sequence and gets treated as a duplicate — so
                     // the machine is conservatively marked affected.
-                    let machine = Some(h.machine_id);
+                    let machine = Some(head.machine_id);
                     targets.insert(i);
                     out.affected.extend(machine);
                     out.injected.push(InjectedFault { kind, machine });
@@ -297,7 +321,7 @@ impl FaultPlan {
                         continue;
                     };
                     segs[i].duplicated = true;
-                    let machine = segs[i].header.map(|h| h.machine_id);
+                    let machine = segs[i].machine();
                     targets.insert(i);
                     out.injected.push(InjectedFault { kind, machine });
                 }
@@ -346,11 +370,11 @@ impl FaultPlan {
                         .filter(|&i| {
                             !targets.contains(&i)
                                 && !targets.contains(&(i + 1))
-                                && match (&segs[i].header, &segs[i + 1].header) {
+                                && match (segs[i].frame, segs[i + 1].frame) {
                                     (Some(a), Some(b)) => {
-                                        a.frame_type == FrameType::Sample
-                                            && b.frame_type == FrameType::Sample
-                                            && a.machine_id != b.machine_id
+                                        a.0 == FrameType::Sample
+                                            && b.0 == FrameType::Sample
+                                            && a.1 != b.1
                                     }
                                     _ => false,
                                 }
@@ -360,7 +384,7 @@ impl FaultPlan {
                         continue;
                     }
                     let i = pairs[(splitmix64(&mut rng) % pairs.len() as u64) as usize];
-                    let machine = segs[i].header.map(|h| h.machine_id);
+                    let machine = segs[i].machine();
                     segs.swap(i, i + 1);
                     targets.insert(i);
                     targets.insert(i + 1);
@@ -368,10 +392,7 @@ impl FaultPlan {
                 }
                 FaultKind::TruncateTail => {
                     let i = segs.len() - 1;
-                    let is_sample = segs[i]
-                        .header
-                        .is_some_and(|h| h.frame_type == FrameType::Sample);
-                    if targets.contains(&i) || !is_sample || segs[i].bytes.len() < 3 {
+                    if targets.contains(&i) || !segs[i].is_sample() || segs[i].bytes.len() < 3 {
                         continue;
                     }
                     // Cut 1..len-1 bytes: the damaged tail stays on
@@ -379,7 +400,7 @@ impl FaultPlan {
                     // it, not merely miss it.
                     let span = segs[i].bytes.len() - 2;
                     segs[i].cut = 1 + (splitmix64(&mut rng) % span as u64) as usize;
-                    let machine = segs[i].header.map(|h| h.machine_id);
+                    let machine = segs[i].machine();
                     targets.insert(i);
                     out.affected.extend(machine);
                     out.injected.push(InjectedFault { kind, machine });

@@ -1,85 +1,99 @@
-//! The frame format: fixed little-endian header, one layout payload,
-//! one sample payload, and a mix-based 64-bit frame checksum.
+//! The frame format: a framing prefix, a mix-based 64-bit checksum, and
+//! a body of varint fields and one payload.
 //!
-//! A wire stream is a concatenation of frames. Each frame is a 44-byte
-//! header followed by `payload_len` payload bytes:
+//! A wire stream is a concatenation of frames:
 //!
 //! ```text
-//! offset  size  field
-//!      0     2  magic        0x5754 ("TW" little-endian)
-//!      2     1  version      2
-//!      3     1  frame type   0 = layout, 1 = sample
-//!      4     4  payload_len  bytes following the header
-//!      8     8  machine_id
-//!     16     8  window_seq   sampling-window sequence number
-//!     24     8  layout_hash  tdp_counters::layout_hash of the event list
-//!     32     2  cpu_count    CPUs (sample) or decimation (layout)
-//!     34     2  n_events     events per CPU in this layout
-//!     36     8  checksum     see [`FrameHeader::expected_checksum`]
+//! size  field
+//!    2  magic         0x5754 ("TW" little-endian)
+//!    1  version/type  VERSION << 4 | frame type (0 = layout, 1 = sample)
+//!  1–5  body_len      LEB128: body bytes after the checksum
+//!    8  checksum      see [`FrameHeader::expected_checksum`]
+//! ── body ──
+//! 1–10  machine_id    LEB128
+//! 1–10  window_seq    LEB128: sampling-window sequence number
+//!    1  epoch         the machine's layout epoch
+//!    1  n_events      events per CPU in the layout
+//!    …  payload       by frame type (below)
 //! ```
 //!
-//! A **layout frame** declares a PMU event layout: its payload is
-//! `n_events` LEB128 varints of stable event indices
-//! ([`PerfEvent::index`]), and `layout_hash` is their
-//! [`layout_hash_indices`] — a decoder verifies the two agree before
-//! trusting either. Layout frames have no CPUs to describe, so their
-//! `cpu_count` field carries the machine's negotiated **sampling
-//! decimation** instead: `0` or `1` means every window is transmitted,
-//! `N > 1` means the machine sends one window in `N` and expects the
-//! consumer to hold-reconstruct the rest (capped at
-//! [`MAX_DECIMATION`]; the field is checksummed like any other).
+//! Magic, version/type and `body_len` are the **framing prefix**: they
+//! fix where the frame ends, and no byte after them can move that
+//! boundary. A sample frame of a 4-CPU fleet machine has a 17-byte
+//! header and body head (1–2 bytes each of length, id and sequence).
+//!
+//! A **layout frame** carries the machine's static attributes, the
+//! fields that do not change from window to window: its payload is the
+//! CPU count, the negotiated sampling **decimation** (`1` = every
+//! window is transmitted, `N > 1` = one window in `N`, the consumer
+//! reconstructing the rest; at most [`MAX_DECIMATION`]) and `n_events`
+//! stable event indices ([`PerfEvent::index`]), all LEB128. Its
+//! `epoch` names that layout for the machine's sample frames: the
+//! producer moves to the next epoch (wrapping at 256) whenever the
+//! events or the CPU count change, and keeps it when only the
+//! decimation is re-announced. A decoder binds each machine to the
+//! layout of its last layout frame and decodes a sample frame only when
+//! the epochs agree.
 //!
 //! A **sample frame** carries one machine's window of raw counts for
-//! at most [`MAX_WIRE_CPUS`] CPUs in the payload of [`crate::planar`]:
-//! a one-byte code per event, CPU 0's counts, then one plane of
-//! CPU-over-CPU zigzag deltas per event, each stored dense at a fixed
-//! width, as a bitmap plus its nonzero lanes, or not at all when every
-//! delta is zero (fleet siblings count nearly alike, so most lanes are).
+//! the CPUs its layout declares, at most [`MAX_WIRE_CPUS`], in the
+//! payload of [`crate::planar`]: a one-byte code per event, CPU 0's
+//! counts, then one plane of CPU-over-CPU zigzag deltas per event, each
+//! stored dense at a fixed width, as a bitmap plus its nonzero lanes,
+//! or not at all when every delta is zero (fleet siblings count nearly
+//! alike, so most lanes are).
 //!
-//! The checksum mixes every header field (except the checksum itself)
-//! and every payload word through a chain of bijective steps
-//! (`rotate ⊕ mul-odd`), so **any single-bit corruption of a stored
-//! frame changes the expected checksum** — each step is invertible in
-//! both its state and its input word, so a difference introduced at any
-//! step survives to the final state. Magic and version are excluded
-//! only because their flips are caught by their own equality checks
-//! before the checksum is ever consulted.
+//! The checksum mixes the frame type, `body_len` and every body byte
+//! through a chain of bijective steps (`rotate ⊕ mul-odd`), so **any
+//! single-bit corruption of a body changes the expected checksum** —
+//! each step is invertible in both its state and its input word, so a
+//! difference introduced at any step survives to the final state. The
+//! checksum sits before the body at a position the prefix fixes, so a
+//! decoder verifies it before it parses a single body field. Magic and
+//! version are excluded only because their flips are caught by their
+//! own equality checks before the checksum is ever consulted.
 //!
 //! [`PerfEvent::index`]: tdp_counters::PerfEvent::index
-//! [`layout_hash_indices`]: tdp_counters::layout_hash_indices
+
+use crate::varint::{put_uvarint, read_uvarint, uvarint_bytes};
 
 /// First two header bytes, `"TW"` read as a little-endian `u16`.
 pub const MAGIC: u16 = 0x5754;
 
-/// Current (only) format version. Version 1 streams, whose sample
-/// frames came in two payloads, are refused as [`HeaderError::BadVersion`].
-pub const VERSION: u8 = 2;
+/// Current (only) format version, the high nibble of the third byte.
+/// Streams of earlier versions — whose frames had a fixed 44-byte
+/// header carrying a layout hash — are refused as
+/// [`HeaderError::BadVersion`].
+pub const VERSION: u8 = 3;
 
-/// Fixed header size in bytes.
-pub const HEADER_LEN: usize = 44;
+/// Stored checksum bytes, following the framing prefix.
+pub const CHECKSUM_LEN: usize = 8;
+
+/// Longest `body_len` varint: five LEB128 bytes hold a `u32`.
+const MAX_LEN_BYTES: usize = 5;
 
 /// Upper bound on `n_events` a decoder will size scratch buffers for.
 /// Generous versus [`tdp_counters::PerfEvent::count`] (18 today) to
-/// leave room for newer producers, tight enough that a corrupt header
+/// leave room for newer producers, tight enough that a corrupt frame
 /// cannot request an absurd allocation.
 pub const MAX_WIRE_EVENTS: usize = 64;
 
-/// Largest per-machine sampling decimation a layout frame may declare
-/// (its `cpu_count` field; see the [module docs](self)). Sending one
-/// window in 1024 is already far past useful reconstruction; anything
-/// larger in the field is treated as a malformed frame.
+/// Largest per-machine sampling decimation a layout frame may declare.
+/// Sending one window in 1024 is already far past useful
+/// reconstruction; anything larger is treated as a malformed frame.
 pub const MAX_DECIMATION: u16 = 1024;
 
-/// Most CPUs a sample frame may carry. A zero delta plane stores no
-/// bytes, so the payload length does not bound the lane buffer a
-/// header's 16-bit `cpu_count` asks for: the decoder refuses a larger
-/// count before sizing anything, and the encoder refuses to write one.
+/// Most CPUs a layout may declare. A zero delta plane stores no bytes,
+/// so the payload length does not bound the lane buffer a CPU count
+/// asks for: the decoder refuses a larger count before sizing
+/// anything, and the encoder refuses to write one.
 pub const MAX_WIRE_CPUS: usize = 1024;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameType {
-    /// Declares an event layout (payload: `n_events` event indices).
+    /// Declares a machine's layout (payload: CPU count, decimation and
+    /// `n_events` event indices).
     Layout,
     /// One machine-window of counts (payload: see [`crate::planar`]).
     Sample,
@@ -102,25 +116,18 @@ impl FrameType {
     }
 }
 
-/// A parsed frame header (all fields host-endian).
+/// A parsed frame header: the framing prefix and the stored checksum.
+/// The body's fields are read by [`BodyHead::read`] once the checksum
+/// holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
     /// What the payload contains.
     pub frame_type: FrameType,
-    /// Payload bytes following the header.
-    pub payload_len: u32,
-    /// Which machine this frame describes.
-    pub machine_id: u64,
-    /// Sampling-window sequence number.
-    pub window_seq: u64,
-    /// Identity of the event layout the payload is encoded against.
-    pub layout_hash: u64,
-    /// CPUs in a sample frame. Layout frames have no CPUs; the field
-    /// carries the machine's negotiated sampling decimation there
-    /// (0 ⇒ 1, see the [module docs](self)).
-    pub cpu_count: u16,
-    /// Events per CPU in the layout.
-    pub n_events: u16,
+    /// Bytes of the framing prefix: magic, version/type and the
+    /// `body_len` varint (4 to 8).
+    pub prefix_len: u8,
+    /// Body bytes following the checksum.
+    pub body_len: u32,
     /// Stored frame checksum.
     pub checksum: u64,
 }
@@ -128,123 +135,185 @@ pub struct FrameHeader {
 /// Why a header failed to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeaderError {
-    /// Fewer than [`HEADER_LEN`] bytes available.
+    /// The buffer ends inside the header.
     Truncated,
     /// First two bytes are not [`MAGIC`].
     BadMagic,
     /// Unsupported [`VERSION`].
     BadVersion,
-    /// Unknown frame-type byte.
+    /// Unknown frame-type nibble.
     BadType,
+    /// A `body_len` varint longer than five bytes or past `u32`.
+    BadLength,
 }
 
 impl FrameHeader {
-    /// Parses the fixed header at the start of `buf`.
+    /// Parses the header at the start of `buf`.
     ///
     /// # Errors
     ///
-    /// Returns a [`HeaderError`] when `buf` is too short or the
-    /// magic/version/type bytes are wrong. Checksum verification is
-    /// separate ([`verify`](Self::verify)) because skip-scanning
-    /// decoders read headers without touching payloads.
+    /// Returns a [`HeaderError`] when `buf` ends inside the header or
+    /// the magic, version/type or length bytes are wrong. Checksum
+    /// verification is separate ([`verify`](Self::verify)) because
+    /// skip-scanning decoders read headers without touching bodies.
     pub fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
-        if buf.len() < HEADER_LEN {
+        if buf.len() < 3 {
             return Err(HeaderError::Truncated);
         }
-        let u16_at = |o: usize| u16::from_le_bytes([buf[o], buf[o + 1]]);
-        let u32_at = |o: usize| u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]);
-        let u64_at = |o: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&buf[o..o + 8]);
-            u64::from_le_bytes(b)
-        };
-        if u16_at(0) != MAGIC {
+        if u16::from_le_bytes([buf[0], buf[1]]) != MAGIC {
             return Err(HeaderError::BadMagic);
         }
-        if buf[2] != VERSION {
+        if buf[2] >> 4 != VERSION {
             return Err(HeaderError::BadVersion);
         }
-        let frame_type = FrameType::from_wire(buf[3]).ok_or(HeaderError::BadType)?;
+        let frame_type = FrameType::from_wire(buf[2] & 0x0f).ok_or(HeaderError::BadType)?;
+        let mut prefix_len = 3;
+        let len_field = &buf[..buf.len().min(3 + MAX_LEN_BYTES)];
+        let body_len = match read_uvarint(len_field, &mut prefix_len) {
+            Some(v) if v <= u64::from(u32::MAX) => v,
+            None if len_field.len() < 3 + MAX_LEN_BYTES => return Err(HeaderError::Truncated),
+            _ => return Err(HeaderError::BadLength),
+        };
+        let stored = buf
+            .get(prefix_len..prefix_len + CHECKSUM_LEN)
+            .ok_or(HeaderError::Truncated)?;
         Ok(Self {
             frame_type,
-            payload_len: u32_at(4),
-            machine_id: u64_at(8),
-            window_seq: u64_at(16),
-            layout_hash: u64_at(24),
-            cpu_count: u16_at(32),
-            n_events: u16_at(34),
-            checksum: u64_at(36),
+            prefix_len: prefix_len as u8,
+            body_len: body_len as u32,
+            checksum: le_word(stored),
         })
     }
 
-    /// Serialises the header into exactly [`HEADER_LEN`] bytes at the
-    /// start of `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than [`HEADER_LEN`].
-    pub fn write(&self, out: &mut [u8]) {
-        out[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-        out[2] = VERSION;
-        out[3] = self.frame_type.to_wire();
-        out[4..8].copy_from_slice(&self.payload_len.to_le_bytes());
-        out[8..16].copy_from_slice(&self.machine_id.to_le_bytes());
-        out[16..24].copy_from_slice(&self.window_seq.to_le_bytes());
-        out[24..32].copy_from_slice(&self.layout_hash.to_le_bytes());
-        out[32..34].copy_from_slice(&self.cpu_count.to_le_bytes());
-        out[34..36].copy_from_slice(&self.n_events.to_le_bytes());
-        out[36..44].copy_from_slice(&self.checksum.to_le_bytes());
+    /// Header bytes before the body: the prefix and the checksum.
+    pub fn header_len(&self) -> usize {
+        usize::from(self.prefix_len) + CHECKSUM_LEN
     }
 
-    /// The checksum this header + payload *should* carry: the header
-    /// fields seed two mix lanes, then each 16-byte payload chunk feeds
-    /// its first word to lane 0 and its second to lane 1, the final
+    /// The whole frame's bytes: header and body.
+    pub fn frame_len(&self) -> usize {
+        self.header_len() + self.body_len as usize
+    }
+
+    /// The checksum this frame's `body` *should* carry: the frame type
+    /// and the body length seed lane 0, then each 16-byte body chunk
+    /// feeds its first word to lane 0 and its second to lane 1, the final
     /// partial chunk zero-padded per word, and the lanes fold into one.
-    ///
-    /// The seed splits the fields across the lanes, two mixes each, so
-    /// seeding is two multiply chains deep instead of five. Every field
-    /// keeps its own disjoint bit range within exactly one mix word (the
-    /// frame type xors into the lane-1 seed, a bijection of the seed),
-    /// so a single flipped header bit perturbs exactly one lane's state.
-    /// `payload_len` is mixed into the seed, so the zero padding cannot
-    /// alias a longer payload.
-    pub fn expected_checksum(&self, payload: &[u8]) -> u64 {
-        let geom =
-            self.payload_len as u64 | (self.cpu_count as u64) << 32 | (self.n_events as u64) << 48;
-        let mut h = mix(mix(SEED0, geom), self.window_seq);
-        let mut lane = mix(
-            mix(
-                SEED1 ^ (self.frame_type.to_wire() as u64) << 56,
-                self.machine_id,
-            ),
-            self.layout_hash,
-        );
-        let mut chunks = payload.chunks_exact(16);
-        for c in &mut chunks {
-            let (lo, hi) = c.split_at(8);
-            h = mix(h, le_word(lo));
-            lane = mix(lane, le_word(hi));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            h = mix(h, le_word(rem));
-        }
-        if rem.len() > 8 {
-            lane = mix(lane, le_word(&rem[8..]));
-        }
-        mix(h, lane)
+    /// The length is mixed into the seed, so the zero padding cannot
+    /// alias a longer body.
+    pub fn expected_checksum(&self, body: &[u8]) -> u64 {
+        checksum(self.frame_type, body)
     }
 
-    /// Whether the stored checksum matches the payload.
+    /// Whether the stored checksum matches the body.
     #[must_use]
-    pub fn verify(&self, payload: &[u8]) -> bool {
-        self.checksum == self.expected_checksum(payload)
+    pub fn verify(&self, body: &[u8]) -> bool {
+        self.checksum == self.expected_checksum(body)
     }
+}
+
+/// The fields every frame body opens with, before its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BodyHead {
+    /// Which machine this frame describes.
+    pub machine_id: u64,
+    /// Sampling-window sequence number.
+    pub window_seq: u64,
+    /// The machine's layout epoch: the one a layout frame declares, or
+    /// the one a sample frame is encoded against.
+    pub epoch: u8,
+    /// Events per CPU in the layout.
+    pub n_events: u8,
+}
+
+impl BodyHead {
+    /// Reads the head at the start of `body`, returning it and the
+    /// payload after it, or `None` if the body ends inside the head.
+    pub fn read(body: &[u8]) -> Option<(Self, &[u8])> {
+        let mut pos = 0;
+        let machine_id = read_uvarint(body, &mut pos)?;
+        let window_seq = read_uvarint(body, &mut pos)?;
+        let (&epoch, &n_events) = (body.get(pos)?, body.get(pos + 1)?);
+        let head = Self {
+            machine_id,
+            window_seq,
+            epoch,
+            n_events,
+        };
+        Some((head, &body[pos + 2..]))
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        put_uvarint(out, self.machine_id);
+        put_uvarint(out, self.window_seq);
+        out.extend_from_slice(&[self.epoch, self.n_events]);
+    }
+}
+
+/// Appends one frame of `frame_type`: its header, then a body of `head`
+/// and whatever `payload` appends.
+///
+/// # Panics
+///
+/// Panics if the body exceeds `u32::MAX` bytes, which no frame within
+/// [`MAX_WIRE_EVENTS`] and [`MAX_WIRE_CPUS`] approaches.
+pub fn write_frame(
+    out: &mut Vec<u8>,
+    frame_type: FrameType,
+    head: &BodyHead,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    // One length byte is reserved; a body of 128 bytes or more moves up
+    // to make room for the rest of its varint.
+    let start = out.len();
+    let body_start = start + 4 + CHECKSUM_LEN;
+    out.resize(body_start, 0);
+    head.write(out);
+    payload(out);
+    let body_len = out.len() - body_start;
+    assert!(
+        body_len <= u32::MAX as usize,
+        "a frame body fits the u32 length"
+    );
+    let (len, n) = uvarint_bytes(body_len as u64);
+    if n > 1 {
+        let end = out.len();
+        out.resize(end + n - 1, 0);
+        out.copy_within(body_start..end, body_start + n - 1);
+    }
+    let sum = checksum(frame_type, &out[body_start + n - 1..]);
+    let prefix = &mut out[start..start + 3 + n + CHECKSUM_LEN];
+    prefix[..2].copy_from_slice(&MAGIC.to_le_bytes());
+    prefix[2] = VERSION << 4 | frame_type.to_wire();
+    prefix[3..3 + n].copy_from_slice(&len[..n]);
+    prefix[3 + n..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The checksum of a frame of `frame_type` around `body` (see
+/// [`FrameHeader::expected_checksum`]).
+fn checksum(frame_type: FrameType, body: &[u8]) -> u64 {
+    let geom = body.len() as u64 | u64::from(frame_type.to_wire()) << 32;
+    let mut h = mix(SEED0, geom);
+    let mut lane = SEED1;
+    let mut chunks = body.chunks_exact(16);
+    for c in &mut chunks {
+        let (lo, hi) = c.split_at(8);
+        h = mix(h, le_word(lo));
+        lane = mix(lane, le_word(hi));
+    }
+    let rem = chunks.remainder();
+    if !rem.is_empty() {
+        h = mix(h, le_word(rem));
+    }
+    if rem.len() > 8 {
+        lane = mix(lane, le_word(&rem[8..]));
+    }
+    mix(h, lane)
 }
 
 // Odd multiplier (golden-ratio) and nothing-up-my-sleeve seeds
 // (π words). Each step `h = rotl(h) ⊕ w  ·  K` is a bijection
-// of `h` for fixed `w` and of `w` for fixed `h`. Payload words
+// of `h` for fixed `w` and of `w` for fixed `h`. Body words
 // feed two independent lanes (even words → lane 0, odd → lane
 // 1) so the multiply chains overlap instead of serialising;
 // a flipped bit perturbs exactly one lane's state, and the
@@ -274,79 +343,127 @@ fn le_word(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    fn header() -> FrameHeader {
-        FrameHeader {
-            frame_type: FrameType::Sample,
-            payload_len: 5,
+    fn head() -> BodyHead {
+        BodyHead {
             machine_id: 0x0123_4567_89ab_cdef,
             window_seq: 42,
-            layout_hash: 0xdead_beef_cafe_f00d,
-            cpu_count: 4,
+            epoch: 7,
             n_events: 9,
-            checksum: 0,
         }
+    }
+
+    /// One frame of `frame_type` around `head` and `payload`.
+    fn frame(frame_type: FrameType, head: &BodyHead, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, frame_type, head, |b| b.extend_from_slice(payload));
+        out
     }
 
     #[test]
     fn header_roundtrips() {
-        let mut h = header();
-        h.checksum = h.expected_checksum(b"hello");
-        let mut buf = [0u8; HEADER_LEN];
-        h.write(&mut buf);
-        assert_eq!(FrameHeader::parse(&buf), Ok(h));
+        // A one-byte and a two-byte length varint, and the smallest
+        // head: every field reads back and the checksum holds.
+        let small = BodyHead {
+            machine_id: 3,
+            window_seq: 16,
+            epoch: 0,
+            n_events: 9,
+        };
+        for (h, payload, prefix_len) in [
+            (head(), &b"hello"[..], 4),
+            (head(), &[0xa5; 300][..], 5),
+            (small, &[0x5a; 67][..], 4),
+        ] {
+            for frame_type in [FrameType::Layout, FrameType::Sample] {
+                let buf = frame(frame_type, &h, payload);
+                let header = FrameHeader::parse(&buf).unwrap();
+                assert_eq!(header.frame_type, frame_type);
+                assert_eq!(usize::from(header.prefix_len), prefix_len);
+                assert_eq!(header.frame_len(), buf.len());
+                let body = &buf[header.header_len()..];
+                assert!(header.verify(body));
+                assert_eq!(BodyHead::read(body), Some((h, payload)));
+            }
+        }
+        // 16 header and head bytes around a one-byte id and sequence
+        // (17 for a machine id past 127).
+        let buf = frame(FrameType::Sample, &small, &[0x5a; 67]);
+        assert_eq!(buf.len() - 67, 16);
     }
 
     #[test]
     fn parse_rejects_bad_prefixes() {
-        let mut buf = [0u8; HEADER_LEN];
-        header().write(&mut buf);
-        assert_eq!(FrameHeader::parse(&buf[..10]), Err(HeaderError::Truncated));
-        let mut bad = buf;
+        let buf = frame(FrameType::Sample, &head(), b"hello");
+        for cut in [0, 2, 3, 4, 11] {
+            assert_eq!(
+                FrameHeader::parse(&buf[..cut]),
+                Err(HeaderError::Truncated),
+                "{cut} bytes"
+            );
+        }
+        assert!(FrameHeader::parse(&buf[..12]).is_ok());
+        let mut bad = buf.clone();
         bad[0] ^= 1;
         assert_eq!(FrameHeader::parse(&bad), Err(HeaderError::BadMagic));
-        let mut bad = buf;
-        bad[2] = 9;
-        assert_eq!(FrameHeader::parse(&bad), Err(HeaderError::BadVersion));
-        let mut bad = buf;
-        bad[3] = 7;
-        assert_eq!(FrameHeader::parse(&bad), Err(HeaderError::BadType));
-        // Version 1's second sample type is gone with its version.
-        let mut old = buf;
-        old[3] = 2;
-        assert_eq!(FrameHeader::parse(&old), Err(HeaderError::BadType));
-        old[2] = 1;
+        for type_nibble in 2..16 {
+            let mut bad = buf.clone();
+            bad[2] = VERSION << 4 | type_nibble;
+            assert_eq!(FrameHeader::parse(&bad), Err(HeaderError::BadType));
+        }
+        // A version-2 frame: byte 2 was the version, byte 3 the type.
+        let mut old = buf.clone();
+        old[2] = 2;
+        old[3] = 1;
         assert_eq!(FrameHeader::parse(&old), Err(HeaderError::BadVersion));
+        // Five continuation bytes, and a length past u32.
+        let mut long = buf[..3].to_vec();
+        long.extend([0x80; 5]);
+        long.extend([0; 8]);
+        assert_eq!(FrameHeader::parse(&long), Err(HeaderError::BadLength));
+        let mut wide = buf[..3].to_vec();
+        wide.extend([0xff, 0xff, 0xff, 0xff, 0x10]);
+        wide.extend([0; 8]);
+        assert_eq!(FrameHeader::parse(&wide), Err(HeaderError::BadLength));
     }
 
     #[test]
     fn every_single_bit_flip_changes_the_checksum() {
-        let h = header();
-        let payload = b"payload bytes!";
-        let base = h.expected_checksum(payload);
-        // Payload bits.
-        for byte in 0..payload.len() {
-            for bit in 0..8 {
-                let mut p = payload.to_vec();
-                p[byte] ^= 1 << bit;
-                assert_ne!(h.expected_checksum(&p), base, "payload {byte}:{bit}");
-            }
-        }
-        // Checksummed header fields (everything past magic/version,
-        // which are equality-checked before the checksum).
-        let mut buf = vec![0u8; HEADER_LEN];
-        h.write(&mut buf);
-        for byte in 3..36 {
-            for bit in 0..8 {
-                let mut b = buf.clone();
-                b[byte] ^= 1 << bit;
-                if let Ok(flipped) = FrameHeader::parse(&b) {
-                    assert_ne!(
-                        flipped.expected_checksum(payload),
-                        base,
-                        "header {byte}:{bit}"
-                    );
+        // Every body bit feeds the bijective chain, and so do the frame
+        // type and the body length in the seed. Each flip past magic and
+        // version either fails to parse (another type nibble, a length
+        // varint that no longer ends or overruns) or leaves a frame whose
+        // checksum no longer holds.
+        for payload in [&b"payload bytes!"[..], &[0x77; 200][..]] {
+            let buf = frame(FrameType::Sample, &head(), payload);
+            let header = FrameHeader::parse(&buf).unwrap();
+            let body = &buf[header.header_len()..];
+            let base = header.expected_checksum(body);
+            for byte in 0..body.len() {
+                for bit in 0..8 {
+                    let mut b = body.to_vec();
+                    b[byte] ^= 1 << bit;
+                    assert_ne!(header.expected_checksum(&b), base, "body {byte}:{bit}");
                 }
             }
+            let mut checked = 0;
+            for byte in 2..buf.len() {
+                for bit in 0..8 {
+                    if byte == 2 && bit >= 4 {
+                        continue; // the version nibble
+                    }
+                    let mut b = buf.clone();
+                    b[byte] ^= 1 << bit;
+                    let Ok(h) = FrameHeader::parse(&b) else {
+                        continue;
+                    };
+                    let Some(body) = b.get(h.header_len()..h.frame_len()) else {
+                        continue;
+                    };
+                    assert!(!h.verify(body), "byte {byte} bit {bit}");
+                    checked += 1;
+                }
+            }
+            assert!(checked > 8 * (buf.len() - 8), "most flips were parsed");
         }
     }
 }

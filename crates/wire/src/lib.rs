@@ -6,23 +6,28 @@
 //! a byte stream. This crate defines that stream and makes decoding it
 //! cost about as much as reading local memory:
 //!
-//! * [`frame`] — the format: 44-byte little-endian headers, one
-//!   sample payload — the column-[`planar`] planes of cross-CPU zigzag
+//! * [`frame`] — the format: a framing prefix, a mix-based 64-bit
+//!   checksum that provably catches every single-bit corruption, and a
+//!   body of varint fields and one payload (a 4-CPU fleet machine's
+//!   sample frame spends ≈ 17 bytes on all but the payload). Each
+//!   machine's static layout — events, CPU count, decimation — travels
+//!   in its layout frame under a small per-machine epoch; a sample
+//!   payload is the column-[`planar`] planes of cross-CPU zigzag
 //!   deltas, each stored dense at a fixed width, sparse behind a
 //!   bitmap, or not at all when every delta is zero (fleet siblings
-//!   count nearly alike, so most are) — and a mix-based 64-bit checksum
-//!   that provably catches every single-bit corruption.
+//!   count nearly alike, so most are).
 //! * [`WireEncoder`] — the producer side: self-describing streams that
-//!   interleave a layout frame whenever a machine's PMU programming or
-//!   sampling decimation changes, shipping only the planes of the
-//!   events the fleet row reads ([`row_slots`]).
+//!   interleave a layout frame whenever a machine's PMU programming,
+//!   CPU count or sampling decimation changes, shipping only the planes
+//!   of the events the fleet row reads ([`row_slots`]).
 //! * [`FrameDecoder`] — the zero-copy consumer: verify, then decode.
 //!   [`decode_frame`](FrameDecoder::decode_frame) checks a frame's
 //!   checksum before it reads anything else, then reduces a sample
 //!   frame in place straight to a [`SampleBatch`] row through the same
 //!   rate arithmetic in-memory ingestion uses ([`fold_event_lanes`]),
-//!   resolving event layouts by hash. No intermediate sample structs,
-//!   no steady-state allocation.
+//!   resolving each machine's layout through a dense per-machine
+//!   binding checked against the frame's epoch. No intermediate sample
+//!   structs, no steady-state allocation.
 //! * [`ingest_serial_with`] — the ingest path: one serial walk that
 //!   decodes every frame through `decode_frame`, judges each row
 //!   against the sanity bounds and writes only sane rows into the

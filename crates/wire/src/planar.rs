@@ -22,10 +22,9 @@
 //! | `8..=11`| illegal                        | *sparse*: a bitmap of `⌈(cpus − 1)/8⌉` bytes (bit `i` set ⇔ lane `i + 1` nonzero), then the nonzero lanes at `1 << (c & 3)` bytes |
 //!
 //! Every other nibble is illegal, as is a bitmap bit at or above
-//! `cpus − 1`. A header's `cpu_count` above [`MAX_WIRE_CPUS`] is
-//! refused before anything is sized: zero planes store nothing, so the
-//! payload length alone does not bound the lane buffer a header can
-//! ask for.
+//! `cpus − 1`. A CPU count above [`MAX_WIRE_CPUS`] is refused before
+//! anything is sized: zero planes store nothing, so the payload length
+//! alone does not bound the lane buffer a layout can ask for.
 //!
 //! **Encoder.** A zero count or an all-zero plane is coded zero.
 //! Otherwise the width is the smallest that holds the base, or the OR
@@ -525,7 +524,7 @@ fn decode_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{FrameHeader, FrameType, HEADER_LEN};
+    use crate::frame::{BodyHead, FrameHeader, FrameType};
     use crate::{encode_sample_frame, EncodeError, WireEncoder};
     use proptest::prelude::*;
     use tdp_counters::PerfEvent;
@@ -787,7 +786,7 @@ mod tests {
 
     #[test]
     fn corrupt_cpu_count_is_rejected_before_allocating() {
-        // A flipped header can claim up to 65535 CPUs against a tiny
+        // A forged layout can claim 65535 CPUs or more against a tiny
         // payload; the CPU bound must reject it before sizing the lane
         // buffer — zero planes store nothing, so the payload cannot.
         let set = set_of(&[vec![10, 20, 30], vec![10, 20, 30]]);
@@ -806,7 +805,7 @@ mod tests {
     #[test]
     fn one_event_corrupt_cpu_count_is_rejected_before_the_row_buffer_grows() {
         // The row buffer is nine lanes per CPU whatever the layout, so a
-        // one-event layout is where a flipped cpu_count would buy the
+        // one-event layout is where a forged CPU count would buy the
         // largest buffer per payload byte. The bound must still reject
         // it first, for a wanted event and for a skipped one.
         let set = set_of(&[vec![10], vec![11], vec![12]]);
@@ -841,11 +840,11 @@ mod tests {
         let mut pos = 0;
         while pos < wire.len() {
             let h = FrameHeader::parse(&wire[pos..]).expect("well-formed stream");
-            let payload = &wire[pos + HEADER_LEN..pos + HEADER_LEN + h.payload_len as usize];
+            let body = &wire[pos + h.header_len()..pos + h.frame_len()];
             if h.frame_type == FrameType::Sample {
-                out.push(payload);
+                out.push(BodyHead::read(body).expect("well-formed body").1);
             }
-            pos += HEADER_LEN + h.payload_len as usize;
+            pos += h.frame_len();
         }
         out
     }
@@ -934,8 +933,8 @@ mod tests {
             let set = boundary_set(cpus, n, seed, &cells);
             let want = oracle(&set);
             let mut frame = Vec::new();
-            encode_sample_frame(&mut frame, 3, &set).unwrap();
-            prop_assert_eq!(&frame[HEADER_LEN..], &want[..]);
+            encode_sample_frame(&mut frame, 3, 0, &set).unwrap();
+            prop_assert_eq!(sample_payloads(&frame), [&want[..]]);
 
             let mut enc = WireEncoder::new();
             let prime = boundary_set(65, 18, !seed, &cells);
@@ -974,7 +973,7 @@ mod tests {
         /// contents are NaN. The full unfold is the set's counts. And the
         /// two walks reject exactly the same payloads: an illegal
         /// nibble, a skipped or a wanted plane cut short, a sparse
-        /// bitmap bit past the last lane, a trailing byte, a cpu_count
+        /// bitmap bit past the last lane, a trailing byte, a CPU count
         /// that disagrees or exceeds the bound, or any flipped byte.
         #[test]
         fn row_projection_matches_the_full_unfold(
@@ -1084,8 +1083,8 @@ mod tests {
                     assert_eq!(set.num_cpus(), cpus);
                     assert_eq!(set.events(), PerfEvent::ALL);
                     let mut frame = Vec::new();
-                    encode_sample_frame(&mut frame, m, set).unwrap();
-                    assert_eq!(frame[HEADER_LEN..], oracle(set), "{cpus} CPUs");
+                    encode_sample_frame(&mut frame, m, 0, set).unwrap();
+                    assert_eq!(sample_payloads(&frame), [oracle(set)], "{cpus} CPUs");
                     enc.push_sample_set(m, set).unwrap();
                     let shipped = projected(set);
                     assert_eq!(shipped.events().len(), ROW_EVENTS.len());
@@ -1109,7 +1108,7 @@ mod tests {
         let err = EncodeError::OutOfBounds;
         for bad in [&wide, &many] {
             let mut out = vec![0xa5; 7];
-            assert_eq!(encode_sample_frame(&mut out, 1, bad), Err(err));
+            assert_eq!(encode_sample_frame(&mut out, 1, 0, bad), Err(err));
             assert_eq!(out, [0xa5; 7], "stateless {err:?}");
         }
 
@@ -1144,7 +1143,7 @@ mod tests {
         let long = set_over(&layout, &rows);
         let mut out = Vec::new();
         assert_eq!(
-            encode_sample_frame(&mut out, 1, &long),
+            encode_sample_frame(&mut out, 1, 0, &long),
             Err(EncodeError::OutOfBounds)
         );
         let mut enc = WireEncoder::new();

@@ -16,7 +16,8 @@
 //! the bound. Only the first window of an [`IngestState`] clears the
 //! batch; every window sizes it to the window's machine count, so a
 //! machine cut off by a smaller fleet loses its row and its health
-//! history and comes back unseen.
+//! history and comes back unseen — though still bound to its layout,
+//! so its next sample frame decodes.
 //!
 //! # Determinism
 //!
@@ -115,8 +116,8 @@ impl StreamReport {
 
 /// Ingest state that survives across windows: the [`FrameDecoder`] —
 /// so a steady-state stream (layouts announced once, then sample
-/// frames only — see [`WireEncoder`](crate::WireEncoder)) pays for
-/// layout registration exactly once — plus per-machine health
+/// frames only — see [`WireEncoder`](crate::WireEncoder)) binds each
+/// machine's layout exactly once — plus per-machine health
 /// ([`HealthState`]) driving the graceful-degradation ladder: duplicate
 /// and reset detection on window sequences, quarantine of rows that
 /// fail the [`row_is_sane`] bounds, bounded last-good-row
@@ -124,9 +125,12 @@ impl StreamReport {
 ///
 /// The health ledger is dense, indexed by machine id and sized to each
 /// window's machine count, so the hot-path lookup is one
-/// bounds-checked index. A machine never decoded is exactly one whose
-/// ledger `seen` flag is unset (every write path notes the sequence
-/// first).
+/// bounds-checked index. The decoder's layout bindings are dense too,
+/// but grow to the largest machine count seen and never shrink: a
+/// machine cut off by a smaller fleet loses its health history, not
+/// its layout, and decodes again without a re-announcement. A machine
+/// never decoded is exactly one whose ledger `seen` flag is unset
+/// (every write path notes the sequence first).
 ///
 /// The state holds no rows: the estimator's batch does, one last good
 /// row per machine. The state's first window clears the batch; later
@@ -140,7 +144,7 @@ pub struct IngestState {
 }
 
 impl IngestState {
-    /// State with no layouts registered and no machine seen.
+    /// State with no layouts bound and no machine seen.
     pub fn new() -> Self {
         Self::default()
     }
@@ -153,14 +157,16 @@ impl IngestState {
     }
 
     /// Opens the next window: sizes the ledger and `est`'s batch to
-    /// exactly `machines` (clearing the batch first for a fresh state)
-    /// and returns the new epoch.
+    /// exactly `machines` (clearing the batch first for a fresh state),
+    /// grows the decoder's layout bindings to cover them, and returns
+    /// the new epoch.
     fn begin(&mut self, machines: usize, est: &mut FleetEstimator) -> u64 {
         if self.epoch == 0 {
             est.begin_window();
         }
         est.batch_mut().resize_rows(machines);
         self.ledger.resize(machines);
+        self.dec.grow_machines(machines);
         self.epoch += 1;
         self.epoch
     }
@@ -175,8 +181,8 @@ pub fn ingest_serial(buf: &[u8], machines: usize, est: &mut FleetEstimator) -> S
     ingest_serial_with(&mut IngestState::new(), buf, machines, est)
 }
 
-/// [`ingest_serial`] with persistent decoder state: layouts registered
-/// by earlier windows (or earlier in this one) stay known, so
+/// [`ingest_serial`] with persistent decoder state: layouts bound by
+/// earlier windows (or earlier in this one) stay known, so
 /// steady-state windows can carry sample frames only.
 ///
 /// This is the one walk over a window's frames: each frame goes
@@ -211,10 +217,13 @@ pub fn ingest_serial_with(
         if header.frame_type != FrameType::Layout {
             stats.sample_frames += 1;
         }
-        match dec.decode_frame(&header, cursor.payload(start, &header)) {
-            Ok(Decoded::Layout { decimation }) => {
+        match dec.decode_frame(&header, cursor.body(start, &header)) {
+            Ok(Decoded::Layout {
+                machine_id,
+                decimation,
+            }) => {
                 stats.layout_frames += 1;
-                let idx = header.machine_id as usize;
+                let idx = machine_id as usize;
                 if idx < machines {
                     ledger.set_decimation(idx, decimation);
                 }
@@ -262,6 +271,7 @@ pub fn ingest_serial_with(
                 ledger.commit(idx, epoch, reset);
             }
             Err(DecodeError::UnknownLayout) => stats.unknown_layout_frames += 1,
+            Err(DecodeError::OutOfRange) => stats.out_of_range_frames += 1,
             Err(_) => stats.corrupt_frames += 1,
         }
     }

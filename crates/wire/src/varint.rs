@@ -1,9 +1,10 @@
 //! LEB128 varints and zigzag folding — the one home of every
 //! byte-level integer codec helper in the crate.
 //!
-//! Layout frames carry their event indices as varints, read one byte at
-//! a time by [`read_uvarint`]; the decoder parses a layout once per new
-//! layout hash, so this is no hot path. Sample frames store their
+//! A frame's body length, machine id and window sequence, and a layout
+//! frame's CPU count, decimation and event indices, are varints, read
+//! one byte at a time by [`read_uvarint`]: each is one or two bytes in
+//! a fleet stream, so the loop is short. Sample frames store their
 //! deltas as zigzag values ([`zigzag`]) in fixed-width lanes instead
 //! ([`crate::planar`]).
 
@@ -17,6 +18,20 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     out.push(v as u8);
+}
+
+/// The LEB128 encoding of `v` as [`put_uvarint`] appends it: its
+/// first `n` bytes, and `n`.
+pub fn uvarint_bytes(mut v: u64) -> ([u8; MAX_VARINT_LEN], usize) {
+    let mut bytes = [0u8; MAX_VARINT_LEN];
+    let mut n = 0;
+    while v >= 0x80 {
+        bytes[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    bytes[n] = v as u8;
+    (bytes, n + 1)
 }
 
 /// Reads one LEB128 varint at `*pos`, advancing it past the encoding.

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use tdp_counters::{PerfEvent, SampleSet};
 use tdp_fleet::{FleetEstimator, ROW_EVENTS};
-use tdp_wire::frame::{HEADER_LEN, MAX_WIRE_CPUS};
+use tdp_wire::frame::{FrameHeader, MAX_WIRE_CPUS};
 use tdp_wire::planar::{decode_planes, NO_SLOT};
 use tdp_wire::{ingest_serial, CursorItem, FrameCursor, StreamReport, WireEncoder};
 use trickledown::SystemPowerModel;
@@ -57,7 +57,7 @@ fn walk_partition(buf: &[u8]) -> Result<(u64, u64), String> {
                 if start != pos {
                     return Err(format!("frame at {start}, cursor position {pos}"));
                 }
-                pos += HEADER_LEN + header.payload_len as usize;
+                pos += header.frame_len();
                 frames += 1;
             }
             CursorItem::Resync { skipped } => {
@@ -207,9 +207,9 @@ fn mid_frame_cut_before_good_frames_is_skipped_not_fatal() {
     let mut enc0 = WireEncoder::new();
     enc0.push_sample_set(0, &plain_set(1)).unwrap();
     let damaged = enc0.finish();
-    // Keep the first frame's header plus a few payload bytes, then junk
+    // Keep the first frame's header plus a few body bytes, then junk
     // the rest of its extent so the checksum cannot hold.
-    let keep = HEADER_LEN + 3;
+    let keep = FrameHeader::parse(&damaged).unwrap().header_len() + 3;
     let mut buf = damaged[..keep].to_vec();
     buf.extend(std::iter::repeat_n(0x22u8, 20));
 

@@ -15,9 +15,10 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tdp_counters::{layout_hash, PerfEvent, SampleSet};
+use tdp_counters::{PerfEvent, SampleSet};
 use tdp_fleet::{FleetEstimator, COLUMNS, ROW_EVENTS};
-use tdp_wire::frame::{FrameHeader, FrameType, HEADER_LEN, MAX_WIRE_CPUS};
+use tdp_wire::frame::{write_frame, BodyHead, FrameType, MAX_WIRE_CPUS};
+use tdp_wire::varint::put_uvarint;
 use tdp_wire::{
     encode_layout_frame, encode_sample_frame, ingest_serial_with, row_is_sane, CursorItem,
     DecodeError, Decoded, FaultKind, FaultPlan, FrameCursor, FrameDecoder, IngestState,
@@ -82,8 +83,8 @@ fn set_from_counts(seq: u64, layout: &[PerfEvent], counts: &[Vec<u64>]) -> Sampl
 fn encode(sets: &[SampleSet]) -> Vec<u8> {
     let mut out = Vec::new();
     for (id, set) in sets.iter().enumerate() {
-        encode_layout_frame(&mut out, id as u64, set.seq, set.events()).unwrap();
-        encode_sample_frame(&mut out, id as u64, set).unwrap();
+        encode_layout_frame(&mut out, id as u64, 0, set).unwrap();
+        encode_sample_frame(&mut out, id as u64, 0, set).unwrap();
     }
     out
 }
@@ -150,12 +151,13 @@ fn in_memory_bits(sets: &[SampleSet]) -> (Vec<Vec<u64>>, Vec<u64>) {
 fn decoded_bits(wire: &[u8], machines: usize) -> Vec<Vec<u64>> {
     let mut cols = vec![vec![0u64; machines]; COLUMNS];
     let mut dec = FrameDecoder::new();
+    dec.grow_machines(machines);
     let cursor = FrameCursor::new(wire);
     for item in cursor.clone() {
         let CursorItem::Frame { start, header } = item else {
             panic!("clean stream resynced");
         };
-        let decoded = dec.decode_frame(&header, cursor.payload(start, &header));
+        let decoded = dec.decode_frame(&header, cursor.body(start, &header));
         if let Ok(Decoded::Row {
             machine_id, row, ..
         }) = decoded
@@ -325,21 +327,41 @@ fn width_boundary_deltas_roundtrip_bit_identically() {
     assert_eq!(ingested_bits(&wire, 1), screened(want));
 }
 
-/// A checksummed sample frame for machine 0 over `events`, carrying
-/// `payload` and claiming `cpus` CPUs.
-fn sample_frame(events: &[PerfEvent], cpus: usize, payload: &[u8]) -> (FrameHeader, Vec<u8>) {
-    let mut h = FrameHeader {
-        frame_type: FrameType::Sample,
-        payload_len: payload.len() as u32,
+/// Decodes, for machine 0, a layout frame declaring `events` on `cpus`
+/// CPUs and then a checksummed sample frame carrying `payload`: the
+/// first error, if either frame has one.
+fn decode_pair(
+    dec: &mut FrameDecoder,
+    events: &[PerfEvent],
+    cpus: usize,
+    payload: &[u8],
+) -> Result<(), DecodeError> {
+    let head = BodyHead {
         machine_id: 0,
         window_seq: 1,
-        layout_hash: layout_hash(events),
-        cpu_count: cpus as u16,
-        n_events: events.len() as u16,
-        checksum: 0,
+        epoch: 0,
+        n_events: events.len() as u8,
     };
-    h.checksum = h.expected_checksum(payload);
-    (h, payload.to_vec())
+    let mut wire = Vec::new();
+    write_frame(&mut wire, FrameType::Layout, &head, |b| {
+        for field in [cpus as u64, 1]
+            .into_iter()
+            .chain(events.iter().map(|e| e.index() as u64))
+        {
+            put_uvarint(b, field);
+        }
+    });
+    write_frame(&mut wire, FrameType::Sample, &head, |b| {
+        b.extend_from_slice(payload)
+    });
+    let cursor = FrameCursor::new(&wire);
+    for item in cursor.clone() {
+        let CursorItem::Frame { start, header } = item else {
+            panic!("resync in a well-framed pair");
+        };
+        dec.decode_frame(&header, cursor.body(start, &header))?;
+    }
+    Ok(())
 }
 
 #[test]
@@ -347,19 +369,15 @@ fn malformed_payloads_are_rejected_even_when_they_checksum() {
     // Two events, the first a row event (unfolded) and the second not
     // (skipped), so every defect is met on both walks.
     let events = [PerfEvent::Cycles, PerfEvent::L2Misses];
-    let mut layout = Vec::new();
-    encode_layout_frame(&mut layout, 0, 1, &events).unwrap();
     let mut dec = FrameDecoder::new();
-    let h = FrameHeader::parse(&layout).unwrap();
-    dec.decode_frame(&h, &layout[HEADER_LEN..]).unwrap();
+    dec.grow_machines(1);
 
     // Four CPUs (three lanes, one bitmap byte): event 0 a 1-byte base
     // and a sparse 1-byte plane with lanes 1 and 3 set; event 1 a zero
     // base and a dense 2-byte plane.
     let good: Vec<u8> = vec![0x80, 0x14, 7, 0b101, 2, 4, 1, 0, 2, 0, 3, 0];
     let decode = |dec: &mut FrameDecoder, cpus: usize, payload: &[u8]| {
-        let (h, p) = sample_frame(&events, cpus, payload);
-        dec.decode_frame(&h, &p).map(|_| ())
+        decode_pair(dec, &events, cpus, payload)
     };
     assert_eq!(
         decode(&mut dec, 4, &good),
@@ -398,11 +416,11 @@ fn malformed_payloads_are_rejected_even_when_they_checksum() {
         long.push(0);
         cases.push(("trailing byte", 4, long));
     }
-    // Zero planes price nothing, so only the bound stops a forged
-    // cpu_count: at the bound the frame decodes, past it it does not.
+    // Zero planes price nothing, so only the bound stops a forged CPU
+    // count: at the bound the layout binds, past it it does not.
     let zeros: Vec<u8> = vec![0x40, 0x40, 9, 9];
     assert_eq!(decode(&mut dec, MAX_WIRE_CPUS, &zeros), Ok(()));
-    cases.push(("cpu_count past the bound", MAX_WIRE_CPUS + 1, zeros));
+    cases.push(("CPU count past the bound", MAX_WIRE_CPUS + 1, zeros));
     for (what, cpus, payload) in cases {
         assert_eq!(
             decode(&mut dec, cpus, &payload),

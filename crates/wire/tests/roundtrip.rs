@@ -10,7 +10,8 @@ use tdp_counters::{PerfEvent, SampleSet};
 use tdp_fleet::{FleetEstimator, COLUMNS, ROW_EVENTS};
 use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig};
-use tdp_wire::frame::{FrameHeader, FrameType, HEADER_LEN};
+use tdp_wire::frame::{BodyHead, FrameHeader, FrameType};
+use tdp_wire::varint::read_uvarint;
 use tdp_wire::{
     encode_layout_frame, encode_sample_frame, ingest_serial, ingest_serial_with, CursorItem,
     DecodeError, FrameCursor, FrameDecoder, HealthState, IngestState, WireEncoder,
@@ -57,8 +58,8 @@ fn simulated_window(cpus: usize, machines: u64) -> Vec<SampleSet> {
 /// functions, so the decoder meets layouts the agent encoder would
 /// project onto the row events.
 fn encode_raw(out: &mut Vec<u8>, machine: u64, set: &SampleSet) {
-    encode_layout_frame(out, machine, set.seq, set.events()).unwrap();
-    encode_sample_frame(out, machine, set).unwrap();
+    encode_layout_frame(out, machine, 0, set).unwrap();
+    encode_sample_frame(out, machine, 0, set).unwrap();
 }
 
 fn encode_window(sets: &[SampleSet]) -> Vec<u8> {
@@ -245,41 +246,233 @@ fn every_single_bit_flip_is_detected() {
 #[test]
 fn a_corrupt_frame_fails_its_checksum_before_anything_else() {
     // Verify, then decode: whatever a flipped bit makes a frame name —
-    // an unknown layout, a wrong event or CPU count, another payload
-    // length, the other frame type — a decoder that knows the layout
-    // reports the corruption, never a structural verdict.
+    // another machine, sequence, epoch or event count, a shorter body,
+    // the other frame type — a decoder that knows the layout reports
+    // the corruption, never a structural verdict. Every bit past magic
+    // and version is flipped; only a flip that leaves no frame to
+    // decode (another type nibble, a length that overruns) resyncs
+    // instead.
     let wire = encode_window(&fleet_window(1));
     let frames: Vec<&[u8]> = FrameCursor::new(&wire)
         .map(|item| match item {
-            CursorItem::Frame { start, header } => {
-                &wire[start..start + HEADER_LEN + header.payload_len as usize]
-            }
+            CursorItem::Frame { start, header } => &wire[start..start + header.frame_len()],
             other => panic!("clean stream resynced: {other:?}"),
         })
         .collect();
     assert_eq!(frames.len(), 2, "one layout frame, one sample frame");
     let mut dec = FrameDecoder::new();
+    dec.grow_machines(1);
     for frame in &frames {
         let h = FrameHeader::parse(frame).unwrap();
-        assert!(dec.decode_frame(&h, &frame[HEADER_LEN..]).is_ok());
+        assert!(dec.decode_frame(&h, &frame[h.header_len()..]).is_ok());
     }
     for frame in &frames {
-        let pristine = FrameHeader::parse(frame).unwrap().frame_type;
-        let mut switched = 0;
-        for byte in 3..frame.len() {
+        let pristine = FrameHeader::parse(frame).unwrap();
+        let (mut switched, mut decoded) = (0, 0);
+        for byte in 2..frame.len() {
             for bit in 0..8 {
+                if byte == 2 && bit >= 4 {
+                    continue; // the version nibble
+                }
                 let mut bad = frame.to_vec();
                 bad[byte] ^= 1 << bit;
-                // Other type bytes fail to parse and resync instead.
-                let Ok(h) = FrameHeader::parse(&bad) else {
+                let cursor = FrameCursor::new(&bad);
+                let Some(CursorItem::Frame { start: 0, header }) = cursor.clone().next() else {
                     continue;
                 };
-                switched += usize::from(h.frame_type != pristine);
-                let got = dec.decode_frame(&h, &bad[HEADER_LEN..]);
+                switched += usize::from(header.frame_type != pristine.frame_type);
+                let got = dec.decode_frame(&header, cursor.body(0, &header));
                 assert_eq!(got, Err(DecodeError::Checksum), "byte {byte} bit {bit}");
+                decoded += 1;
             }
         }
         assert_eq!(switched, 1, "the frame-type flip was exercised");
+        let past_prefix = 8 * (frame.len() - usize::from(pristine.prefix_len));
+        assert!(
+            decoded > past_prefix,
+            "every flip past the prefix and some in it: {decoded}"
+        );
+    }
+}
+
+/// The frames of `wire` of one type, in stream order.
+fn only(wire: &[u8], frame_type: FrameType) -> Vec<u8> {
+    FrameCursor::new(wire)
+        .flat_map(|item| match item {
+            CursorItem::Frame { start, header } if header.frame_type == frame_type => {
+                &wire[start..start + header.frame_len()]
+            }
+            _ => &[],
+        })
+        .copied()
+        .collect()
+}
+
+#[test]
+fn a_bit_flip_past_the_framing_prefix_rejects_only_its_own_frame() {
+    // Three machines announce their layouts in window 0 and send sample
+    // frames only in window 1. Every bit past the framing prefix of
+    // every frame is flipped in turn: the damaged frame alone is
+    // rejected, with no resync, and every frame after it decodes — a
+    // machine whose layout frame was hit is unknown for that window's
+    // sample, never misread — while the other machines' rows match a
+    // clean run bit for bit.
+    const MACHINES: usize = 3;
+    let window = |seq: u64| -> Vec<SampleSet> {
+        (0..MACHINES as u64)
+            .map(|m| synthetic_set(m, seq, &ROW_EVENTS, false))
+            .collect()
+    };
+    let mut enc = WireEncoder::new();
+    for (m, set) in window(0).iter().enumerate() {
+        enc.push_sample_set(m as u64, set).unwrap();
+    }
+    let first = enc.take_bytes();
+    for (m, set) in window(1).iter().enumerate() {
+        enc.push_sample_set(m as u64, set).unwrap();
+    }
+    let second = enc.take_bytes();
+    let clean = in_memory_bits(&window(1)).0;
+    for (w, wire) in [&first, &second].into_iter().enumerate() {
+        let frames: Vec<(usize, FrameHeader)> = FrameCursor::new(wire)
+            .map(|item| match item {
+                CursorItem::Frame { start, header } => (start, header),
+                other => panic!("clean stream resynced: {other:?}"),
+            })
+            .collect();
+        assert_eq!(frames.len(), MACHINES * (2 - w));
+        for (i, &(start, header)) in frames.iter().enumerate() {
+            let hit = i / (2 - w);
+            let from = start + usize::from(header.prefix_len);
+            for byte in from..start + header.frame_len() {
+                for bit in 0..8 {
+                    let mut bad = wire.clone();
+                    bad[byte] ^= 1 << bit;
+                    let mut state = IngestState::new();
+                    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+                    let ctx = format!("window {w} frame {i} byte {byte} bit {bit}");
+                    let first = if w == 0 { &bad } else { &first };
+                    let rep = ingest_serial_with(&mut state, first, MACHINES, &mut est);
+                    if w == 1 {
+                        assert_eq!(rep.rows_written, MACHINES as u64, "{ctx}");
+                        let rep = ingest_serial_with(&mut state, &bad, MACHINES, &mut est);
+                        assert_eq!((rep.corrupt_frames, rep.resyncs), (1, 0), "{ctx}");
+                        assert_eq!(rep.rows_held, 1, "{ctx}");
+                    } else {
+                        assert_eq!((rep.corrupt_frames, rep.resyncs), (1, 0), "{ctx}");
+                        let unknown = u64::from(header.frame_type == FrameType::Layout);
+                        assert_eq!(rep.unknown_layout_frames, unknown, "{ctx}");
+                        assert_eq!(rep.rows_written, MACHINES as u64 - 1, "{ctx}");
+                        ingest_serial_with(&mut state, &second, MACHINES, &mut est);
+                    }
+                    let got = batch_bits(&est);
+                    for (c, (got, want)) in got.iter().zip(&clean).enumerate() {
+                        for m in (0..MACHINES).filter(|&m| m != hit) {
+                            assert_eq!(got[m], want[m], "{ctx}: column {c} machine {m}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `set`'s first `cpus` CPUs, or its CPUs repeated up to `cpus`.
+fn with_cpus(set: &SampleSet, cpus: usize) -> SampleSet {
+    let mut out = SampleSet::empty();
+    out.seq = set.seq;
+    let from = set.num_cpus();
+    let block = out.reset(set.events().iter().copied(), cpus);
+    for (e, plane) in block.chunks_mut(cpus).enumerate() {
+        for (c, n) in plane.iter_mut().enumerate() {
+            *n = set.counts()[e * from + c % from];
+        }
+    }
+    out
+}
+
+#[test]
+fn a_lost_reannouncement_is_an_unknown_layout_never_a_misattributed_row() {
+    // Machine 0 reprograms its PMU every window (the row events, then
+    // reversed) and machine 1 changes only its CPU count (4 ↔ 2), each
+    // change a new layout epoch. Every announcement arrives until
+    // machine 0's epoch has wrapped past 255; then both machines'
+    // re-announcements are lost for one window. Their sample frames are
+    // reported unknown, and their rows hold at the last good window, not
+    // the new counts read through the old layout. The next
+    // announcements decode again.
+    let mut reversed = ROW_EVENTS;
+    reversed.reverse();
+    let sets = |w: u64| -> [SampleSet; 2] {
+        let layout: &[PerfEvent] = if w.is_multiple_of(2) {
+            &ROW_EVENTS
+        } else {
+            &reversed
+        };
+        let m1 = synthetic_set(1, w, &ROW_EVENTS, false);
+        [
+            synthetic_set(0, w, layout, false),
+            with_cpus(&m1, if w.is_multiple_of(2) { 4 } else { 2 }),
+        ]
+    };
+    let mut enc = WireEncoder::new();
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let lost = 258u64;
+    for w in 0..lost + 3 {
+        let window = sets(w);
+        for (m, set) in window.iter().enumerate() {
+            enc.push_sample_set(m as u64, set).unwrap();
+        }
+        let mut wire = enc.take_bytes();
+        let ctx = format!("window {w}");
+        if w == lost {
+            wire = only(&wire, FrameType::Sample);
+            // Each window moved both machines to their next epoch, so
+            // the lost ones have wrapped past 255.
+            for item in FrameCursor::new(&wire) {
+                let CursorItem::Frame { start, header } = item else {
+                    panic!("clean stream resynced");
+                };
+                let body = &wire[start + header.header_len()..start + header.frame_len()];
+                assert_eq!(BodyHead::read(body).unwrap().0.epoch, (lost % 256) as u8);
+            }
+            let held = in_memory_bits(&sets(w - 1)).0;
+            let rep = ingest_serial_with(&mut state, &wire, 2, &mut est);
+            assert_eq!(rep.unknown_layout_frames, 2, "{ctx}");
+            assert_eq!((rep.rows_held, rep.corrupt_frames), (2, 0), "{ctx}");
+            assert_eq!(batch_bits(&est), held, "{ctx}: rows hold");
+            continue;
+        }
+        let rep = ingest_serial_with(&mut state, &wire, 2, &mut est);
+        assert_eq!((rep.layout_frames, rep.rows_written), (2, 2), "{ctx}");
+        assert!(rep.health().is_clean(), "{ctx}: {}", rep.health());
+        assert_eq!(batch_bits(&est), in_memory_bits(&window).0, "{ctx}");
+    }
+}
+
+#[test]
+fn a_machine_back_from_a_fleet_shrink_decodes_without_a_reannouncement() {
+    // One long-lived producer: 4 machines announce, the fleet shrinks
+    // to 2 for a window, and machines 2–3 come back sending sample
+    // frames only. Their layout bindings outlived the shrink, so they
+    // decode at once.
+    let mut enc = WireEncoder::new();
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    for (w, machines) in [(0u64, 4usize), (1, 2), (2, 4)] {
+        let sets: Vec<SampleSet> = (0..machines as u64)
+            .map(|m| synthetic_set(m, w, &ROW_EVENTS, false))
+            .collect();
+        for (m, set) in sets.iter().enumerate() {
+            enc.push_sample_set(m as u64, set).unwrap();
+        }
+        let rep = ingest_serial_with(&mut state, &enc.take_bytes(), machines, &mut est);
+        let announced = if w == 0 { 4 } else { 0 };
+        assert_eq!(rep.layout_frames, announced, "window {w}");
+        assert_eq!(rep.rows_written, machines as u64, "window {w}");
+        assert!(rep.health().is_clean(), "window {w}: {}", rep.health());
+        assert_eq!(batch_bits(&est), in_memory_bits(&sets).0, "window {w}");
     }
 }
 
@@ -365,25 +558,29 @@ fn mid_stream_layout_change_never_misattributes_columns() {
     }
 }
 
-/// Every frame of `wire` as `(type, layout events, sample event count)`:
-/// a layout frame's declared events (decoded from its payload), a
-/// sample frame's header `n_events`.
-fn frame_layouts(wire: &[u8]) -> Vec<(FrameType, Vec<PerfEvent>, u16)> {
+/// Every frame of `wire` as `(type, layout events, event count)`: a
+/// layout frame's declared events (decoded from its payload), and each
+/// frame's `n_events`.
+fn frame_layouts(wire: &[u8]) -> Vec<(FrameType, Vec<PerfEvent>, u8)> {
     let mut out = Vec::new();
     let mut pos = 0;
     while pos < wire.len() {
         let h = FrameHeader::parse(&wire[pos..]).expect("well-formed stream");
-        let payload = &wire[pos + HEADER_LEN..pos + HEADER_LEN + h.payload_len as usize];
-        // Every event index is below 128, so each is a one-byte varint.
+        let body = &wire[pos + h.header_len()..pos + h.frame_len()];
+        let (head, payload) = BodyHead::read(body).expect("well-formed body");
         let events = match h.frame_type {
-            FrameType::Layout => payload
-                .iter()
-                .map(|&i| PerfEvent::ALL[usize::from(i)])
-                .collect(),
+            FrameType::Layout => {
+                // CPU count and decimation, then the event indices.
+                let mut p = 0;
+                std::iter::from_fn(|| read_uvarint(payload, &mut p))
+                    .skip(2)
+                    .map(|i| PerfEvent::ALL[i as usize])
+                    .collect()
+            }
             FrameType::Sample => Vec::new(),
         };
-        out.push((h.frame_type, events, h.n_events));
-        pos += HEADER_LEN + h.payload_len as usize;
+        out.push((h.frame_type, events, head.n_events));
+        pos += h.frame_len();
     }
     out
 }
@@ -451,7 +648,7 @@ fn sample_frame_without_its_layout_is_counted_not_guessed() {
         use tdp_wire::{CursorItem, FrameCursor};
         let mut cursor = FrameCursor::new(&wire);
         match cursor.next() {
-            Some(CursorItem::Frame { header, start }) => start + 44 + header.payload_len as usize,
+            Some(CursorItem::Frame { header, start }) => start + header.frame_len(),
             other => panic!("expected leading layout frame, got {other:?}"),
         }
     };
@@ -468,18 +665,8 @@ fn a_window_that_lost_its_rows_is_never_clean() {
     // Rows can be lost with every byte intact: sample frames whose
     // layout frames never arrived, and frames from machines past the
     // fleet's count. Both losses must mark the window unhealthy.
-    use tdp_wire::frame::{FrameType, HEADER_LEN};
-    use tdp_wire::{CursorItem, FrameCursor};
     let wire = encode_window(&simulated_window(4, 3));
-    let sample_frames_only: Vec<u8> = FrameCursor::new(&wire)
-        .flat_map(|item| match item {
-            CursorItem::Frame { start, header } if header.frame_type == FrameType::Sample => {
-                &wire[start..start + HEADER_LEN + header.payload_len as usize]
-            }
-            _ => &[],
-        })
-        .copied()
-        .collect();
+    let sample_frames_only = only(&wire, FrameType::Sample);
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
     let rep = ingest_serial(&sample_frames_only, 3, &mut est);
     assert_eq!((rep.rows_written, rep.unknown_layout_frames), (0, 3));
@@ -587,10 +774,8 @@ fn persistent_state_decodes_steady_state_streams() {
 
 #[test]
 fn decimation_one_stream_is_byte_identical_to_legacy() {
-    // The decimation field rides the layout header's previously-unused
-    // `cpu_count`; at decimation 1 the encoder writes the legacy zero,
-    // so an every-window stream is indistinguishable from one produced
-    // before the field existed.
+    // A grant of decimation 1 is the default: an every-window stream is
+    // indistinguishable from one whose machines were never granted.
     let sets = fleet_window(5);
     let mut plain = WireEncoder::new();
     let mut dec1 = WireEncoder::new();
@@ -942,10 +1127,14 @@ fn simulated_streams_match_their_recorded_digests() {
     // producer's sample representation or gather changes; these values
     // pin every byte the encoder writes. They were first recorded from
     // the CPU-major per-CPU sample layout and its per-lane gather
-    // (1,822 and 6,262 B, all 18 events shipped), and re-recorded when
-    // the encoder began shipping only the nine row events: the new
-    // values are what the encoder before that change wrote for the
-    // same sets with every non-row plane removed.
-    assert_eq!(simulated_stream_digest(4), (1277, 0xe2c9_0db9_7d04_84ea));
-    assert_eq!(simulated_stream_digest(32), (3205, 0xbc24_f4c8_6837_8d4a));
+    // (1,822 and 6,262 B, all 18 events shipped), re-recorded when the
+    // encoder began shipping only the nine row events (1,277 and
+    // 3,205 B: what the encoder before that change wrote for the same
+    // sets with every non-row plane removed), and again when the static
+    // layout fields left the sample header for the layout frame
+    // (format version 3). Both streams of that last change were
+    // cross-checked to decode to the same rows and decimations bit for
+    // bit.
+    assert_eq!(simulated_stream_digest(4), (811, 0x206a_7ca4_80bb_809f));
+    assert_eq!(simulated_stream_digest(32), (2751, 0x1713_c2eb_c368_a886));
 }
