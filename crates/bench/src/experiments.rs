@@ -3,7 +3,6 @@
 
 use crate::{write_csv, ExperimentConfig};
 use tdp_counters::Subsystem;
-use tdp_workloads::WorkloadClass;
 use trickledown::testbed::Trace;
 use trickledown::{PowerCharacterization, SystemPowerModel, ValidationReport};
 
@@ -218,12 +217,6 @@ pub fn shape_checks(
     }
 
     checks
-}
-
-/// Average error over the paper's floating-point set, for table-4
-/// comparisons.
-pub fn fp_average(report: &ValidationReport) -> [f64; 5] {
-    report.class_average(Some(WorkloadClass::FloatingPoint))
 }
 
 #[cfg(test)]

@@ -108,8 +108,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Vec<SelectionRow>, String) {
         let valid = capture_workload(cfg, valid_w);
         let (train_xs, ()) = rows_of(&train);
         let (valid_xs, ()) = rows_of(&valid);
-        let selector = ModelSelector::new(CANDIDATES.iter().map(|s| s.to_string()).collect())
-            .max_subset_size(2);
+        let selector = ModelSelector::new(CANDIDATES.iter().map(|s| s.to_string()).collect());
         let ranked = selector.search(
             &train_xs,
             &train.measured(subsystem),

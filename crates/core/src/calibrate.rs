@@ -98,31 +98,15 @@ impl Error for CalibrationError {
     }
 }
 
-/// Fits a [`SystemPowerModel`] from a [`CalibrationSuite`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Calibrator {
-    memory_input: MemoryInput,
-}
-
-impl Default for Calibrator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Fits a [`SystemPowerModel`] from a [`CalibrationSuite`], with the
+/// paper's final (Equation-3, bus-transaction) memory model.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Calibrator;
 
 impl Calibrator {
-    /// A calibrator using the paper's final (Equation-3,
-    /// bus-transaction) memory model.
+    /// The paper's calibration recipe.
     pub fn new() -> Self {
-        Self {
-            memory_input: MemoryInput::BusTransactions,
-        }
-    }
-
-    /// Selects which event feeds the memory model (Equation 2 vs 3).
-    pub fn memory_input(mut self, input: MemoryInput) -> Self {
-        self.memory_input = input;
-        self
+        Self
     }
 
     /// Fits all five subsystem models.
@@ -143,7 +127,7 @@ impl Calibrator {
             .map_err(err(Subsystem::Cpu))?;
 
         let memory = MemoryPowerModel::fit(
-            self.memory_input,
+            MemoryInput::BusTransactions,
             &suite.memory.inputs(),
             &suite.memory.measured(Subsystem::Memory),
         )
@@ -250,6 +234,19 @@ mod tests {
         let ma = Calibrator::new().calibrate(&a).unwrap();
         let mb = Calibrator::new().calibrate(&b).unwrap();
         assert_eq!(ma, mb);
+        // Pins every fitted coefficient bit (the JSON round-trips f64
+        // exactly): FNV-1a of the serialised model.
+        let digest = ma
+            .to_json()
+            .unwrap()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(
+            digest, 0x7ac8_9b89_ae26_4623,
+            "calibrated coefficients changed: {digest:#018x}"
+        );
     }
 
     #[test]

@@ -51,30 +51,18 @@ impl PowerEstimate {
 pub struct SystemPowerEstimator {
     model: SystemPowerModel,
     history: VecDeque<PowerEstimate>,
-    capacity: usize,
 }
 
-impl SystemPowerEstimator {
-    /// Creates an estimator with the default history capacity (3600
-    /// windows — an hour at 1 Hz).
-    pub fn new(model: SystemPowerModel) -> Self {
-        Self::with_capacity(model, 3600)
-    }
+/// Estimates the history retains: an hour of windows at 1 Hz.
+const HISTORY_WINDOWS: usize = 3600;
 
-    /// Creates an estimator retaining at most `capacity` estimates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero — a zero-capacity ring would make
-    /// [`latest`](Self::latest) `None` forever while
-    /// [`push`](Self::push) still returned estimates, a silent
-    /// contradiction callers are better protected from.
-    pub fn with_capacity(model: SystemPowerModel, capacity: usize) -> Self {
-        assert!(capacity > 0, "history capacity must be positive");
+impl SystemPowerEstimator {
+    /// Creates an estimator retaining the latest 3,600 estimates (an
+    /// hour at 1 Hz).
+    pub fn new(model: SystemPowerModel) -> Self {
         Self {
             model,
-            history: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
+            history: VecDeque::with_capacity(HISTORY_WINDOWS),
         }
     }
 
@@ -86,9 +74,9 @@ impl SystemPowerEstimator {
     /// Processes one raw counter read.
     ///
     /// Eviction rule: the history is a bounded FIFO ring. When it
-    /// already holds `capacity` estimates, the **oldest** is evicted
+    /// already holds 3,600 estimates, the **oldest** is evicted
     /// *before* the new one is appended, so the ring holds exactly the
-    /// most recent `capacity` estimates and never exceeds its bound —
+    /// most recent 3,600 estimates and never exceeds its bound —
     /// the returned estimate is always the newest retained entry.
     pub fn push_sample_set(&mut self, set: &SampleSet) -> PowerEstimate {
         self.push(&SystemSample::from_sample_set(set))
@@ -96,13 +84,13 @@ impl SystemPowerEstimator {
 
     /// Processes one pre-extracted sample. Same eviction rule as
     /// [`push_sample_set`](Self::push_sample_set): evict-oldest-first
-    /// at `capacity`, then append.
+    /// at 3,600, then append.
     pub fn push(&mut self, sample: &SystemSample) -> PowerEstimate {
         let est = PowerEstimate {
             time_ms: sample.time_ms,
             watts: self.model.predict(sample),
         };
-        if self.history.len() == self.capacity {
+        if self.history.len() == HISTORY_WINDOWS {
             self.history.pop_front();
         }
         self.history.push_back(est);
@@ -173,13 +161,14 @@ mod tests {
 
     #[test]
     fn history_is_bounded_fifo() {
-        let mut e = SystemPowerEstimator::with_capacity(SystemPowerModel::paper(), 3);
-        for t in 0..5 {
+        let mut e = SystemPowerEstimator::new(SystemPowerModel::paper());
+        let pushed = HISTORY_WINDOWS as u64 + 2;
+        for t in 0..pushed {
             e.push(&sample(t, 1.0));
         }
         let times: Vec<u64> = e.history().map(|x| x.time_ms).collect();
-        assert_eq!(times, vec![2, 3, 4]);
-        assert_eq!(e.latest().unwrap().time_ms, 4);
+        assert_eq!(times, (2..pushed).collect::<Vec<_>>());
+        assert_eq!(e.latest().unwrap().time_ms, pushed - 1);
     }
 
     #[test]
@@ -233,35 +222,15 @@ mod tests {
     }
 
     #[test]
-    fn capacity_one_retains_exactly_the_latest() {
-        let mut e = SystemPowerEstimator::with_capacity(SystemPowerModel::paper(), 1);
-        for t in 0..10 {
-            let est = e.push(&sample(t, 1.0));
-            assert_eq!(est.time_ms, t, "push returns the new estimate");
-            assert_eq!(e.history().count(), 1, "never exceeds capacity");
-            assert_eq!(e.latest().unwrap().time_ms, t);
-        }
-    }
-
-    #[test]
     fn history_never_exceeds_capacity_at_the_boundary() {
-        let cap = 4;
-        let mut e = SystemPowerEstimator::with_capacity(SystemPowerModel::paper(), cap);
-        for t in 0..20 {
+        let mut e = SystemPowerEstimator::new(SystemPowerModel::paper());
+        for t in 0..HISTORY_WINDOWS as u64 + 4 {
             e.push(&sample(t, 0.5));
-            assert!(e.history().count() <= cap);
             // Filling the ring exactly to capacity evicts nothing.
-            if (t as usize) < cap {
-                assert_eq!(e.history().count(), t as usize + 1);
-            }
+            let expected = (t as usize + 1).min(HISTORY_WINDOWS);
+            assert_eq!(e.history().count(), expected);
         }
-        let times: Vec<u64> = e.history().map(|x| x.time_ms).collect();
-        assert_eq!(times, vec![16, 17, 18, 19], "oldest evicted first");
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = SystemPowerEstimator::with_capacity(SystemPowerModel::paper(), 0);
+        let first: Vec<u64> = e.history().take(2).map(|x| x.time_ms).collect();
+        assert_eq!(first, vec![4, 5], "oldest evicted first");
     }
 }

@@ -91,16 +91,7 @@ impl Trace {
             .collect()
     }
 
-    /// The records past the first `warmup`, borrowed (ramp-up
-    /// trimming without copying the trace).
-    pub fn records_after(&self, warmup: usize) -> &[TraceRecord] {
-        &self.records[warmup.min(self.records.len())..]
-    }
-
     /// A copy without the first `warmup` records (ramp-up trimming).
-    ///
-    /// Allocates a new trace; prefer [`records_after`](Trace::records_after)
-    /// when a borrowed view suffices.
     pub fn skip_warmup(&self, warmup: usize) -> Trace {
         Trace {
             workload: self.workload,

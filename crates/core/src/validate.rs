@@ -119,37 +119,6 @@ impl ValidationReport {
         out
     }
 
-    /// Renders the report with the paper's ± error standard deviations
-    /// (the second figure in each Table 3/4 average cell).
-    pub fn render_with_std(&self) -> String {
-        let mut out = String::new();
-        let order = [
-            Subsystem::Cpu,
-            Subsystem::Chipset,
-            Subsystem::Memory,
-            Subsystem::Io,
-            Subsystem::Disk,
-        ];
-        let _ = writeln!(
-            out,
-            "{:<10} {:>16} {:>16} {:>16} {:>16} {:>16}",
-            "workload", "cpu", "chipset", "memory", "io", "disk"
-        );
-        for row in &self.rows {
-            let _ = write!(out, "{:<10}", row.workload.name());
-            for s in order {
-                let e = &row.per_subsystem[s.index()];
-                let _ = write!(
-                    out,
-                    " {:>7.2}% ±{:>5.2}%",
-                    e.average_error_pct, e.error_std_dev_pct
-                );
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders the report in the style of the paper's Tables 3 and 4.
     pub fn render(&self) -> String {
         let mut out = String::new();

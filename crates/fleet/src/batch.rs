@@ -20,7 +20,6 @@
 //! the steady state does not allocate.
 
 use tdp_counters::{PerfEvent, SampleSet};
-use trickledown::SystemSample;
 
 /// Number of per-machine aggregate columns.
 ///
@@ -124,7 +123,7 @@ impl SampleBatch {
     /// Appends one machine's raw counter read.
     ///
     /// Extraction semantics match
-    /// [`SystemSample::from_sample_set`] — missing events contribute
+    /// [`trickledown::SystemSample::from_sample_set`] — missing events contribute
     /// rate 0, a zero cycle count never divides by zero, the active
     /// fraction is clamped to `[0, 1]` and the device-interrupt rate is
     /// the non-negative total-minus-timer difference — with rates
@@ -133,16 +132,6 @@ impl SampleBatch {
     /// for bit the row the wire decoder builds from the same counts.
     pub fn push_sample_set(&mut self, set: &SampleSet) {
         let row = extract_set(set, &mut self.lanes);
-        self.push_row(row);
-    }
-
-    /// Appends one machine's pre-extracted sample.
-    pub fn push_sample(&mut self, sample: &SystemSample) {
-        self.push_row(extract_sample(sample));
-    }
-
-    /// Appends one machine's pre-aggregated column row.
-    fn push_row(&mut self, row: [f64; COLUMNS]) {
         for (c, v) in self.cols.iter_mut().zip(row) {
             c.push(v);
         }
@@ -362,32 +351,43 @@ pub fn fold_event_lanes(lanes: &[f64], cpus: usize) -> [f64; COLUMNS] {
     row
 }
 
-/// Machine-aggregated columns from a pre-extracted sample, in the same
-/// model units as [`extract_set`].
-fn extract_sample(sample: &SystemSample) -> [f64; COLUMNS] {
-    let mut row = [0.0f64; COLUMNS];
-    row[col::NUM_CPUS] = sample.per_cpu.len() as f64;
-    for c in &sample.per_cpu {
-        let l3_kc = c.l3_load_misses * 1_000.0;
-        row[col::ACTIVE] += c.active_frac;
-        row[col::UPC] += c.fetched_upc;
-        row[col::L3] += l3_kc;
-        row[col::L3_SQ] += l3_kc * l3_kc;
-        row[col::BUS] += c.bus_tx_per_mcycle;
-        row[col::BUS_SQ] += c.bus_tx_per_mcycle * c.bus_tx_per_mcycle;
-        row[col::DMA] += c.dma_per_cycle;
-        row[col::DMA_SQ] += c.dma_per_cycle * c.dma_per_cycle;
-        row[col::DISK_INT] += c.disk_interrupts_per_cycle;
-        row[col::DISK_INT_SQ] += c.disk_interrupts_per_cycle * c.disk_interrupts_per_cycle;
-        row[col::DEV_INT] += c.device_interrupts_per_cycle;
-        row[col::DEV_INT_SQ] += c.device_interrupts_per_cycle * c.device_interrupts_per_cycle;
-    }
-    row
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use trickledown::SystemSample;
+
+    /// A sample's machine row from its per-CPU rates: each rate column
+    /// sums one `CpuRates` field in model units, in CPU order, and each
+    /// quadratic input's column is followed by the sum of its squares.
+    pub(crate) fn sums_of(sample: &SystemSample) -> [f64; COLUMNS] {
+        let mut row = [0.0; COLUMNS];
+        row[col::NUM_CPUS] = sample.num_cpus() as f64;
+        for c in &sample.per_cpu {
+            let l3 = c.l3_load_misses * 1_000.0;
+            let bus = c.bus_tx_per_mcycle;
+            let dma = c.dma_per_cycle;
+            let disk = c.disk_interrupts_per_cycle;
+            let dev = c.device_interrupts_per_cycle;
+            let terms = [
+                c.active_frac,
+                c.fetched_upc,
+                l3,
+                l3 * l3,
+                bus,
+                bus * bus,
+                dma,
+                dma * dma,
+                disk,
+                disk * disk,
+                dev,
+                dev * dev,
+            ];
+            for (sum, v) in row[col::ACTIVE..].iter_mut().zip(terms) {
+                *sum += v;
+            }
+        }
+        row
+    }
 
     /// The set of `per_cpu` counts over `events`, CPU `c` being
     /// `per_cpu[c]`.
@@ -420,7 +420,7 @@ mod tests {
         let cycles_only = [1_000_000_000, 0, 0, 0, 0, 0, 0, 0, 0];
         let set = set_with(&ROW_EVENTS, &[&busy, &cycles_only]);
         let row = extract_set(&set, &mut Vec::new());
-        let via_sample = extract_sample(&SystemSample::from_sample_set(&set));
+        let via_sample = sums_of(&SystemSample::from_sample_set(&set));
         // `extract_set` multiplies by 1/cycles where `from_sample_set`
         // divides, so agreement is to within a couple of ulps rather
         // than bit-for-bit.

@@ -18,7 +18,7 @@ use crate::batch::{col, SampleBatch, COLUMNS};
 use tdp_counters::{SampleSet, Subsystem};
 use tdp_powermeter::SubsystemPower;
 use tdp_simd::{add_assign, axpy, clamp_predictions, fill, quadratic, quadratic_acc};
-use trickledown::{MemoryInput, SystemPowerModel, SystemSample};
+use trickledown::{MemoryInput, SystemPowerModel};
 
 /// Output columns: five subsystems plus the precomputed total.
 const OUT_COLUMNS: usize = 6;
@@ -96,13 +96,10 @@ impl FleetEstimates {
         p
     }
 
-    /// Total estimated watts across the whole fleet.
-    ///
-    /// Reduced with [`tdp_simd::sum`]'s fixed four-accumulator
-    /// association: identical on every machine, a few ulp from a
-    /// sequential sum.
+    /// Total estimated watts across the whole fleet, summed in machine
+    /// order.
     pub fn fleet_total(&self) -> f64 {
-        tdp_simd::sum(&self.cols[OUT_TOTAL])
+        self.cols[OUT_TOTAL].iter().sum()
     }
 
     /// How many subsystem predictions this window had to be clamped to
@@ -303,11 +300,6 @@ impl FleetEstimator {
         self.batch.push_sample_set(set);
     }
 
-    /// Ingests one machine's pre-extracted sample.
-    pub fn push_sample(&mut self, sample: &SystemSample) {
-        self.batch.push_sample(sample);
-    }
-
     /// Evaluates the model over every ingested machine, serially.
     pub fn estimate(&mut self) -> &FleetEstimates {
         self.estimates.resize_rows(self.batch.len());
@@ -334,7 +326,8 @@ impl FleetEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trickledown::CpuRates;
+    use crate::batch::tests::sums_of;
+    use trickledown::{CpuRates, SystemSample};
 
     fn sample(machine: usize) -> SystemSample {
         let m = machine as f64;
@@ -358,15 +351,26 @@ mod tests {
         }
     }
 
+    /// Starts a window holding one row per sample, written through
+    /// [`SampleBatch::columns_mut`].
+    fn fill(fleet: &mut FleetEstimator, samples: &[SystemSample]) {
+        fleet.begin_window();
+        let batch = fleet.batch_mut();
+        batch.resize_rows(samples.len());
+        let mut cols = batch.columns_mut();
+        for (m, s) in samples.iter().enumerate() {
+            for (col, v) in cols.iter_mut().zip(sums_of(s)) {
+                col[m] = v;
+            }
+        }
+    }
+
     #[test]
     fn batched_estimates_match_scalar_model_predictions() {
         let model = SystemPowerModel::paper();
         let mut fleet = FleetEstimator::new(model.clone());
-        fleet.begin_window();
         let samples: Vec<SystemSample> = (0..97).map(sample).collect();
-        for s in &samples {
-            fleet.push_sample(s);
-        }
+        fill(&mut fleet, &samples);
         let est = fleet.estimate();
         assert_eq!(est.len(), 97);
         for (i, s) in samples.iter().enumerate() {
@@ -387,10 +391,7 @@ mod tests {
     #[test]
     fn fleet_total_is_the_column_sum() {
         let mut fleet = FleetEstimator::new(SystemPowerModel::paper());
-        fleet.begin_window();
-        for i in 0..10 {
-            fleet.push_sample(&sample(i));
-        }
+        fill(&mut fleet, &(0..10).map(sample).collect::<Vec<_>>());
         let est = fleet.estimate();
         let by_machines: f64 = (0..10).map(|i| est.machine(i).total()).sum();
         assert!((est.fleet_total() - by_machines).abs() < 1e-9);
@@ -411,8 +412,7 @@ mod tests {
         model.memory = trickledown::MemoryPowerModel::paper_l3();
         let s = sample(5);
         let mut fleet = FleetEstimator::new(model.clone());
-        fleet.begin_window();
-        fleet.push_sample(&s);
+        fill(&mut fleet, std::slice::from_ref(&s));
         let est = fleet.estimate();
         let expect = model.predict(&s).get(Subsystem::Memory);
         assert!((est.memory()[0] - expect).abs() < 1e-9 * expect.abs().max(1.0));

@@ -7,12 +7,12 @@
 //! single `trickledown::quad_poly` helper and aggregate `Σx`/`Σx²` in
 //! the same CPU order, so their results must agree to the last bit,
 //! not within a tolerance. This test pins that contract for every
-//! quadratic model against fleet batches ingested from the same
-//! pre-extracted samples, and pins `tdp-simd`'s local copies of
+//! quadratic model against fleet batches whose columns are summed from
+//! the same pre-extracted samples, and pins `tdp-simd`'s local copies of
 //! `quad_poly` and `clamp_watts` (that crate sits below `trickledown`)
 //! against the canonical helpers through the kernels directly.
 
-use tdp_fleet::FleetEstimator;
+use tdp_fleet::{col, FleetEstimator};
 use tdp_simd::{clamp_predictions, quadratic, quadratic_acc};
 use trickledown::{clamp_watts, quad_poly, CpuRates, MemoryInput, SystemPowerModel, SystemSample};
 
@@ -47,13 +47,48 @@ fn fleet_samples() -> Vec<SystemSample> {
     (0..97).map(|m| sample(m, 1 + m % 5)).collect()
 }
 
+/// Starts a window whose rows are the samples' per-CPU rates summed in
+/// CPU order, each quadratic input followed by the sum of its squares,
+/// written through `SampleBatch::columns_mut`: the accumulation the
+/// scalar models run.
+fn fill(fleet: &mut FleetEstimator, samples: &[SystemSample]) {
+    fleet.begin_window();
+    let batch = fleet.batch_mut();
+    batch.resize_rows(samples.len());
+    let mut cols = batch.columns_mut();
+    for (m, s) in samples.iter().enumerate() {
+        cols[col::NUM_CPUS][m] = s.num_cpus() as f64;
+        for c in &s.per_cpu {
+            let l3 = c.l3_load_misses * 1_000.0;
+            let bus = c.bus_tx_per_mcycle;
+            let dma = c.dma_per_cycle;
+            let disk = c.disk_interrupts_per_cycle;
+            let dev = c.device_interrupts_per_cycle;
+            let terms = [
+                c.active_frac,
+                c.fetched_upc,
+                l3,
+                l3 * l3,
+                bus,
+                bus * bus,
+                dma,
+                dma * dma,
+                disk,
+                disk * disk,
+                dev,
+                dev * dev,
+            ];
+            for (column, v) in cols[col::ACTIVE..].iter_mut().zip(terms) {
+                column[m] += v;
+            }
+        }
+    }
+}
+
 fn crosscheck(model: SystemPowerModel) {
     let samples = fleet_samples();
     let mut fleet = FleetEstimator::new(model.clone());
-    fleet.begin_window();
-    for s in &samples {
-        fleet.push_sample(s);
-    }
+    fill(&mut fleet, &samples);
     let est = fleet.estimate();
 
     for (i, s) in samples.iter().enumerate() {
@@ -119,10 +154,7 @@ fn clamped_predictions_agree_bit_for_bit_at_extreme_rates() {
         .collect();
 
     let mut fleet = FleetEstimator::new(model.clone());
-    fleet.begin_window();
-    for s in &samples {
-        fleet.push_sample(s);
-    }
+    fill(&mut fleet, &samples);
     let est = fleet.estimate();
     assert!(
         est.clamped_predictions() > 0,

@@ -68,14 +68,6 @@ impl RegressionModel {
             .map(|(t, &b)| b * t.eval(x))
             .sum()
     }
-
-    /// Predicts each row of `xs`.
-    pub fn predict_all<'a, I>(&'a self, xs: I) -> impl Iterator<Item = f64> + 'a
-    where
-        I: IntoIterator<Item = &'a [f64]> + 'a,
-    {
-        xs.into_iter().map(|x| self.predict(x))
-    }
 }
 
 impl fmt::Display for RegressionModel {
@@ -98,14 +90,6 @@ impl fmt::Display for RegressionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn predict_all_matches_predict() {
-        let m = RegressionModel::new(FeatureMap::linear(1), vec![1.0, 2.0]);
-        let rows: Vec<Vec<f64>> = vec![vec![0.0], vec![1.0], vec![2.0]];
-        let out: Vec<f64> = m.predict_all(rows.iter().map(|r| r.as_slice())).collect();
-        assert_eq!(out, vec![1.0, 3.0, 5.0]);
-    }
 
     #[test]
     #[should_panic(expected = "one coefficient per feature term")]

@@ -8,7 +8,7 @@
 //! error on a validation trace, and ranks the outcomes.
 
 use crate::features::FeatureMap;
-use crate::metrics::error_summary_with_offset;
+use crate::metrics::average_error;
 use crate::model::RegressionModel;
 use crate::ols::fit_least_squares_ridge;
 use serde::{Deserialize, Serialize};
@@ -92,41 +92,20 @@ pub struct SelectionOutcome {
 #[derive(Debug, Clone)]
 pub struct ModelSelector {
     input_names: Vec<String>,
-    max_subset_size: usize,
-    ridge_lambda: f64,
-    dc_offset: f64,
 }
 
+/// Largest candidate subset searched (the paper's models use at most
+/// two inputs).
+const MAX_SUBSET_SIZE: usize = 2;
+
+/// Ridge damping of every candidate fit.
+const RIDGE_LAMBDA: f64 = 1e-9;
+
 impl ModelSelector {
-    /// Creates a selector over named candidate inputs. Subsets up to two
-    /// inputs are searched by default (the paper's models use at most
-    /// two).
+    /// Creates a selector over named candidate inputs. Subsets of up to
+    /// two inputs are searched.
     pub fn new(input_names: Vec<String>) -> Self {
-        Self {
-            input_names,
-            max_subset_size: 2,
-            ridge_lambda: 1e-9,
-            dc_offset: 0.0,
-        }
-    }
-
-    /// Sets the maximum subset size searched.
-    pub fn max_subset_size(mut self, n: usize) -> Self {
-        self.max_subset_size = n.max(1);
-        self
-    }
-
-    /// Sets the ridge damping used during candidate fits.
-    pub fn ridge_lambda(mut self, lambda: f64) -> Self {
-        self.ridge_lambda = lambda.max(0.0);
-        self
-    }
-
-    /// Sets a DC offset subtracted before computing relative errors (the
-    /// disk-model convention).
-    pub fn dc_offset(mut self, offset: f64) -> Self {
-        self.dc_offset = offset;
-        self
+        Self { input_names }
     }
 
     /// Fits and ranks every candidate. `train_*` fits coefficients;
@@ -149,7 +128,7 @@ impl ModelSelector {
     ) -> Vec<SelectionOutcome> {
         let n = self.input_names.len();
 
-        let per_subset = tdp_parallel::par_map(subsets_up_to(n, self.max_subset_size), |subset| {
+        let per_subset = tdp_parallel::par_map(subsets_up_to(n, MAX_SUBSET_SIZE), |subset| {
             self.fit_subset(&subset, train_xs, train_ys, valid_xs, valid_ys)
         });
         let mut outcomes: Vec<SelectionOutcome> = per_subset.into_iter().flatten().collect();
@@ -188,12 +167,12 @@ impl ModelSelector {
                 continue;
             }
             let map = form.feature_map(subset.len());
-            let Ok(model) = fit_least_squares_ridge(&map, &tx, train_ys, self.ridge_lambda) else {
+            let Ok(model) = fit_least_squares_ridge(&map, &tx, train_ys, RIDGE_LAMBDA) else {
                 continue;
             };
             let score = |xs: &[Vec<f64>], ys: &[f64]| {
                 let modeled: Vec<f64> = xs.iter().map(|x| model.predict(x)).collect();
-                error_summary_with_offset(&modeled, ys, self.dc_offset).average_error_pct
+                average_error(&modeled, ys)
             };
             outcomes.push(SelectionOutcome {
                 input_indices: subset.to_vec(),
@@ -300,6 +279,60 @@ mod tests {
             .find(|o| o.form == CandidateForm::Linear)
             .unwrap();
         assert!(lin.validation_error_pct < 2.0);
+    }
+
+    #[test]
+    fn search_ranking_is_pinned() {
+        // One fixed three-input problem, trained on one range and
+        // validated on the next: pins the subset sweep (sizes 0-2), the
+        // ridge damping and the Equation 6 scoring bit for bit.
+        let row = |i: usize| {
+            let t = i as f64;
+            vec![
+                (t * 0.07).sin().abs(),
+                ((i * 37) % 11) as f64 / 11.0,
+                t * 0.05,
+            ]
+        };
+        let target = |i: usize, x: &[f64]| {
+            let jitter = ((i * 2_654_435_761) % 101) as f64 / 1_000.0;
+            4.0 + 2.0 * x[0] + 0.5 * x[0] * x[0] + 0.3 * x[2] + jitter
+        };
+        let train_xs: Vec<Vec<f64>> = (0..60).map(row).collect();
+        let valid_xs: Vec<Vec<f64>> = (60..100).map(row).collect();
+        let train_ys: Vec<f64> = train_xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| target(i, x))
+            .collect();
+        let valid_ys: Vec<f64> = valid_xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| target(i + 60, x))
+            .collect();
+        let sel = ModelSelector::new(vec!["a".into(), "b".into(), "c".into()]);
+        let ranked: Vec<(Vec<usize>, CandidateForm, u64)> = sel
+            .search(&train_xs, &train_ys, &valid_xs, &valid_ys)
+            .into_iter()
+            .map(|o| (o.input_indices, o.form, o.validation_error_pct.to_bits()))
+            .collect();
+        use CandidateForm::{Constant, Linear, Quadratic};
+        let expected = vec![
+            (vec![0, 2], Quadratic, 4_600_626_788_694_623_238),
+            (vec![0, 2], Linear, 4_604_312_107_490_292_986),
+            (vec![2], Linear, 4_622_334_926_825_466_599),
+            (vec![1, 2], Linear, 4_622_348_112_788_761_707),
+            (vec![0, 1], Linear, 4_622_716_070_284_084_794),
+            (vec![0], Linear, 4_622_716_657_485_958_589),
+            (vec![0], Quadratic, 4_622_739_877_503_965_051),
+            (vec![0, 1], Quadratic, 4_622_743_462_264_246_678),
+            (vec![1], Linear, 4_623_517_922_614_254_532),
+            (vec![1], Quadratic, 4_623_544_031_630_917_809),
+            (vec![], Constant, 4_623_557_398_436_977_896),
+            (vec![2], Quadratic, 4_632_298_218_565_305_003),
+            (vec![1, 2], Quadratic, 4_632_301_330_501_508_311),
+        ];
+        assert_eq!(ranked, expected);
     }
 
     #[test]

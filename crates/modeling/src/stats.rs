@@ -79,21 +79,6 @@ impl OnlineStats {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance (divides by *n − 1*; 0.0 for fewer than two
-    /// observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -102,26 +87,6 @@ impl OnlineStats {
     /// Largest observation (`-inf` when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -144,7 +109,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.count(), 0);
     }
 
@@ -152,34 +116,9 @@ mod tests {
     fn single_observation_has_zero_variance() {
         let s: OnlineStats = [5.0].into_iter().collect();
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.sample_variance(), 0.0);
+        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.min(), 5.0);
         assert_eq!(s.max(), 5.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let seq: OnlineStats = all.iter().copied().collect();
-        let mut a: OnlineStats = all[..37].iter().copied().collect();
-        let b: OnlineStats = all[37..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean() - seq.mean()).abs() < 1e-12);
-        assert!((a.population_variance() - seq.population_variance()).abs() < 1e-10);
-        assert_eq!(a.min(), seq.min());
-        assert_eq!(a.max(), seq.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: OnlineStats = [1.0, 2.0].into_iter().collect();
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! public kernel runs that wrapper where the hardware has AVX2 and the
 //! scalar body everywhere else. Because both flavours
 //! inline the *same* expression sequence and Rust neither contracts
-//! (`a*b + c` → FMA) nor reassociates floating point, the elementwise
-//! kernels are bit-identical across flavours. The reduction
-//! ([`sum`]) hard-codes a four-accumulator association in the shared
-//! body for the same reason — see the crate docs.
+//! (`a*b + c` → FMA) nor reassociates floating point, the kernels are
+//! bit-identical across flavours — see the crate docs.
 //!
 //! `quad_poly` / `clamp_watts` here are deliberate local copies of the
 //! canonical `trickledown` definitions (this crate sits below
@@ -29,11 +27,6 @@ fn wide_available() -> bool {
 /// Elements per unrolled step in the elementwise kernels; two 256-bit
 /// registers of f64 lanes under AVX2.
 const LANES: usize = 8;
-
-/// Accumulator count in the reduction ([`sum`]): one 256-bit
-/// register of f64 lanes. Fixed so both flavours (and any future wider
-/// one) share one documented association.
-const ACCS: usize = 4;
 
 /// Local copy of [`trickledown::quad_poly`]'s expression —
 /// `dc + lin·x + quad·x_sq` in exactly this association.
@@ -237,29 +230,6 @@ wide_kernel! {
     pub fn add_assign[add_assign_impl / add_assign_avx2](out: &mut [f64], x: &[f64]);
 }
 
-#[inline(always)]
-fn sum_impl(x: &[f64]) -> f64 {
-    let mut acc = [0.0f64; ACCS];
-    let mut it = x.chunks_exact(ACCS);
-    for c in it.by_ref() {
-        for l in 0..ACCS {
-            acc[l] += c[l];
-        }
-    }
-    let mut tail = 0.0;
-    for &v in it.remainder() {
-        tail += v;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-wide_kernel! {
-    /// `Σ x[i]` with the fixed four-accumulator association documented
-    /// at the crate level: bit-identical across flavours, a few
-    /// ulp from a naive sequential sum.
-    pub fn sum[sum_impl / sum_avx2](x: &[f64]) -> f64;
-}
-
 /// Event lanes per machine row in the order [`fold_row_rates`]
 /// consumes: cycles, halted, uops, L3 misses, bus transactions, DMA,
 /// total interrupts, timer interrupts, disk interrupts.
@@ -371,7 +341,6 @@ mod tests {
         quadratic_acc: fn(&mut [f64], f64, f64, &[f64], &[f64]),
         clamp_predictions: fn(&mut [f64], f64, f64, &[f64]) -> u64,
         add_assign: fn(&mut [f64], &[f64]),
-        sum: fn(&[f64]) -> f64,
         fold_row_rates: fn(&[f64], usize, &mut [f64; 12]),
     }
 
@@ -388,7 +357,6 @@ mod tests {
                 quadratic_acc: quadratic_acc_impl,
                 clamp_predictions: clamp_impl,
                 add_assign: add_assign_impl,
-                sum: sum_impl,
                 fold_row_rates: fold_row_impl,
             },
             Flavour {
@@ -399,7 +367,6 @@ mod tests {
                 quadratic_acc,
                 clamp_predictions,
                 add_assign,
-                sum,
                 fold_row_rates,
             },
         ];
@@ -415,7 +382,6 @@ mod tests {
                 quadratic_acc: |o, l, q, x, s| unsafe { quadratic_acc_avx2(o, l, q, x, s) },
                 clamp_predictions: |o, dc, p, n| unsafe { clamp_avx2(o, dc, p, n) },
                 add_assign: |o, x| unsafe { add_assign_avx2(o, x) },
-                sum: |x| unsafe { sum_avx2(x) },
                 fold_row_rates: |l, c, o| unsafe { fold_row_avx2(l, c, o) },
             });
         }
@@ -543,28 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn reductions_use_the_documented_association() {
-        let x: Vec<f64> = (0..23).map(|i| (i as f64).sin() * 1e3).collect();
-        // Reference: the documented 4-accumulator association, written
-        // out independently of the kernel body.
-        let mut acc = [0.0f64; 4];
-        let mut tail = 0.0;
-        for (i, &v) in x.iter().enumerate() {
-            if i < 20 {
-                acc[i % 4] += v;
-            } else {
-                tail += v;
-            }
-        }
-        let expect = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail;
-        for f in flavours() {
-            assert_eq!((f.sum)(&x).to_bits(), expect.to_bits(), "{}", f.name);
-            assert_eq!((f.sum)(&[1.0; 9]), 9.0, "{}", f.name);
-            assert_eq!((f.sum)(&[]), 0.0, "{}", f.name);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         axpy(&mut [0.0; 3], 1.0, &[0.0; 4]);
@@ -626,27 +570,6 @@ mod tests {
             for f in &all[1..] {
                 prop_assert_eq!(&run(f), &scalar, "{} diverged from scalar", f.name);
             }
-        }
-
-        /// The reduction: bit-identical across flavours, and within the
-        /// forward-error bound of a naive sequential sum on
-        /// cancellation-free inputs (`n · ε` relative — "a few ulp" for
-        /// the small `n` the estimator uses).
-        #[test]
-        fn reductions_bit_identical_and_ulp_bounded(
-            xs in proptest::collection::vec(0.0f64..1e9, 0..96),
-        ) {
-            let all = flavours();
-            let scalar = (all[0].sum)(&xs);
-            for f in &all[1..] {
-                prop_assert_eq!((f.sum)(&xs).to_bits(), scalar.to_bits(), "{} sum diverged", f.name);
-            }
-            let sum_seq: f64 = xs.iter().sum();
-            let bound = xs.len() as f64 * f64::EPSILON * sum_seq.abs();
-            prop_assert!(
-                (scalar - sum_seq).abs() <= bound,
-                "sum drifted past the documented reassociation bound"
-            );
         }
     }
 }

@@ -23,17 +23,11 @@
 //! and Rust performs no floating-point contraction or reassociation on
 //! its own, so for the elementwise kernels ([`fill`], [`axpy`],
 //! [`quadratic`], [`quadratic_acc`], [`clamp_predictions`],
-//! [`add_assign`]) and the row fold ([`fold_row_rates`]) the two
-//! flavours are bit-identical by construction — vector lanes evaluate
-//! the same `a·x + b` per element that the scalar loop does, in the
-//! same order. So a result never depends on the machine it ran on.
-//!
-//! The reduction ([`sum`]) cannot be both fast and sequentially
-//! associated: it uses a fixed four-accumulator association, *written
-//! out explicitly in the shared body*, so Scalar and Wide still agree
-//! bit for bit with each other. Against a naive left-to-right sum they
-//! are reassociated; callers that previously summed sequentially get
-//! answers within a few ulp.
+//! [`add_assign`]) and the ordered row fold ([`fold_row_rates`]) the
+//! two flavours are bit-identical by construction — vector lanes
+//! evaluate the same `a·x + b` per element that the scalar loop does,
+//! in the same order. So a result never depends on the machine it ran
+//! on.
 //!
 //! The unit tests call both flavours of every kernel directly (the
 //! scalar body and the AVX2 wrapper, where the test machine has AVX2)
@@ -46,6 +40,6 @@
 pub mod kernels;
 
 pub use kernels::{
-    add_assign, axpy, clamp_predictions, fill, fold_row_rates, quadratic, quadratic_acc, sum,
+    add_assign, axpy, clamp_predictions, fill, fold_row_rates, quadratic, quadratic_acc,
     ROW_FOLD_EVENTS,
 };

@@ -16,7 +16,8 @@
 //! Layouts are resolved per machine. The decoder keeps one **binding**
 //! per machine index, dense and grown to the largest fleet it was sized
 //! for ([`FrameDecoder::grow_machines`]), never shrunk: a layout frame
-//! binds its machine to the layout's CPU count and its row slots
+//! binds its machine to the layout's CPU count, its sampling decimation
+//! and its row slots
 //! ([`row_slots`]: the first occurrence of each of the nine
 //! [`ROW_EVENTS`], the same rule the encoder projects sets with) under
 //! the frame's epoch, and a sample frame decodes only if its machine's
@@ -26,7 +27,8 @@
 //! layout — so a mid-stream PMU reprogramming whose announcement was
 //! lost cannot misattribute columns. Machines running the same layout
 //! share one slot table, so the per-frame lookup is one bounds-checked
-//! index and one small, shared table.
+//! index and one small, shared table, and a table no binding uses is
+//! reclaimed, so there are never more tables than bound machines.
 
 use crate::frame::{
     BodyHead, FrameHeader, FrameType, HeaderError, MAGIC, MAX_DECIMATION, MAX_WIRE_CPUS,
@@ -60,8 +62,6 @@ pub enum Decoded {
     Layout {
         /// Which machine the layout describes.
         machine_id: u64,
-        /// The machine's negotiated sampling decimation.
-        decimation: u16,
     },
     /// One machine-window reduced to a fleet sample row.
     Row {
@@ -91,6 +91,8 @@ struct Binding {
     /// Index of the machine's [`SlotTable`] (`None` = never bound).
     table: Option<u32>,
     cpus: u16,
+    /// The negotiated sampling decimation (≥ 1 once bound).
+    decimation: u16,
     epoch: u8,
 }
 
@@ -102,8 +104,12 @@ struct Binding {
 pub struct FrameDecoder {
     /// Per machine index, its binding.
     bindings: Vec<Binding>,
-    /// The distinct slot tables bound so far, shared across machines.
+    /// The distinct slot tables, shared across machines. A table no
+    /// binding refers to any more is overwritten by the next new one,
+    /// so there are never more tables than bound machines.
     tables: Vec<SlotTable>,
+    /// Per table, how many bindings refer to it.
+    users: Vec<u32>,
     /// A sample frame's f64 row lanes: the nine [`ROW_EVENTS`] planes,
     /// event-major in row order (`lanes[k · cpus + c]`), an event the
     /// layout lacks zero-filled — the shape [`fold_event_lanes`]
@@ -125,6 +131,14 @@ impl FrameDecoder {
         if machines > self.bindings.len() {
             self.bindings.resize(machines, Binding::default());
         }
+    }
+
+    /// Machine `m`'s negotiated sampling decimation, as its last layout
+    /// frame declared it (1 for a machine never bound).
+    pub(crate) fn decimation(&self, m: usize) -> u64 {
+        self.bindings
+            .get(m)
+            .map_or(1, |b| u64::from(b.decimation.max(1)))
     }
 
     /// Decodes one frame given its parsed header and body slice (both
@@ -221,22 +235,32 @@ impl FrameDecoder {
             .ok()
             .and_then(|m| self.bindings.get_mut(m));
         if let Some(binding) = binding {
-            let t = match self.tables.iter().position(|t| *t == table) {
-                Some(t) => t,
-                None => {
+            if let Some(old) = binding.table {
+                self.users[old as usize] -= 1;
+            }
+            // The same table if one is bound, else one no binding uses,
+            // else a new one.
+            let t = self
+                .tables
+                .iter()
+                .position(|t| *t == table)
+                .or_else(|| self.users.iter().position(|&u| u == 0))
+                .unwrap_or_else(|| {
                     self.tables.push(table);
+                    self.users.push(0);
                     self.tables.len() - 1
-                }
-            };
+                });
+            self.tables[t] = table;
+            self.users[t] += 1;
             *binding = Binding {
                 table: Some(t as u32),
                 cpus: cpus as u16,
+                decimation: decimation as u16,
                 epoch: head.epoch,
             };
         }
         Ok(Decoded::Layout {
             machine_id: head.machine_id,
-            decimation: decimation as u16,
         })
     }
 }
@@ -329,6 +353,95 @@ impl Iterator for FrameCursor<'_> {
                 Some(CursorItem::Resync {
                     skipped: self.pos - start,
                 })
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encode::{encode_layout_frame, encode_sample_frame};
+    use tdp_counters::{PerfEvent, SampleSet};
+    use tdp_fleet::SampleBatch;
+
+    /// Decodes every frame of `buf`, in order.
+    fn decode_all(dec: &mut FrameDecoder, buf: &[u8]) -> Vec<Result<Decoded, DecodeError>> {
+        let mut cursor = FrameCursor::new(buf);
+        let mut out = Vec::new();
+        while let Some(item) = cursor.next() {
+            let CursorItem::Frame { start, header } = item else {
+                panic!("clean stream resynced: {item:?}");
+            };
+            out.push(dec.decode_frame(&header, cursor.body(start, &header)));
+        }
+        out
+    }
+
+    /// A 2-CPU set over `events`, every count distinct.
+    fn set_over(events: &[PerfEvent]) -> SampleSet {
+        let mut set = SampleSet::empty();
+        for (i, n) in set.reset(events.iter().copied(), 2).iter_mut().enumerate() {
+            *n = 1_000_000 + 7_919 * i as u64;
+        }
+        set
+    }
+
+    /// The `i`-th ordering of the row events, distinct for `i < 9!`:
+    /// `i` read as mixed-radix digits, each picking one of the events
+    /// left.
+    fn ordering(mut i: usize) -> Vec<PerfEvent> {
+        let mut pool = ROW_EVENTS.to_vec();
+        let mut out = Vec::new();
+        while !pool.is_empty() {
+            let n = pool.len();
+            out.push(pool.remove(i % n));
+            i /= n;
+        }
+        out
+    }
+
+    #[test]
+    fn slot_tables_never_outnumber_the_bound_machines() {
+        // Machine 0 is re-announced 2,000 times over 450 distinct
+        // layouts while machines 1–3 share one: a table no binding uses
+        // is reclaimed, and every machine still decodes its rows.
+        let mut dec = FrameDecoder::new();
+        dec.grow_machines(4);
+        let mut buf = Vec::new();
+        for m in 1..4 {
+            encode_layout_frame(&mut buf, m, 0, &set_over(&ROW_EVENTS)).unwrap();
+        }
+        assert!(decode_all(&mut dec, &buf).iter().all(Result::is_ok));
+        let mut layout = Vec::new();
+        for i in 0..2_000 {
+            layout = ordering(i % 450);
+            buf.clear();
+            encode_layout_frame(&mut buf, 0, 0, &set_over(&layout)).unwrap();
+            let decoded = decode_all(&mut dec, &buf);
+            assert_eq!(decoded, [Ok(Decoded::Layout { machine_id: 0 })]);
+            assert!(
+                dec.tables.len() <= 4,
+                "layout {i}: {} tables",
+                dec.tables.len()
+            );
+        }
+        assert_eq!(dec.tables.len(), 2, "machine 0's table and the shared one");
+        for m in 0..4u64 {
+            let set = set_over(if m == 0 { &layout } else { &ROW_EVENTS });
+            buf.clear();
+            encode_sample_frame(&mut buf, m, 0, &set).unwrap();
+            let mut batch = SampleBatch::new();
+            batch.push_sample_set(&set);
+            let want = batch.columns().map(|c| c[0].to_bits());
+            match decode_all(&mut dec, &buf)[..] {
+                [Ok(Decoded::Row {
+                    machine_id, row, ..
+                })] => {
+                    assert_eq!(machine_id, m);
+                    assert_eq!(row.map(f64::to_bits), want, "machine {m}");
+                }
+                ref other => panic!("machine {m}: {other:?}"),
             }
         }
     }

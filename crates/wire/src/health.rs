@@ -193,10 +193,6 @@ pub(crate) struct HealthLedger {
     /// Whether the current outage was already counted in
     /// `machines_stale` (one count per outage, not per window).
     counted_stale: Vec<bool>,
-    /// Negotiated sampling decimation per machine (1 = every window),
-    /// learned from the machine's layout frames. Windows of silence
-    /// shorter than this are reconstruction, not degradation.
-    decimation: Vec<u16>,
 }
 
 impl HealthLedger {
@@ -209,13 +205,6 @@ impl HealthLedger {
         self.last_seq.resize(n, 0);
         self.last_good_epoch.resize(n, 0);
         self.counted_stale.resize(n, false);
-        self.decimation.resize(n, 1);
-    }
-
-    /// Records machine `m`'s negotiated sampling decimation (from its
-    /// layout frame; values are already normalised ≥ 1 by the decoder).
-    pub(crate) fn set_decimation(&mut self, m: usize, decimation: u16) {
-        self.decimation[m] = decimation.max(1);
     }
 
     /// Whether machine `m` ever had a frame accepted (false for dense
@@ -299,10 +288,9 @@ impl HealthLedger {
     /// At `dec = 1` the first tier is unreachable (a machine with a
     /// good row *this* epoch never reaches `hold`), so the ladder
     /// reduces exactly to the historical every-window behaviour.
-    pub(crate) fn hold(&mut self, m: usize, epoch: u64) -> Hold {
+    pub(crate) fn hold(&mut self, m: usize, epoch: u64, dec: u64) -> Hold {
         if self.last_good_epoch[m] != 0 {
             let since = epoch - self.last_good_epoch[m];
-            let dec = self.decimation[m] as u64;
             if since < dec {
                 return Hold::Reconstructed;
             }

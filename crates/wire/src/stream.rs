@@ -16,8 +16,9 @@
 //! the bound. Only the first window of an [`IngestState`] clears the
 //! batch; every window sizes it to the window's machine count, so a
 //! machine cut off by a smaller fleet loses its row and its health
-//! history and comes back unseen — though still bound to its layout,
-//! so its next sample frame decodes.
+//! history and comes back unseen — though still bound to its layout
+//! and decimation, so its next sample frame decodes and its silent
+//! windows after it are reconstructed as before.
 //!
 //! # Determinism
 //!
@@ -128,7 +129,8 @@ impl StreamReport {
 /// bounds-checked index. The decoder's layout bindings are dense too,
 /// but grow to the largest machine count seen and never shrink: a
 /// machine cut off by a smaller fleet loses its health history, not
-/// its layout, and decodes again without a re-announcement. A machine
+/// its layout or decimation, and decodes again without a
+/// re-announcement. A machine
 /// never decoded is exactly one whose ledger `seen` flag is unset
 /// (every write path notes the sequence first).
 ///
@@ -218,16 +220,7 @@ pub fn ingest_serial_with(
             stats.sample_frames += 1;
         }
         match dec.decode_frame(&header, cursor.body(start, &header)) {
-            Ok(Decoded::Layout {
-                machine_id,
-                decimation,
-            }) => {
-                stats.layout_frames += 1;
-                let idx = machine_id as usize;
-                if idx < machines {
-                    ledger.set_decimation(idx, decimation);
-                }
-            }
+            Ok(Decoded::Layout { .. }) => stats.layout_frames += 1,
             Ok(Decoded::Row {
                 machine_id,
                 window_seq,
@@ -275,17 +268,18 @@ pub fn ingest_serial_with(
             Err(_) => stats.corrupt_frames += 1,
         }
     }
-    hold_pass(ledger, epoch, machines, &mut stats, &mut cols);
+    hold_pass(ledger, dec, epoch, machines, &mut stats, &mut cols);
     stats
 }
 
 /// After the frame walk: every seen machine that contributed nothing
 /// this window is either carried at its last good row — already in its
 /// batch slot — for up to [`MAX_STALE_WINDOWS`](crate::MAX_STALE_WINDOWS)
-/// windows past its decimation, or declared stale, which zeroes its row
-/// once.
+/// windows past the decimation its decoder binding holds, or declared
+/// stale, which zeroes its row once.
 fn hold_pass(
     ledger: &mut HealthLedger,
+    dec: &FrameDecoder,
     epoch: u64,
     machines: usize,
     stats: &mut StreamReport,
@@ -295,7 +289,7 @@ fn hold_pass(
         if !ledger.seen(idx) || ledger.committed_in(idx, epoch) {
             continue;
         }
-        match ledger.hold(idx, epoch) {
+        match ledger.hold(idx, epoch, dec.decimation(idx)) {
             Hold::Reconstructed => {
                 stats.rows_reconstructed += 1;
                 stats.rows_written += 1;

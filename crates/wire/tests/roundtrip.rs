@@ -474,6 +474,40 @@ fn a_machine_back_from_a_fleet_shrink_decodes_without_a_reannouncement() {
         assert!(rep.health().is_clean(), "window {w}: {}", rep.health());
         assert_eq!(batch_bits(&est), in_memory_bits(&sets).0, "window {w}");
     }
+
+    // The same shrink under decimation-4 grants: the negotiated
+    // decimation outlives the shrink with the binding, so a machine
+    // back from it has its silent windows reconstructed, never held.
+    let mut enc = WireEncoder::new();
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    for m in 0..4 {
+        enc.set_decimation(m, 4);
+    }
+    for w in 0..16u64 {
+        let machines = if w == 8 { 2 } else { 4 };
+        for m in 0..machines as u64 {
+            if enc.should_send(m, w) {
+                let set = synthetic_set(m, w, &ROW_EVENTS, false);
+                enc.push_sample_set(m, &set).unwrap();
+            }
+        }
+        let rep = ingest_serial_with(&mut state, &enc.take_bytes(), machines, &mut est);
+        assert_eq!(rep.layout_frames, if w == 0 { 4 } else { 0 }, "window {w}");
+        assert!(rep.health().is_clean(), "window {w}: {}", rep.health());
+        if w >= 11 {
+            // Machines 2 and 3 have sent again (windows 10 and 11).
+            assert_eq!(rep.rows_written, 4, "window {w}");
+            assert_eq!(rep.rows_reconstructed, 3, "window {w}");
+        }
+    }
+    for m in 0..4 {
+        assert_eq!(
+            state.machine_health(m),
+            Some(HealthState::Healthy),
+            "machine {m}"
+        );
+    }
 }
 
 #[test]

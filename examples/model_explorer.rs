@@ -69,8 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (train_xs, train_ys) = rows(&train, subsystem);
     let (valid_xs, valid_ys) = rows(&valid, subsystem);
 
-    let selector = ModelSelector::new(CANDIDATE_NAMES.iter().map(|s| s.to_string()).collect())
-        .max_subset_size(2);
+    let selector = ModelSelector::new(CANDIDATE_NAMES.iter().map(|s| s.to_string()).collect());
     let ranked = selector.search(&train_xs, &train_ys, &valid_xs, &valid_ys);
 
     println!("{subsystem} power model candidates, trained on {train_w}, validated on {valid_w}:");
